@@ -44,14 +44,12 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use iwarp::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
+use iwarp::read::{BulkRead, BulkReadConfig, CcAlgo, RecoveryConfig, SignalInterval};
 use iwarp::wr::RecvWr;
 use iwarp::{
-    Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, MemoryRegion, QpConfig, ShardConfig,
-    UdDest, UdQp,
+    Access, BurstPath, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, MemoryRegion, QpConfig,
+    ShardConfig, UdDest, UdQp,
 };
-use iwarp_common::burstpath::BurstPath;
-use iwarp_common::ccalgo::CcAlgo;
 use iwarp_common::crc32::crc32c;
 use iwarp_common::rng::{derive_seed, mix64};
 use iwarp_telemetry::Counter;

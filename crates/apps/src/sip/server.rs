@@ -17,12 +17,12 @@
 //!
 //! The server is a single-threaded event loop, so thousands of concurrent
 //! calls cost memory (the thing Fig. 11 measures), not threads. On UD it
-//! has two drive modes, following the stack's
-//! [`NotifyPath`](iwarp_common::notifypath::NotifyPath):
+//! has two drive modes, chosen by the stack's `qp.poll_mode`:
 //!
-//! * **Poll** — the original loop: short-timeout receive on the main
-//!   socket, periodic O(active calls) scan of every call socket.
-//! * **Event** — the scale-out loop: all sockets subscribe to the stack's
+//! * **Scan** (poll-mode stacks, which cannot park) — short-timeout
+//!   receive on the main socket, periodic O(active calls) scan of every
+//!   call socket.
+//! * **Event** (threaded stacks) — all sockets subscribe to the stack's
 //!   completion channel and the server parks in
 //!   [`SocketStack::wait_ready`], touching only sockets with work. Idle
 //!   cost drops from a continuous scan to zero, and per-message cost from
@@ -110,9 +110,7 @@ impl SipServer {
         let thread = match cfg.transport {
             SipTransport::Ud => {
                 let main = stack.dgram_bound(cfg.port)?;
-                let evented = stack.config().notify
-                    == iwarp_common::notifypath::NotifyPath::Event
-                    && !stack.config().qp.poll_mode;
+                let evented = !stack.config().qp.poll_mode;
                 std::thread::Builder::new()
                     .name("sip-uas-ud".into())
                     .spawn(move || {

@@ -27,9 +27,8 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use iwarp::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
+use iwarp::read::{BulkRead, BulkReadConfig, CcAlgo, RecoveryConfig, SignalInterval};
 use iwarp::{Access, Cq, Device, QpConfig};
-use iwarp_common::ccalgo::CcAlgo;
 use iwarp_common::rng::derive_seed;
 use simnet::{Fabric, NodeId, WireConfig};
 

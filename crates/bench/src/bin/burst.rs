@@ -32,8 +32,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, Cqe, Device, QpConfig, SendWr};
-use iwarp_common::burstpath::BurstPath;
+use iwarp::{Access, BurstPath, Cq, Cqe, Device, QpConfig, SendWr};
 use iwarp_common::stats::Summary;
 use simnet::{Fabric, NodeId, WireConfig};
 
@@ -106,7 +105,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 struct RunResult {
-    path: &'static str,
+    path: BurstPath,
     size: usize,
     burst: usize,
     sent: usize,
@@ -135,15 +134,15 @@ fn cores_used() -> usize {
 
 /// One open-loop run: `msgs` messages of `size` bytes in doorbells of
 /// `burst`, under the given path. Fresh fabric per run so telemetry
-/// deltas are exact and the QPs pick the path up at construction.
+/// deltas are exact.
 fn run_one(path: BurstPath, size: usize, burst: usize, msgs: usize) -> RunResult {
-    iwarp_common::burstpath::set_default(path);
     let fabric = Fabric::new(WireConfig::default());
     let dev_a = Device::new(&fabric, NodeId(0));
     let dev_b = Device::new(&fabric, NodeId(1));
     let cfg = QpConfig {
         poll_mode: true,
         recv_ttl: Duration::from_secs(5),
+        burst_path: path,
         ..QpConfig::default()
     };
     let (a_s, a_r) = (Cq::new(msgs + 64), Cq::new(msgs + 64));
@@ -230,7 +229,7 @@ fn run_one(path: BurstPath, size: usize, burst: usize, msgs: usize) -> RunResult
     let tx_bursts = delta.get("core.qp.tx_bursts").unwrap_or(0);
     let msgs_per_sec = delivered as f64 / elapsed.as_secs_f64().max(1e-9);
     RunResult {
-        path: path.as_str(),
+        path,
         size,
         burst,
         sent: msgs,
@@ -280,7 +279,7 @@ fn json_runs(results: &[RunResult]) -> String {
 
 /// The acceptance cell: 64 B × burst 32. Returns (msgs/s, retired
 /// shared-lock counter absent) for the given path.
-fn acceptance_cell(results: &[RunResult], path: &str) -> Option<(f64, bool)> {
+fn acceptance_cell(results: &[RunResult], path: BurstPath) -> Option<(f64, bool)> {
     results
         .iter()
         .filter(|r| r.path == path)
@@ -315,13 +314,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Restore the process default for anything that runs after us.
-    iwarp_common::burstpath::set_default(BurstPath::PerPacket);
-
     let mut gate_ok = true;
     let acceptance = match (
-        acceptance_cell(&results, "per-packet"),
-        acceptance_cell(&results, "burst"),
+        acceptance_cell(&results, BurstPath::PerPacket),
+        acceptance_cell(&results, BurstPath::Burst),
     ) {
         (Some((pp_rate, pp_retired)), Some((b_rate, b_retired))) => {
             let speedup = b_rate / pp_rate.max(1e-9);

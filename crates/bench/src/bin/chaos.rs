@@ -14,8 +14,10 @@
 
 use std::process::ExitCode;
 
+use iwarp::BurstPath;
 use iwarp_chaos::{run_plan, ChaosOpts};
 use iwarp_common::rng::derive_seed;
+use simnet::CcAlgo;
 
 struct Args {
     plans: usize,
@@ -24,6 +26,8 @@ struct Args {
     msgs: Option<usize>,
     dgrams: Option<usize>,
     verbose: bool,
+    burst_path: BurstPath,
+    cc: CcAlgo,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -34,6 +38,8 @@ fn parse_args() -> Result<Args, String> {
         msgs: None,
         dgrams: None,
         verbose: false,
+        burst_path: BurstPath::default(),
+        cc: CcAlgo::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -52,15 +58,13 @@ fn parse_args() -> Result<Args, String> {
             "--verbose" | "-v" => args.verbose = true,
             "--burst-path" => {
                 let spec = grab("--burst-path")?;
-                let path = iwarp_common::burstpath::BurstPath::parse(&spec)
+                args.burst_path = BurstPath::parse(&spec)
                     .ok_or(format!("--burst-path takes 'per-packet' or 'burst', got {spec:?}"))?;
-                iwarp_common::burstpath::set_default(path);
             }
             "--cc" => {
                 let spec = grab("--cc")?;
-                let algo = iwarp_common::ccalgo::CcAlgo::parse(&spec)
+                args.cc = CcAlgo::parse(&spec)
                     .ok_or(format!("--cc takes 'fixed', 'newreno' or 'cubic', got {spec:?}"))?;
-                iwarp_common::ccalgo::set_default(algo);
             }
             "--help" | "-h" => {
                 println!(
@@ -87,6 +91,8 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 fn opts_from(args: &Args, forensic: bool) -> ChaosOpts {
     let mut o = ChaosOpts {
         forensic,
+        burst_path: args.burst_path,
+        cc: args.cc,
         ..ChaosOpts::default()
     };
     if let Some(m) = args.msgs {
@@ -154,7 +160,7 @@ fn main() -> ExitCode {
                     report.bulk.reposts,
                     report.reliable.stream_bytes,
                     report.reliable.rd_msgs,
-                    iwarp_common::ccalgo::default_algo(),
+                    opts.cc,
                 );
             }
         } else {

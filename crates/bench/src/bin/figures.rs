@@ -14,6 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use iwarp::{BurstPath, QpConfig};
 use iwarp_bench::verbs::{absorb_snapshot, bandwidth_with_config, default_burst, drain_snapshot};
 use iwarp_bench::{bandwidth, latency, FabricKind, Method};
 use iwarp_common::memacct::MemRegistry;
@@ -33,27 +34,16 @@ struct Args {
     fabric: FabricKind,
     calls: Vec<usize>,
     telemetry: bool,
+    /// `--burst-path {per-packet,burst}`: the batching discipline of the
+    /// socket stacks' QPs (the only figure QPs that post or drain batches).
+    burst_path: BurstPath,
 }
 
-/// Applies `--copy-path {legacy,sg}`: every QP/conduit built afterwards
-/// picks the path up from the process-wide default, so one flag A/Bs the
-/// whole stack (Fig. 5/6 under both datapaths feed `BENCH_PR2.json`).
-fn set_copy_path(spec: &str) {
-    let Some(path) = iwarp_common::copypath::CopyPath::parse(spec) else {
-        eprintln!("--copy-path takes 'legacy' or 'sg', got {spec:?}");
-        std::process::exit(2);
-    };
-    iwarp_common::copypath::set_default(path);
-}
-
-/// Applies `--burst-path {per-packet,burst}` the same way: one flag A/Bs
-/// the batching discipline across every QP/fabric built afterwards.
-fn set_burst_path(spec: &str) {
-    let Some(path) = iwarp_common::burstpath::BurstPath::parse(spec) else {
+fn parse_burst_path(spec: &str) -> BurstPath {
+    BurstPath::parse(spec).unwrap_or_else(|| {
         eprintln!("--burst-path takes 'per-packet' or 'burst', got {spec:?}");
         std::process::exit(2);
-    };
-    iwarp_common::burstpath::set_default(path);
+    })
 }
 
 fn parse_args() -> Args {
@@ -63,6 +53,7 @@ fn parse_args() -> Args {
     let mut fabric = FabricKind::TenGbe;
     let mut calls = vec![100, 1000, 10_000];
     let mut telemetry = false;
+    let mut burst_path = BurstPath::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -85,26 +76,19 @@ fn parse_args() -> Args {
                     .map(|s| s.parse().expect("--calls takes e.g. 100,1000"))
                     .collect();
             }
-            "--copy-path" => {
-                i += 1;
-                set_copy_path(&argv[i]);
-            }
-            p if p.starts_with("--copy-path=") => {
-                set_copy_path(p.trim_start_matches("--copy-path="));
-            }
             "--burst-path" => {
                 i += 1;
-                set_burst_path(&argv[i]);
+                burst_path = parse_burst_path(&argv[i]);
             }
             p if p.starts_with("--burst-path=") => {
-                set_burst_path(p.trim_start_matches("--burst-path="));
+                burst_path = parse_burst_path(p.trim_start_matches("--burst-path="));
             }
             f if f.starts_with("--fig") || f == "--overhead" || f == "--ext" => {
                 figs.push(f.trim_start_matches("--").to_owned());
             }
             other => {
                 eprintln!("unknown argument {other}");
-                eprintln!("usage: figures [--all] [--fig5..--fig11] [--overhead] [--ext] [--quick] [--fast-fabric] [--telemetry] [--copy-path {{legacy,sg}}] [--burst-path {{per-packet,burst}}] [--calls a,b,c] [--out DIR]");
+                eprintln!("usage: figures [--all] [--fig5..--fig11] [--overhead] [--ext] [--quick] [--fast-fabric] [--telemetry] [--burst-path {{per-packet,burst}}] [--calls a,b,c] [--out DIR]");
                 std::process::exit(2);
             }
         }
@@ -123,6 +107,7 @@ fn parse_args() -> Args {
         fabric,
         calls,
         telemetry,
+        burst_path,
     }
 }
 
@@ -391,11 +376,15 @@ fn fig8(args: &Args) {
 
 // ---------------------------------------------------------------- Fig. 9
 
-fn media_sock_cfg(mode: DgramMode) -> SocketConfig {
+fn media_sock_cfg(args: &Args, mode: DgramMode) -> SocketConfig {
     SocketConfig {
         mode,
         recv_slots: 256,
         slot_size: 2048,
+        qp: QpConfig {
+            burst_path: args.burst_path,
+            ..QpConfig::default()
+        },
         ..SocketConfig::default()
     }
 }
@@ -427,13 +416,13 @@ fn fig9(args: &Args) {
                         &fab,
                         NodeId(0),
                         Default::default(),
-                        media_sock_cfg(mode),
+                        media_sock_cfg(args, mode),
                     );
                     let sb = SocketStack::with_config(
                         &fab,
                         NodeId(1),
                         Default::default(),
-                        media_sock_cfg(mode),
+                        media_sock_cfg(args, mode),
                     );
                     let m = run_udp_session(&sa, &sb, &cfg).expect("udp session");
                     absorb_snapshot(fab.telemetry().snapshot());
@@ -452,13 +441,13 @@ fn fig9(args: &Args) {
                     &fab,
                     NodeId(0),
                     Default::default(),
-                    media_sock_cfg(DgramMode::SendRecv),
+                    media_sock_cfg(args, DgramMode::SendRecv),
                 );
                 let sb = SocketStack::with_config(
                     &fab,
                     NodeId(1),
                     Default::default(),
-                    media_sock_cfg(DgramMode::SendRecv),
+                    media_sock_cfg(args, DgramMode::SendRecv),
                 );
                 let m = run_http_session(&sa, &sb, 8080, &cfg).expect("http session");
                 absorb_snapshot(fab.telemetry().snapshot());
@@ -490,13 +479,18 @@ fn fig9(args: &Args) {
 
 // --------------------------------------------------------------- Fig. 10
 
-fn sip_stacks(fab: &Fabric, reg: Option<MemRegistry>) -> (SocketStack, SocketStack) {
+fn sip_stacks(
+    args: &Args,
+    fab: &Fabric,
+    reg: Option<MemRegistry>,
+) -> (SocketStack, SocketStack) {
     let sock = SocketConfig {
         recv_slots: 8,
         slot_size: 2048,
-        qp: iwarp::QpConfig {
+        qp: QpConfig {
             poll_mode: true,
-            ..iwarp::QpConfig::default()
+            burst_path: args.burst_path,
+            ..QpConfig::default()
         },
         ..SocketConfig::default()
     };
@@ -534,7 +528,7 @@ fn fig10(args: &Args) {
     let mut results = Vec::new();
     for (transport, port) in [(SipTransport::Ud, 5060u16), (SipTransport::Rc, 5061)] {
         let fab = Fabric::new(args.fabric.config());
-        let (server_stack, client_stack) = sip_stacks(&fab, None);
+        let (server_stack, client_stack) = sip_stacks(args, &fab, None);
         let server = SipServer::spawn(
             server_stack,
             SipServerConfig {
@@ -606,7 +600,7 @@ fn fig11(args: &Args) {
         let measure = |transport: SipTransport, port: u16| -> u64 {
             let fab = Fabric::loopback();
             let reg = MemRegistry::new();
-            let (server_stack, client_stack) = sip_stacks(&fab, Some(reg.clone()));
+            let (server_stack, client_stack) = sip_stacks(args, &fab, Some(reg.clone()));
             let server = SipServer::spawn(
                 server_stack,
                 SipServerConfig {
@@ -677,13 +671,13 @@ fn overhead(args: &Args) {
             &fab,
             NodeId(0),
             Default::default(),
-            media_sock_cfg(DgramMode::SendRecv),
+            media_sock_cfg(args, DgramMode::SendRecv),
         );
         let sb = SocketStack::with_config(
             &fab,
             NodeId(1),
             Default::default(),
-            media_sock_cfg(DgramMode::SendRecv),
+            media_sock_cfg(args, DgramMode::SendRecv),
         );
         shim.push(
             run_udp_session(&sa, &sb, &cfg)
@@ -792,9 +786,8 @@ fn ext(args: &Args) {
 fn main() {
     let args = parse_args();
     println!(
-        "datagram-iWARP figure harness — fabric: {:?}, copy path: {}{}",
+        "datagram-iWARP figure harness — fabric: {:?}{}",
         args.fabric,
-        iwarp_common::copypath::default_path(),
         if args.quick { " (quick)" } else { "" }
     );
     let t0 = std::time::Instant::now();

@@ -27,12 +27,12 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use iwarp_common::ccalgo::CcAlgo;
 use iwarp_common::rng::derive_seed;
 use simnet::rdgram::RdConfig;
 use simnet::stream::StreamConfig;
 use simnet::{
-    Addr, Fabric, LossModel, NodeId, RdConduit, StreamConduit, StreamListener, WireConfig,
+    Addr, CcAlgo, Fabric, LossModel, NodeId, RdConduit, StreamConduit, StreamListener,
+    WireConfig,
 };
 
 const RUN_TIMEOUT: Duration = Duration::from_secs(120);

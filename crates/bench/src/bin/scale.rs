@@ -11,8 +11,6 @@
 //!
 //! * `legacy`  — pre-scale-out baseline: poll-mode QPs, the server's
 //!   O(active calls) scan loop (exactly the Fig. 10/11 setup);
-//! * `poll`    — shard-driven RX engines but the scan-loop server
-//!   (isolates sharding from event notification);
 //! * `event`   — shard-driven RX engines and the server parked in
 //!   `wait_ready` (the full PR 4 datapath), at 1/2/4 shards.
 //!
@@ -49,11 +47,11 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use iwarp::{BurstPath, QpConfig};
 use iwarp_apps::sip::codec::{make_ack, make_invite, SipMessage, SipMethod};
 use iwarp_apps::sip::load::run_sip_load_with_peak_sample;
 use iwarp_apps::sip::{SipLoadConfig, SipServer, SipServerConfig, SipTransport};
 use iwarp_common::memacct::{procfs_rss_bytes, MemRegistry};
-use iwarp_common::notifypath::NotifyPath;
 use iwarp_common::stats::Summary;
 use iwarp_socket::{DgramProfile, DgramSocket, SocketConfig, SocketStack};
 use simnet::{Addr, Fabric, NodeId, WireConfig};
@@ -62,9 +60,7 @@ use simnet::{Addr, Fabric, NodeId, WireConfig};
 enum Mode {
     /// Poll-mode QPs + scan-loop server: the pre-shard baseline.
     Legacy,
-    /// Sharded RX engines, scan-loop server (`NotifyPath::Poll`).
-    Poll { shards: usize },
-    /// Sharded RX engines, `wait_ready`-parked server (`NotifyPath::Event`).
+    /// Sharded RX engines, `wait_ready`-parked server.
     Event { shards: usize },
 }
 
@@ -72,7 +68,6 @@ impl Mode {
     fn label(self) -> String {
         match self {
             Mode::Legacy => "legacy".into(),
-            Mode::Poll { shards } => format!("poll-{shards}shard"),
             Mode::Event { shards } => format!("event-{shards}shard"),
         }
     }
@@ -80,15 +75,32 @@ impl Mode {
     fn shards(self) -> usize {
         match self {
             Mode::Legacy => 0,
-            Mode::Poll { shards } | Mode::Event { shards } => shards,
+            Mode::Event { shards } => shards,
         }
     }
 
-    fn notify(self) -> NotifyPath {
+    /// How the server learns of work: scan loop or parked `wait_ready`
+    /// (follows from poll-mode vs threaded QPs).
+    fn notify(self) -> &'static str {
         match self {
-            Mode::Legacy | Mode::Poll { .. } => NotifyPath::Poll,
-            Mode::Event { .. } => NotifyPath::Event,
+            Mode::Legacy => "poll",
+            Mode::Event { .. } => "event",
         }
+    }
+}
+
+/// 2 KiB-slot socket configuration shared by every stack the harness
+/// builds; `poll_mode` QPs are driven by the calling thread.
+fn sock_cfg(recv_slots: usize, poll_mode: bool, burst_path: BurstPath) -> SocketConfig {
+    SocketConfig {
+        recv_slots,
+        slot_size: 2048,
+        qp: QpConfig {
+            poll_mode,
+            burst_path,
+            ..QpConfig::default()
+        },
+        ..SocketConfig::default()
     }
 }
 
@@ -132,22 +144,17 @@ fn cpu_ticks() -> u64 {
 /// INVITE, 200(INVITE), ACK, BYE, 200(BYE).
 const MSGS_PER_CALL: f64 = 5.0;
 
-fn run_one(mode: Mode, calls: usize, idle_window: Duration, pin: bool) -> Result<RunResult, String> {
+fn run_one(
+    mode: Mode,
+    calls: usize,
+    idle_window: Duration,
+    pin: bool,
+    burst_path: BurstPath,
+) -> Result<RunResult, String> {
     // Unpaced wire: the harness measures stack processing capacity, not
     // modeled link rate.
     let fab = Fabric::new(WireConfig::default());
     let reg = MemRegistry::new();
-    let legacy = mode == Mode::Legacy;
-    let server_cfg = SocketConfig {
-        recv_slots: 8,
-        slot_size: 2048,
-        notify: mode.notify(),
-        qp: iwarp::QpConfig {
-            poll_mode: legacy,
-            ..iwarp::QpConfig::default()
-        },
-        ..SocketConfig::default()
-    };
     let server_stack = SocketStack::with_config(
         &fab,
         NodeId(1),
@@ -159,22 +166,16 @@ fn run_one(mode: Mode, calls: usize, idle_window: Duration, pin: bool) -> Result
             },
             ..iwarp::DeviceConfig::default()
         },
-        server_cfg,
+        sock_cfg(8, mode == Mode::Legacy, burst_path),
     );
     // The client is not under test: poll-mode sockets, driven from this
     // thread, identical across configurations.
-    let client_cfg = SocketConfig {
-        recv_slots: 8,
-        slot_size: 2048,
-        notify: NotifyPath::Poll,
-        qp: iwarp::QpConfig {
-            poll_mode: true,
-            ..iwarp::QpConfig::default()
-        },
-        ..SocketConfig::default()
-    };
-    let client_stack =
-        SocketStack::with_config(&fab, NodeId(0), iwarp::DeviceConfig::default(), client_cfg);
+    let client_stack = SocketStack::with_config(
+        &fab,
+        NodeId(0),
+        iwarp::DeviceConfig::default(),
+        sock_cfg(8, true, burst_path),
+    );
 
     let server = SipServer::spawn(
         server_stack,
@@ -217,10 +218,7 @@ fn run_one(mode: Mode, calls: usize, idle_window: Duration, pin: bool) -> Result
         mode: mode.label(),
         calls,
         shards: mode.shards(),
-        notify: match mode.notify() {
-            NotifyPath::Poll => "poll",
-            NotifyPath::Event => "event",
-        },
+        notify: mode.notify(),
         established: report.calls_established,
         msgs_per_sec,
         msgs_per_sec_per_core: msgs_per_sec / cores_used as f64,
@@ -355,7 +353,7 @@ struct RampOutput {
     completed_calls: usize,
 }
 
-fn run_ramp(levels: &[usize]) -> Result<RampOutput, String> {
+fn run_ramp(levels: &[usize], burst_path: BurstPath) -> Result<RampOutput, String> {
     let fab = Fabric::new(WireConfig {
         ring_capacity: RAMP_RING_SLOTS,
         ..WireConfig::default()
@@ -377,12 +375,7 @@ fn run_ramp(levels: &[usize]) -> Result<RampOutput, String> {
                 shard: iwarp::ShardConfig::with_shards(1),
                 ..iwarp::DeviceConfig::default()
             },
-            SocketConfig {
-                recv_slots: 8,
-                slot_size: 2048,
-                notify: NotifyPath::Event,
-                ..SocketConfig::default()
-            },
+            sock_cfg(8, false, burst_path),
         );
         let server = SipServer::spawn(
             stack,
@@ -407,16 +400,7 @@ fn run_ramp(levels: &[usize]) -> Result<RampOutput, String> {
                     mem: Some(client_reg.clone()),
                     ..iwarp::DeviceConfig::default()
                 },
-                SocketConfig {
-                    recv_slots: 4,
-                    slot_size: 2048,
-                    notify: NotifyPath::Poll,
-                    qp: iwarp::QpConfig {
-                        poll_mode: true,
-                        ..iwarp::QpConfig::default()
-                    },
-                    ..SocketConfig::default()
-                },
+                sock_cfg(4, true, burst_path),
             )
         })
         .collect();
@@ -563,9 +547,9 @@ fn json_checkpoints(cps: &[RampCheckpoint]) -> String {
 /// ≤ 6 KB budget; the 18 KB pre-compaction baseline is the fail side).
 const PER_CALL_BUDGET_BYTES: f64 = 6144.0;
 
-fn ramp_main(levels: &[usize], out: &str) -> ExitCode {
+fn ramp_main(levels: &[usize], out: &str, burst_path: BurstPath) -> ExitCode {
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let ramp = match run_ramp(levels) {
+    let ramp = match run_ramp(levels, burst_path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ramp failed: {e}");
@@ -584,6 +568,7 @@ fn ramp_main(levels: &[usize], out: &str) -> ExitCode {
             1024,
             Duration::from_millis(250),
             false,
+            burst_path,
         ) {
             Ok(r) => {
                 if closed.as_ref().is_none_or(|b| r.msgs_per_sec > b.msgs_per_sec) {
@@ -706,6 +691,7 @@ struct Args {
     pin: bool,
     ramp: bool,
     ramp_calls: Vec<usize>,
+    burst_path: BurstPath,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -719,6 +705,7 @@ fn parse_args() -> Result<Args, String> {
         pin: false,
         ramp: false,
         ramp_calls: vec![10_000, 50_000, 100_000],
+        burst_path: BurstPath::default(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -764,9 +751,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--burst-path" => {
                 let spec = grab(&argv, i, "--burst-path")?;
-                let path = iwarp_common::burstpath::BurstPath::parse(&spec)
+                args.burst_path = BurstPath::parse(&spec)
                     .ok_or(format!("--burst-path takes 'per-packet' or 'burst', got {spec:?}"))?;
-                iwarp_common::burstpath::set_default(path);
                 i += 1;
             }
             other => {
@@ -829,7 +815,7 @@ fn main() -> ExitCode {
         } else {
             "BENCH_PR10.json".into()
         };
-        return ramp_main(&args.ramp_calls, &out);
+        return ramp_main(&args.ramp_calls, &out, args.burst_path);
     }
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let idle_window = Duration::from_millis(args.idle_ms);
@@ -841,12 +827,9 @@ fn main() -> ExitCode {
     );
     for &calls in &args.calls {
         let mut modes: Vec<Mode> = vec![Mode::Legacy];
-        if !args.smoke {
-            modes.push(Mode::Poll { shards: 2 });
-        }
         modes.extend(args.shards.iter().map(|&s| Mode::Event { shards: s.max(1) }));
         for mode in modes {
-            match run_one(mode, calls, idle_window, args.pin) {
+            match run_one(mode, calls, idle_window, args.pin, args.burst_path) {
                 Ok(r) => {
                     println!(
                         "{:<16} {:>6} {:>12.0} {:>9.1} {:>9.1} {:>11.0} {:>10}",
@@ -873,8 +856,9 @@ fn main() -> ExitCode {
     if args.smoke {
         if host_cpus >= 2 {
             let gate_calls = 256;
-            let one = run_one(Mode::Event { shards: 1 }, gate_calls, idle_window, true);
-            let four = run_one(Mode::Event { shards: 4 }, gate_calls, idle_window, true);
+            let [one, four] = [1, 4].map(|shards| {
+                run_one(Mode::Event { shards }, gate_calls, idle_window, true, args.burst_path)
+            });
             match (one, four) {
                 (Ok(a), Ok(b)) if a.msgs_per_sec > 0.0 => {
                     gate_ratio = b.msgs_per_sec / a.msgs_per_sec;

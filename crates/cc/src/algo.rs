@@ -18,7 +18,48 @@
 use std::fmt;
 use std::time::Duration;
 
-use iwarp_common::ccalgo::CcAlgo;
+/// Which congestion-control algorithm a reliable path runs
+/// (`StreamConfig::cc`, `RdConfig::cc`, [`crate::RecoveryConfig::algo`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum CcAlgo {
+    /// Fixed window, fixed (non-adaptive) retransmission timer. The
+    /// legacy behavior and the default.
+    #[default]
+    Fixed,
+    /// NewReno-style slow start / congestion avoidance / fast recovery
+    /// with an RFC-6298 adaptive RTO.
+    NewReno,
+    /// CUBIC window growth (concave/convex probing around the last loss
+    /// window) with an RFC-6298 adaptive RTO.
+    Cubic,
+}
+
+impl CcAlgo {
+    /// Every algorithm, in sweep order.
+    pub const ALL: [CcAlgo; 3] = [CcAlgo::Fixed, CcAlgo::NewReno, CcAlgo::Cubic];
+
+    /// Parses the `--cc` CLI spelling.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "fixed" => Some(Self::Fixed),
+            "newreno" => Some(Self::NewReno),
+            "cubic" => Some(Self::Cubic),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for CcAlgo {
+    /// The `--cc` CLI spelling.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Self::Fixed => "fixed",
+            Self::NewReno => "newreno",
+            Self::Cubic => "cubic",
+        })
+    }
+}
 
 /// Sizing parameters shared by every controller.
 #[derive(Clone, Copy, Debug)]
@@ -298,6 +339,15 @@ mod tests {
 
     fn cfg() -> CcConfig {
         CcConfig { quantum: 1, init_cwnd: 2, fixed_window: 64, max_cwnd: 1 << 20 }
+    }
+
+    #[test]
+    fn algo_parse_roundtrip() {
+        for algo in CcAlgo::ALL {
+            assert_eq!(CcAlgo::parse(&algo.to_string()), Some(algo));
+            assert_eq!(build_cc(algo, &cfg()).name(), algo.to_string());
+        }
+        assert_eq!(CcAlgo::parse("reno"), None);
     }
 
     #[test]

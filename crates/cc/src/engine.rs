@@ -33,10 +33,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use iwarp_common::ccalgo::CcAlgo;
 use iwarp_telemetry::{Counter, Histogram, Telemetry};
 
-use crate::algo::{build_cc, CcConfig, CongestionControl};
+use crate::algo::{build_cc, CcAlgo, CcConfig, CongestionControl};
 use crate::rtt::RttEstimator;
 
 /// Where a tracked segment currently stands.

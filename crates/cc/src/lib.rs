@@ -19,7 +19,7 @@
 //!   with three implementations: [`algo::Fixed`] (the legacy
 //!   fixed-window baseline, the default), [`algo::NewReno`], and
 //!   [`algo::Cubic`]. Selection rides the
-//!   [`iwarp_common::ccalgo::CcAlgo`] knob.
+//!   [`algo::CcAlgo`] config field.
 //!
 //! Everything here is deterministic and RNG-free: engine state is a pure
 //! function of the event sequence, so seeded chaos replays stay
@@ -33,6 +33,6 @@ pub mod algo;
 pub mod engine;
 pub mod rtt;
 
-pub use algo::{build_cc, CcConfig, CongestionControl};
+pub use algo::{build_cc, CcAlgo, CcConfig, CongestionControl};
 pub use engine::{AckEvent, RecoveryConfig, RecoveryEngine, SegState, SweepEvent};
 pub use rtt::RttEstimator;

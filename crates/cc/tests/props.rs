@@ -11,8 +11,7 @@
 
 use std::time::Duration;
 
-use iwarp_cc::{RecoveryConfig, RecoveryEngine};
-use iwarp_common::ccalgo::CcAlgo;
+use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use proptest::prelude::*;
 
 /// One randomly generated engine event.

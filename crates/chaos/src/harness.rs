@@ -16,17 +16,14 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use iwarp::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, UdQp};
-use iwarp_common::burstpath::BurstPath;
-use iwarp_common::ccalgo::{self, CcAlgo};
-use iwarp_common::copypath::CopyPath;
+use iwarp::{Access, BurstPath, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, UdQp};
 use iwarp_common::rng::{derive_seed, mix64};
 use iwarp_socket::{SocketConfig, SocketStack};
 use simnet::rdgram::RdConfig;
 use simnet::stream::StreamConfig;
 use simnet::{
-    Addr, Fabric, FaultEvent, FaultPlan, NodeId, RdConduit, StreamConduit, StreamListener,
-    WireConfig,
+    Addr, CcAlgo, Fabric, FaultEvent, FaultPlan, NodeId, RdConduit, StreamConduit,
+    StreamListener, WireConfig,
 };
 
 use crate::invariants::{
@@ -90,8 +87,8 @@ impl Default for ChaosOpts {
             dgrams: 30,
             bulk_batches: 24,
             forensic: false,
-            burst_path: iwarp_common::burstpath::default_path(),
-            cc: ccalgo::default_algo(),
+            burst_path: BurstPath::PerPacket,
+            cc: CcAlgo::Fixed,
         }
     }
 }
@@ -326,12 +323,6 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         recv_ttl: Duration::from_millis(60),
         record_ttl: Duration::from_millis(60),
         read_ttl: Duration::from_millis(60),
-        // Alternate datapaths across seeds so both are chaos-hardened.
-        copy_path: if seed.is_multiple_of(2) {
-            CopyPath::Sg
-        } else {
-            CopyPath::Legacy
-        },
         burst_path: opts.burst_path,
         ..QpConfig::default()
     };
@@ -666,11 +657,6 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
             // Loss recovery is the engine's job; the TTL is a backstop
             // that must not race the repost schedule.
             read_ttl: Duration::from_secs(30),
-            copy_path: if seed.is_multiple_of(2) {
-                CopyPath::Sg
-            } else {
-                CopyPath::Legacy
-            },
             burst_path: opts.burst_path,
             ..QpConfig::default()
         };

@@ -25,23 +25,6 @@
 //! * [`sg`] — [`sg::SgBytes`], the scatter-gather byte list that lets wire
 //!   packets chain a pooled header in front of caller-owned payload slices
 //!   without copying either.
-//! * [`copypath`] — the process-wide default for which datapath
-//!   ([`copypath::CopyPath::Sg`] or [`copypath::CopyPath::Legacy`]) newly
-//!   created QPs use, so benches can A/B the two.
-//! * [`notifypath`] — the analogous default for how completion consumers
-//!   wait ([`notifypath::NotifyPath::Event`] parks on a completion
-//!   channel; [`notifypath::NotifyPath::Poll`] spin-polls), so the
-//!   scale-out harness can A/B the two.
-//! * [`burstpath`] — the analogous default for whether datapaths move
-//!   one packet per call ([`burstpath::BurstPath::PerPacket`]) or batch
-//!   vectors of packets per fabric/CQ lock round
-//!   ([`burstpath::BurstPath::Burst`]), so benches can A/B the two.
-//! * [`ccalgo`] — the analogous default for which congestion-control
-//!   algorithm the reliable paths run ([`ccalgo::CcAlgo::Fixed`] legacy
-//!   fixed-window baseline, [`ccalgo::CcAlgo::NewReno`] or
-//!   [`ccalgo::CcAlgo::Cubic`] adaptive recovery from `iwarp-cc`), so the
-//!   recovery bench and chaos harness can sweep the algorithms.
-
 //! * [`affinity`] — best-effort CPU pinning for shard/bench worker
 //!   threads (raw `sched_setaffinity`, no-op off Linux) plus the
 //!   `host_cpus` probe benchmark JSON records.
@@ -49,10 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod affinity;
-pub mod burstpath;
-pub mod ccalgo;
-pub mod copypath;
-pub mod notifypath;
 pub mod crc32;
 pub mod memacct;
 pub mod pool;

@@ -1,9 +1,9 @@
 //! Scatter-gather byte lists for the zero-copy datapath.
 //!
 //! A DDP segment on the wire is `[header][payload][crc]`, and a datagram
-//! fragment is an arbitrary MTU-sized window of that. The legacy datapath
-//! materialised every such thing as one contiguous buffer, paying a copy at
-//! each layer. [`SgBytes`] instead describes the same logical byte string
+//! fragment is an arbitrary MTU-sized window of that. Materialising every
+//! such thing as one contiguous buffer would pay a copy at each layer.
+//! [`SgBytes`] instead describes the same logical byte string
 //! as an ordered list of [`Bytes`] views, so layering is O(parts): the
 //! header is a pooled buffer, the payload is the caller's own slice, and
 //! fragmentation is [`SgBytes::slice`] — all without touching the payload.

@@ -26,8 +26,6 @@ use bytes::Bytes;
 use iwarp_telemetry::{Counter, Histogram, Telemetry};
 use simnet::{Addr, DgramConduit, NetError, RdConduit};
 
-use iwarp_common::burstpath::BurstPath;
-use iwarp_common::copypath::CopyPath;
 use iwarp_common::memacct::MemScope;
 use iwarp_common::pool::BufPool;
 use iwarp_common::sg::SgBytes;
@@ -36,12 +34,11 @@ use crate::buf::{MemoryRegion, MrTable};
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 use crate::error::{IwarpError, IwarpResult};
 use crate::hdr::{
-    decode_sg, encode_tagged, encode_tagged_sg, encode_untagged, encode_untagged_sg,
-    UntaggedSegBatch, CRC_LEN,
-    RdmapOpcode, ReadRequest, TaggedHdr, UntaggedHdr, TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
+    decode_sg, encode_tagged_sg, encode_untagged_sg, RdmapOpcode, ReadRequest, TaggedHdr,
+    UntaggedHdr, UntaggedSegBatch, CRC_LEN, TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
 };
 use crate::qp::rx::{RxAction, RxCore, QN_READ_REQUEST, QN_SEND};
-use crate::qp::QpConfig;
+use crate::qp::{BurstPath, QpConfig};
 use crate::wr::{RecvWr, SendPayload, SendWr, UdDest};
 
 pub use crate::qp::rx::QpStats;
@@ -55,13 +52,6 @@ pub(crate) enum DgLlp {
 }
 
 impl DgLlp {
-    fn send_to(&self, dst: Addr, payload: Bytes) -> Result<(), NetError> {
-        match self {
-            DgLlp::Ud(c) => c.send_to(dst, payload),
-            DgLlp::Rd(c) => c.send_to(dst, payload),
-        }
-    }
-
     /// Sends one encoded segment given as a scatter-gather list. UD hands
     /// the slices straight to the conduit's zero-copy fragmenter; RD's
     /// windowed retransmit queue needs an owned contiguous message, so
@@ -181,10 +171,9 @@ pub(crate) struct QpTxTel {
     /// achieved send-side batching factor.
     pub(crate) tx_bursts: Counter,
     pub(crate) msg_size_tx: Histogram,
-    /// Eliminable datapath copies (shared `pool.bytes_copied` name): the
-    /// legacy encoder's payload copy and RD's flatten land here. The
-    /// mandatory placement copy into the registered region is *not*
-    /// counted — it exists on every path.
+    /// Eliminable datapath copies (shared `pool.bytes_copied` name):
+    /// RD's flatten lands here. The mandatory placement copy into the
+    /// registered region is *not* counted.
     pub(crate) bytes_copied: Counter,
 }
 
@@ -209,8 +198,6 @@ pub(crate) struct DgInner {
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
     max_msg_size: usize,
-    /// Transmit datapath (from [`QpConfig::copy_path`]).
-    copy_path: CopyPath,
     /// Batching discipline (from [`QpConfig::burst_path`]): gates the
     /// batch verbs' fabric bursts and the RX engines' batch ingest.
     burst_path: BurstPath,
@@ -258,7 +245,6 @@ impl DatagramQp {
         shards: Option<&Arc<crate::shard::ShardMap>>,
     ) -> Self {
         let max_msg_size = cfg.max_msg_size;
-        let copy_path = cfg.copy_path;
         let burst_path = cfg.burst_path;
         let reliable = llp.is_reliable();
         send_cq.attach_telemetry(tel);
@@ -274,7 +260,6 @@ impl DatagramQp {
             next_msg_id: AtomicU64::new(1),
             next_msn: AtomicU32::new(1),
             max_msg_size,
-            copy_path,
             burst_path,
             pool,
             shutdown: AtomicBool::new(false),
@@ -477,9 +462,9 @@ impl DatagramQp {
     /// Posts a batch of untagged sends — the multi-WR doorbell.
     ///
     /// Under [`BurstPath::PerPacket`] this is exactly a loop over
-    /// [`Self::post_send`]. Under [`BurstPath::Burst`] (UD conduit,
-    /// scatter-gather datapath) every WR is segmented first, the segments
-    /// are flushed as **one fabric burst per destination**
+    /// [`Self::post_send`]. Under [`BurstPath::Burst`] (UD conduit) every
+    /// WR is segmented first, the segments are flushed as **one fabric
+    /// burst per destination**
     /// ([`DgramConduit::send_sg_burst`]), and all completions are pushed
     /// with one CQ lock/notify round ([`Cq::push_batch`]). Wire bytes,
     /// CQE contents and CQE order are identical either way.
@@ -510,9 +495,8 @@ impl DatagramQp {
                 self.inner.send_cq.len(),
             )
         };
-        let burst = self.inner.burst_path == BurstPath::Burst
-            && self.inner.copy_path == CopyPath::Sg
-            && matches!(self.inner.llp, DgLlp::Ud(_));
+        let burst =
+            self.inner.burst_path == BurstPath::Burst && matches!(self.inner.llp, DgLlp::Ud(_));
         if !burst || wrs.len() <= 1 {
             for (wr, signaled) in wrs.iter().zip(&flags) {
                 self.post_send_inner(
@@ -968,9 +952,8 @@ impl DatagramQp {
         Ok(())
     }
 
-    /// Emits one untagged segment (`data[mo..end]` under `hdr`) on the
-    /// configured datapath: pooled-header scatter-gather or the legacy
-    /// contiguous encode (whose payload copy is counted).
+    /// Emits one untagged segment (`data[mo..end]` under `hdr`): a pooled
+    /// `hdr ++ crc` buffer chained around a zero-copy payload slice.
     fn send_untagged_seg(
         &self,
         hdr: &UntaggedHdr,
@@ -980,16 +963,8 @@ impl DatagramQp {
         dst: Addr,
     ) -> IwarpResult<()> {
         let inner = &self.inner;
-        match inner.copy_path {
-            CopyPath::Sg => {
-                let seg = encode_untagged_sg(hdr, &data.slice(mo..end), &inner.pool);
-                inner.llp.send_seg(dst, seg, &inner.tx_tel.bytes_copied)?;
-            }
-            CopyPath::Legacy => {
-                inner.tx_tel.bytes_copied.add((end - mo) as u64);
-                inner.llp.send_to(dst, encode_untagged(hdr, &data[mo..end], true))?;
-            }
-        }
+        let seg = encode_untagged_sg(hdr, &data.slice(mo..end), &inner.pool);
+        inner.llp.send_seg(dst, seg, &inner.tx_tel.bytes_copied)?;
         Ok(())
     }
 
@@ -1147,8 +1122,8 @@ pub(crate) fn expire_tick(inner: &DgInner) {
     inner.rx.expire();
 }
 
-/// Emits one tagged segment (`data[off..end]` under `hdr`) on the
-/// configured datapath (see [`DatagramQp::send_untagged_seg`]).
+/// Emits one tagged segment (`data[off..end]` under `hdr`); see
+/// [`DatagramQp::send_untagged_seg`].
 fn send_tagged_seg(
     inner: &DgInner,
     hdr: &TaggedHdr,
@@ -1157,16 +1132,8 @@ fn send_tagged_seg(
     end: usize,
     dst: Addr,
 ) -> IwarpResult<()> {
-    match inner.copy_path {
-        CopyPath::Sg => {
-            let seg = encode_tagged_sg(hdr, &data.slice(off..end), &inner.pool);
-            inner.llp.send_seg(dst, seg, &inner.tx_tel.bytes_copied)?;
-        }
-        CopyPath::Legacy => {
-            inner.tx_tel.bytes_copied.add((end - off) as u64);
-            inner.llp.send_to(dst, encode_tagged(hdr, &data[off..end], true))?;
-        }
-    }
+    let seg = encode_tagged_sg(hdr, &data.slice(off..end), &inner.pool);
+    inner.llp.send_seg(dst, seg, &inner.tx_tel.bytes_copied)?;
     Ok(())
 }
 

@@ -36,6 +36,47 @@ pub type UdQp = DatagramQp;
 /// A datagram QP over the *reliable* datagram LLP ("RD mode").
 pub type RdQp = DatagramQp;
 
+/// Whether a datapath moves one packet per call or a burst per call.
+///
+/// The burst datapath amortizes per-packet costs — fabric lock rounds,
+/// telemetry read-modify-writes, CQ lock/notify pairs — across a vector
+/// of packets, while preserving per-packet loss/fault semantics
+/// byte-for-byte (see DESIGN.md "Burst datapath" for the RNG draw-order
+/// contract).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BurstPath {
+    /// One packet per fabric transmit, one CQE per reap, one notify per
+    /// completion. The reference implementation and the default.
+    #[default]
+    PerPacket,
+    /// Vectors of packets per fabric lock round, batched verbs, and one
+    /// notify per completion burst. Wire bytes are identical under a
+    /// fixed seed.
+    Burst,
+}
+
+impl BurstPath {
+    /// Parses the `--burst-path` CLI spelling.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "per-packet" => Some(Self::PerPacket),
+            "burst" => Some(Self::Burst),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for BurstPath {
+    /// The `--burst-path` CLI spelling.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(match self {
+            Self::PerPacket => "per-packet",
+            Self::Burst => "burst",
+        })
+    }
+}
+
 /// Queue-pair configuration knobs.
 #[derive(Clone, Debug)]
 pub struct QpConfig {
@@ -56,23 +97,12 @@ pub struct QpConfig {
     /// receive path). This is how one process scales to tens of thousands
     /// of QPs for the paper's memory experiment.
     pub poll_mode: bool,
-    /// Which transmit datapath the QP uses: scatter-gather (pooled header
-    /// buffers chained with payload slices) or the legacy contiguous
-    /// reference path. Defaults to the process-wide
-    /// [`iwarp_common::copypath::default_path`] at construction time, so
-    /// `figures --copy-path=legacy` A/Bs the whole stack.
-    pub copy_path: iwarp_common::copypath::CopyPath,
     /// Whether batch verbs and the RX engine move one packet per call
     /// ([`BurstPath::PerPacket`], the reference behaviour) or batch
     /// vectors of packets per fabric/CQ lock round
     /// ([`BurstPath::Burst`]). Wire bytes are identical under a fixed
-    /// seed either way; defaults to the process-wide
-    /// [`iwarp_common::burstpath::default_path`] at construction time, so
-    /// `--burst-path=burst` A/Bs the whole stack.
-    ///
-    /// [`BurstPath::PerPacket`]: iwarp_common::burstpath::BurstPath::PerPacket
-    /// [`BurstPath::Burst`]: iwarp_common::burstpath::BurstPath::Burst
-    pub burst_path: iwarp_common::burstpath::BurstPath,
+    /// seed either way.
+    pub burst_path: BurstPath,
 }
 
 impl Default for QpConfig {
@@ -83,8 +113,21 @@ impl Default for QpConfig {
             record_ttl: Duration::from_millis(500),
             read_ttl: Duration::from_millis(500),
             poll_mode: false,
-            copy_path: iwarp_common::copypath::default_path(),
-            burst_path: iwarp_common::burstpath::default_path(),
+            burst_path: BurstPath::PerPacket,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn burst_path_parse_roundtrip() {
+        for path in [BurstPath::PerPacket, BurstPath::Burst] {
+            assert_eq!(BurstPath::parse(&path.to_string()), Some(path));
+        }
+        assert_eq!(BurstPath::Burst.to_string(), "burst");
+        assert_eq!(BurstPath::parse("batched"), None);
     }
 }

@@ -369,10 +369,10 @@ impl RxCore {
     ///
     /// Untagged segments settle the check up front: two-sided placement
     /// consumes a posted receive before any byte lands, and wire
-    /// corruption must not eat receive WRs that the check-first legacy
-    /// path preserves. Tagged segments carry the check into placement,
-    /// where [`MemoryRegion::write_with_crc`] fuses it with the mandatory
-    /// copy into the registered region.
+    /// corruption must not eat receive WRs that the check-first
+    /// contiguous decode preserves. Tagged segments carry the check into
+    /// placement, where [`MemoryRegion::write_with_crc`] fuses it with
+    /// the mandatory copy into the registered region.
     pub(crate) fn handle_deferred(
         &self,
         src: Addr,
@@ -412,8 +412,8 @@ impl RxCore {
 
     /// Places `payload` at `to`, fusing a deferred CRC check with the
     /// copy when one is pending. Counts the appropriate discard
-    /// (CRC or access violation, classified as the check-first legacy
-    /// path would) and returns false on failure.
+    /// (CRC or access violation, classified as the check-first
+    /// contiguous decode would) and returns false on failure.
     fn place_checked(
         &self,
         mr: &MemoryRegion,

@@ -46,7 +46,7 @@
 use std::time::{Duration, Instant};
 
 use iwarp_cc::RecoveryEngine;
-pub use iwarp_cc::RecoveryConfig;
+pub use iwarp_cc::{CcAlgo, RecoveryConfig};
 
 use crate::buf::MemoryRegion;
 use crate::cq::{Cqe, CqeOpcode, CqeStatus};

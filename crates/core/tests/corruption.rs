@@ -2,8 +2,7 @@
 //! damaged *after* encoding must be rejected by the CRC32 trailer check
 //! (`crc_errors`), never misparsed (`malformed`), must consume no posted
 //! receive, and must leave registered memory and validity state
-//! untouched — on both the legacy contiguous and scatter-gather
-//! datapaths.
+//! untouched.
 //!
 //! Frames are captured post-encode by addressing the sender at a relay
 //! [`DgramConduit`]; the relay flips exactly one payload bit and
@@ -17,7 +16,6 @@ use bytes::Bytes;
 use iwarp::hdr::CRC_LEN;
 use iwarp::wr::RecvWr;
 use iwarp::{Access, Cq, CqeStatus, Device, QpConfig, UdDest};
-use iwarp_common::copypath::CopyPath;
 use simnet::{DgramConduit, Fabric, NodeId};
 
 const PUMP: Duration = Duration::from_millis(2);
@@ -64,7 +62,7 @@ struct Rig {
     relay: DgramConduit,
 }
 
-fn rig(path: CopyPath) -> Rig {
+fn rig() -> Rig {
     let fab = Fabric::loopback();
     let dev_a = Device::new(&fab, NodeId(0));
     let dev_b = Device::new(&fab, NodeId(1));
@@ -72,13 +70,11 @@ fn rig(path: CopyPath) -> Rig {
     let (b_send, b_recv) = (Cq::new(64), Cq::new(64));
     let cfg = QpConfig {
         poll_mode: true,
-        copy_path: path,
         ..QpConfig::default()
     };
     let qa = dev_a.create_ud_qp(None, &a_send, &a_recv, cfg.clone()).unwrap();
     let qb = dev_b.create_ud_qp(None, &b_send, &b_recv, cfg).unwrap();
-    let mut relay = DgramConduit::bind_ephemeral(&fab, NodeId(2)).unwrap();
-    relay.set_copy_path(path);
+    let relay = DgramConduit::bind_ephemeral(&fab, NodeId(2)).unwrap();
     Rig {
         _fab: fab,
         _dev_a: dev_a,
@@ -107,8 +103,9 @@ fn pattern(n: usize) -> Vec<u8> {
 /// Tagged single-segment Write-Record with one flipped payload bit:
 /// classified `crc_errors` (not `malformed`), consumes no posted
 /// receive, places nothing, creates no record.
-fn tagged_bit_flip_case(path: CopyPath) {
-    let r = rig(path);
+#[test]
+fn tagged_bit_flip_is_crc_error() {
+    let r = rig();
     let sink = r.dev_b.register(4096, Access::RemoteWrite);
     let guard = r.dev_b.register(256, Access::Local);
     r.qb.post_recv(RecvWr::whole(7, &guard)).unwrap();
@@ -128,43 +125,34 @@ fn tagged_bit_flip_case(path: CopyPath) {
     assert_eq!(
         stats.crc_errors.load(Ordering::Relaxed),
         1,
-        "{path:?}: flipped payload bit must be a CRC rejection"
+        "flipped payload bit must be a CRC rejection"
     );
     assert_eq!(
         stats.malformed.load(Ordering::Relaxed),
         0,
-        "{path:?}: a CRC-damaged frame must not be classified malformed"
+        "a CRC-damaged frame must not be classified malformed"
     );
     assert_eq!(
         r.qb.posted_recvs(),
         1,
-        "{path:?}: tagged segments must never consume a posted receive"
+        "tagged segments must never consume a posted receive"
     );
     assert!(
         r.b_recv.poll().is_none(),
-        "{path:?}: no completion may surface for the damaged write"
+        "no completion may surface for the damaged write"
     );
     assert_eq!(
         sink.read_vec(0, 1024).unwrap(),
         vec![0u8; 1024],
-        "{path:?}: no byte of the damaged segment may be placed"
+        "no byte of the damaged segment may be placed"
     );
-}
-
-#[test]
-fn tagged_bit_flip_is_crc_error_legacy() {
-    tagged_bit_flip_case(CopyPath::Legacy);
-}
-
-#[test]
-fn tagged_bit_flip_is_crc_error_sg() {
-    tagged_bit_flip_case(CopyPath::Sg);
 }
 
 /// Untagged send with one flipped payload bit: same classification, and
 /// the posted receive survives for the next (clean) message.
-fn untagged_bit_flip_case(path: CopyPath) {
-    let r = rig(path);
+#[test]
+fn untagged_bit_flip_is_crc_error() {
+    let r = rig();
     let sink = r.dev_b.register(4096, Access::Local);
     r.qb.post_recv(RecvWr::whole(11, &sink)).unwrap();
 
@@ -176,14 +164,14 @@ fn untagged_bit_flip_case(path: CopyPath) {
     pump(&r.qb, 10);
 
     let stats = r.qb.stats();
-    assert_eq!(stats.crc_errors.load(Ordering::Relaxed), 1, "{path:?}");
-    assert_eq!(stats.malformed.load(Ordering::Relaxed), 0, "{path:?}");
+    assert_eq!(stats.crc_errors.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.malformed.load(Ordering::Relaxed), 0);
     assert_eq!(
         r.qb.posted_recvs(),
         1,
-        "{path:?}: CRC-rejected send must not consume the posted receive"
+        "CRC-rejected send must not consume the posted receive"
     );
-    assert!(r.b_recv.poll().is_none(), "{path:?}");
+    assert!(r.b_recv.poll().is_none());
 
     // The receive is still live: a clean retransmission lands in it.
     r.qa.post_send(2, Bytes::from(pattern(512)), r.qb.dest()).unwrap();
@@ -193,21 +181,12 @@ fn untagged_bit_flip_case(path: CopyPath) {
     assert_eq!(sink.read_vec(0, 512).unwrap(), pattern(512));
 }
 
-#[test]
-fn untagged_bit_flip_is_crc_error_legacy() {
-    untagged_bit_flip_case(CopyPath::Legacy);
-}
-
-#[test]
-fn untagged_bit_flip_is_crc_error_sg() {
-    untagged_bit_flip_case(CopyPath::Sg);
-}
-
 /// Multi-segment Write-Record with the middle segment corrupted: the
 /// record completes `Partial`, its validity map excludes exactly the
 /// damaged range, and every claimed run holds the sender's bytes.
-fn partial_write_record_case(path: CopyPath) {
-    let r = rig(path);
+#[test]
+fn partial_write_record_excludes_corrupt_segment() {
+    let r = rig();
     let total = 150 * 1024usize;
     let sink = r.dev_b.register(256 * 1024, Access::RemoteWrite);
     let payload = pattern(total);
@@ -223,7 +202,7 @@ fn partial_write_record_case(path: CopyPath) {
     }
     assert!(
         frames.len() >= 3,
-        "{path:?}: expected a multi-segment message, got {} segments",
+        "expected a multi-segment message, got {} segments",
         frames.len()
     );
 
@@ -237,21 +216,21 @@ fn partial_write_record_case(path: CopyPath) {
         .expect("record completes once its last segment has arrived");
 
     let stats = r.qb.stats();
-    assert_eq!(stats.crc_errors.load(Ordering::Relaxed), 1, "{path:?}");
-    assert_eq!(stats.malformed.load(Ordering::Relaxed), 0, "{path:?}");
-    assert_eq!(cqe.status, CqeStatus::Partial, "{path:?}");
+    assert_eq!(stats.crc_errors.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.malformed.load(Ordering::Relaxed), 0);
+    assert_eq!(cqe.status, CqeStatus::Partial);
     let info = cqe.write_record.expect("Write-Record completions carry validity");
     assert_eq!(info.total_len as usize, total);
-    assert!(!info.is_complete(), "{path:?}");
+    assert!(!info.is_complete());
     let valid = info.valid_bytes();
     assert!(
         valid > 0 && (valid as usize) < total,
-        "{path:?}: valid_bytes {valid} out of range"
+        "valid_bytes {valid} out of range"
     );
     assert_eq!(
         info.validity.runs().len(),
         2,
-        "{path:?}: one damaged middle segment must leave a prefix and a suffix"
+        "one damaged middle segment must leave a prefix and a suffix"
     );
     // Every claimed run holds exactly the sender's bytes; the hole holds
     // none of them (the region started zeroed and pattern() is nonzero
@@ -261,17 +240,7 @@ fn partial_write_record_case(path: CopyPath) {
         assert_eq!(
             sink.read_vec(s as u64, e - s).unwrap(),
             payload[s..e],
-            "{path:?}: claimed run [{s}, {e}) does not hold the sender's bytes"
+            "claimed run [{s}, {e}) does not hold the sender's bytes"
         );
     }
-}
-
-#[test]
-fn partial_write_record_excludes_corrupt_segment_legacy() {
-    partial_write_record_case(CopyPath::Legacy);
-}
-
-#[test]
-fn partial_write_record_excludes_corrupt_segment_sg() {
-    partial_write_record_case(CopyPath::Sg);
 }

@@ -126,7 +126,7 @@ proptest! {
 /// on both the burst and per-packet datapaths.
 #[test]
 fn legacy_cqe_streams_are_identical() {
-    use iwarp_common::burstpath::BurstPath;
+    use iwarp::BurstPath;
 
     let collect = |burst: BurstPath| -> Vec<(u64, CqeOpcode, CqeStatus, u32)> {
         let fab = Fabric::loopback();
@@ -177,7 +177,7 @@ fn legacy_cqe_streams_are_identical() {
 /// doorbell time on both).
 #[test]
 fn unsignaled_batch_retires_identically_on_both_paths() {
-    use iwarp_common::burstpath::BurstPath;
+    use iwarp::BurstPath;
 
     let collect = |burst: BurstPath| -> (Vec<u64>, u64) {
         let fab = Fabric::loopback();

@@ -18,8 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, Bytes, BytesMut};
-use iwarp_common::copypath::{self, CopyPath};
+use bytes::Bytes;
 use iwarp_common::pool::{BufPool, PoolBuf};
 use iwarp_common::sg::SgBytes;
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Histogram, Telemetry};
@@ -78,10 +77,8 @@ struct DgramTel {
     tx_fragments: Counter,
     rx_datagrams: Counter,
     partials_expired: Counter,
-    /// Payload bytes memcpy'd on this conduit's datapath (legacy
-    /// per-fragment copies, reassembly fills, flattens). The zero-copy
-    /// work exists to drive this down; snapshots expose it as
-    /// `pool.bytes_copied`.
+    /// Payload bytes memcpy'd on this conduit's datapath (reassembly
+    /// fills, flattens); snapshots expose it as `pool.bytes_copied`.
     bytes_copied: Counter,
     msg_bytes: Histogram,
 }
@@ -93,9 +90,6 @@ pub struct DgramConduit {
     reasm: Mutex<Reassembly>,
     /// Fragment payload capacity per wire packet.
     frag_payload: usize,
-    /// Which transmit datapath [`DgramConduit::send_to`] uses; the
-    /// receive side is shape-driven and handles both regardless.
-    copy_path: CopyPath,
     pool: BufPool,
     tel: DgramTel,
 }
@@ -132,22 +126,9 @@ impl DgramConduit {
                 last_gc: Instant::now(),
             }),
             frag_payload,
-            copy_path: copypath::default_path(),
             pool,
             tel,
         }
-    }
-
-    /// Pins which transmit datapath this conduit uses (defaults to the
-    /// process-wide [`copypath::default_path`]).
-    pub fn set_copy_path(&mut self, path: CopyPath) {
-        self.copy_path = path;
-    }
-
-    /// The transmit datapath this conduit is using.
-    #[must_use]
-    pub fn copy_path(&self) -> CopyPath {
-        self.copy_path
     }
 
     /// Local address.
@@ -176,17 +157,10 @@ impl DgramConduit {
     }
 
     /// Sends one datagram to `dst`, fragmenting as needed. Unreliable:
-    /// success only means the datagram was handed to the wire.
-    ///
-    /// On the scatter-gather path fragments are zero-copy windows of
-    /// `payload` ([`Bytes::slice`]); on the legacy path each fragment is
-    /// copied into a fresh contiguous frame (the pre-zero-copy reference
-    /// behaviour, kept for A/B measurement).
+    /// success only means the datagram was handed to the wire. Fragments
+    /// are zero-copy windows of `payload` ([`Bytes::slice`]).
     pub fn send_to(&self, dst: Addr, payload: Bytes) -> NetResult<()> {
-        match self.copy_path {
-            CopyPath::Sg => self.send_sg(dst, SgBytes::from(payload)),
-            CopyPath::Legacy => self.send_legacy(dst, &payload),
-        }
+        self.send_sg(dst, SgBytes::from(payload))
     }
 
     /// Sends one datagram given as a scatter-gather list, fragmenting by
@@ -296,34 +270,8 @@ impl DgramConduit {
         result
     }
 
-    /// The pre-zero-copy reference datapath: one contiguous frame per
-    /// fragment, each paying an alloc plus a payload copy.
-    fn send_legacy(&self, dst: Addr, payload: &Bytes) -> NetResult<()> {
-        if payload.len() > MAX_DATAGRAM {
-            return Err(NetError::TooBig {
-                len: payload.len(),
-                max: MAX_DATAGRAM,
-            });
-        }
-        let (id, frag_count, total_len) = self.prepare_send(&SgBytes::from(payload.clone()));
-        for idx in 0..frag_count {
-            let start = usize::from(idx) * self.frag_payload;
-            let end = (start + self.frag_payload).min(payload.len());
-            let mut pkt = BytesMut::with_capacity(FRAG_HEADER + (end - start));
-            pkt.put_u8(PROTO_DGRAM);
-            pkt.put_u32(id);
-            pkt.put_u16(idx);
-            pkt.put_u16(frag_count);
-            pkt.put_u32(total_len);
-            pkt.extend_from_slice(&payload[start..end]);
-            self.tel.bytes_copied.add((end - start) as u64);
-            self.ep.send_to(dst, pkt.freeze())?;
-        }
-        Ok(())
-    }
-
     /// Allocates a datagram id and records the per-datagram telemetry
-    /// shared by both datapaths.
+    /// shared by the single-datagram and burst sends.
     fn prepare_send(&self, payload: &SgBytes) -> (u32, u16, u32) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let total_len = payload.len() as u32;
@@ -484,7 +432,7 @@ impl DgramConduit {
     /// if this fragment finished one.
     ///
     /// Shape-driven: handles both contiguous frames and scatter-gather
-    /// packets, whatever datapath the sender used. Unfragmented datagrams
+    /// packets, however the sender framed them. Unfragmented datagrams
     /// pass through as zero-copy slices of the arriving frame; only
     /// multi-fragment datagrams touch a (pooled) reassembly buffer.
     fn ingest(&self, pkt: WirePacket) -> Option<(Addr, SgBytes)> {
@@ -519,13 +467,6 @@ impl DgramConduit {
             // Fast path: unfragmented datagram — no reassembly state, no
             // intermediate buffer, just the arriving slices.
             self.tel.rx_datagrams.inc();
-            if self.copy_path == CopyPath::Legacy {
-                // Reference behaviour: stage into a fresh buffer.
-                self.tel.bytes_copied.add(body.len() as u64);
-                let mut staged = vec![0u8; body.len()];
-                body.copy_to_slice(&mut staged);
-                return Some((src, SgBytes::from(Bytes::from(staged))));
-            }
             return Some((src, body));
         }
 

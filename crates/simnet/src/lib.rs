@@ -44,6 +44,7 @@ pub use chaos::{ChaosSnapshot, FaultEvent, FaultKind, FaultPlan, PartitionWindow
 pub use dgram::DgramConduit;
 pub use error::{NetError, NetResult};
 pub use fabric::{Fabric, RxNotify, SgSend};
+pub use iwarp_cc::CcAlgo;
 pub use loss::LossModel;
 pub use rdgram::RdConduit;
 pub use stream::{StreamConduit, StreamListener};

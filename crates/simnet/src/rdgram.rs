@@ -25,8 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use iwarp_cc::{RecoveryConfig, RecoveryEngine};
-use iwarp_common::ccalgo::{self, CcAlgo};
+use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex};
 
@@ -73,8 +72,8 @@ pub struct RdConfig {
     /// a 64 KiB datagram (≈44 fragments) survives only ~10% of attempts,
     /// so tens of retransmissions are routine, not pathological.
     pub max_retries: u32,
-    /// Congestion-control algorithm (defaults to the process-wide
-    /// [`ccalgo::default_algo`], normally `Fixed`).
+    /// Congestion-control algorithm. This config's default is written
+    /// here, independently of [`crate::stream::StreamConfig::cc`].
     pub cc: CcAlgo,
     /// Spread sends over the smoothed RTT instead of bursting the whole
     /// window (adaptive algorithms only).
@@ -90,7 +89,7 @@ impl Default for RdConfig {
             min_rto: Duration::from_millis(2),
             max_rto: Duration::from_secs(1),
             max_retries: 150,
-            cc: ccalgo::default_algo(),
+            cc: CcAlgo::Fixed,
             paced: false,
         }
     }

@@ -1,7 +1,7 @@
 //! Lock-free bounded rings for the per-link fabric datapath.
 //!
-//! The vendored shims provide no ring primitive — the crossbeam shim's
-//! channel is a `Mutex<VecDeque>` — so the per-link fabric builds its own:
+//! The vendored shims provide no ring primitive, so the per-link fabric
+//! builds its own:
 //!
 //! * [`spsc`] — a Lamport single-producer/single-consumer ring with a
 //!   batched producer side ([`SpscProducer::push_batch`] publishes a whole

@@ -26,11 +26,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use iwarp_cc::{RecoveryConfig, RecoveryEngine};
+use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex};
 
-use iwarp_common::ccalgo::{self, CcAlgo};
 use iwarp_common::memacct::{MemRegistry, MemScope};
 
 use crate::error::{NetError, NetResult};
@@ -79,10 +78,10 @@ pub struct StreamConfig {
     /// Established-phase retransmissions of one segment before the
     /// connection errors out.
     pub max_retries: u32,
-    /// Congestion-control algorithm for the data phase. `Fixed` (the
-    /// process default unless overridden) preserves the legacy behaviour:
-    /// flow control by the peer's advertised window only, constant-base
-    /// RTO, no SACK blocks on the wire.
+    /// Congestion-control algorithm for the data phase. `Fixed` (this
+    /// config's own default, independent of `RdConfig::cc`) preserves
+    /// the legacy behaviour: flow control by the peer's advertised window
+    /// only, constant-base RTO, no SACK blocks on the wire.
     pub cc: CcAlgo,
     /// How long `connect` waits for the handshake to complete.
     pub connect_timeout: Duration,
@@ -106,7 +105,7 @@ impl Default for StreamConfig {
             rto_max: Duration::from_secs(1),
             min_rto: Duration::from_millis(1),
             max_retries: 30,
-            cc: ccalgo::default_algo(),
+            cc: CcAlgo::Fixed,
             connect_timeout: Duration::from_secs(5),
             mem: None,
             poll_mode: false,

@@ -3,7 +3,6 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use iwarp_common::copypath::CopyPath;
 use proptest::prelude::*;
 
 use simnet::dgram::{FRAG_HEADER, MAX_DATAGRAM, PROTO_DGRAM};
@@ -120,10 +119,14 @@ proptest! {
 
     /// Reassembly is immune to duplicated and arbitrarily reordered
     /// fragments: every delivered datagram is byte-identical to the
-    /// original, and a complete fragment set always delivers.
+    /// original, and a complete fragment set always delivers. The
+    /// hand-built frames fed in are also what a conforming sender emits,
+    /// for sizes spanning the MTU fragmentation boundaries and the 64 KiB
+    /// datagram limit.
     #[test]
     fn reassembly_survives_duplicates_and_reordering(
         payload in proptest::collection::vec(any::<u8>(), 1..12_000),
+        stretch in 0usize..8,
         order_seed in any::<u64>(),
         dups in proptest::collection::vec(any::<usize>(), 0..4),
     ) {
@@ -131,6 +134,36 @@ proptest! {
         let rx = DgramConduit::bind(&fab, Addr::new(1, 700)).unwrap();
         let raw = fab.bind(Addr::new(0, 700)).unwrap();
         let frag_payload = rx.mtu() - FRAG_HEADER;
+        let boundaries = [
+            0,
+            frag_payload - 1,
+            frag_payload,
+            2 * frag_payload - 1,
+            3 * frag_payload,
+            32 * 1024,
+            60_000,
+            MAX_DATAGRAM - 2,
+        ];
+        let mut payload = payload;
+        let target = boundaries[stretch] + payload.len() % 3;
+        if target > payload.len() {
+            payload.resize(target, payload[0]);
+        }
+
+        // Wire format, pinned against frames this test lays out by hand
+        // (`frag_frame`): the 13-byte big-endian header — PROTO_DGRAM,
+        // id u32, idx u16, count u16, total_len u32 — in front of
+        // contiguous `frag_payload`-sized windows of the input, in index
+        // order. A fresh conduit's first datagram id is 1.
+        let tx = DgramConduit::bind(&fab, Addr::new(2, 700)).unwrap();
+        tx.send_to(raw.local_addr(), Bytes::from(payload.clone())).unwrap();
+        for want in fragments_of(1, &payload, frag_payload) {
+            let pkt = raw.recv(Some(Duration::from_secs(2))).unwrap();
+            prop_assert_eq!(pkt.wire_len(), want.len());
+            prop_assert_eq!(&pkt.frame().to_bytes()[..], &want[..]);
+        }
+        prop_assert!(raw.try_recv().is_err(), "sender emitted extra packets");
+
         let mut frames = fragments_of(9, &payload, frag_payload);
         for &d in &dups {
             let copy = frames[d % frames.len()].clone();
@@ -194,51 +227,5 @@ proptest! {
         let expected = usize::from(at == cnt);
         prop_assert_eq!(delivered, expected);
         prop_assert!(rx.pending_partials() >= 1, "conflict leftovers should be pending");
-    }
-
-    /// The scatter-gather and legacy transmit datapaths emit byte-identical
-    /// wire packets, in the same order, for sizes spanning the MTU
-    /// fragmentation boundary and the 64 KiB datagram limit.
-    #[test]
-    fn sg_and_legacy_wire_packets_identical(
-        fill in any::<u8>(),
-        size_sel in 0usize..8,
-        jitter in 0usize..3,
-    ) {
-        let fab = Fabric::loopback();
-        let frag_payload = fab.config().mtu - FRAG_HEADER;
-        let bases = [
-            1,
-            frag_payload - 1,
-            frag_payload,
-            2 * frag_payload - 1,
-            3 * frag_payload,
-            32 * 1024,
-            60_000,
-            MAX_DATAGRAM - 2,
-        ];
-        let size = (bases[size_sel] + jitter).min(MAX_DATAGRAM);
-        let payload: Vec<u8> = (0..size).map(|i| fill.wrapping_add(i as u8)).collect();
-
-        let mut legacy_tx = DgramConduit::bind(&fab, Addr::new(0, 702)).unwrap();
-        legacy_tx.set_copy_path(CopyPath::Legacy);
-        let mut sg_tx = DgramConduit::bind(&fab, Addr::new(2, 702)).unwrap();
-        sg_tx.set_copy_path(CopyPath::Sg);
-        let legacy_rx = fab.bind(Addr::new(1, 702)).unwrap();
-        let sg_rx = fab.bind(Addr::new(3, 702)).unwrap();
-
-        // Fresh conduits allocate identical datagram ids, so the frames
-        // must match byte-for-byte, fragment-for-fragment.
-        legacy_tx.send_to(legacy_rx.local_addr(), Bytes::from(payload.clone())).unwrap();
-        sg_tx.send_to(sg_rx.local_addr(), Bytes::from(payload.clone())).unwrap();
-        let cnt = size.div_ceil(frag_payload).max(1);
-        for _ in 0..cnt {
-            let lp = legacy_rx.recv(Some(Duration::from_secs(2))).unwrap();
-            let sp = sg_rx.recv(Some(Duration::from_secs(2))).unwrap();
-            prop_assert_eq!(lp.wire_len(), sp.wire_len());
-            prop_assert_eq!(&lp.frame().to_bytes()[..], &sp.frame().to_bytes()[..]);
-        }
-        prop_assert!(legacy_rx.try_recv().is_err(), "legacy sent extra packets");
-        prop_assert!(sg_rx.try_recv().is_err(), "sg sent extra packets");
     }
 }

@@ -153,13 +153,11 @@ impl DgramSocket {
             ),
         };
         let fd = stack.alloc_fd(FdKind::Dgram);
-        // Event path: receive completions mark this socket's fd ready on
-        // the stack channel, so one thread can wait_ready() across every
-        // socket. Poll-mode QPs stay unsubscribed — their CQs only fill
-        // when the caller pumps, so a parked waiter would never wake.
-        if stack.cfg.notify == iwarp_common::notifypath::NotifyPath::Event
-            && !stack.cfg.qp.poll_mode
-        {
+        // Receive completions mark this socket's fd ready on the stack
+        // channel, so one thread can wait_ready() across every socket.
+        // Poll-mode QPs stay unsubscribed — their CQs only fill when the
+        // caller pumps, so a parked waiter would never wake.
+        if !stack.cfg.qp.poll_mode {
             recv_cq.attach_channel(&stack.chan, u64::from(fd.fd));
         }
         let buffer_bytes =
@@ -278,7 +276,7 @@ impl DgramSocket {
     /// `sendmmsg` analog: transmits a batch of datagrams with one verbs
     /// doorbell. In SendRecv mode the batch maps to
     /// [`UdQp::post_send_batch`] — under
-    /// [`BurstPath::Burst`](iwarp_common::burstpath::BurstPath::Burst)
+    /// [`BurstPath::Burst`](iwarp::BurstPath::Burst)
     /// the whole batch leaves as one fabric burst per destination — and
     /// the immediate source-side completions are reaped with batched
     /// [`Cq::poll_into`] rounds. Write-Record mode keeps its stateful

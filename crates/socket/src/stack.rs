@@ -12,7 +12,6 @@ use parking_lot::Mutex;
 use simnet::{Addr, Fabric, NodeId};
 
 use iwarp::{CompletionChannel, Device, DeviceConfig, IwarpResult, QpConfig};
-use iwarp_common::notifypath::{self, NotifyPath};
 use iwarp_common::slab::{Handle, Slab, SlabStats};
 
 use crate::dgram::{DgramMode, DgramSocket};
@@ -35,15 +34,13 @@ pub struct SocketConfig {
     /// How long a Write-Record sender waits for a ring advertisement
     /// before falling back to send/recv.
     pub adv_timeout: Duration,
-    /// Completion-notification path: `Event` subscribes every datagram
-    /// socket's receive CQ to the stack's [`CompletionChannel`] (token =
-    /// fd) so one thread can park on [`SocketStack::wait_ready`] for all
-    /// of them; `Poll` keeps the spin/scan baseline for A/B comparison.
-    /// Ignored (no subscription) when `qp.poll_mode` is set — poll-mode
-    /// QPs only progress when the caller drives them, so parking on a
-    /// channel would deadlock.
-    pub notify: NotifyPath,
-    /// Underlying queue-pair configuration.
+    /// Underlying queue-pair configuration. `qp.poll_mode` also decides
+    /// completion notification: on a threaded stack every datagram
+    /// socket's receive CQ is subscribed to the stack's
+    /// [`CompletionChannel`] (token = fd) so one thread can park on
+    /// [`SocketStack::wait_ready`] for all of them; poll-mode QPs only
+    /// progress when the caller drives them, so they stay unsubscribed
+    /// (a parked waiter would never wake).
     pub qp: QpConfig,
 }
 
@@ -55,7 +52,6 @@ impl Default for SocketConfig {
             slot_size: 8 * 1024,
             deliver_partial: false,
             adv_timeout: Duration::from_secs(1),
-            notify: notifypath::default_path(),
             qp: QpConfig::default(),
         }
     }
@@ -130,8 +126,8 @@ pub(crate) struct FdSlot {
 pub(crate) struct StackInner {
     pub device: Device,
     pub cfg: SocketConfig,
-    /// Stack-wide completion channel datagram sockets subscribe to in
-    /// `NotifyPath::Event` (token = fd).
+    /// Stack-wide completion channel datagram sockets subscribe to
+    /// (token = fd) unless `cfg.qp.poll_mode`.
     pub chan: CompletionChannel,
     /// The fd table, compacted onto a slab: fds are `FD_BASE + index`, so
     /// 100k sockets cost one contiguous tag array instead of 100k hashed
@@ -250,7 +246,7 @@ impl SocketStack {
     }
 
     /// The stack's completion channel — datagram sockets' receive CQs are
-    /// subscribed here (token = fd) under [`NotifyPath::Event`].
+    /// subscribed here (token = fd) unless the stack is poll-mode.
     #[must_use]
     pub fn completion_channel(&self) -> &CompletionChannel {
         &self.inner.chan

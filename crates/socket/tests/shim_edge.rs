@@ -143,3 +143,56 @@ fn threaded_sockets_do_spawn_engines() {
     let after = count_threads();
     assert!(after >= before + 2, "threaded sockets spawn RX engines");
 }
+
+#[test]
+fn wait_ready_names_only_the_socket_with_work_on_a_threaded_stack() {
+    // Threaded stacks subscribe every datagram socket's receive CQ to the
+    // stack channel (token = fd): a datagram for `a` readies exactly `a`.
+    let fab = Fabric::loopback();
+    let tx_stack = SocketStack::new(&fab, NodeId(0));
+    let rx_stack = SocketStack::new(&fab, NodeId(1));
+    let tx = tx_stack.dgram().unwrap();
+    let a = rx_stack.dgram().unwrap();
+    let idle = rx_stack.dgram().unwrap();
+    assert_ne!(a.fd(), idle.fd());
+
+    tx.send_to(b"for a", a.local_addr()).unwrap();
+    assert_eq!(rx_stack.wait_ready(TO), vec![a.fd()]);
+    let mut buf = [0u8; 16];
+    let (n, src) = a.try_recv_from(&mut buf).unwrap().expect("ready socket delivers");
+    assert_eq!((&buf[..n], src), (&b"for a"[..], tx.local_addr()));
+    assert!(idle.try_recv_from(&mut buf).unwrap().is_none());
+    // Readiness is edge-style: once drained, nothing is ready.
+    assert!(rx_stack.wait_ready(Duration::from_millis(10)).is_empty());
+}
+
+#[test]
+fn wait_ready_stays_empty_on_a_poll_mode_stack() {
+    // Poll-mode QPs only progress when the caller pumps, so their sockets
+    // are not subscribed: parking reports nothing, pumping still delivers.
+    let fab = Fabric::loopback();
+    let cfg = SocketConfig {
+        qp: QpConfig {
+            poll_mode: true,
+            ..QpConfig::default()
+        },
+        ..SocketConfig::default()
+    };
+    let tx_stack = SocketStack::new(&fab, NodeId(0));
+    let rx_stack = SocketStack::with_config(&fab, NodeId(1), Default::default(), cfg);
+    let tx = tx_stack.dgram().unwrap();
+    let a = rx_stack.dgram().unwrap();
+
+    tx.send_to(b"pump me", a.local_addr()).unwrap();
+    assert!(rx_stack.wait_ready(Duration::from_millis(10)).is_empty());
+    let mut buf = [0u8; 16];
+    let deadline = std::time::Instant::now() + TO;
+    let (n, _) = loop {
+        if let Some(hit) = a.try_recv_from(&mut buf).unwrap() {
+            break hit;
+        }
+        assert!(std::time::Instant::now() < deadline, "pumping never delivered");
+    };
+    assert_eq!(&buf[..n], b"pump me");
+    assert!(rx_stack.wait_ready(Duration::from_millis(10)).is_empty());
+}

@@ -77,16 +77,17 @@ echo "==> scale smoke: 256/1024 SIP calls, 2 shards, event-driven completions"
 # Full matrix: bin scale (no flags); 100k memory ramp: bin scale --ramp.
 cargo run --release -p iwarp-bench --bin scale -- --smoke --out target/scale_smoke.json
 
-echo "==> bench smoke: copypath kernels run once (--test mode)"
-cargo bench -p iwarp-bench --bench copypath -- --test
+echo "==> figures smoke: fig5/fig6 CSVs sane"
+out="target/ci-figures"
+rm -rf "$out"
+cargo run --release -p iwarp-bench --bin figures -- \
+    --fig5 --fig6 --quick --out "$out" >/dev/null
+sh scripts/check_figures.sh "$out"
 
-echo "==> figures smoke: fig5/fig6 CSVs sane under both copy paths"
-for path in legacy sg; do
-    out="target/ci-figures-$path"
-    rm -rf "$out"
-    cargo run --release -p iwarp-bench --bin figures -- \
-        --fig5 --fig6 --quick --copy-path "$path" --out "$out" >/dev/null
-    sh scripts/check_figures.sh "$out"
-done
+echo "==> suite smoke: the BENCHMARK.json workloads build, run and verify every op"
+# ~10 s on a 2-CPU host. Catches a library edit that breaks the suite's
+# build or fails an op here rather than in the benchmark run. The metric
+# table goes to target/suite/smoke.json; failures print to stderr.
+cargo run --release -p iwarp-bench --bin suite -- --smoke >/dev/null
 
 echo "CI green."

@@ -8,17 +8,15 @@
 
 use std::time::{Duration, Instant};
 
+use datagram_iwarp::cc::CcAlgo;
 use datagram_iwarp::chaos::{run_plan, ChaosOpts};
-use datagram_iwarp::common::burstpath::BurstPath;
-use datagram_iwarp::common::ccalgo::CcAlgo;
-use datagram_iwarp::common::copypath::CopyPath;
 use datagram_iwarp::common::rng::derive_seed;
 use datagram_iwarp::verbs::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use datagram_iwarp::net::{Addr, Fabric, FaultEvent, FaultPlan, LossModel, NodeId, WireConfig};
 use datagram_iwarp::telemetry::Snapshot;
 use datagram_iwarp::verbs::wr::{RecvWr, SendWr};
 use datagram_iwarp::verbs::{
-    Access, Cq, CqeStatus, Device, DeviceConfig, QpConfig, ShardConfig,
+    Access, BurstPath, Cq, CqeStatus, Device, DeviceConfig, QpConfig, ShardConfig,
 };
 
 const QPS: usize = 8;
@@ -69,7 +67,6 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
         poll_mode: matches!(mode, RxMode::Poll),
         // Pin the copy path: the burst transmit gate requires SG, and the
         // A/B comparison must differ in the batching knob alone.
-        copy_path: CopyPath::Sg,
         burst_path: burst,
         ..QpConfig::default()
     };
@@ -111,7 +108,6 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
             &c_recv,
             QpConfig {
                 poll_mode: true,
-                copy_path: CopyPath::Sg,
                 burst_path: burst,
                 ..QpConfig::default()
             },
@@ -348,7 +344,6 @@ fn run_chaos_sharded(shards: usize, pin: bool) -> (Vec<Vec<Vec<u8>>>, Vec<FaultE
     );
     let qp_cfg = QpConfig {
         poll_mode: false,
-        copy_path: CopyPath::Sg,
         ..QpConfig::default()
     };
     let mut rx = Vec::new();
@@ -382,7 +377,6 @@ fn run_chaos_sharded(shards: usize, pin: bool) -> (Vec<Vec<Vec<u8>>>, Vec<FaultE
             &c_recv,
             QpConfig {
                 poll_mode: true,
-                copy_path: CopyPath::Sg,
                 ..QpConfig::default()
             },
         )
@@ -481,7 +475,6 @@ fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> (Vec<u8>, Sna
             &recv_cq,
             QpConfig {
                 poll_mode: true,
-                copy_path: CopyPath::Sg,
                 burst_path: burst,
                 read_ttl: Duration::from_secs(30),
                 ..QpConfig::default()
@@ -494,7 +487,6 @@ fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> (Vec<u8>, Sna
             &Cq::new(64),
             &Cq::new(64),
             QpConfig {
-                copy_path: CopyPath::Sg,
                 burst_path: burst,
                 ..QpConfig::default()
             },

@@ -307,8 +307,8 @@ fn loss_pattern_is_deterministic_per_seed() {
 /// compaction in place, the *instrumented* server-side cost of holding a
 /// SIP call must stay within the 6 KiB/call budget at 1k concurrent
 /// calls — the pre-compaction baseline was ~18 KiB/call. Sampled at
-/// peak concurrency (all calls established and held), on the event
-/// notify path the 100k ramp uses.
+/// peak concurrency (all calls established and held), on the threaded
+/// (event-notified) server stack the 100k ramp uses.
 #[test]
 fn per_call_memory_stays_within_compaction_budget() {
     const CALLS: usize = 1000;
@@ -319,7 +319,6 @@ fn per_call_memory_stays_within_compaction_budget() {
     let server_cfg = SocketConfig {
         recv_slots: 8,
         slot_size: 2048,
-        notify: datagram_iwarp::common::notifypath::NotifyPath::Event,
         ..SocketConfig::default()
     };
     let server_stack = SocketStack::with_config(

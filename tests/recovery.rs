@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use datagram_iwarp::chaos::{run_plan, ChaosOpts};
-use datagram_iwarp::common::ccalgo::CcAlgo;
+use datagram_iwarp::cc::CcAlgo;
 use datagram_iwarp::common::rng::derive_seed;
 use datagram_iwarp::net::rdgram::RdConfig;
 use datagram_iwarp::net::stream::StreamConfig;
