@@ -11,14 +11,20 @@
 //! reproduces the paper; EXPERIMENTS.md records both.
 
 use std::fs;
+use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use iwarp::{BurstPath, QpConfig};
+use bytes::Bytes;
+use iwarp::hdr::{encode_untagged, RdmapOpcode, UntaggedHdr};
+use iwarp::mpa::{MpaConfig, MpaRx, MpaTx};
+use iwarp::wr::RecvWr;
+use iwarp::{Access, BurstPath, Cq, Device, QpConfig};
 use iwarp_bench::verbs::{absorb_snapshot, bandwidth_with_config, default_burst, drain_snapshot};
 use iwarp_bench::{bandwidth, latency, FabricKind, Method};
 use iwarp_common::memacct::MemRegistry;
 use iwarp_common::stats::{pct_improvement_higher, pct_improvement_lower};
+use iwarp_common::validity::ValidityMap;
 
 use iwarp_apps::media::{run_http_session, run_native_udp_session, run_udp_session, MediaConfig};
 use iwarp_apps::sip::load::run_sip_load_with_peak_sample;
@@ -769,18 +775,200 @@ fn ext(args: &Args) {
     );
     println!("  (bursty loss concentrates drops: fewer messages hit, more bytes salvaged per hit)");
 
-    save_csv(
-        args,
-        "extensions.csv",
-        "metric,value",
-        &[
-            format!("rd_sendrecv_mbps_64k,{:.2}", rd.mbps),
-            format!("ud_read_rt_us_4k,{:.2}", rl.median()),
-            format!("ud_read_mbps_256k,{:.2}", rb.mbps),
-            format!("wr_bernoulli_1pct_mbps_512k,{:.2}", bern.mbps),
-            format!("wr_bursty_1pct_mbps_512k,{:.2}", burst.mbps),
-        ],
+    let mut rows = vec![
+        format!("rd_sendrecv_mbps_64k,{:.2}", rd.mbps),
+        format!("ud_read_rt_us_4k,{:.2}", rl.median()),
+        format!("ud_read_mbps_256k,{:.2}", rb.mbps),
+        format!("wr_bernoulli_1pct_mbps_512k,{:.2}", bern.mbps),
+        format!("wr_bursty_1pct_mbps_512k,{:.2}", burst.mbps),
+    ];
+    rows.extend(ext_notification(args));
+    rows.extend(ext_ablation(args));
+    save_csv(args, "extensions.csv", "metric,value", &rows);
+}
+
+/// Mean time per call of `op` in ns over `iters` calls, after a tenth as
+/// many unmeasured ones.
+fn mean_ns(iters: usize, mut op: impl FnMut()) -> f64 {
+    for _ in 0..iters / 10 {
+        op();
+    }
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        op();
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
+/// The paper's Fig. 3 / §IV.B.3 as numbers: time from posting one-sided
+/// data until the *target application* holds a completion saying it is
+/// valid. Write-Record needs no receive and no second operation; Write
+/// with Immediate consumes a posted receive; the standard's RC way is a
+/// Write followed by a send.
+fn ext_notification(args: &Args) -> Vec<String> {
+    const TO: Duration = Duration::from_secs(10);
+    const SIZE: usize = 4096;
+    let iters = if args.quick { 200 } else { 2000 };
+    let fab = Fabric::new(args.fabric.config());
+    let dev_a = Device::new(&fab, NodeId(0));
+    let dev_b = Device::new(&fab, NodeId(1));
+    let (a_s, a_r) = (Cq::new(64), Cq::new(64));
+    let (b_s, b_r) = (Cq::new(64), Cq::new(64));
+    let sink = dev_b.register(SIZE, Access::RemoteWrite);
+    let notify_sink = dev_b.register(16, Access::Local);
+    let data = Bytes::from(vec![7u8; SIZE]);
+    let us = |op: &mut dyn FnMut()| mean_ns(iters, op) / 1e3;
+
+    let qa = dev_a
+        .create_ud_qp(None, &a_s, &a_r, QpConfig::default())
+        .expect("qp");
+    let qb = dev_b
+        .create_ud_qp(None, &b_s, &b_r, QpConfig::default())
+        .expect("qp");
+    let ud_record = us(&mut || {
+        qa.post_write_record(0, data.clone(), qb.dest(), sink.stag(), 0)
+            .expect("post");
+        while a_s.poll().is_some() {}
+        b_r.poll_timeout(TO).expect("target completion");
+    });
+    let ud_imm = us(&mut || {
+        qb.post_recv(RecvWr::whole(1, &notify_sink)).expect("post");
+        qa.post_write_imm(0, data.clone(), qb.dest(), sink.stag(), 0, 9)
+            .expect("post");
+        while a_s.poll().is_some() {}
+        b_r.poll_timeout(TO).expect("target completion");
+    });
+
+    let listener = dev_b.rc_listen(4950).expect("listen");
+    let (qa, qb) = std::thread::scope(|s| {
+        let srv = s.spawn(|| {
+            listener
+                .accept(TO, &b_s, &b_r, QpConfig::default())
+                .expect("accept")
+        });
+        let qa = dev_a
+            .rc_connect(Addr::new(1, 4950), &a_s, &a_r, QpConfig::default())
+            .expect("connect");
+        (qa, srv.join().expect("server"))
+    });
+    let rc_send = us(&mut || {
+        qb.post_recv(RecvWr::whole(1, &notify_sink)).expect("post");
+        qa.post_rdma_write(0, data.clone(), sink.stag(), 0)
+            .expect("post");
+        qa.post_send(0, &b"!"[..]).expect("post");
+        while a_s.poll().is_some() {}
+        b_r.poll_timeout(TO).expect("target completion");
+    });
+    let rc_imm = us(&mut || {
+        qb.post_recv(RecvWr::whole(1, &notify_sink)).expect("post");
+        qa.post_write_imm(0, data.clone(), sink.stag(), 0, 9)
+            .expect("post");
+        while a_s.poll().is_some() {}
+        b_r.poll_timeout(TO).expect("target completion");
+    });
+    absorb_snapshot(fab.telemetry().snapshot());
+
+    println!(
+        "  Target notification @4KiB (Fig. 3): UD Write-Record {ud_record:.2} µs, UD Write+Imm \
+         {ud_imm:.2} µs, RC Write+send {rc_send:.2} µs, RC Write+Imm {rc_imm:.2} µs"
     );
+    vec![
+        format!("notify_ud_write_record_us_4k,{ud_record:.2}"),
+        format!("notify_ud_write_imm_us_4k,{ud_imm:.2}"),
+        format!("notify_rc_write_send_us_4k,{rc_send:.2}"),
+        format!("notify_rc_write_imm_us_4k,{rc_imm:.2}"),
+    ]
+}
+
+/// Per-kernel costs of the design points the paper calls out: MPA marker
+/// insertion/removal and CRC (the per-byte work datagram mode deletes,
+/// §IV.A), DDP segmentation with and without the mandatory CRC, and the
+/// Write-Record validity-map bookkeeping. CRC32C alone is the suite
+/// ladder's `common.crc32c.ns_per_KiB`.
+fn ext_ablation(args: &Args) -> Vec<String> {
+    let iters = if args.quick { 200 } else { 2000 };
+    let mut rows = Vec::new();
+
+    // MULPDU is bounded by the stream MSS in practice; use a large-but-
+    // legal ULPDU (the FPDU length field is 16-bit).
+    let payload = vec![0x5Au8; 32 * 1024];
+    for (label, markers, crc) in [
+        ("markers_crc", true, true),
+        ("crc_only", false, true),
+        ("bare", false, false),
+    ] {
+        let cfg = MpaConfig { markers, crc };
+        let frame = mean_ns(iters, || {
+            black_box(MpaTx::new(cfg).frame(&payload));
+        });
+        let roundtrip = mean_ns(iters, || {
+            let framed = MpaTx::new(cfg).frame(&payload);
+            let mut out = Vec::new();
+            MpaRx::new(cfg)
+                .feed(&framed, &mut out)
+                .expect("mpa roundtrip");
+            black_box(out);
+        });
+        rows.push(format!("mpa_frame_{label}_ns_per_kib,{:.2}", frame / 32.0));
+        rows.push(format!(
+            "mpa_roundtrip_{label}_ns_per_kib,{:.2}",
+            roundtrip / 32.0
+        ));
+    }
+
+    let msg = vec![0x11u8; 64 * 1024];
+    let seg = 1448usize;
+    for (label, with_crc) in [("crc", true), ("nocrc", false)] {
+        let ns = mean_ns(iters, || {
+            let mut mo = 0usize;
+            let mut msn = 0u32;
+            while mo < msg.len() {
+                let end = (mo + seg).min(msg.len());
+                let hdr = UntaggedHdr {
+                    opcode: RdmapOpcode::Send,
+                    last: end == msg.len(),
+                    solicited: false,
+                    qn: 0,
+                    msn,
+                    mo: mo as u32,
+                    total_len: msg.len() as u32,
+                    src_qpn: 1,
+                    msg_id: 7,
+                };
+                black_box(encode_untagged(&hdr, &msg[mo..end], with_crc));
+                mo = end;
+                msn += 1;
+            }
+        });
+        rows.push(format!("ddp_segment_{label}_ns_per_kib,{:.2}", ns / 64.0));
+    }
+
+    // 44 MTU fragments = one 64 KiB Write-Record message.
+    let record = |frags: &mut dyn Iterator<Item = u64>| {
+        let mut m = ValidityMap::new();
+        for i in frags {
+            m.record(i * 1448, 1448);
+        }
+        m
+    };
+    let in_order = mean_ns(iters, || {
+        black_box(record(&mut (0..44)).valid_bytes());
+    });
+    let reverse = mean_ns(iters, || {
+        black_box(record(&mut (0..44).rev()).valid_bytes());
+    });
+    let gapped = mean_ns(iters, || {
+        black_box(record(&mut (0..88).step_by(2)).gaps(88 * 1448).len());
+    });
+    rows.push(format!("validity_in_order_44_frags_ns,{in_order:.2}"));
+    rows.push(format!("validity_reverse_44_frags_ns,{reverse:.2}"));
+    rows.push(format!("validity_gapped_44_frags_ns,{gapped:.2}"));
+
+    println!("  Ablation kernels:");
+    for row in &rows {
+        println!("    {}", row.replace(',', " = "));
+    }
+    rows
 }
 
 fn main() {

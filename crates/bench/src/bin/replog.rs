@@ -1,4 +1,4 @@
-//! `replog` — replicated-log commit bench + agreement smoke gate (PR 9).
+//! `replog` — replicated-log commit sweep + agreement smoke gate (PR 9).
 //!
 //! ```text
 //! replog [--entries N] [--seed S] [--out PATH]        # full sweep
@@ -9,18 +9,19 @@
 //! The full sweep drives the [`iwarp_apps::replog`] cluster over both
 //! publish paths (one-sided Write-Record vs a two-sided send/recv
 //! baseline) × wire loss {0 %, 2 %, 8 %} and records commit latency and
-//! throughput per cell into `BENCH_PR9.json`. Latency and throughput
-//! are measured on the cluster's synthetic tick clock — Proposed tick →
-//! Committed tick per client entry — so the headline numbers are
-//! deterministic per seed; wall-clock figures ride along for reference.
+//! throughput per cell into `--out` (default `target/replog.json`; the
+//! committed `BENCH_PR9.json` is the recorded sweep). Latency and
+//! throughput are measured on the cluster's synthetic tick clock —
+//! Proposed tick → Committed tick per client entry — so the headline
+//! numbers are deterministic per seed; wall-clock figures ride along for
+//! reference.
 //!
 //! `--smoke` is the CI hook: a bounded seeded chaos sweep through the
 //! `iwarp_chaos::replog` oracle (every agreement invariant checked
-//! under partitions, reorder, duplication, corruption, burst loss) plus
-//! the one-sided ≥ two-sided commit-throughput sanity gate, median of
-//! three wire seeds on a clean wire. `--replay SEED` re-runs exactly
-//! one oracle plan (same faults byte-for-byte) and prints the full
-//! failure rendering on any violation.
+//! under partitions, reorder, duplication, corruption, burst loss).
+//! `--replay SEED` re-runs exactly one oracle plan (same faults
+//! byte-for-byte) and prints the full failure rendering on any
+//! violation.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -45,7 +46,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         entries: 64,
         seed: 0x9E10_0009,
-        out: "BENCH_PR9.json".into(),
+        out: "target/replog.json".into(),
         smoke: false,
         plans: 25,
         replay: None,
@@ -189,19 +190,6 @@ fn path_label(path: PublishPath) -> &'static str {
     }
 }
 
-/// Median one-sided and two-sided commit throughput over three wire
-/// seeds on a clean wire — the smoke gate's inputs.
-fn throughput_medians(entries: usize, seed: u64) -> (f64, f64) {
-    let median3 = |path: PublishPath| -> f64 {
-        let mut runs: Vec<f64> = (0..3u64)
-            .map(|i| run_cell(path, 0, entries, derive_seed(seed, 0x30 + i)).commits_per_kilotick)
-            .collect();
-        runs.sort_by(|a, b| a.total_cmp(b));
-        runs[1]
-    };
-    (median3(PublishPath::WriteRecord), median3(PublishPath::TwoSided))
-}
-
 fn smoke(args: &Args) -> ExitCode {
     // Bounded chaos sweep: every agreement invariant under seeded fault
     // plans across both publish paths and freeze fail-overs.
@@ -220,19 +208,6 @@ fn smoke(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("replog smoke: {} chaos plans passed (master seed {:#x})", args.plans, args.seed);
-
-    // Commit-throughput sanity gate: the one-sided Write-Record path
-    // must keep up with the two-sided baseline it replaces.
-    let (one_sided, two_sided) = throughput_medians(24, args.seed);
-    println!(
-        "replog smoke: commit throughput write_record {one_sided:.2} vs \
-         two_sided {two_sided:.2} commits/kilotick (median of 3)"
-    );
-    if one_sided < two_sided {
-        eprintln!("replog smoke: FAILED — one-sided commit throughput below two-sided baseline");
-        return ExitCode::FAILURE;
-    }
-    println!("replog smoke: PASSED");
     ExitCode::SUCCESS
 }
 
@@ -324,29 +299,15 @@ fn main() -> ExitCode {
             );
         }
     }
-    let _ = writeln!(json, "\n],");
-
-    let (one_sided, two_sided) = throughput_medians(args.entries.min(32), args.seed);
-    let gate = one_sided >= two_sided;
-    let _ = writeln!(
-        json,
-        "\"gate\": {{\"one_sided_commits_per_kilotick\": {one_sided:.3}, \
-         \"two_sided_commits_per_kilotick\": {two_sided:.3}, \"pass\": {gate}}}"
-    );
+    let _ = writeln!(json, "\n]");
     let _ = writeln!(json, "}}");
+    if let Some(dir) = std::path::Path::new(&args.out).parent() {
+        let _ = fs::create_dir_all(dir);
+    }
     if let Err(e) = fs::write(&args.out, &json) {
         eprintln!("replog: writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
-    println!(
-        "replog: wrote {} — one-sided {one_sided:.2} vs two-sided {two_sided:.2} \
-         commits/kilotick, gate {}",
-        args.out,
-        if gate { "PASSED" } else { "FAILED" }
-    );
-    if gate {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    println!("replog: wrote {}", args.out);
+    ExitCode::SUCCESS
 }

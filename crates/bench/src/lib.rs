@@ -5,8 +5,11 @@
 //! unidirectional bandwidth for the four methods the paper compares
 //! (UD send/recv, UD RDMA Write-Record, RC send/recv, RC RDMA Write),
 //! plus the loss-sweep variants. The `figures` binary sweeps these over
-//! the paper's parameter grids and prints/records each figure's series;
-//! the Criterion benches sample representative points.
+//! the paper's parameter grids and prints/records each figure's series.
+//!
+//! The other bins share no code with this library: `suite` is the
+//! repository's benchmark (`BENCHMARK.json`), and `chaos`, `replog` and
+//! `scale` drive the fault, agreement and memory-ramp oracles.
 
 #![warn(missing_docs)]
 

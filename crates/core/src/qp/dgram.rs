@@ -901,6 +901,16 @@ impl DatagramQp {
         self.inner.rx.take_retired_reads()
     }
 
+    /// Cancels this QP's outstanding reads whose `wr_id` is in `[lo, hi)`
+    /// — pending ones (late responses are dropped, no `Expired` CQE
+    /// follows) and unsignaled ones already retired but not yet taken.
+    /// Returns the pending reads cancelled. A caller that reuses a
+    /// `wr_id` range ([`crate::read::BulkRead`]) calls this so one use's
+    /// completions cannot be taken for the next's.
+    pub fn cancel_reads(&self, lo: u64, hi: u64) -> usize {
+        self.inner.rx.cancel_reads(lo, hi)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn post_read_inner(
         &self,

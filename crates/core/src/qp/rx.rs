@@ -338,6 +338,22 @@ impl RxCore {
         std::mem::take(&mut *self.retired_reads.lock())
     }
 
+    /// Forgets every outstanding read whose `wr_id` is in `[lo, hi)`:
+    /// pending reads (a late response is then discarded as an unknown
+    /// `msg_id` by [`Self::place_read_response`], and no `Expired` CQE
+    /// follows) and retired-list entries. Returns the pending reads
+    /// dropped.
+    pub fn cancel_reads(&self, lo: u64, hi: u64) -> usize {
+        let mut cold = self.cold.lock();
+        let Some(c) = cold.as_deref_mut() else {
+            return 0;
+        };
+        let before = c.pending_reads.len();
+        c.pending_reads.retain(|_, p| !(lo..hi).contains(&p.wr_id));
+        self.retired_reads.lock().retain(|id| !(lo..hi).contains(id));
+        before - c.pending_reads.len()
+    }
+
     /// True when handling this untagged segment right now would drop it
     /// for lack of a posted receive. On a *reliable* LLP the engine uses
     /// this to stall the stream instead (TCP backpressure), because a

@@ -20,7 +20,7 @@
 //! waits on. With a small CQ this rule is exactly what makes signal
 //! interval 1 slow (the effective window collapses to the CQ depth) and
 //! unsignaled-except-last fast (the full batch window runs) — the curve
-//! `iwarp-bench --bin bulkread` measures.
+//! recorded in `BENCH_PR8.json` (EXPERIMENTS.md, "Read engine").
 //!
 //! ## Determinism
 //!
@@ -36,12 +36,31 @@
 //! so the QP's expiry sweep never races the scoreboard's RTO. A lost
 //! response leaves its batch un-SACKed; `detect_losses`/`sweep` queue
 //! the batch for retransmit and [`BulkRead::step`] reposts it with the
-//! same `wr_id` and a fresh protocol `msg_id`. Stale pending reads from
-//! a superseded post are harmless — a late response places the same
-//! bytes at the same offsets, duplicate completions are ignored by the
-//! batch bitmap, and an `Expired` CQE for an already-complete batch is
-//! dropped. If a batch exhausts its retry budget the transfer reports
-//! `dead` (remote gone / partitioned) instead of spinning forever.
+//! same `wr_id` and a fresh protocol `msg_id`. *Within a transfer*,
+//! stale pending reads from a superseded post are harmless — a late
+//! response places the same bytes at the same offsets, duplicate
+//! completions are ignored by the batch bitmap, and an `Expired` CQE for
+//! an already-complete batch is dropped. If a batch exhausts its retry
+//! budget the transfer reports `dead` (remote gone / partitioned)
+//! instead of spinning forever.
+//!
+//! ## Transfer boundaries
+//!
+//! A completion names its batch by `wr_id` alone, so it must never
+//! outlive its transfer: the next [`BulkRead`] on the same QP uses the
+//! same `base_wr_id` by default and would take a leftover duplicate (a
+//! spurious RTO's repost that was still pending when the last batch
+//! landed) as an out-of-order SACK of *its* batch. The engine therefore
+//! cancels its `wr_id` range ([`DatagramQp::cancel_reads`]) when the
+//! last batch completes and when the peer is declared dead, and on its
+//! first step cancels again and drains the receive CQ it owns by
+//! contract — that also covers a transfer the caller abandoned midway.
+//! Known and left for its own issue: `ingest` runs `detect_losses` on
+//! every step rather than once per newly completed batch, so one
+//! out-of-order completion re-marks the batches below it on each
+//! iteration. With the purge nothing stale reaches the scoreboard;
+//! gating the call changes lossy-wire repost schedules (chaos bulk
+//! phase) and, tried alone, only hid the stale completions.
 
 use std::time::{Duration, Instant};
 
@@ -157,6 +176,8 @@ pub struct BulkRead {
     reposts: u64,
     expired: u64,
     dead: bool,
+    /// [`Self::step`] has run once (the QP was purged of a predecessor).
+    started: bool,
     scratch: Vec<Cqe>,
 }
 
@@ -197,6 +218,7 @@ impl BulkRead {
             reposts: 0,
             expired: 0,
             dead: false,
+            started: false,
             scratch: vec![Cqe::default(); 64],
             cfg,
         }
@@ -300,6 +322,13 @@ impl BulkRead {
         self.engine.on_sack_seq(now, b);
     }
 
+    /// Cancels every read of this transfer's `wr_id` range still
+    /// outstanding on `qp` (see the module docs, "Transfer boundaries").
+    fn cancel_outstanding(&self, qp: &DatagramQp) {
+        let base = self.cfg.base_wr_id;
+        qp.cancel_reads(base, base + self.nbatches);
+    }
+
     /// Drains completions (CQEs and retired unsignaled reads) into the
     /// batch bitmap and the scoreboard.
     fn ingest(&mut self, qp: &DatagramQp, now: Duration) {
@@ -362,13 +391,20 @@ impl BulkRead {
         if self.is_finished() {
             return Ok(true);
         }
+        if !self.started {
+            self.started = true;
+            self.cancel_outstanding(qp);
+            while qp.recv_cq().poll_into(&mut self.scratch) > 0 {}
+        }
         self.ingest(qp, now);
         if self.ncompleted == self.nbatches {
+            self.cancel_outstanding(qp);
             return Ok(true);
         }
         let sweep = self.engine.sweep(now);
         if sweep.dead || self.engine.is_dead() {
             self.dead = true;
+            self.cancel_outstanding(qp);
             return Ok(true);
         }
         // Reposts first: recovering the window head unblocks the

@@ -188,11 +188,20 @@ fn unsignaled_read_expiry_still_surfaces_a_cqe() {
     let sink = a.register(1024, Access::Local);
     qa.post_read_unsignaled(42, &sink, 0, 512, qb.dest(), src.stag(), 0)
         .unwrap();
+    // A cancelled read is the one exception: the caller disowned it.
+    qa.post_read_unsignaled(43, &sink, 512, 512, qb.dest(), src.stag(), 0)
+        .unwrap();
+    assert_eq!(qa.cancel_reads(43, 44), 1);
 
     let cqe = a_recv.poll_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(cqe.wr_id, 42);
     assert_eq!(cqe.status, CqeStatus::Expired);
     assert!(qa.take_retired_reads().is_empty(), "expiry is not a success");
+    assert!(
+        a_recv.poll().is_none(),
+        "the cancelled read must not expire visibly"
+    );
+    assert_eq!(qa.cancel_reads(0, u64::MAX), 0);
 }
 
 #[test]
@@ -225,4 +234,60 @@ fn unsignaled_read_success_retires_without_cqe() {
     assert_eq!(sink.read_vec(0, data.len()).unwrap(), data);
     assert!(a_recv.poll().is_none(), "no CQE for an unsignaled success");
     assert_eq!(a_recv.unsignaled_retired(), 1);
+}
+
+#[test]
+fn a_finished_transfer_leaves_nothing_for_the_next_to_reap() {
+    // A host pause longer than the RTO makes transfer 1 repost its head
+    // batch; the duplicate read is still pending, its response still
+    // queued, when the last batch lands. Transfer 2 reuses the QPs and
+    // the default `base_wr_id`, and must not take that completion for
+    // its own.
+    let fab = Fabric::loopback();
+    let (qa, qb, a, b, _a_recv) = read_pair(&fab, 64);
+    let len = 4 << 20;
+    let data_a = pattern(len);
+    let data_b: Vec<u8> = data_a.iter().map(|x| !x).collect();
+    let src_a = b.register_with(&data_a, Access::RemoteRead);
+    let src_b = b.register_with(&data_b, Access::RemoteRead);
+    let sink = a.register(len, Access::Local);
+    let cfg = BulkReadConfig {
+        batch_bytes: 256 * 1024,
+        window: 32,
+        signal: SignalInterval::LastOnly,
+        ..BulkReadConfig::default()
+    };
+
+    let drive = |stag: u32, pause: bool| {
+        let mut xfer = BulkRead::new(cfg.clone(), &sink, 0, len as u64, qb.dest(), stag, 0);
+        let mut now = Duration::ZERO;
+        let mut paused = !pause;
+        for _ in 0..1_000_000 {
+            qb.progress(Duration::ZERO);
+            qa.progress(Duration::ZERO);
+            now += Duration::from_micros(10);
+            if !paused && xfer.completed() >= 3 {
+                paused = true;
+                now += Duration::from_millis(500);
+            }
+            if xfer.step(&qa, now).expect("step") {
+                return (xfer.report(), sink.read_vec(0, len).unwrap());
+            }
+        }
+        panic!("transfer did not finish: {:?}", xfer.report());
+    };
+
+    let (first, got) = drive(src_a.stag(), true);
+    assert!(!first.dead);
+    assert_eq!(first.reposts, 1, "the pause fires exactly one spurious RTO");
+    assert!(got == data_a);
+
+    let (second, got) = drive(src_b.stag(), false);
+    assert!(!second.dead);
+    assert_eq!(second.bytes, len as u64);
+    assert_eq!(second.reposts, 0, "loopback is lossless: {second:?}");
+    assert!(
+        got == data_b,
+        "sink must hold source B when step returns true"
+    );
 }

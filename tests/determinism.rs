@@ -65,8 +65,7 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
     );
     let qp_cfg = QpConfig {
         poll_mode: matches!(mode, RxMode::Poll),
-        // Pin the copy path: the burst transmit gate requires SG, and the
-        // A/B comparison must differ in the batching knob alone.
+        // The A/B comparison differs in the batching knob alone.
         burst_path: burst,
         ..QpConfig::default()
     };
@@ -291,9 +290,7 @@ fn burst_path_preserves_chaos_fault_traces() {
         burst_path: BurstPath::Burst,
         ..opts_pp.clone()
     };
-    // Two plans from the tier-1 sweep's seed space: one even, one odd,
-    // so both copy paths (the harness alternates them by seed parity)
-    // are covered.
+    // Two plans from the tier-1 sweep's seed space.
     for k in [2u64, 3u64] {
         let seed = derive_seed(0x7E57_C4A0, k);
         let a = run_plan(seed, &opts_pp);
