@@ -39,7 +39,7 @@ fn parse_args() -> Result<Args, String> {
         dgrams: None,
         verbose: false,
         burst_path: BurstPath::default(),
-        cc: CcAlgo::default(),
+        cc: CcAlgo::Fixed,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {

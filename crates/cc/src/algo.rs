@@ -20,11 +20,11 @@ use std::time::Duration;
 
 /// Which congestion-control algorithm a reliable path runs
 /// (`StreamConfig::cc`, `RdConfig::cc`, [`crate::RecoveryConfig::algo`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// There is no enum-level default: each config writes its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CcAlgo {
     /// Fixed window, fixed (non-adaptive) retransmission timer. The
-    /// legacy behavior and the default.
-    #[default]
+    /// legacy behavior.
     Fixed,
     /// NewReno-style slow start / congestion avoidance / fast recovery
     /// with an RFC-6298 adaptive RTO.

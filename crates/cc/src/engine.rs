@@ -58,7 +58,10 @@ struct Seg {
     first_tx: Duration,
     /// Total transmissions, including the first.
     tx_count: u32,
-    /// SACK/dup-ACK evidence that later data arrived while this didn't.
+    /// Duplicate cumulative ACKs counted against this segment while it
+    /// is the head ([`RecoveryEngine::on_dup_ack`], the stream's SACK-less
+    /// path). SACK evidence is not counted here: `detect_losses` reads it
+    /// off the scoreboard.
     dup_hints: u32,
     /// Currently sitting in the retransmit queue.
     queued: bool,
@@ -91,7 +94,10 @@ pub struct RecoveryConfig {
     /// Retransmissions allowed per segment before the engine declares
     /// the peer dead ([`RecoveryEngine::is_dead`]).
     pub max_retries: u32,
-    /// SACK/dup-ACK hints before a segment is marked lost.
+    /// Loss threshold (RFC 6675 `DupThresh`): duplicate ACKs against the
+    /// head ([`RecoveryEngine::on_dup_ack`]), or SACKed units above a
+    /// segment in multiples of `quantum`
+    /// ([`RecoveryEngine::detect_losses`]).
     pub dup_threshold: u32,
     /// Bound on the retransmit queue (overflow segments stay `Lost` and
     /// are re-queued by [`RecoveryEngine::sweep`] as slots free up).
@@ -473,26 +479,30 @@ impl RecoveryEngine {
         }
     }
 
-    /// Runs gap-based loss detection: every in-flight segment wholly
-    /// below the highest SACKed sequence gains one loss hint; segments
-    /// reaching the dup threshold are marked lost and queued. Call once
-    /// per processed ACK frame. Returns how many segments were newly
+    /// Runs SACK-based loss detection, RFC 6675 §4 *IsLost*: an in-flight
+    /// segment transmitted exactly once is marked lost and queued when
+    /// the SACKed units above it reach `dup_threshold × quantum` (for a
+    /// message-sequenced path, that many later messages SACKed, however
+    /// many ACK frames carried them). Retransmissions are left to the
+    /// RTO. The rule reads scoreboard state only, so a call without new
+    /// SACK evidence marks nothing. Returns how many segments were newly
     /// marked.
     pub fn detect_losses(&mut self, t: Duration) -> u32 {
         if self.high_sacked <= self.una {
             return 0;
         }
+        let need = u64::from(self.cfg.dup_threshold) * self.cfg.quantum;
+        let mut sacked_above = 0;
         let mut newly = Vec::new();
-        for (&s, seg) in self.segs.range_mut(..self.high_sacked) {
-            if s + seg.len > self.high_sacked || seg.state != SegState::InFlight {
-                continue;
-            }
-            seg.dup_hints += 1;
-            if seg.dup_hints >= self.cfg.dup_threshold {
-                newly.push(s);
+        for (&s, seg) in self.segs.range(..self.high_sacked).rev() {
+            match seg.state {
+                SegState::Sacked => sacked_above += seg.len,
+                SegState::InFlight if seg.tx_count == 1 && sacked_above >= need => newly.push(s),
+                _ => {}
             }
         }
-        for &s in &newly {
+        // Queue in sequence order, head first.
+        for &s in newly.iter().rev() {
             self.mark_lost(s, t, false);
         }
         newly.len() as u32
@@ -882,7 +892,7 @@ mod tests {
         for _ in 0..3 {
             lost += e.detect_losses(MS);
         }
-        assert_eq!(lost, 1, "head should be marked lost after 3 hints");
+        assert_eq!(lost, 1, "head is marked lost exactly once");
         let (start, len) = e.pop_rtx(2 * MS).expect("queued for retransmit");
         assert_eq!((start, len), (0, 1));
         assert!(e.pop_rtx(2 * MS).is_none(), "sacked segments never retransmit");
@@ -891,6 +901,69 @@ mod tests {
         let ev = e.on_cum_ack(3 * MS, 8);
         assert_eq!(ev.newly_acked, 8);
         assert_eq!(e.scoreboard(), (0, 0, 0));
+        e.check_partition().unwrap();
+    }
+
+    #[test]
+    fn one_frame_sacking_three_above_a_hole_marks_it() {
+        let mut e = RecoveryEngine::new(cfg(CcAlgo::NewReno));
+        for _ in 0..4 {
+            e.on_send(Duration::ZERO, 1);
+        }
+        e.on_sack_range(MS, 1, 4);
+        assert_eq!(e.detect_losses(MS), 1, "three SACKed above in one frame");
+        assert_eq!(e.pop_rtx(MS), Some((0, 1)));
+    }
+
+    #[test]
+    fn repeated_calls_without_new_evidence_mark_nothing() {
+        let mut e = RecoveryEngine::new(cfg(CcAlgo::NewReno));
+        for _ in 0..4 {
+            e.on_send(Duration::ZERO, 1);
+        }
+        e.on_sack_seq(MS, 1);
+        for i in 0..10 {
+            assert_eq!(e.detect_losses(MS * (i + 1)), 0, "call {i}");
+        }
+        assert!(!e.has_rtx());
+        assert_eq!(e.scoreboard(), (3, 1, 0));
+    }
+
+    #[test]
+    fn retransmission_is_not_remarked_by_old_evidence() {
+        let mut e = RecoveryEngine::new(cfg(CcAlgo::NewReno));
+        for _ in 0..8 {
+            e.on_send(Duration::ZERO, 1);
+        }
+        e.on_sack_range(MS, 1, 8);
+        assert_eq!(e.detect_losses(MS), 1);
+        assert_eq!(e.pop_rtx(2 * MS), Some((0, 1)));
+        for i in 0..10 {
+            assert_eq!(e.detect_losses(MS * (i + 3)), 0, "call {i}");
+        }
+        assert!(e.pop_rtx(20 * MS).is_none(), "the retransmission waits for the RTO");
+        e.check_partition().unwrap();
+    }
+
+    #[test]
+    fn byte_sequenced_loss_needs_three_mss_sacked_above() {
+        const MSS: u64 = 1000;
+        let mut e = RecoveryEngine::new(RecoveryConfig {
+            quantum: MSS,
+            init_cwnd: 10 * MSS,
+            bdp_cap: 64 * MSS,
+            ..cfg(CcAlgo::NewReno)
+        });
+        // [0, 1000) is the hole; 500-byte segments above it.
+        e.on_send(Duration::ZERO, MSS);
+        for _ in 0..6 {
+            e.on_send(Duration::ZERO, MSS / 2);
+        }
+        e.on_sack_range(MS, MSS, 3 * MSS + MSS / 2);
+        assert_eq!(e.detect_losses(MS), 0, "2.5 MSS SACKed above is not enough");
+        e.on_sack_range(2 * MS, 3 * MSS + MSS / 2, 4 * MSS);
+        assert_eq!(e.detect_losses(2 * MS), 1, "3 MSS SACKed above marks the hole");
+        assert_eq!(e.pop_rtx(2 * MS), Some((0, MSS)));
         e.check_partition().unwrap();
     }
 

@@ -10,16 +10,16 @@
 //! * [`engine::RecoveryEngine`] — a selective-repeat sender scoreboard
 //!   (in-flight / SACKed / lost ranges partitioning the outstanding
 //!   window), BDP-bounded send window, fast retransmit on duplicate-ACK
-//!   and SACK-gap evidence, and a bounded retransmit queue. Both
-//!   reliable conduits are refactored onto it.
+//!   and SACK evidence (RFC 6675 *IsLost*), and a bounded retransmit
+//!   queue. Both reliable conduits are refactored onto it.
 //! * [`rtt::RttEstimator`] — RFC-6298 SRTT/RTTVAR with Karn filtering
 //!   and exponential RTO backoff, replacing the fixed retransmit timers.
 //! * [`algo`] — the [`algo::CongestionControl`] trait
 //!   (`on_ack` / `on_sack_gap` / `on_rto` / `on_send` → cwnd + pacing)
 //!   with three implementations: [`algo::Fixed`] (the legacy
-//!   fixed-window baseline, the default), [`algo::NewReno`], and
-//!   [`algo::Cubic`]. Selection rides the
-//!   [`algo::CcAlgo`] config field.
+//!   fixed-window baseline), [`algo::NewReno`], and [`algo::Cubic`].
+//!   Selection rides the [`algo::CcAlgo`] config field, whose default
+//!   each config writes itself (RD: `NewReno`; stream: `Fixed`).
 //!
 //! Everything here is deterministic and RNG-free: engine state is a pure
 //! function of the event sequence, so seeded chaos replays stay

@@ -55,12 +55,10 @@
 //! last batch completes and when the peer is declared dead, and on its
 //! first step cancels again and drains the receive CQ it owns by
 //! contract — that also covers a transfer the caller abandoned midway.
-//! Known and left for its own issue: `ingest` runs `detect_losses` on
-//! every step rather than once per newly completed batch, so one
-//! out-of-order completion re-marks the batches below it on each
-//! iteration. With the purge nothing stale reaches the scoreboard;
-//! gating the call changes lossy-wire repost schedules (chaos bulk
-//! phase) and, tried alone, only hid the stale completions.
+//! `ingest` runs `detect_losses` on every step, which is safe: the rule
+//! (RFC 6675 *IsLost*) reads only the scoreboard, so a batch is marked
+//! lost once `dup_threshold` later batches have completed, however many
+//! steps observe that, and a reposted batch is left to the RTO.
 
 use std::time::{Duration, Instant};
 

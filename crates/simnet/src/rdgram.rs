@@ -15,10 +15,12 @@
 //! Loss recovery is delegated to [`iwarp_cc::RecoveryEngine`] (one per
 //! peer): the engine owns the selective-repeat scoreboard, the RFC-6298
 //! RTT estimator behind the retransmission timer, and the congestion
-//! window. With the default [`CcAlgo::Fixed`] the conduit behaves like
-//! the legacy implementation — fixed window, fixed timer, timer-driven
-//! recovery only; `newreno`/`cubic` add SACK-gap fast retransmit and an
-//! adaptive window on top of the same wire format.
+//! window. The default is [`CcAlgo::NewReno`]: once three later
+//! messages are SACKed, a missing message is retransmitted (RFC 6675
+//! *IsLost*), about one round trip after the loss; the adaptive timer,
+//! capped at the legacy 20 ms, covers the rest. [`CcAlgo::Fixed`] keeps
+//! the legacy implementation — fixed window, fixed 20 ms timer,
+//! timer-driven recovery only — on the same wire format.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -64,7 +66,9 @@ pub struct RdConfig {
     /// RTO floor for the adaptive estimator (ignored under `Fixed`).
     pub min_rto: Duration,
     /// RTO ceiling / backoff cap for the adaptive estimator (ignored
-    /// under `Fixed`).
+    /// under `Fixed`). The default is the legacy constant RTO, 20 ms, so
+    /// the adaptive timer is never slower than `Fixed` and a dead peer
+    /// still exhausts `max_retries` within the legacy ~3 s budget.
     pub max_rto: Duration,
     /// Retransmissions allowed per message before the conduit declares
     /// the peer dead and surfaces [`NetError::Reset`]. Generous because
@@ -73,7 +77,9 @@ pub struct RdConfig {
     /// so tens of retransmissions are routine, not pathological.
     pub max_retries: u32,
     /// Congestion-control algorithm. This config's default is written
-    /// here, independently of [`crate::stream::StreamConfig::cc`].
+    /// here, independently of [`crate::stream::StreamConfig::cc`]:
+    /// [`CcAlgo::NewReno`], so a loss costs a round trip of SACK
+    /// evidence rather than a full timeout.
     pub cc: CcAlgo,
     /// Spread sends over the smoothed RTT instead of bursting the whole
     /// window (adaptive algorithms only).
@@ -87,9 +93,9 @@ impl Default for RdConfig {
             sack_words: None,
             rto: Duration::from_millis(20),
             min_rto: Duration::from_millis(2),
-            max_rto: Duration::from_secs(1),
+            max_rto: Duration::from_millis(20),
             max_retries: 150,
-            cc: CcAlgo::Fixed,
+            cc: CcAlgo::NewReno,
             paced: false,
         }
     }
@@ -301,10 +307,10 @@ impl Inner {
                     }
                 }
                 if self.adaptive {
-                    // Each ACK showing data beyond an in-flight message is
-                    // one more hint it was lost; the engine fast-queues it
-                    // at the dup threshold. (The Fixed baseline stays
-                    // timer-driven, like the legacy implementation.)
+                    // A message with three later messages SACKed past it
+                    // is lost; the engine fast-queues it. (The Fixed
+                    // baseline stays timer-driven, like the legacy
+                    // implementation.)
                     tx.engine.detect_losses(t);
                 }
                 self.writable.notify_all();
@@ -747,6 +753,57 @@ mod tests {
             a.send_to(Addr::new(9, 9), Bytes::from_static(b"x")).unwrap_err(),
             NetError::Reset
         );
+    }
+
+    #[test]
+    fn recovers_by_sack_under_the_default() {
+        // 1 % loss, 1 KiB messages, at most 4 outstanding (the suite's
+        // `rd_1KiB_loss1` shape): losses are repaired by SACK-driven fast
+        // retransmit, not by waiting out the timer.
+        let fab = Fabric::new(WireConfig::with_loss(0.01, 31));
+        let (a, b) = pair(&fab);
+        let n = 3_000u32;
+        let (credit_tx, credit_rx) = std::sync::mpsc::channel::<()>();
+        let (a, dst) = (&a, b.local_addr());
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..n {
+                    if i >= 4 {
+                        credit_rx.recv().unwrap();
+                    }
+                    let mut msg = vec![0u8; 1024];
+                    msg[..4].copy_from_slice(&i.to_be_bytes());
+                    a.send_to(dst, Bytes::from(msg)).unwrap();
+                }
+            });
+            for i in 0..n {
+                let (_, data) = b.recv_from(Some(Duration::from_secs(10))).unwrap();
+                assert_eq!(data.len(), 1024);
+                assert_eq!(u32::from_be_bytes(data[..4].try_into().unwrap()), i);
+                let _ = credit_tx.send(());
+            }
+        });
+        assert_eq!(
+            b.recv_from(Some(Duration::from_millis(50))).unwrap_err(),
+            NetError::Timeout,
+            "a message was delivered twice"
+        );
+        let snap = fab.telemetry().snapshot();
+        let fast = snap.get("cc.fast_retransmits").unwrap_or(0);
+        let rto = snap.get("cc.rto_fired").unwrap_or(0);
+        assert!(fast > rto, "fast retransmits {fast} vs RTOs fired {rto}");
+    }
+
+    #[test]
+    fn dead_peer_resets_within_the_legacy_budget() {
+        // 150 retries under the default 20 ms RTO ceiling: ~3 s, as under
+        // the legacy fixed timer.
+        let fab = Fabric::loopback();
+        let a = RdConduit::bind(&fab, Addr::new(0, 330), RdConfig::default()).unwrap();
+        a.send_to(Addr::new(9, 9), Bytes::from_static(b"void")).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(a.flush(Duration::from_secs(10)).unwrap_err(), NetError::Reset);
+        assert!(t0.elapsed() < Duration::from_secs(5), "reset took {:?}", t0.elapsed());
     }
 
     #[test]

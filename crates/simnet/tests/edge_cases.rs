@@ -44,6 +44,13 @@ fn rd_window_limits_outstanding_messages() {
         finished - t0 >= Duration::from_millis(50),
         "third send did not block on the window"
     );
+    // 150 retries under the default 20 ms RTO ceiling take ~3 s; a
+    // backoff ceiling that slipped would take minutes.
+    assert!(
+        finished - t0 < Duration::from_secs(10),
+        "giving up took {:?}",
+        finished - t0
+    );
 }
 
 #[test]

@@ -41,8 +41,10 @@ for bpath in per-packet burst; do
 done
 
 echo "==> chaos smoke under adaptive congestion control (newreno)"
-# Same adversary, reliable phase driven by NewReno instead of the legacy
-# fixed window — verbs/socket fault traces must stay seed-deterministic.
+# Same adversary, reliable phase driven by NewReno, which is what RD QPs
+# run by default (RdConfig::default()); the sweeps above stay on `fixed`
+# because chaos replays are pinned to it (ChaosOpts::cc). Verbs/socket
+# fault traces must stay seed-deterministic.
 cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --cc newreno
 
 echo "==> replog smoke: 25 seeded agreement plans"
