@@ -64,13 +64,13 @@ fn parse_args() -> Result<Args, String> {
             "--cc" => {
                 let spec = grab("--cc")?;
                 args.cc = CcAlgo::parse(&spec)
-                    .ok_or(format!("--cc takes 'fixed', 'newreno' or 'cubic', got {spec:?}"))?;
+                    .ok_or(format!("--cc takes 'fixed' or 'newreno', got {spec:?}"))?;
             }
             "--help" | "-h" => {
                 println!(
                     "usage: chaos [--plans N] [--seed MASTER] [--msgs N] [--dgrams N] \
                      [--verbose] [--burst-path {{per-packet,burst}}] \
-                     [--cc {{fixed,newreno,cubic}}] | --replay SEED"
+                     [--cc {{fixed,newreno}}] | --replay SEED"
                 );
                 std::process::exit(0);
             }

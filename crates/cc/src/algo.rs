@@ -1,7 +1,7 @@
-//! The [`CongestionControl`] trait and its three implementations.
+//! The [`CongestionControl`] trait and its two implementations.
 //!
 //! Controllers are deliberately *dumb*: they see a stream of events
-//! (acks, SACK-detected gaps, timeouts, sends) from the
+//! (acks, SACK-detected gaps, timeouts) from the
 //! [`crate::engine::RecoveryEngine`] and maintain only a congestion
 //! window and slow-start threshold. All scoreboard bookkeeping — which
 //! sequences are outstanding, sacked, or lost, when to fire the RTO,
@@ -29,14 +29,11 @@ pub enum CcAlgo {
     /// NewReno-style slow start / congestion avoidance / fast recovery
     /// with an RFC-6298 adaptive RTO.
     NewReno,
-    /// CUBIC window growth (concave/convex probing around the last loss
-    /// window) with an RFC-6298 adaptive RTO.
-    Cubic,
 }
 
 impl CcAlgo {
     /// Every algorithm, in sweep order.
-    pub const ALL: [CcAlgo; 3] = [CcAlgo::Fixed, CcAlgo::NewReno, CcAlgo::Cubic];
+    pub const ALL: [CcAlgo; 2] = [CcAlgo::Fixed, CcAlgo::NewReno];
 
     /// Parses the `--cc` CLI spelling.
     #[must_use]
@@ -44,7 +41,6 @@ impl CcAlgo {
         match s {
             "fixed" => Some(Self::Fixed),
             "newreno" => Some(Self::NewReno),
-            "cubic" => Some(Self::Cubic),
             _ => None,
         }
     }
@@ -56,7 +52,6 @@ impl fmt::Display for CcAlgo {
         f.pad(match self {
             Self::Fixed => "fixed",
             Self::NewReno => "newreno",
-            Self::Cubic => "cubic",
         })
     }
 }
@@ -91,16 +86,10 @@ pub trait CongestionControl: Send + fmt::Debug {
     fn on_sack_gap(&mut self, t: Duration, in_flight: u64);
     /// Retransmission timeout fired: collapse to one quantum.
     fn on_rto(&mut self, t: Duration);
-    /// `units` were handed to the wire (new data, not retransmits).
-    fn on_send(&mut self, t: Duration, units: u64);
     /// Current congestion window, in units.
     fn cwnd(&self) -> u64;
     /// Current slow-start threshold, in units (`u64::MAX` = uncapped).
     fn ssthresh(&self) -> u64;
-    /// Minimum gap between consecutive quantum-sized sends that spreads
-    /// `cwnd` over one SRTT, or `None` to leave sends unpaced. Only
-    /// applied when the owning config opts into pacing.
-    fn pacing_gap(&self, srtt: Option<Duration>) -> Option<Duration>;
 }
 
 /// Builds the controller for `algo`.
@@ -109,7 +98,6 @@ pub fn build_cc(algo: CcAlgo, cfg: &CcConfig) -> Box<dyn CongestionControl> {
     match algo {
         CcAlgo::Fixed => Box::new(Fixed { window: cfg.fixed_window.max(cfg.quantum) }),
         CcAlgo::NewReno => Box::new(NewReno::new(cfg)),
-        CcAlgo::Cubic => Box::new(Cubic::new(cfg)),
     }
 }
 
@@ -126,15 +114,11 @@ impl CongestionControl for Fixed {
     fn on_ack(&mut self, _t: Duration, _acked: u64, _rtt: Option<Duration>) {}
     fn on_sack_gap(&mut self, _t: Duration, _in_flight: u64) {}
     fn on_rto(&mut self, _t: Duration) {}
-    fn on_send(&mut self, _t: Duration, _units: u64) {}
     fn cwnd(&self) -> u64 {
         self.window
     }
     fn ssthresh(&self) -> u64 {
         u64::MAX
-    }
-    fn pacing_gap(&self, _srtt: Option<Duration>) -> Option<Duration> {
-        None
     }
 }
 
@@ -195,8 +179,6 @@ impl CongestionControl for NewReno {
         self.clamp();
     }
 
-    fn on_send(&mut self, _t: Duration, _units: u64) {}
-
     fn cwnd(&self) -> u64 {
         self.cwnd as u64
     }
@@ -208,127 +190,6 @@ impl CongestionControl for NewReno {
             u64::MAX
         }
     }
-
-    fn pacing_gap(&self, srtt: Option<Duration>) -> Option<Duration> {
-        spread_over_srtt(self.cwnd, self.q, srtt)
-    }
-}
-
-/// CUBIC (RFC 8312 shape): after a loss the window regrows along a cubic
-/// curve centred on the pre-loss window `w_max` — fast while far below
-/// it, flat near it, then convex probing beyond it. Slow start below
-/// `ssthresh` is inherited from NewReno.
-#[derive(Debug)]
-pub struct Cubic {
-    q: f64,
-    cwnd: f64,
-    ssthresh: f64,
-    max: f64,
-    /// Window (in quanta) at the last loss event.
-    w_max: f64,
-    /// Time (s) for the cubic to return to `w_max` from the post-loss
-    /// window.
-    k: f64,
-    /// Start of the current growth epoch.
-    epoch: Option<Duration>,
-}
-
-/// Cubic scaling constant, in quanta per second³.
-const CUBIC_C: f64 = 0.4;
-/// Multiplicative decrease factor.
-const CUBIC_BETA: f64 = 0.7;
-
-impl Cubic {
-    fn new(cfg: &CcConfig) -> Self {
-        let q = cfg.quantum.max(1) as f64;
-        Self {
-            q,
-            cwnd: (cfg.init_cwnd.max(cfg.quantum)) as f64,
-            ssthresh: f64::INFINITY,
-            max: cfg.max_cwnd.max(cfg.quantum) as f64,
-            w_max: 0.0,
-            k: 0.0,
-            epoch: None,
-        }
-    }
-
-    fn on_loss(&mut self, shrink_to: f64) {
-        self.w_max = self.cwnd / self.q;
-        self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * self.q);
-        self.cwnd = shrink_to.clamp(self.q, self.max);
-        self.epoch = None;
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
-    fn on_ack(&mut self, t: Duration, acked: u64, _rtt: Option<Duration>) {
-        let acked = acked as f64;
-        if self.cwnd < self.ssthresh {
-            self.cwnd += acked.min(2.0 * self.q);
-            self.cwnd = self.cwnd.clamp(self.q, self.max);
-            return;
-        }
-        let epoch = *self.epoch.get_or_insert_with(|| {
-            // New epoch: aim the cubic at the pre-loss plateau.
-            let w_start = self.cwnd / self.q;
-            self.w_max = self.w_max.max(w_start);
-            self.k = ((self.w_max - w_start).max(0.0) / CUBIC_C).cbrt();
-            t
-        });
-        let dt = t.saturating_sub(epoch).as_secs_f64();
-        let target_q = CUBIC_C * (dt - self.k).powi(3) + self.w_max;
-        let target = (target_q * self.q).clamp(self.q, self.max);
-        let cwnd_q = (self.cwnd / self.q).max(1.0);
-        // Per acked quantum move (target-cwnd)/cwnd_q toward the target:
-        // one RTT of ACKs closes the full gap. Below target, creep at the
-        // TCP-friendly floor of 1% of a quantum per quantum acked.
-        let per_quantum = if target > self.cwnd {
-            (target - self.cwnd) / cwnd_q
-        } else {
-            self.q * 0.01 / cwnd_q
-        };
-        self.cwnd += per_quantum * (acked / self.q);
-        self.cwnd = self.cwnd.clamp(self.q, self.max);
-    }
-
-    fn on_sack_gap(&mut self, _t: Duration, in_flight: u64) {
-        let floor = 2.0 * self.q;
-        let shrink = ((in_flight as f64).min(self.cwnd) * CUBIC_BETA).max(floor);
-        self.on_loss(shrink);
-    }
-
-    fn on_rto(&mut self, _t: Duration) {
-        self.on_loss(self.q);
-    }
-
-    fn on_send(&mut self, _t: Duration, _units: u64) {}
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd as u64
-    }
-
-    fn ssthresh(&self) -> u64 {
-        if self.ssthresh.is_finite() {
-            self.ssthresh as u64
-        } else {
-            u64::MAX
-        }
-    }
-
-    fn pacing_gap(&self, srtt: Option<Duration>) -> Option<Duration> {
-        spread_over_srtt(self.cwnd, self.q, srtt)
-    }
-}
-
-/// One SRTT divided into `cwnd / quantum` send slots.
-fn spread_over_srtt(cwnd: f64, q: f64, srtt: Option<Duration>) -> Option<Duration> {
-    let srtt = srtt?;
-    let quanta = (cwnd / q).max(1.0);
-    Some(srtt.div_f64(quanta))
 }
 
 #[cfg(test)]
@@ -358,7 +219,6 @@ mod tests {
         cc.on_sack_gap(MS, 32);
         cc.on_ack(MS, 16, Some(MS));
         assert_eq!(cc.cwnd(), 64);
-        assert!(cc.pacing_gap(Some(MS)).is_none());
     }
 
     #[test]
@@ -392,46 +252,5 @@ mod tests {
         cc.on_rto(MS);
         assert_eq!(cc.cwnd(), 1);
         assert!(cc.ssthresh() >= 2);
-    }
-
-    #[test]
-    fn cubic_regrows_toward_wmax_then_probes_past_it() {
-        let mut cc = build_cc(CcAlgo::Cubic, &cfg());
-        // Grow to a plateau, then lose.
-        for _ in 0..200 {
-            cc.on_ack(MS, 4, None);
-        }
-        let plateau = cc.cwnd();
-        cc.on_sack_gap(MS, plateau);
-        let post_loss = cc.cwnd();
-        assert!(post_loss < plateau);
-        // Feed ACKs across a simulated timeline longer than the cubic's
-        // K (≈6.7 s here): cwnd should recover past the old plateau and
-        // keep probing convexly beyond it.
-        let mut t = 10 * MS;
-        for _ in 0..12_000 {
-            cc.on_ack(t, 1, None);
-            t += MS;
-        }
-        assert!(
-            cc.cwnd() > plateau,
-            "cubic failed to probe past w_max: {} <= {}",
-            cc.cwnd(),
-            plateau
-        );
-    }
-
-    #[test]
-    fn pacing_gap_spreads_window_over_srtt() {
-        let mut cc = build_cc(CcAlgo::NewReno, &cfg());
-        for _ in 0..30 {
-            cc.on_ack(MS, 1, None);
-        }
-        let cwnd = cc.cwnd();
-        let gap = cc.pacing_gap(Some(10 * MS)).unwrap();
-        let expect = (10 * MS).div_f64(cwnd as f64);
-        let diff = gap.abs_diff(expect);
-        assert!(diff < Duration::from_micros(50), "gap={gap:?} expect={expect:?}");
-        assert!(cc.pacing_gap(None).is_none());
     }
 }

@@ -69,6 +69,11 @@ struct Seg {
     rto_loss: bool,
 }
 
+/// Loss threshold (RFC 6675 `DupThresh`): duplicate ACKs against the head
+/// ([`RecoveryEngine::on_dup_ack`]), or SACKed units above a segment in
+/// multiples of `quantum` ([`RecoveryEngine::detect_losses`]).
+pub const DUP_THRESH: u32 = 3;
+
 /// Tuning for one [`RecoveryEngine`].
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
@@ -94,16 +99,9 @@ pub struct RecoveryConfig {
     /// Retransmissions allowed per segment before the engine declares
     /// the peer dead ([`RecoveryEngine::is_dead`]).
     pub max_retries: u32,
-    /// Loss threshold (RFC 6675 `DupThresh`): duplicate ACKs against the
-    /// head ([`RecoveryEngine::on_dup_ack`]), or SACKed units above a
-    /// segment in multiples of `quantum`
-    /// ([`RecoveryEngine::detect_losses`]).
-    pub dup_threshold: u32,
     /// Bound on the retransmit queue (overflow segments stay `Lost` and
     /// are re-queued by [`RecoveryEngine::sweep`] as slots free up).
     pub rtx_queue_cap: usize,
-    /// Spread sends over the SRTT instead of bursting the whole window.
-    pub paced: bool,
 }
 
 impl Default for RecoveryConfig {
@@ -119,9 +117,7 @@ impl Default for RecoveryConfig {
             max_rto: Duration::from_secs(1),
             backoff: true,
             max_retries: 30,
-            dup_threshold: 3,
             rtx_queue_cap: 1024,
-            paced: false,
         }
     }
 }
@@ -205,7 +201,6 @@ pub struct RecoveryEngine {
     /// again once `una` passes this (NewReno-style "recover").
     recover: u64,
     dead: bool,
-    last_send: Option<Duration>,
     /// `(una, when)` at the last RTO, for spurious-RTO detection.
     rto_mark: Option<(u64, Duration)>,
     tel: Option<Tel>,
@@ -257,7 +252,6 @@ impl RecoveryEngine {
             high_sacked: base,
             recover: base,
             dead: false,
-            last_send: None,
             rto_mark: None,
             tel: None,
         }
@@ -311,17 +305,6 @@ impl RecoveryEngine {
         !self.dead && self.outstanding() + units <= self.window().min(flow_limit)
     }
 
-    /// How long to hold the next send for pacing, if the config paces.
-    #[must_use]
-    pub fn pace_delay(&self, t: Duration) -> Option<Duration> {
-        if !self.cfg.paced {
-            return None;
-        }
-        let gap = self.cc.pacing_gap(self.rtt.srtt())?;
-        let due = self.last_send? + gap;
-        (t < due).then(|| due - t)
-    }
-
     /// Registers a fresh transmission of `units` and returns its start
     /// sequence. Arms the RTO if idle.
     pub fn on_send(&mut self, t: Duration, units: u64) -> u64 {
@@ -340,8 +323,6 @@ impl RecoveryEngine {
             },
         );
         self.nxt += units;
-        self.cc.on_send(t, units);
-        self.last_send = Some(t);
         if self.deadline.is_none() {
             self.deadline = Some(t + self.rtt.rto());
         }
@@ -441,7 +422,7 @@ impl RecoveryEngine {
             return;
         }
         seg.dup_hints += 1;
-        if seg.dup_hints >= self.cfg.dup_threshold {
+        if seg.dup_hints >= DUP_THRESH {
             self.mark_lost(head, t, false);
         }
     }
@@ -481,7 +462,7 @@ impl RecoveryEngine {
 
     /// Runs SACK-based loss detection, RFC 6675 §4 *IsLost*: an in-flight
     /// segment transmitted exactly once is marked lost and queued when
-    /// the SACKed units above it reach `dup_threshold × quantum` (for a
+    /// the SACKed units above it reach [`DUP_THRESH`] `× quantum` (for a
     /// message-sequenced path, that many later messages SACKed, however
     /// many ACK frames carried them). Retransmissions are left to the
     /// RTO. The rule reads scoreboard state only, so a call without new
@@ -491,7 +472,7 @@ impl RecoveryEngine {
         if self.high_sacked <= self.una {
             return 0;
         }
-        let need = u64::from(self.cfg.dup_threshold) * self.cfg.quantum;
+        let need = u64::from(DUP_THRESH) * self.cfg.quantum;
         let mut sacked_above = 0;
         let mut newly = Vec::new();
         for (&s, seg) in self.segs.range(..self.high_sacked).rev() {
@@ -838,9 +819,7 @@ mod tests {
             max_rto: Duration::from_secs(1),
             backoff: true,
             max_retries: 5,
-            dup_threshold: 3,
             rtx_queue_cap: 64,
-            paced: false,
         }
     }
 

@@ -15,9 +15,9 @@
 //! * [`rtt::RttEstimator`] — RFC-6298 SRTT/RTTVAR with Karn filtering
 //!   and exponential RTO backoff, replacing the fixed retransmit timers.
 //! * [`algo`] — the [`algo::CongestionControl`] trait
-//!   (`on_ack` / `on_sack_gap` / `on_rto` / `on_send` → cwnd + pacing)
-//!   with three implementations: [`algo::Fixed`] (the legacy
-//!   fixed-window baseline), [`algo::NewReno`], and [`algo::Cubic`].
+//!   (`on_ack` / `on_sack_gap` / `on_rto` → cwnd) with two
+//!   implementations: [`algo::Fixed`] (the legacy fixed-window baseline)
+//!   and [`algo::NewReno`].
 //!   Selection rides the [`algo::CcAlgo`] config field, whose default
 //!   each config writes itself (RD: `NewReno`; stream: `Fixed`).
 //!
@@ -34,5 +34,5 @@ pub mod engine;
 pub mod rtt;
 
 pub use algo::{build_cc, CcAlgo, CcConfig, CongestionControl};
-pub use engine::{AckEvent, RecoveryConfig, RecoveryEngine, SegState, SweepEvent};
+pub use engine::{AckEvent, RecoveryConfig, RecoveryEngine, SegState, SweepEvent, DUP_THRESH};
 pub use rtt::RttEstimator;

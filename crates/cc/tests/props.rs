@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
+use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine, DUP_THRESH};
 use proptest::prelude::*;
 
 /// One randomly generated engine event.
@@ -24,8 +24,9 @@ enum Ev {
     CumAck(u8),
     /// SACK a sub-range of the outstanding span (fractions of 64).
     Sack(u8, u8),
-    /// A duplicate cumulative ACK.
-    DupAck,
+    /// A run of duplicate cumulative ACKs (up to the engine's
+    /// `DUP_THRESH`, so one event can reach the fast-retransmit mark).
+    DupAck(u32),
     /// Run gap-based loss detection.
     Detect,
     /// Advance time to the timer deadline and sweep.
@@ -43,13 +44,16 @@ prop_compose! {
 prop_compose! {
     fn ev_sack()(a in 0u8..=64, b in 0u8..=64) -> Ev { Ev::Sack(a.min(b), a.max(b)) }
 }
+prop_compose! {
+    fn ev_dup_acks()(n in 1..=DUP_THRESH) -> Ev { Ev::DupAck(n) }
+}
 
 fn ev_strategy() -> impl Strategy<Value = Ev> {
     prop_oneof![
         ev_send(),
         ev_cum_ack(),
         ev_sack(),
-        Just(Ev::DupAck),
+        ev_dup_acks(),
         Just(Ev::Detect),
         Just(Ev::Rto),
         Just(Ev::PopRtx),
@@ -73,9 +77,7 @@ fn run_events(algo: CcAlgo, events: &[Ev]) -> Result<(), TestCaseError> {
         max_rto: Duration::from_millis(200),
         backoff: true,
         max_retries: 4,
-        dup_threshold: 2,
         rtx_queue_cap: 8, // small, so overflow + requeue paths run
-        paced: false,
     };
     let mut e = RecoveryEngine::new_at(cfg, 1);
     let mut t = Duration::ZERO;
@@ -94,7 +96,11 @@ fn run_events(algo: CcAlgo, events: &[Ev]) -> Result<(), TestCaseError> {
                 let (l, h) = (scale(e.una(), e.nxt(), lo), scale(e.una(), e.nxt(), hi));
                 e.on_sack_range(t, l, h);
             }
-            Ev::DupAck => e.on_dup_ack(t),
+            Ev::DupAck(n) => {
+                for _ in 0..n {
+                    e.on_dup_ack(t);
+                }
+            }
             Ev::Detect => {
                 e.detect_losses(t);
             }
@@ -134,7 +140,7 @@ proptest! {
     #[test]
     fn scoreboard_partitions_outstanding_range(
         events in proptest::collection::vec(ev_strategy(), 1..120),
-        algo_idx in 0usize..3,
+        algo_idx in 0..CcAlgo::ALL.len(),
     ) {
         run_events(CcAlgo::ALL[algo_idx], &events)?;
     }
@@ -144,7 +150,7 @@ proptest! {
     #[test]
     fn same_events_same_scoreboard(
         events in proptest::collection::vec(ev_strategy(), 1..80),
-        algo_idx in 0usize..3,
+        algo_idx in 0..CcAlgo::ALL.len(),
     ) {
         let algo = CcAlgo::ALL[algo_idx];
         let run = |events: &[Ev]| {
@@ -159,9 +165,7 @@ proptest! {
                 max_rto: Duration::from_millis(200),
                 backoff: true,
                 max_retries: 4,
-                dup_threshold: 2,
                 rtx_queue_cap: 8,
-                paced: false,
             };
             let mut e = RecoveryEngine::new_at(cfg, 1);
             let mut t = Duration::ZERO;
@@ -181,7 +185,11 @@ proptest! {
                         let (l, h) = (scale(e.una(), e.nxt(), lo), scale(e.una(), e.nxt(), hi));
                         e.on_sack_range(t, l, h);
                     }
-                    Ev::DupAck => e.on_dup_ack(t),
+                    Ev::DupAck(n) => {
+                        for _ in 0..n {
+                            e.on_dup_ack(t);
+                        }
+                    }
                     Ev::Detect => {
                         e.detect_losses(t);
                     }

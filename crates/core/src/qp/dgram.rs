@@ -1048,24 +1048,34 @@ fn rx_loop(inner: &DgInner) {
         if inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        rx_step(inner, Duration::from_millis(5));
+        if !rx_step(inner, Duration::from_millis(5)) {
+            return;
+        }
     }
 }
 
 /// One receive-engine iteration: the software stand-in for the RNIC's
 /// receive DMA engine. Shared by the engine thread and poll-mode callers.
+/// Returns false once the LLP is dead.
 ///
 /// Datagrams arrive as scatter-gather lists: an unfragmented SG-path
 /// datagram reaches this decode as the sender's original slices, with its
 /// CRC check deferred ([`decode_sg`]) so the engine can fuse it with the
 /// placement copy instead of flattening here.
-fn rx_step(inner: &DgInner, max_wait: Duration) {
+fn rx_step(inner: &DgInner, max_wait: Duration) -> bool {
     match inner.llp.recv_sg(max_wait) {
         Ok((src, dgram)) => rx_dispatch(inner, src, &dgram),
         Err(NetError::Timeout) => {}
-        Err(_) => return,
+        Err(_) => {
+            // Every other LLP error is terminal: UD only reports `Closed`,
+            // RD `Reset` (retry budget exhausted) or `Closed`, and each
+            // returns at once on every later call.
+            inner.rx.flush();
+            return false;
+        }
     }
     inner.rx.expire();
+    true
 }
 
 /// Decodes and places one received datagram — the per-message half of

@@ -57,8 +57,9 @@
 //! contract — that also covers a transfer the caller abandoned midway.
 //! `ingest` runs `detect_losses` on every step, which is safe: the rule
 //! (RFC 6675 *IsLost*) reads only the scoreboard, so a batch is marked
-//! lost once `dup_threshold` later batches have completed, however many
-//! steps observe that, and a reposted batch is left to the RTO.
+//! lost once [`iwarp_cc::DUP_THRESH`] later batches have completed,
+//! however many steps observe that, and a reposted batch is left to the
+//! RTO.
 
 use std::time::{Duration, Instant};
 

@@ -38,57 +38,38 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::qp::dgram::{expire_tick, rx_drain, DgInner};
 
+/// Datagrams drained per QP per wakeup before the QP is re-queued behind
+/// its shard siblings (fairness bound).
+const BATCH: usize = 64;
+
+/// Housekeeping tick: how long an idle shard worker sleeps between
+/// wake-ups when no QP is ready.
+const IDLE_TICK: Duration = Duration::from_millis(20);
+
+/// Minimum interval between TTL expiry sweeps over the shard's QPs.
+/// Sweeping touches every assigned engine (a Weak upgrade plus a
+/// throttle-lock probe each), so on an idle shard with thousands of QPs
+/// the sweep — not the parked wait — is the CPU floor; it is therefore
+/// rate-limited independently of [`IDLE_TICK`]. Worst-case expiry latency
+/// grows by this amount on top of the QP TTLs (default 500 ms), which
+/// keeps it well inside the same order.
+const SWEEP_EVERY: Duration = Duration::from_millis(100);
+
 /// Shard-pool configuration (part of
 /// [`DeviceConfig`](crate::device::DeviceConfig)).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardConfig {
     /// Number of shard RX engines. `0` disables sharding entirely — QPs
     /// keep their per-QP engine thread (or stay caller-driven in poll
     /// mode), byte-for-byte the pre-scale-out behaviour.
     pub shards: usize,
-    /// Datagrams drained per QP per wakeup before the QP is re-queued
-    /// behind its shard siblings (fairness bound).
-    pub batch: usize,
-    /// Housekeeping tick: how long an idle shard worker sleeps between
-    /// wake-ups when no QP is ready.
-    pub idle_tick: Duration,
-    /// Minimum interval between TTL expiry sweeps over the shard's QPs.
-    /// Sweeping touches every assigned engine (a Weak upgrade plus a
-    /// throttle-lock probe each), so on an idle shard with thousands of
-    /// QPs the sweep — not the parked wait — is the CPU floor; it is
-    /// therefore rate-limited independently of `idle_tick`. Worst-case
-    /// expiry latency grows by this amount on top of the QP TTLs
-    /// (default 500 ms), which keeps it well inside the same order.
-    pub sweep_every: Duration,
-    /// Pin shard worker `i` to CPU core `i % host_cpus` via
-    /// [`iwarp_common::affinity::pin_to_core`]. Advisory: on platforms
-    /// without `sched_setaffinity` workers run unpinned and the
-    /// `core.shard.pinned` counter stays below `shards`. Default off —
-    /// pinning helps steady-state scaling benchmarks and hurts
-    /// oversubscribed hosts.
-    pub pin_cores: bool,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        Self {
-            shards: 0,
-            batch: 64,
-            idle_tick: Duration::from_millis(20),
-            sweep_every: Duration::from_millis(100),
-            pin_cores: false,
-        }
-    }
 }
 
 impl ShardConfig {
-    /// A pool of `n` shards with default batching.
+    /// A pool of `n` shards.
     #[must_use]
     pub fn with_shards(n: usize) -> Self {
-        Self {
-            shards: n,
-            ..Self::default()
-        }
+        Self { shards: n }
     }
 }
 
@@ -99,8 +80,6 @@ struct ShardTel {
     requeues: Counter,
     expiry_sweeps: Counter,
     registered: Counter,
-    /// Workers whose `sched_setaffinity` pin actually took effect.
-    pinned: Counter,
 }
 
 struct ShardState {
@@ -136,7 +115,6 @@ impl Shard {
 /// on that device are then engine-less and drained by their shard.
 pub struct ShardMap {
     shards: Vec<Arc<Shard>>,
-    cfg: ShardConfig,
     tel: Arc<ShardTel>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -151,7 +129,6 @@ impl ShardMap {
             requeues: tel.counter("core.shard.requeues"),
             expiry_sweeps: tel.counter("core.shard.expiry_sweeps"),
             registered: tel.counter("core.shard.registered"),
-            pinned: tel.counter("core.shard.pinned"),
         });
         let shards: Vec<Arc<Shard>> = (0..cfg.shards.max(1))
             .map(|_| {
@@ -172,24 +149,14 @@ impl ShardMap {
             .map(|(i, shard)| {
                 let shard = Arc::clone(shard);
                 let tel = Arc::clone(&tel);
-                let batch = cfg.batch.max(1);
-                let tick = cfg.idle_tick;
-                let sweep_every = cfg.sweep_every;
-                let pin = cfg.pin_cores;
                 std::thread::Builder::new()
                     .name(format!("iwarp-shard-{i}"))
-                    .spawn(move || {
-                        if pin && iwarp_common::affinity::pin_to_core(i) {
-                            tel.pinned.inc();
-                        }
-                        worker(&shard, batch, tick, sweep_every, &tel);
-                    })
+                    .spawn(move || worker(&shard, &tel))
                     .expect("spawn shard worker")
             })
             .collect();
         Arc::new(Self {
             shards,
-            cfg,
             tel,
             workers: Mutex::new(workers),
         })
@@ -247,12 +214,6 @@ impl ShardMap {
     pub fn registered(&self) -> usize {
         self.shards.iter().map(|s| s.state.lock().engines.len()).sum()
     }
-
-    /// The batch bound workers drain per QP per wakeup.
-    #[must_use]
-    pub fn batch(&self) -> usize {
-        self.cfg.batch.max(1)
-    }
 }
 
 impl Drop for ShardMap {
@@ -277,8 +238,8 @@ impl std::fmt::Debug for ShardMap {
 }
 
 /// Shard worker body: park on the inbox, drain ready QPs in batches,
-/// sweep for expirations when idle (rate-limited to `sweep_every`).
-fn worker(shard: &Shard, batch: usize, tick: Duration, sweep_every: Duration, tel: &ShardTel) {
+/// sweep for expirations when idle (rate-limited to [`SWEEP_EVERY`]).
+fn worker(shard: &Shard, tel: &ShardTel) {
     let mut last_sweep = std::time::Instant::now();
     loop {
         // Claim the next ready QP (or sleep until one appears).
@@ -297,7 +258,7 @@ fn worker(shard: &Shard, batch: usize, tick: Duration, sweep_every: Duration, te
                     }
                     break Some((qpn, eng.expect("checked")));
                 }
-                let timed_out = shard.cv.wait_for(&mut st, tick).timed_out();
+                let timed_out = shard.cv.wait_for(&mut st, IDLE_TICK).timed_out();
                 if timed_out && st.ready.is_empty() {
                     break None; // idle tick: housekeeping below
                 }
@@ -307,7 +268,7 @@ fn worker(shard: &Shard, batch: usize, tick: Duration, sweep_every: Duration, te
             Some((qpn, engine)) => {
                 tel.wakeups.inc();
                 tel.batches.inc();
-                if rx_drain(&engine, batch) {
+                if rx_drain(&engine, BATCH) {
                     // Budget exhausted with more pending: requeue behind
                     // the QP's shard siblings.
                     tel.requeues.inc();
@@ -318,7 +279,7 @@ fn worker(shard: &Shard, batch: usize, tick: Duration, sweep_every: Duration, te
                 // Idle: sweep every assigned QP so recv/record/read TTLs
                 // fire without traffic. Collect strong refs first — the
                 // sweep must run outside the inbox lock.
-                if last_sweep.elapsed() < sweep_every {
+                if last_sweep.elapsed() < SWEEP_EVERY {
                     continue;
                 }
                 last_sweep = std::time::Instant::now();

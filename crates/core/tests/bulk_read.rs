@@ -48,6 +48,15 @@ fn lossless_lastonly_transfer_is_complete_and_quiet() {
         batch_bytes: 64 * 1024,
         window: 8,
         signal: SignalInterval::LastOnly,
+        // Timer pinned past the transfer time: with the default 1 ms
+        // floor a descheduled test thread trips a spurious RTO and a
+        // repost, so only a protocol fault could repost here.
+        recovery: RecoveryConfig {
+            initial_rto: Duration::from_secs(5),
+            min_rto: Duration::from_secs(5),
+            max_rto: Duration::from_secs(10),
+            ..RecoveryConfig::default()
+        },
         ..BulkReadConfig::default()
     };
     let mut xfer = BulkRead::new(cfg, &sink, 0, data.len() as u64, qb.dest(), src.stag(), 0);

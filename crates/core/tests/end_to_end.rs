@@ -1,14 +1,16 @@
 //! End-to-end tests of the datagram-iWARP stack over the simulated fabric:
 //! two devices ("nodes") exchanging verbs traffic in all three QP modes.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use bytes::Bytes;
+use iwarp::wr::{RecvWr, UdDest};
 use iwarp::{
-    Access, Cq, CqeOpcode, CqeStatus, Device, QpConfig,
+    Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, IwarpError, QpConfig, ShardConfig,
 };
-use iwarp::wr::RecvWr;
-use simnet::{Addr, Fabric, LossModel, NodeId, WireConfig};
+use simnet::rdgram::RdConfig;
+use simnet::{Addr, Fabric, LossModel, NetError, NodeId, WireConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -212,23 +214,35 @@ fn ud_read_extension_roundtrip() {
 
 #[test]
 fn ud_read_denied_by_permissions_expires() {
-    let fab = Fabric::loopback();
-    let (a, b) = two_devices(&fab);
-    let (a_send, a_recv) = cqs();
-    let (b_send, b_recv) = cqs();
-    let cfg = QpConfig {
-        read_ttl: Duration::from_millis(100),
-        ..QpConfig::default()
-    };
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, cfg.clone()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, cfg).unwrap();
+    // No response ever arrives, so on a sharded requester the `Expired`
+    // CQE can only come from the shard worker's idle tick and sweep.
+    for shard in [ShardConfig::default(), ShardConfig::with_shards(1)] {
+        let fab = Fabric::loopback();
+        let sharded = shard.shards > 0;
+        let a_cfg = DeviceConfig {
+            shard,
+            ..DeviceConfig::default()
+        };
+        let a = Device::with_config(&fab, NodeId(0), a_cfg);
+        let b = Device::new(&fab, NodeId(1));
+        let (a_send, a_recv) = cqs();
+        let (b_send, b_recv) = cqs();
+        let cfg = QpConfig {
+            read_ttl: Duration::from_millis(100),
+            ..QpConfig::default()
+        };
+        let qa = a.create_ud_qp(None, &a_send, &a_recv, cfg.clone()).unwrap();
+        let qb = b.create_ud_qp(None, &b_send, &b_recv, cfg).unwrap();
+        assert_eq!(qa.is_sharded(), sharded);
 
-    let remote_src = b.register(1024, Access::Local); // not remote-readable
-    let sink = a.register(1024, Access::Local);
-    qa.post_read(8, &sink, 0, 512, qb.dest(), remote_src.stag(), 0).unwrap();
-    let cqe = a_recv.poll_timeout(TIMEOUT).unwrap();
-    assert_eq!(cqe.wr_id, 8);
-    assert_eq!(cqe.status, CqeStatus::Expired);
+        let remote_src = b.register(1024, Access::Local); // not remote-readable
+        let sink = a.register(1024, Access::Local);
+        qa.post_read(8, &sink, 0, 512, qb.dest(), remote_src.stag(), 0)
+            .unwrap();
+        let cqe = a_recv.poll_timeout(TIMEOUT).unwrap();
+        assert_eq!(cqe.wr_id, 8, "sharded={sharded}");
+        assert_eq!(cqe.status, CqeStatus::Expired, "sharded={sharded}");
+    }
 }
 
 #[test]
@@ -486,6 +500,99 @@ fn rd_mode_reliable_under_loss() {
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(cqe.byte_len, 10_000);
     }
+}
+
+/// Thread ids in this process whose name is `comm`.
+fn tids_named(comm: &str) -> HashSet<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|e| {
+            let tid = e.ok()?.file_name().into_string().ok()?;
+            let name = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+            (name.trim_end() == comm).then_some(tid)
+        })
+        .collect()
+}
+
+/// CPU ticks (user + system) thread `tid` has used; 0 once it has exited.
+fn cpu_ticks(tid: &str) -> u64 {
+    let Ok(stat) = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")) else {
+        return 0;
+    };
+    // Fields after the parenthesised name start at field 3 (state);
+    // utime and stime are fields 14 and 15.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+#[test]
+fn rd_reset_flushes_receives_and_ends_the_engine_thread() {
+    // A peer that never answers exhausts the RD retry budget; the conduit
+    // then reports `Reset` on every call. The QP must treat that as
+    // terminal like the RC engine does: flush its posted receives and
+    // stop, rather than spin on the error.
+    let fab = Fabric::loopback();
+    let rd = RdConfig {
+        rto: Duration::from_millis(2),
+        max_retries: 4,
+        ..RdConfig::default()
+    };
+    let dev_cfg = DeviceConfig {
+        rd,
+        ..DeviceConfig::default()
+    };
+    let dev = Device::with_config(&fab, NodeId(0), dev_cfg);
+    let (send_cq, recv_cq) = cqs();
+    let before = tids_named("iwarp-dgqp-1");
+    let qp = dev
+        .create_rd_qp(None, &send_cq, &recv_cq, QpConfig::default())
+        .unwrap();
+    assert_eq!(qp.qpn(), 1);
+    // A new thread names itself once it runs, so wait for the name.
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    let engine: Vec<String> = loop {
+        let new: Vec<String> = tids_named("iwarp-dgqp-1")
+            .difference(&before)
+            .cloned()
+            .collect();
+        if !new.is_empty() {
+            break new;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no engine thread found for the RD QP"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+
+    let sink = dev.register(1024, Access::Local);
+    qp.post_recv(RecvWr::whole(1, &sink)).unwrap();
+    let void = UdDest {
+        addr: Addr::new(9, 9),
+        qpn: 1,
+    };
+    qp.post_send(2, Bytes::from_static(b"void"), void).unwrap();
+
+    let flushed = recv_cq.poll_timeout(Duration::from_secs(2));
+    let t0: u64 = engine.iter().map(|t| cpu_ticks(t)).sum();
+    std::thread::sleep(Duration::from_millis(500));
+    let burned = engine
+        .iter()
+        .map(|t| cpu_ticks(t))
+        .sum::<u64>()
+        .saturating_sub(t0);
+    assert!(
+        matches!(&flushed, Ok(c) if c.wr_id == 1 && c.status == CqeStatus::Flushed),
+        "posted receive not flushed after the reset: {flushed:?} (engine burned {burned} ticks)"
+    );
+    assert!(
+        burned <= 2,
+        "engine thread burned {burned} CPU ticks in 500 ms after the reset"
+    );
+    assert!(matches!(
+        qp.post_send(3, Bytes::from_static(b"x"), void),
+        Err(IwarpError::Net(NetError::Reset))
+    ));
 }
 
 #[test]

@@ -47,24 +47,20 @@ const DATA_HEADER: usize = 9;
 /// Fixed prefix of an ACK frame: type(1) + cum(8) + word-count(1).
 const ACK_PREFIX: usize = 10;
 
+/// RTO floor of the adaptive estimator (not used under `Fixed`).
+const MIN_RTO: Duration = Duration::from_millis(2);
+
 /// Configuration of a reliable-datagram endpoint.
 #[derive(Clone, Debug)]
 pub struct RdConfig {
     /// Maximum unacknowledged *span* per peer: `next_seq - oldest_unacked`
     /// never exceeds this, which keeps every outstanding sequence inside
-    /// the peer's SACK-bitmap horizon.
+    /// the peer's SACK-bitmap horizon (`ceil(window / 64)` words).
     pub window: usize,
-    /// SACK bitmap width in u64 words, or `None` to derive the minimum
-    /// covering `window` (`ceil(window / 64)`). Explicit values narrower
-    /// than the window are rejected at bind time — a sender could
-    /// otherwise outrun what the ACKs can describe.
-    pub sack_words: Option<usize>,
     /// Initial retransmission timeout. Under [`CcAlgo::Fixed`] this is
     /// the constant timer (legacy behavior); otherwise the RFC-6298
     /// estimator adapts from here.
     pub rto: Duration,
-    /// RTO floor for the adaptive estimator (ignored under `Fixed`).
-    pub min_rto: Duration,
     /// RTO ceiling / backoff cap for the adaptive estimator (ignored
     /// under `Fixed`). The default is the legacy constant RTO, 20 ms, so
     /// the adaptive timer is never slower than `Fixed` and a dead peer
@@ -81,46 +77,30 @@ pub struct RdConfig {
     /// [`CcAlgo::NewReno`], so a loss costs a round trip of SACK
     /// evidence rather than a full timeout.
     pub cc: CcAlgo,
-    /// Spread sends over the smoothed RTT instead of bursting the whole
-    /// window (adaptive algorithms only).
-    pub paced: bool,
 }
 
 impl Default for RdConfig {
     fn default() -> Self {
         Self {
             window: 64,
-            sack_words: None,
             rto: Duration::from_millis(20),
-            min_rto: Duration::from_millis(2),
             max_rto: Duration::from_millis(20),
             max_retries: 150,
             cc: CcAlgo::NewReno,
-            paced: false,
         }
     }
 }
 
 impl RdConfig {
-    /// Resolves the SACK bitmap width in words, validating that the
-    /// config is self-consistent (the bitmap must cover the window, and
-    /// both must fit the wire format).
+    /// The SACK bitmap width in words, `ceil(window / 64)`: the narrowest
+    /// bitmap that describes every sequence the window lets the sender
+    /// have outstanding. Fails when the window is 0 or the bitmap would
+    /// not fit the wire format.
     pub fn resolve_sack_words(&self) -> NetResult<usize> {
         if self.window == 0 {
             return Err(NetError::Protocol("rd window must be at least 1"));
         }
-        let derived = self.window.div_ceil(64);
-        let words = match self.sack_words {
-            None => derived,
-            Some(0) => return Err(NetError::Protocol("rd sack bitmap must be at least 1 word")),
-            Some(w) if w * 64 < self.window => {
-                return Err(NetError::Protocol(
-                    "rd sack bitmap narrower than window: unacked messages would fall outside \
-                     what ACKs can describe",
-                ))
-            }
-            Some(w) => w,
-        };
+        let words = self.window.div_ceil(64);
         if words > 255 {
             return Err(NetError::Protocol(
                 "rd sack bitmap exceeds wire format (255 words / 16320 seqs)",
@@ -140,13 +120,11 @@ impl RdConfig {
             initial_rto: self.rto,
             // Fixed keeps the legacy constant timer; adaptive algorithms
             // get the full RFC-6298 treatment.
-            min_rto: if fixed { self.rto } else { self.min_rto },
+            min_rto: if fixed { self.rto } else { MIN_RTO },
             max_rto: if fixed { self.rto } else { self.max_rto },
             backoff: !fixed,
             max_retries: self.max_retries,
-            dup_threshold: 3,
             rtx_queue_cap: self.window.max(64),
-            paced: self.paced,
         }
     }
 }
@@ -372,9 +350,8 @@ pub struct RdConduit {
 impl RdConduit {
     /// Binds a reliable-datagram conduit at `addr`.
     ///
-    /// Fails with [`NetError::Protocol`] when the config's window and
-    /// SACK bitmap width are inconsistent (see
-    /// [`RdConfig::resolve_sack_words`]).
+    /// Fails with [`NetError::Protocol`] when the config's window has no
+    /// valid SACK bitmap (see [`RdConfig::resolve_sack_words`]).
     pub fn bind(fabric: &Fabric, addr: Addr, cfg: RdConfig) -> NetResult<Self> {
         Self::wrap(DgramConduit::bind(fabric, addr)?, cfg)
     }
@@ -504,10 +481,6 @@ impl RdConduit {
             });
             let t = tx.engine.now();
             if tx.engine.can_send(1, window) {
-                if let Some(hold) = tx.engine.pace_delay(t) {
-                    inner.writable.wait_for(&mut st, hold);
-                    continue;
-                }
                 let seq = tx.engine.on_send(t, 1);
                 tx.payloads.insert(seq, payload.clone());
                 inner.tel.tx_msgs.inc();
@@ -635,33 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_delivery_under_loss_adaptive() {
-        // Same contract with the adaptive algorithms driving recovery.
-        for cc in [CcAlgo::NewReno, CcAlgo::Cubic] {
-            let fab = Fabric::new(WireConfig::with_loss(0.05, 22));
-            let cfg = RdConfig { cc, ..RdConfig::default() };
-            let (a, b) = pair_with(&fab, cfg);
-            let n = 300u32;
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for i in 0..n {
-                        a.send_to(b.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
-                            .unwrap();
-                    }
-                });
-                for i in 0..n {
-                    let (_, data) = b.recv_from(Some(Duration::from_secs(10))).unwrap();
-                    assert_eq!(
-                        u32::from_be_bytes(data[..].try_into().unwrap()),
-                        i,
-                        "cc={cc}"
-                    );
-                }
-            });
-        }
-    }
-
-    #[test]
     fn wide_window_needs_wide_bitmap() {
         // window 256 derives a 4-word bitmap; deliveries must survive
         // reordering across the whole widened horizon.
@@ -691,26 +637,13 @@ mod tests {
     #[test]
     fn inconsistent_config_rejected() {
         let fab = Fabric::loopback();
-        // Bitmap narrower than the window: a sender could outrun ACKs.
-        let narrow = RdConfig {
-            window: 130,
-            sack_words: Some(2),
-            ..RdConfig::default()
-        };
-        assert!(matches!(
-            RdConduit::bind(&fab, Addr::new(0, 310), narrow),
-            Err(NetError::Protocol(_))
-        ));
         let zero_window = RdConfig { window: 0, ..RdConfig::default() };
         assert!(matches!(
             RdConduit::bind(&fab, Addr::new(0, 311), zero_window),
             Err(NetError::Protocol(_))
         ));
-        let zero_words = RdConfig { sack_words: Some(0), ..RdConfig::default() };
-        assert!(matches!(
-            RdConduit::bind(&fab, Addr::new(0, 312), zero_words),
-            Err(NetError::Protocol(_))
-        ));
+        // Past 255 bitmap words (16 320 sequences) an ACK cannot describe
+        // the window.
         let too_wide = RdConfig {
             window: 60_000,
             ..RdConfig::default()
@@ -719,18 +652,11 @@ mod tests {
             RdConduit::bind(&fab, Addr::new(0, 313), too_wide),
             Err(NetError::Protocol(_))
         ));
-        // Derivation: window 100 needs 2 words; explicit wider is fine.
+        // Derivation: window 100 needs 2 words.
         assert_eq!(
             RdConfig { window: 100, ..RdConfig::default() }.resolve_sack_words().unwrap(),
             2
         );
-        let wider = RdConfig {
-            window: 10,
-            sack_words: Some(3),
-            ..RdConfig::default()
-        };
-        assert_eq!(wider.resolve_sack_words().unwrap(), 3);
-        drop(RdConduit::bind(&fab, Addr::new(0, 314), wider).unwrap());
     }
 
     #[test]

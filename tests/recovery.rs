@@ -5,7 +5,7 @@
 //! Two contracts (see DESIGN.md "Loss recovery & congestion control"):
 //!
 //! * **Exact delivery under every algorithm.** The same seeded lossy
-//!   wire run under `fixed`, `newreno` and `cubic` yields byte-identical
+//!   wire run under `fixed` and `newreno` yields byte-identical
 //!   in-order delivery for both the byte stream and the reliable
 //!   datagram conduit — the controller shapes *when* packets move, never
 //!   *what* arrives.
@@ -26,7 +26,6 @@ use datagram_iwarp::net::{
     Addr, Fabric, NodeId, RdConduit, StreamConduit, StreamListener, WireConfig,
 };
 
-const ALGOS: [CcAlgo; 3] = [CcAlgo::Fixed, CcAlgo::NewReno, CcAlgo::Cubic];
 const SEED: u64 = 0xCC_1055;
 
 fn pattern(len: usize, salt: u64) -> Vec<u8> {
@@ -40,7 +39,7 @@ fn pattern(len: usize, salt: u64) -> Vec<u8> {
 #[test]
 fn stream_delivery_is_byte_identical_across_algos() {
     let data = pattern(96 * 1024, 7);
-    for algo in ALGOS {
+    for algo in CcAlgo::ALL {
         let fab = Fabric::new(WireConfig::with_loss(0.05, SEED));
         let cfg = StreamConfig {
             rto_initial: Duration::from_millis(5),
@@ -74,7 +73,7 @@ fn stream_delivery_is_byte_identical_across_algos() {
 #[test]
 fn rdgram_delivery_is_identical_across_algos() {
     let msgs: Vec<Vec<u8>> = (0..48).map(|i| pattern(64 + i * 29, i as u64)).collect();
-    for algo in ALGOS {
+    for algo in CcAlgo::ALL {
         let fab = Fabric::new(WireConfig::with_loss(0.05, SEED));
         let cfg = RdConfig {
             window: 16,
@@ -127,7 +126,7 @@ fn chaos_traces_are_cc_invariant_and_replay_stable() {
             "plan seed={seed:#018x} under fixed:\n{}",
             baseline.render_failure()
         );
-        for algo in [CcAlgo::Fixed, CcAlgo::NewReno, CcAlgo::Cubic] {
+        for algo in CcAlgo::ALL {
             let report = run_plan(seed, &opts(algo));
             assert!(
                 report.ok(),
