@@ -695,12 +695,6 @@ impl RecoveryEngine {
         self.cc.ssthresh()
     }
 
-    /// The algorithm's short name.
-    #[must_use]
-    pub fn algo_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// Whether a segment exhausted its retransmission budget. Terminal:
     /// the conduit surfaces a reset and stops transmitting.
     #[must_use]

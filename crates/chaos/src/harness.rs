@@ -74,7 +74,7 @@ pub struct ChaosOpts {
     /// Congestion-control algorithm the reliable phase's stream and
     /// rdgram conduits run under. The verbs and socket phases never touch
     /// the reliable transports, so their fault traces are byte-identical
-    /// across every `CcAlgo` value (see `tests/recovery.rs`).
+    /// across every `CcAlgo` value (see `tests/determinism.rs`).
     pub cc: CcAlgo,
 }
 

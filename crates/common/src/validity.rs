@@ -172,12 +172,6 @@ impl ValidityMap {
         out
     }
 
-    /// Approximate heap footprint of the map itself (for memory accounting).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.runs.capacity() * std::mem::size_of::<Interval>()
-    }
-
     fn check_invariants(&self) -> bool {
         self.runs.iter().all(|r| !r.is_empty())
             && self.runs.windows(2).all(|w| w[0].end < w[1].start)

@@ -436,12 +436,6 @@ impl Cq {
         self.inner.capacity
     }
 
-    /// Entries that could be pushed right now without overflowing.
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        self.inner.capacity.saturating_sub(self.len())
-    }
-
     /// Records `n` work completions retired *without* a CQE because their
     /// WR was posted unsignaled (selective signaling, `sq_sig_all=0`).
     /// Exported as `core.cq.unsignaled_retired`.

@@ -448,17 +448,6 @@ impl DatagramQp {
         self.post_send_inner(wr_id, payload.into(), dest, true, true)
     }
 
-    /// Posts a single [`SendWr`], honoring its `solicited` **and**
-    /// `signaled` flags. An unsignaled WR retires silently on success
-    /// (counted in `core.cq.unsignaled_retired`); a mid-message flush
-    /// failure always surfaces an error CQE regardless of the flag. The
-    /// CQ-occupancy-aware placement policy applies to *chains*
-    /// ([`Self::post_send_batch`]) only — a lone unsignaled WR cannot
-    /// deadlock a CQ by itself.
-    pub fn post_send_wr(&self, wr: &SendWr) -> IwarpResult<()> {
-        self.post_send_inner(wr.wr_id, wr.payload.clone(), wr.dest, wr.solicited, wr.signaled)
-    }
-
     /// Posts a batch of untagged sends — the multi-WR doorbell.
     ///
     /// Under [`BurstPath::PerPacket`] this is exactly a loop over

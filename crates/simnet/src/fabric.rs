@@ -524,12 +524,6 @@ impl Fabric {
         }
     }
 
-    /// True when some endpoint is bound at `addr`.
-    #[must_use]
-    pub fn is_bound(&self, addr: Addr) -> bool {
-        self.inner.control.read().endpoints.contains_key(&addr)
-    }
-
     /// Installs (or clears, with `None`) the arrival notifier for the
     /// endpoint bound at `addr`. Returns `false` when nothing is bound
     /// there. The callback fires after each delivered packet, outside

@@ -1,13 +1,8 @@
-//! Lock-free bounded rings for the per-link fabric datapath.
+//! The lock-free delivery ring under the per-link fabric datapath.
 //!
 //! The vendored shims provide no ring primitive, so the per-link fabric
-//! builds its own:
+//! builds its own from two layers:
 //!
-//! * [`spsc`] — a Lamport single-producer/single-consumer ring with a
-//!   batched producer side ([`SpscProducer::push_batch`] publishes a whole
-//!   batch with one release store). The right shape for strictly paired
-//!   stages; misuse is prevented by construction (the producer and
-//!   consumer are separate, non-clonable handles).
 //! * [`Mpsc`] — a Vyukov-style bounded queue with a per-slot sequence
 //!   word. This is the fan-in variant the fabric's delivery rings use: a
 //!   bound link can legally be sent to by *any* number of concurrent
@@ -32,7 +27,6 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -44,179 +38,6 @@ struct Pad<T>(T);
 
 fn cap_pow2(capacity: usize) -> usize {
     capacity.max(2).next_power_of_two()
-}
-
-// ---------------------------------------------------------------------------
-// SPSC: Lamport ring, split handles, batched producer.
-// ---------------------------------------------------------------------------
-
-struct SpscShared<T> {
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
-    /// Next index the consumer will pop (written by the consumer only).
-    head: Pad<AtomicUsize>,
-    /// Next index the producer will fill (written by the producer only).
-    tail: Pad<AtomicUsize>,
-}
-
-// The ring is shared by exactly one producer and one consumer handle;
-// slot access is serialized by the head/tail protocol.
-unsafe impl<T: Send> Sync for SpscShared<T> {}
-unsafe impl<T: Send> Send for SpscShared<T> {}
-
-impl<T> Drop for SpscShared<T> {
-    fn drop(&mut self) {
-        // Exclusive access here: drop everything still queued.
-        let mut head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        while head != tail {
-            unsafe {
-                (*self.buf[head & self.mask].get()).assume_init_drop();
-            }
-            head = head.wrapping_add(1);
-        }
-    }
-}
-
-/// Creates a bounded SPSC ring of at least `capacity` slots (rounded up
-/// to a power of two, minimum 2) and returns its two endpoint handles.
-#[must_use]
-pub fn spsc<T>(capacity: usize) -> (SpscProducer<T>, SpscConsumer<T>) {
-    let cap = cap_pow2(capacity);
-    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect();
-    let shared = Arc::new(SpscShared {
-        buf,
-        mask: cap - 1,
-        head: Pad(AtomicUsize::new(0)),
-        tail: Pad(AtomicUsize::new(0)),
-    });
-    (
-        SpscProducer {
-            shared: Arc::clone(&shared),
-            cached_head: 0,
-        },
-        SpscConsumer {
-            shared,
-            cached_tail: 0,
-        },
-    )
-}
-
-/// The producing end of an [`spsc`] ring. Not clonable: exactly one
-/// producer exists, which is what makes the wait-free stores sound.
-pub struct SpscProducer<T> {
-    shared: Arc<SpscShared<T>>,
-    /// Consumer position as last observed — refreshed only when the ring
-    /// looks full, so the common push touches one shared atomic.
-    cached_head: usize,
-}
-
-impl<T> SpscProducer<T> {
-    /// Number of slots in the ring.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.shared.mask + 1
-    }
-
-    /// Pushes one value; returns it back if the ring is full.
-    pub fn push(&mut self, v: T) -> Result<(), T> {
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        if tail.wrapping_sub(self.cached_head) > self.shared.mask {
-            self.cached_head = self.shared.head.0.load(Ordering::Acquire);
-            if tail.wrapping_sub(self.cached_head) > self.shared.mask {
-                return Err(v);
-            }
-        }
-        unsafe {
-            (*self.shared.buf[tail & self.shared.mask].get()).write(v);
-        }
-        self.shared
-            .tail
-            .0
-            .store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Batched producer side: drains values from `batch` into the ring
-    /// until it is full, publishing them all with a *single* release
-    /// store. Returns how many were pushed; the unpushed tail stays in
-    /// `batch` (front-aligned) for the caller to retry or spill.
-    pub fn push_batch(&mut self, batch: &mut VecDeque<T>) -> usize {
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        self.cached_head = self.shared.head.0.load(Ordering::Acquire);
-        let free = (self.shared.mask + 1) - tail.wrapping_sub(self.cached_head);
-        let n = free.min(batch.len());
-        for i in 0..n {
-            let v = batch.pop_front().expect("len checked");
-            unsafe {
-                (*self.shared.buf[tail.wrapping_add(i) & self.shared.mask].get()).write(v);
-            }
-        }
-        if n > 0 {
-            self.shared
-                .tail
-                .0
-                .store(tail.wrapping_add(n), Ordering::Release);
-        }
-        n
-    }
-
-    /// Queued items (approximate from the producer side).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        let head = self.shared.head.0.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
-    }
-
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The consuming end of an [`spsc`] ring.
-pub struct SpscConsumer<T> {
-    shared: Arc<SpscShared<T>>,
-    /// Producer position as last observed — refreshed only when the ring
-    /// looks empty.
-    cached_tail: usize,
-}
-
-impl<T> SpscConsumer<T> {
-    /// Pops the oldest value, if any.
-    pub fn pop(&mut self) -> Option<T> {
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        if head == self.cached_tail {
-            self.cached_tail = self.shared.tail.0.load(Ordering::Acquire);
-            if head == self.cached_tail {
-                return None;
-            }
-        }
-        let v = unsafe { (*self.shared.buf[head & self.shared.mask].get()).assume_init_read() };
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(1), Ordering::Release);
-        Some(v)
-    }
-
-    /// Queued items (approximate from the consumer side).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let tail = self.shared.tail.0.load(Ordering::Acquire);
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
-    }
-
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -647,35 +468,6 @@ impl<T> RingChannel<T> {
         }
     }
 
-    /// Parks until the channel is non-empty, closed, or `wait` elapses.
-    /// Used by consumers that must *not* pop yet (the latency staging
-    /// path peeks at due times before committing).
-    pub fn wait_nonempty(&self, wait: Duration) {
-        let deadline = Instant::now() + wait;
-        loop {
-            if !self.is_empty() || self.closed.load(Ordering::Acquire) {
-                return;
-            }
-            let mut g = self.gate.lock();
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if !self.is_empty() || self.closed.load(Ordering::Acquire) {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-            let timed_out = self.cv.wait_for(&mut g, deadline - now).timed_out();
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            drop(g);
-            if timed_out {
-                return;
-            }
-        }
-    }
-
     /// Queued values across ring and spill (racy estimate, exact when
     /// quiescent).
     #[must_use]
@@ -706,33 +498,9 @@ impl<T> RingChannel<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-
-    #[test]
-    fn spsc_fifo_and_full() {
-        let (mut p, mut c) = spsc::<u32>(4);
-        assert_eq!(p.capacity(), 4);
-        for i in 0..4 {
-            p.push(i).unwrap();
-        }
-        assert_eq!(p.push(99), Err(99));
-        for i in 0..4 {
-            assert_eq!(c.pop(), Some(i));
-        }
-        assert_eq!(c.pop(), None);
-    }
-
-    #[test]
-    fn spsc_push_batch_partial() {
-        let (mut p, mut c) = spsc::<u32>(4);
-        let mut batch: VecDeque<u32> = (0..6).collect();
-        assert_eq!(p.push_batch(&mut batch), 4);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(c.pop(), Some(0));
-        assert_eq!(p.push_batch(&mut batch), 1);
-        let got: Vec<u32> = std::iter::from_fn(|| c.pop()).collect();
-        assert_eq!(got, vec![1, 2, 3, 4]);
-    }
 
     #[test]
     fn mpsc_fifo_and_full() {

@@ -20,71 +20,6 @@ use simnet::ring::{Mpsc, PopError, PushOutcome, RingChannel};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SPSC: any interleaving of pushes and pops observes exactly the
-    /// pushed sequence — no loss, no duplication, FIFO.
-    #[test]
-    fn spsc_matches_queue_model(cap in 1usize..16,
-                                ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-        let (mut tx, mut rx) = simnet::ring::spsc::<u32>(cap);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        let mut next = 0u32;
-        let mut popped = Vec::new();
-        let mut expect = Vec::new();
-        for push in ops {
-            if push {
-                match tx.push(next) {
-                    Ok(()) => { model.push_back(next); expect.push(next); }
-                    Err(v) => {
-                        // Full: ring capacity is a power-of-two rounding
-                        // of `cap`, and nothing may be lost.
-                        prop_assert_eq!(v, next);
-                        prop_assert!(model.len() >= cap);
-                        continue;
-                    }
-                }
-                next += 1;
-            } else {
-                let got = rx.pop();
-                prop_assert_eq!(got, model.pop_front());
-                if let Some(v) = got { popped.push(v); }
-            }
-        }
-        while let Some(v) = rx.pop() {
-            popped.push(v);
-            prop_assert_eq!(Some(v), model.pop_front());
-        }
-        prop_assert!(model.is_empty());
-        prop_assert_eq!(popped, expect);
-    }
-
-    /// SPSC batched producer: `push_batch` publishes a prefix of the
-    /// batch atomically and leaves the remainder, in order, in the batch.
-    #[test]
-    fn spsc_push_batch_is_exact_prefix(cap in 1usize..12,
-                                       sizes in proptest::collection::vec(1usize..20, 1..20)) {
-        let (mut tx, mut rx) = simnet::ring::spsc::<u32>(cap);
-        let mut next = 0u32;
-        let mut expect = Vec::new();
-        let mut got = Vec::new();
-        for (round, n) in sizes.into_iter().enumerate() {
-            let mut batch: VecDeque<u32> = (0..n as u32).map(|i| next + i).collect();
-            let accepted = tx.push_batch(&mut batch);
-            prop_assert_eq!(batch.len(), n - accepted);
-            // The leftover must be exactly the unaccepted suffix.
-            for (i, v) in batch.iter().enumerate() {
-                prop_assert_eq!(*v, next + (accepted + i) as u32);
-            }
-            expect.extend((0..accepted as u32).map(|i| next + i));
-            next += n as u32;
-            // Drain fully on alternate rounds to exercise wraparound.
-            if round % 2 == 1 {
-                while let Some(v) = rx.pop() { got.push(v); }
-            }
-        }
-        while let Some(v) = rx.pop() { got.push(v); }
-        prop_assert_eq!(got, expect);
-    }
-
     /// MPSC: values from several producers interleaved in any order are
     /// each delivered exactly once, FIFO per producer.
     #[test]
@@ -207,42 +142,6 @@ proptest! {
 // Threaded stress: real concurrency on top of the model checks above.
 // ---------------------------------------------------------------------
 
-/// Two real threads over one SPSC ring: every value arrives exactly once,
-/// in order, across thousands of wraparounds.
-#[test]
-fn spsc_threaded_fifo() {
-    let (mut tx, mut rx) = simnet::ring::spsc::<u64>(8);
-    const N: u64 = 20_000;
-    let producer = std::thread::spawn(move || {
-        for i in 0..N {
-            let mut v = i;
-            loop {
-                match tx.push(v) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        v = back;
-                        // Yield, not spin: single-core CI hosts would
-                        // otherwise stall a full scheduler quantum per
-                        // ring-full collision.
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-    });
-    let mut expect = 0u64;
-    while expect < N {
-        if let Some(v) = rx.pop() {
-            assert_eq!(v, expect, "out of order or duplicated");
-            expect += 1;
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    assert!(rx.pop().is_none());
-    producer.join().unwrap();
-}
-
 /// Four real producers into one RingChannel (the fan-in shape every
 /// fabric link has): nothing lost, nothing duplicated, FIFO per producer,
 /// even with a 4-slot ring forcing heavy spill.
@@ -315,20 +214,7 @@ fn drop_while_nonempty_drops_each_value_once() {
     }
     let drops = Arc::new(AtomicUsize::new(0));
 
-    // SPSC: half-consumed, then dropped mid-stream (head has wrapped).
-    let (mut tx, mut rx) = simnet::ring::spsc::<Token>(4);
-    for _ in 0..4 {
-        tx.push(Token(Arc::clone(&drops))).map_err(|_| ()).unwrap();
-    }
-    drop(rx.pop()); // 1 drop
-    drop(rx.pop()); // 2 drops
-    tx.push(Token(Arc::clone(&drops))).map_err(|_| ()).unwrap();
-    drop(tx);
-    drop(rx); // 3 queued tokens dropped here
-    assert_eq!(drops.load(Ordering::SeqCst), 5);
-
     // RingChannel with values in both the ring and the overflow spill.
-    let drops = Arc::new(AtomicUsize::new(0));
     let ch = RingChannel::<Token>::new(2);
     let mut saw_spill = false;
     for _ in 0..10 {

@@ -27,7 +27,7 @@ use simnet::Addr;
 
 use iwarp::wr::RecvWr;
 use iwarp::{
-    Access, Cq, Cqe, CqeOpcode, CqeStatus, IwarpError, IwarpResult, MemoryRegion, SendWr, UdDest,
+    Access, Cq, Cqe, CqeOpcode, CqeStatus, IwarpError, IwarpResult, MemoryRegion, UdDest,
     UdQp,
 };
 
@@ -271,39 +271,6 @@ impl DgramSocket {
         // drain them so the CQ never overflows.
         while inner.send_cq.poll().is_some() {}
         Ok(())
-    }
-
-    /// `sendmmsg` analog: transmits a batch of datagrams with one verbs
-    /// doorbell. In SendRecv mode the batch maps to
-    /// [`UdQp::post_send_batch`] — under
-    /// [`BurstPath::Burst`](iwarp::BurstPath::Burst)
-    /// the whole batch leaves as one fabric burst per destination — and
-    /// the immediate source-side completions are reaped with batched
-    /// [`Cq::poll_into`] rounds. Write-Record mode keeps its stateful
-    /// per-peer ring placement and loops [`Self::send_to`]. Returns the
-    /// number of datagrams sent.
-    pub fn send_many(&self, msgs: &[(&[u8], Addr)]) -> IwarpResult<usize> {
-        if msgs.is_empty() {
-            return Ok(0);
-        }
-        let inner = &self.inner;
-        if inner.stack.cfg.mode == DgramMode::WriteRecord {
-            for (buf, dst) in msgs {
-                self.send_to(buf, *dst)?;
-            }
-            return Ok(msgs.len());
-        }
-        let wrs: Vec<SendWr> = msgs
-            .iter()
-            .map(|(buf, dst)| SendWr::new(0, *buf, UdDest { addr: *dst, qpn: 0 }))
-            .collect();
-        inner.qp.post_send_batch(&wrs)?;
-        inner.tel.tx_msgs.add(wrs.len() as u64);
-        // Source-side completions are immediate (datagram semantics);
-        // reap them in scratch-buffer loads so the CQ never overflows.
-        let mut scratch = vec![Cqe::default(); wrs.len().min(64)];
-        while inner.send_cq.poll_into(&mut scratch) == scratch.len() {}
-        Ok(msgs.len())
     }
 
     /// `recvmmsg` analog: appends up to `max` ready datagrams to `out` as

@@ -223,12 +223,6 @@ impl SocketStack {
         DgramSocket::open(Arc::clone(&self.inner), None, Some(profile))
     }
 
-    /// Opens a datagram socket bound at `port` with an explicit
-    /// receive-resource profile.
-    pub fn dgram_bound_with(&self, port: u16, profile: DgramProfile) -> IwarpResult<DgramSocket> {
-        DgramSocket::open(Arc::clone(&self.inner), Some(port), Some(profile))
-    }
-
     /// Connects a stream socket to a remote listener.
     pub fn connect(&self, remote: Addr) -> IwarpResult<StreamSocket> {
         StreamSocket::connect(Arc::clone(&self.inner), remote)
@@ -243,13 +237,6 @@ impl SocketStack {
     #[must_use]
     pub fn open_sockets(&self) -> usize {
         self.inner.fds.lock().len()
-    }
-
-    /// The stack's completion channel — datagram sockets' receive CQs are
-    /// subscribed here (token = fd) unless the stack is poll-mode.
-    #[must_use]
-    pub fn completion_channel(&self) -> &CompletionChannel {
-        &self.inner.chan
     }
 
     /// Parks until at least one subscribed socket has receive-side work,

@@ -107,44 +107,6 @@ fn stream_socket_interleaved_bidirectional() {
 }
 
 #[test]
-fn poll_mode_sockets_spawn_no_threads() {
-    // Count threads before and after creating 50 poll-mode sockets.
-    let count_threads = || -> usize {
-        std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
-    };
-    let fab = Fabric::loopback();
-    let cfg = SocketConfig {
-        recv_slots: 2,
-        slot_size: 512,
-        qp: QpConfig {
-            poll_mode: true,
-            ..QpConfig::default()
-        },
-        ..SocketConfig::default()
-    };
-    let stack = SocketStack::with_config(&fab, NodeId(0), Default::default(), cfg);
-    let before = count_threads();
-    let socks: Vec<_> = (0..50).map(|_| stack.dgram().unwrap()).collect();
-    let after = count_threads();
-    assert_eq!(after, before, "poll-mode sockets must not spawn threads");
-    drop(socks);
-}
-
-#[test]
-fn threaded_sockets_do_spawn_engines() {
-    let count_threads = || -> usize {
-        std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
-    };
-    let fab = Fabric::loopback();
-    let stack = SocketStack::new(&fab, NodeId(0)); // threaded default
-    let before = count_threads();
-    let _s1 = stack.dgram().unwrap();
-    let _s2 = stack.dgram().unwrap();
-    let after = count_threads();
-    assert!(after >= before + 2, "threaded sockets spawn RX engines");
-}
-
-#[test]
 fn wait_ready_names_only_the_socket_with_work_on_a_threaded_stack() {
     // Threaded stacks subscribe every datagram socket's receive CQ to the
     // stack channel (token = fd): a datagram for `a` readies exactly `a`.

@@ -43,8 +43,10 @@ done
 echo "==> chaos smoke under adaptive congestion control (newreno)"
 # Same adversary, reliable phase driven by NewReno, which is what RD QPs
 # run by default (RdConfig::default()); the sweeps above stay on `fixed`
-# because chaos replays are pinned to it (ChaosOpts::cc). Verbs/socket
-# fault traces must stay seed-deterministic.
+# because chaos replays are pinned to it (ChaosOpts::cc). That the
+# verbs/socket fault traces do not move under newreno is a tier-1 check
+# (the chaos replay anchors, tests/determinism.rs); this sweep holds the
+# invariants over 25 more plans.
 cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --cc newreno
 
 echo "==> replog smoke: 25 seeded agreement plans"

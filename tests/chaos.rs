@@ -65,42 +65,6 @@ fn seeded_sweep_upholds_invariants() {
     }
 }
 
-/// Same seed → byte-identical fault traces and identical verdicts. This
-/// is the property the whole replay workflow rests on.
-#[test]
-fn same_seed_reproduces_fault_trace_and_verdict() {
-    // A seed from the sweep's plan space, so it reflects real coverage.
-    let seed = derive_seed(MASTER, 2);
-    let opts = small_opts();
-    let a = run_plan(seed, &opts);
-    let b = run_plan(seed, &opts);
-    assert_eq!(a.fault_trace, b.fault_trace, "verbs fault traces diverged");
-    assert_eq!(
-        a.socket_fault_trace, b.socket_fault_trace,
-        "socket fault traces diverged"
-    );
-    assert_eq!(
-        a.read_fault_trace, b.read_fault_trace,
-        "bulk-read fault traces diverged"
-    );
-    assert_eq!(a.ok(), b.ok(), "verdicts diverged");
-    assert_eq!(
-        a.violations.len(),
-        b.violations.len(),
-        "violation counts diverged"
-    );
-    assert_eq!(a.verbs, b.verbs, "verbs summaries diverged");
-    assert_eq!(a.socket, b.socket, "socket summaries diverged");
-    assert_eq!(
-        a.bulk.batches, b.bulk.batches,
-        "bulk-read batch counts diverged"
-    );
-    assert_eq!(
-        a.bulk.reposts, b.bulk.reposts,
-        "bulk-read repost schedules diverged"
-    );
-}
-
 /// A quiet plan (every stage off) must deliver everything and complete
 /// every operation successfully — the oracle's baseline sanity check.
 #[test]

@@ -1,28 +1,288 @@
-//! Differential determinism across RX drive modes.
+//! Replay anchors: every seeded run this repo promises to reproduce
+//! byte-for-byte, checked against the digests committed in
+//! `tests/anchors.txt`.
 //!
-//! The same seeded lossy run — one sender thread, so every Bernoulli loss
-//! decision is consumed in send order — must yield byte-identical per-QP
-//! CQE payload sequences whether the receive side is caller-polled,
-//! per-QP threaded, or sharded (1 or 4 shards). Anything less means the
-//! drive mode leaks into protocol behaviour and chaos replay is a lie.
+//! Each check runs one workload under one configuration and compares
+//! what it recomputes with the anchor, never with another run. A knob
+//! that leaks into protocol behaviour (RX drive mode, shard count,
+//! batching path, congestion controller) therefore moves an anchor, and
+//! so does any change to what the workload puts on the wire.
+//!
+//! Scenarios:
+//! * `chaos/S`, S = 1..5: what `chaos --replay S` runs. Streams are the
+//!   `[verbs]`, `[socket]` and `[read]` fault traces plus a `summary` of
+//!   the outcome counts.
+//! * `replog/S`, S = 1..3: what `replog --replay S` runs. Streams are the
+//!   event/lease `history` digest and the `faults` trace.
+//! * `ud-lossy`, `ud-chaos`, `bulk-read` and `replog-failover`: the
+//!   workloads below, each run under every configuration it supports.
+//!
+//! On a mismatch a check panics and prints every line it recomputed, the
+//! moved ones marked. Moving an anchor on purpose means pasting those
+//! lines into `tests/anchors.txt` and giving the reason in CHANGES.md.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
+use datagram_iwarp::apps::replog::{Cluster, History, ReplogConfig};
 use datagram_iwarp::cc::CcAlgo;
+use datagram_iwarp::chaos::replog::{run_replog_plan, ReplogOpts};
 use datagram_iwarp::chaos::{run_plan, ChaosOpts};
 use datagram_iwarp::common::rng::derive_seed;
-use datagram_iwarp::verbs::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use datagram_iwarp::net::{Addr, Fabric, FaultEvent, FaultPlan, LossModel, NodeId, WireConfig};
 use datagram_iwarp::telemetry::Snapshot;
+use datagram_iwarp::verbs::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use datagram_iwarp::verbs::wr::{RecvWr, SendWr};
 use datagram_iwarp::verbs::{
     Access, BurstPath, Cq, CqeStatus, Device, DeviceConfig, QpConfig, ShardConfig,
 };
 
+const ANCHORS: &str = include_str!("anchors.txt");
+
+const CHAOS_SEEDS: RangeInclusive<u64> = 1..=5;
+const CHAOS_STREAMS: [&str; 4] = ["verbs", "socket", "read", "summary"];
+const REPLOG_SEEDS: RangeInclusive<u64> = 1..=3;
+const REPLOG_STREAMS: [&str; 2] = ["history", "faults"];
+
 const QPS: usize = 8;
 const MSGS: u32 = 30;
 const SLOT: usize = 128;
 const SEED: u64 = 0xD1FF_5EED;
+
+// ---------------------------------------------------------------------------
+// The anchor file.
+// ---------------------------------------------------------------------------
+
+/// One recomputed stream: scenario, stream name, and its lines.
+type Stream = (String, &'static str, Vec<String>);
+
+/// Every (scenario, stream) some check below recomputes.
+/// `anchor_file_matches_the_checks` holds `tests/anchors.txt` to exactly
+/// this set, so a stream a check adds must be listed here as well as
+/// anchored.
+fn recomputed() -> BTreeSet<(String, String)> {
+    let mut set = BTreeSet::new();
+    let mut add = |scenario: String, streams: &[&str]| {
+        for s in streams {
+            set.insert((scenario.clone(), (*s).to_owned()));
+        }
+    };
+    add("ud-lossy".into(), &["payloads", "wire"]);
+    add("ud-chaos".into(), &["payloads", "faults"]);
+    add("bulk-read".into(), &["wire"]);
+    add("replog-failover".into(), &REPLOG_STREAMS);
+    for s in CHAOS_SEEDS {
+        add(format!("chaos/{s}"), &CHAOS_STREAMS);
+    }
+    for s in REPLOG_SEEDS {
+        add(format!("replog/{s}"), &REPLOG_STREAMS);
+    }
+    set
+}
+
+/// `tests/anchors.txt` as `(scenario, stream) -> line`, with `#` comments
+/// and blank lines dropped.
+fn anchors() -> BTreeMap<(String, String), String> {
+    let mut map = BTreeMap::new();
+    for raw in ANCHORS.lines() {
+        let words: Vec<&str> = raw
+            .split('#')
+            .next()
+            .unwrap_or("")
+            .split_whitespace()
+            .collect();
+        if words.is_empty() {
+            continue;
+        }
+        assert!(words.len() == 4, "malformed anchor line: {raw:?}");
+        let key = (words[0].to_owned(), words[1].to_owned());
+        assert!(
+            map.insert(key, words.join(" ")).is_none(),
+            "duplicate anchor line: {raw:?}"
+        );
+    }
+    map
+}
+
+/// A stream in the file's format: `<scenario> <stream> n=<count>
+/// fnv=<FNV-1a 64 over the lines, each followed by '\n'>`.
+fn anchor_line(scenario: &str, stream: &str, lines: &[String]) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{scenario} {stream} n={} fnv={h:016x}", lines.len())
+}
+
+/// Compares each recomputed stream with its anchor. On any difference it
+/// panics with every line it recomputed, the moved ones marked.
+fn check(config: &str, streams: &[Stream]) {
+    let anchors = anchors();
+    let mut printed = String::new();
+    let mut moved = 0;
+    for (scenario, stream, lines) in streams {
+        let key = (scenario.clone(), (*stream).to_owned());
+        let line = anchor_line(scenario, stream, lines);
+        let _ = match anchors.get(&key) {
+            Some(was) if *was == line => writeln!(printed, "{line}"),
+            Some(was) => {
+                moved += 1;
+                let was = was.splitn(3, ' ').nth(2).unwrap_or_default();
+                writeln!(printed, "{line}  # moved, was {was}")
+            }
+            None => {
+                moved += 1;
+                writeln!(printed, "{line}  # no anchor")
+            }
+        };
+    }
+    assert!(
+        moved == 0,
+        "{moved} replay anchor(s) moved under {config}. If that is intended, paste these \
+         lines into tests/anchors.txt and give the reason in CHANGES.md:\n{printed}"
+    );
+}
+
+/// A fault trace as the lines `chaos --replay S --verbose` prints.
+fn trace_lines(trace: &[FaultEvent]) -> Vec<String> {
+    trace.iter().map(ToString::to_string).collect()
+}
+
+/// `tests/anchors.txt` holds exactly one line per (scenario, stream) that
+/// a check recomputes: no orphan line, no stream without a line.
+#[test]
+fn anchor_file_matches_the_checks() {
+    let file: BTreeSet<(String, String)> = anchors().into_keys().collect();
+    let checked = recomputed();
+    let orphans: Vec<_> = file.difference(&checked).collect();
+    let missing: Vec<_> = checked.difference(&file).collect();
+    assert!(
+        orphans.is_empty() && missing.is_empty(),
+        "tests/anchors.txt is stale.\n  lines no check recomputes: {orphans:?}\n  \
+         recomputed streams with no line: {missing:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// chaos/S and replog/S: the replay bins' seeds.
+// ---------------------------------------------------------------------------
+
+/// `chaos --replay S` under `opts`' knobs: asserts the plan passes and
+/// returns its four streams.
+fn chaos_replay(seed: u64, mut opts: ChaosOpts) -> Vec<Stream> {
+    opts.forensic = true;
+    let r = run_plan(seed, &opts);
+    assert!(r.ok(), "chaos plan {seed} failed:\n{}", r.render_failure());
+    let summary = vec![
+        format!("verbs {:?}", r.verbs),
+        format!("socket {:?}", r.socket),
+        format!("bulk.batches {}", r.bulk.batches),
+        format!("bulk.reposts {}", r.bulk.reposts),
+    ];
+    let lines = [
+        trace_lines(&r.fault_trace),
+        trace_lines(&r.socket_fault_trace),
+        trace_lines(&r.read_fault_trace),
+        summary,
+    ];
+    CHAOS_STREAMS
+        .into_iter()
+        .zip(lines)
+        .map(|(stream, lines)| (format!("chaos/{seed}"), stream, lines))
+        .collect()
+}
+
+fn replog_streams(scenario: &str, history: &History, faults: &[FaultEvent]) -> Vec<Stream> {
+    let (digest, events) = (history.digest(), history.events.len());
+    let lines = [
+        vec![format!("digest={digest:016x} events={events}")],
+        trace_lines(faults),
+    ];
+    REPLOG_STREAMS
+        .into_iter()
+        .zip(lines)
+        .map(|(stream, lines)| (scenario.to_owned(), stream, lines))
+        .collect()
+}
+
+/// The seeds `chaos --replay` is documented with reproduce their fault
+/// traces and outcome counts.
+#[test]
+fn chaos_replays_match_anchors() {
+    let streams: Vec<Stream> = CHAOS_SEEDS
+        .flat_map(|seed| chaos_replay(seed, ChaosOpts::default()))
+        .collect();
+    check("the default ChaosOpts", &streams);
+}
+
+/// Under a non-default knob, chaos/1 and chaos/2 must pass and reproduce
+/// their verbs and socket anchors. The `[read]` trace is not held to its
+/// anchor here: the bulk-read phase's repost schedule follows the QPs'
+/// drain order, so it may move with the batching path (it does for
+/// chaos/5).
+fn check_verbs_and_socket(config: &str, opts: ChaosOpts) {
+    let streams: Vec<Stream> = [1, 2]
+        .into_iter()
+        .flat_map(|seed| chaos_replay(seed, opts.clone()))
+        .filter(|(_, s, _)| matches!(*s, "verbs" | "socket"))
+        .collect();
+    check(config, &streams);
+}
+
+/// The fault adversary is oblivious to how the QPs batch doorbells.
+#[test]
+fn burst_path_preserves_chaos_fault_traces() {
+    let burst_path = BurstPath::Burst;
+    check_verbs_and_socket(
+        "BurstPath::Burst",
+        ChaosOpts {
+            burst_path,
+            ..ChaosOpts::default()
+        },
+    );
+}
+
+/// `ChaosOpts::cc` steers only the reliable phase; the unreliable verbs
+/// and socket phases must not see it.
+#[test]
+fn chaos_traces_are_cc_invariant() {
+    let cc = CcAlgo::NewReno;
+    check_verbs_and_socket(
+        "CcAlgo::NewReno",
+        ChaosOpts {
+            cc,
+            ..ChaosOpts::default()
+        },
+    );
+}
+
+/// The seeds `replog --replay` is documented with pass, converge, and
+/// reproduce their history and fault trace.
+#[test]
+fn replog_replays_match_anchors() {
+    let mut streams = Vec::new();
+    for seed in REPLOG_SEEDS {
+        let rep = run_replog_plan(seed, &ReplogOpts::default());
+        assert!(
+            rep.ok() && rep.outcome.converged,
+            "{}",
+            rep.render_failure()
+        );
+        let scenario = format!("replog/{seed}");
+        streams.extend(replog_streams(
+            &scenario,
+            &rep.outcome.history,
+            &rep.fault_trace,
+        ));
+    }
+    check("the default ReplogOpts", &streams);
+}
+
+// ---------------------------------------------------------------------------
+// ud-lossy and ud-chaos: 8 UD QPs under every RX drive mode.
+// ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug)]
 enum RxMode {
@@ -34,29 +294,44 @@ enum RxMode {
     Sharded(usize),
 }
 
-/// Runs the canonical lossy workload under one RX mode and returns, per
-/// QP, the payloads in CQE order.
-fn run(mode: RxMode) -> Vec<Vec<Vec<u8>>> {
-    run_with(mode, BurstPath::PerPacket).0
-}
-
-/// [`run`] with the batching discipline as a knob, also returning the
-/// final telemetry snapshot. Under [`BurstPath::Burst`] the client posts
-/// each round as one `post_send_batch` doorbell and the receivers (poll
-/// mode only) drive `progress_burst`; the wire traffic must nonetheless
-/// be byte-identical to the per-packet run under the same seed.
-fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
-    let fab = Fabric::new(WireConfig {
+/// `ud-lossy`: 10 % Bernoulli loss, nothing else.
+fn lossy_fabric() -> Fabric {
+    Fabric::new(WireConfig {
         loss: LossModel::bernoulli(0.10),
         seed: SEED,
         ..WireConfig::default()
+    })
+}
+
+/// `ud-chaos`: 5 % loss plus a drop/duplicate/reorder/corrupt adversary.
+fn chaos_fabric() -> Fabric {
+    let fab = Fabric::new(WireConfig {
+        loss: LossModel::bernoulli(0.05),
+        seed: SEED,
+        ..WireConfig::default()
     });
+    fab.install_fault_plan(FaultPlan {
+        drop: LossModel::bernoulli(0.05),
+        duplicate: 0.05,
+        reorder: 0.10,
+        corrupt: 0.02,
+        ..FaultPlan::quiet(derive_seed(SEED, 0xC4A0))
+    });
+    fab
+}
+
+/// One poll-mode client sends `MSGS` rounds, one datagram to each of
+/// `QPS` server QPs per round, from a single thread: every loss and fault
+/// decision is drawn in send order against link-owned RNG state, whatever
+/// the server's RX `mode` or the `burst` path. Returns, per QP, the
+/// payloads of the successful receive CQEs in CQE order.
+fn run_ud(fab: &Fabric, mode: RxMode, burst: BurstPath) -> Vec<Vec<Vec<u8>>> {
     let shards = match mode {
         RxMode::Sharded(n) => n,
         _ => 0,
     };
     let server = Device::with_config(
-        &fab,
+        fab,
         NodeId(1),
         DeviceConfig {
             shard: ShardConfig::with_shards(shards),
@@ -65,24 +340,22 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
     );
     let qp_cfg = QpConfig {
         poll_mode: matches!(mode, RxMode::Poll),
-        // The A/B comparison differs in the batching knob alone.
         burst_path: burst,
         ..QpConfig::default()
     };
 
+    // Twice MSGS receive slots: the adversary may duplicate.
+    let slots = 2 * MSGS as usize;
     let mut rx = Vec::new();
     for _ in 0..QPS {
         let send_cq = Cq::new(8);
-        let recv_cq = Cq::new(MSGS as usize + 8);
+        let recv_cq = Cq::new(slots + 8);
         let qp = server
             .create_ud_qp(None, &send_cq, &recv_cq, qp_cfg.clone())
             .unwrap();
-        match mode {
-            RxMode::Poll | RxMode::Threaded => assert!(!qp.is_sharded()),
-            RxMode::Sharded(_) => assert!(qp.is_sharded()),
-        }
-        let mr = server.register(MSGS as usize * SLOT, Access::Local);
-        for i in 0..MSGS as usize {
+        assert_eq!(qp.is_sharded(), matches!(mode, RxMode::Sharded(_)));
+        let mr = server.register(slots * SLOT, Access::Local);
+        for i in 0..slots {
             qp.post_recv(RecvWr {
                 wr_id: i as u64,
                 mr: mr.clone(),
@@ -95,9 +368,7 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
     }
     let dests: Vec<_> = rx.iter().map(|(qp, _, _)| qp.dest()).collect();
 
-    // Single sender thread: the wire's seeded RNG sees sends in exactly
-    // this order in every mode, so the set of dropped datagrams is fixed.
-    let client = Device::new(&fab, NodeId(0));
+    let client = Device::new(fab, NodeId(0));
     let c_send = Cq::new(64);
     let c_recv = Cq::new(8);
     let cqp = client
@@ -113,40 +384,36 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
         )
         .unwrap();
     for seq in 0..MSGS {
-        let payloads: Vec<Vec<u8>> = dests
+        let wrs: Vec<SendWr> = dests
             .iter()
             .enumerate()
-            .map(|(qi, _)| {
+            .map(|(qi, dest)| {
                 let mut payload = vec![0u8; 96];
                 payload[0] = qi as u8;
                 payload[1..5].copy_from_slice(&seq.to_le_bytes());
                 for (i, b) in payload.iter_mut().enumerate().skip(5) {
                     *b = (i as u8).wrapping_mul(seq as u8 | 1) ^ qi as u8;
                 }
-                payload
+                SendWr::new(u64::from(seq), payload, *dest)
             })
             .collect();
         match burst {
             BurstPath::PerPacket => {
-                for (payload, dest) in payloads.into_iter().zip(&dests) {
-                    cqp.post_send(u64::from(seq), payload, *dest).unwrap();
+                for wr in wrs {
+                    cqp.post_send(wr.wr_id, wr.payload, wr.dest).unwrap();
                     while c_send.poll().is_some() {}
                 }
             }
+            // One doorbell per round. Destinations are grouped in
+            // first-seen order, which here is exactly the per-packet
+            // posting order: same wire order, same RNG draws.
             BurstPath::Burst => {
-                // One doorbell per round. Destinations are grouped in
-                // first-seen order, which here is exactly the per-packet
-                // posting order — same wire order, same RNG draws.
-                let wrs: Vec<SendWr> = payloads
-                    .into_iter()
-                    .zip(&dests)
-                    .map(|(payload, dest)| SendWr::new(u64::from(seq), payload, *dest))
-                    .collect();
                 cqp.post_send_batch(&wrs).unwrap();
                 while c_send.poll().is_some() {}
             }
         }
     }
+    fab.chaos_flush();
 
     // Drain until every QP has been quiet for a while. In poll mode the
     // drain loop itself is the RX engine.
@@ -160,12 +427,14 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
                 qp.progress_burst(32, Duration::from_millis(1));
             }
             while let Some(cqe) = recv_cq.poll() {
-                assert_eq!(cqe.status, CqeStatus::Success);
+                any = true;
+                if cqe.status != CqeStatus::Success {
+                    continue;
+                }
                 let data = mr
                     .read_vec(cqe.wr_id * SLOT as u64, cqe.byte_len as usize)
                     .unwrap();
                 out[qi].push(data);
-                any = true;
             }
         }
         if any {
@@ -174,53 +443,21 @@ fn run_with(mode: RxMode, burst: BurstPath) -> (Vec<Vec<Vec<u8>>>, Snapshot) {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    (out, fab.telemetry().snapshot())
+    out
 }
 
-#[test]
-fn rx_mode_does_not_change_delivered_bytes() {
-    let poll = run(RxMode::Poll);
-    let threaded = run(RxMode::Threaded);
-    let shard1 = run(RxMode::Sharded(1));
-    let shard4 = run(RxMode::Sharded(4));
-
-    let delivered: usize = poll.iter().map(Vec::len).sum();
-    assert!(delivered > 0, "seeded 10 % loss run delivered nothing");
-    assert!(
-        delivered < QPS * MSGS as usize,
-        "10 % loss model dropped nothing — seed no longer exercises loss"
-    );
-
-    for (qi, baseline) in poll.iter().enumerate() {
-        assert_eq!(
-            baseline, &threaded[qi],
-            "qp #{qi}: threaded RX diverged from poll-mode"
-        );
-        assert_eq!(
-            baseline, &shard1[qi],
-            "qp #{qi}: 1-shard RX diverged from poll-mode"
-        );
-        assert_eq!(
-            baseline, &shard4[qi],
-            "qp #{qi}: 4-shard RX diverged from poll-mode"
-        );
-    }
+fn payload_lines(out: &[Vec<Vec<u8>>]) -> Vec<String> {
+    let hex = |m: &[u8]| m.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    out.iter()
+        .enumerate()
+        .flat_map(|(qi, msgs)| msgs.iter().map(move |m| format!("{qi} {}", hex(m))))
+        .collect()
 }
 
-/// Replaying the same mode twice must also be bit-stable (guards against
-/// nondeterminism *within* a mode, not just across modes).
-#[test]
-fn sharded_rx_is_replay_stable() {
-    let a = run(RxMode::Sharded(4));
-    let b = run(RxMode::Sharded(4));
-    assert_eq!(a, b, "same seed, same mode, different bytes");
-}
-
-/// Wire-level counters that must be identical across the batching knob:
-/// the burst path may only amortize *how* packets move (lock rounds,
-/// notifies, CQ pushes), never *what* moves or what the loss RNG sees.
-/// `core.qp.tx_bursts` is the intentionally-different amortization
-/// counter and is excluded.
+/// Wire-level counters: a knob may only change *how* packets move (lock
+/// rounds, notifies, CQ pushes), never *what* moves or what the loss RNG
+/// sees. `core.qp.tx_bursts` is the intentionally different amortization
+/// counter and is left out.
 const WIRE_COUNTERS: &[&str] = &[
     "simnet.fabric.tx_packets",
     "simnet.fabric.tx_bytes",
@@ -238,213 +475,105 @@ const WIRE_COUNTERS: &[&str] = &[
     "core.rx.malformed",
 ];
 
-/// The tentpole's A/B contract: under a fixed seed the burst datapath is
-/// byte-identical on the wire to per-packet — same delivered payloads in
-/// the same CQE order, same per-packet loss decisions, same wire-level
-/// telemetry — differing only in the amortization counters.
+fn wire_lines(tel: &Snapshot) -> Vec<String> {
+    WIRE_COUNTERS
+        .iter()
+        .map(|name| format!("{name} {:?}", tel.get(name)))
+        .collect()
+}
+
+/// Runs `ud-lossy` and checks it against its anchor; returns the final
+/// telemetry for the caller's own checks.
+fn check_ud_lossy(mode: RxMode, burst: BurstPath) -> Snapshot {
+    let fab = lossy_fabric();
+    let out = run_ud(&fab, mode, burst);
+    let delivered: usize = out.iter().map(Vec::len).sum();
+    assert!(
+        delivered > 0,
+        "{mode:?}: seeded 10 % loss run delivered nothing"
+    );
+    assert!(
+        delivered < QPS * MSGS as usize,
+        "{mode:?}: 10 % loss model dropped nothing; the seed no longer exercises loss"
+    );
+    let tel = fab.telemetry().snapshot();
+    let scenario = "ud-lossy".to_owned();
+    check(
+        &format!("{mode:?} RX, {burst:?}"),
+        &[
+            (scenario.clone(), "payloads", payload_lines(&out)),
+            (scenario, "wire", wire_lines(&tel)),
+        ],
+    );
+    tel
+}
+
+/// Caller-polled, per-QP threaded and sharded (1 or 4 shards) RX all
+/// deliver the same payloads in the same CQE order, over the same wire.
+#[test]
+fn rx_mode_does_not_change_delivered_bytes() {
+    for mode in [
+        RxMode::Poll,
+        RxMode::Threaded,
+        RxMode::Sharded(1),
+        RxMode::Sharded(4),
+    ] {
+        let tel = check_ud_lossy(mode, BurstPath::PerPacket);
+        assert_eq!(tel.get("core.qp.tx_bursts"), Some(0), "{mode:?}");
+    }
+}
+
+/// The burst datapath is byte-identical on the wire to per-packet: the
+/// same delivered payloads in the same CQE order and the same wire-level
+/// telemetry, differing only in the amortization counter, which proves
+/// the knob engaged.
 #[test]
 fn burst_path_is_wire_identical_to_per_packet() {
-    let (pp_out, pp_tel) = run_with(RxMode::Poll, BurstPath::PerPacket);
-    let (b_out, b_tel) = run_with(RxMode::Poll, BurstPath::Burst);
-
-    let delivered: usize = pp_out.iter().map(Vec::len).sum();
-    assert!(delivered > 0, "seeded 10 % loss run delivered nothing");
-    for (qi, baseline) in pp_out.iter().enumerate() {
-        assert_eq!(
-            baseline, &b_out[qi],
-            "qp #{qi}: burst path diverged from per-packet"
-        );
-    }
-
-    for name in WIRE_COUNTERS {
-        assert_eq!(
-            pp_tel.get(name),
-            b_tel.get(name),
-            "wire-level counter {name} diverged across the batching knob"
-        );
-    }
-
-    // Prove the knob actually engaged: the burst run flushed doorbells,
-    // the per-packet run never did. (The lock-amortization claim lives
-    // in the `burst` bench, which gates on the ring counters and on the
-    // retired shared-lock counter staying absent.)
-    assert_eq!(pp_tel.get("core.qp.tx_bursts"), Some(0));
-    assert!(b_tel.get("core.qp.tx_bursts").unwrap_or(0) > 0);
+    let tel = check_ud_lossy(RxMode::Poll, BurstPath::Burst);
+    assert!(tel.get("core.qp.tx_bursts").unwrap_or(0) > 0);
 }
 
-/// The same contract under the full chaos adversary (drop, duplicate,
-/// reorder, corrupt, truncate): a seeded `FaultPlan` must produce
-/// byte-identical fault traces and identical verdicts whether the QPs
-/// run per-packet or burst.
-#[test]
-fn burst_path_preserves_chaos_fault_traces() {
-    let opts_pp = ChaosOpts {
-        send_msgs: 4,
-        write_msgs: 4,
-        read_msgs: 2,
-        dgrams: 16,
-        burst_path: BurstPath::PerPacket,
-        ..ChaosOpts::default()
-    };
-    let opts_b = ChaosOpts {
-        burst_path: BurstPath::Burst,
-        ..opts_pp.clone()
-    };
-    // Two plans from the tier-1 sweep's seed space.
-    for k in [2u64, 3u64] {
-        let seed = derive_seed(0x7E57_C4A0, k);
-        let a = run_plan(seed, &opts_pp);
-        let b = run_plan(seed, &opts_b);
-        assert_eq!(
-            a.fault_trace, b.fault_trace,
-            "seed {seed:#x}: verbs fault traces diverged across the batching knob"
-        );
-        assert_eq!(
-            a.socket_fault_trace, b.socket_fault_trace,
-            "seed {seed:#x}: socket fault traces diverged"
-        );
-        assert_eq!(a.ok(), b.ok(), "seed {seed:#x}: verdicts diverged");
-        assert_eq!(a.verbs, b.verbs, "seed {seed:#x}: verbs summaries diverged");
-        assert_eq!(a.socket, b.socket, "seed {seed:#x}: socket summaries diverged");
-    }
-}
-
-/// Like [`run_with`], but with a full chaos adversary installed on the
-/// fabric and the shard pool as the RX engine. Returns per-QP delivered
-/// payloads plus the fabric's injected-fault trace. Every fault decision
-/// happens at transmit time on the single sender thread against
-/// link-owned RNG state, so both outputs must be byte-stable across
-/// shard counts.
-fn run_chaos_sharded(shards: usize) -> (Vec<Vec<Vec<u8>>>, Vec<FaultEvent>) {
-    let fab = Fabric::new(WireConfig {
-        loss: LossModel::bernoulli(0.05),
-        seed: SEED,
-        ..WireConfig::default()
-    });
-    fab.install_fault_plan(FaultPlan {
-        drop: LossModel::bernoulli(0.05),
-        duplicate: 0.05,
-        reorder: 0.10,
-        corrupt: 0.02,
-        ..FaultPlan::quiet(derive_seed(SEED, 0xC4A0))
-    });
-    let server = Device::with_config(
-        &fab,
-        NodeId(1),
-        DeviceConfig {
-            shard: ShardConfig::with_shards(shards),
-            ..DeviceConfig::default()
-        },
-    );
-    let qp_cfg = QpConfig {
-        poll_mode: false,
-        ..QpConfig::default()
-    };
-    let mut rx = Vec::new();
-    for _ in 0..QPS {
-        let send_cq = Cq::new(8);
-        let recv_cq = Cq::new(MSGS as usize * 2 + 8);
-        let qp = server
-            .create_ud_qp(None, &send_cq, &recv_cq, qp_cfg.clone())
-            .unwrap();
-        assert!(qp.is_sharded());
-        let mr = server.register(2 * MSGS as usize * SLOT, Access::Local);
-        for i in 0..2 * MSGS as usize {
-            qp.post_recv(RecvWr {
-                wr_id: i as u64,
-                mr: mr.clone(),
-                offset: (i * SLOT) as u64,
-                len: SLOT as u32,
-            })
-            .unwrap();
-        }
-        rx.push((qp, recv_cq, mr));
-    }
-    let dests: Vec<_> = rx.iter().map(|(qp, _, _)| qp.dest()).collect();
-    let client = Device::new(&fab, NodeId(0));
-    let c_send = Cq::new(64);
-    let c_recv = Cq::new(8);
-    let cqp = client
-        .create_ud_qp(
-            None,
-            &c_send,
-            &c_recv,
-            QpConfig {
-                poll_mode: true,
-                ..QpConfig::default()
-            },
-        )
-        .unwrap();
-    for seq in 0..MSGS {
-        for (qi, dest) in dests.iter().enumerate() {
-            let mut payload = vec![0u8; 96];
-            payload[0] = qi as u8;
-            payload[1..5].copy_from_slice(&seq.to_le_bytes());
-            cqp.post_send(u64::from(seq), payload, *dest).unwrap();
-            while c_send.poll().is_some() {}
-        }
-    }
-    fab.chaos_flush();
-
-    let mut out: Vec<Vec<Vec<u8>>> = vec![Vec::new(); QPS];
-    let mut quiet_since = Instant::now();
-    while quiet_since.elapsed() < Duration::from_millis(300) {
-        let mut any = false;
-        for (qi, (_, recv_cq, mr)) in rx.iter().enumerate() {
-            while let Some(cqe) = recv_cq.poll() {
-                if cqe.status != CqeStatus::Success {
-                    continue;
-                }
-                let data = mr
-                    .read_vec(cqe.wr_id * SLOT as u64, cqe.byte_len as usize)
-                    .unwrap();
-                out[qi].push(data);
-                any = true;
-            }
-        }
-        if any {
-            quiet_since = Instant::now();
-        } else {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-    let trace = fab.fault_trace();
-    (out, trace)
-}
-
-/// The per-link seeding contract across the scale-out axis: a fixed seed
-/// produces byte-identical delivered payloads *and* chaos fault traces
-/// whether the RX side runs 1 shard or 4. Shard interleaving must never
-/// reach the wire RNGs.
+/// The per-link seeding contract across the scale-out axis: under the
+/// full adversary, 1 shard and 4 shards deliver the same payloads and
+/// draw the same faults. Shard interleaving must never reach the wire
+/// RNGs.
 #[test]
 fn shard_count_does_not_change_bytes_or_faults() {
-    let (base_out, base_trace) = run_chaos_sharded(1);
-    let delivered: usize = base_out.iter().map(Vec::len).sum();
-    assert!(delivered > 0, "chaos run delivered nothing");
-    assert!(
-        !base_trace.is_empty(),
-        "fault plan injected nothing — the adversary is not engaged"
-    );
-    let (out, trace) = run_chaos_sharded(4);
-    assert_eq!(
-        base_out, out,
-        "4-shard: delivered payloads diverged from 1-shard"
-    );
-    assert_eq!(
-        base_trace, trace,
-        "4-shard: fault trace diverged from 1-shard"
-    );
+    for shards in [1, 4] {
+        let fab = chaos_fabric();
+        let out = run_ud(&fab, RxMode::Sharded(shards), BurstPath::PerPacket);
+        let trace = fab.fault_trace();
+        assert!(
+            out.iter().any(|q| !q.is_empty()),
+            "chaos run delivered nothing"
+        );
+        assert!(
+            !trace.is_empty(),
+            "fault plan injected nothing; the adversary is not engaged"
+        );
+        let scenario = "ud-chaos".to_owned();
+        check(
+            &format!("{shards} shard(s)"),
+            &[
+                (scenario.clone(), "payloads", payload_lines(&out)),
+                (scenario, "faults", trace_lines(&trace)),
+            ],
+        );
+    }
 }
 
+// ---------------------------------------------------------------------------
+// bulk-read and replog-failover: burst path × shard count × controller.
+// ---------------------------------------------------------------------------
+
 /// Runs a loss-free streaming bulk read under one (batching, shard count,
-/// congestion controller) combination and returns the delivered bytes
-/// plus the final telemetry snapshot. The responder is sharded (the read
-/// responses are generated on shard threads); the requester drives the
-/// engine from the test thread in poll mode. RTO timers are pinned far
-/// beyond the transfer time so a loss-free run must never repost — any
-/// wire-counter drift across combinations is a real protocol leak, not
-/// timer noise.
-fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> (Vec<u8>, Snapshot) {
+/// congestion controller) combination, asserts it delivered every byte
+/// without a repost, and returns the final telemetry snapshot. The
+/// responder is sharded (the read responses are generated on shard
+/// threads); the requester drives the engine from the test thread in
+/// poll mode. RTO timers are pinned far beyond the transfer time, so any
+/// wire-counter drift is a real protocol leak, not timer noise.
+fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> Snapshot {
     const TOTAL: usize = 12 * 8 * 1024;
     let fab = Fabric::new(WireConfig {
         seed: SEED,
@@ -524,38 +653,64 @@ fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> (Vec<u8>, Sna
     assert!(!report.dead);
     assert_eq!(report.reposts, 0, "loss-free transfer reposted");
     assert_eq!(report.bytes, TOTAL as u64);
-    let got = sink.read_vec(0, TOTAL).unwrap();
-    assert_eq!(got, data, "bulk read delivered wrong bytes");
-    (got, fab.telemetry().snapshot())
+    assert_eq!(
+        sink.read_vec(0, TOTAL).unwrap(),
+        data,
+        "bulk read delivered wrong bytes"
+    );
+    fab.telemetry().snapshot()
 }
 
-/// The read engine's determinism contract: a loss-free bulk read delivers
-/// identical bytes and identical wire-level traffic across the batching
-/// knob, the responder shard count, and every congestion controller.
-/// Congestion control may change *when* batches are requested (window
-/// growth) but never *what* crosses the wire on a clean network.
+/// The read engine's determinism contract: a loss-free bulk read puts the
+/// same traffic on the wire under either batching path, either responder
+/// shard count and every congestion controller. Congestion control may
+/// change *when* batches are requested, never *what* crosses a clean
+/// wire.
 #[test]
 fn bulk_read_is_wire_identical_across_paths_shards_and_cc() {
-    let mut baseline: Option<(Vec<u8>, Snapshot)> = None;
     for burst in [BurstPath::PerPacket, BurstPath::Burst] {
-        for shards in [1usize, 4] {
+        for shards in [1, 4] {
             for algo in CcAlgo::ALL {
-                let (bytes, tel) = run_bulk_read(burst, shards, algo);
-                let Some((base_bytes, base_tel)) = &baseline else {
-                    baseline = Some((bytes, tel));
-                    continue;
-                };
-                assert_eq!(
-                    base_bytes, &bytes,
-                    "{burst:?}/{shards}-shard/{algo:?}: delivered bytes diverged"
+                let tel = run_bulk_read(burst, shards, algo);
+                check(
+                    &format!("{burst:?}/{shards}-shard/{algo:?}"),
+                    &[("bulk-read".to_owned(), "wire", wire_lines(&tel))],
                 );
-                for name in WIRE_COUNTERS {
-                    assert_eq!(
-                        base_tel.get(name),
-                        tel.get(name),
-                        "{burst:?}/{shards}-shard/{algo:?}: wire counter {name} diverged"
-                    );
-                }
+            }
+        }
+    }
+}
+
+/// The replicated-log workload's determinism contract: one seeded lossy
+/// run (drops, duplicates, reorders, a mid-run leader freeze with
+/// fail-over, hole refetches over `BulkRead`) produces the same
+/// event/lease history and fault trace under either doorbell path, either
+/// device shard count and every refetch congestion controller. Shards are
+/// inert for poll-mode QPs, the refetch window fits inside every algo's
+/// initial cwnd, and bursting only groups doorbells.
+#[test]
+fn replog_history_is_identical_across_burst_shards_and_cc() {
+    for burst in [BurstPath::PerPacket, BurstPath::Burst] {
+        for shards in [1, 4] {
+            for algo in CcAlgo::ALL {
+                let config = format!("{burst:?}/{shards}-shard/{algo:?}");
+                let fab = Fabric::new(WireConfig::default());
+                fab.install_fault_plan(FaultPlan::from_seed(derive_seed(SEED, 0x9E09)));
+                let cfg = ReplogConfig {
+                    entries: 10,
+                    freeze: Some((300, 500)),
+                    shards,
+                    burst,
+                    cc: algo,
+                    ..ReplogConfig::default()
+                };
+                let out = Cluster::new(&fab, cfg).run();
+                assert!(out.converged, "{config}: replog run failed to converge");
+                fab.chaos_flush();
+                check(
+                    &config,
+                    &replog_streams("replog-failover", &out.history, &fab.fault_trace()),
+                );
             }
         }
     }
@@ -596,65 +751,4 @@ fn link_a_draws_unchanged_by_link_b_traffic() {
         alone, shared,
         "link B's traffic perturbed link A's loss draw sequence"
     );
-}
-
-/// The replicated-log workload's determinism contract (PR 9): one seeded
-/// lossy run — drops, duplicates, reorders, a mid-run leader freeze with
-/// fail-over, hole refetches over `BulkRead` — must produce an identical
-/// event/lease history and an identical fault trace across the doorbell
-/// path, the device shard count, and every refetch congestion
-/// controller. Shards are inert for poll-mode QPs, the refetch window
-/// fits inside every algo's initial cwnd, and bursting only groups
-/// doorbells; none of the three may leak into protocol behaviour, or
-/// `replog --replay <seed>` stops reproducing failures byte-for-byte.
-#[test]
-fn replog_history_is_identical_across_burst_shards_and_cc() {
-    use datagram_iwarp::apps::replog::{Cluster, History, ReplogConfig};
-
-    let run = |burst: BurstPath, shards: usize, algo: CcAlgo| -> (History, Vec<FaultEvent>) {
-        let fab = Fabric::new(WireConfig::default());
-        fab.install_fault_plan(FaultPlan::from_seed(derive_seed(SEED, 0x9E09)));
-        let cfg = ReplogConfig {
-            entries: 10,
-            freeze: Some((300, 500)),
-            shards,
-            burst,
-            cc: algo,
-            ..ReplogConfig::default()
-        };
-        let mut cluster = Cluster::new(&fab, cfg);
-        let out = cluster.run();
-        assert!(
-            out.converged,
-            "{burst:?}/{shards}-shard/{algo:?}: replog run failed to converge"
-        );
-        fab.chaos_flush();
-        (out.history, fab.fault_trace())
-    };
-
-    let mut baseline: Option<(History, Vec<FaultEvent>)> = None;
-    for burst in [BurstPath::PerPacket, BurstPath::Burst] {
-        for shards in [1usize, 4] {
-            for algo in CcAlgo::ALL {
-                let (history, trace) = run(burst, shards, algo);
-                let Some((base_hist, base_trace)) = &baseline else {
-                    baseline = Some((history, trace));
-                    continue;
-                };
-                assert_eq!(
-                    base_hist.digest(),
-                    history.digest(),
-                    "{burst:?}/{shards}-shard/{algo:?}: history digest diverged"
-                );
-                assert_eq!(
-                    base_hist, &history,
-                    "{burst:?}/{shards}-shard/{algo:?}: event/lease history diverged"
-                );
-                assert_eq!(
-                    base_trace, &trace,
-                    "{burst:?}/{shards}-shard/{algo:?}: fault trace diverged"
-                );
-            }
-        }
-    }
 }
