@@ -47,8 +47,8 @@ use bytes::Bytes;
 use iwarp::read::{BulkRead, BulkReadConfig, CcAlgo, RecoveryConfig, SignalInterval};
 use iwarp::wr::RecvWr;
 use iwarp::{
-    Access, BurstPath, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, MemoryRegion, QpConfig,
-    ShardConfig, UdDest, UdQp,
+    Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, MemoryRegion, QpConfig, ShardConfig,
+    UdDest, UdQp,
 };
 use iwarp_common::crc32::crc32c;
 use iwarp_common::rng::{derive_seed, mix64};
@@ -141,8 +141,6 @@ pub struct ReplogConfig {
     /// Device shard-pool size (inert for these poll-mode QPs — part of
     /// the determinism matrix).
     pub shards: usize,
-    /// Doorbell path for every QP in the cluster (determinism axis).
-    pub burst: BurstPath,
     /// Congestion-control algorithm for hole-refetch transfers
     /// (determinism axis: the refetch window fits inside every algo's
     /// initial cwnd, so the wire schedule must not depend on it).
@@ -168,7 +166,6 @@ impl Default for ReplogConfig {
             freeze: None,
             bug: PlantedBug::None,
             shards: 0,
-            burst: BurstPath::PerPacket,
             cc: CcAlgo::Fixed,
         }
     }
@@ -581,7 +578,6 @@ impl Replica {
         // fire mid-run, so park them far out.
         let qc = QpConfig {
             poll_mode: true,
-            burst_path: cfg.burst,
             recv_ttl: Duration::from_secs(600),
             record_ttl: Duration::from_secs(600),
             read_ttl: Duration::from_secs(600),
@@ -1212,13 +1208,11 @@ impl Replica {
     }
 
     fn tick(&mut self, now: u64, cfg: &ReplogConfig, tel: &Tel, history: &mut History) {
-        // Drain each QP to quiescence: one `progress_burst` call ingests
-        // the whole backlog on the burst doorbell path but a single
-        // datagram on the per-packet path, and history tick-stamps must
-        // not depend on that knob (the determinism matrix checks this).
+        // Drain each QP to quiescence, one datagram per `progress` call,
+        // so every tick's protocol step sees the whole delivered backlog.
         for qp in [&self.ctl, &self.publ, &self.rec] {
             while qp.rx_backlog() > 0 {
-                qp.progress_burst(512, Duration::ZERO);
+                qp.progress(Duration::ZERO);
             }
         }
         // Drain and discard send completions (datagram sends complete at

@@ -14,7 +14,6 @@
 
 use std::process::ExitCode;
 
-use iwarp::BurstPath;
 use iwarp_chaos::{run_plan, ChaosOpts};
 use iwarp_common::rng::derive_seed;
 use simnet::CcAlgo;
@@ -26,7 +25,6 @@ struct Args {
     msgs: Option<usize>,
     dgrams: Option<usize>,
     verbose: bool,
-    burst_path: BurstPath,
     cc: CcAlgo,
 }
 
@@ -38,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
         msgs: None,
         dgrams: None,
         verbose: false,
-        burst_path: BurstPath::default(),
         cc: CcAlgo::Fixed,
     };
     let mut it = std::env::args().skip(1);
@@ -56,11 +53,6 @@ fn parse_args() -> Result<Args, String> {
                 args.dgrams = Some(grab("--dgrams")?.parse().map_err(|e| format!("--dgrams: {e}"))?);
             }
             "--verbose" | "-v" => args.verbose = true,
-            "--burst-path" => {
-                let spec = grab("--burst-path")?;
-                args.burst_path = BurstPath::parse(&spec)
-                    .ok_or(format!("--burst-path takes 'per-packet' or 'burst', got {spec:?}"))?;
-            }
             "--cc" => {
                 let spec = grab("--cc")?;
                 args.cc = CcAlgo::parse(&spec)
@@ -69,8 +61,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: chaos [--plans N] [--seed MASTER] [--msgs N] [--dgrams N] \
-                     [--verbose] [--burst-path {{per-packet,burst}}] \
-                     [--cc {{fixed,newreno}}] | --replay SEED"
+                     [--verbose] [--cc {{fixed,newreno}}] | --replay SEED"
                 );
                 std::process::exit(0);
             }
@@ -91,7 +82,6 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 fn opts_from(args: &Args, forensic: bool) -> ChaosOpts {
     let mut o = ChaosOpts {
         forensic,
-        burst_path: args.burst_path,
         cc: args.cc,
         ..ChaosOpts::default()
     };

@@ -19,7 +19,7 @@ use bytes::Bytes;
 use iwarp::hdr::{encode_untagged, RdmapOpcode, UntaggedHdr};
 use iwarp::mpa::{MpaConfig, MpaRx, MpaTx};
 use iwarp::wr::RecvWr;
-use iwarp::{Access, BurstPath, Cq, Device, QpConfig};
+use iwarp::{Access, Cq, Device, QpConfig};
 use iwarp_bench::verbs::{absorb_snapshot, bandwidth_with_config, default_burst, drain_snapshot};
 use iwarp_bench::{bandwidth, latency, FabricKind, Method};
 use iwarp_common::memacct::MemRegistry;
@@ -40,16 +40,6 @@ struct Args {
     fabric: FabricKind,
     calls: Vec<usize>,
     telemetry: bool,
-    /// `--burst-path {per-packet,burst}`: the batching discipline of the
-    /// socket stacks' QPs (the only figure QPs that post or drain batches).
-    burst_path: BurstPath,
-}
-
-fn parse_burst_path(spec: &str) -> BurstPath {
-    BurstPath::parse(spec).unwrap_or_else(|| {
-        eprintln!("--burst-path takes 'per-packet' or 'burst', got {spec:?}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_args() -> Args {
@@ -59,7 +49,6 @@ fn parse_args() -> Args {
     let mut fabric = FabricKind::TenGbe;
     let mut calls = vec![100, 1000, 10_000];
     let mut telemetry = false;
-    let mut burst_path = BurstPath::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -82,19 +71,12 @@ fn parse_args() -> Args {
                     .map(|s| s.parse().expect("--calls takes e.g. 100,1000"))
                     .collect();
             }
-            "--burst-path" => {
-                i += 1;
-                burst_path = parse_burst_path(&argv[i]);
-            }
-            p if p.starts_with("--burst-path=") => {
-                burst_path = parse_burst_path(p.trim_start_matches("--burst-path="));
-            }
             f if f.starts_with("--fig") || f == "--overhead" || f == "--ext" => {
                 figs.push(f.trim_start_matches("--").to_owned());
             }
             other => {
                 eprintln!("unknown argument {other}");
-                eprintln!("usage: figures [--all] [--fig5..--fig11] [--overhead] [--ext] [--quick] [--fast-fabric] [--telemetry] [--burst-path {{per-packet,burst}}] [--calls a,b,c] [--out DIR]");
+                eprintln!("usage: figures [--all] [--fig5..--fig11] [--overhead] [--ext] [--quick] [--fast-fabric] [--telemetry] [--calls a,b,c] [--out DIR]");
                 std::process::exit(2);
             }
         }
@@ -113,7 +95,6 @@ fn parse_args() -> Args {
         fabric,
         calls,
         telemetry,
-        burst_path,
     }
 }
 
@@ -382,15 +363,11 @@ fn fig8(args: &Args) {
 
 // ---------------------------------------------------------------- Fig. 9
 
-fn media_sock_cfg(args: &Args, mode: DgramMode) -> SocketConfig {
+fn media_sock_cfg(mode: DgramMode) -> SocketConfig {
     SocketConfig {
         mode,
         recv_slots: 256,
         slot_size: 2048,
-        qp: QpConfig {
-            burst_path: args.burst_path,
-            ..QpConfig::default()
-        },
         ..SocketConfig::default()
     }
 }
@@ -422,13 +399,13 @@ fn fig9(args: &Args) {
                         &fab,
                         NodeId(0),
                         Default::default(),
-                        media_sock_cfg(args, mode),
+                        media_sock_cfg(mode),
                     );
                     let sb = SocketStack::with_config(
                         &fab,
                         NodeId(1),
                         Default::default(),
-                        media_sock_cfg(args, mode),
+                        media_sock_cfg(mode),
                     );
                     let m = run_udp_session(&sa, &sb, &cfg).expect("udp session");
                     absorb_snapshot(fab.telemetry().snapshot());
@@ -447,13 +424,13 @@ fn fig9(args: &Args) {
                     &fab,
                     NodeId(0),
                     Default::default(),
-                    media_sock_cfg(args, DgramMode::SendRecv),
+                    media_sock_cfg(DgramMode::SendRecv),
                 );
                 let sb = SocketStack::with_config(
                     &fab,
                     NodeId(1),
                     Default::default(),
-                    media_sock_cfg(args, DgramMode::SendRecv),
+                    media_sock_cfg(DgramMode::SendRecv),
                 );
                 let m = run_http_session(&sa, &sb, 8080, &cfg).expect("http session");
                 absorb_snapshot(fab.telemetry().snapshot());
@@ -486,7 +463,6 @@ fn fig9(args: &Args) {
 // --------------------------------------------------------------- Fig. 10
 
 fn sip_stacks(
-    args: &Args,
     fab: &Fabric,
     reg: Option<MemRegistry>,
 ) -> (SocketStack, SocketStack) {
@@ -495,7 +471,6 @@ fn sip_stacks(
         slot_size: 2048,
         qp: QpConfig {
             poll_mode: true,
-            burst_path: args.burst_path,
             ..QpConfig::default()
         },
         ..SocketConfig::default()
@@ -534,7 +509,7 @@ fn fig10(args: &Args) {
     let mut results = Vec::new();
     for (transport, port) in [(SipTransport::Ud, 5060u16), (SipTransport::Rc, 5061)] {
         let fab = Fabric::new(args.fabric.config());
-        let (server_stack, client_stack) = sip_stacks(args, &fab, None);
+        let (server_stack, client_stack) = sip_stacks(&fab, None);
         let server = SipServer::spawn(
             server_stack,
             SipServerConfig {
@@ -606,7 +581,7 @@ fn fig11(args: &Args) {
         let measure = |transport: SipTransport, port: u16| -> u64 {
             let fab = Fabric::loopback();
             let reg = MemRegistry::new();
-            let (server_stack, client_stack) = sip_stacks(args, &fab, Some(reg.clone()));
+            let (server_stack, client_stack) = sip_stacks(&fab, Some(reg.clone()));
             let server = SipServer::spawn(
                 server_stack,
                 SipServerConfig {
@@ -677,13 +652,13 @@ fn overhead(args: &Args) {
             &fab,
             NodeId(0),
             Default::default(),
-            media_sock_cfg(args, DgramMode::SendRecv),
+            media_sock_cfg(DgramMode::SendRecv),
         );
         let sb = SocketStack::with_config(
             &fab,
             NodeId(1),
             Default::default(),
-            media_sock_cfg(args, DgramMode::SendRecv),
+            media_sock_cfg(DgramMode::SendRecv),
         );
         shim.push(
             run_udp_session(&sa, &sb, &cfg)

@@ -1,11 +1,11 @@
 //! Every `--bin X`, `--bench X`, `--example X` and `--test X` that the
 //! docs, the CI scripts and the verify notes tell a reader to run must
-//! name a target that exists, and every value they write after `--cc` or
-//! `--burst-path` must be one the bins accept.
+//! name a target that exists, every flag they pass to an oracle bin must
+//! be one that bin parses, and every value they write after `--cc` must
+//! be one the bins accept.
 
 use std::path::Path;
 
-use iwarp::BurstPath;
 use simnet::CcAlgo;
 
 const DOCS: [&str; 7] = [
@@ -128,18 +128,13 @@ fn spelled_values(value: &str) -> Vec<String> {
 }
 
 #[test]
-fn every_cc_and_burst_path_value_the_docs_name_parses() {
+fn every_cc_value_the_docs_name_parses() {
     let mut seen = 0;
     let mut bad = Vec::new();
-    for_each_flag(&["--cc", "--burst-path"], |doc, flag, value| {
-        let parses: fn(&str) -> bool = if flag == "--cc" {
-            |v| CcAlgo::parse(v).is_some()
-        } else {
-            |v| BurstPath::parse(v).is_some()
-        };
+    for_each_flag(&["--cc"], |doc, flag, value| {
         for v in spelled_values(value) {
             seen += 1;
-            if !parses(&v) {
+            if CcAlgo::parse(&v).is_none() {
                 bad.push(format!("{doc}: {flag} {v}"));
             }
         }
@@ -151,6 +146,99 @@ fn every_cc_and_burst_path_value_the_docs_name_parses() {
     assert!(
         bad.is_empty(),
         "values the bins reject:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// The bins whose flags the docs are held to, as `(name, source)`.
+fn oracle_bins() -> Vec<(&'static str, String)> {
+    ["chaos", "replog", "scale", "figures"]
+        .into_iter()
+        .map(|bin| {
+            let path = root().join(format!("crates/bench/src/bin/{bin}.rs"));
+            let src = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (bin, src)
+        })
+        .collect()
+}
+
+/// Whether `src` parses `flag`: it holds the flag as a whole string
+/// literal, or matches a literal prefix of it (`--fig6` via
+/// `starts_with("--fig")`).
+fn bin_parses(src: &str, flag: &str) -> bool {
+    src.contains(&format!("\"{flag}\""))
+        || (2..flag.len()).any(|n| src.contains(&format!("starts_with(\"{}\")", &flag[..n])))
+}
+
+/// `doc: --bin X -- --flag` for every flag that `text` passes after the
+/// `--` separator of a `--bin X` command line and bin X does not parse.
+/// Backslash continuations are joined; `cargo` starts a new command.
+fn unparsed_flags(doc: &str, text: &str, bins: &[(&str, String)]) -> (usize, Vec<String>) {
+    let mut seen = 0;
+    let mut bad = Vec::new();
+    for line in text.replace("\\\n", " ").lines() {
+        let mut bin: Option<&(&str, String)> = None;
+        let mut after_sep = false;
+        let mut words = line.split_whitespace();
+        while let Some(word) = words.next() {
+            let word = word.trim_start_matches(['`', '(', '[', '"', '\'']);
+            match word {
+                "cargo" => (bin, after_sep) = (None, false),
+                "--bin" => {
+                    let target = name(words.next().unwrap_or(""));
+                    bin = bins.iter().find(|(b, _)| *b == target);
+                    after_sep = false;
+                }
+                "--" => after_sep = bin.is_some(),
+                _ => {
+                    let (Some((b, src)), true) = (bin, after_sep) else {
+                        continue;
+                    };
+                    let Some(rest) = word.strip_prefix("--") else {
+                        continue;
+                    };
+                    let flag = format!("--{}", name(rest));
+                    if flag.len() == 2 {
+                        continue;
+                    }
+                    seen += 1;
+                    if !bin_parses(src, &flag) {
+                        bad.push(format!("{doc}: --bin {b} -- {flag}"));
+                    }
+                }
+            }
+        }
+    }
+    (seen, bad)
+}
+
+#[test]
+fn every_flag_the_docs_pass_an_oracle_bin_is_parsed() {
+    let bins = oracle_bins();
+    let planted = "cargo run --bin chaos -- --plans 5 --no-such-flag x";
+    assert_eq!(
+        unparsed_flags("planted", planted, &bins).1,
+        ["planted: --bin chaos -- --no-such-flag"],
+        "the scan misses a flag the bin does not parse"
+    );
+
+    let mut seen = 0;
+    let mut bad = Vec::new();
+    for doc in DOCS {
+        let text =
+            std::fs::read_to_string(root().join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let (n, b) = unparsed_flags(doc, &text, &bins);
+        seen += n;
+        bad.extend(b);
+    }
+    assert!(
+        seen > 20,
+        "the scan found only {seen} flags; did the docs move?"
+    );
+    assert!(
+        bad.is_empty(),
+        "flags the docs pass that the bins do not parse:\n{}",
         bad.join("\n")
     );
 }

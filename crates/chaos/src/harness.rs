@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use iwarp::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use iwarp::wr::RecvWr;
-use iwarp::{Access, BurstPath, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, UdQp};
+use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, UdQp};
 use iwarp_common::rng::{derive_seed, mix64};
 use iwarp_socket::{SocketConfig, SocketStack};
 use simnet::rdgram::RdConfig;
@@ -67,10 +67,6 @@ pub struct ChaosOpts {
     pub bulk_batches: u64,
     /// Collect a telemetry forensic dump (trace + snapshot) for failures.
     pub forensic: bool,
-    /// Which batching discipline the QPs under test use. The fault
-    /// adversary is oblivious to it, so a plan's fault trace and verdict
-    /// must be byte-identical either way (see `tests/determinism.rs`).
-    pub burst_path: BurstPath,
     /// Congestion-control algorithm the reliable phase's stream and
     /// rdgram conduits run under. The verbs and socket phases never touch
     /// the reliable transports, so their fault traces are byte-identical
@@ -87,7 +83,6 @@ impl Default for ChaosOpts {
             dgrams: 30,
             bulk_batches: 24,
             forensic: false,
-            burst_path: BurstPath::PerPacket,
             cc: CcAlgo::Fixed,
         }
     }
@@ -275,10 +270,8 @@ fn drive_until_quiet(
     let start = Instant::now();
     let mut last_event = Instant::now();
     loop {
-        // Identical to `progress()` for PerPacket QPs; Burst QPs take the
-        // batched ingest + staged-completion path under the adversary.
-        qb.progress_burst(32, Duration::from_millis(1));
-        qa.progress_burst(32, Duration::from_millis(1));
+        qb.progress(Duration::from_millis(1));
+        qa.progress(Duration::from_millis(1));
         let mut any = false;
         while let Some(c) = cqs.b_recv.poll() {
             sink_recv_cqes.push(c);
@@ -323,7 +316,6 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         recv_ttl: Duration::from_millis(60),
         record_ttl: Duration::from_millis(60),
         read_ttl: Duration::from_millis(60),
-        burst_path: opts.burst_path,
         ..QpConfig::default()
     };
     let a = Device::new(&fab, NodeId(0));
@@ -592,7 +584,6 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
             qp: QpConfig {
                 poll_mode: true,
                 recv_ttl: Duration::from_millis(60),
-                burst_path: opts.burst_path,
                 ..QpConfig::default()
             },
             ..SocketConfig::default()
@@ -657,7 +648,6 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
             // Loss recovery is the engine's job; the TTL is a backstop
             // that must not race the repost schedule.
             read_ttl: Duration::from_secs(30),
-            burst_path: opts.burst_path,
             ..QpConfig::default()
         };
         let ba = Device::new(&bfab, NodeId(0));
@@ -713,8 +703,8 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         // byte-for-byte per seed.
         let mut finished = false;
         for iter in 0..40_000u64 {
-            bqb.progress_burst(1024, Duration::ZERO);
-            bqa.progress_burst(1024, Duration::ZERO);
+            bqb.progress(Duration::ZERO);
+            bqa.progress(Duration::ZERO);
             match xfer.step(&bqa, Duration::from_millis(iter)) {
                 Ok(true) => {
                     finished = true;
@@ -790,7 +780,6 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         let solo_cfg = QpConfig {
             poll_mode: true,
             read_ttl: Duration::from_millis(150),
-            burst_path: opts.burst_path,
             ..QpConfig::default()
         };
         let solo_recv = Cq::new(8);
@@ -842,8 +831,8 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         while solo_cqes.len() + solo_retired.len() < posted_reads.len()
             && Instant::now() < deadline
         {
-            sqb.progress_burst(64, Duration::from_millis(1));
-            sqa.progress_burst(64, Duration::from_millis(1));
+            sqb.progress(Duration::from_millis(1));
+            sqa.progress(Duration::from_millis(1));
             while let Some(c) = solo_recv.poll() {
                 solo_cqes.push(c);
             }
@@ -852,8 +841,8 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         // Settle: a buggy double terminal would arrive late.
         let settle = Instant::now() + Duration::from_millis(120);
         while Instant::now() < settle {
-            sqb.progress_burst(64, Duration::from_millis(1));
-            sqa.progress_burst(64, Duration::from_millis(1));
+            sqb.progress(Duration::from_millis(1));
+            sqa.progress(Duration::from_millis(1));
             while let Some(c) = solo_recv.poll() {
                 solo_cqes.push(c);
             }
@@ -910,10 +899,10 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         // conservation over the whole phase.
         bfab.chaos_flush();
         for _ in 0..50 {
-            bqb.progress_burst(1024, Duration::ZERO);
-            bqa.progress_burst(1024, Duration::ZERO);
-            sqb.progress_burst(64, Duration::ZERO);
-            sqa.progress_burst(64, Duration::ZERO);
+            bqb.progress(Duration::ZERO);
+            bqa.progress(Duration::ZERO);
+            sqb.progress(Duration::ZERO);
+            sqa.progress(Duration::ZERO);
         }
         violations.extend(check_conservation(&bfab));
         (summary, bfab.fault_trace())

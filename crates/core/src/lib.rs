@@ -58,7 +58,7 @@ pub use cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 pub use device::{Device, DeviceConfig};
 pub use shard::{ShardConfig, ShardMap};
 pub use error::{IwarpError, IwarpResult};
-pub use qp::{BurstPath, QpConfig, RcListener, RcQp, RdQp, UdQp};
+pub use qp::{QpConfig, RcListener, RcQp, RdQp, UdQp};
 pub use read::{BulkRead, BulkReadConfig, BulkReadReport, SignalInterval};
 pub use signal::place_signals;
 pub use wr::{SendWr, UdDest};

@@ -38,7 +38,7 @@ use crate::hdr::{
     UntaggedHdr, UntaggedSegBatch, CRC_LEN, TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
 };
 use crate::qp::rx::{RxAction, RxCore, QN_READ_REQUEST, QN_SEND};
-use crate::qp::{BurstPath, QpConfig};
+use crate::qp::QpConfig;
 use crate::wr::{RecvWr, SendPayload, SendWr, UdDest};
 
 pub use crate::qp::rx::QpStats;
@@ -100,26 +100,6 @@ impl DgLlp {
         }
     }
 
-    /// Non-blocking batch receive: up to `max` complete datagrams. UD
-    /// pulls wire packets in receive-queue batches
-    /// ([`DgramConduit::try_recv_burst`]); RD has no batch primitive and
-    /// loops its single-datagram receive.
-    fn try_recv_sg_burst(&self, max: usize) -> Vec<(Addr, SgBytes)> {
-        match self {
-            DgLlp::Ud(c) => c.try_recv_burst(max),
-            DgLlp::Rd(c) => {
-                let mut out = Vec::new();
-                while out.len() < max {
-                    match c.recv_from(Some(Duration::ZERO)) {
-                        Ok((src, b)) => out.push((src, SgBytes::from(b))),
-                        Err(_) => break,
-                    }
-                }
-                out
-            }
-        }
-    }
-
     /// Installs an arrival notifier on the conduit's wire endpoint.
     /// Returns `false` when the LLP has no notify hook (RD's windowed
     /// protocol needs its own engine thread); such QPs cannot be driven
@@ -165,10 +145,10 @@ impl DgLlp {
 pub(crate) struct QpTxTel {
     pub(crate) tx_msgs: Counter,
     pub(crate) tx_segments: Counter,
-    /// Destination-flush rounds issued by the burst datapath
-    /// ([`DatagramQp::post_send_batch`] under `BurstPath::Burst`): one
-    /// per (batch, destination) pair, so `tx_msgs / tx_bursts` is the
-    /// achieved send-side batching factor.
+    /// Destination-flush rounds issued by a multi-WR UD doorbell
+    /// ([`DatagramQp::post_send_batch`]): one per (batch, destination)
+    /// pair, so `tx_msgs / tx_bursts` is the achieved send-side batching
+    /// factor.
     pub(crate) tx_bursts: Counter,
     pub(crate) msg_size_tx: Histogram,
     /// Eliminable datapath copies (shared `pool.bytes_copied` name):
@@ -198,9 +178,6 @@ pub(crate) struct DgInner {
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
     max_msg_size: usize,
-    /// Batching discipline (from [`QpConfig::burst_path`]): gates the
-    /// batch verbs' fabric bursts and the RX engines' batch ingest.
-    burst_path: BurstPath,
     /// Header-buffer pool shared with the fabric (SG encoders draw the
     /// pooled `hdr ++ crc` allocations from here).
     pool: BufPool,
@@ -245,7 +222,6 @@ impl DatagramQp {
         shards: Option<&Arc<crate::shard::ShardMap>>,
     ) -> Self {
         let max_msg_size = cfg.max_msg_size;
-        let burst_path = cfg.burst_path;
         let reliable = llp.is_reliable();
         send_cq.attach_telemetry(tel);
         recv_cq.attach_telemetry(tel);
@@ -260,7 +236,6 @@ impl DatagramQp {
             next_msg_id: AtomicU64::new(1),
             next_msn: AtomicU32::new(1),
             max_msg_size,
-            burst_path,
             pool,
             shutdown: AtomicBool::new(false),
             _mem: mem,
@@ -306,32 +281,18 @@ impl DatagramQp {
         rx_step(&self.inner, max_wait);
     }
 
-    /// Poll-mode **burst** driver: like [`Self::progress`] but ingests up
-    /// to `budget` already-delivered datagrams per call, pulling wire
-    /// packets from the endpoint in receive-queue batches. Waits up to
-    /// `max_wait` only when nothing is queued. Falls back to a single
-    /// [`Self::progress`] step under [`BurstPath::PerPacket`] or on RD.
-    pub fn progress_burst(&self, budget: usize, max_wait: Duration) {
-        let inner = &self.inner;
-        if inner.burst_path == BurstPath::Burst {
-            if let DgLlp::Ud(c) = &inner.llp {
-                inner.rx.begin_completion_batch();
-                for (src, dgram) in c.recv_burst_from(budget, Some(max_wait)) {
-                    rx_dispatch(inner, src, &dgram);
-                }
-                inner.rx.expire();
-                inner.rx.flush_completion_batch();
-                return;
-            }
-        }
-        rx_step(inner, max_wait);
+    /// Exactly [`Self::progress`]; `_budget` is ignored. Receives are
+    /// per-datagram only (DESIGN.md §7), and this spelling is kept
+    /// because the benchmark suite, which pins its own call sites, still
+    /// calls it.
+    pub fn progress_burst(&self, _budget: usize, max_wait: Duration) {
+        self.progress(max_wait);
     }
 
     /// Wire packets already delivered to this QP but not yet ingested.
     /// A [`Self::progress`] call consumes at least one whenever this is
-    /// non-zero, so poll-mode drivers can loop `progress_burst` until
-    /// the backlog reads zero to drain a tick to quiescence — the same
-    /// end state whichever [`QpConfig::burst_path`] is in force.
+    /// non-zero, so poll-mode drivers can loop `progress` until the
+    /// backlog reads zero to drain a tick to quiescence.
     #[must_use]
     pub fn rx_backlog(&self) -> usize {
         self.inner.llp.rx_backlog()
@@ -450,13 +411,12 @@ impl DatagramQp {
 
     /// Posts a batch of untagged sends — the multi-WR doorbell.
     ///
-    /// Under [`BurstPath::PerPacket`] this is exactly a loop over
-    /// [`Self::post_send`]. Under [`BurstPath::Burst`] (UD conduit) every
-    /// WR is segmented first, the segments are flushed as **one fabric
-    /// burst per destination**
+    /// On a UD QP with more than one WR, every WR is segmented first, the
+    /// segments are flushed as **one fabric burst per destination**
     /// ([`DgramConduit::send_sg_burst`]), and all completions are pushed
-    /// with one CQ lock/notify round ([`Cq::push_batch`]). Wire bytes,
-    /// CQE contents and CQE order are identical either way.
+    /// with one CQ lock/notify round ([`Cq::push_batch`]). RD QPs and
+    /// single-WR doorbells loop over [`Self::post_send`]. Wire bytes, CQE
+    /// contents and CQE order are identical to that loop either way.
     ///
     /// Error contract: a WR that fails validation (oversized payload,
     /// revoked region) stops the batch — earlier WRs are still flushed
@@ -471,11 +431,10 @@ impl DatagramQp {
     /// a full CQ. Effective-unsignaled WRs produce no success CQE
     /// (retired under `core.cq.unsignaled_retired`); flush errors
     /// complete with a CQE regardless. The all-signaled default leaves
-    /// the CQE stream bit-for-bit identical to the legacy behavior, on
-    /// both datapaths.
+    /// the CQE stream bit-for-bit identical to one `post_send` per WR.
     pub fn post_send_batch(&self, wrs: &[SendWr]) -> IwarpResult<()> {
         // Effective signal flags are decided once, at doorbell time, from
-        // the same occupancy snapshot on both datapaths.
+        // the same occupancy snapshot on both arms below.
         let flags: Vec<bool> = {
             let app: Vec<bool> = wrs.iter().map(|w| w.signaled).collect();
             crate::signal::place_signals(
@@ -484,22 +443,20 @@ impl DatagramQp {
                 self.inner.send_cq.len(),
             )
         };
-        let burst =
-            self.inner.burst_path == BurstPath::Burst && matches!(self.inner.llp, DgLlp::Ud(_));
-        if !burst || wrs.len() <= 1 {
-            for (wr, signaled) in wrs.iter().zip(&flags) {
-                self.post_send_inner(
-                    wr.wr_id,
-                    wr.payload.clone(),
-                    wr.dest,
-                    wr.solicited,
-                    *signaled,
-                )?;
+        let conduit = match &self.inner.llp {
+            DgLlp::Ud(c) if wrs.len() > 1 => c,
+            _ => {
+                for (wr, signaled) in wrs.iter().zip(&flags) {
+                    self.post_send_inner(
+                        wr.wr_id,
+                        wr.payload.clone(),
+                        wr.dest,
+                        wr.solicited,
+                        *signaled,
+                    )?;
+                }
+                return Ok(());
             }
-            return Ok(());
-        }
-        let DgLlp::Ud(conduit) = &self.inner.llp else {
-            unreachable!("burst gate requires the UD conduit")
         };
         // Validate and materialize every payload first: the segment count
         // must be known up front so all DDP headers and CRC trailers of
@@ -1068,7 +1025,7 @@ fn rx_step(inner: &DgInner, max_wait: Duration) -> bool {
 }
 
 /// Decodes and places one received datagram — the per-message half of
-/// [`rx_step`], shared with the shard engines' batch drain.
+/// [`rx_step`], shared with the shard engines' drain.
 fn rx_dispatch(inner: &DgInner, src: Addr, dgram: &SgBytes) {
     let with_crc = true; // mandatory on the datagram path (paper §IV.B.6)
     match decode_sg(dgram, with_crc) {
@@ -1094,19 +1051,6 @@ fn rx_dispatch(inner: &DgInner, src: Addr, dgram: &SgBytes) {
 /// may be pending and the caller should re-queue this QP (fairness:
 /// a flooding QP must not starve its shard siblings).
 pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> bool {
-    if inner.burst_path == BurstPath::Burst {
-        // Burst ingest: one receive-queue lock round pulls the whole
-        // batch, then each datagram runs the identical dispatch path.
-        let dgrams = inner.llp.try_recv_sg_burst(budget);
-        let exhausted = dgrams.len() == budget;
-        inner.rx.begin_completion_batch();
-        for (src, dgram) in &dgrams {
-            rx_dispatch(inner, *src, dgram);
-        }
-        inner.rx.expire();
-        inner.rx.flush_completion_batch();
-        return exhausted;
-    }
     for _ in 0..budget {
         match inner.llp.try_recv_sg() {
             Ok((src, dgram)) => rx_dispatch(inner, src, &dgram),

@@ -9,7 +9,7 @@
 //! work (read responses) as [`RxAction`]s for the owning engine to send.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -211,12 +211,6 @@ pub(crate) struct RxCore {
     /// rather than a high-water mark.
     retired_reads: Mutex<Vec<u64>>,
     next_sweep: Mutex<Instant>,
-    /// When set, completions are staged in `staged` instead of pushed
-    /// individually; the burst drains flush them with one
-    /// [`Cq::push_batch`] round per ingest batch. Toggled only by the
-    /// single engine driving this QP.
-    staging: AtomicBool,
-    staged: Mutex<Vec<Cqe>>,
 }
 
 impl RxCore {
@@ -238,8 +232,6 @@ impl RxCore {
             cold: Mutex::new(None),
             retired_reads: Mutex::new(Vec::new()),
             next_sweep: Mutex::new(Instant::now() + Duration::from_millis(50)),
-            staging: AtomicBool::new(false),
-            staged: Mutex::new(Vec::new()),
         }
     }
 
@@ -247,35 +239,6 @@ impl RxCore {
     /// idle or fast-path-only QP must report `false`).
     pub fn cold_state_allocated(&self) -> bool {
         self.cold.lock().is_some()
-    }
-
-    /// Emits one receive-side completion: staged while a completion batch
-    /// is open (burst ingest), pushed directly otherwise. Every CQE the
-    /// core generates funnels through here so batching cannot reorder
-    /// completions — the staging buffer preserves generation order.
-    fn complete(&self, cqe: Cqe) {
-        if self.staging.load(Ordering::Relaxed) {
-            self.staged.lock().push(cqe);
-        } else {
-            self.recv_cq.push(cqe);
-        }
-    }
-
-    /// Opens a completion batch: subsequent [`Self::complete`] calls are
-    /// staged until [`Self::flush_completion_batch`]. Only the engine
-    /// driving this QP may call this (one drain at a time).
-    pub(crate) fn begin_completion_batch(&self) {
-        self.staging.store(true, Ordering::Relaxed);
-    }
-
-    /// Closes the completion batch and pushes everything staged with one
-    /// CQ lock/notify round.
-    pub(crate) fn flush_completion_batch(&self) {
-        self.staging.store(false, Ordering::Relaxed);
-        let staged = std::mem::take(&mut *self.staged.lock());
-        if !staged.is_empty() {
-            self.recv_cq.push_batch(staged);
-        }
     }
 
     /// Mirrors a CRC-discard observed by the owning engine (which decodes
@@ -503,7 +466,7 @@ impl RxCore {
                 return;
             };
             if hdr.total_len > wr.len {
-                self.complete(Cqe {
+                self.recv_cq.push(Cqe {
                     wr_id: wr.wr_id,
                     opcode: CqeOpcode::Recv,
                     status: CqeStatus::RecvTooSmall,
@@ -530,7 +493,7 @@ impl RxCore {
             self.tel.msg_bytes.record(u64::from(hdr.total_len));
             self.tel
                 .trace(EventKind::Cqe, u64::from(hdr.total_len), hdr.msg_id);
-            self.complete(Cqe {
+            self.recv_cq.push(Cqe {
                 wr_id: wr.wr_id,
                 opcode: CqeOpcode::Recv,
                 status: CqeStatus::Success,
@@ -561,7 +524,7 @@ impl RxCore {
                 if discard {
                     // Buffer too small: complete with an error and mark the
                     // message so its other segments don't eat more WRs.
-                    self.complete(Cqe {
+                    self.recv_cq.push(Cqe {
                         wr_id: wr.wr_id,
                         opcode: CqeOpcode::Recv,
                         status: CqeStatus::RecvTooSmall,
@@ -613,7 +576,7 @@ impl RxCore {
             self.tel.msg_bytes.record(u64::from(done.total));
             self.tel
                 .trace(EventKind::Cqe, u64::from(done.total), hdr.msg_id);
-            self.complete(Cqe {
+            self.recv_cq.push(Cqe {
                 wr_id: done.wr.wr_id,
                 opcode: CqeOpcode::Recv,
                 status: CqeStatus::Success,
@@ -727,7 +690,7 @@ impl RxCore {
                             self.tel.msg_bytes.record(info.valid_bytes());
                             self.tel
                                 .trace(EventKind::Cqe, info.valid_bytes(), hdr.msg_id);
-                            self.complete(Cqe {
+                            self.recv_cq.push(Cqe {
                                 wr_id: wr.wr_id,
                                 opcode: CqeOpcode::Recv,
                                 status,
@@ -748,7 +711,7 @@ impl RxCore {
                         self.tel.msg_bytes.record(info.valid_bytes());
                         self.tel
                             .trace(EventKind::Cqe, info.valid_bytes(), hdr.msg_id);
-                        self.complete(Cqe {
+                        self.recv_cq.push(Cqe {
                             // No WR was consumed: Write-Record is truly
                             // one-sided (paper §IV.B.3).
                             wr_id: 0,
@@ -818,7 +781,7 @@ impl RxCore {
             if done.signaled {
                 self.tel
                     .trace(EventKind::Cqe, u64::from(done.len), hdr.msg_id);
-                self.complete(Cqe {
+                self.recv_cq.push(Cqe {
                     wr_id: done.wr_id,
                     opcode: CqeOpcode::RdmaRead,
                     status: CqeStatus::Success,
@@ -882,7 +845,7 @@ impl RxCore {
                 self.stats.expired_recvs.fetch_add(1, Ordering::Relaxed);
                 self.tel.recovery_expired.inc();
                 if !p.discard {
-                    self.complete(Cqe {
+                    self.recv_cq.push(Cqe {
                         wr_id: p.wr.wr_id,
                         opcode: CqeOpcode::Recv,
                         status: CqeStatus::Expired,
@@ -909,7 +872,7 @@ impl RxCore {
             for key in expired {
                 let p = reads.remove(&key).expect("present");
                 self.tel.read_expired.inc();
-                self.complete(Cqe {
+                self.recv_cq.push(Cqe {
                     wr_id: p.wr_id,
                     opcode: CqeOpcode::RdmaRead,
                     status: CqeStatus::Expired,
@@ -934,7 +897,7 @@ impl RxCore {
     pub fn flush(&self) {
         let mut rq = self.rq.lock();
         while let Some(wr) = rq.pop_front() {
-            self.complete(Cqe {
+            self.recv_cq.push(Cqe {
                 wr_id: wr.wr_id,
                 opcode: CqeOpcode::Recv,
                 status: CqeStatus::Flushed,

@@ -463,12 +463,9 @@ impl BulkRead {
         timeout: Duration,
     ) -> IwarpResult<BulkReadReport> {
         let start = Instant::now();
-        // Budget sized for large batches: a multi-MiB read response is
-        // thousands of MTU fragments, and an iteration-bound loop (not
-        // the wire) would become the bottleneck.
         loop {
-            responder.progress_burst(4096, Duration::ZERO);
-            requester.progress_burst(4096, Duration::from_micros(20));
+            responder.progress(Duration::ZERO);
+            requester.progress(Duration::from_micros(20));
             if self.step(requester, start.elapsed())? {
                 return Ok(self.report());
             }

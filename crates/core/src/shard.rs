@@ -237,8 +237,9 @@ impl std::fmt::Debug for ShardMap {
     }
 }
 
-/// Shard worker body: park on the inbox, drain ready QPs in batches,
-/// sweep for expirations when idle (rate-limited to [`SWEEP_EVERY`]).
+/// Shard worker body: park on the inbox, drain ready QPs in batches, and
+/// sweep every assigned QP for expirations at most once per
+/// [`SWEEP_EVERY`], whether the shard is idle or busy.
 fn worker(shard: &Shard, tel: &ShardTel) {
     let mut last_sweep = std::time::Instant::now();
     loop {
@@ -264,35 +265,33 @@ fn worker(shard: &Shard, tel: &ShardTel) {
                 }
             }
         };
-        match claimed {
-            Some((qpn, engine)) => {
-                tel.wakeups.inc();
-                tel.batches.inc();
-                if rx_drain(&engine, BATCH) {
-                    // Budget exhausted with more pending: requeue behind
-                    // the QP's shard siblings.
-                    tel.requeues.inc();
-                    shard.mark_ready(qpn);
-                }
+        if let Some((qpn, engine)) = claimed {
+            tel.wakeups.inc();
+            tel.batches.inc();
+            if rx_drain(&engine, BATCH) {
+                // Budget exhausted with more pending: requeue behind
+                // the QP's shard siblings.
+                tel.requeues.inc();
+                shard.mark_ready(qpn);
             }
-            None => {
-                // Idle: sweep every assigned QP so recv/record/read TTLs
-                // fire without traffic. Collect strong refs first — the
-                // sweep must run outside the inbox lock.
-                if last_sweep.elapsed() < SWEEP_EVERY {
-                    continue;
-                }
-                last_sweep = std::time::Instant::now();
-                tel.expiry_sweeps.inc();
-                let engines: Vec<Arc<DgInner>> = {
-                    let mut st = shard.state.lock();
-                    st.engines.retain(|_, w| w.strong_count() > 0);
-                    st.engines.values().filter_map(Weak::upgrade).collect()
-                };
-                for e in engines {
-                    expire_tick(&e);
-                }
-            }
+        }
+        // Sweep every assigned QP so recv/record/read TTLs fire without
+        // traffic. This runs after a drain as well as on an idle tick: a
+        // sibling that keeps the inbox busy must not starve a quiet QP's
+        // expiry. Collect strong refs first — the sweep must run outside
+        // the inbox lock.
+        if last_sweep.elapsed() < SWEEP_EVERY {
+            continue;
+        }
+        last_sweep = std::time::Instant::now();
+        tel.expiry_sweeps.inc();
+        let engines: Vec<Arc<DgInner>> = {
+            let mut st = shard.state.lock();
+            st.engines.retain(|_, w| w.strong_count() > 0);
+            st.engines.values().filter_map(Weak::upgrade).collect()
+        };
+        for e in engines {
+            expire_tick(&e);
         }
     }
 }

@@ -7,7 +7,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use iwarp::wr::{RecvWr, UdDest};
 use iwarp::{
-    Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, IwarpError, QpConfig, ShardConfig,
+    Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, IwarpError, QpConfig, SendWr,
+    ShardConfig,
 };
 use simnet::rdgram::RdConfig;
 use simnet::{Addr, Fabric, LossModel, NetError, NodeId, WireConfig};
@@ -242,6 +243,107 @@ fn ud_read_denied_by_permissions_expires() {
         let cqe = a_recv.poll_timeout(TIMEOUT).unwrap();
         assert_eq!(cqe.wr_id, 8, "sharded={sharded}");
         assert_eq!(cqe.status, CqeStatus::Expired, "sharded={sharded}");
+    }
+}
+
+#[test]
+fn busy_shard_still_expires_a_quiet_qps_read() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // A sibling on the same (single) shard receives about one datagram
+    // per millisecond, so its worker never sees an idle tick; the denied
+    // read on the quiet QP must still expire.
+    let fab = Fabric::loopback();
+    let a = Device::with_config(
+        &fab,
+        NodeId(0),
+        DeviceConfig {
+            shard: ShardConfig::with_shards(1),
+            ..DeviceConfig::default()
+        },
+    );
+    let b = Device::new(&fab, NodeId(1));
+    let read_ttl = Duration::from_millis(100);
+    let cfg = QpConfig {
+        read_ttl,
+        ..QpConfig::default()
+    };
+    let (a_send, a_recv) = cqs();
+    let (s_send, s_recv) = cqs();
+    let (b_send, b_recv) = cqs();
+    let qa = a.create_ud_qp(None, &a_send, &a_recv, cfg.clone()).unwrap();
+    let sibling = a.create_ud_qp(None, &s_send, &s_recv, cfg.clone()).unwrap();
+    let qb = b.create_ud_qp(None, &b_send, &b_recv, cfg).unwrap();
+    assert!(qa.is_sharded() && sibling.is_sharded());
+
+    let stop = AtomicBool::new(false);
+    let cqe = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                qb.post_send(0, Bytes::from_static(b"busy"), sibling.dest())
+                    .unwrap();
+                while b_send.poll().is_some() {}
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        // The shard is draining the flood before the read goes out.
+        while sibling.stats().rx_segments.load(Ordering::Relaxed) < 10 {
+            std::thread::yield_now();
+        }
+        let remote_src = b.register(1024, Access::Local); // not remote-readable
+        let sink = a.register(1024, Access::Local);
+        qa.post_read(8, &sink, 0, 512, qb.dest(), remote_src.stag(), 0)
+            .unwrap();
+        let cqe = a_recv.poll_timeout(read_ttl + Duration::from_secs(1));
+        stop.store(true, Ordering::Relaxed);
+        cqe
+    });
+    let cqe = cqe.expect("the quiet QP's read never expired while its sibling was busy");
+    assert_eq!(cqe.wr_id, 8);
+    assert_eq!(cqe.status, CqeStatus::Expired);
+}
+
+#[test]
+fn ud_send_batch_is_one_fabric_burst_by_default() {
+    let fab = Fabric::loopback();
+    let (a, b) = two_devices(&fab);
+    let (a_send, a_recv) = cqs();
+    let (b_send, b_recv) = cqs();
+    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
+    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let sink = b.register(32 * 64, Access::Local);
+    for i in 0..32u64 {
+        qb.post_recv(RecvWr {
+            wr_id: i,
+            mr: sink.clone(),
+            offset: i * 64,
+            len: 64,
+        })
+        .unwrap();
+    }
+    let payload = |i: u64| vec![i as u8; 64];
+    let wrs: Vec<SendWr> = (0..32)
+        .map(|i| SendWr::new(i, payload(i), qb.dest()))
+        .collect();
+
+    let bursts = || {
+        fab.telemetry()
+            .snapshot()
+            .get("core.qp.tx_bursts")
+            .unwrap_or(0)
+    };
+    let before = bursts();
+    qa.post_send_batch(&wrs).unwrap();
+    assert_eq!(bursts() - before, 1, "32 WRs to one destination are one burst");
+
+    for i in 0..32 {
+        let c = a_send.poll_timeout(TIMEOUT).unwrap();
+        assert_eq!((c.wr_id, c.status), (i, CqeStatus::Success));
+    }
+    for i in 0..32 {
+        let c = b_recv.poll_timeout(TIMEOUT).unwrap();
+        assert_eq!((c.wr_id, c.status, c.byte_len), (i, CqeStatus::Success, 64));
+        assert_eq!(sink.read_vec(i * 64, 64).unwrap(), payload(i));
     }
 }
 

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use iwarp::signal::{max_unsignaled_run, place_signals};
-use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, SendWr};
+use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, SendWr, UdQp};
 use iwarp::wr::RecvWr;
 use simnet::{Fabric, NodeId};
 
@@ -120,51 +120,62 @@ proptest! {
     }
 }
 
-/// Satellite regression: with the default `signaled = true`, the CQE
-/// stream of `post_send_batch` is bit-for-bit identical to the legacy
-/// per-WR path — same wr_ids, same order, same statuses, same lengths —
-/// on both the burst and per-packet datapaths.
+/// A UD QP pair on a loopback fabric with 32 receives posted at the
+/// target; returns `(qa, qb, qa's send CQ)`.
+fn ud_pair(send_cap: usize) -> (UdQp, UdQp, Cq) {
+    let fab = Fabric::loopback();
+    let a = Device::new(&fab, NodeId(0));
+    let b = Device::new(&fab, NodeId(1));
+    let send_cq = Cq::new(send_cap);
+    let qa = a
+        .create_ud_qp(None, &send_cq, &Cq::new(send_cap), QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &Cq::new(256), &Cq::new(256), QpConfig::default())
+        .unwrap();
+    let sink = b.register(1 << 20, Access::Local);
+    for i in 0..32 {
+        qb.post_recv(RecvWr::whole(i, &sink)).unwrap();
+    }
+    (qa, qb, send_cq)
+}
+
+/// With the default `signaled = true`, the CQE stream of a
+/// `post_send_batch` doorbell is bit-for-bit the one that the same WRs
+/// posted one `post_send` at a time produce — same wr_ids, same order,
+/// same statuses, same lengths.
 #[test]
 fn legacy_cqe_streams_are_identical() {
-    use iwarp::BurstPath;
-
-    let collect = |burst: BurstPath| -> Vec<(u64, CqeOpcode, CqeStatus, u32)> {
-        let fab = Fabric::loopback();
-        let a = Device::new(&fab, NodeId(0));
-        let b = Device::new(&fab, NodeId(1));
-        let send_cq = Cq::new(256);
-        let cfg = QpConfig {
-            burst_path: burst,
-            ..QpConfig::default()
-        };
-        let qa = a
-            .create_ud_qp(None, &send_cq, &Cq::new(256), cfg.clone())
-            .unwrap();
-        let qb = b
-            .create_ud_qp(None, &Cq::new(256), &Cq::new(256), cfg)
-            .unwrap();
-        let sink = b.register(1 << 20, Access::Local);
-        for i in 0..32 {
-            qb.post_recv(RecvWr::whole(i, &sink)).unwrap();
-        }
-        let wrs: Vec<SendWr> = (0..16)
-            .map(|i| SendWr::new(i, Bytes::from(vec![i as u8; 100 + i as usize * 37]), qb.dest()))
+    let wrs = |dest| -> Vec<SendWr> {
+        (0..16)
+            .map(|i| SendWr::new(i, Bytes::from(vec![i as u8; 100 + i as usize * 37]), dest))
+            .collect()
+    };
+    let reap = |send_cq: &Cq| -> Vec<(u64, CqeOpcode, CqeStatus, u32)> {
+        let out = (0..16)
+            .map(|_| {
+                let c = send_cq.poll_timeout(Duration::from_secs(5)).unwrap();
+                (c.wr_id, c.opcode, c.status, c.byte_len)
+            })
             .collect();
-        qa.post_send_batch(&wrs).unwrap();
-        let mut out = Vec::new();
-        for _ in 0..16 {
-            let c = send_cq.poll_timeout(Duration::from_secs(5)).unwrap();
-            out.push((c.wr_id, c.opcode, c.status, c.byte_len));
-        }
         assert_eq!(send_cq.unsignaled_retired(), 0, "default WRs are signaled");
         out
     };
 
-    let per_packet = collect(BurstPath::PerPacket);
-    let burst = collect(BurstPath::Burst);
-    assert_eq!(per_packet, burst);
-    assert_eq!(per_packet.len(), 16);
-    for (i, (wr_id, op, status, len)) in per_packet.iter().enumerate() {
+    let singles = {
+        let (qa, qb, send_cq) = ud_pair(256);
+        for wr in wrs(qb.dest()) {
+            qa.post_send(wr.wr_id, wr.payload, wr.dest).unwrap();
+        }
+        reap(&send_cq)
+    };
+    let batch = {
+        let (qa, qb, send_cq) = ud_pair(256);
+        qa.post_send_batch(&wrs(qb.dest())).unwrap();
+        reap(&send_cq)
+    };
+    assert_eq!(batch, singles);
+    for (i, (wr_id, op, status, len)) in singles.iter().enumerate() {
         assert_eq!(*wr_id, i as u64);
         assert_eq!(*op, CqeOpcode::Send);
         assert_eq!(*status, CqeStatus::Success);
@@ -172,45 +183,20 @@ fn legacy_cqe_streams_are_identical() {
     }
 }
 
-/// Unsignaled WRs in a batch retire silently on both datapaths, with
-/// identical effective-signal decisions (the placement policy runs at
-/// doorbell time on both).
+/// Unsignaled WRs in a batch retire silently: the effective-signal
+/// decision runs at doorbell time, so against a capacity-64 CQ (run
+/// bound 32) only the trailing WR of 8 is force-signaled.
 #[test]
-fn unsignaled_batch_retires_identically_on_both_paths() {
-    use iwarp::BurstPath;
-
-    let collect = |burst: BurstPath| -> (Vec<u64>, u64) {
-        let fab = Fabric::loopback();
-        let a = Device::new(&fab, NodeId(0));
-        let b = Device::new(&fab, NodeId(1));
-        let send_cq = Cq::new(64);
-        let cfg = QpConfig {
-            burst_path: burst,
-            ..QpConfig::default()
-        };
-        let qa = a
-            .create_ud_qp(None, &send_cq, &Cq::new(64), cfg.clone())
-            .unwrap();
-        let qb = b
-            .create_ud_qp(None, &Cq::new(64), &Cq::new(64), cfg)
-            .unwrap();
-        // 8 unsignaled WRs against a capacity-64 CQ: run bound 32, so
-        // only the trailing WR is force-signaled.
-        let wrs: Vec<SendWr> = (0..8)
-            .map(|i| SendWr::new(i, Bytes::from(vec![0u8; 64]), qb.dest()).unsignaled())
-            .collect();
-        qa.post_send_batch(&wrs).unwrap();
-        let mut got = Vec::new();
-        while let Ok(c) = send_cq.poll_timeout(Duration::from_millis(200)) {
-            got.push(c.wr_id);
-        }
-        (got, send_cq.unsignaled_retired())
-    };
-
-    let (pp_ids, pp_retired) = collect(BurstPath::PerPacket);
-    let (b_ids, b_retired) = collect(BurstPath::Burst);
-    assert_eq!(pp_ids, vec![7], "only the forced trailing signal CQEs");
-    assert_eq!(b_ids, pp_ids);
-    assert_eq!(pp_retired, 7);
-    assert_eq!(b_retired, pp_retired);
+fn unsignaled_batch_retires_silently() {
+    let (qa, qb, send_cq) = ud_pair(64);
+    let wrs: Vec<SendWr> = (0..8)
+        .map(|i| SendWr::new(i, Bytes::from(vec![0u8; 64]), qb.dest()).unsignaled())
+        .collect();
+    qa.post_send_batch(&wrs).unwrap();
+    let mut ids = Vec::new();
+    while let Ok(c) = send_cq.poll_timeout(Duration::from_millis(200)) {
+        ids.push(c.wr_id);
+    }
+    assert_eq!(ids, vec![7], "only the forced trailing signal CQEs");
+    assert_eq!(send_cq.unsignaled_retired(), 7);
 }

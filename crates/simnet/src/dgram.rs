@@ -364,70 +364,6 @@ impl DgramConduit {
         }
     }
 
-    /// Drains up to `max` complete datagrams without blocking, pulling
-    /// queued wire packets in batches ([`Endpoint::recv_burst`]) so the
-    /// receive-queue lock is taken once per batch rather than once per
-    /// fragment. Returns fewer than `max` (possibly zero) when the queue
-    /// runs dry.
-    #[must_use]
-    pub fn try_recv_burst(&self, max: usize) -> Vec<(Addr, SgBytes)> {
-        let mut out = Vec::new();
-        loop {
-            let want = max - out.len();
-            if want == 0 {
-                return out;
-            }
-            // Each wire packet completes at most one datagram, so asking
-            // for `want` packets can never overshoot `max` datagrams.
-            let pkts = self.ep.recv_burst(want, None);
-            if pkts.is_empty() {
-                return out;
-            }
-            let drained = pkts.len() < want;
-            for pkt in pkts {
-                if let Some(done) = self.ingest(pkt) {
-                    out.push(done);
-                }
-            }
-            if drained {
-                return out;
-            }
-        }
-    }
-
-    /// Blocking variant of [`try_recv_burst`](Self::try_recv_burst):
-    /// waits up to `timeout` (`None` = indefinitely) for the *first*
-    /// complete datagram, then drains whatever else is already queued,
-    /// up to `max`.
-    #[must_use]
-    pub fn recv_burst_from(&self, max: usize, timeout: Option<Duration>) -> Vec<(Addr, SgBytes)> {
-        let mut out = self.try_recv_burst(max);
-        if !out.is_empty() || max == 0 {
-            return out;
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            let remaining = match deadline {
-                None => None,
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return out;
-                    }
-                    Some(d - now)
-                }
-            };
-            let Ok(pkt) = self.ep.recv(remaining) else {
-                return out;
-            };
-            if let Some(done) = self.ingest(pkt) {
-                out.push(done);
-                out.extend(self.try_recv_burst(max - out.len()));
-                return out;
-            }
-        }
-    }
-
     /// Feeds one wire packet into reassembly; returns a completed datagram
     /// if this fragment finished one.
     ///

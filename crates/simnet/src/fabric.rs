@@ -1319,29 +1319,6 @@ impl Endpoint {
         )
     }
 
-    /// Receives up to `max` wire packets from this endpoint's delivery
-    /// ring, blocking at most `timeout` (`None` = don't block) for the
-    /// first. Returns an empty vector when nothing arrives in time.
-    #[must_use]
-    pub fn recv_burst(&self, max: usize, timeout: Option<Duration>) -> Vec<WirePacket> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let first = match timeout {
-            None => self.link.q.try_pop(),
-            Some(t) => self.link.q.pop_wait(Some(t)).ok(),
-        };
-        let Some(first) = first else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(max.min(64));
-        out.push(first);
-        if max > 1 {
-            self.link.q.pop_batch(&mut out, max - 1);
-        }
-        out
-    }
-
     /// Receives the next wire packet, blocking at most `timeout`
     /// (`None` = block indefinitely).
     pub fn recv(&self, timeout: Option<Duration>) -> NetResult<WirePacket> {

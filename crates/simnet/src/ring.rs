@@ -380,51 +380,6 @@ impl<T> RingChannel<T> {
         }
     }
 
-    /// Pops up to `max` values into `out` with at most **one**
-    /// overflow-lock round, preserving FIFO order. The consumer-side twin
-    /// of [`push_batch`](Self::push_batch): under a sustained backlog
-    /// [`try_pop`](Self::try_pop) pays the overflow mutex per value, this
-    /// pays it per batch. Returns how many values were appended.
-    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max && !self.spill.load(Ordering::Acquire) {
-            match self.ring.try_pop() {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => return n,
-            }
-        }
-        if n < max && self.spill.load(Ordering::Acquire) {
-            let mut ovf = self.overflow.lock();
-            // Ring first: its contents are older than every spilled value.
-            while n < max {
-                match self.ring.try_pop() {
-                    Some(v) => {
-                        out.push(v);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            while n < max {
-                match ovf.pop_front() {
-                    Some(v) => {
-                        out.push(v);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            self.ovf_len.store(ovf.len(), Ordering::Release);
-            if ovf.is_empty() {
-                self.spill.store(false, Ordering::Release);
-            }
-        }
-        n
-    }
-
     /// Pops the oldest value, parking up to `timeout` (`None` = forever)
     /// when the channel is empty.
     pub fn pop_wait(&self, timeout: Option<Duration>) -> Result<T, PopError> {

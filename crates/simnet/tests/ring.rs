@@ -89,18 +89,17 @@ proptest! {
         let _ = spilled;
     }
 
-    /// RingChannel batch ops: `push_batch`/`pop_batch` interleaved with
-    /// the single-value calls deliver exactly the pushed sequence — the
-    /// one-lock-round amortizers change cost, never contents or order.
+    /// RingChannel batch ops: `push_batch` interleaved with the
+    /// single-value calls delivers exactly the pushed sequence — the
+    /// one-lock-round amortizer changes cost, never contents or order.
     #[test]
     fn ring_channel_batch_ops_match_queue_model(cap in 1usize..8,
                                                 ops in proptest::collection::vec(any::<u8>(), 1..200)) {
         let ch = RingChannel::<u32>::new(cap);
         let mut model: VecDeque<u32> = VecDeque::new();
         let mut next = 0u32;
-        let mut out: Vec<u32> = Vec::new();
         for op in ops {
-            match op % 4 {
+            match op % 3 {
                 0 => {
                     ch.push(next).expect("channel open");
                     model.push_back(next);
@@ -116,21 +115,11 @@ proptest! {
                     model.extend(next..next + n as u32);
                     next += n as u32;
                 }
-                2 => prop_assert_eq!(ch.try_pop(), model.pop_front()),
-                _ => {
-                    let max = usize::from(op / 4) % 7;
-                    let got = ch.pop_batch(&mut out, max);
-                    prop_assert!(got <= max);
-                    for v in out.drain(..) {
-                        prop_assert_eq!(Some(v), model.pop_front());
-                    }
-                }
+                _ => prop_assert_eq!(ch.try_pop(), model.pop_front()),
             }
             prop_assert_eq!(ch.len(), model.len());
         }
-        let mut tail = Vec::new();
-        ch.pop_batch(&mut tail, usize::MAX);
-        for v in tail {
+        while let Some(v) = ch.try_pop() {
             prop_assert_eq!(Some(v), model.pop_front());
         }
         prop_assert!(model.is_empty());

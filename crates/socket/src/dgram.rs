@@ -424,15 +424,10 @@ impl DgramSocket {
         self.on_cqe(cqe)
     }
 
-    /// Non-blocking batch pump: drives the poll-mode engine with a burst
-    /// budget, then reaps the receive CQ in scratch-buffer loads (one CQ
-    /// lock round per load instead of one per completion).
-    ///
-    /// Each engine drain is capped at the recv-slot ring depth: slots are
-    /// only reposted by `on_cqe` below, so a single drain larger than the
-    /// ring would land the overflow on an empty RQ and drop it
-    /// (`dropped_no_rq`) — something the per-packet path, which reposts
-    /// after every datagram, never does.
+    /// Non-blocking batch pump: steps the poll-mode engine once per round,
+    /// then reaps the receive CQ in scratch-buffer loads (one CQ lock
+    /// round per load instead of one per completion), until `budget`
+    /// completions are reaped or a round reaps none.
     fn pump_batch(&self, budget: usize) -> IwarpResult<()> {
         let inner = &self.inner;
         let budget = budget.max(1);
@@ -440,8 +435,7 @@ impl DgramSocket {
         let mut remaining = budget;
         loop {
             if inner.stack.cfg.qp.poll_mode {
-                let chunk = remaining.min(inner.slots.max(1));
-                inner.qp.progress_burst(chunk, Duration::ZERO);
+                inner.qp.progress(Duration::ZERO);
             }
             let mut reaped = 0usize;
             loop {

@@ -32,17 +32,15 @@ if grep -rn "from_entropy" crates src tests examples 2>/dev/null; then
     exit 1
 fi
 
-echo "==> chaos smoke: 25 seeded adversarial plans, both batching paths"
+echo "==> chaos smoke: 25 seeded adversarial plans"
 # Deterministic: a failure prints the plan seed; reproduce it with
-#   cargo run --release -p iwarp-bench --bin chaos -- --replay <seed> [--burst-path burst]
+#   cargo run --release -p iwarp-bench --bin chaos -- --replay <seed>
 # Nightly soak: cargo test --release --test chaos -- --include-ignored
-for bpath in per-packet burst; do
-    cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --burst-path "$bpath"
-done
+cargo run --release -p iwarp-bench --bin chaos -- --plans 25
 
 echo "==> chaos smoke under adaptive congestion control (newreno)"
 # Same adversary, reliable phase driven by NewReno, which is what RD QPs
-# run by default (RdConfig::default()); the sweeps above stay on `fixed`
+# run by default (RdConfig::default()); the sweep above stays on `fixed`
 # because chaos replays are pinned to it (ChaosOpts::cc). That the
 # verbs/socket fault traces do not move under newreno is a tier-1 check
 # (the chaos replay anchors, tests/determinism.rs); this sweep holds the

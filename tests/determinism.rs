@@ -5,7 +5,7 @@
 //! Each check runs one workload under one configuration and compares
 //! what it recomputes with the anchor, never with another run. A knob
 //! that leaks into protocol behaviour (RX drive mode, shard count,
-//! batching path, congestion controller) therefore moves an anchor, and
+//! doorbell batching, congestion controller) therefore moves an anchor, and
 //! so does any change to what the workload puts on the wire.
 //!
 //! Scenarios:
@@ -35,9 +35,7 @@ use datagram_iwarp::net::{Addr, Fabric, FaultEvent, FaultPlan, LossModel, NodeId
 use datagram_iwarp::telemetry::Snapshot;
 use datagram_iwarp::verbs::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use datagram_iwarp::verbs::wr::{RecvWr, SendWr};
-use datagram_iwarp::verbs::{
-    Access, BurstPath, Cq, CqeStatus, Device, DeviceConfig, QpConfig, ShardConfig,
-};
+use datagram_iwarp::verbs::{Access, Cq, CqeStatus, Device, DeviceConfig, QpConfig, ShardConfig};
 
 const ANCHORS: &str = include_str!("anchors.txt");
 
@@ -217,45 +215,20 @@ fn chaos_replays_match_anchors() {
     check("the default ChaosOpts", &streams);
 }
 
-/// Under a non-default knob, chaos/1 and chaos/2 must pass and reproduce
-/// their verbs and socket anchors. The `[read]` trace is not held to its
-/// anchor here: the bulk-read phase's repost schedule follows the QPs'
-/// drain order, so it may move with the batching path (it does for
-/// chaos/5).
-fn check_verbs_and_socket(config: &str, opts: ChaosOpts) {
+/// `ChaosOpts::cc` steers only the reliable phase, whose trace is not
+/// anchored: under `NewReno`, chaos/1 and chaos/2 must pass and
+/// reproduce every anchored stream.
+#[test]
+fn chaos_traces_are_cc_invariant() {
+    let opts = ChaosOpts {
+        cc: CcAlgo::NewReno,
+        ..ChaosOpts::default()
+    };
     let streams: Vec<Stream> = [1, 2]
         .into_iter()
         .flat_map(|seed| chaos_replay(seed, opts.clone()))
-        .filter(|(_, s, _)| matches!(*s, "verbs" | "socket"))
         .collect();
-    check(config, &streams);
-}
-
-/// The fault adversary is oblivious to how the QPs batch doorbells.
-#[test]
-fn burst_path_preserves_chaos_fault_traces() {
-    let burst_path = BurstPath::Burst;
-    check_verbs_and_socket(
-        "BurstPath::Burst",
-        ChaosOpts {
-            burst_path,
-            ..ChaosOpts::default()
-        },
-    );
-}
-
-/// `ChaosOpts::cc` steers only the reliable phase; the unreliable verbs
-/// and socket phases must not see it.
-#[test]
-fn chaos_traces_are_cc_invariant() {
-    let cc = CcAlgo::NewReno;
-    check_verbs_and_socket(
-        "CcAlgo::NewReno",
-        ChaosOpts {
-            cc,
-            ..ChaosOpts::default()
-        },
-    );
+    check("CcAlgo::NewReno", &streams);
 }
 
 /// The seeds `replog --replay` is documented with pass, converge, and
@@ -283,6 +256,15 @@ fn replog_replays_match_anchors() {
 // ---------------------------------------------------------------------------
 // ud-lossy and ud-chaos: 8 UD QPs under every RX drive mode.
 // ---------------------------------------------------------------------------
+
+/// How the client posts each round's sends.
+#[derive(Clone, Copy, Debug)]
+enum Sends {
+    /// One `post_send` per datagram.
+    Singles,
+    /// One `post_send_batch` doorbell per round.
+    Batch,
+}
 
 #[derive(Clone, Copy, Debug)]
 enum RxMode {
@@ -323,9 +305,9 @@ fn chaos_fabric() -> Fabric {
 /// One poll-mode client sends `MSGS` rounds, one datagram to each of
 /// `QPS` server QPs per round, from a single thread: every loss and fault
 /// decision is drawn in send order against link-owned RNG state, whatever
-/// the server's RX `mode` or the `burst` path. Returns, per QP, the
+/// the server's RX `mode` or how the client `sends`. Returns, per QP, the
 /// payloads of the successful receive CQEs in CQE order.
-fn run_ud(fab: &Fabric, mode: RxMode, burst: BurstPath) -> Vec<Vec<Vec<u8>>> {
+fn run_ud(fab: &Fabric, mode: RxMode, sends: Sends) -> Vec<Vec<Vec<u8>>> {
     let shards = match mode {
         RxMode::Sharded(n) => n,
         _ => 0,
@@ -340,7 +322,6 @@ fn run_ud(fab: &Fabric, mode: RxMode, burst: BurstPath) -> Vec<Vec<Vec<u8>>> {
     );
     let qp_cfg = QpConfig {
         poll_mode: matches!(mode, RxMode::Poll),
-        burst_path: burst,
         ..QpConfig::default()
     };
 
@@ -378,7 +359,6 @@ fn run_ud(fab: &Fabric, mode: RxMode, burst: BurstPath) -> Vec<Vec<Vec<u8>>> {
             &c_recv,
             QpConfig {
                 poll_mode: true,
-                burst_path: burst,
                 ..QpConfig::default()
             },
         )
@@ -397,17 +377,17 @@ fn run_ud(fab: &Fabric, mode: RxMode, burst: BurstPath) -> Vec<Vec<Vec<u8>>> {
                 SendWr::new(u64::from(seq), payload, *dest)
             })
             .collect();
-        match burst {
-            BurstPath::PerPacket => {
+        match sends {
+            Sends::Singles => {
                 for wr in wrs {
                     cqp.post_send(wr.wr_id, wr.payload, wr.dest).unwrap();
                     while c_send.poll().is_some() {}
                 }
             }
             // One doorbell per round. Destinations are grouped in
-            // first-seen order, which here is exactly the per-packet
+            // first-seen order, which here is exactly the single-send
             // posting order: same wire order, same RNG draws.
-            BurstPath::Burst => {
+            Sends::Batch => {
                 cqp.post_send_batch(&wrs).unwrap();
                 while c_send.poll().is_some() {}
             }
@@ -423,8 +403,7 @@ fn run_ud(fab: &Fabric, mode: RxMode, burst: BurstPath) -> Vec<Vec<Vec<u8>>> {
         let mut any = false;
         for (qi, (qp, recv_cq, mr)) in rx.iter().enumerate() {
             if matches!(mode, RxMode::Poll) {
-                // Falls back to the single-step engine under PerPacket.
-                qp.progress_burst(32, Duration::from_millis(1));
+                qp.progress(Duration::from_millis(1));
             }
             while let Some(cqe) = recv_cq.poll() {
                 any = true;
@@ -456,8 +435,8 @@ fn payload_lines(out: &[Vec<Vec<u8>>]) -> Vec<String> {
 
 /// Wire-level counters: a knob may only change *how* packets move (lock
 /// rounds, notifies, CQ pushes), never *what* moves or what the loss RNG
-/// sees. `core.qp.tx_bursts` is the intentionally different amortization
-/// counter and is left out.
+/// sees. `core.qp.tx_bursts` counts doorbell batching, which `Sends`
+/// changes on purpose, and is left out.
 const WIRE_COUNTERS: &[&str] = &[
     "simnet.fabric.tx_packets",
     "simnet.fabric.tx_bytes",
@@ -484,9 +463,9 @@ fn wire_lines(tel: &Snapshot) -> Vec<String> {
 
 /// Runs `ud-lossy` and checks it against its anchor; returns the final
 /// telemetry for the caller's own checks.
-fn check_ud_lossy(mode: RxMode, burst: BurstPath) -> Snapshot {
+fn check_ud_lossy(mode: RxMode, sends: Sends) -> Snapshot {
     let fab = lossy_fabric();
-    let out = run_ud(&fab, mode, burst);
+    let out = run_ud(&fab, mode, sends);
     let delivered: usize = out.iter().map(Vec::len).sum();
     assert!(
         delivered > 0,
@@ -499,7 +478,7 @@ fn check_ud_lossy(mode: RxMode, burst: BurstPath) -> Snapshot {
     let tel = fab.telemetry().snapshot();
     let scenario = "ud-lossy".to_owned();
     check(
-        &format!("{mode:?} RX, {burst:?}"),
+        &format!("{mode:?} RX, {sends:?} sends"),
         &[
             (scenario.clone(), "payloads", payload_lines(&out)),
             (scenario, "wire", wire_lines(&tel)),
@@ -518,18 +497,18 @@ fn rx_mode_does_not_change_delivered_bytes() {
         RxMode::Sharded(1),
         RxMode::Sharded(4),
     ] {
-        let tel = check_ud_lossy(mode, BurstPath::PerPacket);
+        let tel = check_ud_lossy(mode, Sends::Singles);
         assert_eq!(tel.get("core.qp.tx_bursts"), Some(0), "{mode:?}");
     }
 }
 
-/// The burst datapath is byte-identical on the wire to per-packet: the
+/// Batched doorbells are byte-identical on the wire to single sends: the
 /// same delivered payloads in the same CQE order and the same wire-level
 /// telemetry, differing only in the amortization counter, which proves
-/// the knob engaged.
+/// the batches went out as fabric bursts.
 #[test]
-fn burst_path_is_wire_identical_to_per_packet() {
-    let tel = check_ud_lossy(RxMode::Poll, BurstPath::Burst);
+fn batched_doorbells_are_wire_identical_to_single_sends() {
+    let tel = check_ud_lossy(RxMode::Poll, Sends::Batch);
     assert!(tel.get("core.qp.tx_bursts").unwrap_or(0) > 0);
 }
 
@@ -541,7 +520,7 @@ fn burst_path_is_wire_identical_to_per_packet() {
 fn shard_count_does_not_change_bytes_or_faults() {
     for shards in [1, 4] {
         let fab = chaos_fabric();
-        let out = run_ud(&fab, RxMode::Sharded(shards), BurstPath::PerPacket);
+        let out = run_ud(&fab, RxMode::Sharded(shards), Sends::Singles);
         let trace = fab.fault_trace();
         assert!(
             out.iter().any(|q| !q.is_empty()),
@@ -563,17 +542,17 @@ fn shard_count_does_not_change_bytes_or_faults() {
 }
 
 // ---------------------------------------------------------------------------
-// bulk-read and replog-failover: burst path × shard count × controller.
+// bulk-read and replog-failover: shard count × controller.
 // ---------------------------------------------------------------------------
 
-/// Runs a loss-free streaming bulk read under one (batching, shard count,
+/// Runs a loss-free streaming bulk read under one (shard count,
 /// congestion controller) combination, asserts it delivered every byte
 /// without a repost, and returns the final telemetry snapshot. The
 /// responder is sharded (the read responses are generated on shard
 /// threads); the requester drives the engine from the test thread in
 /// poll mode. RTO timers are pinned far beyond the transfer time, so any
 /// wire-counter drift is a real protocol leak, not timer noise.
-fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> Snapshot {
+fn run_bulk_read(shards: usize, algo: CcAlgo) -> Snapshot {
     const TOTAL: usize = 12 * 8 * 1024;
     let fab = Fabric::new(WireConfig {
         seed: SEED,
@@ -596,22 +575,13 @@ fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> Snapshot {
             &recv_cq,
             QpConfig {
                 poll_mode: true,
-                burst_path: burst,
                 read_ttl: Duration::from_secs(30),
                 ..QpConfig::default()
             },
         )
         .unwrap();
     let qb = responder
-        .create_ud_qp(
-            None,
-            &Cq::new(64),
-            &Cq::new(64),
-            QpConfig {
-                burst_path: burst,
-                ..QpConfig::default()
-            },
-        )
+        .create_ud_qp(None, &Cq::new(64), &Cq::new(64), QpConfig::default())
         .unwrap();
     assert!(qb.is_sharded());
 
@@ -642,7 +612,7 @@ fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> Snapshot {
     let start = Instant::now();
     let mut finished = false;
     while start.elapsed() < Duration::from_secs(10) {
-        qa.progress_burst(256, Duration::from_micros(100));
+        qa.progress(Duration::from_micros(100));
         if xfer.step(&qa, start.elapsed()).expect("bulk read step") {
             finished = true;
             break;
@@ -662,21 +632,19 @@ fn run_bulk_read(burst: BurstPath, shards: usize, algo: CcAlgo) -> Snapshot {
 }
 
 /// The read engine's determinism contract: a loss-free bulk read puts the
-/// same traffic on the wire under either batching path, either responder
-/// shard count and every congestion controller. Congestion control may
+/// same traffic on the wire under either responder shard count and every
+/// congestion controller. Congestion control may
 /// change *when* batches are requested, never *what* crosses a clean
 /// wire.
 #[test]
-fn bulk_read_is_wire_identical_across_paths_shards_and_cc() {
-    for burst in [BurstPath::PerPacket, BurstPath::Burst] {
-        for shards in [1, 4] {
-            for algo in CcAlgo::ALL {
-                let tel = run_bulk_read(burst, shards, algo);
-                check(
-                    &format!("{burst:?}/{shards}-shard/{algo:?}"),
-                    &[("bulk-read".to_owned(), "wire", wire_lines(&tel))],
-                );
-            }
+fn bulk_read_is_wire_identical_across_shards_and_cc() {
+    for shards in [1, 4] {
+        for algo in CcAlgo::ALL {
+            let tel = run_bulk_read(shards, algo);
+            check(
+                &format!("{shards}-shard/{algo:?}"),
+                &[("bulk-read".to_owned(), "wire", wire_lines(&tel))],
+            );
         }
     }
 }
@@ -684,34 +652,31 @@ fn bulk_read_is_wire_identical_across_paths_shards_and_cc() {
 /// The replicated-log workload's determinism contract: one seeded lossy
 /// run (drops, duplicates, reorders, a mid-run leader freeze with
 /// fail-over, hole refetches over `BulkRead`) produces the same
-/// event/lease history and fault trace under either doorbell path, either
-/// device shard count and every refetch congestion controller. Shards are
-/// inert for poll-mode QPs, the refetch window fits inside every algo's
-/// initial cwnd, and bursting only groups doorbells.
+/// event/lease history and fault trace under either device shard count
+/// and every refetch congestion controller. Shards are inert for
+/// poll-mode QPs, and the refetch window fits inside every algo's initial
+/// cwnd.
 #[test]
-fn replog_history_is_identical_across_burst_shards_and_cc() {
-    for burst in [BurstPath::PerPacket, BurstPath::Burst] {
-        for shards in [1, 4] {
-            for algo in CcAlgo::ALL {
-                let config = format!("{burst:?}/{shards}-shard/{algo:?}");
-                let fab = Fabric::new(WireConfig::default());
-                fab.install_fault_plan(FaultPlan::from_seed(derive_seed(SEED, 0x9E09)));
-                let cfg = ReplogConfig {
-                    entries: 10,
-                    freeze: Some((300, 500)),
-                    shards,
-                    burst,
-                    cc: algo,
-                    ..ReplogConfig::default()
-                };
-                let out = Cluster::new(&fab, cfg).run();
-                assert!(out.converged, "{config}: replog run failed to converge");
-                fab.chaos_flush();
-                check(
-                    &config,
-                    &replog_streams("replog-failover", &out.history, &fab.fault_trace()),
-                );
-            }
+fn replog_history_is_identical_across_shards_and_cc() {
+    for shards in [1, 4] {
+        for algo in CcAlgo::ALL {
+            let config = format!("{shards}-shard/{algo:?}");
+            let fab = Fabric::new(WireConfig::default());
+            fab.install_fault_plan(FaultPlan::from_seed(derive_seed(SEED, 0x9E09)));
+            let cfg = ReplogConfig {
+                entries: 10,
+                freeze: Some((300, 500)),
+                shards,
+                cc: algo,
+                ..ReplogConfig::default()
+            };
+            let out = Cluster::new(&fab, cfg).run();
+            assert!(out.converged, "{config}: replog run failed to converge");
+            fab.chaos_flush();
+            check(
+                &config,
+                &replog_streams("replog-failover", &out.history, &fab.fault_trace()),
+            );
         }
     }
 }
