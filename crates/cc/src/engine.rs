@@ -15,7 +15,7 @@
 //! first starts at `una`, and the last ends at `nxt`. Equivalently
 //! `sacked ∪ lost ∪ in-flight` partitions `[una, nxt)` — no overlap, no
 //! gap. Every mutation (send, cumulative ACK, partial-ACK split, SACK
-//! mark, loss mark, retransmit) preserves this; [`Self::check_partition`]
+//! mark, loss mark, retransmit) preserves this; [`RecoveryEngine::check_partition`]
 //! verifies it and the property tests hammer it with random event
 //! interleavings.
 //!

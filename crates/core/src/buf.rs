@@ -527,9 +527,7 @@ mod tests {
 
     #[test]
     fn fused_crc_write_places_and_verifies() {
-        use crate::hdr::{
-            decode_sg, encode_tagged_sg, DdpSegment, RdmapOpcode, TaggedHdr,
-        };
+        use crate::hdr::{decode_sg, DdpSegment, RdmapOpcode, SegBatch, TaggedHdr};
         let pool = iwarp_common::pool::BufPool::new();
         let payload: Vec<u8> = (0..9000u32).map(|i| (i % 253) as u8).collect();
         let hdr = TaggedHdr {
@@ -544,7 +542,12 @@ mod tests {
             msg_id: 11,
             imm: 0,
         };
-        let sg = encode_tagged_sg(&hdr, &bytes::Bytes::from(payload.clone()), &pool);
+        let mut batch = SegBatch::new(&pool, 1);
+        batch.push(DdpSegment::Tagged {
+            hdr,
+            payload: bytes::Bytes::from(payload.clone()),
+        });
+        let sg = batch.finish().pop().expect("one segment");
         let (seg, pending) = decode_sg(&sg, true).unwrap();
         let pending = pending.expect("multi-part defers the CRC");
         let DdpSegment::Tagged { payload: p, .. } = seg else {

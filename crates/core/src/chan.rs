@@ -4,7 +4,7 @@
 //! on instead of spin-polling CQs — the software analogue of the verbs
 //! completion channel (and, through [`CompletionChannel::wait_any`], of
 //! `epoll_wait` over completion fds). Any number of [`Cq`]s subscribe via
-//! [`Cq::attach_channel`], each under an application-chosen token; every
+//! [`Cq::attach_channel`](crate::cq::Cq::attach_channel), each under an application-chosen token; every
 //! CQE pushed to a subscribed CQ marks its token ready and wakes one
 //! waiter. One thread can thereby service thousands of QPs/sockets,
 //! which is what the paper's SIP scenario needs once concurrent calls

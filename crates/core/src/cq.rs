@@ -240,10 +240,7 @@ impl Cq {
     /// calls, but pollers, the solicited channel and any attached
     /// [`CompletionChannel`] are notified once per batch — the burst
     /// datapath's completion coalescing.
-    pub fn push_batch(&self, cqes: Vec<Cqe>) {
-        if cqes.is_empty() {
-            return;
-        }
+    pub fn push_batch(&self, cqes: impl IntoIterator<Item = Cqe>) {
         let mut solicited = false;
         let mut pushed = 0usize;
         {
@@ -570,7 +567,7 @@ mod tests {
     #[test]
     fn push_batch_matches_push_bookkeeping() {
         let cq = Cq::new(2);
-        cq.push_batch((0..4).map(cqe).collect());
+        cq.push_batch((0..4).map(cqe));
         assert_eq!(cq.len(), 2, "capacity still enforced per entry");
         assert_eq!(cq.overflows(), 2);
         assert_eq!(cq.poll().unwrap().wr_id, 0);

@@ -168,8 +168,8 @@ impl DdpSegment {
 }
 
 /// Serializes an untagged header into its fixed wire form. Single source
-/// of truth shared by the contiguous and scatter-gather encoders so the
-/// two datapaths cannot drift apart byte-wise.
+/// of truth shared by the contiguous encoders and [`SegBatch`] so the two
+/// cannot drift apart byte-wise.
 fn untagged_hdr_bytes(hdr: &UntaggedHdr) -> [u8; UNTAGGED_HDR_LEN] {
     let mut b = [0u8; UNTAGGED_HDR_LEN];
     let mut ctrl = CTRL_VERSION;
@@ -241,75 +241,50 @@ pub fn encode_tagged(hdr: &TaggedHdr, payload: &[u8], with_crc: bool) -> Bytes {
     b.freeze()
 }
 
-/// Scatter-gather untagged encoder: header and CRC trailer share one
-/// pooled allocation; the caller's payload is *chained*, not copied. The
-/// CRC streams over header then payload, so the emitted byte string is
-/// identical to [`encode_untagged`] with `with_crc = true`.
-#[must_use]
-pub fn encode_untagged_sg(hdr: &UntaggedHdr, payload: &Bytes, pool: &BufPool) -> SgBytes {
-    let hb = untagged_hdr_bytes(hdr);
-    encode_sg(&hb, payload, pool)
-}
-
-/// Scatter-gather tagged encoder (see [`encode_untagged_sg`]).
-#[must_use]
-pub fn encode_tagged_sg(hdr: &TaggedHdr, payload: &Bytes, pool: &BufPool) -> SgBytes {
-    let hb = tagged_hdr_bytes(hdr);
-    encode_sg(&hb, payload, pool)
-}
-
-/// Shared body of the SG encoders: one pooled `hdr ++ crc` buffer sliced
-/// around the untouched payload.
-fn encode_sg(hdr_bytes: &[u8], payload: &Bytes, pool: &BufPool) -> SgBytes {
-    let hdr_len = hdr_bytes.len();
-    let mut buf = pool.get(hdr_len + CRC_LEN);
-    buf[..hdr_len].copy_from_slice(hdr_bytes);
-    let mut crc = Crc32c::new();
-    crc.update(hdr_bytes);
-    crc.update(payload);
-    buf[hdr_len..].copy_from_slice(&crc.finish().to_be_bytes());
-    let b = buf.freeze();
-    let mut sg = SgBytes::with_capacity(3);
-    sg.push(b.slice(..hdr_len));
-    sg.push(payload.clone());
-    sg.push(b.slice(hdr_len..));
-    sg
-}
-
-/// Batch variant of [`encode_untagged_sg`]: every segment's `hdr ++ crc`
-/// region is carved out of ONE pooled buffer, so the buffer pool is
-/// locked once per doorbell batch instead of once per segment. The
-/// emitted wire bytes are identical to N single encodes.
-pub struct UntaggedSegBatch {
+/// The scatter-gather segment encoder: every segment of a transmit gets
+/// its `hdr ++ crc` region carved out of ONE pooled arena (one pool lock
+/// per verb call, not per segment), and its payload is *chained*, not
+/// copied. The CRC streams over header then payload, so each emitted
+/// segment is byte-identical to [`encode_untagged`] / [`encode_tagged`]
+/// with `with_crc = true`.
+pub struct SegBatch {
     buf: iwarp_common::pool::PoolBuf,
-    /// (arena offset, payload) per pushed segment, in push order.
-    segs: Vec<(usize, Bytes)>,
+    /// (arena offset, header length, payload) per pushed segment, in push
+    /// order.
+    segs: Vec<(usize, usize, Bytes)>,
     off: usize,
 }
 
-impl UntaggedSegBatch {
-    /// Reserves arena space for up to `max_segs` segments.
+impl SegBatch {
+    /// Reserves arena space for up to `max_segs` segments of either kind.
     #[must_use]
     pub fn new(pool: &BufPool, max_segs: usize) -> Self {
         Self {
-            buf: pool.get(max_segs * (UNTAGGED_HDR_LEN + CRC_LEN)),
+            buf: pool.get(max_segs * (TAGGED_HDR_LEN + CRC_LEN)),
             segs: Vec::with_capacity(max_segs),
             off: 0,
         }
     }
 
-    /// Encodes one segment into the arena.
-    pub fn push(&mut self, hdr: &UntaggedHdr, payload: Bytes) {
-        let hb = untagged_hdr_bytes(hdr);
+    /// Encodes one segment, untagged or tagged, into the arena.
+    pub fn push(&mut self, seg: DdpSegment) {
         let o = self.off;
-        self.buf[o..o + UNTAGGED_HDR_LEN].copy_from_slice(&hb);
+        let (hdr_len, payload) = match seg {
+            DdpSegment::Untagged { hdr, payload } => {
+                self.buf[o..o + UNTAGGED_HDR_LEN].copy_from_slice(&untagged_hdr_bytes(&hdr));
+                (UNTAGGED_HDR_LEN, payload)
+            }
+            DdpSegment::Tagged { hdr, payload } => {
+                self.buf[o..o + TAGGED_HDR_LEN].copy_from_slice(&tagged_hdr_bytes(&hdr));
+                (TAGGED_HDR_LEN, payload)
+            }
+        };
         let mut crc = Crc32c::new();
-        crc.update(&hb);
+        crc.update(&self.buf[o..o + hdr_len]);
         crc.update(&payload);
-        self.buf[o + UNTAGGED_HDR_LEN..o + UNTAGGED_HDR_LEN + CRC_LEN]
-            .copy_from_slice(&crc.finish().to_be_bytes());
-        self.off = o + UNTAGGED_HDR_LEN + CRC_LEN;
-        self.segs.push((o, payload));
+        self.off = o + hdr_len + CRC_LEN;
+        self.buf[o + hdr_len..self.off].copy_from_slice(&crc.finish().to_be_bytes());
+        self.segs.push((o, hdr_len, payload));
     }
 
     /// Freezes the arena and yields the finished segments in push order.
@@ -318,11 +293,12 @@ impl UntaggedSegBatch {
         let arena = self.buf.freeze();
         self.segs
             .into_iter()
-            .map(|(o, payload)| {
+            .map(|(o, hdr_len, payload)| {
+                let crc_at = o + hdr_len;
                 let mut sg = SgBytes::with_capacity(3);
-                sg.push(arena.slice(o..o + UNTAGGED_HDR_LEN));
+                sg.push(arena.slice(o..crc_at));
                 sg.push(payload);
-                sg.push(arena.slice(o + UNTAGGED_HDR_LEN..o + UNTAGGED_HDR_LEN + CRC_LEN));
+                sg.push(arena.slice(crc_at..crc_at + CRC_LEN));
                 sg
             })
             .collect()
@@ -695,22 +671,44 @@ mod tests {
         assert!(ReadRequest::decode(b"short").is_err());
     }
 
+    /// One segment through the arena encoder.
+    fn encode_one(seg: DdpSegment, pool: &BufPool) -> SgBytes {
+        let mut batch = SegBatch::new(pool, 1);
+        batch.push(seg);
+        batch.finish().pop().expect("one segment")
+    }
+
     #[test]
-    fn sg_encoders_match_contiguous_byte_for_byte() {
+    fn seg_batch_matches_contiguous_byte_for_byte() {
+        // Untagged and tagged segments share one arena; each comes out
+        // as exactly the contiguous reference encoding.
         let pool = BufPool::new();
         let payload = Bytes::from((0..2000u32).map(|i| (i % 255) as u8).collect::<Vec<_>>());
-        let u = sample_untagged();
-        let sg = encode_untagged_sg(&u, &payload, &pool);
-        assert_eq!(sg.parts().len(), 3, "hdr, payload, crc");
-        let mut flat = vec![0u8; sg.len()];
-        sg.copy_to_slice(&mut flat);
-        assert_eq!(&flat[..], &encode_untagged(&u, &payload, true)[..]);
-
-        let t = sample_tagged();
-        let sg = encode_tagged_sg(&t, &payload, &pool);
-        let mut flat = vec![0u8; sg.len()];
-        sg.copy_to_slice(&mut flat);
-        assert_eq!(&flat[..], &encode_tagged(&t, &payload, true)[..]);
+        let (u, t) = (sample_untagged(), sample_tagged());
+        let mut batch = SegBatch::new(&pool, 3);
+        batch.push(DdpSegment::Untagged {
+            hdr: u,
+            payload: payload.clone(),
+        });
+        batch.push(DdpSegment::Tagged {
+            hdr: t,
+            payload: payload.clone(),
+        });
+        batch.push(DdpSegment::Untagged {
+            hdr: u,
+            payload: payload.slice(..7),
+        });
+        let segs = batch.finish();
+        let want = [
+            encode_untagged(&u, &payload, true),
+            encode_tagged(&t, &payload, true),
+            encode_untagged(&u, &payload[..7], true),
+        ];
+        assert_eq!(segs.len(), want.len());
+        for (sg, want) in segs.iter().zip(&want) {
+            assert_eq!(sg.parts().len(), 3, "hdr, payload, crc");
+            assert_eq!(&sg.to_bytes(), want);
+        }
     }
 
     #[test]
@@ -718,7 +716,13 @@ mod tests {
         let pool = BufPool::new();
         let hdr = sample_untagged();
         let payload = Bytes::from(vec![7u8; 333]);
-        let sg = encode_untagged_sg(&hdr, &payload, &pool);
+        let sg = encode_one(
+            DdpSegment::Untagged {
+                hdr,
+                payload: payload.clone(),
+            },
+            &pool,
+        );
         let (seg, pending) = decode_sg(&sg, true).unwrap();
         let pending = pending.expect("multi-part defers the CRC");
         match seg {
@@ -741,7 +745,13 @@ mod tests {
         let pool = BufPool::new();
         let hdr = sample_tagged();
         let payload = Bytes::from(vec![0x5Au8; 512]);
-        let sg = encode_tagged_sg(&hdr, &payload, &pool);
+        let sg = encode_one(
+            DdpSegment::Tagged {
+                hdr,
+                payload: payload.clone(),
+            },
+            &pool,
+        );
         let (seg, pending) = decode_sg(&sg, true).unwrap();
         assert!(pending.expect("deferred").verify(seg.payload()));
         assert_eq!(decode(&sg.to_bytes(), true).unwrap(), seg);
@@ -752,7 +762,13 @@ mod tests {
         let pool = BufPool::new();
         let hdr = sample_untagged();
         let payload = Bytes::from(vec![9u8; 64]);
-        let good = encode_untagged_sg(&hdr, &payload, &pool);
+        let good = encode_one(
+            DdpSegment::Untagged {
+                hdr,
+                payload: payload.clone(),
+            },
+            &pool,
+        );
         // Corrupt one payload byte: parsing still succeeds (cut-through)
         // but the deferred check must fail.
         let mut corrupt_payload = payload.to_vec();

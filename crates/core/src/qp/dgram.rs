@@ -18,6 +18,7 @@
 //! * **UD RDMA Read** (paper future work, implemented as an extension):
 //!   reads complete with `Expired` status if the response is lost.
 
+use std::cmp::Ordering::{Equal, Greater, Less};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,8 +35,8 @@ use crate::buf::{MemoryRegion, MrTable};
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 use crate::error::{IwarpError, IwarpResult};
 use crate::hdr::{
-    decode_sg, encode_tagged_sg, encode_untagged_sg, RdmapOpcode, ReadRequest, TaggedHdr,
-    UntaggedHdr, UntaggedSegBatch, CRC_LEN, TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
+    decode_sg, DdpSegment, RdmapOpcode, ReadRequest, SegBatch, TaggedHdr, UntaggedHdr, CRC_LEN,
+    TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
 };
 use crate::qp::rx::{RxAction, RxCore, QN_READ_REQUEST, QN_SEND};
 use crate::qp::QpConfig;
@@ -52,23 +53,6 @@ pub(crate) enum DgLlp {
 }
 
 impl DgLlp {
-    /// Sends one encoded segment given as a scatter-gather list. UD hands
-    /// the slices straight to the conduit's zero-copy fragmenter; RD's
-    /// windowed retransmit queue needs an owned contiguous message, so
-    /// the segment is flattened here (counted — RD is not the zero-copy
-    /// target path).
-    fn send_seg(&self, dst: Addr, seg: SgBytes, copied: &Counter) -> Result<(), NetError> {
-        match self {
-            DgLlp::Ud(c) => c.send_sg(dst, seg),
-            DgLlp::Rd(c) => {
-                if !seg.is_contiguous() {
-                    copied.add(seg.len() as u64);
-                }
-                c.send_to(dst, seg.to_bytes())
-            }
-        }
-    }
-
     /// Wire packets waiting in the delivery ring, before reassembly.
     fn rx_backlog(&self) -> usize {
         match self {
@@ -145,10 +129,10 @@ impl DgLlp {
 pub(crate) struct QpTxTel {
     pub(crate) tx_msgs: Counter,
     pub(crate) tx_segments: Counter,
-    /// Destination-flush rounds issued by a multi-WR UD doorbell
-    /// ([`DatagramQp::post_send_batch`]): one per (batch, destination)
-    /// pair, so `tx_msgs / tx_bursts` is the achieved send-side batching
-    /// factor.
+    /// Fabric bursts issued by UD transmits: one per (verb call or read
+    /// response, destination), so `tx_msgs / tx_bursts` is the achieved
+    /// send-side batching factor (1 when every send is a single
+    /// `post_send`).
     pub(crate) tx_bursts: Counter,
     pub(crate) msg_size_tx: Histogram,
     /// Eliminable datapath copies (shared `pool.bytes_copied` name):
@@ -178,8 +162,8 @@ pub(crate) struct DgInner {
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
     max_msg_size: usize,
-    /// Header-buffer pool shared with the fabric (SG encoders draw the
-    /// pooled `hdr ++ crc` allocations from here).
+    /// Header-buffer pool shared with the fabric ([`SegBatch`] draws each
+    /// transmit's `hdr ++ crc` arena from here).
     pool: BufPool,
     shutdown: AtomicBool,
     _mem: Option<MemScope>,
@@ -193,6 +177,334 @@ impl DgInner {
     /// See [`DgLlp::set_notify`].
     pub(crate) fn set_notify(&self, notify: Option<simnet::RxNotify>) -> bool {
         self.llp.set_notify(notify)
+    }
+
+    /// The transmit pipeline behind every datagram verb call and every
+    /// read response. [`DatagramQp::post_send_batch`] documents its stages
+    /// and its one error contract.
+    fn transmit(&self, verb: Verb, wrs: &[SendWr]) -> IwarpResult<()> {
+        let mut result = Ok(());
+        let mut datas: Vec<Bytes> = Vec::with_capacity(wrs.len());
+        for wr in wrs {
+            match wr.payload.clone().into_bytes() {
+                Ok(d) if d.len() > self.max_msg_size && verb.is_posted() => {
+                    result = Err(IwarpError::MessageTooLong {
+                        len: d.len(),
+                        max: self.max_msg_size,
+                    });
+                    break;
+                }
+                Ok(d) => datas.push(d),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        let wrs = &wrs[..datas.len()];
+        if wrs.is_empty() {
+            return result;
+        }
+
+        let forced = wrs.iter().any(|w| !w.signaled).then(|| {
+            let app: Vec<bool> = wrs.iter().map(|w| w.signaled).collect();
+            crate::signal::place_signals(&app, self.send_cq.capacity(), self.send_cq.len())
+        });
+
+        let cap = self.llp.max_datagram() - verb.hdr_len() - CRC_LEN;
+        let n_segs = datas.iter().map(|d| seg_count(d.len(), cap)).sum();
+        let mut arena = SegBatch::new(&self.pool, n_segs);
+        for (wr, data) in wrs.iter().zip(&datas) {
+            let msg_id = verb
+                .msg_id()
+                .unwrap_or_else(|| self.next_msg_id.fetch_add(1, Ordering::Relaxed));
+            let msn = match verb {
+                Verb::Send | Verb::ReadRequest { .. } => {
+                    self.next_msn.fetch_add(1, Ordering::Relaxed)
+                }
+                Verb::Write { .. } | Verb::ReadResponse { .. } => 0,
+            };
+            let n = seg_count(data.len(), cap);
+            if verb.is_posted() {
+                self.tx_tel.tx_msgs.inc();
+                self.tx_tel.tx_segments.add(n as u64);
+                self.tx_tel.msg_size_tx.record(data.len() as u64);
+            }
+            for k in 0..n {
+                let range = k * cap..((k + 1) * cap).min(data.len());
+                arena.push(verb.segment(self.qpn, msg_id, msn, wr.solicited, data, range));
+            }
+        }
+        let segs = arena.finish();
+
+        let flushed = match &self.llp {
+            DgLlp::Ud(c) => self.flush_ud(c, wrs, &datas, cap, segs),
+            DgLlp::Rd(c) => self.flush_rd(c, wrs, &datas, cap, segs),
+        };
+        let handed = match flushed {
+            Ok(()) => None,
+            Err((e, handed)) => {
+                if result.is_ok() {
+                    result = Err(e);
+                }
+                Some(handed)
+            }
+        };
+
+        let Some(opcode) = verb.send_cqe() else {
+            return result;
+        };
+        let mut retired = 0u64;
+        let cqes = wrs
+            .iter()
+            .zip(&datas)
+            .enumerate()
+            .filter_map(|(i, (wr, data))| {
+                let signaled = forced.as_ref().map_or(wr.signaled, |f| f[i]);
+                let (status, byte_len) = match handed.as_ref().map_or(Handed::Whole, |h| h[i]) {
+                    Handed::Whole if signaled => (CqeStatus::Success, data.len() as u32),
+                    Handed::Whole => {
+                        retired += 1;
+                        return None;
+                    }
+                    Handed::Failed { bytes } => (CqeStatus::Error, bytes),
+                    Handed::Unsent => return None,
+                };
+                Some(Cqe {
+                    wr_id: wr.wr_id,
+                    opcode,
+                    status,
+                    byte_len,
+                    src: None,
+                    write_record: None,
+                    imm: None,
+                    solicited: false,
+                })
+            });
+        self.send_cq.push_batch(cqes);
+        self.send_cq.retire_unsignaled(retired);
+        result
+    }
+
+    /// UD flush: one fabric burst per destination, in first-seen order.
+    /// Most calls name one destination and skip the grouping.
+    fn flush_ud(
+        &self,
+        c: &DgramConduit,
+        wrs: &[SendWr],
+        datas: &[Bytes],
+        cap: usize,
+        segs: Vec<SgBytes>,
+    ) -> Result<(), (IwarpError, Vec<Handed>)> {
+        let first = wrs[0].dest.addr;
+        if wrs.iter().all(|w| w.dest.addr == first) {
+            self.tx_tel.tx_bursts.inc();
+            return c
+                .send_sg_burst(first, segs)
+                .map_err(|e| (e.into(), vec![Handed::Failed { bytes: 0 }; wrs.len()]));
+        }
+        let mut dests: Vec<(Addr, Vec<SgBytes>)> = Vec::new();
+        let mut wr_dest: Vec<usize> = Vec::with_capacity(wrs.len());
+        let mut segs = segs.into_iter();
+        for (wr, data) in wrs.iter().zip(datas) {
+            let di = match dests.iter().position(|(a, _)| *a == wr.dest.addr) {
+                Some(di) => di,
+                None => {
+                    dests.push((wr.dest.addr, Vec::new()));
+                    dests.len() - 1
+                }
+            };
+            let n = seg_count(data.len(), cap);
+            dests[di].1.extend(segs.by_ref().take(n));
+            wr_dest.push(di);
+        }
+        for (di, (dst, segs)) in dests.into_iter().enumerate() {
+            self.tx_tel.tx_bursts.inc();
+            if let Err(e) = c.send_sg_burst(dst, segs) {
+                return Err((e.into(), Handed::around(wr_dest, di, 0)));
+            }
+        }
+        Ok(())
+    }
+
+    /// RD flush: segment by segment, each flattened into the owned message
+    /// the windowed conduit keeps for retransmission (counted: RD is not
+    /// the zero-copy path).
+    fn flush_rd(
+        &self,
+        c: &RdConduit,
+        wrs: &[SendWr],
+        datas: &[Bytes],
+        cap: usize,
+        segs: Vec<SgBytes>,
+    ) -> Result<(), (IwarpError, Vec<Handed>)> {
+        let mut segs = segs.into_iter();
+        for (i, (wr, data)) in wrs.iter().zip(datas).enumerate() {
+            for (k, seg) in segs.by_ref().take(seg_count(data.len(), cap)).enumerate() {
+                if !seg.is_contiguous() {
+                    self.tx_tel.bytes_copied.add(seg.len() as u64);
+                }
+                if let Err(e) = c.send_to(wr.dest.addr, seg.to_bytes()) {
+                    let bytes = (k * cap) as u32;
+                    return Err((e.into(), Handed::around(0..wrs.len(), i, bytes)));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Segments a `len`-byte message takes at `cap` payload bytes per segment
+/// (an empty message still takes one).
+fn seg_count(len: usize, cap: usize) -> usize {
+    len.div_ceil(cap).max(1)
+}
+
+/// What one [`DgInner::transmit`] call carries. It decides each segment's
+/// DDP header, whether the call counts as posted sends, and how it
+/// completes.
+#[derive(Clone, Copy)]
+enum Verb {
+    /// Untagged Send on QN 0; completes on the send CQ.
+    Send,
+    /// Tagged RDMA Write, Write-Record or Write-with-Immediate into
+    /// `(stag, to)`; completes on the send CQ.
+    Write {
+        opcode: RdmapOpcode,
+        notify: bool,
+        stag: u32,
+        to: u64,
+        imm: u32,
+    },
+    /// Read Request on QN 1 for the read registered under `msg_id`; the
+    /// read completes on the receive CQ once its response lands.
+    ReadRequest { msg_id: u64 },
+    /// Read Response for the requester's read `msg_id`, placed at its
+    /// `(stag, to)`. The responder's reply to a verb posted elsewhere: it
+    /// is neither counted nor completed, and the requester sized it, so
+    /// `max_msg_size` does not bind it.
+    ReadResponse { msg_id: u64, stag: u32, to: u64 },
+}
+
+impl Verb {
+    fn hdr_len(self) -> usize {
+        match self {
+            Verb::Send | Verb::ReadRequest { .. } => UNTAGGED_HDR_LEN,
+            Verb::Write { .. } | Verb::ReadResponse { .. } => TAGGED_HDR_LEN,
+        }
+    }
+
+    /// True for verbs this QP's application posted (everything but a read
+    /// response).
+    fn is_posted(self) -> bool {
+        !matches!(self, Verb::ReadResponse { .. })
+    }
+
+    /// The message id a read names; `None` when each message takes a
+    /// fresh one.
+    fn msg_id(self) -> Option<u64> {
+        match self {
+            Verb::ReadRequest { msg_id } | Verb::ReadResponse { msg_id, .. } => Some(msg_id),
+            Verb::Send | Verb::Write { .. } => None,
+        }
+    }
+
+    /// The send-CQ opcode, for verbs that complete there.
+    fn send_cqe(self) -> Option<CqeOpcode> {
+        match self {
+            Verb::Send => Some(CqeOpcode::Send),
+            Verb::Write { .. } => Some(CqeOpcode::RdmaWrite),
+            Verb::ReadRequest { .. } | Verb::ReadResponse { .. } => None,
+        }
+    }
+
+    /// Segment `data[range]` of message `msg_id` (untagged: MSN `msn`)
+    /// from QP `src_qpn`.
+    fn segment(
+        self,
+        src_qpn: u32,
+        msg_id: u64,
+        msn: u32,
+        solicited: bool,
+        data: &Bytes,
+        range: std::ops::Range<usize>,
+    ) -> DdpSegment {
+        let (off, last, total_len) = (range.start, range.end == data.len(), data.len() as u32);
+        let payload = data.slice(range);
+        let untagged = |opcode, qn| UntaggedHdr {
+            opcode,
+            last,
+            qn,
+            msn,
+            mo: off as u32,
+            total_len,
+            src_qpn,
+            msg_id,
+            solicited,
+        };
+        let tagged = |opcode, notify, stag, to: u64, imm| TaggedHdr {
+            opcode,
+            last,
+            notify,
+            stag,
+            to: to + off as u64,
+            base_to: to,
+            total_len,
+            src_qpn,
+            msg_id,
+            imm,
+        };
+        match self {
+            Verb::Send => DdpSegment::Untagged {
+                hdr: untagged(RdmapOpcode::Send, QN_SEND),
+                payload,
+            },
+            Verb::ReadRequest { .. } => DdpSegment::Untagged {
+                hdr: untagged(RdmapOpcode::ReadRequest, QN_READ_REQUEST),
+                payload,
+            },
+            Verb::Write {
+                opcode,
+                notify,
+                stag,
+                to,
+                imm,
+            } => DdpSegment::Tagged {
+                hdr: tagged(opcode, notify, stag, to, imm),
+                payload,
+            },
+            Verb::ReadResponse { stag, to, .. } => DdpSegment::Tagged {
+                hdr: tagged(RdmapOpcode::ReadResponse, false, stag, to, 0),
+                payload,
+            },
+        }
+    }
+}
+
+/// How far one WR of a failed transmit got.
+#[derive(Clone, Copy)]
+enum Handed {
+    /// Every segment reached the transport.
+    Whole,
+    /// Its flush failed after `bytes` of it were handed over.
+    Failed { bytes: u32 },
+    /// Never flushed: the call ended first.
+    Unsent,
+}
+
+impl Handed {
+    /// Each WR's outcome, given the flush that carried it (`flush_of`,
+    /// flushes numbered in the order they ran) and the flush that
+    /// failed.
+    fn around(flush_of: impl IntoIterator<Item = usize>, failed: usize, bytes: u32) -> Vec<Handed> {
+        flush_of
+            .into_iter()
+            .map(|f| match f.cmp(&failed) {
+                Less => Handed::Whole,
+                Equal => Handed::Failed { bytes },
+                Greater => Handed::Unsent,
+            })
+            .collect()
     }
 }
 
@@ -385,14 +697,16 @@ impl DatagramQp {
 
     /// Posts an untagged send to `dest`. Completes on the send CQ as soon
     /// as every segment has been handed to the LLP (datagram semantics:
-    /// no acknowledgement is awaited).
+    /// no acknowledgement is awaited). A doorbell of one: see
+    /// [`Self::post_send_batch`] for the pipeline and its error contract.
     pub fn post_send(
         &self,
         wr_id: u64,
         payload: impl Into<SendPayload>,
         dest: UdDest,
     ) -> IwarpResult<()> {
-        self.post_send_inner(wr_id, payload.into(), dest, false, true)
+        let wr = SendWr::new(wr_id, payload, dest);
+        self.inner.transmit(Verb::Send, &[wr])
     }
 
     /// Posts a **send with solicited event**: identical to
@@ -406,251 +720,49 @@ impl DatagramQp {
         payload: impl Into<SendPayload>,
         dest: UdDest,
     ) -> IwarpResult<()> {
-        self.post_send_inner(wr_id, payload.into(), dest, true, true)
+        let wr = SendWr {
+            solicited: true,
+            ..SendWr::new(wr_id, payload, dest)
+        };
+        self.inner.transmit(Verb::Send, &[wr])
     }
 
-    /// Posts a batch of untagged sends — the multi-WR doorbell.
+    /// Posts a batch of untagged sends — the multi-WR doorbell, and the
+    /// general form of the one transmit pipeline that every datagram verb
+    /// (sends, writes, read requests and the responder's read responses)
+    /// runs:
     ///
-    /// On a UD QP with more than one WR, every WR is segmented first, the
-    /// segments are flushed as **one fabric burst per destination**
-    /// ([`DgramConduit::send_sg_burst`]), and all completions are pushed
-    /// with one CQ lock/notify round ([`Cq::push_batch`]). RD QPs and
-    /// single-WR doorbells loop over [`Self::post_send`]. Wire bytes, CQE
-    /// contents and CQE order are identical to that loop either way.
+    /// 1. **Validate**: each payload is materialized and size-checked.
+    /// 2. **Place signals** over the accepted WRs
+    ///    ([`crate::signal::place_signals`], against the send CQ's
+    ///    capacity and occupancy), so an unsignaled chain can never
+    ///    deadlock a full CQ and a forced signal lands on a posted WR.
+    /// 3. **Segment and encode**: one DDP segment per datagram; every
+    ///    header and CRC trailer of the call comes from one pooled arena.
+    /// 4. **Flush**: on UD, one fabric burst per destination in first-seen
+    ///    order ([`DgramConduit::send_sg_burst`]); on RD, segment by
+    ///    segment, since the windowed conduit keeps owned messages.
+    /// 5. **Complete** in WR order under one CQ lock round
+    ///    ([`Cq::push_batch`]). A WR is done once its last segment is
+    ///    handed to the transport (paper §IV.B.3): signaled WRs complete
+    ///    `Success`, unsignaled ones retire under
+    ///    `core.cq.unsignaled_retired`.
     ///
-    /// Error contract: a WR that fails validation (oversized payload,
-    /// revoked region) stops the batch — earlier WRs are still flushed
-    /// and completed, the offender gets no CQE, and its error returns. A
-    /// destination whose *flush* fails completes that destination's WRs
-    /// with [`CqeStatus::Error`] and the first such error returns after
-    /// the whole batch is flushed.
+    /// Wire bytes, CQE contents and CQE order are identical to posting
+    /// each WR with [`Self::post_send`].
     ///
-    /// Selective signaling: each WR's `signaled` flag is first run
-    /// through [`crate::signal::place_signals`] against the send CQ's
-    /// capacity and occupancy, so an unsignaled chain can never deadlock
-    /// a full CQ. Effective-unsignaled WRs produce no success CQE
-    /// (retired under `core.cq.unsignaled_retired`); flush errors
-    /// complete with a CQE regardless. The all-signaled default leaves
-    /// the CQE stream bit-for-bit identical to one `post_send` per WR.
+    /// The error contract, the same for every verb: a WR that fails
+    /// validation (oversized payload, revoked region) ends the call
+    /// before anything is sent. The WRs before it are posted, it and the
+    /// WRs after it get no CQE, and its error returns. The first flush
+    /// that fails (RD after a reset; UD segments always fit the wire)
+    /// ends the call too. The WRs it carried complete with
+    /// [`CqeStatus::Error`], signaled or not, with `byte_len` counting
+    /// their bytes handed over before it; WRs not yet flushed get no CQE;
+    /// and the flush error returns. Read requests and responses never
+    /// leave a send CQE.
     pub fn post_send_batch(&self, wrs: &[SendWr]) -> IwarpResult<()> {
-        // Effective signal flags are decided once, at doorbell time, from
-        // the same occupancy snapshot on both arms below.
-        let flags: Vec<bool> = {
-            let app: Vec<bool> = wrs.iter().map(|w| w.signaled).collect();
-            crate::signal::place_signals(
-                &app,
-                self.inner.send_cq.capacity(),
-                self.inner.send_cq.len(),
-            )
-        };
-        let conduit = match &self.inner.llp {
-            DgLlp::Ud(c) if wrs.len() > 1 => c,
-            _ => {
-                for (wr, signaled) in wrs.iter().zip(&flags) {
-                    self.post_send_inner(
-                        wr.wr_id,
-                        wr.payload.clone(),
-                        wr.dest,
-                        wr.solicited,
-                        *signaled,
-                    )?;
-                }
-                return Ok(());
-            }
-        };
-        // Validate and materialize every payload first: the segment count
-        // must be known up front so all DDP headers and CRC trailers of
-        // the doorbell come out of one pooled arena
-        // ([`UntaggedSegBatch`]) — one pool lock per batch.
-        let mut result = Ok(());
-        let mut datas: Vec<(u64, Bytes, Addr, bool, bool)> = Vec::with_capacity(wrs.len());
-        for (wr, signaled) in wrs.iter().zip(&flags) {
-            let data = match wr.payload.clone().into_bytes() {
-                Ok(d) => d,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            if data.len() > self.inner.max_msg_size {
-                result = Err(IwarpError::MessageTooLong {
-                    len: data.len(),
-                    max: self.inner.max_msg_size,
-                });
-                break;
-            }
-            datas.push((wr.wr_id, data, wr.dest.addr, wr.solicited, *signaled));
-        }
-        let cap = self.untagged_seg_capacity();
-        let n_segs: usize = datas
-            .iter()
-            .map(|(_, d, _, _, _)| d.len().div_ceil(cap).max(1))
-            .sum();
-        // Segment every WR, grouping segments per destination in
-        // first-seen order. Most batches hit one or two destinations, so
-        // a linear scan beats hashing.
-        let mut dests: Vec<(Addr, Vec<SgBytes>)> = Vec::new();
-        let mut seg_dis: Vec<usize> = Vec::with_capacity(n_segs);
-        let mut enc = UntaggedSegBatch::new(&self.inner.pool, n_segs);
-        // (wr_id, total_len, destination slot, signaled) — enough to
-        // build the CQEs once the flush outcome per destination is known.
-        let mut posted: Vec<(u64, u32, usize, bool)> = Vec::with_capacity(datas.len());
-        for (wr_id, data, addr, solicited, signaled) in datas {
-            let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-            let msn = self.inner.next_msn.fetch_add(1, Ordering::Relaxed);
-            let total = data.len() as u32;
-            self.inner.tx_tel.tx_msgs.inc();
-            self.inner.tx_tel.msg_size_tx.record(u64::from(total));
-            let di = match dests.iter().position(|(d, _)| *d == addr) {
-                Some(i) => i,
-                None => {
-                    dests.push((addr, Vec::new()));
-                    dests.len() - 1
-                }
-            };
-            let mut mo = 0usize;
-            loop {
-                self.inner.tx_tel.tx_segments.inc();
-                let end = (mo + cap).min(data.len());
-                let hdr = UntaggedHdr {
-                    opcode: RdmapOpcode::Send,
-                    last: end == data.len(),
-                    qn: QN_SEND,
-                    msn,
-                    mo: mo as u32,
-                    total_len: total,
-                    src_qpn: self.inner.qpn,
-                    msg_id,
-                    solicited,
-                };
-                enc.push(&hdr, data.slice(mo..end));
-                seg_dis.push(di);
-                if end == data.len() {
-                    break;
-                }
-                mo = end;
-            }
-            posted.push((wr_id, total, di, signaled));
-        }
-        for (sg, di) in enc.finish().into_iter().zip(seg_dis) {
-            dests[di].1.push(sg);
-        }
-        // One burst per destination; remember which flushes failed.
-        let mut flushed = vec![true; dests.len()];
-        for (i, (dst, segs)) in dests.into_iter().enumerate() {
-            self.inner.tx_tel.tx_bursts.inc();
-            if let Err(e) = conduit.send_sg_burst(dst, segs) {
-                flushed[i] = false;
-                if result.is_ok() {
-                    result = Err(e.into());
-                }
-            }
-        }
-        // All completions in WR order under one CQ lock/notify round.
-        // Unsignaled WRs whose flush succeeded retire without a CQE;
-        // flush errors always surface one.
-        let mut retired = 0u64;
-        let cqes = posted
-            .into_iter()
-            .filter_map(|(wr_id, total, di, signaled)| {
-                if flushed[di] && !signaled {
-                    retired += 1;
-                    return None;
-                }
-                Some(Cqe {
-                    wr_id,
-                    opcode: CqeOpcode::Send,
-                    status: if flushed[di] {
-                        CqeStatus::Success
-                    } else {
-                        CqeStatus::Error
-                    },
-                    byte_len: total,
-                    src: None,
-                    write_record: None,
-                    imm: None,
-                    solicited: false,
-                })
-            })
-            .collect();
-        self.inner.send_cq.push_batch(cqes);
-        self.inner.send_cq.retire_unsignaled(retired);
-        result
-    }
-
-    fn post_send_inner(
-        &self,
-        wr_id: u64,
-        payload: SendPayload,
-        dest: UdDest,
-        solicited: bool,
-        signaled: bool,
-    ) -> IwarpResult<()> {
-        let data = payload.into_bytes()?;
-        if data.len() > self.inner.max_msg_size {
-            return Err(IwarpError::MessageTooLong {
-                len: data.len(),
-                max: self.inner.max_msg_size,
-            });
-        }
-        let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        let msn = self.inner.next_msn.fetch_add(1, Ordering::Relaxed);
-        let cap = self.untagged_seg_capacity();
-        let total = data.len() as u32;
-        self.inner.tx_tel.tx_msgs.inc();
-        self.inner.tx_tel.msg_size_tx.record(u64::from(total));
-        let mut mo = 0usize;
-        loop {
-            self.inner.tx_tel.tx_segments.inc();
-            let end = (mo + cap).min(data.len());
-            let hdr = UntaggedHdr {
-                opcode: RdmapOpcode::Send,
-                last: end == data.len(),
-                qn: QN_SEND,
-                msn,
-                mo: mo as u32,
-                total_len: total,
-                src_qpn: self.inner.qpn,
-                msg_id,
-                solicited,
-            };
-            if let Err(e) = self.send_untagged_seg(&hdr, &data, mo, end, dest.addr) {
-                // The WR was accepted and earlier segments may already be
-                // on the wire, so the application must see a completion —
-                // but never a Success one. `byte_len` reports the bytes
-                // flushed before the failure.
-                self.inner.send_cq.push(Cqe {
-                    wr_id,
-                    opcode: CqeOpcode::Send,
-                    status: CqeStatus::Error,
-                    byte_len: mo as u32,
-                    src: None,
-                    write_record: None,
-                    imm: None,
-                    solicited: false,
-                });
-                return Err(e);
-            }
-            if end == data.len() {
-                break;
-            }
-            mo = end;
-        }
-        if signaled {
-            self.inner.send_cq.push(Cqe {
-                wr_id,
-                opcode: CqeOpcode::Send,
-                status: CqeStatus::Success,
-                byte_len: total,
-                src: None,
-                write_record: None,
-                imm: None,
-                solicited: false,
-            });
-        } else {
-            self.inner.send_cq.retire_unsignaled(1);
-        }
-        Ok(())
+        self.inner.transmit(Verb::Send, wrs)
     }
 
     /// Posts an **RDMA Write-Record** to `(remote_stag, remote_to)` on the
@@ -665,16 +777,15 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_tagged(
-            wr_id,
-            payload.into(),
-            dest,
-            remote_stag,
-            remote_to,
-            RdmapOpcode::WriteRecord,
-            true,
-            0,
-        )
+        let verb = Verb::Write {
+            opcode: RdmapOpcode::WriteRecord,
+            notify: true,
+            stag: remote_stag,
+            to: remote_to,
+            imm: 0,
+        };
+        self.inner
+            .transmit(verb, &[SendWr::new(wr_id, payload, dest)])
     }
 
     /// Posts an InfiniBand-style **RDMA Write with Immediate**: data is
@@ -691,16 +802,15 @@ impl DatagramQp {
         remote_to: u64,
         imm: u32,
     ) -> IwarpResult<()> {
-        self.post_tagged(
-            wr_id,
-            payload.into(),
-            dest,
-            remote_stag,
-            remote_to,
-            RdmapOpcode::RdmaWriteImm,
-            true,
+        let verb = Verb::Write {
+            opcode: RdmapOpcode::RdmaWriteImm,
+            notify: true,
+            stag: remote_stag,
+            to: remote_to,
             imm,
-        )
+        };
+        self.inner
+            .transmit(verb, &[SendWr::new(wr_id, payload, dest)])
     }
 
     /// Posts a plain RDMA Write (no target-side completion). Only
@@ -715,89 +825,15 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_tagged(
-            wr_id,
-            payload.into(),
-            dest,
-            remote_stag,
-            remote_to,
-            RdmapOpcode::RdmaWrite,
-            false,
-            0,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post_tagged(
-        &self,
-        wr_id: u64,
-        payload: SendPayload,
-        dest: UdDest,
-        remote_stag: u32,
-        remote_to: u64,
-        opcode: RdmapOpcode,
-        notify: bool,
-        imm: u32,
-    ) -> IwarpResult<()> {
-        let data = payload.into_bytes()?;
-        if data.len() > self.inner.max_msg_size {
-            return Err(IwarpError::MessageTooLong {
-                len: data.len(),
-                max: self.inner.max_msg_size,
-            });
-        }
-        let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        let cap = self.tagged_seg_capacity();
-        let total = data.len() as u32;
-        self.inner.tx_tel.tx_msgs.inc();
-        self.inner.tx_tel.msg_size_tx.record(u64::from(total));
-        let mut off = 0usize;
-        loop {
-            self.inner.tx_tel.tx_segments.inc();
-            let end = (off + cap).min(data.len());
-            let hdr = TaggedHdr {
-                opcode,
-                last: end == data.len(),
-                notify,
-                stag: remote_stag,
-                to: remote_to + off as u64,
-                base_to: remote_to,
-                total_len: total,
-                src_qpn: self.inner.qpn,
-                msg_id,
-                imm,
-            };
-            if let Err(e) = send_tagged_seg(&self.inner, &hdr, &data, off, end, dest.addr) {
-                // Same contract as the untagged path: a mid-message flush
-                // failure completes the WR with an error, never Success.
-                self.inner.send_cq.push(Cqe {
-                    wr_id,
-                    opcode: CqeOpcode::RdmaWrite,
-                    status: CqeStatus::Error,
-                    byte_len: off as u32,
-                    src: None,
-                    write_record: None,
-                    imm: None,
-                    solicited: false,
-                });
-                return Err(e);
-            }
-            if end == data.len() {
-                break;
-            }
-            off = end;
-        }
-        self.inner.send_cq.push(Cqe {
-            wr_id,
-            opcode: CqeOpcode::RdmaWrite,
-            status: CqeStatus::Success,
-            byte_len: total,
-            src: None,
-            write_record: None,
-        imm: None,
-        solicited: false,
-        });
-        Ok(())
+        let verb = Verb::Write {
+            opcode: RdmapOpcode::RdmaWrite,
+            notify: false,
+            stag: remote_stag,
+            to: remote_to,
+            imm: 0,
+        };
+        self.inner
+            .transmit(verb, &[SendWr::new(wr_id, payload, dest)])
     }
 
     /// Posts an RDMA Read (paper future-work extension): fetches
@@ -890,38 +926,10 @@ impl DatagramQp {
             src_stag: remote_stag,
             src_to: remote_to,
         };
-        let hdr = UntaggedHdr {
-            opcode: RdmapOpcode::ReadRequest,
-            last: true,
-            solicited: false,
-            qn: QN_READ_REQUEST,
-            msn: self.inner.next_msn.fetch_add(1, Ordering::Relaxed),
-            mo: 0,
-            total_len: crate::hdr::READ_REQUEST_LEN as u32,
-            src_qpn: self.inner.qpn,
-            msg_id,
-        };
-        let req = req.encode();
-        self.inner.tx_tel.tx_msgs.inc();
-        self.inner.tx_tel.tx_segments.inc();
-        self.send_untagged_seg(&hdr, &req, 0, req.len(), dest.addr)?;
-        Ok(())
-    }
-
-    /// Emits one untagged segment (`data[mo..end]` under `hdr`): a pooled
-    /// `hdr ++ crc` buffer chained around a zero-copy payload slice.
-    fn send_untagged_seg(
-        &self,
-        hdr: &UntaggedHdr,
-        data: &Bytes,
-        mo: usize,
-        end: usize,
-        dst: Addr,
-    ) -> IwarpResult<()> {
-        let inner = &self.inner;
-        let seg = encode_untagged_sg(hdr, &data.slice(mo..end), &inner.pool);
-        inner.llp.send_seg(dst, seg, &inner.tx_tel.bytes_copied)?;
-        Ok(())
+        self.inner.transmit(
+            Verb::ReadRequest { msg_id },
+            &[SendWr::new(wr_id, req.encode(), dest)],
+        )
     }
 
     /// Write-Record messages at this *target* still awaiting their final
@@ -1075,22 +1083,8 @@ pub(crate) fn expire_tick(inner: &DgInner) {
     inner.rx.expire();
 }
 
-/// Emits one tagged segment (`data[off..end]` under `hdr`); see
-/// [`DatagramQp::send_untagged_seg`].
-fn send_tagged_seg(
-    inner: &DgInner,
-    hdr: &TaggedHdr,
-    data: &Bytes,
-    off: usize,
-    end: usize,
-    dst: Addr,
-) -> IwarpResult<()> {
-    let seg = encode_tagged_sg(hdr, &data.slice(off..end), &inner.pool);
-    inner.llp.send_seg(dst, seg, &inner.tx_tel.bytes_copied)?;
-    Ok(())
-}
-
-/// Sends an RDMA Read Response as tagged `ReadResponse` segments.
+/// Sends an RDMA Read Response through the transmit pipeline. A response
+/// that cannot be sent is the requester's to recover: its read expires.
 fn respond(inner: &DgInner, action: RxAction) {
     let RxAction::SendReadResponse {
         dst,
@@ -1099,27 +1093,11 @@ fn respond(inner: &DgInner, action: RxAction) {
         data,
         msg_id,
     } = action;
-    let cap = inner.llp.max_datagram() - TAGGED_HDR_LEN - CRC_LEN;
-    let total = data.len() as u32;
-    let mut off = 0usize;
-    loop {
-        let end = (off + cap).min(data.len());
-        let hdr = TaggedHdr {
-            opcode: RdmapOpcode::ReadResponse,
-            last: end == data.len(),
-            notify: false,
-            stag: sink_stag,
-            to: sink_to + off as u64,
-            base_to: sink_to,
-            total_len: total,
-            src_qpn: inner.qpn,
-            msg_id,
-            imm: 0,
-        };
-        let _ = send_tagged_seg(inner, &hdr, &data, off, end, dst);
-        if end == data.len() {
-            break;
-        }
-        off = end;
-    }
+    let verb = Verb::ReadResponse {
+        msg_id,
+        stag: sink_stag,
+        to: sink_to,
+    };
+    let dest = UdDest { addr: dst, qpn: 0 };
+    let _ = inner.transmit(verb, &[SendWr::new(0, data, dest)]);
 }

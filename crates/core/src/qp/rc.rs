@@ -263,7 +263,7 @@ impl RcQp {
     /// Posts an untagged send. Completes once every FPDU has been handed
     /// to the stream (kernel-bypass analog of DMA-to-NIC completion).
     pub fn post_send(&self, wr_id: u64, payload: impl Into<SendPayload>) -> IwarpResult<()> {
-        self.post_send_inner(wr_id, payload.into(), false)
+        self.post_untagged(wr_id, payload.into(), false)
     }
 
     /// Posts a **send with solicited event** (the target's completion is
@@ -273,10 +273,10 @@ impl RcQp {
         wr_id: u64,
         payload: impl Into<SendPayload>,
     ) -> IwarpResult<()> {
-        self.post_send_inner(wr_id, payload.into(), true)
+        self.post_untagged(wr_id, payload.into(), true)
     }
 
-    fn post_send_inner(
+    fn post_untagged(
         &self,
         wr_id: u64,
         payload: SendPayload,

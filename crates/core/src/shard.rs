@@ -10,7 +10,7 @@
 //! and the fabric's delivery path marks a QP's conduit *ready* in its
 //! shard's inbox (via [`simnet::RxNotify`]) instead of waking a
 //! dedicated thread. Ready QPs are then drained in batches —
-//! [`crate::qp::dgram::rx_drain`] — which is where delivery batching
+//! `qp::dgram::rx_drain` — which is where delivery batching
 //! happens: one wakeup serves every packet that queued since the last.
 //!
 //! Determinism: sharding never reorders *within* a QP (the conduit queue

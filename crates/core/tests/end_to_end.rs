@@ -691,10 +691,31 @@ fn rd_reset_flushes_receives_and_ends_the_engine_thread() {
         burned <= 2,
         "engine thread burned {burned} CPU ticks in 500 ms after the reset"
     );
-    assert!(matches!(
-        qp.post_send(3, Bytes::from_static(b"x"), void),
-        Err(IwarpError::Net(NetError::Reset))
-    ));
+    // The one send error contract, on the only reachable send failure:
+    // a failed flush completes the WRs it carried with `Error`, ends the
+    // call (WR 5 is never flushed and gets no CQE) and returns the error.
+    let reset = |r: Result<(), IwarpError>| matches!(r, Err(IwarpError::Net(NetError::Reset)));
+    assert!(reset(qp.post_send(3, Bytes::from_static(b"x"), void)));
+    let batch = [
+        SendWr::new(4, Bytes::from_static(b"y"), void),
+        SendWr::new(5, Bytes::from_static(b"z"), void),
+    ];
+    assert!(reset(qp.post_send_batch(&batch)));
+    let w = Bytes::from_static(b"w");
+    assert!(reset(qp.post_write_record(6, w, void, 0x100, 0)));
+    let mut cqes = Vec::new();
+    while let Some(c) = send_cq.poll() {
+        cqes.push((c.wr_id, c.opcode, c.status));
+    }
+    assert_eq!(
+        cqes,
+        vec![
+            (2, CqeOpcode::Send, CqeStatus::Success),
+            (3, CqeOpcode::Send, CqeStatus::Error),
+            (4, CqeOpcode::Send, CqeStatus::Error),
+            (6, CqeOpcode::RdmaWrite, CqeStatus::Error),
+        ]
+    );
 }
 
 #[test]

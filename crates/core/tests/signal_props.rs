@@ -15,8 +15,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use iwarp::signal::{max_unsignaled_run, place_signals};
-use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, SendWr, UdQp};
 use iwarp::wr::RecvWr;
+use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, IwarpError, QpConfig, SendWr, UdQp};
 use simnet::{Fabric, NodeId};
 
 proptest! {
@@ -199,4 +199,61 @@ fn unsignaled_batch_retires_silently() {
     }
     assert_eq!(ids, vec![7], "only the forced trailing signal CQEs");
     assert_eq!(send_cq.unsignaled_retired(), 7);
+}
+
+/// A rejected WR ends the chain before signals are placed, so the forced
+/// trailing signal lands on the last WR that is really posted. The
+/// unsignaled chain `[A, B, C oversized]` fails with `MessageTooLong` and
+/// leaves exactly one CQE, B's `Success`, on UD and RD alike.
+#[test]
+fn rejected_tail_does_not_swallow_the_trailing_signal() {
+    for reliable in [false, true] {
+        let fab = Fabric::loopback();
+        let (a, b) = (Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1)));
+        let cfg = QpConfig {
+            max_msg_size: 1024,
+            ..QpConfig::default()
+        };
+        let send_cq = Cq::new(64);
+        let (b_send, b_recv) = (Cq::new(64), Cq::new(64));
+        let (qa, qb) = if reliable {
+            (
+                a.create_rd_qp(None, &send_cq, &Cq::new(64), cfg.clone())
+                    .unwrap(),
+                b.create_rd_qp(None, &b_send, &b_recv, cfg).unwrap(),
+            )
+        } else {
+            (
+                a.create_ud_qp(None, &send_cq, &Cq::new(64), cfg.clone())
+                    .unwrap(),
+                b.create_ud_qp(None, &b_send, &b_recv, cfg).unwrap(),
+            )
+        };
+        let wrs = [
+            SendWr::new(1, Bytes::from(vec![1u8; 64]), qb.dest()).unsignaled(),
+            SendWr::new(2, Bytes::from(vec![2u8; 64]), qb.dest()).unsignaled(),
+            SendWr::new(3, Bytes::from(vec![3u8; 2048]), qb.dest()).unsignaled(),
+        ];
+        let err = qa.post_send_batch(&wrs).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IwarpError::MessageTooLong {
+                    len: 2048,
+                    max: 1024
+                }
+            ),
+            "reliable={reliable}: {err:?}"
+        );
+        let mut cqes = Vec::new();
+        while let Ok(c) = send_cq.poll_timeout(Duration::from_millis(200)) {
+            cqes.push((c.wr_id, c.status));
+        }
+        assert_eq!(
+            cqes,
+            vec![(2, CqeStatus::Success)],
+            "reliable={reliable}: the trailing signal must land on B"
+        );
+        assert_eq!(send_cq.unsignaled_retired(), 1, "reliable={reliable}");
+    }
 }

@@ -163,133 +163,82 @@ impl DgramConduit {
         self.send_sg(dst, SgBytes::from(payload))
     }
 
-    /// Sends one datagram given as a scatter-gather list, fragmenting by
-    /// slicing: no payload byte is copied, and all fragment headers come
-    /// from a single pooled allocation.
+    /// Sends one datagram given as a scatter-gather list: a burst of one
+    /// through [`send_sg_burst`](Self::send_sg_burst), kept for callers
+    /// that send a datagram at a time (the RD conduit, the suite's ladder).
     pub fn send_sg(&self, dst: Addr, payload: SgBytes) -> NetResult<()> {
-        if payload.len() > MAX_DATAGRAM {
-            return Err(NetError::TooBig {
-                len: payload.len(),
-                max: MAX_DATAGRAM,
-            });
-        }
-        let (id, frag_count, total_len) = self.prepare_send(&payload);
-        let mut hdrs = self.pool.get(usize::from(frag_count) * FRAG_HEADER);
-        for idx in 0..frag_count {
-            write_frag_header(
-                &mut hdrs[usize::from(idx) * FRAG_HEADER..],
-                id,
-                idx,
-                frag_count,
-                total_len,
-            );
-        }
-        let hdrs = hdrs.freeze();
-        for idx in 0..frag_count {
-            let start = usize::from(idx) * self.frag_payload;
-            let end = (start + self.frag_payload).min(payload.len());
-            let h = usize::from(idx) * FRAG_HEADER;
-            self.ep.send_sg(
-                dst,
-                hdrs.slice(h..h + FRAG_HEADER),
-                payload.slice(start, end),
-            )?;
-        }
-        Ok(())
+        self.send_sg_burst(dst, vec![payload])
     }
 
-    /// Sends a burst of datagrams to `dst` through one fabric lock round.
+    /// Sends a burst of datagrams to `dst` as one fabric transmit — the
+    /// conduit's one send.
     ///
-    /// Each datagram is fragmented exactly as [`send_sg`](Self::send_sg)
-    /// would — same ids, same headers, same per-datagram telemetry — but
-    /// every fragment of every datagram is handed to the wire in a single
-    /// [`Endpoint::send_burst`], so the fabric's loss/chaos state is
-    /// locked once for the whole burst instead of once per fragment. An
-    /// oversized datagram stops the burst at that datagram (earlier ones
-    /// still go out, matching N sequential sends) and the error
-    /// propagates.
-    pub fn send_sg_burst(&self, dst: Addr, payloads: Vec<SgBytes>) -> NetResult<()> {
-        let mut sends: Vec<crate::fabric::SgSend> = Vec::with_capacity(payloads.len());
-        let mut result = Ok(());
-        // All fragment headers of the burst come from ONE pooled buffer:
-        // the pool shard is locked once per burst, not once per datagram.
-        let total_frags: usize = payloads
+    /// Each datagram is fragmented by slicing, so no payload byte is
+    /// copied, and every fragment header of the burst comes from one
+    /// pooled allocation. All fragments go to the wire in a single
+    /// [`Endpoint::send_burst`], which draws loss and faults per fragment
+    /// in order, exactly as one send per datagram would. An oversized
+    /// datagram stops the burst at that datagram (earlier ones still go
+    /// out) and the error returns.
+    pub fn send_sg_burst(&self, dst: Addr, mut payloads: Vec<SgBytes>) -> NetResult<()> {
+        let frag_count = |len: usize| len.div_ceil(self.frag_payload).max(1);
+        let accepted = payloads
             .iter()
-            .map(|p| p.len().div_ceil(self.frag_payload).max(1))
-            .sum();
-        let mut hdrs = self.pool.get(total_frags * FRAG_HEADER);
-        let mut h_off = 0usize;
-        let mut metas: Vec<(SgBytes, u16)> = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            if payload.len() > MAX_DATAGRAM {
-                result = Err(NetError::TooBig {
-                    len: payload.len(),
-                    max: MAX_DATAGRAM,
-                });
-                break;
-            }
-            let (id, frag_count, total_len) = self.prepare_send(&payload);
-            for idx in 0..frag_count {
-                write_frag_header(
-                    &mut hdrs[h_off + usize::from(idx) * FRAG_HEADER..],
-                    id,
-                    idx,
-                    frag_count,
-                    total_len,
+            .position(|p| p.len() > MAX_DATAGRAM)
+            .unwrap_or(payloads.len());
+        let result = match payloads.get(accepted) {
+            Some(p) => Err(NetError::TooBig {
+                len: p.len(),
+                max: MAX_DATAGRAM,
+            }),
+            None => Ok(()),
+        };
+        payloads.truncate(accepted);
+        let frags: usize = payloads.iter().map(|p| frag_count(p.len())).sum();
+        let mut hdrs = self.pool.get(frags * FRAG_HEADER);
+        let mut h = 0usize;
+        for payload in &payloads {
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            let cnt = frag_count(payload.len()) as u16;
+            self.tel.tx_datagrams.inc();
+            self.tel.tx_fragments.add(u64::from(cnt));
+            self.tel.msg_bytes.record(payload.len() as u64);
+            if self.tel.tel.tracer().armed() {
+                let src = self.ep.local_addr();
+                self.tel.tel.tracer().record(
+                    self.tel.tel.now_nanos(),
+                    EndpointId::new(src.node.0, src.port),
+                    EventKind::Enqueue,
+                    payload.len() as u64,
+                    u64::from(id),
                 );
             }
-            h_off += usize::from(frag_count) * FRAG_HEADER;
-            metas.push((payload, frag_count));
+            for idx in 0..cnt {
+                write_frag_header(&mut hdrs[h..], id, idx, cnt, payload.len() as u32);
+                h += FRAG_HEADER;
+            }
         }
         let hdrs = hdrs.freeze();
+        let mut frames = Vec::with_capacity(frags);
         let mut h = 0usize;
-        for (payload, frag_count) in metas {
-            if frag_count == 1 {
+        for payload in payloads {
+            let cnt = frag_count(payload.len());
+            if cnt == 1 {
                 // Unfragmented: the whole datagram moves through without
                 // re-slicing (the common small-message case).
-                sends.push(crate::fabric::SgSend {
-                    dst,
-                    header: hdrs.slice(h..h + FRAG_HEADER),
-                    payload,
-                });
+                frames.push((hdrs.slice(h..h + FRAG_HEADER), payload));
                 h += FRAG_HEADER;
                 continue;
             }
-            for idx in 0..frag_count {
-                let start = usize::from(idx) * self.frag_payload;
+            for idx in 0..cnt {
+                let start = idx * self.frag_payload;
                 let end = (start + self.frag_payload).min(payload.len());
-                sends.push(crate::fabric::SgSend {
-                    dst,
-                    header: hdrs.slice(h..h + FRAG_HEADER),
-                    payload: payload.slice(start, end),
-                });
+                frames.push((hdrs.slice(h..h + FRAG_HEADER), payload.slice(start, end)));
                 h += FRAG_HEADER;
             }
         }
-        self.ep.send_burst(sends)?;
+        self.ep.send_burst(dst, frames)?;
         result
-    }
-
-    /// Allocates a datagram id and records the per-datagram telemetry
-    /// shared by the single-datagram and burst sends.
-    fn prepare_send(&self, payload: &SgBytes) -> (u32, u16, u32) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let total_len = payload.len() as u32;
-        let frag_count = payload.len().div_ceil(self.frag_payload).max(1) as u16;
-        self.tel.tx_datagrams.inc();
-        self.tel.tx_fragments.add(u64::from(frag_count));
-        self.tel.msg_bytes.record(payload.len() as u64);
-        if self.tel.tel.tracer().armed() {
-            let src = self.ep.local_addr();
-            self.tel.tel.tracer().record(
-                self.tel.tel.now_nanos(),
-                EndpointId::new(src.node.0, src.port),
-                EventKind::Enqueue,
-                payload.len() as u64,
-                u64::from(id),
-            );
-        }
-        (id, frag_count, total_len)
     }
 
     /// Receives the next complete datagram, blocking up to `timeout`

@@ -12,7 +12,7 @@
 //! Every bound destination link owns its entire datapath state: a
 //! lock-free [`RingChannel`] delivery ring, its loss-model RNG (seeded
 //! `derive_seed(cfg.seed, link_id)` so the draw sequence on one link is
-//! independent of traffic on every other link), its [`ChaosState`] fault
+//! independent of traffic on every other link), its `ChaosState` fault
 //! streams, its pacing clock, and its propagation-delay queue. The hot
 //! transmit path on a default fabric (no loss, no chaos, no pacing)
 //! touches **zero shared locks**: resolve the destination link through
@@ -344,7 +344,7 @@ impl Fabric {
     /// `tx_packets + duplicated == delivered + dropped_loss +
     /// dropped_unreachable + chaos_swallowed + in_flight + chaos_held`.
     ///
-    /// Each live link (and multicast group) gets its own [`ChaosState`]
+    /// Each live link (and multicast group) gets its own `ChaosState`
     /// rooted at the plan seed; per-`(src, dst)` fault streams are
     /// byte-identical to the old single-adversary fabric because streams
     /// were always keyed and seeded per link pair.
@@ -471,9 +471,7 @@ impl Fabric {
             }
         }
         for (link, pkts) in unicast {
-            for p in pkts {
-                self.forward_to(&link, p);
-            }
+            self.forward_batch(&link, pkts);
         }
         for p in mcast {
             self.forward_mcast(p);
@@ -683,7 +681,7 @@ impl Fabric {
         }
     }
 
-    /// Per-packet TX bookkeeping shared by both transmit paths.
+    /// Per-packet TX bookkeeping: the packet-size histogram and the trace.
     fn count_tx(&self, pkt: &WirePacket, wire_len: usize) {
         let tel = &self.inner.tel;
         tel.pkt_bytes.record(wire_len as u64);
@@ -698,56 +696,87 @@ impl Fabric {
         }
     }
 
-    /// Transmits one wire packet to a pre-resolved destination link
-    /// (`None` = nothing bound there, or a multicast destination).
-    /// Applies pacing, loss, chaos and latency, then delivers onto the
-    /// destination's ring. Undeliverable packets vanish silently (UDP
-    /// semantics); loss and unreachability are counted in
-    /// [`FabricStats`].
-    fn transmit_one(&self, link: Option<&Arc<Link>>, pkt: WirePacket) -> NetResult<()> {
+    /// The one transmit: a burst of wire packets from one endpoint to one
+    /// destination `dst`, whose bound link the sender resolved (`None`:
+    /// nothing is bound there, or `dst` is a multicast group).
+    ///
+    /// Per packet, in order: the MTU check, counting and pacing against
+    /// the destination link's clock (before any lock: pacing sleeps must
+    /// not hold one). Then one TX-lock round runs the loss roll and the
+    /// chaos stages over the burst, and one [`forward_batch`] hands the
+    /// survivors on. Loss and fault RNG state is owned by the destination
+    /// link and drawn per packet in transmit order, so a burst is
+    /// wire-identical to the same packets sent one call each. An oversized
+    /// packet stops the burst there: earlier packets still go out and the
+    /// error returns. Undeliverable packets vanish silently (UDP
+    /// semantics); loss and unreachability are counted in [`FabricStats`].
+    ///
+    /// [`forward_batch`]: Fabric::forward_batch
+    fn transmit(
+        &self,
+        dst: Addr,
+        link: Option<&Arc<Link>>,
+        pkts: impl ExactSizeIterator<Item = WirePacket>,
+    ) -> NetResult<()> {
         let cfg = &self.inner.cfg;
-        let wire_len = pkt.wire_len();
-        if wire_len > cfg.mtu {
-            return Err(NetError::TooBig {
-                len: wire_len,
-                max: cfg.mtu,
-            });
+        let mut result = Ok(());
+        let mut accepted = Vec::with_capacity(pkts.len());
+        let mut tx_bytes = 0u64;
+        for pkt in pkts {
+            let wire_len = pkt.wire_len();
+            if wire_len > cfg.mtu {
+                result = Err(NetError::TooBig {
+                    len: wire_len,
+                    max: cfg.mtu,
+                });
+                break;
+            }
+            tx_bytes += wire_len as u64;
+            self.count_tx(&pkt, wire_len);
+            if let Some(link) = link {
+                self.pace(&link.tx, wire_len);
+            }
+            accepted.push(pkt);
         }
         let stats = &self.inner.stats;
-        stats.tx_packets.fetch_add(1, Ordering::Relaxed);
-        stats.tx_bytes.fetch_add(wire_len as u64, Ordering::Relaxed);
         let tel = &self.inner.tel;
-        tel.tx_packets.inc();
-        tel.tx_bytes.add(wire_len as u64);
-        self.count_tx(&pkt, wire_len);
+        stats
+            .tx_packets
+            .fetch_add(accepted.len() as u64, Ordering::Relaxed);
+        stats.tx_bytes.fetch_add(tx_bytes, Ordering::Relaxed);
+        tel.tx_packets.add(accepted.len() as u64);
+        tel.tx_bytes.add(tx_bytes);
 
-        if Self::is_multicast(pkt.dst) {
-            return self.transmit_mcast(pkt, wire_len);
+        if Self::is_multicast(dst) {
+            for pkt in accepted {
+                self.transmit_mcast(pkt);
+            }
+            return result;
         }
         let Some(link) = link else {
-            self.count_unreachable(&pkt);
-            return Ok(());
+            for pkt in &accepted {
+                self.count_unreachable(pkt);
+            }
+            return result;
         };
-        self.pace(&link.tx, wire_len);
-        if !self.tx_work() {
-            // Hot path: no loss, no chaos — straight onto the dst ring.
-            self.forward_to(link, pkt);
-            return Ok(());
-        }
-        let forwards = {
+        let forwards = if self.tx_work() {
             let mut ts = link.tx.lock();
-            self.adversary(&mut ts, pkt)
+            accepted
+                .into_iter()
+                .flat_map(|pkt| self.adversary(&mut ts, pkt))
+                .collect()
+        } else {
+            // Hot path: no loss, no chaos — straight on to the dst ring.
+            accepted
         };
-        for p in forwards {
-            self.forward_to(link, p);
-        }
-        Ok(())
+        self.forward_batch(link, forwards);
+        result
     }
 
-    /// The multicast tail of [`transmit_one`](Fabric::transmit_one): the
-    /// group owns its own pacing clock and fault streams; membership is
-    /// resolved at delivery time.
-    fn transmit_mcast(&self, pkt: WirePacket, wire_len: usize) -> NetResult<()> {
+    /// The multicast arm of [`transmit`](Fabric::transmit), one packet at
+    /// a time: the group owns its own pacing clock and fault streams, and
+    /// membership is resolved at delivery time.
+    fn transmit_mcast(&self, pkt: WirePacket) {
         let group = {
             let c = self.inner.control.read();
             c.groups
@@ -756,9 +785,9 @@ impl Fabric {
         };
         let Some((tx, delay)) = group else {
             self.count_unreachable(&pkt);
-            return Ok(());
+            return;
         };
-        self.pace(&tx, wire_len);
+        self.pace(&tx, pkt.wire_len());
         let forwards = if self.tx_work() {
             let mut ts = tx.lock();
             self.adversary(&mut ts, pkt)
@@ -774,125 +803,11 @@ impl Fabric {
                 self.forward_mcast(p);
             }
         }
-        Ok(())
     }
 
-    /// Transmits a burst of pre-resolved `(link, packet)` pairs.
-    ///
-    /// Per-packet semantics are preserved byte-for-byte: every packet
-    /// runs the exact [`transmit_one`](Fabric::transmit_one) pipeline —
-    /// MTU check, pacing, loss roll, chaos stages — and because loss and
-    /// fault RNG state is owned per destination link, grouping the burst
-    /// by destination (preserving per-destination order, the only order
-    /// the wire guarantees) draws each link's RNG in exactly the sequence
-    /// N single transmits would. What the burst amortizes is the
-    /// *bookkeeping*: one TX-lock round per destination, batched counter
-    /// updates, one ring-occupancy sample and one arrival notification
-    /// per destination. An oversized packet stops the burst exactly where
-    /// N single transmits would: earlier packets still go out, the error
-    /// propagates.
-    fn transmit_burst(&self, items: Vec<(Option<Arc<Link>>, WirePacket)>) -> NetResult<()> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        if items.len() == 1 {
-            let (link, pkt) = items.into_iter().next().expect("len checked");
-            return self.transmit_one(link.as_ref(), pkt);
-        }
-        let cfg = &self.inner.cfg;
-        let tel = &self.inner.tel;
-        let stats = &self.inner.stats;
-
-        // Stage 1: validate, trace and pace in packet order before any
-        // TX-state lock (pacing sleeps must not hold one).
-        let mut accepted: Vec<(Option<Arc<Link>>, WirePacket)> = Vec::with_capacity(items.len());
-        let mut result = Ok(());
-        let mut tx_bytes = 0u64;
-        for (link, pkt) in items {
-            let wire_len = pkt.wire_len();
-            if wire_len > cfg.mtu {
-                result = Err(NetError::TooBig {
-                    len: wire_len,
-                    max: cfg.mtu,
-                });
-                break;
-            }
-            tx_bytes += wire_len as u64;
-            self.count_tx(&pkt, wire_len);
-            if cfg.bandwidth_bps > 0 {
-                if let Some(l) = &link {
-                    self.pace(&l.tx, wire_len);
-                }
-            }
-            accepted.push((link, pkt));
-        }
-        stats
-            .tx_packets
-            .fetch_add(accepted.len() as u64, Ordering::Relaxed);
-        stats.tx_bytes.fetch_add(tx_bytes, Ordering::Relaxed);
-        tel.tx_packets.add(accepted.len() as u64);
-        tel.tx_bytes.add(tx_bytes);
-        if accepted.is_empty() {
-            return result;
-        }
-
-        // Stage 2: group by destination link, preserving per-destination
-        // order. Bursts touch a handful of destinations, so a linear scan
-        // beats hashing. Multicast and unreachable packets are handled
-        // inline, in order.
-        let mut groups: Vec<(Arc<Link>, Vec<WirePacket>)> = Vec::new();
-        for (link, pkt) in accepted {
-            if Self::is_multicast(pkt.dst) {
-                let wire_len = pkt.wire_len();
-                self.transmit_mcast(pkt, wire_len)?;
-                continue;
-            }
-            let Some(link) = link else {
-                self.count_unreachable(&pkt);
-                continue;
-            };
-            match groups.iter_mut().find(|(l, _)| Arc::ptr_eq(l, &link)) {
-                Some((_, v)) => v.push(pkt),
-                None => groups.push((link, vec![pkt])),
-            }
-        }
-
-        // Stage 3: one TX-lock round per destination, then batched
-        // delivery onto that destination's ring.
-        let work = self.tx_work();
-        for (link, pkts) in groups {
-            if !work {
-                self.forward_batch(&link, pkts);
-                continue;
-            }
-            let forwards = {
-                let mut ts = link.tx.lock();
-                let mut fwd = Vec::with_capacity(pkts.len());
-                for pkt in pkts {
-                    fwd.extend(self.adversary(&mut ts, pkt));
-                }
-                fwd
-            };
-            self.forward_batch(&link, forwards);
-        }
-        result
-    }
-
-    /// The post-adversary tail of the transmit paths: per-link delay
-    /// queue when latency is configured, synchronous ring delivery
-    /// otherwise.
-    fn forward_to(&self, link: &Arc<Link>, pkt: WirePacket) {
-        if self.inner.pump.is_some() {
-            let due = Instant::now() + self.inner.cfg.latency;
-            link.delay.lock().push_back((due, pkt));
-            self.signal_pump();
-            return;
-        }
-        self.deliver_to_link(link, pkt);
-    }
-
-    /// Batched [`forward_to`](Fabric::forward_to): one delay-queue lock
-    /// (or one notify + occupancy sample) per destination per burst.
+    /// The post-adversary tail of [`transmit`](Fabric::transmit): the
+    /// link's delay queue when latency is configured (one lock round per
+    /// burst), [`deliver_batch`](Fabric::deliver_batch) otherwise.
     fn forward_batch(&self, link: &Arc<Link>, pkts: Vec<WirePacket>) {
         if pkts.is_empty() {
             return;
@@ -903,6 +818,13 @@ impl Fabric {
             self.signal_pump();
             return;
         }
+        self.deliver_batch(link, pkts);
+    }
+
+    /// Delivers post-adversary, post-delay packets onto `link`'s ring in
+    /// one batch: one occupancy sample and one arrival notification
+    /// (outside all fabric locks) per batch.
+    fn deliver_batch(&self, link: &Arc<Link>, pkts: Vec<WirePacket>) {
         let tel = &self.inner.tel;
         let tracing = tel.tel.tracer().armed();
         let meta: Vec<(Addr, Addr, usize)> = if tracing {
@@ -913,8 +835,7 @@ impl Fabric {
         let count = pkts.len() as u64;
         let mut batch: VecDeque<WirePacket> = pkts.into();
         let Some((_, spilled)) = link.q.push_batch(&mut batch) else {
-            // Receiver torn down mid-burst: unreachable, exactly as the
-            // per-packet path counts it.
+            // Receiver torn down: every packet is unreachable.
             for pkt in batch {
                 self.count_unreachable(&pkt);
             }
@@ -941,26 +862,6 @@ impl Fabric {
             }
         }
         self.notify_link(link);
-    }
-
-    /// Delivers one post-adversary, post-delay packet onto `link`'s ring
-    /// and fires its arrival notifier (outside all fabric locks).
-    fn deliver_to_link(&self, link: &Arc<Link>, pkt: WirePacket) {
-        let (src, dst, wire_len) = (pkt.src, pkt.dst, pkt.wire_len());
-        match link.q.push(pkt) {
-            Ok(outcome) => {
-                self.inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                let tel = &self.inner.tel;
-                tel.ring_enqueues.inc();
-                if outcome == PushOutcome::Spilled {
-                    tel.ring_full_retries.inc();
-                }
-                tel.ring_occupancy.record(link.q.len() as u64);
-                self.trace_rx(src, dst, wire_len);
-                self.notify_link(link);
-            }
-            Err(closed) => self.count_unreachable(&closed.0),
-        }
     }
 
     fn notify_link(&self, link: &Arc<Link>) {
@@ -1127,8 +1028,8 @@ fn delay_pump(pump: &DelayPump, fabric: &std::sync::Weak<FabricInner>) {
                     }
                     out
                 };
-                for pkt in due_pkts {
-                    fab.deliver_to_link(link, pkt);
+                if !due_pkts.is_empty() {
+                    fab.deliver_batch(link, due_pkts);
                 }
             }
             for (_, delay) in &groups {
@@ -1202,18 +1103,6 @@ fn precise_wait_until(deadline: Instant) {
     }
 }
 
-/// One packet of a burst queued through [`Endpoint::send_burst`]:
-/// `header` ++ `payload` bound for `dst`, exactly the shape of one
-/// [`Endpoint::send_sg`] call.
-pub struct SgSend {
-    /// Destination endpoint address.
-    pub dst: Addr,
-    /// Contiguous header bytes (sent first).
-    pub header: Bytes,
-    /// Scatter-gather payload chained after the header.
-    pub payload: SgBytes,
-}
-
 /// A bound wire endpoint: the raw "NIC queue" interface. Upper layers
 /// (datagram/stream conduits) build services on top of this.
 ///
@@ -1284,38 +1173,29 @@ impl Endpoint {
     }
 
     /// Sends one wire packet (≤ MTU bytes) to `dst` as a single
-    /// contiguous frame.
+    /// contiguous frame: a burst of one through the fabric's one transmit,
+    /// kept for the stream conduit's segments and for callers that frame
+    /// their own packets.
     pub fn send_to(&self, dst: Addr, payload: Bytes) -> NetResult<()> {
-        let link = self.resolve(dst);
+        let frame = WirePacket::contiguous_frame(self.addr, dst, payload);
         self.fabric
-            .transmit_one(link.as_ref(), WirePacket::contiguous_frame(self.addr, dst, payload))
+            .transmit(dst, self.resolve(dst).as_ref(), std::iter::once(frame))
     }
 
-    /// Sends one scatter-gather wire packet (`header` ++ `payload` ≤ MTU
-    /// bytes) to `dst` without flattening it.
-    pub fn send_sg(&self, dst: Addr, header: Bytes, payload: SgBytes) -> NetResult<()> {
-        let link = self.resolve(dst);
-        self.fabric
-            .transmit_one(link.as_ref(), WirePacket::sg(self.addr, dst, header, payload))
-    }
-
-    /// Sends a burst of scatter-gather wire packets through
-    /// [`Fabric::transmit_burst`]: per-packet loss/fault semantics are
-    /// byte-identical to calling [`send_sg`] N times under the same seed
-    /// (RNG state is owned per destination link, and the burst preserves
-    /// per-destination order), but TX-state locking, counter updates and
-    /// arrival notifications are amortized per destination per burst.
-    ///
-    /// [`send_sg`]: Endpoint::send_sg
-    pub fn send_burst(&self, sends: Vec<SgSend>) -> NetResult<()> {
-        self.fabric.transmit_burst(
-            sends
+    /// Sends a burst of scatter-gather wire packets (`header ++ payload`,
+    /// each ≤ MTU bytes) to `dst`, in order and without flattening them.
+    /// Loss and faults are drawn per packet exactly as one
+    /// [`send_to`](Endpoint::send_to) per packet would draw them; what the
+    /// burst amortizes is the TX-state locking, the counter updates and
+    /// the arrival notification.
+    pub fn send_burst(&self, dst: Addr, frames: Vec<(Bytes, SgBytes)>) -> NetResult<()> {
+        let src = self.addr;
+        self.fabric.transmit(
+            dst,
+            self.resolve(dst).as_ref(),
+            frames
                 .into_iter()
-                .map(|s| {
-                    let link = self.resolve(s.dst);
-                    (link, WirePacket::sg(self.addr, s.dst, s.header, s.payload))
-                })
-                .collect(),
+                .map(|(header, payload)| WirePacket::sg(src, dst, header, payload)),
         )
     }
 

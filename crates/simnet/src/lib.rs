@@ -43,7 +43,7 @@ pub mod wire;
 pub use chaos::{ChaosSnapshot, FaultEvent, FaultKind, FaultPlan, PartitionWindow};
 pub use dgram::DgramConduit;
 pub use error::{NetError, NetResult};
-pub use fabric::{Fabric, RxNotify, SgSend};
+pub use fabric::{Fabric, RxNotify};
 pub use iwarp_cc::CcAlgo;
 pub use loss::LossModel;
 pub use rdgram::RdConduit;

@@ -2,11 +2,17 @@
 
 use std::time::Duration;
 
+use std::sync::atomic::Ordering;
+
 use bytes::Bytes;
+use iwarp_common::sg::SgBytes;
 use proptest::prelude::*;
 
+use simnet::chaos::FaultEvent;
 use simnet::dgram::{FRAG_HEADER, MAX_DATAGRAM, PROTO_DGRAM};
-use simnet::{Addr, DgramConduit, Fabric, NodeId, StreamConduit, StreamListener, WireConfig};
+use simnet::{
+    Addr, DgramConduit, Fabric, FaultPlan, NodeId, StreamConduit, StreamListener, WireConfig,
+};
 
 /// Builds the wire frame of one datagram fragment by hand, so tests can
 /// inject duplicates, reorderings and metadata conflicts that no
@@ -44,8 +50,76 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
     }
 }
 
+/// A fabric's fault trace, its `FabricStats` values, and every delivered
+/// wire packet (source and bytes) in arrival order.
+type WireView = (Vec<FaultEvent>, [u64; 5], Vec<(Addr, Vec<u8>)>);
+
+/// The [`WireView`] after `sizes.len()` datagrams go from one conduit to
+/// one raw endpoint over a fresh lossy, faulty fabric: in one
+/// `send_sg_burst` when `burst`, otherwise in one `send_sg` each.
+fn wire_after_sends(sizes: &[usize], seed: u64, burst: bool) -> WireView {
+    let fab = Fabric::new(WireConfig::with_loss(0.05, seed));
+    fab.install_fault_plan(FaultPlan {
+        duplicate: 0.05,
+        reorder: 0.05,
+        reorder_depth: 4,
+        corrupt: 0.05,
+        truncate: 0.05,
+        ..FaultPlan::quiet(seed)
+    });
+    let tx = DgramConduit::bind(&fab, Addr::new(0, 1)).unwrap();
+    let rx = fab.bind(Addr::new(1, 1)).unwrap();
+    let payloads: Vec<SgBytes> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            SgBytes::from(Bytes::from(
+                (0..n).map(|j| (i * 31 + j) as u8).collect::<Vec<_>>(),
+            ))
+        })
+        .collect();
+    if burst {
+        tx.send_sg_burst(rx.local_addr(), payloads).unwrap();
+    } else {
+        for p in payloads {
+            tx.send_sg(rx.local_addr(), p).unwrap();
+        }
+    }
+    fab.chaos_flush();
+    let st = fab.stats();
+    let stats = [
+        &st.tx_packets,
+        &st.tx_bytes,
+        &st.dropped_loss,
+        &st.dropped_unreachable,
+        &st.delivered,
+    ]
+    .map(|c| c.load(Ordering::Relaxed));
+    let mut wire = Vec::new();
+    while let Ok(p) = rx.try_recv() {
+        wire.push((p.src, p.contiguous().to_vec()));
+    }
+    (fab.fault_trace(), stats, wire)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The wire-identity contract of the one transmit: a burst of K
+    /// datagrams (some fragmenting) draws loss and faults per packet in
+    /// transmit order, exactly as K single sends under the same seeds —
+    /// same fault trace, same fabric stats, same packets in the same
+    /// order.
+    #[test]
+    fn burst_is_wire_identical_to_single_sends(
+        sizes in proptest::collection::vec(1usize..=12 * 1024, 1..8),
+        seed in any::<u64>(),
+    ) {
+        let singles = wire_after_sends(&sizes, seed, false);
+        let burst = wire_after_sends(&sizes, seed, true);
+        prop_assert!(singles.1[0] > 0, "nothing transmitted");
+        prop_assert_eq!(burst, singles);
+    }
 
     /// Any datagram ≤ 64 KiB round-trips intact through fragmentation and
     /// reassembly, regardless of size or content.

@@ -6,7 +6,7 @@
 //! end-of-run throughput numbers alone. This crate gives every layer one
 //! shared, cheap place to count what actually happened on the wire:
 //!
-//! - [`Telemetry`]: a cloneable handle created per [`simnet`] fabric and
+//! - [`Telemetry`]: a cloneable handle created per `simnet` fabric and
 //!   threaded down through devices, QPs, and the socket shim. Not a
 //!   global: tests run concurrently in one process, and per-fabric
 //!   isolation is what keeps seeded runs reproducible.

@@ -19,6 +19,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# ~5 s on a 2-CPU host once clippy has built the workspace. A rename or
+# deletion that leaves an intra-doc link dangling fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> suite smoke: the BENCHMARK.json workloads build, run and verify every op"
 # ~10 s on a 2-CPU host, and first after the lint: a library edit that
 # breaks the suite's build or fails an op is reported here rather than in

@@ -435,8 +435,8 @@ fn payload_lines(out: &[Vec<Vec<u8>>]) -> Vec<String> {
 
 /// Wire-level counters: a knob may only change *how* packets move (lock
 /// rounds, notifies, CQ pushes), never *what* moves or what the loss RNG
-/// sees. `core.qp.tx_bursts` counts doorbell batching, which `Sends`
-/// changes on purpose, and is left out.
+/// sees. `core.qp.tx_bursts` counts flush rounds, not packets, and is
+/// left out.
 const WIRE_COUNTERS: &[&str] = &[
     "simnet.fabric.tx_packets",
     "simnet.fabric.tx_bytes",
@@ -498,18 +498,26 @@ fn rx_mode_does_not_change_delivered_bytes() {
         RxMode::Sharded(4),
     ] {
         let tel = check_ud_lossy(mode, Sends::Singles);
-        assert_eq!(tel.get("core.qp.tx_bursts"), Some(0), "{mode:?}");
+        // Every single post_send is a burst of one.
+        assert_eq!(
+            tel.get("core.qp.tx_bursts"),
+            tel.get("core.qp.tx_msgs"),
+            "{mode:?}"
+        );
     }
 }
 
 /// Batched doorbells are byte-identical on the wire to single sends: the
 /// same delivered payloads in the same CQE order and the same wire-level
-/// telemetry, differing only in the amortization counter, which proves
-/// the batches went out as fabric bursts.
+/// telemetry. Each round's doorbell names every destination once, so it
+/// flushes one burst per destination: as many bursts as messages.
 #[test]
 fn batched_doorbells_are_wire_identical_to_single_sends() {
     let tel = check_ud_lossy(RxMode::Poll, Sends::Batch);
-    assert!(tel.get("core.qp.tx_bursts").unwrap_or(0) > 0);
+    assert_eq!(
+        tel.get("core.qp.tx_bursts"),
+        Some(QPS as u64 * u64::from(MSGS))
+    );
 }
 
 /// The per-link seeding contract across the scale-out axis: under the
