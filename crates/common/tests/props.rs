@@ -2,15 +2,16 @@
 
 use proptest::prelude::*;
 
-use iwarp_common::crc32::{crc32c, Crc32c};
+use iwarp_common::crc32::{crc32c, crc32c_scalar, Crc32c};
 use iwarp_common::validity::ValidityMap;
 
 proptest! {
-    /// Streaming CRC over arbitrary splits equals the one-shot CRC.
+    /// Streaming CRC over arbitrary splits, many of them inside a block
+    /// of the three-lane kernel, equals the scalar one-shot CRC.
     #[test]
-    fn crc_streaming_split_invariant(data in proptest::collection::vec(any::<u8>(), 0..2048),
+    fn crc_streaming_split_invariant(data in proptest::collection::vec(any::<u8>(), 0..2 * KERNEL_SPAN),
                                      cuts in proptest::collection::vec(any::<usize>(), 0..8)) {
-        let oneshot = crc32c(&data);
+        let oneshot = crc32c_scalar(&data);
         let mut points: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
         points.sort_unstable();
         let mut state = Crc32c::new();
@@ -103,18 +104,49 @@ proptest! {
         prop_assert_eq!(covered + gaps, len);
     }
 
-    /// The hardware-dispatching CRC, the scalar sliced-by-8 kernel, and the
-    /// fused crc-while-copy routine agree for arbitrary inputs and
-    /// alignments (sub-slicing shifts alignment relative to 8-byte words).
+    /// The hardware-dispatching CRC and the scalar sliced-by-8 kernel
+    /// agree for arbitrary inputs and alignments (sub-slicing shifts
+    /// alignment relative to 8-byte words), at lengths that reach both
+    /// block sizes of the three-lane kernel.
     #[test]
-    fn crc_kernels_agree(data in proptest::collection::vec(any::<u8>(), 0..4096),
+    fn crc_kernels_agree(data in proptest::collection::vec(any::<u8>(), 0..KERNEL_SPAN),
                          skew in 0usize..8) {
-        use iwarp_common::crc32::{crc32c_copy, crc32c_scalar};
         let data = &data[skew.min(data.len())..];
-        let auto = crc32c(data);
-        prop_assert_eq!(crc32c_scalar(data), auto);
-        let mut dst = vec![0u8; data.len()];
-        prop_assert_eq!(crc32c_copy(data, &mut dst), auto);
-        prop_assert_eq!(&dst[..], data);
+        prop_assert_eq!(crc32c_scalar(data), crc32c(data));
+    }
+}
+
+/// The hardware kernel's lane sizes (`crc32::hw::{LONG, SHORT}`); a block
+/// is three lanes, and a tail under one short block runs a single chain.
+const LONG: usize = 4096;
+const SHORT: usize = 256;
+/// One of each block plus a word: every path through the kernel.
+const KERNEL_SPAN: usize = 3 * LONG + 3 * SHORT + 8;
+
+/// Lengths on and beside every block edge, the 64 KiB DDP segment among
+/// them, at two alignments. Each input starts at its own offset, so the
+/// lane states joined at block ends differ from case to case.
+#[test]
+fn crc_kernels_agree_at_block_edges() {
+    let data: Vec<u8> = (0..70_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    let edges = [
+        3 * SHORT,
+        2 * 3 * SHORT,
+        3 * LONG,
+        3 * LONG + 3 * SHORT,
+        2 * 3 * LONG,
+        64 * 1024,
+        64 * 1024 + 42,
+    ];
+    for edge in edges {
+        for len in edge - 9..=edge + 9 {
+            for skew in [0, 3] {
+                let start = (len * 8 + skew) % 256;
+                let d = &data[start..start + len];
+                assert_eq!(crc32c(d), crc32c_scalar(d), "len={len} start={start}");
+            }
+        }
     }
 }

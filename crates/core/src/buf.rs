@@ -171,8 +171,8 @@ impl MemoryRegion {
         Ok(())
     }
 
-    /// Places `data` at `offset` while resolving a deferred CRC check —
-    /// the fused verify-then-place for the datapath's one mandatory copy.
+    /// Places `data` at `offset` after resolving a deferred CRC check —
+    /// verify-then-place for the datapath's one mandatory copy.
     ///
     /// Bounds are checked before any byte moves, and the digest settles
     /// *before* any byte is placed (store-and-verify semantics): on
@@ -183,9 +183,9 @@ impl MemoryRegion {
     /// application. Cut-through placement (bytes first, verdict after)
     /// would break exactly that invariant.
     ///
-    /// The digest pass and the copy pass both traverse `data` in page-
-    /// sized runs; the source stays L1/L2-hot between the two passes, so
-    /// the cost over single-traversal cut-through is one extra warm read.
+    /// It digests all of `data`, then copies all of it in one
+    /// `copy_nonoverlapping`: two passes over the source, never
+    /// interleaved, because no byte may land before the verdict.
     pub fn write_with_crc(
         &self,
         offset: u64,
@@ -526,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_crc_write_places_and_verifies() {
+    fn crc_write_verifies_then_places() {
         use crate::hdr::{decode_sg, DdpSegment, RdmapOpcode, SegBatch, TaggedHdr};
         let pool = iwarp_common::pool::BufPool::new();
         let payload: Vec<u8> = (0..9000u32).map(|i| (i % 253) as u8).collect();

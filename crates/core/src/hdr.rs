@@ -310,8 +310,7 @@ impl SegBatch {
 /// [`decode_sg`] returns one for multi-part segments: the digest state
 /// with the header already absorbed, plus the trailer value the full
 /// segment must hash to. The receive engine either resolves it up front
-/// ([`PendingCrc::verify`]) or fuses the payload's CRC pass with the
-/// mandatory placement copy
+/// ([`PendingCrc::verify`]) or hands it to the mandatory placement copy
 /// ([`crate::buf::MemoryRegion::write_with_crc`]), which settles the
 /// digest before placing any byte (store-and-verify). Every consumer
 /// must resolve it one way or the other before trusting the segment.
@@ -350,8 +349,8 @@ impl PendingCrc {
 /// `None`. A multi-part delivery parses the header from a bounded stack
 /// copy, takes the payload as a zero-copy window, and — because checking
 /// the CRC eagerly would force flattening the parts — returns the check
-/// as a [`PendingCrc`] for the engine to resolve (fused with placement on
-/// the hot path). Corruption in the header region may therefore surface
+/// as a [`PendingCrc`] for the engine to resolve (at placement on the
+/// hot path). Corruption in the header region may therefore surface
 /// as a malformed-segment error here rather than `CrcMismatch`; the two
 /// are jointly exhaustive over corrupt input.
 pub fn decode_sg(raw: &SgBytes, with_crc: bool) -> IwarpResult<(DdpSegment, Option<PendingCrc>)> {

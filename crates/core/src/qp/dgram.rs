@@ -1014,8 +1014,8 @@ fn rx_loop(inner: &DgInner) {
 ///
 /// Datagrams arrive as scatter-gather lists: an unfragmented SG-path
 /// datagram reaches this decode as the sender's original slices, with its
-/// CRC check deferred ([`decode_sg`]) so the engine can fuse it with the
-/// placement copy instead of flattening here.
+/// CRC check deferred ([`decode_sg`]) so the engine can settle it at
+/// placement instead of flattening here.
 fn rx_step(inner: &DgInner, max_wait: Duration) -> bool {
     match inner.llp.recv_sg(max_wait) {
         Ok((src, dgram)) => rx_dispatch(inner, src, &dgram),

@@ -350,8 +350,8 @@ impl RxCore {
     /// consumes a posted receive before any byte lands, and wire
     /// corruption must not eat receive WRs that the check-first
     /// contiguous decode preserves. Tagged segments carry the check into
-    /// placement, where [`MemoryRegion::write_with_crc`] fuses it with
-    /// the mandatory copy into the registered region.
+    /// placement, where [`MemoryRegion::write_with_crc`] settles it just
+    /// before the mandatory copy into the registered region.
     pub(crate) fn handle_deferred(
         &self,
         src: Addr,
@@ -389,8 +389,8 @@ impl RxCore {
         }
     }
 
-    /// Places `payload` at `to`, fusing a deferred CRC check with the
-    /// copy when one is pending. Counts the appropriate discard
+    /// Places `payload` at `to`, settling a pending deferred CRC check
+    /// before the copy. Counts the appropriate discard
     /// (CRC or access violation, classified as the check-first
     /// contiguous decode would) and returns false on failure.
     fn place_checked(

@@ -7,15 +7,21 @@
 //! Frames are captured post-encode by addressing the sender at a relay
 //! [`DgramConduit`]; the relay flips exactly one payload bit and
 //! forwards the damaged frame to the real receiver, exactly as a
-//! bit-error on the wire would.
+//! bit-error on the wire would. The last test works below the QP: it
+//! damages a 64 KiB segment at the CRC kernel's block edges and drives
+//! both receive decodes directly.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use bytes::Bytes;
-use iwarp::hdr::CRC_LEN;
+use iwarp::hdr::{
+    decode, decode_sg, DdpSegment, RdmapOpcode, SegBatch, TaggedHdr, CRC_LEN, TAGGED_HDR_LEN,
+};
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, CqeStatus, Device, QpConfig, UdDest};
+use iwarp::{Access, Cq, CqeStatus, Device, IwarpError, MrTable, QpConfig, UdDest};
+use iwarp_common::pool::BufPool;
+use iwarp_common::sg::SgBytes;
 use simnet::{DgramConduit, Fabric, NodeId};
 
 const PUMP: Duration = Duration::from_millis(2);
@@ -243,4 +249,100 @@ fn partial_write_record_excludes_corrupt_segment() {
             "claimed run [{s}, {e}) does not hold the sender's bytes"
         );
     }
+}
+
+/// A 64 KiB tagged segment (the `bulk_wr_1MiB` shape) with one bit
+/// flipped in each region of the hardware CRC kernel's layout: each of
+/// the three interleaved lanes of a long block, the first word after a
+/// block boundary, and the single-chain tail. Both receive decodes must
+/// answer `CrcMismatch`, and the multi-part one must place nothing.
+#[test]
+fn bit_flip_in_every_crc_kernel_region_is_caught() {
+    // The kernel's lane sizes (`iwarp_common::crc32`'s `hw::LONG` and
+    // `hw::SHORT`); a block is three lanes.
+    const LONG: usize = 4096;
+    const SHORT: usize = 256;
+    let payload = pattern(64 * 1024);
+    let hdr = TaggedHdr {
+        opcode: RdmapOpcode::WriteRecord,
+        last: true,
+        notify: true,
+        stag: 1,
+        to: 0,
+        base_to: 0,
+        total_len: payload.len() as u32,
+        src_qpn: 3,
+        msg_id: 5,
+        imm: 0,
+    };
+    let mut batch = SegBatch::new(&BufPool::new(), 1);
+    batch.push(DdpSegment::Tagged {
+        hdr,
+        payload: Bytes::from(payload.clone()),
+    });
+    let frame = batch.finish().pop().expect("one segment").to_bytes();
+    let body_len = frame.len() - CRC_LEN;
+    // Split as the datagram path delivers it: header, payload, trailer.
+    let parts = |f: &Bytes| {
+        let mut sg = SgBytes::new();
+        sg.push(f.slice(..TAGGED_HDR_LEN));
+        sg.push(f.slice(TAGGED_HDR_LEN..body_len));
+        sg.push(f.slice(body_len..));
+        sg
+    };
+    let region = MrTable::new().register(payload.len(), Access::RemoteWrite);
+    let sentinel = vec![0xEEu8; payload.len()];
+    region.write(0, &sentinel).unwrap();
+
+    // Offsets into the input of one `Crc32c::update` call: the whole body
+    // for `decode`, the payload alone for `write_with_crc` (`decode_sg`
+    // absorbs the header separately). Both inputs end in a tail of at
+    // least 256 bytes, after 5 long and 5 short blocks.
+    let places = [
+        ("long block, lane 0", LONG / 2),
+        ("long block, lane 1", LONG + LONG / 2),
+        ("long block, lane 2", 2 * LONG + LONG / 2 + 5),
+        ("first word of the second long block", 3 * LONG),
+        ("first word of the first short block", 5 * 3 * LONG),
+        ("short block, lane 2", 5 * 3 * LONG + 2 * SHORT + 9),
+    ];
+    let tail = |input_len: usize| ("single-chain tail", input_len - 100);
+    let flip = |at: usize| {
+        let mut v = frame.to_vec();
+        v[at] ^= 0x10;
+        Bytes::from(v)
+    };
+    for (what, at) in places.into_iter().chain([tail(body_len)]) {
+        assert_eq!(
+            decode(&flip(at), true).err(),
+            Some(IwarpError::CrcMismatch),
+            "contiguous decode, {what}"
+        );
+    }
+    for (what, at) in places.into_iter().chain([tail(payload.len())]) {
+        let bad = flip(TAGGED_HDR_LEN + at);
+        let (seg, pending) = decode_sg(&parts(&bad), true).expect("header intact");
+        let pending = pending.expect("multi-part defers the CRC");
+        let DdpSegment::Tagged { payload: p, .. } = seg else {
+            panic!("tagged expected")
+        };
+        assert_eq!(
+            region.write_with_crc(0, &p, &pending).err(),
+            Some(IwarpError::CrcMismatch),
+            "decode_sg + write_with_crc, {what}"
+        );
+        assert!(
+            region.read_vec(0, payload.len()).unwrap() == sentinel,
+            "{what}: a rejected segment must place nothing"
+        );
+    }
+
+    // The undamaged frame passes both ways and lands.
+    assert!(decode(&frame, true).is_ok());
+    let (seg, pending) = decode_sg(&parts(&frame), true).unwrap();
+    let DdpSegment::Tagged { payload: p, .. } = seg else {
+        panic!("tagged expected")
+    };
+    region.write_with_crc(0, &p, &pending.unwrap()).unwrap();
+    assert!(region.read_vec(0, payload.len()).unwrap() == payload);
 }
