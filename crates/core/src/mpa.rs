@@ -57,13 +57,19 @@ pub struct MpaTx {
     cfg: MpaConfig,
     /// Current stream position (markers included).
     pos: u64,
+    /// Markers inserted so far.
+    markers: u64,
 }
 
 impl MpaTx {
     /// Creates a framer at stream position 0.
     #[must_use]
     pub fn new(cfg: MpaConfig) -> Self {
-        Self { cfg, pos: 0 }
+        Self {
+            cfg,
+            pos: 0,
+            markers: 0,
+        }
     }
 
     /// Frames one ULPDU, returning the exact bytes to write to the stream.
@@ -106,6 +112,7 @@ impl MpaTx {
             if self.pos.is_multiple_of(MARKER_INTERVAL) {
                 out.put_u32((self.pos - fpdu_start) as u32);
                 self.pos += MARKER_LEN as u64;
+                self.markers += 1;
                 continue;
             }
             let until_marker = (MARKER_INTERVAL - self.pos % MARKER_INTERVAL) as usize;
@@ -121,6 +128,12 @@ impl MpaTx {
     #[must_use]
     pub fn position(&self) -> u64 {
         self.pos
+    }
+
+    /// Markers inserted since creation.
+    #[must_use]
+    pub fn markers(&self) -> u64 {
+        self.markers
     }
 }
 

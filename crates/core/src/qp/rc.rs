@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use iwarp_telemetry::Telemetry;
+use iwarp_telemetry::{Counter, Telemetry};
 use parking_lot::Mutex;
 use simnet::stream::StreamConfig;
 use simnet::{Addr, Fabric, NetError, NodeId, StreamConduit, StreamListener};
@@ -40,6 +40,8 @@ struct RcInner {
     send_cq: Cq,
     rx: RxCore,
     tx_tel: QpTxTel,
+    /// MPA markers this QP inserted (`core.mpa.markers_tx`).
+    markers_tx: Counter,
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
     max_msg_size: usize,
@@ -79,7 +81,9 @@ impl RcInner {
     /// marker positions exactly).
     fn write_ulpdu(&self, ulpdu: &[u8]) -> IwarpResult<()> {
         let mut tx = self.tx.lock();
+        let before = tx.markers();
         let framed = tx.frame(ulpdu);
+        self.markers_tx.add(tx.markers() - before);
         self.stream.write_all(&framed)?;
         Ok(())
     }
@@ -172,6 +176,7 @@ impl RcQp {
             // RC rides the reliable stream: in-flight work never expires.
             rx: RxCore::new(mrs, recv_cq, cfg, true, rx_tel),
             tx_tel: QpTxTel::new(&tel),
+            markers_tx: tel.counter("core.mpa.markers_tx"),
             qpn,
             peer_qpn,
             tx: Mutex::new(MpaTx::new(mpa)),

@@ -311,6 +311,10 @@ fn decode_sack(payload: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
 /// registry round-trip per retransmit would still be needless).
 struct StreamTel {
     tel: Telemetry,
+    /// Every segment handed to the fabric, retransmissions included.
+    tx_segments: Counter,
+    /// Pure acknowledgements among them (SACK-bearing ones included).
+    acks_tx: Counter,
     retransmits: Counter,
     fast_retransmits: Counter,
     rto_retransmits: Counter,
@@ -334,6 +338,11 @@ impl Inner {
     fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: Bytes) {
         let wnd = st.recv_window(self.cfg.rcv_buf);
         st.last_wnd_sent = wnd;
+        self.tel.tx_segments.inc();
+        let pure_ack = payload.is_empty() || flags & FLAG_SACK != 0;
+        if flags & (FLAG_SYN | FLAG_FIN) == 0 && pure_ack {
+            self.tel.acks_tx.inc();
+        }
         let seg = Segment {
             flags,
             seq,
@@ -844,6 +853,8 @@ impl StreamConduit {
             .with_telemetry(ep.fabric().telemetry());
         let t = ep.fabric().telemetry().clone();
         let tel = StreamTel {
+            tx_segments: t.counter("simnet.stream.tx_segments"),
+            acks_tx: t.counter("simnet.stream.acks_tx"),
             retransmits: t.counter("simnet.stream.retransmits"),
             fast_retransmits: t.counter("simnet.stream.fast_retransmits"),
             rto_retransmits: t.counter("simnet.stream.rto_retransmits"),

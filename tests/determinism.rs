@@ -16,6 +16,8 @@
 //!   event/lease `history` digest and the `faults` trace.
 //! * `ud-lossy`, `ud-chaos`, `bulk-read` and `replog-failover`: the
 //!   workloads below, each run under every configuration it supports.
+//! * `rc-lossless`: a poll-mode RC pair on a clean wire, anchoring the
+//!   connection path (stream conduit, MPA framing, RC verbs).
 //!
 //! On a mismatch a check panics and prints every line it recomputed, the
 //! moved ones marked. Moving an anchor on purpose means pasting those
@@ -31,11 +33,14 @@ use datagram_iwarp::cc::CcAlgo;
 use datagram_iwarp::chaos::replog::{run_replog_plan, ReplogOpts};
 use datagram_iwarp::chaos::{run_plan, ChaosOpts};
 use datagram_iwarp::common::rng::derive_seed;
+use datagram_iwarp::net::stream::StreamConfig;
 use datagram_iwarp::net::{Addr, Fabric, FaultEvent, FaultPlan, LossModel, NodeId, WireConfig};
 use datagram_iwarp::telemetry::Snapshot;
 use datagram_iwarp::verbs::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use datagram_iwarp::verbs::wr::{RecvWr, SendWr};
-use datagram_iwarp::verbs::{Access, Cq, CqeStatus, Device, DeviceConfig, QpConfig, ShardConfig};
+use datagram_iwarp::verbs::{
+    Access, Cq, Cqe, CqeStatus, Device, DeviceConfig, QpConfig, RcQp, ShardConfig,
+};
 
 const ANCHORS: &str = include_str!("anchors.txt");
 
@@ -71,6 +76,7 @@ fn recomputed() -> BTreeSet<(String, String)> {
     add("ud-chaos".into(), &["payloads", "faults"]);
     add("bulk-read".into(), &["wire"]);
     add("replog-failover".into(), &REPLOG_STREAMS);
+    add("rc-lossless".into(), &["payloads", "cqes", "wire"]);
     for s in CHAOS_SEEDS {
         add(format!("chaos/{s}"), &CHAOS_STREAMS);
     }
@@ -455,7 +461,11 @@ const WIRE_COUNTERS: &[&str] = &[
 ];
 
 fn wire_lines(tel: &Snapshot) -> Vec<String> {
-    WIRE_COUNTERS
+    wire_lines_of(tel, WIRE_COUNTERS)
+}
+
+fn wire_lines_of(tel: &Snapshot, counters: &[&str]) -> Vec<String> {
+    counters
         .iter()
         .map(|name| format!("{name} {:?}", tel.get(name)))
         .collect()
@@ -724,4 +734,172 @@ fn link_a_draws_unchanged_by_link_b_traffic() {
         alone, shared,
         "link B's traffic perturbed link A's loss draw sequence"
     );
+}
+
+// ---------------------------------------------------------------------------
+// rc-lossless: a poll-mode RC pair across the MPA marker positions.
+// ---------------------------------------------------------------------------
+
+/// Message sizes around the 512-byte MPA marker spacing and the one-FPDU
+/// segment budget, so FPDUs start, end and split at marker positions.
+const RC_SIZES: [usize; 10] = [1, 100, 505, 508, 512, 513, 1024, 1400, 3000, 6000];
+const RC_SLOT: usize = 8 * 1024;
+
+/// The connection path's wire: stream segments and the pure ACKs among
+/// them, FPDUs (one per DDP segment) and the markers framed into them.
+const RC_WIRE_COUNTERS: &[&str] = &[
+    "simnet.fabric.tx_packets",
+    "simnet.fabric.tx_bytes",
+    "simnet.fabric.delivered",
+    "simnet.stream.tx_segments",
+    "simnet.stream.acks_tx",
+    "simnet.stream.retransmits",
+    "core.qp.tx_msgs",
+    "core.qp.tx_segments",
+    "core.mpa.markers_tx",
+    "core.rx.segments",
+    "core.rx.messages",
+];
+
+fn rc_payload(len: usize, verb: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(verb | 1) ^ (i >> 8) as u8 ^ verb)
+        .collect()
+}
+
+fn cqe_line(side: &str, c: &Cqe) -> String {
+    format!(
+        "{side} {} {:?} {:?} {} imm={:?} sol={} wr={:?}",
+        c.wr_id, c.opcode, c.status, c.byte_len, c.imm, c.solicited, c.write_record
+    )
+}
+
+/// `rc-lossless`: the client posts a send, an RDMA Write, a Write-Record
+/// and a Read of every size in [`RC_SIZES`], and the test thread drives
+/// both poll-mode QPs a fixed number of rounds after each size. The wire
+/// is clean and the retransmission timers sit far beyond the run, so the
+/// only segments are data, handshake and their ACKs. Every posted size
+/// stays well inside the 32 KiB socket buffers, so no `write_all` waits
+/// on a peer nobody is driving.
+fn run_rc_lossless() -> Vec<Stream> {
+    let fab = Fabric::new(WireConfig {
+        seed: SEED,
+        ..WireConfig::default()
+    });
+    let dev_cfg = DeviceConfig {
+        stream: StreamConfig {
+            poll_mode: true,
+            rto_initial: Duration::from_secs(30),
+            rto_max: Duration::from_secs(30),
+            ..StreamConfig::default()
+        },
+        ..DeviceConfig::default()
+    };
+    let server = Device::with_config(&fab, NodeId(1), dev_cfg.clone());
+    let client = Device::with_config(&fab, NodeId(0), dev_cfg);
+    let qp_cfg = QpConfig {
+        poll_mode: true,
+        ..QpConfig::default()
+    };
+    let (s_send, s_recv, c_send, c_recv) = (Cq::new(64), Cq::new(64), Cq::new(64), Cq::new(64));
+    let listener = server.rc_listen(700).unwrap();
+    let (cqp, sqp): (RcQp, RcQp) = std::thread::scope(|s| {
+        let accept = s.spawn(|| {
+            listener
+                .accept(Duration::from_secs(10), &s_send, &s_recv, qp_cfg.clone())
+                .unwrap()
+        });
+        let cqp = client
+            .rc_connect(listener.local_addr(), &c_send, &c_recv, qp_cfg.clone())
+            .unwrap();
+        (cqp, accept.join().unwrap())
+    });
+
+    let span = RC_SIZES.len() * RC_SLOT;
+    let recv_mr = server.register(span, Access::Local);
+    let write_mr = server.register(span, Access::RemoteWrite);
+    let record_mr = server.register(span, Access::RemoteWrite);
+    let source: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
+    let read_mr = server.register_with(&source, Access::RemoteRead);
+    let sink = client.register(span, Access::Local);
+    for i in 0..RC_SIZES.len() {
+        sqp.post_recv(RecvWr {
+            wr_id: i as u64,
+            mr: recv_mr.clone(),
+            offset: (i * RC_SLOT) as u64,
+            len: RC_SLOT as u32,
+        })
+        .unwrap();
+    }
+    for (i, &len) in RC_SIZES.iter().enumerate() {
+        let (wr, at) = (4 * i as u64, (i * RC_SLOT) as u64);
+        cqp.post_send(wr, rc_payload(len, 0)).unwrap();
+        cqp.post_rdma_write(wr + 1, rc_payload(len, 1), write_mr.stag(), at)
+            .unwrap();
+        cqp.post_write_record(wr + 2, rc_payload(len, 2), record_mr.stag(), at)
+            .unwrap();
+        cqp.post_read(wr + 3, &sink, at, len as u32, read_mr.stag(), at)
+            .unwrap();
+        for _ in 0..4 {
+            cqp.progress(Duration::ZERO);
+            sqp.progress(Duration::ZERO);
+        }
+    }
+    let wire = wire_lines_of(&fab.telemetry().snapshot(), RC_WIRE_COUNTERS);
+
+    let mut cqes = Vec::new();
+    for (side, cq) in [
+        ("c.send", &c_send),
+        ("c.recv", &c_recv),
+        ("s.send", &s_send),
+        ("s.recv", &s_recv),
+    ] {
+        while let Some(c) = cq.poll() {
+            assert_eq!(c.status, CqeStatus::Success, "{side}: {c:?}");
+            cqes.push(cqe_line(side, &c));
+        }
+    }
+    // Per size: client send, Write and Write-Record, the Read at the
+    // client, and the receive and Write-Record record at the server.
+    assert_eq!(
+        cqes.len(),
+        6 * RC_SIZES.len(),
+        "the drive left work undone:\n{cqes:#?}"
+    );
+
+    let hex = |m: &[u8]| m.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let mut payloads = Vec::new();
+    for (i, &len) in RC_SIZES.iter().enumerate() {
+        let at = (i * RC_SLOT) as u64;
+        for (name, mr, verb) in [
+            ("recv", &recv_mr, 0),
+            ("write", &write_mr, 1),
+            ("record", &record_mr, 2),
+        ] {
+            let got = mr.read_vec(at, len).unwrap();
+            assert_eq!(got, rc_payload(len, verb), "{name} of {len} B");
+            payloads.push(format!("{name} {len} {}", hex(&got)));
+        }
+        let got = sink.read_vec(at, len).unwrap();
+        assert_eq!(
+            got,
+            source[at as usize..at as usize + len],
+            "read of {len} B"
+        );
+        payloads.push(format!("read {len} {}", hex(&got)));
+    }
+    let scenario = "rc-lossless".to_owned();
+    vec![
+        (scenario.clone(), "payloads", payloads),
+        (scenario.clone(), "cqes", cqes),
+        (scenario, "wire", wire),
+    ]
+}
+
+/// The connection path's determinism contract: a lossless poll-mode RC
+/// pair delivers the same bytes and completions over the same segments,
+/// ACKs, FPDUs and markers on every run.
+#[test]
+fn rc_lossless_matches_its_anchor() {
+    check("a poll-mode RC pair", &run_rc_lossless());
 }
