@@ -23,7 +23,9 @@
 //!
 //! Lock order: `control` → `link.tx` / `link.delay` → (leaf). The
 //! per-link `notify` RwLock and the pump condvar are leaves. Arrival
-//! notifiers always run outside every fabric lock.
+//! notifiers always run outside every fabric lock, and every condvar
+//! notify follows the release of the lock its wakee re-takes (wake after
+//! release): a delivery ring's consumer, the delay pump.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -973,10 +975,12 @@ impl Fabric {
         }
     }
 
+    /// Marks the pump dirty and wakes it. The pump reads `dirty` under
+    /// its state lock before it waits, so the notify can follow the
+    /// release (the module's wake-after-release rule).
     fn signal_pump(&self) {
         if let Some(p) = &self.inner.pump {
-            let mut st = p.state.lock();
-            st.dirty = true;
+            p.state.lock().dirty = true;
             p.cv.notify_one();
         }
     }
@@ -985,8 +989,7 @@ impl Fabric {
 impl Drop for FabricInner {
     fn drop(&mut self) {
         if let Some(p) = &self.pump {
-            let mut st = p.state.lock();
-            st.shutdown = true;
+            p.state.lock().shutdown = true;
             p.cv.notify_all();
         }
     }

@@ -346,7 +346,15 @@ impl<T> RingChannel<T> {
         // emptiness re-check.
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::Relaxed) > 0 {
-            let _g = self.gate.lock();
+            // Wake after release. A sleeper registers and re-checks under
+            // `gate`, then waits, and the wait releases `gate` atomically.
+            // Taking and releasing `gate` here orders the notify after
+            // that wait (or after a re-check that saw the value), so no
+            // wake is lost. Notifying with `gate` already released means
+            // the woken consumer never blocks on a lock its waker still
+            // holds: on one core that second block costs two more context
+            // switches per hand-off.
+            drop(self.gate.lock());
             self.cv.notify_all();
         }
     }
@@ -440,7 +448,9 @@ impl<T> RingChannel<T> {
     /// poppable) and wakes every parked consumer.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        let _g = self.gate.lock();
+        // Wake after release, as in `wake`: sleepers re-check `closed`
+        // under `gate` before they wait.
+        drop(self.gate.lock());
         self.cv.notify_all();
     }
 
