@@ -1176,13 +1176,28 @@ impl Endpoint {
     }
 
     /// Sends one wire packet (≤ MTU bytes) to `dst` as a single
-    /// contiguous frame: a burst of one through the fabric's one transmit,
-    /// kept for the stream conduit's segments and for callers that frame
-    /// their own packets.
+    /// contiguous frame: a [`send_frames`](Endpoint::send_frames) burst
+    /// of one.
     pub fn send_to(&self, dst: Addr, payload: Bytes) -> NetResult<()> {
-        let frame = WirePacket::contiguous_frame(self.addr, dst, payload);
-        self.fabric
-            .transmit(dst, self.resolve(dst).as_ref(), std::iter::once(frame))
+        self.send_frames(dst, std::iter::once(payload))
+    }
+
+    /// Sends a burst of contiguous wire frames (each ≤ MTU bytes) to
+    /// `dst`, in order: the [`send_burst`](Endpoint::send_burst) of
+    /// callers that frame their own packets, such as the stream conduit's
+    /// segments. Loss and faults are drawn per packet, as for
+    /// `send_burst`.
+    pub fn send_frames(
+        &self,
+        dst: Addr,
+        frames: impl ExactSizeIterator<Item = Bytes>,
+    ) -> NetResult<()> {
+        let src = self.addr;
+        self.fabric.transmit(
+            dst,
+            self.resolve(dst).as_ref(),
+            frames.map(|frame| WirePacket::contiguous_frame(src, dst, frame)),
+        )
     }
 
     /// Sends a burst of scatter-gather wire packets (`header ++ payload`,

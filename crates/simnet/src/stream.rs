@@ -22,13 +22,15 @@
 //! must insert markers (paper §II) — an overhead the datagram path avoids.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::mem::ManuallyDrop;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use iwarp_common::memacct::{MemRegistry, MemScope};
 
@@ -59,6 +61,12 @@ const MAX_HS_RETRIES: u32 = 30;
 
 /// Most `(lo, hi)` ranges one SACK segment carries.
 const MAX_SACK_RANGES: usize = 3;
+
+/// `St::wake` bits: the condvars a lock scope's release step notifies.
+const WAKE_READABLE: u8 = 0x01;
+const WAKE_WRITABLE: u8 = 0x02;
+const WAKE_ESTABLISHED: u8 = 0x04;
+const WAKE_ALL: u8 = WAKE_READABLE | WAKE_WRITABLE | WAKE_ESTABLISHED;
 
 /// Lower bound on the adaptive retransmission timeout. Only applies under
 /// an adaptive `cc` algorithm; `CcAlgo::Fixed` floors the timer at
@@ -204,6 +212,12 @@ struct St {
     last_wnd_sent: u32,
     err: Option<NetError>,
     shutdown: bool,
+    /// Segments encoded in the current lock scope, in order, all for
+    /// `peer`. The scope's release step sends them as one fabric burst.
+    outbox: Vec<Bytes>,
+    /// `WAKE_*` bits raised in the current lock scope. Its release step
+    /// notifies them after unlocking.
+    wake: u8,
 }
 
 impl St {
@@ -333,8 +347,78 @@ struct Inner {
     _mem: Mutex<Option<MemScope>>,
 }
 
+/// One scope of the state lock. Dropping it is the scope's release step:
+/// the segments the scope encoded leave as one fabric burst while the lock
+/// is still held, so wire order is lock order; then the lock is released;
+/// then the condvars the scope flagged are notified, so a woken waiter
+/// never blocks on a lock its waker still holds.
+struct Locked<'a> {
+    inner: &'a Inner,
+    guard: ManuallyDrop<MutexGuard<'a, St>>,
+}
+
+impl<'a> Locked<'a> {
+    /// The raw guard, for a condvar wait. A scope waits only before it
+    /// has encoded or flagged anything.
+    fn guard(&mut self) -> &mut MutexGuard<'a, St> {
+        debug_assert!(self.guard.outbox.is_empty() && self.guard.wake == 0);
+        &mut self.guard
+    }
+}
+
+impl Deref for Locked<'_> {
+    type Target = St;
+    fn deref(&self) -> &St {
+        &self.guard
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut St {
+        &mut self.guard
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        let st = &mut **self.guard;
+        if !st.outbox.is_empty() {
+            // Losing a segment here is equivalent to wire loss; reliability
+            // comes from retransmission, so the send result is advisory.
+            let _ = self.inner.ep.send_frames(st.peer, st.outbox.drain(..));
+        }
+        let wake = std::mem::take(&mut st.wake);
+        // SAFETY: the guard is dropped exactly once, here, and never
+        // touched again.
+        unsafe { ManuallyDrop::drop(&mut self.guard) };
+        if wake & WAKE_READABLE != 0 {
+            self.inner.readable.notify_all();
+        }
+        if wake & WAKE_WRITABLE != 0 {
+            self.inner.writable.notify_all();
+        }
+        if wake & WAKE_ESTABLISHED != 0 {
+            self.inner.established.notify_all();
+        }
+    }
+}
+
 impl Inner {
-    /// Transmits a segment to the peer. Called with the state lock held.
+    /// Takes the state lock for one scope; see [`Locked`].
+    fn lock(&self) -> Locked<'_> {
+        let guard = self.st.lock();
+        debug_assert!(
+            guard.outbox.is_empty() && guard.wake == 0,
+            "a stream lock scope skipped its release step"
+        );
+        Locked {
+            inner: self,
+            guard: ManuallyDrop::new(guard),
+        }
+    }
+
+    /// Encodes a segment to the peer into the scope's outbox. Called with
+    /// the state lock held; the scope's release step transmits it.
     fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: Bytes) {
         let wnd = st.recv_window(self.cfg.rcv_buf);
         st.last_wnd_sent = wnd;
@@ -350,9 +434,7 @@ impl Inner {
             wnd,
             payload,
         };
-        // Losing a segment here is equivalent to wire loss; reliability
-        // comes from retransmission, so the send result is advisory only.
-        let _ = self.ep.send_to(st.peer, encode_segment(&seg));
+        st.outbox.push(encode_segment(&seg));
     }
 
     fn arm_hs_rto(&self, st: &mut St) {
@@ -409,6 +491,9 @@ impl Inner {
         // adopt that endpoint as our peer (the TCP accept-socket analog).
         if st.conn == Conn::SynSent {
             if seg.flags & (FLAG_SYN | FLAG_ACK) == (FLAG_SYN | FLAG_ACK) {
+                // Nothing is encoded before the SYN-ACK in this state, so
+                // the outbox never holds segments for the old peer.
+                debug_assert!(st.outbox.is_empty());
                 st.peer = src;
             }
         } else if src != st.peer {
@@ -430,6 +515,7 @@ impl Inner {
                     st.snd_wnd = seg.wnd;
                     st.hs_deadline = None;
                     st.hs_retries = 0;
+                    st.wake |= WAKE_ESTABLISHED;
                     self.tx(st, FLAG_ACK, st.snd_nxt, Bytes::new());
                 }
                 return;
@@ -444,6 +530,7 @@ impl Inner {
                     st.conn = Conn::Established;
                     st.hs_deadline = None;
                     st.hs_retries = 0;
+                    st.wake |= WAKE_ESTABLISHED;
                     // Fall through: the segment may carry data too.
                 } else {
                     return;
@@ -486,7 +573,7 @@ impl Inner {
                 st.send_q.drain(..drop_bytes.min(st.send_q.len()));
                 st.snd_una = seg.ack;
                 st.engine.on_cum_ack(t, seg.ack);
-                self.writable.notify_all();
+                st.wake |= WAKE_WRITABLE;
             } else if seg.ack == st.snd_una
                 && st.in_flight() > 0
                 && (seg.payload.is_empty() || seg.flags & FLAG_SACK != 0)
@@ -528,7 +615,7 @@ impl Inner {
                     if take == payload.len() {
                         self.drain_ooo(st);
                     }
-                    self.readable.notify_all();
+                    st.wake |= WAKE_READABLE;
                 } else if st.ooo_bytes + payload.len() <= self.cfg.rcv_buf {
                     // Future segment: stash for later (dedup by start seq).
                     if !st.ooo.contains_key(&seq) {
@@ -549,7 +636,7 @@ impl Inner {
             if st.rcv_nxt == f && !st.peer_closed {
                 st.rcv_nxt = f + 1;
                 st.peer_closed = true;
-                self.readable.notify_all();
+                st.wake |= WAKE_READABLE;
             }
         }
 
@@ -642,9 +729,7 @@ impl Inner {
             st.err = Some(err);
         }
         st.conn = Conn::Closed;
-        self.readable.notify_all();
-        self.writable.notify_all();
-        self.established.notify_all();
+        st.wake |= WAKE_ALL;
     }
 
     /// Handshake retransmission timer (SYN / SYN-ACK only).
@@ -699,7 +784,7 @@ impl Inner {
     /// Shared by the per-connection I/O thread and poll-mode callers.
     fn io_step(&self, max_wait: Duration) {
         let wait = {
-            let st = self.st.lock();
+            let st = self.lock();
             if st.shutdown {
                 return;
             }
@@ -715,7 +800,7 @@ impl Inner {
             w
         };
         let pkt = self.ep.recv(Some(wait));
-        let mut st = self.st.lock();
+        let mut st = self.lock();
         if st.shutdown {
             return;
         }
@@ -755,13 +840,8 @@ impl Inner {
             Conn::Closed => {}
         }
         self.pump(&mut st);
-        if st.conn == Conn::Established {
-            self.established.notify_all();
-        }
         if st.conn == Conn::Closed {
-            self.readable.notify_all();
-            self.writable.notify_all();
-            self.established.notify_all();
+            st.wake |= WAKE_ALL;
         }
     }
 }
@@ -770,7 +850,7 @@ impl Inner {
 /// retransmission timers (threaded mode only).
 fn io_loop(inner: &Arc<Inner>) {
     loop {
-        if inner.st.lock().shutdown {
+        if inner.lock().shutdown {
             return;
         }
         inner.io_step(Duration::from_millis(10));
@@ -795,7 +875,7 @@ impl StreamConduit {
         let ep = fabric.bind_ephemeral(local_node)?;
         let conduit = Self::build(ep, server, Conn::SynSent, cfg);
         {
-            let mut st = conduit.inner.st.lock();
+            let mut st = conduit.inner.lock();
             conduit.inner.tx(&mut st, FLAG_SYN, 0, Bytes::new());
             conduit.inner.arm_hs_rto(&mut st);
         }
@@ -803,7 +883,7 @@ impl StreamConduit {
         let deadline = Instant::now() + conduit.inner.cfg.connect_timeout;
         loop {
             {
-                let mut st = conduit.inner.st.lock();
+                let mut st = conduit.inner.lock();
                 let established = st.conn == Conn::Established;
                 if established {
                     drop(st);
@@ -823,7 +903,7 @@ impl StreamConduit {
                     conduit
                         .inner
                         .established
-                        .wait_for(&mut st, deadline - now);
+                        .wait_for(st.guard(), deadline - now);
                     continue;
                 }
             }
@@ -887,6 +967,8 @@ impl StreamConduit {
                 last_wnd_sent: 0,
                 err: None,
                 shutdown: false,
+                outbox: Vec::new(),
+                wake: 0,
             }),
             cfg,
             readable: Condvar::new(),
@@ -917,7 +999,7 @@ impl StreamConduit {
     /// The peer's address.
     #[must_use]
     pub fn peer_addr(&self) -> Addr {
-        self.inner.st.lock().peer
+        self.inner.lock().peer
     }
 
     /// Maximum segment size (wire MTU minus stream header).
@@ -932,7 +1014,7 @@ impl StreamConduit {
         let mut written = 0;
         while written < buf.len() {
             {
-                let mut st = inner.st.lock();
+                let mut st = inner.lock();
                 if let Some(e) = &st.err {
                     return Err(e.clone());
                 }
@@ -948,7 +1030,7 @@ impl StreamConduit {
                     continue;
                 }
                 if !inner.cfg.poll_mode {
-                    inner.writable.wait(&mut st);
+                    inner.writable.wait(st.guard());
                     continue;
                 }
             }
@@ -964,7 +1046,7 @@ impl StreamConduit {
         let inner = &self.inner;
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            let mut st = inner.st.lock();
+            let mut st = inner.lock();
             if !st.recv_q.is_empty() {
                 let n = st.recv_q.len().min(buf.len());
                 let (a, b) = st.recv_q.as_slices();
@@ -1000,10 +1082,10 @@ impl StreamConduit {
             if !inner.cfg.poll_mode {
                 match deadline {
                     None => {
-                        inner.readable.wait(&mut st);
+                        inner.readable.wait(st.guard());
                     }
                     Some(d) => {
-                        inner.readable.wait_for(&mut st, d - now);
+                        inner.readable.wait_for(st.guard(), d - now);
                     }
                 }
                 continue;
@@ -1040,7 +1122,7 @@ impl StreamConduit {
 
     /// Gracefully closes the send side: pending data is flushed, then FIN.
     pub fn close(&self) {
-        let mut st = self.inner.st.lock();
+        let mut st = self.inner.lock();
         if !st.fin_requested {
             st.fin_requested = true;
             self.inner.pump(&mut st);
@@ -1069,7 +1151,7 @@ impl Drop for StreamConduit {
             // went out synchronously in close()).
             loop {
                 {
-                    let st = self.inner.st.lock();
+                    let st = self.inner.lock();
                     if st.unsent() == 0 || st.conn != Conn::Established || Instant::now() >= deadline
                     {
                         break;
@@ -1077,17 +1159,17 @@ impl Drop for StreamConduit {
                 }
                 self.inner.io_step(Duration::from_millis(2));
             }
-            self.inner.st.lock().shutdown = true;
+            self.inner.lock().shutdown = true;
         } else {
             {
-                let mut st = self.inner.st.lock();
+                let mut st = self.inner.lock();
                 while st.fin_seq.is_none_or(|f| st.snd_una <= f)
                     && st.conn == Conn::Established
                     && Instant::now() < deadline
                 {
                     self.inner
                         .writable
-                        .wait_for(&mut st, Duration::from_millis(10));
+                        .wait_for(st.guard(), Duration::from_millis(10));
                 }
                 st.shutdown = true;
             }
@@ -1159,7 +1241,7 @@ impl StreamListener {
             let conduit =
                 StreamConduit::build(conn_ep, pkt.src, Conn::SynReceived, self.cfg.clone());
             {
-                let mut st = conduit.inner.st.lock();
+                let mut st = conduit.inner.lock();
                 conduit
                     .inner
                     .tx(&mut st, FLAG_SYN | FLAG_ACK, 0, Bytes::new());
