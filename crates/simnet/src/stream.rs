@@ -22,7 +22,6 @@
 //! must insert markers (paper §II) — an overhead the datagram path avoids.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -354,43 +353,48 @@ struct Inner {
 /// never blocks on a lock its waker still holds.
 struct Locked<'a> {
     inner: &'a Inner,
-    guard: ManuallyDrop<MutexGuard<'a, St>>,
+    /// `Some` until the release step drops it.
+    guard: Option<MutexGuard<'a, St>>,
 }
 
 impl<'a> Locked<'a> {
     /// The raw guard, for a condvar wait. A scope waits only before it
     /// has encoded or flagged anything.
     fn guard(&mut self) -> &mut MutexGuard<'a, St> {
-        debug_assert!(self.guard.outbox.is_empty() && self.guard.wake == 0);
-        &mut self.guard
+        let guard = self.guard.as_mut().expect("held until the release step");
+        debug_assert!(guard.outbox.is_empty() && guard.wake == 0);
+        guard
     }
 }
 
 impl Deref for Locked<'_> {
     type Target = St;
     fn deref(&self) -> &St {
-        &self.guard
+        self.guard.as_deref().expect("held until the release step")
     }
 }
 
 impl DerefMut for Locked<'_> {
     fn deref_mut(&mut self) -> &mut St {
-        &mut self.guard
+        self.guard
+            .as_deref_mut()
+            .expect("held until the release step")
     }
 }
 
 impl Drop for Locked<'_> {
     fn drop(&mut self) {
-        let st = &mut **self.guard;
+        let Some(mut st) = self.guard.take() else {
+            return;
+        };
         if !st.outbox.is_empty() {
+            let peer = st.peer;
             // Losing a segment here is equivalent to wire loss; reliability
             // comes from retransmission, so the send result is advisory.
-            let _ = self.inner.ep.send_frames(st.peer, st.outbox.drain(..));
+            let _ = self.inner.ep.send_frames(peer, st.outbox.drain(..));
         }
         let wake = std::mem::take(&mut st.wake);
-        // SAFETY: the guard is dropped exactly once, here, and never
-        // touched again.
-        unsafe { ManuallyDrop::drop(&mut self.guard) };
+        drop(st);
         if wake & WAKE_READABLE != 0 {
             self.inner.readable.notify_all();
         }
@@ -413,7 +417,7 @@ impl Inner {
         );
         Locked {
             inner: self,
-            guard: ManuallyDrop::new(guard),
+            guard: Some(guard),
         }
     }
 
