@@ -26,6 +26,12 @@ const FLAG_CRC: u8 = 0x02;
 /// Encoded handshake frame length: magic(8) + flags(1) + qpn(4).
 const FRAME_LEN: usize = 13;
 
+/// How long either side waits for the peer's MPA frame once the stream is
+/// up. An accept's own timeout bounds only the wait for a connection: a
+/// stream already taken off the listener is not dropped half-open because
+/// its caller polls with a short timeout.
+pub(crate) const MPA_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn encode(magic: &[u8; 8], cfg: MpaConfig, qpn: u32) -> BytesMut {
     let mut b = BytesMut::with_capacity(FRAME_LEN);
     b.extend_from_slice(magic);

@@ -668,7 +668,9 @@ impl RcListener {
     }
 
     /// Accepts one connection and completes MPA negotiation, returning an
-    /// operational RC QP bound to the given completion queues.
+    /// operational RC QP bound to the given completion queues. `timeout`
+    /// bounds the wait for an incoming connection; the negotiation that
+    /// follows has its own budget (`cm::MPA_TIMEOUT`, 5 s).
     pub fn accept(
         &self,
         timeout: Duration,
@@ -678,7 +680,7 @@ impl RcListener {
     ) -> IwarpResult<RcQp> {
         let stream = self.listener.accept(Some(timeout))?;
         let qpn = self.next_qpn.fetch_add(1, Ordering::Relaxed);
-        let (peer_qpn, negotiated) = cm::mpa_accept(&stream, qpn, self.mpa, timeout)?;
+        let (peer_qpn, negotiated) = cm::mpa_accept(&stream, qpn, self.mpa, cm::MPA_TIMEOUT)?;
         let mem = self
             .mem
             .as_ref()
@@ -715,7 +717,7 @@ pub(crate) fn rc_connect(
 ) -> IwarpResult<RcQp> {
     let stream = StreamConduit::connect(fabric, local_node, remote, stream_cfg)?;
     let qpn = next_qpn.fetch_add(1, Ordering::Relaxed);
-    let (peer_qpn, negotiated) = cm::mpa_connect(&stream, qpn, mpa, Duration::from_secs(5))?;
+    let (peer_qpn, negotiated) = cm::mpa_connect(&stream, qpn, mpa, cm::MPA_TIMEOUT)?;
     let mem = mem.map(|r| r.track("qp_rc", std::mem::size_of::<RcInner>() as u64));
     Ok(RcQp::build(RcQpParts {
         qpn,

@@ -3,9 +3,12 @@
 use std::time::Duration;
 
 use bytes::Bytes;
+use iwarp::cm::mpa_connect;
+use iwarp::mpa::MpaConfig;
 use iwarp::wr::RecvWr;
 use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, IwarpError, QpConfig};
-use simnet::{Addr, Fabric, NetError, NodeId};
+use simnet::stream::StreamConfig;
+use simnet::{Addr, Fabric, NetError, NodeId, StreamConduit};
 
 const TO: Duration = Duration::from_secs(5);
 
@@ -87,6 +90,42 @@ fn rc_posts_fail_after_peer_disappears() {
             }
         }
     }
+}
+
+/// An accept timeout bounds only the wait for a connection. A client whose
+/// MPA request comes later than that still gets its QP; the listener must
+/// not drop the stream half-open (the SIP server polls with 1 ms).
+#[test]
+fn slow_mpa_request_survives_a_short_accept_timeout() {
+    let fab = Fabric::loopback();
+    let server = Device::new(&fab, NodeId(1));
+    let listener = server.rc_listen(4710).unwrap();
+    let (s, r) = (Cq::new(16), Cq::new(16));
+    std::thread::scope(|sc| {
+        let client = sc.spawn(|| {
+            let stream = StreamConduit::connect(
+                &fab,
+                NodeId(0),
+                Addr::new(1, 4710),
+                StreamConfig::default(),
+            )
+            .unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            mpa_connect(&stream, 99, MpaConfig::default(), TO).map(|(peer, _)| peer)
+        });
+        let deadline = std::time::Instant::now() + TO;
+        let qp = loop {
+            match listener.accept(Duration::from_millis(1), &s, &r, QpConfig::default()) {
+                Ok(qp) => break qp,
+                Err(e) => assert!(
+                    std::time::Instant::now() < deadline,
+                    "no connection accepted: {e}"
+                ),
+            }
+        };
+        assert_eq!(qp.peer_qpn(), 99);
+        assert_eq!(client.join().unwrap().unwrap(), qp.qpn());
+    });
 }
 
 #[test]
