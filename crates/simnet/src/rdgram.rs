@@ -25,12 +25,12 @@
 //! Wakes: the I/O thread notifies `readable` and `writable` while it
 //! still holds the state lock. This is the one notify-under-lock left in
 //! the library; the delivery rings, the delay pump, the stream conduit
-//! and the completion queues all notify after release. Notifying after release here is measured,
-//! not forgotten: on `rd_1KiB_loss1` it ran about 40 % more messages per
-//! second, but the median message latency doubled (20 → 40 µs), far past
-//! the benchmark's 25 % bound. It waits for the RD engine to move onto
-//! the shards with one ACK per drained batch (EXPERIMENTS.md, "Wake after
-//! release").
+//! and the completion queues all notify after release. Notifying after
+//! release here was measured, not forgotten: on `rd_1KiB_loss1` it ran
+//! about 40 % more messages per second, but the median message latency
+//! doubled (20 → 40 µs), far past the benchmark's 25 % bound. It waits
+//! for the RD engine to move onto the shards with one ACK per drained
+//! batch (EXPERIMENTS.md, "Wake after release").
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;

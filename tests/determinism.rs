@@ -431,8 +431,11 @@ fn run_ud(fab: &Fabric, mode: RxMode, sends: Sends) -> Vec<Vec<Vec<u8>>> {
     out
 }
 
+fn hex(m: &[u8]) -> String {
+    m.iter().map(|b| format!("{b:02x}")).collect()
+}
+
 fn payload_lines(out: &[Vec<Vec<u8>>]) -> Vec<String> {
-    let hex = |m: &[u8]| m.iter().map(|b| format!("{b:02x}")).collect::<String>();
     out.iter()
         .enumerate()
         .flat_map(|(qi, msgs)| msgs.iter().map(move |m| format!("{qi} {}", hex(m))))
@@ -867,7 +870,6 @@ fn run_rc_lossless() -> Vec<Stream> {
         "the drive left work undone:\n{cqes:#?}"
     );
 
-    let hex = |m: &[u8]| m.iter().map(|b| format!("{b:02x}")).collect::<String>();
     let mut payloads = Vec::new();
     for (i, &len) in RC_SIZES.iter().enumerate() {
         let at = (i * RC_SLOT) as u64;
