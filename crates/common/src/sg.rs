@@ -214,10 +214,16 @@ impl SgBytes {
 }
 
 impl From<Bytes> for SgBytes {
+    /// One part, or none (and no allocation) when `b` is empty.
     fn from(b: Bytes) -> Self {
-        let mut sg = Self::with_capacity(1);
-        sg.push(b);
-        sg
+        if b.is_empty() {
+            return Self::new();
+        }
+        let len = b.len();
+        Self {
+            parts: vec![b],
+            len,
+        }
     }
 }
 
@@ -261,6 +267,17 @@ mod tests {
         assert!(!sg.is_contiguous());
         let single = SgBytes::from(Bytes::from(vec![9, 9]));
         assert!(single.is_contiguous());
+    }
+
+    #[test]
+    fn from_empty_bytes_has_no_parts_storage() {
+        let sg = SgBytes::from(Bytes::new());
+        assert!(sg.is_empty() && sg.parts().is_empty());
+        // No parts vector was allocated for it.
+        assert_eq!(sg.parts.capacity(), 0);
+        let one = SgBytes::from(Bytes::from(vec![1, 2]));
+        assert_eq!(one.parts().len(), 1);
+        assert_eq!(one.len(), 2);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl DdpSegment {
 /// Serializes an untagged header into its fixed wire form. Single source
 /// of truth shared by the contiguous encoders and [`SegBatch`] so the two
 /// cannot drift apart byte-wise.
-fn untagged_hdr_bytes(hdr: &UntaggedHdr) -> [u8; UNTAGGED_HDR_LEN] {
+pub(crate) fn untagged_hdr_bytes(hdr: &UntaggedHdr) -> [u8; UNTAGGED_HDR_LEN] {
     let mut b = [0u8; UNTAGGED_HDR_LEN];
     let mut ctrl = CTRL_VERSION;
     if hdr.last {
@@ -192,7 +192,7 @@ fn untagged_hdr_bytes(hdr: &UntaggedHdr) -> [u8; UNTAGGED_HDR_LEN] {
 
 /// Serializes a tagged header into its fixed wire form (shared by both
 /// encoders, like [`untagged_hdr_bytes`]).
-fn tagged_hdr_bytes(hdr: &TaggedHdr) -> [u8; TAGGED_HDR_LEN] {
+pub(crate) fn tagged_hdr_bytes(hdr: &TaggedHdr) -> [u8; TAGGED_HDR_LEN] {
     let mut b = [0u8; TAGGED_HDR_LEN];
     let mut ctrl = CTRL_VERSION | CTRL_TAGGED;
     if hdr.last {

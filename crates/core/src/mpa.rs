@@ -13,9 +13,9 @@
 //! precisely the layer datagram-iWARP deletes (paper §IV.B item 5), and
 //! the ablation benchmarks measure this module to quantify that saving.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use iwarp_common::crc32::crc32c;
+use iwarp_common::crc32::{crc32c, Crc32c};
 
 use crate::error::{IwarpError, IwarpResult};
 
@@ -72,56 +72,100 @@ impl MpaTx {
         }
     }
 
-    /// Frames one ULPDU, returning the exact bytes to write to the stream.
+    /// Frames one ULPDU, returning the exact bytes to write to the stream
+    /// (a [`frame_into`](MpaTx::frame_into) with an empty header).
+    ///
+    /// # Panics
+    ///
+    /// As [`frame_into`](MpaTx::frame_into).
+    #[must_use]
+    pub fn frame(&mut self, ulpdu: &[u8]) -> Bytes {
+        let mut out = BytesMut::with_capacity(self.framed_len_bound(ulpdu.len()));
+        self.frame_into(&mut out, &[], ulpdu);
+        out.freeze()
+    }
+
+    /// Upper bound on the stream bytes [`frame_into`](MpaTx::frame_into)
+    /// appends for a ULPDU of `ulpdu_len` bytes: the FPDU plus every
+    /// marker that can fall inside it.
+    #[must_use]
+    pub(crate) fn framed_len_bound(&self, ulpdu_len: usize) -> usize {
+        let crc_len = if self.cfg.crc { 4 } else { 0 };
+        let fpdu = 2 + ulpdu_len + pad_len(ulpdu_len) + crc_len;
+        if self.cfg.markers {
+            let span = MARKER_INTERVAL as usize - MARKER_LEN;
+            fpdu + (fpdu / span + 1) * MARKER_LEN
+        } else {
+            fpdu
+        }
+    }
+
+    /// Frames the ULPDU `hdr ++ payload` and appends its stream bytes to
+    /// `out`, in one pass: each byte is copied once, the CRC streams over
+    /// the unmarked FPDU as it is copied, and a marker goes in at every
+    /// 512-byte stream position. The bytes are those [`frame`] makes of
+    /// the concatenation.
+    ///
+    /// [`frame`]: MpaTx::frame
     ///
     /// # Panics
     ///
     /// ULPDUs are bounded by the FPDU's 16-bit length field (the standard
     /// bounds MULPDU by the TCP EMSS, far below this); framing a larger
     /// one is a caller bug and panics rather than truncating silently.
-    #[must_use]
-    pub fn frame(&mut self, ulpdu: &[u8]) -> Bytes {
+    pub fn frame_into(&mut self, out: &mut BytesMut, hdr: &[u8], payload: &[u8]) {
+        let ulpdu_len = hdr.len() + payload.len();
         assert!(
-            ulpdu.len() <= usize::from(u16::MAX),
-            "ULPDU of {} bytes exceeds the FPDU length field",
-            ulpdu.len()
+            ulpdu_len <= usize::from(u16::MAX),
+            "ULPDU of {ulpdu_len} bytes exceeds the FPDU length field"
         );
-        let pad = pad_len(ulpdu.len());
-        let crc_len = if self.cfg.crc { 4 } else { 0 };
-        let fpdu_len = 2 + ulpdu.len() + pad + crc_len;
-        let mut fpdu = BytesMut::with_capacity(fpdu_len);
-        fpdu.put_u16(ulpdu.len() as u16);
-        fpdu.extend_from_slice(ulpdu);
-        fpdu.put_bytes(0, pad);
-        if self.cfg.crc {
-            let crc = crc32c(&fpdu);
-            fpdu.put_u32(crc);
-        }
-        if !self.cfg.markers {
-            self.pos += fpdu.len() as u64;
-            return fpdu.freeze();
-        }
-
-        // Marker insertion: a full pass copying the FPDU into the stream
-        // image with a 4-byte marker at every 512-byte stream position —
-        // the overhead the datagram path avoids.
+        out.reserve(self.framed_len_bound(ulpdu_len));
         let fpdu_start = self.pos;
-        let mut out = BytesMut::with_capacity(fpdu.len() + fpdu.len() / 128 + MARKER_LEN);
-        let mut i = 0usize;
-        while i < fpdu.len() {
-            if self.pos.is_multiple_of(MARKER_INTERVAL) {
-                out.put_u32((self.pos - fpdu_start) as u32);
-                self.pos += MARKER_LEN as u64;
-                self.markers += 1;
-                continue;
-            }
-            let until_marker = (MARKER_INTERVAL - self.pos % MARKER_INTERVAL) as usize;
-            let take = until_marker.min(fpdu.len() - i);
-            out.extend_from_slice(&fpdu[i..i + take]);
-            i += take;
-            self.pos += take as u64;
+        let mut crc = self.cfg.crc.then(Crc32c::new);
+        let pad = [0u8; 3];
+        for piece in [
+            &(ulpdu_len as u16).to_be_bytes()[..],
+            hdr,
+            payload,
+            &pad[..pad_len(ulpdu_len)],
+        ] {
+            self.put_marked(out, fpdu_start, piece, crc.as_mut());
         }
-        out.freeze()
+        if let Some(crc) = crc {
+            self.put_marked(out, fpdu_start, &crc.finish().to_be_bytes(), None);
+        }
+    }
+
+    /// Copies `src` into the stream image, absorbing it into `crc` and
+    /// inserting a marker (pointing back to `fpdu_start`) before any byte
+    /// that falls on a marker position: the marking pass the datagram
+    /// path avoids.
+    fn put_marked(
+        &mut self,
+        out: &mut BytesMut,
+        fpdu_start: u64,
+        mut src: &[u8],
+        mut crc: Option<&mut Crc32c>,
+    ) {
+        while !src.is_empty() {
+            let take = if self.cfg.markers {
+                if self.pos.is_multiple_of(MARKER_INTERVAL) {
+                    out.put_u32((self.pos - fpdu_start) as u32);
+                    self.pos += MARKER_LEN as u64;
+                    self.markers += 1;
+                }
+                ((MARKER_INTERVAL - self.pos % MARKER_INTERVAL) as usize).min(src.len())
+            } else {
+                src.len()
+            };
+            let (now, rest) = src.split_at(take);
+            out.extend_from_slice(now);
+            if let Some(c) = crc.as_deref_mut() {
+                c.update(now);
+            }
+            self.pos += take as u64;
+            src = rest;
+        }
     }
 
     /// Current stream position.
@@ -145,8 +189,9 @@ pub struct MpaRx {
     /// Bytes of the current marker still to skip (markers can straddle
     /// `feed` calls).
     in_marker: usize,
-    /// De-marked stream bytes awaiting FPDU parsing.
-    clean: BytesMut,
+    /// De-marked bytes of the FPDU still incomplete at the end of the
+    /// last `feed`: a window of that feed's buffer.
+    tail: Bytes,
 }
 
 impl MpaRx {
@@ -157,14 +202,20 @@ impl MpaRx {
             cfg,
             pos: 0,
             in_marker: 0,
-            clean: BytesMut::new(),
+            tail: Bytes::new(),
         }
     }
 
     /// Feeds raw stream bytes; complete ULPDUs are appended to `out`.
     /// Fails with [`IwarpError::CrcMismatch`] on FPDU corruption — fatal on
     /// the RC path, per the unrelaxed standard.
+    ///
+    /// The call de-marks into one buffer sized for the incomplete FPDU
+    /// carried from the last call plus `data`; every ULPDU it yields is a
+    /// window of that buffer, so only the carried bytes are copied twice.
     pub fn feed(&mut self, data: &[u8], out: &mut Vec<Bytes>) -> IwarpResult<()> {
+        let mut clean = BytesMut::with_capacity(self.tail.len() + data.len());
+        clean.extend_from_slice(&self.tail);
         // Pass 1: strip markers.
         if self.cfg.markers {
             let mut i = 0usize;
@@ -182,41 +233,44 @@ impl MpaRx {
                 }
                 let until_marker = (MARKER_INTERVAL - self.pos % MARKER_INTERVAL) as usize;
                 let take = until_marker.min(data.len() - i);
-                self.clean.extend_from_slice(&data[i..i + take]);
+                clean.extend_from_slice(&data[i..i + take]);
                 i += take;
                 self.pos += take as u64;
             }
         } else {
-            self.clean.extend_from_slice(data);
+            clean.extend_from_slice(data);
             self.pos += data.len() as u64;
         }
+        let clean = clean.freeze();
 
         // Pass 2: parse FPDUs from the de-marked stream.
         let crc_len = if self.cfg.crc { 4 } else { 0 };
-        loop {
-            if self.clean.len() < 2 {
-                return Ok(());
-            }
-            let ulp_len = usize::from(u16::from_be_bytes([self.clean[0], self.clean[1]]));
+        let mut off = 0usize;
+        while clean.len() - off >= 2 {
+            let fpdu = &clean[off..];
+            let ulp_len = usize::from(u16::from_be_bytes([fpdu[0], fpdu[1]]));
             let pad = pad_len(ulp_len);
             let need = 2 + ulp_len + pad + crc_len;
-            if self.clean.len() < need {
-                return Ok(());
+            if fpdu.len() < need {
+                break;
             }
             if self.cfg.crc {
-                let body = &self.clean[..2 + ulp_len + pad];
-                let expect = u32::from_be_bytes(
-                    self.clean[2 + ulp_len + pad..need]
-                        .try_into()
-                        .expect("4 bytes"),
-                );
+                let body = &fpdu[..2 + ulp_len + pad];
+                let expect =
+                    u32::from_be_bytes(fpdu[2 + ulp_len + pad..need].try_into().expect("4 bytes"));
                 if crc32c(body) != expect {
                     return Err(IwarpError::CrcMismatch);
                 }
             }
-            out.push(Bytes::copy_from_slice(&self.clean[2..2 + ulp_len]));
-            self.clean.advance(need);
+            out.push(clean.slice(off + 2..off + 2 + ulp_len));
+            off += need;
         }
+        self.tail = if off == clean.len() {
+            Bytes::new()
+        } else {
+            clean.slice(off..)
+        };
+        Ok(())
     }
 
     /// Current stream position (markers included).
@@ -337,6 +391,36 @@ mod tests {
             rx.feed(&bad, &mut out).unwrap_err(),
             IwarpError::CrcMismatch
         );
+    }
+
+    #[test]
+    fn frame_into_matches_frame_of_concatenation() {
+        for cfg in [
+            MpaConfig::default(),
+            MpaConfig {
+                markers: false,
+                crc: true,
+            },
+            MpaConfig {
+                markers: true,
+                crc: false,
+            },
+        ] {
+            let (mut a, mut b) = (MpaTx::new(cfg), MpaTx::new(cfg));
+            let mut joined = BytesMut::new();
+            for i in 0..40usize {
+                let hdr = msg(i % 43, i as u8);
+                let payload = msg(i * 61 % 1500, !(i as u8));
+                let mut cat = hdr.clone();
+                cat.extend_from_slice(&payload);
+                let one = a.frame(&cat);
+                let start = joined.len();
+                b.frame_into(&mut joined, &hdr, &payload);
+                assert_eq!(&joined[start..], &one[..], "{cfg:?} message {i}");
+                assert!(one.len() <= a.framed_len_bound(cat.len()));
+            }
+            assert_eq!((a.position(), a.markers()), (b.position(), b.markers()));
+        }
     }
 
     #[test]

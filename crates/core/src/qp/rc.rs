@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::{Bytes, BytesMut};
 use iwarp_telemetry::{Counter, Telemetry};
 use parking_lot::Mutex;
 use simnet::stream::StreamConfig;
@@ -23,7 +24,7 @@ use crate::cm;
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 use crate::error::{IwarpError, IwarpResult};
 use crate::hdr::{
-    encode_tagged, encode_untagged, RdmapOpcode, ReadRequest, TaggedHdr, UntaggedHdr,
+    tagged_hdr_bytes, untagged_hdr_bytes, RdmapOpcode, ReadRequest, TaggedHdr, UntaggedHdr,
     UNTAGGED_HDR_LEN,
 };
 use crate::mpa::{MpaConfig, MpaRx, MpaTx, FPDU_OVERHEAD};
@@ -57,9 +58,11 @@ struct RcInner {
 struct RcRxState {
     mpa: MpaRx,
     buf: Vec<u8>,
+    /// ULPDUs one `feed` yielded, reused across iterations.
+    ulpdus: Vec<Bytes>,
     /// Deframed ULPDUs not yet deliverable (head blocked on an empty
     /// receive queue — resolved when the application posts a receive).
-    pending: std::collections::VecDeque<bytes::Bytes>,
+    pending: std::collections::VecDeque<Bytes>,
 }
 
 impl RcInner {
@@ -77,14 +80,46 @@ impl RcInner {
         }
     }
 
-    /// Frames and writes ULPDUs under the TX lock (FPDU order must match
-    /// marker positions exactly).
-    fn write_ulpdu(&self, ulpdu: &[u8]) -> IwarpResult<()> {
+    /// Sends one message: splits `data` into DDP segments of at most
+    /// `emss` payload bytes, frames them all into one buffer under the TX
+    /// lock (FPDU order must match marker positions exactly), and hands
+    /// the buffer to the stream in one write, one slice per FPDU.
+    /// `hdr(off, end)` encodes the header of the segment carrying
+    /// `data[off..end]`.
+    fn write_message<const H: usize>(
+        &self,
+        data: &[u8],
+        mut hdr: impl FnMut(usize, usize) -> [u8; H],
+    ) -> IwarpResult<()> {
+        let cap = self.emss;
+        let nsegs = data.len().div_ceil(cap).max(1);
         let mut tx = self.tx.lock();
         let before = tx.markers();
-        let framed = tx.frame(ulpdu);
+        let mut framed =
+            BytesMut::with_capacity(nsegs * tx.framed_len_bound(H + cap.min(data.len())));
+        let mut ends = Vec::with_capacity(nsegs);
+        let mut off = 0usize;
+        loop {
+            self.tx_tel.tx_segments.inc();
+            let end = (off + cap).min(data.len());
+            tx.frame_into(&mut framed, &hdr(off, end), &data[off..end]);
+            ends.push(framed.len());
+            if end == data.len() {
+                break;
+            }
+            off = end;
+        }
         self.markers_tx.add(tx.markers() - before);
-        self.stream.write_all(&framed)?;
+        let mut start = 0;
+        let fpdus: Vec<&[u8]> = ends
+            .iter()
+            .map(|&end| {
+                let fpdu = &framed[start..end];
+                start = end;
+                fpdu
+            })
+            .collect();
+        self.stream.write_all_vectored(&fpdus)?;
         Ok(())
     }
 
@@ -99,15 +134,12 @@ impl RcInner {
         msg_id: u64,
         imm: u32,
     ) -> IwarpResult<()> {
-        let cap = self.emss.max(64);
         let total = data.len() as u32;
         self.tx_tel.tx_msgs.inc();
         self.tx_tel.msg_size_tx.record(u64::from(total));
-        let mut off = 0usize;
-        loop {
-            self.tx_tel.tx_segments.inc();
-            let end = (off + cap).min(data.len());
-            let hdr = TaggedHdr {
+        // No DDP CRC on the stream path: MPA already covers each FPDU.
+        self.write_message(data, |off, end| {
+            tagged_hdr_bytes(&TaggedHdr {
                 opcode,
                 last: end == data.len(),
                 notify,
@@ -118,14 +150,8 @@ impl RcInner {
                 src_qpn: self.qpn,
                 msg_id,
                 imm,
-            };
-            // No DDP CRC on the stream path: MPA already covers each FPDU.
-            self.write_ulpdu(&encode_tagged(&hdr, &data[off..end], false))?;
-            if end == data.len() {
-                return Ok(());
-            }
-            off = end;
-        }
+            })
+        })
     }
 }
 
@@ -191,6 +217,7 @@ impl RcQp {
             rx_state: Mutex::new(RcRxState {
                 mpa: MpaRx::new(mpa),
                 buf: vec![0u8; 64 * 1024],
+                ulpdus: Vec::new(),
                 pending: std::collections::VecDeque::new(),
             }),
             _mem: mem,
@@ -297,15 +324,11 @@ impl RcQp {
         }
         let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
         let msn = self.inner.next_msn.fetch_add(1, Ordering::Relaxed);
-        let cap = self.inner.emss;
         let total = data.len() as u32;
         self.inner.tx_tel.tx_msgs.inc();
         self.inner.tx_tel.msg_size_tx.record(u64::from(total));
-        let mut mo = 0usize;
-        loop {
-            self.inner.tx_tel.tx_segments.inc();
-            let end = (mo + cap).min(data.len());
-            let hdr = UntaggedHdr {
+        self.inner.write_message(&data, |mo, end| {
+            untagged_hdr_bytes(&UntaggedHdr {
                 opcode: RdmapOpcode::Send,
                 last: end == data.len(),
                 solicited,
@@ -315,14 +338,8 @@ impl RcQp {
                 total_len: total,
                 src_qpn: self.inner.qpn,
                 msg_id,
-            };
-            self.inner
-                .write_ulpdu(&encode_untagged(&hdr, &data[mo..end], false))?;
-            if end == data.len() {
-                break;
-            }
-            mo = end;
-        }
+            })
+        })?;
         self.inner.send_cq.push(Cqe {
             wr_id,
             opcode: CqeOpcode::Send,
@@ -478,10 +495,8 @@ impl RcQp {
             msg_id,
         };
         self.inner.tx_tel.tx_msgs.inc();
-        self.inner.tx_tel.tx_segments.inc();
         self.inner
-            .write_ulpdu(&encode_untagged(&hdr, &req.encode(), false))?;
-        Ok(())
+            .write_message(&req.encode(), |_, _| untagged_hdr_bytes(&hdr))
     }
 }
 
@@ -543,8 +558,12 @@ fn rx_step(inner: &RcInner, max_wait: Duration) -> bool {
         return true;
     }
 
-    let RcRxState { mpa, buf, pending } = &mut *state;
-    let mut ulpdus = Vec::new();
+    let RcRxState {
+        mpa,
+        buf,
+        ulpdus,
+        pending,
+    } = &mut *state;
     match inner.stream.read(buf, Some(max_wait)) {
         Ok(0) => {
             inner.fail(IwarpError::Net(NetError::Closed));
@@ -552,14 +571,14 @@ fn rx_step(inner: &RcInner, max_wait: Duration) -> bool {
             return false;
         }
         Ok(n) => {
-            if let Err(e) = mpa.feed(&buf[..n], &mut ulpdus) {
+            if let Err(e) = mpa.feed(&buf[..n], ulpdus) {
                 // Stream-path errors are fatal: the connection is marked
                 // erroneous per the unrelaxed DDP standard.
                 inner.fail(e);
                 inner.rx.flush();
                 return false;
             }
-            pending.extend(ulpdus);
+            pending.extend(ulpdus.drain(..));
             if !drain_pending(inner, peer, &mut state) {
                 return false;
             }

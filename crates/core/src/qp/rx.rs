@@ -893,20 +893,49 @@ impl RxCore {
         }
     }
 
-    /// Flushes all posted receives with `Flushed` status (QP teardown).
+    /// Completes all outstanding work with `Flushed` status (QP teardown
+    /// or a dead connection): outstanding RDMA Reads, receives a message
+    /// is partly placed in, then the posted receives. A reliable QP never
+    /// expires the first two, so without this they would vanish without a
+    /// completion.
     pub fn flush(&self) {
-        let mut rq = self.rq.lock();
-        while let Some(wr) = rq.pop_front() {
-            self.recv_cq.push(Cqe {
-                wr_id: wr.wr_id,
-                opcode: CqeOpcode::Recv,
-                status: CqeStatus::Flushed,
-                byte_len: 0,
-                src: None,
-                write_record: None,
+        let flushed = |wr_id, opcode, byte_len, src| Cqe {
+            wr_id,
+            opcode,
+            status: CqeStatus::Flushed,
+            byte_len,
+            src,
+            write_record: None,
             imm: None,
             solicited: false,
-            });
+        };
+        if let Some(cold) = self.cold.lock().as_deref_mut() {
+            // In issue order (the maps' own order is not deterministic).
+            let mut reads: Vec<_> = cold.pending_reads.drain().collect();
+            reads.sort_unstable_by_key(|(msg_id, _)| *msg_id);
+            for (_, p) in reads {
+                let placed = p.validity.valid_bytes() as u32;
+                self.recv_cq
+                    .push(flushed(p.wr_id, CqeOpcode::RdmaRead, placed, None));
+            }
+            let mut recvs: Vec<_> = cold.pending_recv.drain().collect();
+            recvs.sort_unstable_by_key(|((_, qpn, msg_id), _)| (*qpn, *msg_id));
+            for ((addr, _, _), p) in recvs {
+                if !p.discard {
+                    let src = Some(CqeSource {
+                        addr,
+                        qpn: p.src_qpn,
+                    });
+                    let placed = p.validity.valid_bytes() as u32;
+                    self.recv_cq
+                        .push(flushed(p.wr.wr_id, CqeOpcode::Recv, placed, src));
+                }
+            }
+        }
+        let mut rq = self.rq.lock();
+        while let Some(wr) = rq.pop_front() {
+            self.recv_cq
+                .push(flushed(wr.wr_id, CqeOpcode::Recv, 0, None));
         }
     }
 

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use iwarp::cm::mpa_connect;
 use iwarp::mpa::MpaConfig;
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, IwarpError, QpConfig};
+use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, IwarpError, QpConfig};
 use simnet::stream::StreamConfig;
 use simnet::{Addr, Fabric, NetError, NodeId, StreamConduit};
 
@@ -90,6 +90,62 @@ fn rc_posts_fail_after_peer_disappears() {
             }
         }
     }
+}
+
+/// A dying connection completes its outstanding RDMA Read with
+/// `Flushed`: RC never expires a read, so without the flush it would
+/// vanish without a completion.
+#[test]
+fn rc_read_is_flushed_when_the_responder_goes_away() {
+    let fab = Fabric::loopback();
+    let dev_cfg = DeviceConfig {
+        stream: StreamConfig {
+            poll_mode: true,
+            ..StreamConfig::default()
+        },
+        ..DeviceConfig::default()
+    };
+    let a = Device::with_config(&fab, NodeId(0), dev_cfg.clone());
+    let b = Device::with_config(&fab, NodeId(1), dev_cfg);
+    let cfg = QpConfig {
+        poll_mode: true,
+        ..QpConfig::default()
+    };
+    let (a_s, a_r) = (Cq::new(16), Cq::new(16));
+    let (b_s, b_r) = (Cq::new(16), Cq::new(16));
+    let listener = b.rc_listen(4720).unwrap();
+    let (qa, qb) = std::thread::scope(|s| {
+        let srv = s.spawn(|| listener.accept(TO, &b_s, &b_r, cfg.clone()).unwrap());
+        let qa = a
+            .rc_connect(Addr::new(1, 4720), &a_s, &a_r, cfg.clone())
+            .unwrap();
+        (qa, srv.join().unwrap())
+    });
+    let source = b.register_with(&[7u8; 4096], Access::RemoteRead);
+    let sink = a.register(4096, Access::Local);
+    qa.post_read(42, &sink, 0, 4096, source.stag(), 0).unwrap();
+    // The responder never drives its engine, so the request goes
+    // unanswered; then its QP goes away.
+    drop(qb);
+    let deadline = std::time::Instant::now() + Duration::from_secs(3);
+    let cqe = loop {
+        qa.progress(Duration::from_millis(5));
+        if let Some(c) = a_r.poll() {
+            break c;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the outstanding read vanished without a completion"
+        );
+    };
+    assert_eq!(cqe.wr_id, 42);
+    assert_eq!(cqe.opcode, CqeOpcode::RdmaRead);
+    assert_eq!(cqe.status, CqeStatus::Flushed);
+    for _ in 0..10 {
+        qa.progress(Duration::from_millis(1));
+    }
+    drop(qa);
+    assert!(a_r.poll().is_none(), "the read completed twice");
 }
 
 /// An accept timeout bounds only the wait for a connection. A client whose

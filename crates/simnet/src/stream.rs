@@ -13,7 +13,11 @@
 //! * socket-buffer semantics: `write` copies into a bounded send buffer
 //!   (retained for retransmission), `read` copies out of a bounded receive
 //!   buffer — the same two copies a kernel TCP socket imposes, which is one
-//!   of the overhead sources datagram-iWARP eliminates;
+//!   of the overhead sources datagram-iWARP eliminates. Both stay, and they
+//!   are the only ones: the send buffer is a queue of shared chunks (one
+//!   per write scope), a segment's payload is a gather list of windows
+//!   into it, headed by a slice of one header arena per fabric burst, and
+//!   the receive buffer queues the arriving segment payloads as they are;
 //! * per-connection state registered with a [`MemRegistry`] so the memory
 //!   scalability experiment (paper Fig. 11) measures real footprints.
 //!
@@ -26,8 +30,9 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
+use iwarp_common::sg::SgBytes;
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -35,7 +40,7 @@ use iwarp_common::memacct::{MemRegistry, MemScope};
 
 use crate::error::{NetError, NetResult};
 use crate::fabric::{Endpoint, Fabric};
-use crate::wire::{Addr, NodeId};
+use crate::wire::{Addr, NodeId, WirePacket};
 
 /// Wire-packet protocol discriminator for stream segments.
 pub const PROTO_STREAM: u8 = 0x02;
@@ -128,46 +133,164 @@ enum Conn {
     Closed,
 }
 
-#[derive(Debug)]
-struct Segment {
+/// A segment's header fields (`len` is its payload's length).
+#[derive(Clone, Copy, Debug)]
+struct SegHead {
     flags: u8,
     seq: u64,
     ack: u64,
     wnd: u32,
-    payload: Bytes,
 }
 
-fn encode_segment(seg: &Segment) -> Bytes {
-    let mut b = BytesMut::with_capacity(SEG_HEADER + seg.payload.len());
-    b.put_u8(PROTO_STREAM);
-    b.put_u8(seg.flags);
-    b.put_u64(seg.seq);
-    b.put_u64(seg.ack);
-    b.put_u32(seg.wnd);
-    b.put_u16(seg.payload.len() as u16);
-    b.extend_from_slice(&seg.payload);
-    b.freeze()
+#[derive(Debug)]
+struct Segment {
+    head: SegHead,
+    payload: SgBytes,
 }
 
-fn decode_segment(raw: &[u8]) -> Option<Segment> {
-    if raw.len() < SEG_HEADER || raw[0] != PROTO_STREAM {
+/// Appends the wire header of a segment carrying `len` payload bytes.
+fn encode_header(out: &mut BytesMut, h: &SegHead, len: usize) {
+    out.put_u8(PROTO_STREAM);
+    out.put_u8(h.flags);
+    out.put_u64(h.seq);
+    out.put_u64(h.ack);
+    out.put_u32(h.wnd);
+    out.put_u16(len as u16);
+}
+
+/// Decodes a received packet without flattening it: the payload stays a
+/// gather list over the arriving buffers. The stream's own packets carry
+/// the segment header as the packet header; any other split (a frame the
+/// fabric's fault injection rebuilt contiguously) is read across parts.
+fn decode_segment(pkt: WirePacket) -> Option<Segment> {
+    if pkt.wire_len() < SEG_HEADER {
         return None;
     }
-    let flags = raw[1];
-    let seq = u64::from_be_bytes(raw[2..10].try_into().ok()?);
-    let ack = u64::from_be_bytes(raw[10..18].try_into().ok()?);
-    let wnd = u32::from_be_bytes(raw[18..22].try_into().ok()?);
-    let len = usize::from(u16::from_be_bytes(raw[22..24].try_into().ok()?));
-    if raw.len() != SEG_HEADER + len {
+    let mut raw = [0u8; SEG_HEADER];
+    let payload = if pkt.header.len() == SEG_HEADER {
+        raw.copy_from_slice(&pkt.header);
+        pkt.payload
+    } else {
+        let frame = pkt.frame();
+        frame.read_at(0, &mut raw);
+        frame.slice(SEG_HEADER, frame.len())
+    };
+    let len = usize::from(u16::from_be_bytes([raw[22], raw[23]]));
+    if raw[0] != PROTO_STREAM || payload.len() != len {
         return None;
     }
     Some(Segment {
-        flags,
-        seq,
-        ack,
-        wnd,
-        payload: Bytes::copy_from_slice(&raw[SEG_HEADER..]),
+        head: SegHead {
+            flags: raw[1],
+            seq: u64::from_be_bytes(raw[2..10].try_into().ok()?),
+            ack: u64::from_be_bytes(raw[10..18].try_into().ok()?),
+            wnd: u32::from_be_bytes(raw[18..22].try_into().ok()?),
+        },
+        payload,
     })
+}
+
+/// A socket buffer: a queue of shared byte chunks plus their total
+/// length. Pushing and dropping whole or partial chunks moves no bytes.
+#[derive(Default)]
+struct ByteQueue {
+    chunks: VecDeque<Bytes>,
+    len: usize,
+}
+
+impl ByteQueue {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends a chunk (empty ones are not stored).
+    fn push(&mut self, chunk: Bytes) {
+        if !chunk.is_empty() {
+            self.len += chunk.len();
+            self.chunks.push_back(chunk);
+        }
+    }
+
+    /// Appends `take` bytes of `src` from `skip` on, as windows of its
+    /// parts.
+    fn push_sg(&mut self, src: &SgBytes, skip: usize, take: usize) {
+        for w in windows(src.parts(), skip, take) {
+            self.push(w);
+        }
+    }
+
+    /// Drops the first `n` bytes (at most all of them).
+    fn drop_front(&mut self, mut n: usize) {
+        while n > 0 {
+            let Some(front) = self.chunks.front_mut() else {
+                break;
+            };
+            let k = n.min(front.len());
+            self.len -= k;
+            n -= k;
+            if k == front.len() {
+                self.chunks.pop_front();
+            } else {
+                front.advance(k);
+            }
+        }
+    }
+
+    /// `len` bytes from `offset` on, as a gather list of windows into the
+    /// queued chunks (no copy).
+    fn window(&self, offset: usize, len: usize) -> SgBytes {
+        let mut out = SgBytes::new();
+        for w in windows(&self.chunks, offset, len) {
+            out.push(w);
+        }
+        debug_assert_eq!(out.len(), len);
+        out
+    }
+
+    /// Copies bytes from the front into `dst` and drops them; returns how
+    /// many (`min(dst.len(), self.len())`).
+    fn pop_into(&mut self, dst: &mut [u8]) -> usize {
+        let n = dst.len().min(self.len);
+        let mut done = 0;
+        for c in &self.chunks {
+            if done == n {
+                break;
+            }
+            let k = (n - done).min(c.len());
+            dst[done..done + k].copy_from_slice(&c[..k]);
+            done += k;
+        }
+        self.drop_front(n);
+        n
+    }
+}
+
+/// The windows of `chunks` that cover `take` bytes from `skip` on.
+fn windows<'a, I>(chunks: I, mut skip: usize, mut take: usize) -> impl Iterator<Item = Bytes> + 'a
+where
+    I: IntoIterator<Item = &'a Bytes>,
+    I::IntoIter: 'a,
+{
+    chunks
+        .into_iter()
+        .map_while(move |c| {
+            if take == 0 {
+                return None; // done: stop walking the chunks
+            }
+            if skip >= c.len() {
+                skip -= c.len();
+                return Some(None); // before the range
+            }
+            let n = (c.len() - skip).min(take);
+            let w = c.slice(skip..skip + n);
+            (skip, take) = (0, take - n);
+            Some(Some(w))
+        })
+        .flatten()
 }
 
 struct St {
@@ -182,13 +305,13 @@ struct St {
     /// Bytes queued for (re)transmission; front corresponds to `snd_una`
     /// (or `snd_una - 1` before the SYN is acknowledged — the SYN occupies
     /// sequence number 0 and carries no buffer bytes).
-    send_q: VecDeque<u8>,
+    send_q: ByteQueue,
     /// Next expected receive sequence number.
     rcv_nxt: u64,
-    /// In-order bytes ready for `read`.
-    recv_q: VecDeque<u8>,
+    /// In-order bytes ready for `read`: segment payloads as they arrived.
+    recv_q: ByteQueue,
     /// Out-of-order segments keyed by their start sequence number.
-    ooo: BTreeMap<u64, Bytes>,
+    ooo: BTreeMap<u64, SgBytes>,
     ooo_bytes: usize,
     /// Set once the application requested close; FIN goes out after data.
     fin_requested: bool,
@@ -211,9 +334,10 @@ struct St {
     last_wnd_sent: u32,
     err: Option<NetError>,
     shutdown: bool,
-    /// Segments encoded in the current lock scope, in order, all for
-    /// `peer`. The scope's release step sends them as one fabric burst.
-    outbox: Vec<Bytes>,
+    /// Segments made in the current lock scope, in order, all for `peer`.
+    /// The scope's release step encodes their headers into one arena and
+    /// sends them as one fabric burst.
+    outbox: Vec<Segment>,
     /// `WAKE_*` bits raised in the current lock scope. Its release step
     /// notifies them after unlocking.
     wake: u8,
@@ -243,24 +367,6 @@ impl St {
     fn recv_window(&self, rcv_buf: usize) -> u32 {
         rcv_buf.saturating_sub(self.recv_q.len() + self.ooo_bytes) as u32
     }
-
-    /// Copies `len` bytes starting `offset` into the retransmission queue
-    /// into a fresh `Bytes` (the queue fronts at `snd_una`).
-    fn slice_send_q(&self, offset: usize, len: usize) -> Bytes {
-        let mut out = BytesMut::with_capacity(len);
-        let (a, b) = self.send_q.as_slices();
-        if offset < a.len() {
-            let take = (a.len() - offset).min(len);
-            out.extend_from_slice(&a[offset..offset + take]);
-            if take < len {
-                out.extend_from_slice(&b[..len - take]);
-            }
-        } else {
-            let off = offset - a.len();
-            out.extend_from_slice(&b[off..off + len]);
-        }
-        out.freeze()
-    }
 }
 
 /// Builds the recovery-engine configuration for one stream connection.
@@ -288,7 +394,7 @@ fn recovery_config(cfg: &StreamConfig, mss: usize) -> RecoveryConfig {
 
 /// Coalesces the receiver's out-of-order map into at most
 /// [`MAX_SACK_RANGES`] half-open `(lo, hi)` byte ranges, big-endian.
-fn encode_sack(ooo: &BTreeMap<u64, Bytes>) -> Bytes {
+fn encode_sack(ooo: &BTreeMap<u64, SgBytes>) -> Bytes {
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     for (&seq, payload) in ooo {
         let end = seq + payload.len() as u64;
@@ -389,9 +495,25 @@ impl Drop for Locked<'_> {
         };
         if !st.outbox.is_empty() {
             let peer = st.peer;
+            let mut arena = BytesMut::with_capacity(st.outbox.len() * SEG_HEADER);
+            for seg in &st.outbox {
+                encode_header(&mut arena, &seg.head, seg.payload.len());
+            }
+            let arena = arena.freeze();
+            let frames = st
+                .outbox
+                .drain(..)
+                .enumerate()
+                .map(|(i, seg)| {
+                    (
+                        arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
+                        seg.payload,
+                    )
+                })
+                .collect();
             // Losing a segment here is equivalent to wire loss; reliability
             // comes from retransmission, so the send result is advisory.
-            let _ = self.inner.ep.send_frames(peer, st.outbox.drain(..));
+            let _ = self.inner.ep.send_burst(peer, frames);
         }
         let wake = std::mem::take(&mut st.wake);
         drop(st);
@@ -421,9 +543,9 @@ impl Inner {
         }
     }
 
-    /// Encodes a segment to the peer into the scope's outbox. Called with
+    /// Queues a segment to the peer in the scope's outbox. Called with
     /// the state lock held; the scope's release step transmits it.
-    fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: Bytes) {
+    fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: SgBytes) {
         let wnd = st.recv_window(self.cfg.rcv_buf);
         st.last_wnd_sent = wnd;
         self.tel.tx_segments.inc();
@@ -431,14 +553,13 @@ impl Inner {
         if flags & (FLAG_SYN | FLAG_FIN) == 0 && pure_ack {
             self.tel.acks_tx.inc();
         }
-        let seg = Segment {
+        let head = SegHead {
             flags,
             seq,
             ack: st.rcv_nxt,
             wnd,
-            payload,
         };
-        st.outbox.push(encode_segment(&seg));
+        st.outbox.push(Segment { head, payload });
     }
 
     fn arm_hs_rto(&self, st: &mut St) {
@@ -466,7 +587,7 @@ impl Inner {
                 break;
             }
             let offset = (st.snd_nxt - st.snd_una) as usize;
-            let payload = st.slice_send_q(offset, len);
+            let payload = st.send_q.window(offset, len);
             let seq = st.snd_nxt;
             st.snd_nxt += len as u64;
             st.engine.on_send(t, len as u64);
@@ -483,13 +604,14 @@ impl Inner {
             st.fin_seq = Some(seq);
             st.snd_nxt += 1;
             st.engine.on_send(t, 1);
-            self.tx(st, FLAG_FIN | FLAG_ACK, seq, Bytes::new());
+            self.tx(st, FLAG_FIN | FLAG_ACK, seq, SgBytes::new());
         }
         debug_assert_eq!(st.engine.nxt(), st.snd_nxt);
     }
 
     /// Handles one incoming segment. Called with the state lock held.
     fn on_segment(&self, st: &mut St, src: Addr, seg: Segment) {
+        let Segment { head: seg, payload } = seg;
         // While connecting, the SYN-ACK arrives from the server's dedicated
         // per-connection endpoint, not the listener address we dialled —
         // adopt that endpoint as our peer (the TCP accept-socket analog).
@@ -520,14 +642,14 @@ impl Inner {
                     st.hs_deadline = None;
                     st.hs_retries = 0;
                     st.wake |= WAKE_ESTABLISHED;
-                    self.tx(st, FLAG_ACK, st.snd_nxt, Bytes::new());
+                    self.tx(st, FLAG_ACK, st.snd_nxt, SgBytes::new());
                 }
                 return;
             }
             Conn::SynReceived => {
                 if seg.flags & FLAG_SYN != 0 {
                     // Duplicate SYN (our SYN-ACK was lost): re-answer.
-                    self.tx(st, FLAG_SYN | FLAG_ACK, 0, Bytes::new());
+                    self.tx(st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new());
                     return;
                 }
                 if seg.flags & FLAG_ACK != 0 && seg.ack >= 1 {
@@ -545,7 +667,7 @@ impl Inner {
                     // Duplicate SYN-ACK: our handshake ACK was lost.
                     // Re-acknowledge so the peer leaves SynReceived.
                     let seq = st.snd_nxt;
-                    self.tx(st, FLAG_ACK, seq, Bytes::new());
+                    self.tx(st, FLAG_ACK, seq, SgBytes::new());
                     return;
                 }
             }
@@ -559,7 +681,7 @@ impl Inner {
             if seg.flags & FLAG_SACK != 0 {
                 // The payload is SACK metadata: feed the scoreboard, then
                 // let the engine infer losses from the sacked horizon.
-                for (lo, hi) in decode_sack(&seg.payload) {
+                for (lo, hi) in decode_sack(&payload.to_bytes()) {
                     st.engine.on_sack_range(t, lo, hi);
                 }
                 st.engine.detect_losses(t);
@@ -574,13 +696,13 @@ impl Inner {
                 };
                 let data_start = st.snd_una.max(1);
                 let drop_bytes = data_acked_to.saturating_sub(data_start) as usize;
-                st.send_q.drain(..drop_bytes.min(st.send_q.len()));
+                st.send_q.drop_front(drop_bytes);
                 st.snd_una = seg.ack;
                 st.engine.on_cum_ack(t, seg.ack);
                 st.wake |= WAKE_WRITABLE;
             } else if seg.ack == st.snd_una
                 && st.in_flight() > 0
-                && (seg.payload.is_empty() || seg.flags & FLAG_SACK != 0)
+                && (payload.is_empty() || seg.flags & FLAG_SACK != 0)
             {
                 // A pure duplicate ACK (possibly carrying SACK blocks)
                 // hints at head loss; the engine fast-retransmits once
@@ -593,19 +715,19 @@ impl Inner {
         // Payload placement (SACK payloads are metadata, not stream data).
         let mut should_ack = false;
         let payload_len = if seg.flags & FLAG_SACK == 0 {
-            seg.payload.len() as u64
+            payload.len() as u64
         } else {
             0
         };
-        if !seg.payload.is_empty() && seg.flags & FLAG_SACK == 0 {
+        if !payload.is_empty() && seg.flags & FLAG_SACK == 0 {
             should_ack = true;
             let mut seq = seg.seq;
-            let mut payload = seg.payload;
+            let mut payload = payload;
             let end = seq + payload.len() as u64;
             if end > st.rcv_nxt {
                 if seq < st.rcv_nxt {
                     // Retransmission overlapping delivered data: trim.
-                    payload = payload.slice((st.rcv_nxt - seq) as usize..);
+                    payload = payload.slice((st.rcv_nxt - seq) as usize, payload.len());
                     seq = st.rcv_nxt;
                 }
                 if seq == st.rcv_nxt {
@@ -614,7 +736,7 @@ impl Inner {
                         .rcv_buf
                         .saturating_sub(st.recv_q.len() + st.ooo_bytes);
                     let take = payload.len().min(space);
-                    st.recv_q.extend(&payload[..take]);
+                    st.recv_q.push_sg(&payload, 0, take);
                     st.rcv_nxt += take as u64;
                     if take == payload.len() {
                         self.drain_ooo(st);
@@ -656,9 +778,9 @@ impl Inner {
         let seq = st.snd_nxt;
         if self.cfg.cc != CcAlgo::Fixed && !st.ooo.is_empty() {
             let sack = encode_sack(&st.ooo);
-            self.tx(st, FLAG_ACK | FLAG_SACK, seq, sack);
+            self.tx(st, FLAG_ACK | FLAG_SACK, seq, SgBytes::from(sack));
         } else {
-            self.tx(st, FLAG_ACK, seq, Bytes::new());
+            self.tx(st, FLAG_ACK, seq, SgBytes::new());
         }
     }
 
@@ -681,7 +803,7 @@ impl Inner {
                 .rcv_buf
                 .saturating_sub(st.recv_q.len() + st.ooo_bytes);
             let take = (payload.len() - skip).min(space);
-            st.recv_q.extend(&payload[skip..skip + take]);
+            st.recv_q.push_sg(&payload, skip, take);
             st.rcv_nxt += take as u64;
             if take < payload.len() - skip {
                 break; // buffer full; rest will be retransmitted
@@ -703,13 +825,13 @@ impl Inner {
             );
         }
         if st.fin_seq == Some(seq) {
-            self.tx(st, FLAG_FIN | FLAG_ACK, seq, Bytes::new());
+            self.tx(st, FLAG_FIN | FLAG_ACK, seq, SgBytes::new());
             return;
         }
         let offset = (seq - st.snd_una) as usize;
         let avail = st.send_q.len().saturating_sub(offset).min(len);
         if avail > 0 {
-            let payload = st.slice_send_q(offset, avail);
+            let payload = st.send_q.window(offset, avail);
             self.tx(st, FLAG_ACK, seq, payload);
         }
     }
@@ -746,8 +868,8 @@ impl Inner {
         self.tel.rto_retransmits.inc();
         self.tel.retransmits.inc();
         match st.conn {
-            Conn::SynSent => self.tx(st, FLAG_SYN, 0, Bytes::new()),
-            Conn::SynReceived => self.tx(st, FLAG_SYN | FLAG_ACK, 0, Bytes::new()),
+            Conn::SynSent => self.tx(st, FLAG_SYN, 0, SgBytes::new()),
+            Conn::SynReceived => self.tx(st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new()),
             Conn::Established | Conn::Closed => {}
         }
         st.hs_rto = (st.hs_rto * 2).min(self.cfg.rto_max);
@@ -768,7 +890,7 @@ impl Inner {
             // if data is still pinned behind a zero window.
             if st.unsent() > 0 && st.snd_wnd == 0 {
                 self.tel.zero_window_probes.inc();
-                let payload = st.slice_send_q(st.data_in_flight(), 1);
+                let payload = st.send_q.window(st.data_in_flight(), 1);
                 let seq = st.snd_nxt;
                 st.snd_nxt += 1;
                 st.engine.on_send(t, 1);
@@ -783,6 +905,14 @@ impl Inner {
 }
 
 impl Inner {
+    /// Decodes one wire packet and handles it if it is a segment.
+    fn on_packet(&self, st: &mut St, pkt: WirePacket) {
+        let src = pkt.src;
+        if let Some(seg) = decode_segment(pkt) {
+            self.on_segment(st, src, seg);
+        }
+    }
+
     /// One I/O iteration: wait up to `max_wait` for a wire packet, process
     /// everything queued, fire due retransmission timers, pump output.
     /// Shared by the per-connection I/O thread and poll-mode callers.
@@ -810,14 +940,10 @@ impl Inner {
         }
         match pkt {
             Ok(p) => {
-                if let Some(seg) = decode_segment(&p.contiguous()) {
-                    self.on_segment(&mut st, p.src, seg);
-                }
+                self.on_packet(&mut st, p);
                 // Drain everything already queued before checking timers.
                 while let Ok(p) = self.ep.try_recv() {
-                    if let Some(seg) = decode_segment(&p.contiguous()) {
-                        self.on_segment(&mut st, p.src, seg);
-                    }
+                    self.on_packet(&mut st, p);
                 }
             }
             Err(NetError::Timeout) => {}
@@ -880,7 +1006,7 @@ impl StreamConduit {
         let conduit = Self::build(ep, server, Conn::SynSent, cfg);
         {
             let mut st = conduit.inner.lock();
-            conduit.inner.tx(&mut st, FLAG_SYN, 0, Bytes::new());
+            conduit.inner.tx(&mut st, FLAG_SYN, 0, SgBytes::new());
             conduit.inner.arm_hs_rto(&mut st);
         }
         // Wait for the handshake.
@@ -955,9 +1081,9 @@ impl StreamConduit {
                 snd_una,
                 snd_nxt,
                 snd_wnd: 0,
-                send_q: VecDeque::new(),
+                send_q: ByteQueue::default(),
                 rcv_nxt,
-                recv_q: VecDeque::new(),
+                recv_q: ByteQueue::default(),
                 ooo: BTreeMap::new(),
                 ooo_bytes: 0,
                 fin_requested: false,
@@ -1012,11 +1138,33 @@ impl StreamConduit {
         self.inner.mss
     }
 
-    /// Writes all of `buf` into the stream, blocking for send-buffer space.
+    /// Writes all of `buf` into the stream, blocking for send-buffer space:
+    /// a [`write_all_vectored`](StreamConduit::write_all_vectored) of one
+    /// buffer.
     pub fn write_all(&self, buf: &[u8]) -> NetResult<()> {
+        self.write_all_vectored(&[buf])
+    }
+
+    /// Writes all of `bufs`, in order, into the stream, blocking for
+    /// send-buffer space.
+    ///
+    /// Each lock scope copies as much as the send buffer has room for
+    /// into one chunk (the socket-write copy), then queues it one window
+    /// per buffer and pumps after each. Segments therefore break where one
+    /// [`write_all`](StreamConduit::write_all) per buffer would break
+    /// them: a buffer that fits the window leaves as its own segments,
+    /// which keeps MPA's FPDUs segment-aligned (RFC 5044's sender rule).
+    pub fn write_all_vectored(&self, bufs: &[&[u8]]) -> NetResult<()> {
         let inner = &self.inner;
-        let mut written = 0;
-        while written < buf.len() {
+        // The first unwritten byte: buffer `i`, offset `off` into it.
+        let (mut i, mut off) = (0usize, 0usize);
+        loop {
+            while i < bufs.len() && off == bufs[i].len() {
+                (i, off) = (i + 1, 0);
+            }
+            if i == bufs.len() {
+                return Ok(());
+            }
             {
                 let mut st = inner.lock();
                 if let Some(e) = &st.err {
@@ -1027,10 +1175,33 @@ impl StreamConduit {
                 }
                 let space = inner.cfg.snd_buf - st.send_q.len();
                 if space > 0 {
-                    let take = space.min(buf.len() - written);
-                    st.send_q.extend(&buf[written..written + take]);
-                    written += take;
-                    inner.pump(&mut st);
+                    // The pieces this scope takes: `bufs[i][off..]`, then
+                    // whole buffers, the last one possibly cut at `space`.
+                    let pieces = || {
+                        bufs[i..]
+                            .iter()
+                            .enumerate()
+                            .scan(space, move |left, (k, b)| {
+                                let from = if k == 0 { off } else { 0 };
+                                let n = (b.len() - from).min(*left);
+                                *left -= n;
+                                (n > 0 || *left > 0).then_some((i + k, from, n))
+                            })
+                            .filter(|&(_, _, n)| n > 0)
+                    };
+                    let total = pieces().map(|(_, _, n)| n).sum();
+                    let mut chunk = Vec::with_capacity(total);
+                    for (b, from, n) in pieces() {
+                        chunk.extend_from_slice(&bufs[b][from..from + n]);
+                    }
+                    let chunk = Bytes::from(chunk);
+                    let mut at = 0;
+                    for (b, from, n) in pieces() {
+                        st.send_q.push(chunk.slice(at..at + n));
+                        inner.pump(&mut st);
+                        at += n;
+                        (i, off) = (b, from + n);
+                    }
                     continue;
                 }
                 if !inner.cfg.poll_mode {
@@ -1041,7 +1212,6 @@ impl StreamConduit {
             // Poll mode: make protocol progress while waiting for space.
             inner.io_step(Duration::from_millis(5));
         }
-        Ok(())
     }
 
     /// Reads up to `buf.len()` bytes, blocking at most `timeout`
@@ -1052,19 +1222,12 @@ impl StreamConduit {
         loop {
             let mut st = inner.lock();
             if !st.recv_q.is_empty() {
-                let n = st.recv_q.len().min(buf.len());
-                let (a, b) = st.recv_q.as_slices();
-                let ta = a.len().min(n);
-                buf[..ta].copy_from_slice(&a[..ta]);
-                if ta < n {
-                    buf[ta..n].copy_from_slice(&b[..n - ta]);
-                }
-                st.recv_q.drain(..n);
+                let n = st.recv_q.pop_into(buf);
                 // Window update: if we had choked the sender, reopen.
                 let wnd = st.recv_window(inner.cfg.rcv_buf);
                 if st.last_wnd_sent < inner.mss as u32 && wnd >= inner.mss as u32 {
                     let seq = st.snd_nxt;
-                    inner.tx(&mut st, FLAG_ACK, seq, Bytes::new());
+                    inner.tx(&mut st, FLAG_ACK, seq, SgBytes::new());
                 }
                 return Ok(n);
             }
@@ -1225,30 +1388,30 @@ impl StreamListener {
                 }
             };
             let pkt = self.ep.recv(remaining)?;
-            let Some(seg) = decode_segment(&pkt.contiguous()) else {
+            let src = pkt.src;
+            let Some(seg) = decode_segment(pkt) else {
                 continue;
             };
-            if seg.flags & FLAG_SYN == 0 || seg.flags & FLAG_ACK != 0 {
+            if seg.head.flags & FLAG_SYN == 0 || seg.head.flags & FLAG_ACK != 0 {
                 continue;
             }
             {
                 let mut seen = self.seen.lock();
                 let now = Instant::now();
                 seen.retain(|_, t| now.duration_since(*t) < Duration::from_secs(10));
-                if seen.contains_key(&pkt.src) {
+                if seen.contains_key(&src) {
                     continue; // duplicate SYN; the spawned conduit re-answers
                 }
-                seen.insert(pkt.src, now);
+                seen.insert(src, now);
             }
             // Dedicated endpoint for this connection (TCP accept analog).
             let conn_ep = self.fabric.bind_ephemeral(self.ep.local_addr().node)?;
-            let conduit =
-                StreamConduit::build(conn_ep, pkt.src, Conn::SynReceived, self.cfg.clone());
+            let conduit = StreamConduit::build(conn_ep, src, Conn::SynReceived, self.cfg.clone());
             {
                 let mut st = conduit.inner.lock();
                 conduit
                     .inner
-                    .tx(&mut st, FLAG_SYN | FLAG_ACK, 0, Bytes::new());
+                    .tx(&mut st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new());
                 conduit.inner.arm_hs_rto(&mut st);
             }
             return Ok(conduit);
@@ -1583,37 +1746,180 @@ mod tests {
         });
     }
 
+    /// A segment's frame as one contiguous buffer.
+    fn encode_frame(h: &SegHead, payload: &[u8]) -> Vec<u8> {
+        let mut b = BytesMut::new();
+        encode_header(&mut b, h, payload.len());
+        b.extend_from_slice(payload);
+        b.to_vec()
+    }
+
     #[test]
     fn segment_roundtrip() {
-        let seg = Segment {
+        let head = SegHead {
             flags: FLAG_ACK | FLAG_FIN,
             seq: 0x0123_4567_89AB_CDEF,
             ack: 42,
             wnd: 31_337,
-            payload: Bytes::from_static(b"payload"),
         };
-        let enc = encode_segment(&seg);
-        let dec = decode_segment(&enc).unwrap();
-        assert_eq!(dec.flags, seg.flags);
-        assert_eq!(dec.seq, seg.seq);
-        assert_eq!(dec.ack, seg.ack);
-        assert_eq!(dec.wnd, seg.wnd);
-        assert_eq!(dec.payload, seg.payload);
+        let frame = Bytes::from(encode_frame(&head, b"payload"));
+        // However the frame is split between the packet header and its
+        // payload parts, it decodes to the same segment.
+        for cut in 0..frame.len() {
+            let mut payload = SgBytes::new();
+            payload.push(frame.slice(cut..cut + (frame.len() - cut) / 2));
+            payload.push(frame.slice(cut + (frame.len() - cut) / 2..));
+            let pkt = WirePacket::sg(
+                Addr::new(0, 1),
+                Addr::new(1, 1),
+                frame.slice(..cut),
+                payload,
+            );
+            let dec = decode_segment(pkt).unwrap();
+            assert_eq!(dec.head.flags, head.flags);
+            assert_eq!(dec.head.seq, head.seq);
+            assert_eq!(dec.head.ack, head.ack);
+            assert_eq!(dec.head.wnd, head.wnd);
+            assert_eq!(&dec.payload.to_bytes()[..], b"payload", "cut {cut}");
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_segment(&[]).is_none());
-        assert!(decode_segment(&[0xFF; 24]).is_none());
-        let seg = Segment {
+        let none = |raw: &[u8]| {
+            let frame = Bytes::copy_from_slice(raw);
+            decode_segment(WirePacket::contiguous_frame(
+                Addr::new(0, 1),
+                Addr::new(1, 1),
+                frame,
+            ))
+        };
+        assert!(none(&[]).is_none());
+        assert!(none(&[0xFF; 24]).is_none());
+        let head = SegHead {
             flags: FLAG_ACK,
             seq: 1,
             ack: 1,
             wnd: 1,
-            payload: Bytes::new(),
         };
-        let mut enc = encode_segment(&seg).to_vec();
+        let mut enc = encode_frame(&head, b"");
         enc.push(0); // trailing byte ⇒ length mismatch
-        assert!(decode_segment(&enc).is_none());
+        assert!(none(&enc).is_none());
+    }
+
+    /// A connected poll-mode pair on its own fabric, so the fabric's
+    /// counters see only this pair.
+    fn poll_pair(cfg: StreamConfig) -> (Fabric, StreamConduit, StreamConduit) {
+        let fab = Fabric::loopback();
+        let cfg = StreamConfig {
+            poll_mode: true,
+            ..cfg
+        };
+        let listener = StreamListener::bind(&fab, Addr::new(1, 800), cfg.clone()).unwrap();
+        let (client, server) = std::thread::scope(|s| {
+            let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
+            let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 800), cfg).unwrap();
+            (client, srv.join().unwrap())
+        });
+        (fab, client, server)
+    }
+
+    fn counter(fab: &Fabric, name: &str) -> u64 {
+        fab.telemetry().counter(name).get()
+    }
+
+    #[test]
+    fn vectored_write_is_invisible_on_the_wire() {
+        let bufs: Vec<Vec<u8>> = [700usize, 1476, 3000, 10, 1, 2000, 5000]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| (0..n).map(|i| (i * 7 + k) as u8).collect())
+            .collect();
+        let total: usize = bufs.iter().map(Vec::len).sum();
+        assert!(total <= StreamConfig::default().snd_buf);
+        let run = |vectored: bool| {
+            let (fab, client, server) = poll_pair(StreamConfig::default());
+            if vectored {
+                let slices: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+                client.write_all_vectored(&slices).unwrap();
+            } else {
+                for b in &bufs {
+                    client.write_all(b).unwrap();
+                }
+            }
+            let mut got = vec![0u8; total];
+            server
+                .read_exact(&mut got, Some(Duration::from_secs(5)))
+                .unwrap();
+            // Let the sender take in the last ACKs.
+            client.progress(Duration::from_millis(10));
+            (
+                counter(&fab, "simnet.stream.tx_segments"),
+                counter(&fab, "simnet.fabric.tx_bytes"),
+                got,
+            )
+        };
+        let (segs_v, bytes_v, got_v) = run(true);
+        let (segs_s, bytes_s, got_s) = run(false);
+        assert_eq!(segs_v, segs_s, "segment count");
+        assert_eq!(bytes_v, bytes_s, "fabric bytes");
+        assert_eq!(got_v, bufs.concat());
+        assert_eq!(got_s, bufs.concat());
+    }
+
+    #[test]
+    fn window_limited_segment_spanning_two_chunks_arrives_intact() {
+        // A 3000-byte receive window: the first write leaves 1000 bytes
+        // unsent behind it, the second queues a chunk of its own, and
+        // the window update releases one segment across both chunks.
+        let (fab, client, server) = poll_pair(StreamConfig {
+            rcv_buf: 3000,
+            ..StreamConfig::default()
+        });
+        let mss = client.mss();
+        assert!(mss < 3000 && 3000 < 2 * mss + 1000);
+        let a: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
+        let b: Vec<u8> = (0..1000u32).map(|i| (i % 13) as u8 ^ 0x5A).collect();
+        let data_segments =
+            || counter(&fab, "simnet.stream.tx_segments") - counter(&fab, "simnet.stream.acks_tx");
+        let before = data_segments();
+        client.write_all(&a).unwrap();
+        client.write_all(&b).unwrap();
+        // The server takes in the first window and reopens it.
+        let mut got = vec![0u8; a.len() + b.len()];
+        let n = server.read(&mut got, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(n, 3000);
+        // The client sends the rest: `mss` bytes across the two chunks,
+        // then what remains.
+        client.progress(Duration::from_millis(10));
+        server
+            .read_exact(&mut got[n..], Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(got, [a, b].concat());
+        // 2 full segments + the window's 48-byte tail, then 2 more.
+        assert_eq!(data_segments() - before, 5);
+    }
+
+    #[test]
+    fn threaded_vectored_transfer_larger_than_the_send_buffer() {
+        let fab = Fabric::loopback();
+        let cfg = StreamConfig::default();
+        let (client, server) = connect_pair(&fab, cfg.clone());
+        let bufs: Vec<Vec<u8>> = (0..40usize)
+            .map(|k| (0..(k * 977) % 4000 + 1).map(|i| (i + k) as u8).collect())
+            .collect();
+        let expect = bufs.concat();
+        assert!(expect.len() > 2 * cfg.snd_buf);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let slices: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+                client.write_all_vectored(&slices).unwrap();
+            });
+            let mut got = vec![0u8; expect.len()];
+            server
+                .read_exact(&mut got, Some(Duration::from_secs(10)))
+                .unwrap();
+            assert_eq!(got, expect);
+        });
     }
 }

@@ -10,12 +10,20 @@
 //! `Arc<[u8]>` so `From<Vec<u8>>` (and therefore `BytesMut::freeze`) is
 //! allocation-free, and so a buffer pool can hold a clone of the storage
 //! and reclaim the allocation once every view has been dropped
-//! ([`Bytes::from_shared`] / [`Bytes::shared_storage`]).
+//! ([`Bytes::from_shared`] / [`Bytes::shared_storage`]). As upstream,
+//! an empty `Bytes` allocates nothing: every one shares a single
+//! process-wide empty storage.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The storage every empty [`Bytes`] shares.
+fn empty_storage() -> &'static Arc<Vec<u8>> {
+    static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new(Vec::new()))
+}
 
 /// A cheaply cloneable, immutable window onto shared byte storage.
 #[derive(Clone)]
@@ -26,11 +34,11 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
+    /// Creates an empty `Bytes` (no allocation: the storage is shared).
     #[must_use]
     pub fn new() -> Self {
         Self {
-            data: Arc::new(Vec::new()),
+            data: Arc::clone(empty_storage()),
             off: 0,
             len: 0,
         }
@@ -135,6 +143,10 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        // An unallocated Vec has nothing to share or reclaim.
+        if v.capacity() == 0 {
+            return Self::new();
+        }
         // Zero-copy: the Vec becomes the shared storage as-is. Spare
         // capacity is retained (and reusable if the allocation is later
         // reclaimed by a pool via `shared_storage`).
@@ -474,6 +486,23 @@ mod tests {
         drop(view);
         drop(sub);
         assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn empty_bytes_share_one_storage() {
+        let a = Bytes::new();
+        let b = Bytes::default();
+        let c = Bytes::from(Vec::new());
+        let d = BytesMut::new().freeze();
+        for e in [&b, &c, &d] {
+            assert!(Arc::ptr_eq(a.shared_storage(), e.shared_storage()));
+            assert!(e.is_empty());
+        }
+        // A non-empty buffer still gets storage of its own.
+        let f = Bytes::copy_from_slice(b"x");
+        assert!(!Arc::ptr_eq(a.shared_storage(), f.shared_storage()));
+        // Windows of it stay usable and empty.
+        assert!(a.slice(..).is_empty());
     }
 
     #[test]
