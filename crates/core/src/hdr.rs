@@ -342,6 +342,92 @@ impl PendingCrc {
     }
 }
 
+/// A parsed DDP header, either kind.
+enum Hdr {
+    Untagged(UntaggedHdr),
+    Tagged(TaggedHdr),
+}
+
+impl Hdr {
+    /// Encoded length of this kind of header.
+    fn len(&self) -> usize {
+        match self {
+            Hdr::Untagged(_) => UNTAGGED_HDR_LEN,
+            Hdr::Tagged(_) => TAGGED_HDR_LEN,
+        }
+    }
+
+    fn with_payload(self, payload: Bytes) -> DdpSegment {
+        match self {
+            Hdr::Untagged(hdr) => DdpSegment::Untagged { hdr, payload },
+            Hdr::Tagged(hdr) => DdpSegment::Tagged { hdr, payload },
+        }
+    }
+}
+
+fn malformed() -> IwarpError {
+    IwarpError::Net(simnet::NetError::Protocol("malformed DDP segment"))
+}
+
+/// Length of a segment of `len` bytes without its CRC trailer.
+fn body_len(len: usize, with_crc: bool) -> IwarpResult<usize> {
+    if with_crc {
+        len.checked_sub(CRC_LEN).ok_or_else(malformed)
+    } else {
+        Ok(len)
+    }
+}
+
+/// The one header parser behind [`decode`] and [`decode_sg`]. `head` is
+/// the front of the segment body (everything before the CRC trailer), cut
+/// to at most [`TAGGED_HDR_LEN`] bytes; a body too short for its header
+/// kind is malformed.
+fn parse_hdr(head: &[u8]) -> IwarpResult<Hdr> {
+    if head.len() < 2 {
+        return Err(malformed());
+    }
+    let ctrl = head[0];
+    if ctrl & CTRL_VERSION_MASK != CTRL_VERSION {
+        return Err(malformed());
+    }
+    let opcode = RdmapOpcode::from_u8(head[1])?;
+    let last = ctrl & CTRL_LAST != 0;
+    let u32_at = |at: usize| u32::from_be_bytes(head[at..at + 4].try_into().expect("sized"));
+    let u64_at = |at: usize| u64::from_be_bytes(head[at..at + 8].try_into().expect("sized"));
+    if ctrl & CTRL_TAGGED != 0 {
+        if head.len() < TAGGED_HDR_LEN {
+            return Err(malformed());
+        }
+        Ok(Hdr::Tagged(TaggedHdr {
+            opcode,
+            last,
+            notify: ctrl & CTRL_NOTIFY != 0,
+            stag: u32_at(2),
+            to: u64_at(6),
+            base_to: u64_at(14),
+            total_len: u32_at(22),
+            src_qpn: u32_at(26),
+            msg_id: u64_at(30),
+            imm: u32_at(38),
+        }))
+    } else {
+        if head.len() < UNTAGGED_HDR_LEN {
+            return Err(malformed());
+        }
+        Ok(Hdr::Untagged(UntaggedHdr {
+            opcode,
+            last,
+            solicited: ctrl & CTRL_SOLICITED != 0,
+            qn: u32_at(2),
+            msn: u32_at(6),
+            mo: u32_at(10),
+            total_len: u32_at(14),
+            src_qpn: u32_at(18),
+            msg_id: u64_at(22),
+        }))
+    }
+}
+
 /// Decodes a DDP segment delivered as a scatter-gather list.
 ///
 /// A contiguous (single-part) delivery takes exactly the [`decode`] path:
@@ -357,141 +443,38 @@ pub fn decode_sg(raw: &SgBytes, with_crc: bool) -> IwarpResult<(DdpSegment, Opti
     if raw.is_contiguous() {
         return Ok((decode(&raw.to_bytes(), with_crc)?, None));
     }
-    let malformed = || IwarpError::Net(simnet::NetError::Protocol("malformed DDP segment"));
-    let mut body_len = raw.len();
-    if with_crc {
-        if raw.len() < CRC_LEN {
-            return Err(malformed());
-        }
-        body_len -= CRC_LEN;
-    }
-    if body_len < 2 {
-        return Err(malformed());
-    }
-    let mut probe = [0u8; TAGGED_HDR_LEN];
-    let probe_len = body_len.min(TAGGED_HDR_LEN);
-    raw.read_at(0, &mut probe[..probe_len]);
-    let ctrl = probe[0];
-    if ctrl & CTRL_VERSION_MASK != CTRL_VERSION {
-        return Err(malformed());
-    }
-    let opcode = RdmapOpcode::from_u8(probe[1])?;
-    let last = ctrl & CTRL_LAST != 0;
-    let tagged = ctrl & CTRL_TAGGED != 0;
-    let hdr_len = if tagged { TAGGED_HDR_LEN } else { UNTAGGED_HDR_LEN };
-    if body_len < hdr_len {
-        return Err(malformed());
-    }
-    let payload = raw.slice_to_bytes(hdr_len, body_len);
-    let pending = if with_crc {
+    let body_len = body_len(raw.len(), with_crc)?;
+    let mut head = [0u8; TAGGED_HDR_LEN];
+    let head = &mut head[..body_len.min(TAGGED_HDR_LEN)];
+    raw.read_at(0, head);
+    let hdr = parse_hdr(head)?;
+    let hdr_len = hdr.len();
+    let pending = with_crc.then(|| {
         let mut trailer = [0u8; CRC_LEN];
         raw.read_at(body_len, &mut trailer);
-        let expected = u32::from_be_bytes(trailer);
         let mut state = Crc32c::new();
-        state.update(&probe[..hdr_len]);
-        Some(PendingCrc { state, expected })
-    } else {
-        None
-    };
-    let seg = if tagged {
-        DdpSegment::Tagged {
-            hdr: TaggedHdr {
-                opcode,
-                last,
-                notify: ctrl & CTRL_NOTIFY != 0,
-                stag: u32::from_be_bytes(probe[2..6].try_into().expect("sized")),
-                to: u64::from_be_bytes(probe[6..14].try_into().expect("sized")),
-                base_to: u64::from_be_bytes(probe[14..22].try_into().expect("sized")),
-                total_len: u32::from_be_bytes(probe[22..26].try_into().expect("sized")),
-                src_qpn: u32::from_be_bytes(probe[26..30].try_into().expect("sized")),
-                msg_id: u64::from_be_bytes(probe[30..38].try_into().expect("sized")),
-                imm: u32::from_be_bytes(probe[38..42].try_into().expect("sized")),
-            },
-            payload,
+        state.update(&head[..hdr_len]);
+        PendingCrc {
+            state,
+            expected: u32::from_be_bytes(trailer),
         }
-    } else {
-        DdpSegment::Untagged {
-            hdr: UntaggedHdr {
-                opcode,
-                last,
-                solicited: ctrl & CTRL_SOLICITED != 0,
-                qn: u32::from_be_bytes(probe[2..6].try_into().expect("sized")),
-                msn: u32::from_be_bytes(probe[6..10].try_into().expect("sized")),
-                mo: u32::from_be_bytes(probe[10..14].try_into().expect("sized")),
-                total_len: u32::from_be_bytes(probe[14..18].try_into().expect("sized")),
-                src_qpn: u32::from_be_bytes(probe[18..22].try_into().expect("sized")),
-                msg_id: u64::from_be_bytes(probe[22..30].try_into().expect("sized")),
-            },
-            payload,
-        }
-    };
-    Ok((seg, pending))
+    });
+    Ok((hdr.with_payload(raw.slice_to_bytes(hdr_len, body_len)), pending))
 }
 
 /// Decodes a DDP segment. When `with_crc`, the trailing CRC32 is verified
 /// and [`IwarpError::CrcMismatch`] returned on corruption.
 pub fn decode(raw: &Bytes, with_crc: bool) -> IwarpResult<DdpSegment> {
-    let malformed = || IwarpError::Net(simnet::NetError::Protocol("malformed DDP segment"));
-    let mut body_len = raw.len();
+    let body_len = body_len(raw.len(), with_crc)?;
     if with_crc {
-        if raw.len() < CRC_LEN {
-            return Err(malformed());
-        }
-        body_len -= CRC_LEN;
         let expect = u32::from_be_bytes(raw[body_len..].try_into().expect("CRC_LEN bytes"));
         if crc32c(&raw[..body_len]) != expect {
             return Err(IwarpError::CrcMismatch);
         }
     }
-    if body_len < 2 {
-        return Err(malformed());
-    }
-    let ctrl = raw[0];
-    if ctrl & CTRL_VERSION_MASK != CTRL_VERSION {
-        return Err(malformed());
-    }
-    let opcode = RdmapOpcode::from_u8(raw[1])?;
-    let last = ctrl & CTRL_LAST != 0;
-    if ctrl & CTRL_TAGGED != 0 {
-        if body_len < TAGGED_HDR_LEN {
-            return Err(malformed());
-        }
-        let hdr = TaggedHdr {
-            opcode,
-            last,
-            notify: ctrl & CTRL_NOTIFY != 0,
-            stag: u32::from_be_bytes(raw[2..6].try_into().expect("sized")),
-            to: u64::from_be_bytes(raw[6..14].try_into().expect("sized")),
-            base_to: u64::from_be_bytes(raw[14..22].try_into().expect("sized")),
-            total_len: u32::from_be_bytes(raw[22..26].try_into().expect("sized")),
-            src_qpn: u32::from_be_bytes(raw[26..30].try_into().expect("sized")),
-            msg_id: u64::from_be_bytes(raw[30..38].try_into().expect("sized")),
-            imm: u32::from_be_bytes(raw[38..42].try_into().expect("sized")),
-        };
-        Ok(DdpSegment::Tagged {
-            hdr,
-            payload: raw.slice(TAGGED_HDR_LEN..body_len),
-        })
-    } else {
-        if body_len < UNTAGGED_HDR_LEN {
-            return Err(malformed());
-        }
-        let hdr = UntaggedHdr {
-            opcode,
-            last,
-            solicited: ctrl & CTRL_SOLICITED != 0,
-            qn: u32::from_be_bytes(raw[2..6].try_into().expect("sized")),
-            msn: u32::from_be_bytes(raw[6..10].try_into().expect("sized")),
-            mo: u32::from_be_bytes(raw[10..14].try_into().expect("sized")),
-            total_len: u32::from_be_bytes(raw[14..18].try_into().expect("sized")),
-            src_qpn: u32::from_be_bytes(raw[18..22].try_into().expect("sized")),
-            msg_id: u64::from_be_bytes(raw[22..30].try_into().expect("sized")),
-        };
-        Ok(DdpSegment::Untagged {
-            hdr,
-            payload: raw.slice(UNTAGGED_HDR_LEN..body_len),
-        })
-    }
+    let hdr = parse_hdr(&raw[..body_len.min(TAGGED_HDR_LEN)])?;
+    let hdr_len = hdr.len();
+    Ok(hdr.with_payload(raw.slice(hdr_len..body_len)))
 }
 
 /// Payload of an RDMA Read Request (carried untagged on QN 1).

@@ -38,7 +38,7 @@ use crate::hdr::{
     decode_sg, DdpSegment, RdmapOpcode, ReadRequest, SegBatch, TaggedHdr, UntaggedHdr, CRC_LEN,
     TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
 };
-use crate::qp::rx::{RxAction, RxCore, QN_READ_REQUEST, QN_SEND};
+use crate::qp::rx::{Delivery, Ingest, ReadReply, RxCore, QN_READ_REQUEST, QN_SEND};
 use crate::qp::QpConfig;
 use crate::wr::{RecvWr, SendPayload, SendWr, UdDest};
 
@@ -157,7 +157,7 @@ pub(crate) struct DgInner {
     qpn: u32,
     llp: DgLlp,
     send_cq: Cq,
-    rx: RxCore,
+    pub(crate) rx: RxCore,
     tx_tel: QpTxTel,
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
@@ -534,13 +534,17 @@ impl DatagramQp {
         shards: Option<&Arc<crate::shard::ShardMap>>,
     ) -> Self {
         let max_msg_size = cfg.max_msg_size;
-        let reliable = llp.is_reliable();
+        let delivery = if llp.is_reliable() {
+            Delivery::Reliable
+        } else {
+            Delivery::Unreliable
+        };
         send_cq.attach_telemetry(tel);
         recv_cq.attach_telemetry(tel);
         let rx_tel = crate::qp::rx::RxTel::new(tel, llp.local_addr());
         let pool = llp.pool();
         let inner = Arc::new(DgInner {
-            rx: RxCore::new(mrs, recv_cq, cfg, reliable, rx_tel),
+            rx: RxCore::new(mrs, recv_cq, cfg, delivery, rx_tel),
             tx_tel: QpTxTel::new(tel),
             qpn,
             llp,
@@ -1032,24 +1036,14 @@ fn rx_step(inner: &DgInner, max_wait: Duration) -> bool {
     true
 }
 
-/// Decodes and places one received datagram — the per-message half of
-/// [`rx_step`], shared with the shard engines' drain.
+/// Hands one received datagram to the receive pipeline — the
+/// per-message half of [`rx_step`], shared with the shard engines' drain.
+/// The CRC is mandatory on the datagram path (paper §IV.B.6). Nothing
+/// stalls on a datagram QP, and a malformed datagram is counted and
+/// dropped.
 fn rx_dispatch(inner: &DgInner, src: Addr, dgram: &SgBytes) {
-    let with_crc = true; // mandatory on the datagram path (paper §IV.B.6)
-    match decode_sg(dgram, with_crc) {
-        Ok((seg, pending)) => {
-            if let Some(action) = inner.rx.handle_deferred(src, seg, pending) {
-                respond(inner, action);
-            }
-        }
-        Err(IwarpError::CrcMismatch) => {
-            inner.rx.stats.crc_errors.fetch_add(1, Ordering::Relaxed);
-            inner.rx.note_crc_error();
-        }
-        Err(_) => {
-            inner.rx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-            inner.rx.note_malformed();
-        }
+    if let Ingest::Respond(reply) = inner.rx.ingest(src, decode_sg(dgram, true)) {
+        respond(inner, reply);
     }
 }
 
@@ -1073,26 +1067,16 @@ pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> bool {
     true
 }
 
-/// Runs one TTL-expiry sweep (self-throttled inside [`RxCore::expire`]).
-/// Shard workers call this for *idle* QPs on their housekeeping tick so
-/// a partially received message still expires into an `Expired` CQE when
-/// its peer goes quiet.
-///
-/// [`RxCore::expire`]: crate::qp::rx::RxCore::expire
-pub(crate) fn expire_tick(inner: &DgInner) {
-    inner.rx.expire();
-}
-
 /// Sends an RDMA Read Response through the transmit pipeline. A response
 /// that cannot be sent is the requester's to recover: its read expires.
-fn respond(inner: &DgInner, action: RxAction) {
-    let RxAction::SendReadResponse {
+fn respond(inner: &DgInner, reply: ReadReply) {
+    let ReadReply {
         dst,
         sink_stag,
         sink_to,
         data,
         msg_id,
-    } = action;
+    } = reply;
     let verb = Verb::ReadResponse {
         msg_id,
         stag: sink_stag,

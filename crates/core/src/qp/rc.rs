@@ -29,7 +29,7 @@ use crate::hdr::{
 };
 use crate::mpa::{MpaConfig, MpaRx, MpaTx, FPDU_OVERHEAD};
 use crate::qp::dgram::QpTxTel;
-use crate::qp::rx::{RxAction, RxCore, RxTel, QN_READ_REQUEST, QN_SEND};
+use crate::qp::rx::{Delivery, Ingest, ReadReply, RxCore, RxTel, QN_READ_REQUEST, QN_SEND};
 use crate::qp::{QpConfig, QpStats};
 use crate::wr::{RecvWr, SendPayload};
 
@@ -199,8 +199,7 @@ impl RcQp {
             .max(256);
         let max_msg_size = cfg.max_msg_size;
         let inner = Arc::new(RcInner {
-            // RC rides the reliable stream: in-flight work never expires.
-            rx: RxCore::new(mrs, recv_cq, cfg, true, rx_tel),
+            rx: RxCore::new(mrs, recv_cq, cfg, Delivery::Stream, rx_tel),
             tx_tel: QpTxTel::new(&tel),
             markers_tx: tel.counter("core.mpa.markers_tx"),
             qpn,
@@ -599,41 +598,37 @@ fn rx_step(inner: &RcInner, max_wait: Duration) -> bool {
 /// receive queue. Returns false on a fatal protocol error.
 fn drain_pending(inner: &RcInner, peer: simnet::Addr, state: &mut RcRxState) -> bool {
     while let Some(front) = state.pending.front() {
-        match crate::hdr::decode(front, false) {
-            Ok(crate::hdr::DdpSegment::Untagged { ref hdr, .. })
-                if inner.rx.would_stall(peer, hdr) =>
-            {
-                return true; // leave queued; a posted receive unblocks us
-            }
-            Ok(seg) => {
-                state.pending.pop_front();
-                if let Some(action) = inner.rx.handle(peer, seg) {
-                    respond(inner, action);
-                }
-            }
-            Err(_) => {
-                inner.rx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                inner.rx.note_malformed();
+        // No DDP CRC on the stream path: MPA already checked each FPDU.
+        let decoded = crate::hdr::decode(front, false).map(|seg| (seg, None));
+        match inner.rx.ingest(peer, decoded) {
+            Ingest::Stall => return true, // leave queued; a posted receive unblocks us
+            Ingest::Malformed => {
                 inner.fail(IwarpError::Net(NetError::Protocol(
                     "malformed DDP segment on stream",
                 )));
                 inner.rx.flush();
                 return false;
             }
+            Ingest::Done => {
+                state.pending.pop_front();
+            }
+            Ingest::Respond(reply) => {
+                state.pending.pop_front();
+                respond(inner, reply);
+            }
         }
     }
     true
 }
 
-fn respond(inner: &RcInner, action: RxAction) {
-    let RxAction::SendReadResponse {
+fn respond(inner: &RcInner, reply: ReadReply) {
+    let ReadReply {
         sink_stag,
         sink_to,
         data,
         msg_id,
         ..
-    } = action;
-    let msg_id_local = msg_id;
+    } = reply;
     if inner
         .send_tagged_message(
             RdmapOpcode::ReadResponse,
@@ -641,7 +636,7 @@ fn respond(inner: &RcInner, action: RxAction) {
             sink_stag,
             sink_to,
             &data,
-            msg_id_local,
+            msg_id,
             0,
         )
         .is_err()

@@ -1,12 +1,29 @@
-//! Receive-side protocol core shared by the datagram and RC engines.
+//! The receive pipeline shared by the datagram and RC engines.
 //!
 //! Both QP flavours do the same DDP work on arrival — match untagged
 //! segments to posted receives, steer tagged segments into registered
 //! memory, aggregate Write-Record validity, satisfy read requests — and
 //! differ only in how bytes reach them (datagrams vs the MPA-framed
-//! stream) and how responses leave. [`RxCore::handle`] performs all
-//! placement and completion generation and returns the transport-specific
-//! work (read responses) as [`RxAction`]s for the owning engine to send.
+//! stream) and how responses leave. Every driver (the datagram engine
+//! thread, poll-mode `progress`, the shard drain and the RC engine) hands
+//! each segment to [`RxCore::ingest`], which runs it through six stages:
+//!
+//! 1. **decode**: the driver's `hdr::decode`/`hdr::decode_sg` result;
+//!    a failure is discarded here;
+//! 2. **stall** (stream only): an RC send that finds no posted receive is
+//!    left unconsumed ([`Ingest::Stall`]);
+//! 3. **settle CRC**: untagged segments verify a deferred CRC up front,
+//!    so corruption never consumes a posted receive; tagged segments carry
+//!    it into placement, whose copy settles it;
+//! 4. **classify**: the queue number or opcode picks the placement, and a
+//!    segment that lies outside its own message is malformed;
+//! 5. **place**: the one copy into registered memory ([`RxCore::place`]);
+//! 6. **complete**: the one CQE path ([`RxCore::complete`]).
+//!
+//! Every refused segment is counted by one function ([`RxCore::discard`]).
+//! A success completion needs the [`Placed`] proof that only `place`
+//! returns, so no completion is observable before its bytes are placed
+//! and their CRC is settled.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,11 +38,13 @@ use iwarp_common::validity::ValidityMap;
 
 use crate::buf::{MemoryRegion, MrTable};
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeSource, CqeStatus};
-use crate::error::IwarpError;
+use crate::error::{IwarpError, IwarpResult};
 use crate::hdr::{DdpSegment, PendingCrc, RdmapOpcode, ReadRequest, TaggedHdr, UntaggedHdr};
 use crate::qp::QpConfig;
 use crate::wr::RecvWr;
 use crate::wr_record::RecordTable;
+
+use placed::Placed;
 
 /// DDP queue numbers.
 pub const QN_SEND: u32 = 0;
@@ -43,18 +62,10 @@ pub struct QpStats {
     pub malformed: AtomicU64,
     /// Untagged segments dropped because no receive was posted.
     pub dropped_no_rq: AtomicU64,
-    /// Posted receives recovered after their message expired.
-    pub expired_recvs: AtomicU64,
     /// Tagged segments refused by STag/bounds/permission checks.
     pub access_violations: AtomicU64,
-    /// Read requests refused by permission checks.
-    pub read_denied: AtomicU64,
-    /// Write-Record messages reaped with the final segment missing.
-    pub records_reaped: AtomicU64,
     /// Segments processed.
     pub rx_segments: AtomicU64,
-    /// Messages completed (all opcodes).
-    pub rx_messages: AtomicU64,
 }
 
 /// Telemetry handles the receive engine keeps resolved, mirroring
@@ -111,31 +122,101 @@ impl RxTel {
     }
 }
 
-/// Transport-specific follow-up work produced by [`RxCore::handle`].
+/// How the LLP under a QP delivers. It decides whether in-flight work may
+/// expire, and what an untagged send that finds no posted receive does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Delivery {
+    /// UD: datagrams may be lost, so partial receives and pending reads
+    /// expire on their TTLs, and a send with no receive is dropped.
+    Unreliable,
+    /// RD: every datagram arrives eventually. Nothing in flight expires:
+    /// recycling a receive mid-message would corrupt matching.
+    Reliable,
+    /// RC: a reliable stream. Nothing expires, and a send with no posted
+    /// receive stalls the stream (TCP backpressure) instead of being lost.
+    Stream,
+}
+
+/// A decoded segment with its CRC check, if deferred: what
+/// [`crate::hdr::decode_sg`] returns (the contiguous `decode` result,
+/// paired with `None`, on the stream path).
+pub(crate) type Decoded = IwarpResult<(DdpSegment, Option<PendingCrc>)>;
+
+/// What [`RxCore::ingest`] did with a segment, for its driver.
 #[derive(Debug)]
-pub enum RxAction {
-    /// Send an RDMA Read Response back to `dst`: `data` read from the
-    /// local source region, to be placed at `(sink_stag, sink_to)` on the
-    /// requester, tagged with the request's `msg_id`.
-    SendReadResponse {
-        /// Requester's address.
-        dst: Addr,
-        /// Requester's sink STag.
-        sink_stag: u32,
-        /// Requester's sink offset.
-        sink_to: u64,
-        /// The data read.
-        data: Bytes,
-        /// Read transaction id (echoed from the request).
-        msg_id: u64,
-    },
+pub(crate) enum Ingest {
+    /// Consumed: placed, completed, or discarded and counted.
+    Done,
+    /// Consumed; the driver sends this read response.
+    Respond(ReadReply),
+    /// Not consumed: an RC send found no posted receive. The driver
+    /// leaves it queued and offers it again once a receive is posted.
+    Stall,
+    /// Not decodable; counted. Fatal on a stream, where the framing can
+    /// no longer be trusted.
+    Malformed,
+}
+
+/// An RDMA Read Response for the owning engine to send back to `dst`:
+/// `data` read from the local source region, to be placed at
+/// `(sink_stag, sink_to)` on the requester, tagged with the request's
+/// `msg_id`.
+#[derive(Debug)]
+pub(crate) struct ReadReply {
+    pub dst: Addr,
+    pub sink_stag: u32,
+    pub sink_to: u64,
+    pub data: Bytes,
+    pub msg_id: u64,
+}
+
+/// Why a segment was refused; each kind has one per-QP stat (bar read
+/// denials) and one domain counter.
+#[derive(Clone, Copy, Debug)]
+enum Discard {
+    /// The CRC did not match.
+    Crc,
+    /// Undecodable, an unknown queue number or opcode, or a segment that
+    /// lies outside its own message.
+    Malformed,
+    /// A new untagged message (or Write-with-Immediate) found no posted
+    /// receive.
+    NoReceive,
+    /// A tagged segment failed its STag, bounds or permission check.
+    Access,
+    /// A read request named memory it may not read.
+    ReadDenied,
+}
+
+/// The status a receive-side CQE reports. Success and partial outcomes
+/// carry the [`Placed`] proof of the segment that finished the message.
+enum Outcome {
+    /// Every byte of the message is placed.
+    Success(Placed),
+    /// A Write-Record's last segment arrived with bytes missing.
+    Partial(Placed),
+    /// An unsignaled read completed: reported on the retired list, not
+    /// the CQ.
+    Retired(Placed),
+    /// The posted receive is smaller than the message.
+    TooSmall,
+    /// The rest of the message (or read response) never arrived.
+    Expired,
+    /// The QP was torn down with the work outstanding.
+    Flushed,
+}
+
+/// Whether `len` bytes at offset `off` fit inside a message of `total`
+/// bytes (no overflow on hostile values).
+fn within(off: u64, len: usize, total: u32) -> bool {
+    let (len, total) = (len as u64, u64::from(total));
+    len <= total && off <= total - len
 }
 
 /// An untagged message in flight: a consumed receive WR being filled.
 struct PendingRecv {
     wr: RecvWr,
     total: u32,
-    src_qpn: u32,
     validity: ValidityMap,
     first_seen: Instant,
     /// Sender requested a solicited event on this message.
@@ -163,8 +244,8 @@ pub(crate) struct PendingRead {
 /// pending-read scoreboard.
 ///
 /// An idle QP — the common case at 100k concurrent mostly-quiet calls —
-/// touches none of these: single-segment sends ride the fast path in
-/// [`RxCore::place_untagged`], and reads/Write-Records simply never
+/// touches none of these: a send that arrives whole completes on arrival
+/// in [`RxCore::place_send`], and reads/Write-Records simply never
 /// happen. So the whole bundle lives behind one `Option<Box<..>>` and is
 /// allocated on the first segment that actually needs it, not at QP
 /// create. The consolidation also collapses what used to be three
@@ -195,12 +276,8 @@ pub(crate) struct RxCore {
     pub recv_cq: Cq,
     pub cfg: QpConfig,
     pub stats: QpStats,
-    pub(crate) tel: RxTel,
-    /// True when the LLP guarantees delivery (RC, RD): partial receives
-    /// and pending reads must then never expire — every segment will
-    /// arrive eventually, and recycling a receive mid-message would
-    /// corrupt matching.
-    reliable: bool,
+    tel: RxTel,
+    delivery: Delivery,
     rq: Mutex<VecDeque<RecvWr>>,
     /// Lazily allocated cold state (see [`RxCold`]). `None` until the
     /// first multi-segment message, Write-Record notify, or issued read.
@@ -218,7 +295,7 @@ impl RxCore {
         mrs: std::sync::Arc<MrTable>,
         recv_cq: Cq,
         cfg: QpConfig,
-        reliable: bool,
+        delivery: Delivery,
         tel: RxTel,
     ) -> Self {
         Self {
@@ -227,7 +304,7 @@ impl RxCore {
             cfg,
             stats: QpStats::default(),
             tel,
-            reliable,
+            delivery,
             rq: Mutex::new(VecDeque::new()),
             cold: Mutex::new(None),
             retired_reads: Mutex::new(Vec::new()),
@@ -236,20 +313,10 @@ impl RxCore {
     }
 
     /// Whether the cold bundle has been allocated (diagnostics/tests: an
-    /// idle or fast-path-only QP must report `false`).
+    /// idle QP, or one that only received whole sends, must report
+    /// `false`).
     pub fn cold_state_allocated(&self) -> bool {
         self.cold.lock().is_some()
-    }
-
-    /// Mirrors a CRC-discard observed by the owning engine (which decodes
-    /// before handing segments to the core).
-    pub(crate) fn note_crc_error(&self) {
-        self.tel.crc_errors.inc();
-    }
-
-    /// Mirrors a decode failure observed by the owning engine.
-    pub(crate) fn note_malformed(&self) {
-        self.tel.malformed.inc();
     }
 
     /// Queues a receive work request.
@@ -313,317 +380,259 @@ impl RxCore {
         };
         let before = c.pending_reads.len();
         c.pending_reads.retain(|_, p| !(lo..hi).contains(&p.wr_id));
-        self.retired_reads.lock().retain(|id| !(lo..hi).contains(id));
+        self.retired_reads
+            .lock()
+            .retain(|id| !(lo..hi).contains(id));
         before - c.pending_reads.len()
     }
 
-    /// True when handling this untagged segment right now would drop it
-    /// for lack of a posted receive. On a *reliable* LLP the engine uses
-    /// this to stall the stream instead (TCP backpressure), because a
-    /// reliable connection must never silently lose a message.
-    pub fn would_stall(&self, src: Addr, hdr: &UntaggedHdr) -> bool {
-        if hdr.qn != QN_SEND {
-            return false;
+    /// The receive pipeline: takes one segment from `src` through decode,
+    /// stall, CRC, classification, placement and completion (module doc),
+    /// and tells the driver what is left for it to do.
+    pub(crate) fn ingest(&self, src: Addr, decoded: Decoded) -> Ingest {
+        let (seg, crc) = match decoded {
+            Ok(d) => d,
+            Err(IwarpError::CrcMismatch) => {
+                self.discard(Discard::Crc);
+                return Ingest::Done;
+            }
+            Err(_) => {
+                self.discard(Discard::Malformed);
+                return Ingest::Malformed;
+            }
+        };
+        if self.delivery == Delivery::Stream && self.stalls(src, &seg) {
+            return Ingest::Stall;
         }
-        let key = (src, hdr.src_qpn, hdr.msg_id);
-        if self
-            .cold
-            .lock()
-            .as_deref()
-            .is_some_and(|c| c.pending_recv.contains_key(&key))
-        {
-            return false; // continuation of an in-flight message
-        }
-        self.rq.lock().is_empty()
-    }
-
-    /// Processes one decoded DDP segment from `src` whose CRC has already
-    /// been verified (or is not carried at all — the stream path).
-    pub fn handle(&self, src: Addr, seg: DdpSegment) -> Option<RxAction> {
-        self.handle_deferred(src, seg, None)
-    }
-
-    /// Processes one decoded DDP segment whose CRC check may still be
-    /// pending ([`crate::hdr::decode_sg`]'s cut-through decode).
-    ///
-    /// Untagged segments settle the check up front: two-sided placement
-    /// consumes a posted receive before any byte lands, and wire
-    /// corruption must not eat receive WRs that the check-first
-    /// contiguous decode preserves. Tagged segments carry the check into
-    /// placement, where [`MemoryRegion::write_with_crc`] settles it just
-    /// before the mandatory copy into the registered region.
-    pub(crate) fn handle_deferred(
-        &self,
-        src: Addr,
-        seg: DdpSegment,
-        pending: Option<PendingCrc>,
-    ) -> Option<RxAction> {
         self.stats.rx_segments.fetch_add(1, Ordering::Relaxed);
         self.tel.rx_segments.inc();
         match seg {
             DdpSegment::Untagged { hdr, payload } => {
-                if !self.settle_crc(pending.as_ref(), &payload) {
-                    return None;
+                // Two-sided placement consumes a posted receive before any
+                // byte lands, so wire corruption is settled first and never
+                // eats a receive.
+                if !self.settle_crc(crc.as_ref(), &payload) {
+                    return Ingest::Done;
                 }
-                self.handle_untagged(src, &hdr, &payload)
+                if !within(u64::from(hdr.mo), payload.len(), hdr.total_len) {
+                    self.discard(Discard::Malformed);
+                    return Ingest::Done;
+                }
+                match hdr.qn {
+                    QN_SEND => self.place_send(src, &hdr, &payload),
+                    QN_READ_REQUEST => return self.serve_read(src, &hdr, &payload),
+                    QN_TERMINATE => {}
+                    _ => self.discard(Discard::Malformed),
+                }
             }
+            // Tagged segments carry a deferred CRC into placement, where
+            // the one mandatory copy settles it.
             DdpSegment::Tagged { hdr, payload } => {
-                self.handle_tagged(src, &hdr, &payload, pending);
-                None
+                let crc = crc.as_ref();
+                let in_message = hdr
+                    .to
+                    .checked_sub(hdr.base_to)
+                    .is_some_and(|off| within(off, payload.len(), hdr.total_len));
+                match hdr.opcode {
+                    RdmapOpcode::WriteRecord
+                    | RdmapOpcode::RdmaWrite
+                    | RdmapOpcode::RdmaWriteImm
+                        if in_message =>
+                    {
+                        self.place_write(src, &hdr, &payload, crc);
+                    }
+                    RdmapOpcode::ReadResponse if in_message => {
+                        self.place_read_response(&hdr, &payload, crc);
+                    }
+                    _ => self.reject(Discard::Malformed, crc, &payload),
+                }
             }
         }
+        Ingest::Done
+    }
+
+    /// True when `seg` is a send that would find no posted receive: a new
+    /// message (not a continuation of one in flight) on an empty receive
+    /// queue.
+    fn stalls(&self, src: Addr, seg: &DdpSegment) -> bool {
+        let DdpSegment::Untagged { hdr, .. } = seg else {
+            return false;
+        };
+        let key = (src, hdr.src_qpn, hdr.msg_id);
+        hdr.qn == QN_SEND
+            && self.rq.lock().is_empty()
+            && !self
+                .cold
+                .lock()
+                .as_deref()
+                .is_some_and(|c| c.pending_recv.contains_key(&key))
+    }
+
+    /// The one discard path: counts a refused segment.
+    fn discard(&self, why: Discard) {
+        let (stat, counter) = match why {
+            Discard::Crc => (Some(&self.stats.crc_errors), &self.tel.crc_errors),
+            Discard::Malformed => (Some(&self.stats.malformed), &self.tel.malformed),
+            Discard::NoReceive => (Some(&self.stats.dropped_no_rq), &self.tel.dropped_no_rq),
+            Discard::Access => (
+                Some(&self.stats.access_violations),
+                &self.tel.access_violations,
+            ),
+            Discard::ReadDenied => (None, &self.tel.read_denied),
+        };
+        if let Some(stat) = stat {
+            stat.fetch_add(1, Ordering::Relaxed);
+        }
+        counter.inc();
     }
 
     /// Resolves a deferred CRC at a non-placement exit. Returns true when
-    /// the segment is good (or no check was pending); counts a CRC
-    /// discard and returns false otherwise.
-    fn settle_crc(&self, pending: Option<&PendingCrc>, payload: &[u8]) -> bool {
-        match pending {
-            None => true,
-            Some(p) if p.verify(payload) => true,
-            Some(_) => {
-                self.stats.crc_errors.fetch_add(1, Ordering::Relaxed);
-                self.tel.crc_errors.inc();
-                false
-            }
+    /// the segment is good (or no check was pending); discards it as
+    /// corrupt and returns false otherwise.
+    fn settle_crc(&self, crc: Option<&PendingCrc>, payload: &[u8]) -> bool {
+        let good = crc.is_none_or(|p| p.verify(payload));
+        if !good {
+            self.discard(Discard::Crc);
+        }
+        good
+    }
+
+    /// Refuses a segment whose CRC may still be pending: one that is in
+    /// fact corrupt is counted as such, not as `why`.
+    fn reject(&self, why: Discard, crc: Option<&PendingCrc>, payload: &[u8]) {
+        if self.settle_crc(crc, payload) {
+            self.discard(why);
         }
     }
 
-    /// Places `payload` at `to`, settling a pending deferred CRC check
-    /// before the copy. Counts the appropriate discard
-    /// (CRC or access violation, classified as the check-first
-    /// contiguous decode would) and returns false on failure.
-    fn place_checked(
-        &self,
-        mr: &MemoryRegion,
-        to: u64,
-        payload: &Bytes,
-        pending: Option<&PendingCrc>,
-    ) -> bool {
-        let res = match pending {
-            Some(p) => mr.write_with_crc(to, payload, p),
-            None => mr.write(to, payload),
+    /// The one completion path: every CQE this core reports goes through
+    /// here, with its status taken from `outcome`. A completed message
+    /// (success, partial or retired) is also counted, its bytes recorded
+    /// and, when it is reported on the CQ, traced.
+    fn complete(&self, outcome: Outcome, cqe: Cqe) {
+        let status = match outcome {
+            Outcome::Success(_) | Outcome::Retired(_) => CqeStatus::Success,
+            Outcome::Partial(_) => CqeStatus::Partial,
+            Outcome::TooSmall => CqeStatus::RecvTooSmall,
+            Outcome::Expired => CqeStatus::Expired,
+            Outcome::Flushed => CqeStatus::Flushed,
         };
-        match res {
-            Ok(()) => true,
-            Err(IwarpError::CrcMismatch) => {
-                self.stats.crc_errors.fetch_add(1, Ordering::Relaxed);
-                self.tel.crc_errors.inc();
-                false
-            }
-            Err(_) => {
-                if self.settle_crc(pending, payload) {
-                    self.stats.access_violations.fetch_add(1, Ordering::Relaxed);
-                    self.tel.access_violations.inc();
-                }
-                false
-            }
-        }
-    }
-
-    fn handle_untagged(
-        &self,
-        src: Addr,
-        hdr: &UntaggedHdr,
-        payload: &Bytes,
-    ) -> Option<RxAction> {
-        match hdr.qn {
-            QN_SEND => {
-                self.place_untagged(src, hdr, payload);
-                None
-            }
-            QN_READ_REQUEST => self.serve_read_request(src, hdr, payload),
-            QN_TERMINATE => None,
-            _ => {
-                self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                self.tel.malformed.inc();
-                None
-            }
-        }
-    }
-
-    /// Untagged (send/recv) placement: match a posted receive, place the
-    /// segment, complete when the whole message has arrived.
-    fn place_untagged(&self, src: Addr, hdr: &UntaggedHdr, payload: &Bytes) {
-        let key = (src, hdr.src_qpn, hdr.msg_id);
-        let mut cold = self.cold.lock();
-        // Single-segment fast path: a message that arrives whole needs no
-        // reassembly state, so skip the pending-map round-trip, validity
-        // tracking, and expiry timestamping. Guarded on an empty pending
-        // map (trivially true while the cold bundle is unallocated) so an
-        // in-flight reassembly (or a lingering discard entry) for this key
-        // falls through to the full path below, which is byte-for-byte
-        // equivalent for this shape of segment.
-        if hdr.mo == 0
-            && hdr.last
-            && payload.len() as u64 == u64::from(hdr.total_len)
-            && cold.as_deref().is_none_or(|c| c.pending_recv.is_empty())
+        if let Outcome::Success(placed) | Outcome::Partial(placed) | Outcome::Retired(placed) =
+            &outcome
         {
-            drop(cold);
-            let Some(wr) = self.rq.lock().pop_front() else {
-                self.stats.dropped_no_rq.fetch_add(1, Ordering::Relaxed);
-                self.tel.dropped_no_rq.inc();
-                return;
-            };
-            if hdr.total_len > wr.len {
-                self.recv_cq.push(Cqe {
-                    wr_id: wr.wr_id,
-                    opcode: CqeOpcode::Recv,
-                    status: CqeStatus::RecvTooSmall,
-                    byte_len: hdr.total_len,
-                    src: Some(CqeSource {
-                        addr: src,
-                        qpn: hdr.src_qpn,
-                    }),
-                    write_record: None,
-                    imm: None,
-                    solicited: false,
-                });
-                return;
-            }
-            if wr.mr.write(wr.offset, payload).is_err() {
-                self.stats.access_violations.fetch_add(1, Ordering::Relaxed);
-                self.tel.access_violations.inc();
-                return;
-            }
-            self.tel
-                .trace(EventKind::Placement, payload.len() as u64, hdr.msg_id);
-            self.stats.rx_messages.fetch_add(1, Ordering::Relaxed);
             self.tel.rx_messages.inc();
-            self.tel.msg_bytes.record(u64::from(hdr.total_len));
-            self.tel
-                .trace(EventKind::Cqe, u64::from(hdr.total_len), hdr.msg_id);
-            self.recv_cq.push(Cqe {
-                wr_id: wr.wr_id,
-                opcode: CqeOpcode::Recv,
-                status: CqeStatus::Success,
-                byte_len: hdr.total_len,
-                src: Some(CqeSource {
-                    addr: src,
-                    qpn: hdr.src_qpn,
-                }),
-                write_record: None,
-                imm: None,
-                solicited: hdr.solicited,
-            });
-            return;
-        }
-        // Multi-segment (or colliding) message: reassembly state is needed,
-        // so the cold bundle allocates here — on first use, not QP create.
-        let pending = &mut cold.get_or_insert_with(|| RxCold::new(&self.cfg)).pending_recv;
-        let entry = match pending.get_mut(&key) {
-            Some(e) => e,
-            None => {
-                // New message: consume the next posted receive.
-                let Some(wr) = self.rq.lock().pop_front() else {
-                    self.stats.dropped_no_rq.fetch_add(1, Ordering::Relaxed);
-                    self.tel.dropped_no_rq.inc();
-                    return;
-                };
-                let discard = hdr.total_len > wr.len;
-                if discard {
-                    // Buffer too small: complete with an error and mark the
-                    // message so its other segments don't eat more WRs.
-                    self.recv_cq.push(Cqe {
-                        wr_id: wr.wr_id,
-                        opcode: CqeOpcode::Recv,
-                        status: CqeStatus::RecvTooSmall,
-                        byte_len: hdr.total_len,
-                        src: Some(CqeSource {
-                            addr: src,
-                            qpn: hdr.src_qpn,
-                        }),
-                        write_record: None,
-                    imm: None,
-                    solicited: false,
-                    });
-                }
-                pending.insert(
-                    key,
-                    PendingRecv {
-                        wr,
-                        total: hdr.total_len,
-                        src_qpn: hdr.src_qpn,
-                        validity: ValidityMap::new(),
-                        first_seen: Instant::now(),
-                        solicited: hdr.solicited,
-                        discard,
-                    },
-                );
-                pending.get_mut(&key).expect("just inserted")
+            self.tel.msg_bytes.record(u64::from(cqe.byte_len));
+            if let Outcome::Retired(_) = outcome {
+                // Selective signaling: success is reported through the
+                // drainable retired list, never the CQ.
+                self.retired_reads.lock().push(cqe.wr_id);
+                self.recv_cq.retire_unsignaled(1);
+                return;
             }
+            self.tel
+                .trace(EventKind::Cqe, u64::from(cqe.byte_len), placed.msg_id());
+        }
+        self.recv_cq.push(Cqe { status, ..cqe });
+    }
+
+    /// Untagged send: match the message to a posted receive, place the
+    /// segment, complete when the whole message has arrived.
+    fn place_send(&self, src: Addr, hdr: &UntaggedHdr, payload: &Bytes) {
+        let key = (src, hdr.src_qpn, hdr.msg_id);
+        let recv_cqe = |wr_id, byte_len, solicited| Cqe {
+            wr_id,
+            opcode: CqeOpcode::Recv,
+            byte_len,
+            src: Some(CqeSource {
+                addr: src,
+                qpn: hdr.src_qpn,
+            }),
+            solicited,
+            ..Cqe::default()
         };
+        let mut cold = self.cold.lock();
+        if !cold
+            .as_deref()
+            .is_some_and(|c| c.pending_recv.contains_key(&key))
+        {
+            // A new message: it consumes the next posted receive.
+            let Some(wr) = self.rq.lock().pop_front() else {
+                return self.discard(Discard::NoReceive);
+            };
+            let too_small = hdr.total_len > wr.len;
+            if too_small {
+                self.complete(Outcome::TooSmall, recv_cqe(wr.wr_id, hdr.total_len, false));
+                if hdr.last {
+                    return;
+                }
+            } else if hdr.mo == 0 && hdr.last && payload.len() == hdr.total_len as usize {
+                // The message arrived whole and completes on arrival: no
+                // reassembly state, so no cold allocation and no clock read.
+                drop(cold);
+                if let Some(placed) = self.place(&wr.mr, wr.offset, payload, None, hdr.msg_id) {
+                    let cqe = recv_cqe(wr.wr_id, hdr.total_len, hdr.solicited);
+                    self.complete(Outcome::Success(placed), cqe);
+                }
+                return;
+            }
+            // Reassembly state; the cold bundle allocates here, on first
+            // use. A too-small message keeps a discarding entry so that
+            // its other segments do not eat more receives.
+            let entry = PendingRecv {
+                wr,
+                total: hdr.total_len,
+                validity: ValidityMap::new(),
+                first_seen: Instant::now(),
+                solicited: hdr.solicited,
+                discard: too_small,
+            };
+            cold.get_or_insert_with(|| RxCold::new(&self.cfg))
+                .pending_recv
+                .insert(key, entry);
+        }
+        let pending = &mut cold.as_deref_mut().expect("message in flight").pending_recv;
+        let entry = pending.get_mut(&key).expect("message in flight");
         if entry.discard {
             if hdr.last {
                 pending.remove(&key);
             }
             return;
         }
-        let place_at = entry.wr.offset + u64::from(hdr.mo);
-        if entry.wr.mr.write(place_at, payload).is_err() {
-            self.stats.access_violations.fetch_add(1, Ordering::Relaxed);
-            self.tel.access_violations.inc();
-            return;
+        if hdr.total_len != entry.total {
+            // It names another message's length, so its offset is not
+            // bounded by this one's.
+            return self.discard(Discard::Malformed);
         }
-        self.tel
-            .trace(EventKind::Placement, payload.len() as u64, hdr.msg_id);
+        let to = entry.wr.offset + u64::from(hdr.mo);
+        let Some(placed) = self.place(&entry.wr.mr, to, payload, None, hdr.msg_id) else {
+            return;
+        };
         entry.solicited |= hdr.solicited;
-        entry.validity.record(u64::from(hdr.mo), payload.len() as u64);
+        entry
+            .validity
+            .record(u64::from(hdr.mo), payload.len() as u64);
         if entry.validity.covers(u64::from(entry.total)) {
             let done = pending.remove(&key).expect("present");
-            self.stats.rx_messages.fetch_add(1, Ordering::Relaxed);
-            self.tel.rx_messages.inc();
-            self.tel.msg_bytes.record(u64::from(done.total));
-            self.tel
-                .trace(EventKind::Cqe, u64::from(done.total), hdr.msg_id);
-            self.recv_cq.push(Cqe {
-                wr_id: done.wr.wr_id,
-                opcode: CqeOpcode::Recv,
-                status: CqeStatus::Success,
-                byte_len: done.total,
-                src: Some(CqeSource {
-                    addr: src,
-                    qpn: done.src_qpn,
-                }),
-                write_record: None,
-                imm: None,
-                solicited: done.solicited,
-            });
+            let cqe = recv_cqe(done.wr.wr_id, done.total, done.solicited);
+            self.complete(Outcome::Success(placed), cqe);
         }
     }
 
     /// Responds to an incoming RDMA Read Request (we are the responder).
-    fn serve_read_request(
-        &self,
-        src: Addr,
-        hdr: &UntaggedHdr,
-        payload: &Bytes,
-    ) -> Option<RxAction> {
+    fn serve_read(&self, src: Addr, hdr: &UntaggedHdr, payload: &Bytes) -> Ingest {
         let Ok(req) = ReadRequest::decode(payload) else {
-            self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-            self.tel.malformed.inc();
-            return None;
+            self.discard(Discard::Malformed);
+            return Ingest::Done;
         };
-        let mr = match self
+        let data = self
             .mrs
             .lookup_remote_read(req.src_stag, req.src_to, req.len as usize)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                self.stats.read_denied.fetch_add(1, Ordering::Relaxed);
-                self.tel.read_denied.inc();
-                return None;
-            }
+            .and_then(|mr| mr.read_bytes(req.src_to, req.len as usize));
+        let Ok(data) = data else {
+            self.discard(Discard::ReadDenied);
+            return Ingest::Done;
         };
-        let data = match mr.read_bytes(req.src_to, req.len as usize) {
-            Ok(d) => d,
-            Err(_) => {
-                self.stats.read_denied.fetch_add(1, Ordering::Relaxed);
-                self.tel.read_denied.inc();
-                return None;
-            }
-        };
-        Some(RxAction::SendReadResponse {
+        Ingest::Respond(ReadReply {
             dst: src,
             sink_stag: req.sink_stag,
             sink_to: req.sink_to,
@@ -632,171 +641,109 @@ impl RxCore {
         })
     }
 
-    fn handle_tagged(
-        &self,
-        src: Addr,
-        hdr: &TaggedHdr,
-        payload: &Bytes,
-        pending: Option<PendingCrc>,
-    ) {
-        match hdr.opcode {
-            RdmapOpcode::WriteRecord | RdmapOpcode::RdmaWrite | RdmapOpcode::RdmaWriteImm => {
-                let mr = match self
-                    .mrs
-                    .lookup_remote_write(hdr.stag, hdr.to, payload.len())
-                {
-                    Ok(mr) => mr,
-                    Err(_) => {
-                        // Datagram semantics: report, do not kill the QP
-                        // (paper §IV.B item 2). A segment that is in fact
-                        // corrupt is counted as such, not as a violation.
-                        if self.settle_crc(pending.as_ref(), payload) {
-                            self.stats.access_violations.fetch_add(1, Ordering::Relaxed);
-                            self.tel.access_violations.inc();
-                        }
-                        return;
-                    }
-                };
-                if !self.place_checked(&mr, hdr.to, payload, pending.as_ref()) {
-                    return;
-                }
-                self.tel
-                    .trace(EventKind::Placement, payload.len() as u64, hdr.msg_id);
-                if hdr.notify {
-                    let mut cold = self.cold.lock();
-                    let records = &cold.get_or_insert_with(|| RxCold::new(&self.cfg)).records;
-                    if let Some(info) = records.ingest(src, hdr, payload.len()) {
-                        let complete = info.is_complete();
-                        let status = if complete {
-                            CqeStatus::Success
-                        } else {
-                            CqeStatus::Partial
-                        };
-                        if !complete {
-                            self.tel.partial_placements.inc();
-                        }
-                        if hdr.opcode == RdmapOpcode::RdmaWriteImm {
-                            // InfiniBand semantics: the immediate consumes
-                            // a posted receive. Without one, the data is
-                            // placed but the notification is lost — the
-                            // exact cost Write-Record avoids (§IV.B.3).
-                            let Some(wr) = self.rq.lock().pop_front() else {
-                                self.stats.dropped_no_rq.fetch_add(1, Ordering::Relaxed);
-                                self.tel.dropped_no_rq.inc();
-                                return;
-                            };
-                            self.stats.rx_messages.fetch_add(1, Ordering::Relaxed);
-                            self.tel.rx_messages.inc();
-                            self.tel.msg_bytes.record(info.valid_bytes());
-                            self.tel
-                                .trace(EventKind::Cqe, info.valid_bytes(), hdr.msg_id);
-                            self.recv_cq.push(Cqe {
-                                wr_id: wr.wr_id,
-                                opcode: CqeOpcode::Recv,
-                                status,
-                                byte_len: info.valid_bytes() as u32,
-                                src: Some(CqeSource {
-                                    addr: src,
-                                    qpn: hdr.src_qpn,
-                                }),
-                                write_record: Some(info),
-                                imm: Some(hdr.imm),
-                                solicited: true,
-                            });
-                            return;
-                        }
-                        self.stats.rx_messages.fetch_add(1, Ordering::Relaxed);
-                        self.tel.rx_messages.inc();
-                        self.tel.wr_record_completions.inc();
-                        self.tel.msg_bytes.record(info.valid_bytes());
-                        self.tel
-                            .trace(EventKind::Cqe, info.valid_bytes(), hdr.msg_id);
-                        self.recv_cq.push(Cqe {
-                            // No WR was consumed: Write-Record is truly
-                            // one-sided (paper §IV.B.3).
-                            wr_id: 0,
-                            opcode: CqeOpcode::WriteRecord,
-                            status,
-                            byte_len: info.valid_bytes() as u32,
-                            src: Some(CqeSource {
-                                addr: src,
-                                qpn: hdr.src_qpn,
-                            }),
-                            write_record: Some(info),
-                            imm: None,
-                            solicited: false,
-                        });
-                    }
-                }
-            }
-            RdmapOpcode::ReadResponse => self.place_read_response(hdr, payload, pending),
-            _ => {
-                if !self.settle_crc(pending.as_ref(), payload) {
-                    return;
-                }
-                self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                self.tel.malformed.inc();
-            }
+    /// RDMA Write, Write-Record and Write with Immediate: place into the
+    /// named region; a notifying write completes at the target once its
+    /// last segment arrives.
+    fn place_write(&self, src: Addr, hdr: &TaggedHdr, payload: &Bytes, crc: Option<&PendingCrc>) {
+        let mr = match self
+            .mrs
+            .lookup_remote_write(hdr.stag, hdr.to, payload.len())
+        {
+            Ok(mr) => mr,
+            // Datagram semantics: report, do not kill the QP (paper
+            // §IV.B item 2).
+            Err(_) => return self.reject(Discard::Access, crc, payload),
+        };
+        let Some(placed) = self.place(&mr, hdr.to, payload, crc, hdr.msg_id) else {
+            return;
+        };
+        if !hdr.notify {
+            return;
         }
+        let Some(info) = self
+            .cold
+            .lock()
+            .get_or_insert_with(|| RxCold::new(&self.cfg))
+            .records
+            .ingest(src, hdr, payload.len())
+        else {
+            return;
+        };
+        let outcome = if info.is_complete() {
+            Outcome::Success(placed)
+        } else {
+            self.tel.partial_placements.inc();
+            Outcome::Partial(placed)
+        };
+        let mut cqe = Cqe {
+            // No WR is consumed: Write-Record is truly one-sided (paper
+            // §IV.B.3).
+            wr_id: 0,
+            opcode: CqeOpcode::WriteRecord,
+            byte_len: info.valid_bytes() as u32,
+            src: Some(CqeSource {
+                addr: src,
+                qpn: hdr.src_qpn,
+            }),
+            write_record: Some(info),
+            ..Cqe::default()
+        };
+        if hdr.opcode == RdmapOpcode::RdmaWriteImm {
+            // InfiniBand semantics: the immediate consumes a posted
+            // receive. Without one, the data is placed but the
+            // notification is lost — the exact cost Write-Record avoids
+            // (§IV.B.3).
+            let Some(wr) = self.rq.lock().pop_front() else {
+                return self.discard(Discard::NoReceive);
+            };
+            cqe.wr_id = wr.wr_id;
+            cqe.opcode = CqeOpcode::Recv;
+            cqe.imm = Some(hdr.imm);
+            cqe.solicited = true;
+        } else {
+            self.tel.wr_record_completions.inc();
+        }
+        self.complete(outcome, cqe);
     }
 
     /// Places an RDMA Read Response segment into the pending read's sink.
-    fn place_read_response(&self, hdr: &TaggedHdr, payload: &Bytes, pending: Option<PendingCrc>) {
+    fn place_read_response(&self, hdr: &TaggedHdr, payload: &Bytes, crc: Option<&PendingCrc>) {
         let mut cold = self.cold.lock();
-        // No cold state means no read was ever issued: treat like any
-        // other duplicate/late response below.
-        let reads = match cold.as_deref_mut() {
-            Some(c) => &mut c.pending_reads,
-            None => {
-                let _ = self.settle_crc(pending.as_ref(), payload);
-                return;
-            }
+        // A response to no pending read is a duplicate or a late one: it
+        // is dropped, but corrupt wire bytes still count as corruption.
+        let Some(reads) = cold.as_deref_mut().map(|c| &mut c.pending_reads) else {
+            let _ = self.settle_crc(crc, payload);
+            return;
         };
         let Some(pr) = reads.get_mut(&hdr.msg_id) else {
-            // Duplicate/late response; still settle a deferred check so
-            // corrupt wire bytes are counted as corruption.
-            let _ = self.settle_crc(pending.as_ref(), payload);
+            let _ = self.settle_crc(crc, payload);
             return;
         };
         // The response must target the sink we registered for this read.
-        if hdr.stag != pr.sink.stag()
-            || hdr.to < pr.sink_to
-            || hdr.to + payload.len() as u64 > pr.sink_to + u64::from(pr.len)
+        let off = hdr.to.checked_sub(pr.sink_to);
+        if hdr.stag != pr.sink.stag() || !off.is_some_and(|off| within(off, payload.len(), pr.len))
         {
-            if self.settle_crc(pending.as_ref(), payload) {
-                self.stats.access_violations.fetch_add(1, Ordering::Relaxed);
-                self.tel.access_violations.inc();
-            }
-            return;
+            return self.reject(Discard::Access, crc, payload);
         }
-        if !self.place_checked(&pr.sink.clone(), hdr.to, payload, pending.as_ref()) {
+        let Some(placed) = self.place(&pr.sink, hdr.to, payload, crc, hdr.msg_id) else {
             return;
-        }
-        pr.validity.record(hdr.to - pr.sink_to, payload.len() as u64);
+        };
+        pr.validity
+            .record(hdr.to - pr.sink_to, payload.len() as u64);
         if pr.validity.covers(u64::from(pr.len)) {
             let done = reads.remove(&hdr.msg_id).expect("present");
-            self.stats.rx_messages.fetch_add(1, Ordering::Relaxed);
-            self.tel.rx_messages.inc();
-            self.tel.msg_bytes.record(u64::from(done.len));
-            if done.signaled {
-                self.tel
-                    .trace(EventKind::Cqe, u64::from(done.len), hdr.msg_id);
-                self.recv_cq.push(Cqe {
-                    wr_id: done.wr_id,
-                    opcode: CqeOpcode::RdmaRead,
-                    status: CqeStatus::Success,
-                    byte_len: done.len,
-                    src: None,
-                    write_record: None,
-                    imm: None,
-                    solicited: false,
-                });
+            let outcome = if done.signaled {
+                Outcome::Success(placed)
             } else {
-                // Selective signaling: success is reported through the
-                // drainable retired list, never the CQ.
-                self.retired_reads.lock().push(done.wr_id);
-                self.recv_cq.retire_unsignaled(1);
-            }
+                Outcome::Retired(placed)
+            };
+            let cqe = Cqe {
+                wr_id: done.wr_id,
+                opcode: CqeOpcode::RdmaRead,
+                byte_len: done.len,
+                ..Cqe::default()
+            };
+            self.complete(outcome, cqe);
         }
     }
 
@@ -820,77 +767,37 @@ impl RxCore {
         let Some(cold) = cold_guard.as_deref_mut() else {
             return;
         };
-        if self.reliable {
-            // Reliable LLP: everything in flight will complete; only the
-            // Write-Record table (shared semantics) still GCs.
-            let gc = cold.records.gc();
-            if gc.reaped > 0 {
-                self.stats
-                    .records_reaped
-                    .fetch_add(gc.reaped, Ordering::Relaxed);
-                self.tel.stale_gc_reaped.add(gc.reaped);
-            }
-            return;
-        }
-        {
-            let pending = &mut cold.pending_recv;
+        // A reliable LLP completes everything in flight; only the
+        // Write-Record table (shared semantics) still GCs.
+        if self.delivery == Delivery::Unreliable {
             let ttl = self.cfg.recv_ttl;
-            let expired: Vec<_> = pending
+            let expired: Vec<_> = cold
+                .pending_recv
                 .iter()
                 .filter(|(_, p)| now.duration_since(p.first_seen) > ttl)
                 .map(|(k, _)| *k)
                 .collect();
             for key in expired {
-                let p = pending.remove(&key).expect("present");
-                self.stats.expired_recvs.fetch_add(1, Ordering::Relaxed);
+                let p = cold.pending_recv.remove(&key).expect("present");
                 self.tel.recovery_expired.inc();
                 if !p.discard {
-                    self.recv_cq.push(Cqe {
-                        wr_id: p.wr.wr_id,
-                        opcode: CqeOpcode::Recv,
-                        status: CqeStatus::Expired,
-                        byte_len: p.validity.valid_bytes() as u32,
-                        src: Some(CqeSource {
-                            addr: key.0,
-                            qpn: p.src_qpn,
-                        }),
-                        write_record: None,
-                    imm: None,
-                    solicited: false,
-                    });
+                    self.complete(Outcome::Expired, p.cqe(key));
                 }
             }
-        }
-        {
-            let reads = &mut cold.pending_reads;
             let ttl = self.cfg.read_ttl;
-            let expired: Vec<u64> = reads
+            let expired: Vec<u64> = cold
+                .pending_reads
                 .iter()
                 .filter(|(_, p)| now.duration_since(p.first_seen) > ttl)
                 .map(|(k, _)| *k)
                 .collect();
             for key in expired {
-                let p = reads.remove(&key).expect("present");
+                let p = cold.pending_reads.remove(&key).expect("present");
                 self.tel.read_expired.inc();
-                self.recv_cq.push(Cqe {
-                    wr_id: p.wr_id,
-                    opcode: CqeOpcode::RdmaRead,
-                    status: CqeStatus::Expired,
-                    byte_len: p.validity.valid_bytes() as u32,
-                    src: None,
-                    write_record: None,
-                imm: None,
-                solicited: false,
-                });
+                self.complete(Outcome::Expired, p.cqe());
             }
         }
-        let gc = cold.records.gc();
-        if gc.reaped > 0 {
-            self.stats
-                .records_reaped
-                .fetch_add(gc.reaped, Ordering::Relaxed);
-            self.tel.stale_gc_reaped.add(gc.reaped);
-        }
+        self.tel.stale_gc_reaped.add(cold.records.gc().reaped);
     }
 
     /// Completes all outstanding work with `Flushed` status (QP teardown
@@ -899,43 +806,29 @@ impl RxCore {
     /// expires the first two, so without this they would vanish without a
     /// completion.
     pub fn flush(&self) {
-        let flushed = |wr_id, opcode, byte_len, src| Cqe {
-            wr_id,
-            opcode,
-            status: CqeStatus::Flushed,
-            byte_len,
-            src,
-            write_record: None,
-            imm: None,
-            solicited: false,
-        };
         if let Some(cold) = self.cold.lock().as_deref_mut() {
             // In issue order (the maps' own order is not deterministic).
             let mut reads: Vec<_> = cold.pending_reads.drain().collect();
             reads.sort_unstable_by_key(|(msg_id, _)| *msg_id);
             for (_, p) in reads {
-                let placed = p.validity.valid_bytes() as u32;
-                self.recv_cq
-                    .push(flushed(p.wr_id, CqeOpcode::RdmaRead, placed, None));
+                self.complete(Outcome::Flushed, p.cqe());
             }
             let mut recvs: Vec<_> = cold.pending_recv.drain().collect();
             recvs.sort_unstable_by_key(|((_, qpn, msg_id), _)| (*qpn, *msg_id));
-            for ((addr, _, _), p) in recvs {
+            for (key, p) in recvs {
                 if !p.discard {
-                    let src = Some(CqeSource {
-                        addr,
-                        qpn: p.src_qpn,
-                    });
-                    let placed = p.validity.valid_bytes() as u32;
-                    self.recv_cq
-                        .push(flushed(p.wr.wr_id, CqeOpcode::Recv, placed, src));
+                    self.complete(Outcome::Flushed, p.cqe(key));
                 }
             }
         }
         let mut rq = self.rq.lock();
         while let Some(wr) = rq.pop_front() {
-            self.recv_cq
-                .push(flushed(wr.wr_id, CqeOpcode::Recv, 0, None));
+            let cqe = Cqe {
+                wr_id: wr.wr_id,
+                opcode: CqeOpcode::Recv,
+                ..Cqe::default()
+            };
+            self.complete(Outcome::Flushed, cqe);
         }
     }
 
@@ -945,5 +838,92 @@ impl RxCore {
             .lock()
             .as_deref()
             .map_or(0, |c| c.records.pending())
+    }
+}
+
+impl PendingRecv {
+    /// The CQE of a receive given up on (expired or flushed), reporting
+    /// the bytes placed so far; `key` is its `pending_recv` key.
+    fn cqe(&self, (addr, qpn, _): (Addr, u32, u64)) -> Cqe {
+        Cqe {
+            wr_id: self.wr.wr_id,
+            opcode: CqeOpcode::Recv,
+            byte_len: self.validity.valid_bytes() as u32,
+            src: Some(CqeSource { addr, qpn }),
+            ..Cqe::default()
+        }
+    }
+}
+
+impl PendingRead {
+    /// The CQE of a read given up on (expired or flushed), reporting the
+    /// bytes placed so far.
+    fn cqe(&self) -> Cqe {
+        Cqe {
+            wr_id: self.wr_id,
+            opcode: CqeOpcode::RdmaRead,
+            byte_len: self.validity.valid_bytes() as u32,
+            ..Cqe::default()
+        }
+    }
+}
+
+/// The placement stage, alone in a module so that nothing else can make
+/// a [`Placed`].
+mod placed {
+    use super::{Discard, RxCore};
+    use crate::buf::MemoryRegion;
+    use crate::error::IwarpError;
+    use crate::hdr::PendingCrc;
+    use iwarp_telemetry::EventKind;
+
+    /// Proof that a segment's bytes are in registered memory and its CRC
+    /// is settled. Only [`RxCore::place`] returns one, and a success or
+    /// partial completion requires one.
+    #[derive(Debug)]
+    pub(super) struct Placed {
+        msg_id: u64,
+    }
+
+    impl Placed {
+        /// The message the placed segment belongs to.
+        pub(super) fn msg_id(&self) -> u64 {
+            self.msg_id
+        }
+    }
+
+    impl RxCore {
+        /// Places `payload` at `to` in `mr`, settling a pending CRC before
+        /// the copy. On failure it counts the discard (CRC or access
+        /// violation, classified as the check-first contiguous decode
+        /// would) and returns `None`.
+        pub(super) fn place(
+            &self,
+            mr: &MemoryRegion,
+            to: u64,
+            payload: &[u8],
+            crc: Option<&PendingCrc>,
+            msg_id: u64,
+        ) -> Option<Placed> {
+            let res = match crc {
+                Some(p) => mr.write_with_crc(to, payload, p),
+                None => mr.write(to, payload),
+            };
+            match res {
+                Ok(()) => {
+                    self.tel
+                        .trace(EventKind::Placement, payload.len() as u64, msg_id);
+                    Some(Placed { msg_id })
+                }
+                Err(IwarpError::CrcMismatch) => {
+                    self.discard(Discard::Crc);
+                    None
+                }
+                Err(_) => {
+                    self.reject(Discard::Access, crc, payload);
+                    None
+                }
+            }
+        }
     }
 }

@@ -36,7 +36,7 @@ use std::time::Duration;
 use iwarp_telemetry::{Counter, Telemetry};
 use parking_lot::{Condvar, Mutex};
 
-use crate::qp::dgram::{expire_tick, rx_drain, DgInner};
+use crate::qp::dgram::{rx_drain, DgInner};
 
 /// Datagrams drained per QP per wakeup before the QP is re-queued behind
 /// its shard siblings (fairness bound).
@@ -291,7 +291,7 @@ fn worker(shard: &Shard, tel: &ShardTel) {
             st.engines.values().filter_map(Weak::upgrade).collect()
         };
         for e in engines {
-            expire_tick(&e);
+            e.rx.expire();
         }
     }
 }

@@ -96,7 +96,9 @@ impl RecordTable {
     /// Records the placement of one tagged segment; `placed_len` bytes were
     /// written at `hdr.to`. Returns the completed [`WriteRecordInfo`] when
     /// this segment carried the L flag — the declaration point for the
-    /// message's validity.
+    /// message's validity. A segment whose STag, base or length differs
+    /// from its record's is not part of that message: it is neither
+    /// counted valid nor allowed to complete the record.
     pub fn ingest(&self, src: Addr, hdr: &TaggedHdr, placed_len: usize) -> Option<WriteRecordInfo> {
         let key = (src, hdr.src_qpn, hdr.msg_id);
         let now = Instant::now();
@@ -110,6 +112,10 @@ impl RecordTable {
             },
             last_seen: now,
         });
+        let info = &rec.info;
+        if (info.stag, info.base_to, info.total_len) != (hdr.stag, hdr.base_to, hdr.total_len) {
+            return None;
+        }
         rec.last_seen = now;
         let rel = hdr.to.saturating_sub(hdr.base_to);
         rec.info.validity.record(rel, placed_len as u64);

@@ -9,14 +9,17 @@
 //! forwards the damaged frame to the real receiver, exactly as a
 //! bit-error on the wire would. The last test works below the QP: it
 //! damages a 64 KiB segment at the CRC kernel's block edges and drives
-//! both receive decodes directly.
+//! both receive decodes directly. The final two send CRC-valid segments
+//! that lie outside their own message straight from the relay: they are
+//! malformed, not corrupt, and must be refused the same way.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use bytes::Bytes;
 use iwarp::hdr::{
-    decode, decode_sg, DdpSegment, RdmapOpcode, SegBatch, TaggedHdr, CRC_LEN, TAGGED_HDR_LEN,
+    decode, decode_sg, encode_tagged, encode_untagged, DdpSegment, RdmapOpcode, SegBatch,
+    TaggedHdr, UntaggedHdr, CRC_LEN, TAGGED_HDR_LEN,
 };
 use iwarp::wr::RecvWr;
 use iwarp::{Access, Cq, CqeStatus, Device, IwarpError, MrTable, QpConfig, UdDest};
@@ -345,4 +348,101 @@ fn bit_flip_in_every_crc_kernel_region_is_caught() {
     };
     region.write_with_crc(0, &p, &pending.unwrap()).unwrap();
     assert!(region.read_vec(0, payload.len()).unwrap() == payload);
+}
+
+/// Sends CRC-valid `frames` from the relay straight to `qb`, pumps it,
+/// and returns its `(malformed, crc_errors)` counts.
+fn inject(r: &Rig, frames: &[Bytes]) -> (u64, u64) {
+    for f in frames {
+        r.relay.send_to(r.qb.local_addr(), f.clone()).unwrap();
+    }
+    pump(&r.qb, 10);
+    let stats = r.qb.stats();
+    (
+        stats.malformed.load(Ordering::Relaxed),
+        stats.crc_errors.load(Ordering::Relaxed),
+    )
+}
+
+/// Untagged segments whose bytes lie past their message's `total_len`:
+/// two 64 B receives share one 128 B region, as the socket shim lays out
+/// its slots. A 64 B message carrying 100 B, and 64 B at offset 32 of a
+/// 64 B message, would each spill into the second receive's slot. Both
+/// are malformed: nothing is placed, no receive is consumed, no CQE.
+#[test]
+fn untagged_segment_outside_its_message_is_malformed() {
+    let r = rig();
+    let slots = r.dev_b.register(128, Access::Local);
+    for (wr_id, offset) in [(1, 0), (2, 64)] {
+        r.qb.post_recv(RecvWr {
+            wr_id,
+            mr: slots.clone(),
+            offset,
+            len: 64,
+        })
+        .unwrap();
+    }
+    let hdr = |msg_id, mo, last| UntaggedHdr {
+        opcode: RdmapOpcode::Send,
+        last,
+        qn: 0,
+        msn: 1,
+        mo,
+        total_len: 64,
+        src_qpn: 9,
+        msg_id,
+        solicited: false,
+    };
+    let overlong = encode_untagged(&hdr(1, 0, true), &[0xAB; 100], true);
+    let past_end = encode_untagged(&hdr(2, 32, false), &[0xCD; 64], true);
+    assert_eq!(inject(&r, &[overlong, past_end]), (2, 0));
+    assert_eq!(r.qb.posted_recvs(), 2, "no receive consumed");
+    assert!(r.b_recv.poll().is_none(), "no completion");
+    assert_eq!(slots.read_vec(0, 128).unwrap(), vec![0u8; 128]);
+
+    // A well-formed message still lands in the first slot only.
+    let good = encode_untagged(&hdr(3, 0, true), &[0xEF; 64], true);
+    assert_eq!(inject(&r, &[good]), (2, 0));
+    let cqe = r.b_recv.poll().expect("the well-formed message completes");
+    assert_eq!(
+        (cqe.wr_id, cqe.status, cqe.byte_len),
+        (1, CqeStatus::Success, 64)
+    );
+    assert_eq!(slots.read_vec(0, 64).unwrap(), vec![0xEFu8; 64]);
+    assert_eq!(slots.read_vec(64, 64).unwrap(), vec![0u8; 64]);
+}
+
+/// Write-Record segments outside their message: one placed before its
+/// message's base (`to` 0, `base_to` 1000), and one 128 B segment in a
+/// 64 B message. Both are malformed: nothing is placed and no record
+/// completes, so no validity can claim bytes the message does not hold.
+#[test]
+fn write_record_segment_outside_its_message_is_malformed() {
+    let r = rig();
+    let sink = r.dev_b.register(4096, Access::RemoteWrite);
+    let hdr = |msg_id, to, base_to, total_len| TaggedHdr {
+        opcode: RdmapOpcode::WriteRecord,
+        last: true,
+        notify: true,
+        stag: sink.stag(),
+        to,
+        base_to,
+        total_len,
+        src_qpn: 9,
+        msg_id,
+        imm: 0,
+    };
+    let before_base = encode_tagged(&hdr(1, 0, 1000, 64), &[0xAB; 64], true);
+    let overlong = encode_tagged(&hdr(2, 0, 0, 64), &[0xCD; 128], true);
+    assert_eq!(inject(&r, &[before_base, overlong]), (2, 0));
+    assert!(r.b_recv.poll().is_none(), "no record completes");
+    assert_eq!(r.qb.records_pending(), 0);
+    assert_eq!(sink.read_vec(0, 4096).unwrap(), vec![0u8; 4096]);
+
+    // A well-formed record still completes whole.
+    let good = encode_tagged(&hdr(3, 1000, 1000, 64), &[0xEF; 64], true);
+    assert_eq!(inject(&r, &[good]), (2, 0));
+    let cqe = r.b_recv.poll().expect("the well-formed record completes");
+    assert_eq!((cqe.status, cqe.byte_len), (CqeStatus::Success, 64));
+    assert_eq!(sink.read_vec(1000, 64).unwrap(), vec![0xEFu8; 64]);
 }

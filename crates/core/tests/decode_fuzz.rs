@@ -2,12 +2,26 @@
 //! every wire-format decoder. The decoders guard the trust boundary — a
 //! sharded RX engine feeds them whatever the fabric delivers — so they
 //! must classify garbage as an error, never panic, never over-read.
+//!
+//! The last property goes past the decoders: it feeds well-formed,
+//! CRC-valid segments with hostile offsets and lengths into a whole QP's
+//! receive path and checks that placement stays inside each segment's own
+//! message. `cargo test --release -p iwarp --test decode_fuzz --
+//! --include-ignored` adds its long run.
+
+use std::time::Duration;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use iwarp::hdr::{decode, decode_sg, encode_untagged, RdmapOpcode, ReadRequest, UntaggedHdr};
+use iwarp::hdr::{
+    decode, decode_sg, encode_tagged, encode_untagged, RdmapOpcode, ReadRequest, TaggedHdr,
+    UntaggedHdr,
+};
+use iwarp::wr::RecvWr;
+use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, QpConfig};
 use iwarp_common::sg::SgBytes;
+use simnet::{DgramConduit, Fabric, NodeId};
 
 /// Splits `raw` into an SgBytes at the given fractional cut points so the
 /// scatter-gather decoder sees headers straddling part boundaries.
@@ -170,5 +184,212 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One CRC-valid segment of the whole-QP property. Message ids come from
+/// a small set, so segments collide into each other's messages.
+#[derive(Clone, Debug)]
+enum Seg {
+    Untagged {
+        msg_id: u64,
+        mo: u32,
+        total_len: u32,
+        len: usize,
+        last: bool,
+    },
+    Tagged {
+        msg_id: u64,
+        to: u64,
+        base_to: u64,
+        total_len: u32,
+        len: usize,
+        last: bool,
+    },
+}
+
+prop_compose! {
+    /// Mostly offsets near the regions; one in eight anywhere in `u64`.
+    fn offset()(near in 0u64..2400, far in any::<u64>(), pick in 0u8..8) -> u64 {
+        if pick == 0 { far } else { near }
+    }
+}
+
+prop_compose! {
+    fn segment()(tagged in any::<bool>(), msg_id in 0u64..3, a in offset(), b in offset(),
+                 total_len in 0u32..320, len in 0usize..320, last in any::<bool>()) -> Seg {
+        if tagged {
+            Seg::Tagged { msg_id, to: a, base_to: b, total_len, len, last }
+        } else {
+            let mo = if a < 2400 { (a % 320) as u32 } else { a as u32 };
+            Seg::Untagged { msg_id, mo, total_len, len, last }
+        }
+    }
+}
+
+/// Receive slots `(offset, len)`, each followed by a guard longer than
+/// any segment's `mo + len`, so a spill past a slot's end lands in guard
+/// bytes, never in the next slot.
+const SLOTS: [(u64, u32); 4] = [(64, 64), (1088, 128), (2112, 200), (3136, 256)];
+const RECV_REGION: usize = 4096;
+const WRITE_REGION: usize = 2048;
+const FILL: u8 = 0xA5;
+
+/// Feeds `segs` to a poll-mode UD QP from a raw conduit and checks that
+/// no byte lands outside every posted receive and every Write-Record
+/// message, and that no completion reports more bytes than its receive
+/// or its message holds.
+fn qp_receive_path_holds(segs: &[Seg]) -> Result<(), TestCaseError> {
+    let fab = Fabric::loopback();
+    let dev = Device::new(&fab, NodeId(1));
+    let (send_cq, recv_cq) = (Cq::new(256), Cq::new(256));
+    let cfg = QpConfig {
+        poll_mode: true,
+        ..QpConfig::default()
+    };
+    let qp = dev.create_ud_qp(None, &send_cq, &recv_cq, cfg).unwrap();
+    let raw = DgramConduit::bind_ephemeral(&fab, NodeId(0)).unwrap();
+    let slots = dev.register(RECV_REGION, Access::Local);
+    let sink = dev.register(WRITE_REGION, Access::RemoteWrite);
+    for (wr_id, &(offset, len)) in SLOTS.iter().enumerate() {
+        let wr = RecvWr {
+            wr_id: wr_id as u64,
+            mr: slots.clone(),
+            offset,
+            len,
+        };
+        qp.post_recv(wr).unwrap();
+    }
+    // Every Write-Record message a segment names, as [start, end).
+    let mut messages = Vec::new();
+    for seg in segs {
+        let frame = match *seg {
+            Seg::Untagged {
+                msg_id,
+                mo,
+                total_len,
+                len,
+                last,
+            } => {
+                let hdr = UntaggedHdr {
+                    opcode: RdmapOpcode::Send,
+                    last,
+                    qn: 0,
+                    msn: 1,
+                    mo,
+                    total_len,
+                    src_qpn: 7,
+                    msg_id,
+                    solicited: false,
+                };
+                encode_untagged(&hdr, &vec![FILL; len], true)
+            }
+            Seg::Tagged {
+                msg_id,
+                to,
+                base_to,
+                total_len,
+                len,
+                last,
+            } => {
+                messages.push((base_to, base_to.saturating_add(u64::from(total_len))));
+                let hdr = TaggedHdr {
+                    opcode: RdmapOpcode::WriteRecord,
+                    last,
+                    notify: true,
+                    stag: sink.stag(),
+                    to,
+                    base_to,
+                    total_len,
+                    src_qpn: 7,
+                    msg_id,
+                    imm: 0,
+                };
+                encode_tagged(&hdr, &vec![FILL; len], true)
+            }
+        };
+        raw.send_to(qp.local_addr(), frame).unwrap();
+        qp.progress(Duration::from_millis(5));
+    }
+    while qp.rx_backlog() > 0 {
+        qp.progress(Duration::ZERO);
+    }
+
+    let held = slots.read_vec(0, RECV_REGION).unwrap();
+    for (at, &byte) in held.iter().enumerate() {
+        let at = at as u64;
+        let inside = SLOTS
+            .iter()
+            .any(|&(o, l)| (o..o + u64::from(l)).contains(&at));
+        prop_assert!(
+            inside || byte == 0,
+            "receive region byte {at} written outside every receive"
+        );
+    }
+    let written = sink.read_vec(0, WRITE_REGION).unwrap();
+    for (at, &byte) in written.iter().enumerate() {
+        let at = at as u64;
+        let inside = messages
+            .iter()
+            .any(|&(start, end)| (start..end).contains(&at));
+        prop_assert!(
+            inside || byte == 0,
+            "write region byte {at} written outside every message"
+        );
+    }
+    while let Some(cqe) = recv_cq.poll() {
+        match cqe.opcode {
+            CqeOpcode::Recv if cqe.status != CqeStatus::RecvTooSmall => {
+                let (_, len) = SLOTS[cqe.wr_id as usize];
+                prop_assert!(
+                    cqe.byte_len <= len,
+                    "{:?} receive {} reports {} B in a {len} B receive",
+                    cqe.status,
+                    cqe.wr_id,
+                    cqe.byte_len
+                );
+            }
+            CqeOpcode::WriteRecord => {
+                let info = cqe
+                    .write_record
+                    .expect("Write-Record completions carry validity");
+                prop_assert!(
+                    cqe.byte_len <= info.total_len,
+                    "record reports {} B of a {} B message",
+                    cqe.byte_len,
+                    info.total_len
+                );
+                prop_assert!(
+                    info.validity
+                        .runs()
+                        .iter()
+                        .all(|r| r.end <= u64::from(info.total_len)),
+                    "record validity reaches past its message"
+                );
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// CRC-valid segments with arbitrary offsets and lengths never place
+    /// a byte outside their own message, nor complete a message with more
+    /// bytes than it holds.
+    #[test]
+    fn qp_placement_stays_inside_each_message(segs in proptest::collection::vec(segment(), 1..40)) {
+        qp_receive_path_holds(&segs)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The same property, long: the nightly soak runs it.
+    #[test]
+    #[ignore = "long run; the nightly soak passes --include-ignored"]
+    fn qp_placement_stays_inside_each_message_long(segs in proptest::collection::vec(segment(), 1..40)) {
+        qp_receive_path_holds(&segs)?;
     }
 }

@@ -123,7 +123,9 @@ impl Pair {
     fn round(&mut self, n: usize) {
         let dest = self.server.dest();
         if n == 1 {
-            self.client.post_send(0, self.payload.clone(), dest).unwrap();
+            self.client
+                .post_send(0, self.payload.clone(), dest)
+                .unwrap();
         } else {
             let wrs: Vec<SendWr> = (0..n as u64)
                 .map(|i| SendWr::new(i, self.payload.clone(), dest))
