@@ -880,7 +880,6 @@ mod placed {
     /// Proof that a segment's bytes are in registered memory and its CRC
     /// is settled. Only [`RxCore::place`] returns one, and a success or
     /// partial completion requires one.
-    #[derive(Debug)]
     pub(super) struct Placed {
         msg_id: u64,
     }

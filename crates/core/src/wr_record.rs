@@ -235,6 +235,18 @@ mod tests {
     }
 
     #[test]
+    fn segment_naming_another_message_is_not_counted() {
+        let t = RecordTable::new(Duration::from_secs(1));
+        assert!(t.ingest(src(), &hdr(1000, false), 1000).is_none());
+        let mut other = hdr(2000, true);
+        other.total_len = 8000;
+        assert!(t.ingest(src(), &other, 1000).is_none(), "must not complete");
+        let info = t.ingest(src(), &hdr(4000, true), 1000).unwrap();
+        assert_eq!(info.valid_bytes(), 2000);
+        assert!(info.validity.runs().iter().all(|r| r.end <= 4000));
+    }
+
+    #[test]
     fn messages_from_distinct_sources_independent() {
         let t = RecordTable::new(Duration::from_secs(1));
         let a = Addr::new(0, 1);

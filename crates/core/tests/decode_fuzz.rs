@@ -216,10 +216,14 @@ prop_compose! {
 }
 
 prop_compose! {
+    /// Three tagged segments in four are placed relative to their base,
+    /// so many land inside their message; the fourth goes anywhere.
     fn segment()(tagged in any::<bool>(), msg_id in 0u64..3, a in offset(), b in offset(),
+                 rel in 0u64..320, detached in 0u8..4,
                  total_len in 0u32..320, len in 0usize..320, last in any::<bool>()) -> Seg {
         if tagged {
-            Seg::Tagged { msg_id, to: a, base_to: b, total_len, len, last }
+            let to = if detached == 0 { a } else { b.wrapping_add(rel) };
+            Seg::Tagged { msg_id, to, base_to: b, total_len, len, last }
         } else {
             let mo = if a < 2400 { (a % 320) as u32 } else { a as u32 };
             Seg::Untagged { msg_id, mo, total_len, len, last }
