@@ -27,7 +27,7 @@
 //! supplied [`Duration`] since the engine's epoch, so tests fabricate
 //! timelines without sleeping and replays of a recorded event sequence
 //! reproduce the same scoreboard bit-for-bit. What is *not* deterministic
-//! is the wall clock the IO threads read before calling in — see
+//! is the wall clock the conduit drivers read before calling in — see
 //! DESIGN.md §8 for where that boundary sits in the chaos harness.
 
 use std::collections::{BTreeMap, VecDeque};

@@ -10,7 +10,7 @@
 //! verdict — `chaos --replay <seed>` reproduces a failure byte-for-byte.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -1011,6 +1011,7 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
             .map(|i| msg_bytes(derive_seed(seed, 600 + i as u64), 64 + (i * 37) % 1800))
             .collect();
         let mut rd_result: Result<usize, String> = Ok(0);
+        let rd_sent = AtomicBool::new(false);
         std::thread::scope(|sc| {
             let rx = sc.spawn(|| -> Result<usize, String> {
                 for (i, want) in msgs.iter().enumerate() {
@@ -1019,6 +1020,13 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
                         .map_err(|e| format!("rd recv {i}: {e}"))?;
                     if d[..] != want[..] {
                         return Err(format!("rd message {i} reordered or corrupted"));
+                    }
+                }
+                // The conduit runs only inside calls on it: keep
+                // acknowledging retransmissions until the sender is done.
+                while !rd_sent.load(Ordering::Acquire) {
+                    if rb.recv_from(Some(Duration::from_millis(1))).is_ok() {
+                        return Err("rd message delivered twice".into());
                     }
                 }
                 Ok(msgs.len())
@@ -1034,6 +1042,7 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
                     rd_result = Err(format!("rd flush: {e}"));
                 }
             }
+            rd_sent.store(true, Ordering::Release);
             let recv_result = rx
                 .join()
                 .unwrap_or_else(|_| Err("rd rx thread panicked".into()));

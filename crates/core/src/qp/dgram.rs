@@ -63,7 +63,9 @@ impl DgLlp {
 
     /// Receives the next complete datagram as a scatter-gather list (an
     /// unfragmented UD datagram arrives as the sender's original slices;
-    /// RD always delivers contiguous messages).
+    /// RD always delivers contiguous messages). On RD this call is what
+    /// runs the reliable-datagram protocol (ACKs, retransmission timers):
+    /// the threaded `rx_loop` or poll-mode `progress` is its driver.
     fn recv_sg(&self, timeout: Duration) -> Result<(Addr, SgBytes), NetError> {
         match self {
             DgLlp::Ud(c) => c.recv_sg_from(Some(timeout)),
@@ -73,8 +75,9 @@ impl DgLlp {
         }
     }
 
-    /// Non-blocking receive: drains already-delivered wire packets only.
-    /// The shard engines' batch-drain primitive.
+    /// Non-blocking receive: drains already-delivered wire packets only
+    /// (on RD, one non-blocking drive step). The shard engines'
+    /// batch-drain primitive.
     fn try_recv_sg(&self) -> Result<(Addr, SgBytes), NetError> {
         match self {
             DgLlp::Ud(c) => c.try_recv_sg_from(),
@@ -85,9 +88,10 @@ impl DgLlp {
     }
 
     /// Installs an arrival notifier on the conduit's wire endpoint.
-    /// Returns `false` when the LLP has no notify hook (RD's windowed
-    /// protocol needs its own engine thread); such QPs cannot be driven
-    /// by a shard engine.
+    /// Returns `false` for RD: its protocol runs inside the calls that
+    /// drive the conduit, and the shards do not sweep RD retransmission
+    /// timers, so an RD QP keeps its own `rx_loop` (or poll mode) and
+    /// cannot be driven by a shard engine.
     fn set_notify(&self, notify: Option<simnet::RxNotify>) -> bool {
         match self {
             DgLlp::Ud(c) => {
@@ -592,7 +596,9 @@ impl DatagramQp {
     /// `max_wait` for an incoming datagram. Call this (or let the socket
     /// shim call it) when the QP was created with
     /// [`QpConfig::poll_mode`]; in threaded mode the engine thread
-    /// already does this work.
+    /// already does this work. On an RD QP this call also runs the
+    /// reliable-datagram protocol, so a poll-mode RD QP neither
+    /// acknowledges nor retransmits between calls.
     pub fn progress(&self, max_wait: Duration) {
         rx_step(&self.inner, max_wait);
     }

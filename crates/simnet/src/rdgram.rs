@@ -22,24 +22,34 @@
 //! the legacy implementation — fixed window, fixed 20 ms timer,
 //! timer-driven recovery only — on the same wire format.
 //!
-//! Wakes: the I/O thread notifies `readable` and `writable` while it
-//! still holds the state lock. This is the one notify-under-lock left in
-//! the library; the delivery rings, the delay pump, the stream conduit
-//! and the completion queues all notify after release. Notifying after
-//! release here was measured, not forgotten: on `rd_1KiB_loss1` it ran
-//! about 40 % more messages per second, but the median message latency
-//! doubled (20 → 40 µs), far past the benchmark's 25 % bound. It waits
-//! for the RD engine to move onto the shards with one ACK per drained
-//! batch (EXPERIMENTS.md, "Wake after release").
+//! **Progress is the owner's.** The conduit has no thread of its own. A
+//! call that has to wait on the conduit — [`RdConduit::recv_from`], a
+//! [`RdConduit::send_to`] blocked on a full window, or
+//! [`RdConduit::flush`] — runs the protocol: it waits on the
+//! [`DgramConduit`] for at most the smaller of its own timeout and the
+//! next retransmission deadline, feeds every queued datagram through the
+//! protocol under one lock scope, and sweeps the timers. So a conduit
+//! makes progress only while its owner is inside a call on it, as with an
+//! RNIC's progress engine or a poll-mode QP. A threaded RD QP's receive
+//! loop is the driver; a poll-mode QP drives it from `progress`. A sender
+//! that stops calling must [`flush`](RdConduit::flush) to get its tail
+//! retransmitted, and its peer must still be receiving to acknowledge it.
+//!
+//! Wakes: one caller drives at a time (leader/follower). The first
+//! waiter sets `St::driving`; the others sleep on the one condvar. The
+//! driver raises `St::wake` when it queued a message, opened a window
+//! (any ACK) or set an error, and notifies after it has released the
+//! state lock — before its next wait on the datagram conduit, or when it
+//! returns. A driver that returns also wakes the sleepers so that one of
+//! them takes over. Nothing notifies while the state lock is held.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::dgram::DgramConduit;
 use crate::error::{NetError, NetResult};
@@ -157,7 +167,13 @@ struct St {
     rx: HashMap<Addr, PeerRx>,
     ready: VecDeque<(Addr, Bytes)>,
     err: Option<NetError>,
-    shutdown: bool,
+    /// A caller holds the drive step (see the module doc, "Wakes").
+    driving: bool,
+    /// The driver queued a message, took an ACK or set an error since
+    /// it last notified.
+    wake: bool,
+    /// Callers asleep on `RdConduit::cv`; nobody is notified when zero.
+    sleepers: usize,
 }
 
 /// Telemetry handles resolved once at bind time.
@@ -169,7 +185,9 @@ struct RdTel {
     acks_tx: Counter,
 }
 
-struct Inner {
+/// Reliable datagram endpoint: unreliable-datagram ergonomics with
+/// TCP-grade delivery guarantees per peer.
+pub struct RdConduit {
     dg: DgramConduit,
     cfg: RdConfig,
     /// Resolved SACK bitmap width (validated at bind).
@@ -182,12 +200,12 @@ struct Inner {
     /// the `Fixed` baseline.
     adaptive: bool,
     st: Mutex<St>,
-    readable: Condvar,
-    writable: Condvar,
+    /// Where callers that are not driving sleep.
+    cv: Condvar,
     tel: RdTel,
 }
 
-impl Inner {
+impl RdConduit {
     fn send_data(&self, dst: Addr, seq: u64, payload: &Bytes) {
         let mut b = BytesMut::with_capacity(DATA_HEADER + payload.len());
         b.put_u8(TYPE_DATA);
@@ -198,16 +216,22 @@ impl Inner {
 
     fn send_ack(&self, dst: Addr, st: &St) {
         let Some(rx) = st.rx.get(&dst) else { return };
-        let mut bitmap = vec![0u64; self.sack_words];
-        for (&seq, _) in rx.ooo.range(rx.rcv_nxt..rx.rcv_nxt + self.horizon) {
-            let d = (seq - rx.rcv_nxt) as usize;
-            bitmap[d / 64] |= 1 << (d % 64);
-        }
         let mut b = BytesMut::with_capacity(ACK_PREFIX + 8 * self.sack_words);
         b.put_u8(TYPE_ACK);
         b.put_u64(rx.rcv_nxt);
         b.put_u8(self.sack_words as u8);
-        for word in bitmap {
+        // The SACK bitmap, one word at a time: bit `d` of the bitmap is
+        // `rcv_nxt + d`, and `ooo` yields its holdings in ascending order.
+        let mut held = rx
+            .ooo
+            .range(rx.rcv_nxt..rx.rcv_nxt + self.horizon)
+            .map(|(&seq, _)| seq - rx.rcv_nxt)
+            .peekable();
+        for w in 1..=self.sack_words as u64 {
+            let mut word = 0u64;
+            while let Some(d) = held.next_if(|&d| d < 64 * w) {
+                word |= 1 << (d % 64);
+            }
             b.put_u64(word);
         }
         self.tel.acks_tx.inc();
@@ -252,7 +276,7 @@ impl Inner {
                         st.ready.push_back((src, p));
                         self.tel.rx_msgs.inc();
                     }
-                    self.readable.notify_all();
+                    st.wake = true;
                 } else if seq > rx.rcv_nxt && seq < rx.rcv_nxt + self.horizon {
                     // Inside the SACK horizon: hold for reordering. Beyond
                     // it an ACK couldn't describe the message, so drop and
@@ -301,7 +325,7 @@ impl Inner {
                     // implementation.)
                     tx.engine.detect_losses(t);
                 }
-                self.writable.notify_all();
+                st.wake = true;
             }
             _ => {}
         }
@@ -331,13 +355,13 @@ impl Inner {
         }
         if dead {
             st.err = Some(NetError::Reset);
-            self.readable.notify_all();
-            self.writable.notify_all();
+            st.wake = true;
         }
     }
 
-    /// How long the IO thread may sleep in `recv_from` before a timer
-    /// could be due.
+    /// How long a drive step may wait on the datagram conduit before a
+    /// timer could be due. Capped, so a timer armed by a concurrent send
+    /// is seen within `IDLE`.
     fn next_deadline_in(&self, st: &St) -> Duration {
         const IDLE: Duration = Duration::from_millis(5);
         let mut wait = IDLE;
@@ -348,13 +372,6 @@ impl Inner {
         }
         wait.max(Duration::from_micros(200))
     }
-}
-
-/// Reliable datagram endpoint: unreliable-datagram ergonomics with
-/// TCP-grade delivery guarantees per peer.
-pub struct RdConduit {
-    inner: Arc<Inner>,
-    io: Option<std::thread::JoinHandle<()>>,
 }
 
 impl RdConduit {
@@ -381,7 +398,7 @@ impl RdConduit {
             acks_tx: t.counter("simnet.rdgram.acks_tx"),
             tel: t,
         };
-        let inner = Arc::new(Inner {
+        Ok(Self {
             dg,
             sack_words,
             horizon: sack_words as u64 * 64,
@@ -393,82 +410,43 @@ impl RdConduit {
                 rx: HashMap::new(),
                 ready: VecDeque::new(),
                 err: None,
-                shutdown: false,
+                driving: false,
+                wake: false,
+                sleepers: 0,
             }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-        });
-        let io_inner = Arc::clone(&inner);
-        let io = std::thread::Builder::new()
-            .name("rd-io".into())
-            .spawn(move || {
-                loop {
-                    let wait = {
-                        let st = io_inner.st.lock();
-                        if st.shutdown {
-                            return;
-                        }
-                        io_inner.next_deadline_in(&st)
-                    };
-                    let got = io_inner.dg.recv_from(Some(wait));
-                    let mut st = io_inner.st.lock();
-                    if st.shutdown {
-                        return;
-                    }
-                    match got {
-                        Ok((src, data)) => {
-                            io_inner.on_datagram(&mut st, src, &data);
-                            while let Ok((src, data)) = io_inner.dg.try_recv_from() {
-                                io_inner.on_datagram(&mut st, src, &data);
-                            }
-                        }
-                        Err(NetError::Timeout) => {}
-                        Err(e) => {
-                            st.err = Some(e);
-                            io_inner.readable.notify_all();
-                            io_inner.writable.notify_all();
-                            return;
-                        }
-                    }
-                    io_inner.sweep_timers(&mut st);
-                }
-            })
-            .expect("spawn rd io thread");
-        Ok(Self {
-            inner,
-            io: Some(io),
+            cv: Condvar::new(),
         })
     }
 
     /// Local address.
     #[must_use]
     pub fn local_addr(&self) -> Addr {
-        self.inner.dg.local_addr()
+        self.dg.local_addr()
     }
 
     /// The fabric this conduit is bound on.
     #[must_use]
     pub fn fabric(&self) -> &Fabric {
-        self.inner.dg.fabric()
+        self.dg.fabric()
     }
 
     /// Wire packets waiting in the underlying delivery ring; see
     /// [`DgramConduit::rx_backlog`].
     #[must_use]
     pub fn rx_backlog(&self) -> usize {
-        self.inner.dg.rx_backlog()
+        self.dg.rx_backlog()
     }
 
     /// Largest message this conduit accepts (one datagram's worth).
     #[must_use]
     pub fn max_datagram(&self) -> usize {
-        self.inner.dg.max_datagram() - DATA_HEADER
+        self.dg.max_datagram() - DATA_HEADER
     }
 
     /// Sends `payload` reliably to `dst`; blocks while the per-peer send
-    /// window (congestion window ∩ configured window) is full. Returns
-    /// once the message is queued and transmitted (not once
-    /// acknowledged).
+    /// window (congestion window ∩ configured window) is full, driving
+    /// the conduit meanwhile. Returns once the message is queued and
+    /// transmitted (not once acknowledged).
     pub fn send_to(&self, dst: Addr, payload: Bytes) -> NetResult<()> {
         if payload.len() > self.max_datagram() {
             return Err(NetError::TooBig {
@@ -476,90 +454,143 @@ impl RdConduit {
                 max: self.max_datagram(),
             });
         }
-        let inner = &self.inner;
-        let window = inner.cfg.window as u64;
-        let mut st = inner.st.lock();
-        loop {
+        let window = self.cfg.window as u64;
+        self.wait_until(None, |st| {
             if let Some(e) = &st.err {
-                return Err(e.clone());
+                return Some(Err(e.clone()));
             }
-            let tel = &inner.tel;
             let tx = st.tx.entry(dst).or_insert_with(|| PeerTx {
-                engine: RecoveryEngine::new(inner.cfg.recovery_config())
-                    .with_telemetry(&tel.tel),
+                engine: RecoveryEngine::new(self.cfg.recovery_config())
+                    .with_telemetry(&self.tel.tel),
                 payloads: BTreeMap::new(),
             });
             let t = tx.engine.now();
-            if tx.engine.can_send(1, window) {
-                let seq = tx.engine.on_send(t, 1);
-                tx.payloads.insert(seq, payload.clone());
-                inner.tel.tx_msgs.inc();
-                inner.send_data(dst, seq, &payload);
-                return Ok(());
+            if !tx.engine.can_send(1, window) {
+                return None;
             }
-            inner.writable.wait(&mut st);
-        }
+            let seq = tx.engine.on_send(t, 1);
+            tx.payloads.insert(seq, payload.clone());
+            self.tel.tx_msgs.inc();
+            self.send_data(dst, seq, &payload);
+            Some(Ok(()))
+        })
     }
 
-    /// Receives the next in-order message from any peer.
+    /// Receives the next in-order message from any peer, driving the
+    /// conduit while it waits. A zero timeout runs one non-blocking drive
+    /// step (unless another caller is driving) before reporting
+    /// [`NetError::Timeout`].
     pub fn recv_from(&self, timeout: Option<Duration>) -> NetResult<(Addr, Bytes)> {
-        let inner = &self.inner;
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut st = inner.st.lock();
-        loop {
-            if let Some(item) = st.ready.pop_front() {
-                return Ok(item);
-            }
-            if let Some(e) = &st.err {
-                return Err(e.clone());
-            }
-            match deadline {
-                None => {
-                    inner.readable.wait(&mut st);
-                }
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(NetError::Timeout);
-                    }
-                    inner.readable.wait_for(&mut st, d - now);
-                }
-            }
-        }
+        self.wait_until(deadline, |st| match st.ready.pop_front() {
+            Some(item) => Some(Ok(item)),
+            None => st.err.clone().map(Err),
+        })
     }
 
-    /// Blocks until every queued message to every peer is acknowledged.
+    /// Drives the conduit until every queued message to every peer is
+    /// acknowledged.
     pub fn flush(&self, timeout: Duration) -> NetResult<()> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.st.lock();
-        loop {
+        self.wait_until(Some(Instant::now() + timeout), |st| {
             if st.tx.values().all(|t| t.engine.outstanding() == 0) {
-                return Ok(());
+                return Some(Ok(()));
             }
-            if let Some(e) = &st.err {
-                return Err(e.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout);
-            }
-            self.inner.writable.wait_for(&mut st, deadline - now);
-        }
+            st.err.clone().map(Err)
+        })
     }
-}
 
-impl Drop for RdConduit {
-    fn drop(&mut self) {
-        self.inner.st.lock().shutdown = true;
-        if let Some(io) = self.io.take() {
-            let _ = io.join();
+    /// Runs `poll` under the state lock until it yields or `deadline`
+    /// (`None`: never) passes. Between polls the caller drives the conduit
+    /// if no other caller does, and sleeps on `cv` otherwise. The first
+    /// iteration always polls, and a caller that took the drive step polls
+    /// after at least one step, so a zero budget still drains once.
+    fn wait_until<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut poll: impl FnMut(&mut St) -> Option<NetResult<T>>,
+    ) -> NetResult<T> {
+        let mut st = self.st.lock();
+        let mut driver = false;
+        let out = loop {
+            if let Some(out) = poll(&mut st) {
+                break out;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if driver || !st.driving {
+                if driver && left == Some(Duration::ZERO) {
+                    break Err(NetError::Timeout);
+                }
+                driver = true;
+                st.driving = true;
+                st = self.step(st, left);
+                continue;
+            }
+            if left == Some(Duration::ZERO) {
+                break Err(NetError::Timeout);
+            }
+            st.sleepers += 1;
+            match left {
+                None => self.cv.wait(&mut st),
+                Some(left) => {
+                    self.cv.wait_for(&mut st, left);
+                }
+            }
+            st.sleepers -= 1;
+        };
+        // Release step: a returning driver hands the drive step on.
+        st.driving &= !driver;
+        let notify = (std::mem::take(&mut st.wake) || driver) && st.sleepers > 0;
+        drop(st);
+        if notify {
+            self.cv.notify_all();
         }
+        out
+    }
+
+    /// One drive step, by the caller holding `St::driving`: notifies the
+    /// wakes the last step raised, waits on the datagram conduit for at
+    /// most `left` and the next retransmission deadline (the lock
+    /// released), then feeds every queued datagram through the protocol
+    /// and sweeps the timers under one lock scope.
+    fn step<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, St>,
+        left: Option<Duration>,
+    ) -> MutexGuard<'a, St> {
+        let wait = self.next_deadline_in(&st);
+        let wait = left.map_or(wait, |left| left.min(wait));
+        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
+        drop(st);
+        if notify {
+            self.cv.notify_all();
+        }
+        let got = self.dg.recv_from(Some(wait));
+        let mut st = self.st.lock();
+        match got {
+            Ok((src, data)) => {
+                self.on_datagram(&mut st, src, &data);
+                while let Ok((src, data)) = self.dg.try_recv_from() {
+                    self.on_datagram(&mut st, src, &data);
+                }
+            }
+            Err(NetError::Timeout) => {}
+            Err(e) => {
+                st.err = Some(e);
+                st.wake = true;
+                return st;
+            }
+        }
+        self.sweep_timers(&mut st);
+        st
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
     use super::*;
+    use crate::chaos::{FaultPlan, PartitionWindow};
     use crate::wire::WireConfig;
 
     fn pair(fab: &Fabric) -> (RdConduit, RdConduit) {
@@ -570,6 +601,21 @@ mod tests {
         let a = RdConduit::bind(fab, Addr::new(0, 300), cfg.clone()).unwrap();
         let b = RdConduit::bind(fab, Addr::new(1, 300), cfg).unwrap();
         (a, b)
+    }
+
+    /// Keeps `rx` driven — acknowledging its peers' retransmissions —
+    /// until `done` holds, and checks that nothing more is delivered
+    /// meanwhile. A conduit makes progress only inside a call on it, so
+    /// a receiver that has all its messages must keep serving until its
+    /// peer's `flush` returns.
+    fn serve_until(rx: &RdConduit, done: impl Fn() -> bool) {
+        while !done() {
+            match rx.recv_from(Some(Duration::from_millis(1))) {
+                Err(NetError::Timeout) => {}
+                Ok((src, data)) => panic!("{} extra bytes from {src}", data.len()),
+                Err(e) => panic!("serving after the last message: {e}"),
+            }
+        }
     }
 
     #[test]
@@ -584,16 +630,22 @@ mod tests {
 
     #[test]
     fn ordered_delivery_without_loss() {
+        // The sender blocks on its window until the receiver, inside
+        // `recv_from`, acknowledges: each side runs on its own thread.
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
-        for i in 0..200u32 {
-            a.send_to(b.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
-                .unwrap();
-        }
-        for i in 0..200u32 {
-            let (_, data) = b.recv_from(Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(u32::from_be_bytes(data[..].try_into().unwrap()), i);
-        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..200u32 {
+                    a.send_to(b.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
+                        .unwrap();
+                }
+            });
+            for i in 0..200u32 {
+                let (_, data) = b.recv_from(Some(Duration::from_secs(2))).unwrap();
+                assert_eq!(u32::from_be_bytes(data[..].try_into().unwrap()), i);
+            }
+        });
     }
 
     #[test]
@@ -603,17 +655,22 @@ mod tests {
         let fab = Fabric::new(WireConfig::with_loss(0.05, 21));
         let (a, b) = pair(&fab);
         let n = 300u32;
+        let flushed = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..n {
                     a.send_to(b.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
                         .unwrap();
                 }
+                let r = a.flush(Duration::from_secs(10));
+                flushed.store(true, Ordering::Release);
+                r.unwrap();
             });
             for i in 0..n {
                 let (_, data) = b.recv_from(Some(Duration::from_secs(10))).unwrap();
                 assert_eq!(u32::from_be_bytes(data[..].try_into().unwrap()), i);
             }
+            serve_until(&b, || flushed.load(Ordering::Acquire));
         });
     }
 
@@ -630,17 +687,22 @@ mod tests {
         assert_eq!(cfg.resolve_sack_words().unwrap(), 4);
         let (a, b) = pair_with(&fab, cfg);
         let n = 600u32;
+        let flushed = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..n {
                     a.send_to(b.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
                         .unwrap();
                 }
+                let r = a.flush(Duration::from_secs(10));
+                flushed.store(true, Ordering::Release);
+                r.unwrap();
             });
             for i in 0..n {
                 let (_, data) = b.recv_from(Some(Duration::from_secs(10))).unwrap();
                 assert_eq!(u32::from_be_bytes(data[..].try_into().unwrap()), i);
             }
+            serve_until(&b, || flushed.load(Ordering::Acquire));
         });
     }
 
@@ -700,17 +762,23 @@ mod tests {
         let (a, b) = pair(&fab);
         let n = 3_000u32;
         let (credit_tx, credit_rx) = std::sync::mpsc::channel::<()>();
-        let (a, dst) = (&a, b.local_addr());
+        let flushed = AtomicBool::new(false);
+        let (a, dst, flushed) = (&a, b.local_addr(), &flushed);
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..n {
-                    if i >= 4 {
-                        credit_rx.recv().unwrap();
+                    // Wait for credit inside calls on the conduit: its ACKs
+                    // and timers run only there.
+                    while i >= 4 && credit_rx.try_recv().is_err() {
+                        let _ = a.flush(Duration::from_millis(1));
                     }
                     let mut msg = vec![0u8; 1024];
                     msg[..4].copy_from_slice(&i.to_be_bytes());
                     a.send_to(dst, Bytes::from(msg)).unwrap();
                 }
+                let r = a.flush(Duration::from_secs(10));
+                flushed.store(true, Ordering::Release);
+                r.unwrap();
             });
             for i in 0..n {
                 let (_, data) = b.recv_from(Some(Duration::from_secs(10))).unwrap();
@@ -718,6 +786,7 @@ mod tests {
                 assert_eq!(u32::from_be_bytes(data[..4].try_into().unwrap()), i);
                 let _ = credit_tx.send(());
             }
+            serve_until(&b, || flushed.load(Ordering::Acquire));
         });
         assert_eq!(
             b.recv_from(Some(Duration::from_millis(50))).unwrap_err(),
@@ -746,15 +815,33 @@ mod tests {
     fn flush_waits_for_acks() {
         let fab = Fabric::new(WireConfig::with_loss(0.05, 5));
         let (a, b) = pair(&fab);
-        for i in 0..50u8 {
-            a.send_to(b.local_addr(), Bytes::from(vec![i])).unwrap();
+        let flushed = AtomicBool::new(false);
+        let mut got = std::thread::scope(|s| {
+            // The receiver drives its conduit, keeping what arrives, until
+            // the sender's flush returns.
+            let rx = s.spawn(|| {
+                let mut got = Vec::new();
+                while !flushed.load(Ordering::Acquire) {
+                    if let Ok((_, data)) = b.recv_from(Some(Duration::from_millis(1))) {
+                        got.push(data[0]);
+                    }
+                }
+                got
+            });
+            for i in 0..50u8 {
+                a.send_to(b.local_addr(), Bytes::from(vec![i])).unwrap();
+            }
+            let r = a.flush(Duration::from_secs(10));
+            flushed.store(true, Ordering::Release);
+            r.unwrap();
+            rx.join().unwrap()
+        });
+        // All 50 must now be deliverable without further retransmission:
+        // the rest come out of non-blocking polls, the sender idle.
+        while let Ok((_, data)) = b.recv_from(Some(Duration::ZERO)) {
+            got.push(data[0]);
         }
-        a.flush(Duration::from_secs(10)).unwrap();
-        // All 50 must now be deliverable without further retransmission.
-        for i in 0..50u8 {
-            let (_, data) = b.recv_from(Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(data[0], i);
-        }
+        assert_eq!(got, (0..50u8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -796,6 +883,108 @@ mod tests {
         let (_a, b) = pair(&fab);
         assert_eq!(
             b.recv_from(Some(Duration::from_millis(20))).unwrap_err(),
+            NetError::Timeout
+        );
+    }
+
+    #[test]
+    fn flush_alone_retransmits_a_lost_tail() {
+        // The sender's only call after its last `send_to` is `flush`, and
+        // the first transmission of that last message is lost: no later
+        // message SACKs past it, so only the sender's timer recovers it,
+        // and that timer runs inside `flush`.
+        let fab = Fabric::loopback();
+        let n = 20u32;
+        // Partition windows count the sender's wire packets; small RD
+        // messages are one packet each, so packet n-1 is message n-1.
+        let mut plan = FaultPlan::quiet(1);
+        plan.partitions.push(PartitionWindow {
+            start: u64::from(n) - 1,
+            end: u64::from(n),
+        });
+        fab.install_fault_plan(plan);
+        let (a, b) = pair(&fab);
+        let flushed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..n {
+                    a.send_to(b.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
+                        .unwrap();
+                }
+                let r = a.flush(Duration::from_secs(10));
+                flushed.store(true, Ordering::Release);
+                r.unwrap();
+            });
+            for i in 0..n {
+                let (_, data) = b.recv_from(Some(Duration::from_secs(10))).unwrap();
+                assert_eq!(u32::from_be_bytes(data[..].try_into().unwrap()), i);
+            }
+            serve_until(&b, || flushed.load(Ordering::Acquire));
+        });
+        // The plan partitions every link alike; the sender's link lost only
+        // that one packet.
+        let lost: Vec<u64> = fab
+            .fault_trace()
+            .iter()
+            .filter(|e| e.src == a.local_addr())
+            .map(|e| e.pkt)
+            .collect();
+        assert_eq!(lost, [u64::from(n) - 1]);
+        let snap = fab.telemetry().snapshot();
+        assert!(snap.get("simnet.rdgram.retransmits").unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn drive_step_changes_hands_in_both_directions() {
+        // Window 2 under 5 % loss: each conduit's sender keeps blocking on
+        // its window while another thread sits in `recv_from` on the same
+        // conduit, so the drive step passes between them over and over.
+        let fab = Fabric::new(WireConfig::with_loss(0.05, 43));
+        let cfg = RdConfig {
+            window: 2,
+            ..RdConfig::default()
+        };
+        let (a, b) = pair_with(&fab, cfg);
+        let n = 300u32;
+        let flushed = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for (tx, rx) in [(&a, &b), (&b, &a)] {
+                let flushed = &flushed;
+                s.spawn(move || {
+                    for i in 0..n {
+                        tx.send_to(rx.local_addr(), Bytes::from(i.to_be_bytes().to_vec()))
+                            .unwrap();
+                    }
+                    let r = tx.flush(Duration::from_secs(10));
+                    flushed.fetch_add(1, Ordering::AcqRel);
+                    r.unwrap();
+                });
+                s.spawn(move || {
+                    for i in 0..n {
+                        let (src, data) = rx.recv_from(Some(Duration::from_secs(10))).unwrap();
+                        assert_eq!(src, tx.local_addr());
+                        assert_eq!(u32::from_be_bytes(data[..].try_into().unwrap()), i);
+                    }
+                    serve_until(rx, || flushed.load(Ordering::Acquire) == 2);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn zero_timeout_recv_takes_a_delivered_message() {
+        // The poll path (`recv_from(Some(ZERO))`) runs one non-blocking
+        // drive step: a datagram already in the delivery ring comes out.
+        let fab = Fabric::loopback();
+        let (a, b) = pair(&fab);
+        a.send_to(b.local_addr(), Bytes::from_static(b"polled"))
+            .unwrap();
+        assert_eq!(b.rx_backlog(), 1, "the loopback fabric delivers on send");
+        let (src, data) = b.recv_from(Some(Duration::ZERO)).unwrap();
+        assert_eq!(src, a.local_addr());
+        assert_eq!(&data[..], b"polled");
+        assert_eq!(
+            b.recv_from(Some(Duration::ZERO)).unwrap_err(),
             NetError::Timeout
         );
     }

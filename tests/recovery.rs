@@ -8,6 +8,7 @@
 //! never *what* arrives. That the chaos harness's unreliable phases never
 //! see the controller is a replay anchor (`tests/determinism.rs`).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -77,6 +78,7 @@ fn rdgram_delivery_is_identical_across_algos() {
         let tx = RdConduit::bind(&fab, Addr::new(2, 801), cfg.clone()).unwrap();
         let rx = RdConduit::bind(&fab, Addr::new(3, 801), cfg).unwrap();
         let msgs = &msgs;
+        let flushed = AtomicBool::new(false);
         std::thread::scope(|sc| {
             let rxh = sc.spawn(|| {
                 let mut got = Vec::new();
@@ -84,12 +86,22 @@ fn rdgram_delivery_is_identical_across_algos() {
                     let (_, d) = rx.recv_from(Some(Duration::from_secs(30))).unwrap();
                     got.push(d.to_vec());
                 }
+                // A conduit makes progress only inside a call on it: keep
+                // acknowledging retransmissions until the sender's flush
+                // returns. Anything delivered now is a duplicate.
+                while !flushed.load(Ordering::Acquire) {
+                    if let Ok((_, d)) = rx.recv_from(Some(Duration::from_millis(1))) {
+                        got.push(d.to_vec());
+                    }
+                }
                 got
             });
             for m in msgs {
                 tx.send_to(rx.local_addr(), Bytes::from(m.clone())).unwrap();
             }
-            tx.flush(Duration::from_secs(30)).unwrap();
+            let flush = tx.flush(Duration::from_secs(30));
+            flushed.store(true, Ordering::Release);
+            flush.unwrap();
             let got = rxh.join().unwrap();
             assert_eq!(got, *msgs, "[{algo}] rdgram reordered or corrupted delivery");
         });
