@@ -28,7 +28,6 @@ fn server_stack(fab: &Fabric, reg: &MemRegistry) -> SocketStack {
         stream: simnet::stream::StreamConfig {
             snd_buf: 4096,
             rcv_buf: 4096,
-            poll_mode: true,
             ..simnet::stream::StreamConfig::default()
         },
         ..iwarp::DeviceConfig::default()
@@ -41,7 +40,6 @@ fn client_stack(fab: &Fabric) -> SocketStack {
         stream: simnet::stream::StreamConfig {
             snd_buf: 4096,
             rcv_buf: 4096,
-            poll_mode: true,
             ..simnet::stream::StreamConfig::default()
         },
         ..iwarp::DeviceConfig::default()

@@ -478,7 +478,6 @@ fn sip_stacks(
     let stream = simnet::stream::StreamConfig {
         snd_buf: 3072,
         rcv_buf: 3072,
-        poll_mode: true,
         ..simnet::stream::StreamConfig::default()
     };
     let server = SocketStack::with_config(

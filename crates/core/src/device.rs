@@ -197,9 +197,6 @@ impl Device {
     }
 
     /// Actively connects an RC QP to a remote [`RcListener`].
-    ///
-    /// When `cfg.poll_mode` is set, the underlying stream conduit is also
-    /// switched to poll mode so the connection costs no threads at all.
     pub fn rc_connect(
         &self,
         remote: Addr,
@@ -207,15 +204,11 @@ impl Device {
         recv_cq: &Cq,
         cfg: QpConfig,
     ) -> IwarpResult<RcQp> {
-        let mut stream_cfg = self.cfg.stream.clone();
-        if cfg.poll_mode {
-            stream_cfg.poll_mode = true;
-        }
         crate::qp::rc::rc_connect(
             &self.fabric,
             self.node,
             remote,
-            stream_cfg,
+            self.cfg.stream.clone(),
             self.cfg.mpa,
             Arc::clone(&self.mrs),
             &self.next_qpn,

@@ -236,7 +236,8 @@ impl RcQp {
     }
 
     /// Poll-mode driver: one receive-engine iteration, waiting up to
-    /// `max_wait` for stream bytes. Call this when the QP was created
+    /// `max_wait` for stream bytes while it drives the stream (ACKs,
+    /// retransmissions, handshake). Call this when the QP was created
     /// with [`QpConfig::poll_mode`]; the engine thread does it otherwise.
     pub fn progress(&self, max_wait: Duration) {
         rx_step(&self.inner, max_wait);
@@ -521,7 +522,9 @@ impl Drop for RcQp {
     }
 }
 
-/// RC receive engine thread body (threaded mode).
+/// RC receive engine thread body (threaded mode). It is also the
+/// stream's protocol driver: each `rx_step` waits inside the stream's
+/// `read`.
 fn rx_loop(inner: &RcInner) {
     loop {
         if inner.shutdown.load(Ordering::Relaxed) {
@@ -537,9 +540,6 @@ fn rx_loop(inner: &RcInner) {
 /// placement. Returns false once the connection is dead.
 fn rx_step(inner: &RcInner, max_wait: Duration) -> bool {
     let peer = inner.stream.peer_addr();
-    if inner.rx.cfg.poll_mode {
-        inner.stream.progress(Duration::ZERO);
-    }
     let mut state = inner.rx_state.lock();
 
     // Deliver previously stalled ULPDUs first; while the head remains
@@ -551,7 +551,9 @@ fn rx_step(inner: &RcInner, max_wait: Duration) -> bool {
     }
     if !state.pending.is_empty() {
         drop(state);
-        // Head-of-line blocked: wait for a receive to be posted.
+        // Head-of-line blocked: keep ACKs and retransmissions flowing,
+        // then wait for a receive to be posted.
+        inner.stream.progress(Duration::ZERO);
         std::thread::sleep(max_wait.min(Duration::from_millis(1)));
         inner.rx.expire();
         return true;

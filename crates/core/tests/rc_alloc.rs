@@ -109,7 +109,6 @@ impl Pair {
         let fab = Fabric::loopback();
         let dev_cfg = DeviceConfig {
             stream: StreamConfig {
-                poll_mode: true,
                 // No retransmission timer fires within the run.
                 rto_initial: Duration::from_secs(30),
                 rto_max: Duration::from_secs(30),

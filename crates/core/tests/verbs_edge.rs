@@ -6,7 +6,7 @@ use bytes::Bytes;
 use iwarp::cm::mpa_connect;
 use iwarp::mpa::MpaConfig;
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, IwarpError, QpConfig};
+use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, IwarpError, QpConfig};
 use simnet::stream::StreamConfig;
 use simnet::{Addr, Fabric, NetError, NodeId, StreamConduit};
 
@@ -98,15 +98,8 @@ fn rc_posts_fail_after_peer_disappears() {
 #[test]
 fn rc_read_is_flushed_when_the_responder_goes_away() {
     let fab = Fabric::loopback();
-    let dev_cfg = DeviceConfig {
-        stream: StreamConfig {
-            poll_mode: true,
-            ..StreamConfig::default()
-        },
-        ..DeviceConfig::default()
-    };
-    let a = Device::with_config(&fab, NodeId(0), dev_cfg.clone());
-    let b = Device::with_config(&fab, NodeId(1), dev_cfg);
+    let a = Device::new(&fab, NodeId(0));
+    let b = Device::new(&fab, NodeId(1));
     let cfg = QpConfig {
         poll_mode: true,
         ..QpConfig::default()

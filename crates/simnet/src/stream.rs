@@ -24,10 +24,32 @@
 //! The implementation is intentionally *stream-oriented*: it has no notion
 //! of message boundaries, which is exactly why the iWARP MPA layer above it
 //! must insert markers (paper §II) — an overhead the datagram path avoids.
+//!
+//! **Progress is the owner's.** The conduit has no thread of its own. A
+//! call that has to wait on it — [`StreamConduit::connect`],
+//! [`StreamConduit::read`], a [`StreamConduit::write_all_vectored`]
+//! waiting for send-buffer space or for the handshake to complete,
+//! [`StreamConduit::flush`] — runs the protocol: it waits on the endpoint
+//! for at most the smaller of its own timeout and the next timer
+//! deadline, handles every queued segment under one lock scope, fires
+//! due timers and pumps output. So a conduit makes progress only while
+//! its owner is inside a call on it, as [`crate::rdgram::RdConduit`]
+//! does. A threaded RC QP's receive loop is the driver; a poll-mode QP
+//! drives it from `progress`. A writer that stops calling must
+//! [`flush`](StreamConduit::flush) to get its tail retransmitted, and
+//! its peer must still be inside a call to acknowledge it. Dropping a
+//! conduit closes it and lingers for the acknowledgements (see its
+//! `Drop`).
+//!
+//! Wakes: one caller drives at a time (leader/follower). The first
+//! waiter sets `St::driving`; the others sleep on the one condvar. A lock
+//! scope that queued bytes, took an ACK, changed the connection state or
+//! set an error raises `St::wake`, and its release step notifies after
+//! unlocking. A driver that returns raises it too, in the scope of its
+//! last poll, so that a sleeper takes over.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -66,11 +88,17 @@ const MAX_HS_RETRIES: u32 = 30;
 /// Most `(lo, hi)` ranges one SACK segment carries.
 const MAX_SACK_RANGES: usize = 3;
 
-/// `St::wake` bits: the condvars a lock scope's release step notifies.
-const WAKE_READABLE: u8 = 0x01;
-const WAKE_WRITABLE: u8 = 0x02;
-const WAKE_ESTABLISHED: u8 = 0x04;
-const WAKE_ALL: u8 = WAKE_READABLE | WAKE_WRITABLE | WAKE_ESTABLISHED;
+/// Longest a dropped conduit lingers for its data to be acknowledged.
+const LINGER: Duration = Duration::from_millis(100);
+
+/// A dropped conduit's FIN probe timeout. Not RTT-based: a peer that
+/// is not inside a call acknowledges late, so RTT samples include its
+/// idle time.
+const FIN_PROBE: Duration = Duration::from_millis(1);
+
+/// Longest one drive step waits on the endpoint: bounds how late a timer
+/// armed by another caller's write is noticed.
+const IDLE_STEP: Duration = Duration::from_millis(10);
 
 /// Lower bound on the adaptive retransmission timeout. Only applies under
 /// an adaptive `cc` algorithm; `CcAlgo::Fixed` floors the timer at
@@ -100,13 +128,6 @@ pub struct StreamConfig {
     pub connect_timeout: Duration,
     /// Memory registry for per-connection state accounting.
     pub mem: Option<MemRegistry>,
-    /// Poll mode: no per-connection I/O thread is spawned; protocol
-    /// processing (ACK handling, retransmission, delivery) runs inside
-    /// `read`/`write_all`/`progress` calls instead. This is how the stack
-    /// scales to tens of thousands of mostly idle connections (the
-    /// paper's Fig. 11 memory experiment): an idle connection costs
-    /// memory, not a thread.
-    pub poll_mode: bool,
 }
 
 impl Default for StreamConfig {
@@ -120,7 +141,6 @@ impl Default for StreamConfig {
             cc: CcAlgo::Fixed,
             connect_timeout: Duration::from_secs(5),
             mem: None,
-            poll_mode: false,
         }
     }
 }
@@ -333,14 +353,17 @@ struct St {
     engine: RecoveryEngine,
     last_wnd_sent: u32,
     err: Option<NetError>,
-    shutdown: bool,
     /// Segments made in the current lock scope, in order, all for `peer`.
     /// The scope's release step encodes their headers into one arena and
     /// sends them as one fabric burst.
     outbox: Vec<Segment>,
-    /// `WAKE_*` bits raised in the current lock scope. Its release step
-    /// notifies them after unlocking.
-    wake: u8,
+    /// A caller holds the drive step (see the module doc, "Wakes").
+    driving: bool,
+    /// The current lock scope changed something a sleeper may wait for;
+    /// its release step notifies `Inner::cv` after unlocking.
+    wake: bool,
+    /// Callers asleep on `Inner::cv`; nobody is notified when zero.
+    sleepers: usize,
 }
 
 impl St {
@@ -445,9 +468,8 @@ struct Inner {
     cfg: StreamConfig,
     mss: usize,
     st: Mutex<St>,
-    readable: Condvar,
-    writable: Condvar,
-    established: Condvar,
+    /// Where callers that are not driving sleep.
+    cv: Condvar,
     tel: StreamTel,
     _mem: Mutex<Option<MemScope>>,
 }
@@ -455,8 +477,8 @@ struct Inner {
 /// One scope of the state lock. Dropping it is the scope's release step:
 /// the segments the scope encoded leave as one fabric burst while the lock
 /// is still held, so wire order is lock order; then the lock is released;
-/// then the condvars the scope flagged are notified, so a woken waiter
-/// never blocks on a lock its waker still holds.
+/// then, if the scope raised `St::wake`, the sleepers are notified, so a
+/// woken waiter never blocks on a lock its waker still holds.
 struct Locked<'a> {
     inner: &'a Inner,
     /// `Some` until the release step drops it.
@@ -464,11 +486,40 @@ struct Locked<'a> {
 }
 
 impl<'a> Locked<'a> {
-    /// The raw guard, for a condvar wait. A scope waits only before it
-    /// has encoded or flagged anything.
+    /// Sends the scope's outbox as one fabric burst, the lock held.
+    fn send_outbox(&mut self) {
+        if self.outbox.is_empty() {
+            return;
+        }
+        let peer = self.peer;
+        let mut arena = BytesMut::with_capacity(self.outbox.len() * SEG_HEADER);
+        for seg in &self.outbox {
+            encode_header(&mut arena, &seg.head, seg.payload.len());
+        }
+        let arena = arena.freeze();
+        let frames = self
+            .outbox
+            .drain(..)
+            .enumerate()
+            .map(|(i, seg)| {
+                (
+                    arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
+                    seg.payload,
+                )
+            })
+            .collect();
+        // Losing a segment here is equivalent to wire loss; reliability
+        // comes from retransmission, so the send result is advisory.
+        let _ = self.inner.ep.send_burst(peer, frames);
+    }
+
+    /// The raw guard, for a condvar wait; the scope's segments leave
+    /// first. Only a caller that is not driving sleeps, and it raises no
+    /// wakes.
     fn guard(&mut self) -> &mut MutexGuard<'a, St> {
+        self.send_outbox();
         let guard = self.guard.as_mut().expect("held until the release step");
-        debug_assert!(guard.outbox.is_empty() && guard.wake == 0);
+        debug_assert!(!guard.wake);
         guard
     }
 }
@@ -490,41 +541,14 @@ impl DerefMut for Locked<'_> {
 
 impl Drop for Locked<'_> {
     fn drop(&mut self) {
+        self.send_outbox();
         let Some(mut st) = self.guard.take() else {
             return;
         };
-        if !st.outbox.is_empty() {
-            let peer = st.peer;
-            let mut arena = BytesMut::with_capacity(st.outbox.len() * SEG_HEADER);
-            for seg in &st.outbox {
-                encode_header(&mut arena, &seg.head, seg.payload.len());
-            }
-            let arena = arena.freeze();
-            let frames = st
-                .outbox
-                .drain(..)
-                .enumerate()
-                .map(|(i, seg)| {
-                    (
-                        arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
-                        seg.payload,
-                    )
-                })
-                .collect();
-            // Losing a segment here is equivalent to wire loss; reliability
-            // comes from retransmission, so the send result is advisory.
-            let _ = self.inner.ep.send_burst(peer, frames);
-        }
-        let wake = std::mem::take(&mut st.wake);
+        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
         drop(st);
-        if wake & WAKE_READABLE != 0 {
-            self.inner.readable.notify_all();
-        }
-        if wake & WAKE_WRITABLE != 0 {
-            self.inner.writable.notify_all();
-        }
-        if wake & WAKE_ESTABLISHED != 0 {
-            self.inner.established.notify_all();
+        if notify {
+            self.inner.cv.notify_all();
         }
     }
 }
@@ -534,7 +558,7 @@ impl Inner {
     fn lock(&self) -> Locked<'_> {
         let guard = self.st.lock();
         debug_assert!(
-            guard.outbox.is_empty() && guard.wake == 0,
+            guard.outbox.is_empty() && !guard.wake,
             "a stream lock scope skipped its release step"
         );
         Locked {
@@ -641,7 +665,7 @@ impl Inner {
                     st.snd_wnd = seg.wnd;
                     st.hs_deadline = None;
                     st.hs_retries = 0;
-                    st.wake |= WAKE_ESTABLISHED;
+                    st.wake = true;
                     self.tx(st, FLAG_ACK, st.snd_nxt, SgBytes::new());
                 }
                 return;
@@ -656,7 +680,7 @@ impl Inner {
                     st.conn = Conn::Established;
                     st.hs_deadline = None;
                     st.hs_retries = 0;
-                    st.wake |= WAKE_ESTABLISHED;
+                    st.wake = true;
                     // Fall through: the segment may carry data too.
                 } else {
                     return;
@@ -699,7 +723,7 @@ impl Inner {
                 st.send_q.drop_front(drop_bytes);
                 st.snd_una = seg.ack;
                 st.engine.on_cum_ack(t, seg.ack);
-                st.wake |= WAKE_WRITABLE;
+                st.wake = true;
             } else if seg.ack == st.snd_una
                 && st.in_flight() > 0
                 && (payload.is_empty() || seg.flags & FLAG_SACK != 0)
@@ -741,7 +765,7 @@ impl Inner {
                     if take == payload.len() {
                         self.drain_ooo(st);
                     }
-                    st.wake |= WAKE_READABLE;
+                    st.wake = true;
                 } else if st.ooo_bytes + payload.len() <= self.cfg.rcv_buf {
                     // Future segment: stash for later (dedup by start seq).
                     if !st.ooo.contains_key(&seq) {
@@ -762,7 +786,7 @@ impl Inner {
             if st.rcv_nxt == f && !st.peer_closed {
                 st.rcv_nxt = f + 1;
                 st.peer_closed = true;
-                st.wake |= WAKE_READABLE;
+                st.wake = true;
             }
         }
 
@@ -855,7 +879,7 @@ impl Inner {
             st.err = Some(err);
         }
         st.conn = Conn::Closed;
-        st.wake |= WAKE_ALL;
+        st.wake = true;
     }
 
     /// Handshake retransmission timer (SYN / SYN-ACK only).
@@ -913,31 +937,71 @@ impl Inner {
         }
     }
 
-    /// One I/O iteration: wait up to `max_wait` for a wire packet, process
-    /// everything queued, fire due retransmission timers, pump output.
-    /// Shared by the per-connection I/O thread and poll-mode callers.
-    fn io_step(&self, max_wait: Duration) {
-        let wait = {
-            let st = self.lock();
-            if st.shutdown {
-                return;
+    /// Runs `poll` in one lock scope after another until it yields or
+    /// `deadline` (`None`: never) passes. Between polls the caller drives
+    /// the conduit if no other caller does, and sleeps on `cv` otherwise.
+    /// The first iteration always polls, and a caller that took the drive
+    /// step polls after at least one step, so a zero budget still drains
+    /// once.
+    fn wait_until<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut poll: impl FnMut(&mut St) -> Option<NetResult<T>>,
+    ) -> NetResult<T> {
+        let mut st = self.lock();
+        let mut driver = false;
+        let out = loop {
+            if let Some(out) = poll(&mut st) {
+                break out;
             }
-            let mut w = max_wait;
-            if let Some(d) = st.hs_deadline {
-                w = w.min(d.saturating_duration_since(Instant::now()));
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if driver || !st.driving {
+                if driver && left == Some(Duration::ZERO) {
+                    break Err(NetError::Timeout);
+                }
+                driver = true;
+                st.driving = true;
+                st = self.step(st, left);
+                continue;
             }
-            if st.conn == Conn::Established {
-                if let Some(d) = st.engine.rto_deadline() {
-                    w = w.min(d.saturating_sub(st.engine.now()));
+            if left == Some(Duration::ZERO) {
+                break Err(NetError::Timeout);
+            }
+            st.sleepers += 1;
+            match left {
+                None => self.cv.wait(st.guard()),
+                Some(left) => {
+                    self.cv.wait_for(st.guard(), left);
                 }
             }
-            w
+            st.sleepers -= 1;
         };
+        // A returning driver hands the drive step on: this scope's release
+        // step wakes the sleepers so that one of them takes over.
+        if driver {
+            st.driving = false;
+            st.wake = true;
+        }
+        out
+    }
+
+    /// One drive step, by the caller holding `St::driving`: releases the
+    /// scope, waits on the endpoint for at most `left`, the next timer
+    /// deadline and [`IDLE_STEP`], then, in one new scope, handles every
+    /// queued packet, fires due timers and pumps output.
+    fn step<'a>(&'a self, st: Locked<'a>, left: Option<Duration>) -> Locked<'a> {
+        let mut wait = left.map_or(IDLE_STEP, |left| left.min(IDLE_STEP));
+        if let Some(d) = st.hs_deadline {
+            wait = wait.min(d.saturating_duration_since(Instant::now()));
+        }
+        if st.conn == Conn::Established {
+            if let Some(d) = st.engine.rto_deadline() {
+                wait = wait.min(d.saturating_sub(st.engine.now()));
+            }
+        }
+        drop(st);
         let pkt = self.ep.recv(Some(wait));
         let mut st = self.lock();
-        if st.shutdown {
-            return;
-        }
         match pkt {
             Ok(p) => {
                 self.on_packet(&mut st, p);
@@ -970,32 +1034,22 @@ impl Inner {
             Conn::Closed => {}
         }
         self.pump(&mut st);
-        if st.conn == Conn::Closed {
-            st.wake |= WAKE_ALL;
-        }
-    }
-}
-
-/// I/O pump: one thread per connection handling incoming segments and
-/// retransmission timers (threaded mode only).
-fn io_loop(inner: &Arc<Inner>) {
-    loop {
-        if inner.lock().shutdown {
-            return;
-        }
-        inner.io_step(Duration::from_millis(10));
+        st.wake |= st.conn == Conn::Closed;
+        st
     }
 }
 
 /// A reliable, connection-oriented byte stream over the fabric — the TCP
 /// stand-in underneath RC-mode iWARP.
 pub struct StreamConduit {
-    inner: Arc<Inner>,
-    io: Option<std::thread::JoinHandle<()>>,
+    /// Boxed: an RC QP holds its conduit inline and accounts its own
+    /// `size_of`, which the conduit's state must not inflate.
+    inner: Box<Inner>,
 }
 
 impl StreamConduit {
-    /// Actively opens a connection from `local_node` to `server`.
+    /// Actively opens a connection from `local_node` to `server`, driving
+    /// the handshake until it completes or `connect_timeout` passes.
     pub fn connect(
         fabric: &Fabric,
         local_node: NodeId,
@@ -1004,43 +1058,19 @@ impl StreamConduit {
     ) -> NetResult<Self> {
         let ep = fabric.bind_ephemeral(local_node)?;
         let conduit = Self::build(ep, server, Conn::SynSent, cfg);
+        let inner = &conduit.inner;
         {
-            let mut st = conduit.inner.lock();
-            conduit.inner.tx(&mut st, FLAG_SYN, 0, SgBytes::new());
-            conduit.inner.arm_hs_rto(&mut st);
+            let mut st = inner.lock();
+            inner.tx(&mut st, FLAG_SYN, 0, SgBytes::new());
+            inner.arm_hs_rto(&mut st);
         }
-        // Wait for the handshake.
-        let deadline = Instant::now() + conduit.inner.cfg.connect_timeout;
-        loop {
-            {
-                let mut st = conduit.inner.lock();
-                let established = st.conn == Conn::Established;
-                if established {
-                    drop(st);
-                    return Ok(conduit);
-                }
-                if let Some(e) = &st.err {
-                    return Err(e.clone());
-                }
-                if st.conn == Conn::Closed {
-                    return Err(NetError::Closed);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(NetError::Timeout);
-                }
-                if !conduit.inner.cfg.poll_mode {
-                    conduit
-                        .inner
-                        .established
-                        .wait_for(st.guard(), deadline - now);
-                    continue;
-                }
-            }
-            conduit
-                .inner
-                .io_step((deadline - Instant::now().min(deadline)).min(Duration::from_millis(20)));
-        }
+        let deadline = Instant::now() + inner.cfg.connect_timeout;
+        inner.wait_until(Some(deadline), |st| match st.conn {
+            Conn::Established => Some(Ok(())),
+            Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
+            Conn::SynSent | Conn::SynReceived => None,
+        })?;
+        Ok(conduit)
     }
 
     fn build(ep: Endpoint, peer: Addr, conn: Conn, cfg: StreamConfig) -> Self {
@@ -1071,7 +1101,7 @@ impl StreamConduit {
             zero_window_probes: t.counter("simnet.stream.zero_window_probes"),
             tel: t,
         };
-        let inner = Arc::new(Inner {
+        let inner = Inner {
             ep,
             mss,
             tel,
@@ -1096,28 +1126,18 @@ impl StreamConduit {
                 engine,
                 last_wnd_sent: 0,
                 err: None,
-                shutdown: false,
                 outbox: Vec::new(),
-                wake: 0,
+                driving: false,
+                wake: false,
+                sleepers: 0,
             }),
             cfg,
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-            established: Condvar::new(),
+            cv: Condvar::new(),
             _mem: Mutex::new(mem),
-        });
-        let io = if inner.cfg.poll_mode {
-            None
-        } else {
-            let io_inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("stream-io".into())
-                    .spawn(move || io_loop(&io_inner))
-                    .expect("spawn stream io thread"),
-            )
         };
-        Self { inner, io }
+        Self {
+            inner: Box::new(inner),
+        }
     }
 
     /// Local address of this connection's endpoint.
@@ -1145,8 +1165,10 @@ impl StreamConduit {
         self.write_all_vectored(&[buf])
     }
 
-    /// Writes all of `bufs`, in order, into the stream, blocking for
-    /// send-buffer space.
+    /// Writes all of `bufs`, in order, into the stream, driving the
+    /// conduit while it waits for the handshake to complete or for
+    /// send-buffer space. Returns once every byte is queued (not once
+    /// acknowledged: see [`flush`](StreamConduit::flush)).
     ///
     /// Each lock scope copies as much as the send buffer has room for
     /// into one chunk (the socket-write copy), then queues it one window
@@ -1158,113 +1180,82 @@ impl StreamConduit {
         let inner = &self.inner;
         // The first unwritten byte: buffer `i`, offset `off` into it.
         let (mut i, mut off) = (0usize, 0usize);
-        loop {
-            while i < bufs.len() && off == bufs[i].len() {
-                (i, off) = (i + 1, 0);
+        inner.wait_until(None, |st| {
+            if let Some(e) = &st.err {
+                return Some(Err(e.clone()));
             }
-            if i == bufs.len() {
-                return Ok(());
+            if st.conn == Conn::Closed || st.fin_requested {
+                return Some(Err(NetError::Closed));
             }
-            {
-                let mut st = inner.lock();
-                if let Some(e) = &st.err {
-                    return Err(e.clone());
+            if st.conn != Conn::Established {
+                return None;
+            }
+            loop {
+                while i < bufs.len() && off == bufs[i].len() {
+                    (i, off) = (i + 1, 0);
                 }
-                if st.conn == Conn::Closed || st.fin_requested {
-                    return Err(NetError::Closed);
+                if i == bufs.len() {
+                    return Some(Ok(()));
                 }
                 let space = inner.cfg.snd_buf - st.send_q.len();
-                if space > 0 {
-                    // The pieces this scope takes: `bufs[i][off..]`, then
-                    // whole buffers, the last one possibly cut at `space`.
-                    let pieces = || {
-                        bufs[i..]
-                            .iter()
-                            .enumerate()
-                            .scan(space, move |left, (k, b)| {
-                                let from = if k == 0 { off } else { 0 };
-                                let n = (b.len() - from).min(*left);
-                                *left -= n;
-                                (n > 0 || *left > 0).then_some((i + k, from, n))
-                            })
-                            .filter(|&(_, _, n)| n > 0)
-                    };
-                    let total = pieces().map(|(_, _, n)| n).sum();
-                    let mut chunk = Vec::with_capacity(total);
-                    for (b, from, n) in pieces() {
-                        chunk.extend_from_slice(&bufs[b][from..from + n]);
-                    }
-                    let chunk = Bytes::from(chunk);
-                    let mut at = 0;
-                    for (b, from, n) in pieces() {
-                        st.send_q.push(chunk.slice(at..at + n));
-                        inner.pump(&mut st);
-                        at += n;
-                        (i, off) = (b, from + n);
-                    }
-                    continue;
+                if space == 0 {
+                    return None;
                 }
-                if !inner.cfg.poll_mode {
-                    inner.writable.wait(st.guard());
-                    continue;
+                // The pieces this scope takes: `bufs[i][off..]`, then
+                // whole buffers, the last one possibly cut at `space`.
+                let pieces = || {
+                    bufs[i..]
+                        .iter()
+                        .enumerate()
+                        .scan(space, move |left, (k, b)| {
+                            let from = if k == 0 { off } else { 0 };
+                            let n = (b.len() - from).min(*left);
+                            *left -= n;
+                            (n > 0 || *left > 0).then_some((i + k, from, n))
+                        })
+                        .filter(|&(_, _, n)| n > 0)
+                };
+                let total = pieces().map(|(_, _, n)| n).sum();
+                let mut chunk = Vec::with_capacity(total);
+                for (b, from, n) in pieces() {
+                    chunk.extend_from_slice(&bufs[b][from..from + n]);
+                }
+                let chunk = Bytes::from(chunk);
+                let mut at = 0;
+                for (b, from, n) in pieces() {
+                    st.send_q.push(chunk.slice(at..at + n));
+                    inner.pump(st);
+                    at += n;
+                    (i, off) = (b, from + n);
                 }
             }
-            // Poll mode: make protocol progress while waiting for space.
-            inner.io_step(Duration::from_millis(5));
-        }
+        })
     }
 
-    /// Reads up to `buf.len()` bytes, blocking at most `timeout`
-    /// (`None` = indefinitely). Returns 0 at end-of-stream (peer FIN).
+    /// Reads up to `buf.len()` bytes, driving the conduit for at most
+    /// `timeout` (`None` = indefinitely) while none are buffered. Returns
+    /// 0 at end-of-stream (peer FIN). A zero timeout runs one non-blocking
+    /// drive step (unless another caller is driving) before reporting
+    /// [`NetError::Timeout`].
     pub fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> NetResult<usize> {
         let inner = &self.inner;
         let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            let mut st = inner.lock();
+        inner.wait_until(deadline, |st| {
             if !st.recv_q.is_empty() {
                 let n = st.recv_q.pop_into(buf);
                 // Window update: if we had choked the sender, reopen.
                 let wnd = st.recv_window(inner.cfg.rcv_buf);
                 if st.last_wnd_sent < inner.mss as u32 && wnd >= inner.mss as u32 {
                     let seq = st.snd_nxt;
-                    inner.tx(&mut st, FLAG_ACK, seq, SgBytes::new());
+                    inner.tx(st, FLAG_ACK, seq, SgBytes::new());
                 }
-                return Ok(n);
+                return Some(Ok(n));
             }
             if st.peer_closed {
-                return Ok(0);
+                return Some(Ok(0));
             }
-            if let Some(e) = &st.err {
-                return Err(e.clone());
-            }
-            if st.conn == Conn::Closed {
-                return Err(NetError::Closed);
-            }
-            let now = Instant::now();
-            if let Some(d) = deadline {
-                if now >= d {
-                    return Err(NetError::Timeout);
-                }
-            }
-            if !inner.cfg.poll_mode {
-                match deadline {
-                    None => {
-                        inner.readable.wait(st.guard());
-                    }
-                    Some(d) => {
-                        inner.readable.wait_for(st.guard(), d - now);
-                    }
-                }
-                continue;
-            }
-            drop(st);
-            // Poll mode: drive the protocol ourselves while waiting.
-            let step = match deadline {
-                Some(d) => (d - now).min(Duration::from_millis(20)),
-                None => Duration::from_millis(20),
-            };
-            inner.io_step(step);
-        }
+            (st.conn == Conn::Closed).then(|| Err(st.err.clone().unwrap_or(NetError::Closed)))
+        })
     }
 
     /// Reads exactly `buf.len()` bytes or fails.
@@ -1280,11 +1271,28 @@ impl StreamConduit {
         Ok(())
     }
 
-    /// Poll-mode driver: performs one protocol iteration, waiting at most
-    /// `max_wait` for incoming wire packets. No-op usefulness in threaded
-    /// mode (the I/O thread already does this).
+    /// Drives the conduit until every written byte (and a requested FIN)
+    /// is acknowledged, for at most `timeout`. Nothing is written before
+    /// the handshake completes, so a conduit still in it is flushed.
+    pub fn flush(&self, timeout: Duration) -> NetResult<()> {
+        self.inner
+            .wait_until(Some(Instant::now() + timeout), |st| match st.conn {
+                Conn::Established if st.in_flight() > 0 || !st.send_q.is_empty() => None,
+                Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
+                Conn::SynSent | Conn::SynReceived | Conn::Established => Some(Ok(())),
+            })
+    }
+
+    /// One drive step, waiting at most `max_wait` for incoming wire
+    /// packets, unless another caller is driving: then it waits at most
+    /// `max_wait` for that caller's next wake.
     pub fn progress(&self, max_wait: Duration) {
-        self.inner.io_step(max_wait);
+        let mut polled = false;
+        let _ = self
+            .inner
+            .wait_until(Some(Instant::now() + max_wait), |_| {
+                std::mem::replace(&mut polled, true).then_some(Ok(()))
+            });
     }
 
     /// Gracefully closes the send side: pending data is flushed, then FIN.
@@ -1308,41 +1316,25 @@ impl StreamConduit {
 }
 
 impl Drop for StreamConduit {
+    /// Closes the send side, then lingers inside calls on the conduit:
+    /// for at most 100 ms until the data is acknowledged, then for the
+    /// FIN. A peer that is not inside a call acknowledges nothing, so a
+    /// full linger for the FIN would make dropping many connections to
+    /// idle peers cost 100 ms each. The FIN gets a tail-loss probe
+    /// instead (RFC 8985): 1 ms for its ACK, one resend, 1 ms more.
     fn drop(&mut self) {
         self.close();
-        // Give the FIN a brief chance to be (re)delivered, then stop.
-        let deadline = Instant::now() + Duration::from_millis(100);
-        if self.inner.cfg.poll_mode {
-            // A poll-mode peer may be idle and never acknowledge our FIN;
-            // linger only while untransmitted data remains (the FIN itself
-            // went out synchronously in close()).
-            loop {
-                {
-                    let st = self.inner.lock();
-                    if st.unsent() == 0 || st.conn != Conn::Established || Instant::now() >= deadline
-                    {
-                        break;
-                    }
-                }
-                self.inner.io_step(Duration::from_millis(2));
+        let inner = &self.inner;
+        let data = inner.wait_until(Some(Instant::now() + LINGER), |st| {
+            (st.conn != Conn::Established || st.send_q.is_empty()).then_some(Ok(()))
+        });
+        if data.is_ok() && self.flush(FIN_PROBE) == Err(NetError::Timeout) {
+            let mut st = inner.lock();
+            if let Some(fin) = st.fin_seq {
+                inner.retransmit_range(&mut st, fin, 1);
             }
-            self.inner.lock().shutdown = true;
-        } else {
-            {
-                let mut st = self.inner.lock();
-                while st.fin_seq.is_none_or(|f| st.snd_una <= f)
-                    && st.conn == Conn::Established
-                    && Instant::now() < deadline
-                {
-                    self.inner
-                        .writable
-                        .wait_for(st.guard(), Duration::from_millis(10));
-                }
-                st.shutdown = true;
-            }
-            if let Some(io) = self.io.take() {
-                let _ = io.join();
-            }
+            drop(st);
+            let _ = self.flush(FIN_PROBE);
         }
     }
 }
@@ -1421,8 +1413,35 @@ impl StreamListener {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
     use super::*;
+    use crate::chaos::{FaultPlan, PartitionWindow};
     use crate::wire::WireConfig;
+
+    /// Keeps `conn` driven — acknowledging its peer's retransmissions —
+    /// until `done` holds, and checks that nothing more arrives
+    /// meanwhile. A conduit makes progress only inside a call on it, so a
+    /// reader that has all its bytes keeps serving until its peer's
+    /// `flush` returns.
+    fn serve_until(conn: &StreamConduit, done: impl Fn() -> bool) {
+        let mut byte = [0u8; 1];
+        while !done() {
+            match conn.read(&mut byte, Some(Duration::from_millis(1))) {
+                Err(NetError::Timeout) => {}
+                other => panic!("serving after the last byte: {other:?}"),
+            }
+        }
+    }
+
+    /// The client's wire packets the fault plan dropped, by per-link index.
+    fn lost_from(fab: &Fabric, src: Addr) -> Vec<u64> {
+        fab.fault_trace()
+            .iter()
+            .filter(|e| e.src == src)
+            .map(|e| e.pkt)
+            .collect()
+    }
 
     fn connect_pair(fab: &Fabric, cfg: StreamConfig) -> (StreamConduit, StreamConduit) {
         let listener = StreamListener::bind(fab, Addr::new(1, 500), cfg.clone()).unwrap();
@@ -1528,7 +1547,9 @@ mod tests {
                 break e;
             }
             assert!(Instant::now() < deadline, "reset never surfaced");
-            std::thread::sleep(Duration::from_millis(5));
+            // Wait inside a call: only a call on the conduit runs the
+            // retransmission timer that gives up.
+            let _ = client.flush(Duration::from_millis(5));
         };
         assert_eq!(err, NetError::Reset);
     }
@@ -1657,10 +1678,7 @@ mod tests {
     #[test]
     fn poll_mode_echo_without_threads() {
         let fab = Fabric::loopback();
-        let cfg = StreamConfig {
-            poll_mode: true,
-            ..StreamConfig::default()
-        };
+        let cfg = StreamConfig::default();
         let listener = StreamListener::bind(&fab, Addr::new(1, 700), cfg.clone()).unwrap();
         std::thread::scope(|s| {
             let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
@@ -1684,10 +1702,7 @@ mod tests {
     #[test]
     fn poll_mode_bulk_transfer() {
         let fab = Fabric::loopback();
-        let cfg = StreamConfig {
-            poll_mode: true,
-            ..StreamConfig::default()
-        };
+        let cfg = StreamConfig::default();
         let listener = StreamListener::bind(&fab, Addr::new(1, 701), cfg.clone()).unwrap();
         std::thread::scope(|s| {
             let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
@@ -1707,11 +1722,10 @@ mod tests {
 
     #[test]
     fn poll_mode_many_idle_connections_cheap() {
-        // 200 idle poll-mode connections: no threads, no CPU; they must
+        // 200 idle connections: no threads, no CPU; they must
         // all still work afterwards.
         let fab = Fabric::loopback();
         let cfg = StreamConfig {
-            poll_mode: true,
             snd_buf: 2048,
             rcv_buf: 2048,
             ..StreamConfig::default()
@@ -1807,14 +1821,10 @@ mod tests {
         assert!(none(&enc).is_none());
     }
 
-    /// A connected poll-mode pair on its own fabric, so the fabric's
+    /// A connected pair on its own fabric, so the fabric's
     /// counters see only this pair.
     fn poll_pair(cfg: StreamConfig) -> (Fabric, StreamConduit, StreamConduit) {
         let fab = Fabric::loopback();
-        let cfg = StreamConfig {
-            poll_mode: true,
-            ..cfg
-        };
         let listener = StreamListener::bind(&fab, Addr::new(1, 800), cfg.clone()).unwrap();
         let (client, server) = std::thread::scope(|s| {
             let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
@@ -1921,5 +1931,127 @@ mod tests {
                 .unwrap();
             assert_eq!(got, expect);
         });
+    }
+
+    #[test]
+    fn flush_alone_retransmits_a_lost_tail() {
+        // The client's link carries the handshake ACK (packet 0), then the
+        // four data segments (1..=4). The first transmission of the last
+        // one is lost; no later segment draws duplicate ACKs, so only the
+        // client's timer recovers it, and that timer runs inside `flush`.
+        let fab = Fabric::loopback();
+        let mut plan = FaultPlan::quiet(1);
+        plan.partitions.push(PartitionWindow { start: 4, end: 5 });
+        fab.install_fault_plan(plan);
+        let cfg = StreamConfig {
+            rto_initial: Duration::from_millis(5),
+            ..StreamConfig::default()
+        };
+        let listener = StreamListener::bind(&fab, Addr::new(1, 900), cfg.clone()).unwrap();
+        let flushed = AtomicBool::new(false);
+        let client = std::thread::scope(|s| {
+            let srv = s.spawn(|| {
+                let server = listener.accept(Some(Duration::from_secs(5))).unwrap();
+                let mut got = vec![0u8; 3 * server.mss() + 100];
+                server
+                    .read_exact(&mut got, Some(Duration::from_secs(10)))
+                    .unwrap();
+                serve_until(&server, || flushed.load(Ordering::Acquire));
+                got
+            });
+            let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 900), cfg).unwrap();
+            let data: Vec<u8> = (0..3 * client.mss() + 100).map(|i| (i % 253) as u8).collect();
+            client.write_all(&data).unwrap();
+            let r = client.flush(Duration::from_secs(10));
+            flushed.store(true, Ordering::Release);
+            r.unwrap();
+            assert_eq!(srv.join().unwrap(), data);
+            client
+        });
+        // The plan partitions every link alike; the client's link lost
+        // only that one packet.
+        assert_eq!(lost_from(&fab, client.local_addr()), [4]);
+        assert!(counter(&fab, "simnet.stream.rto_retransmits") >= 1);
+    }
+
+    #[test]
+    fn drive_step_changes_hands_in_both_directions() {
+        // 5 % loss, 256 KiB each way, a writer and a reader thread on each
+        // conduit: the drive step passes between them over and over.
+        let fab = Fabric::new(WireConfig::with_loss(0.05, 47));
+        let cfg = StreamConfig {
+            rto_initial: Duration::from_millis(5),
+            rto_max: Duration::from_millis(50),
+            ..StreamConfig::default()
+        };
+        let (a, b) = connect_pair(&fab, cfg);
+        let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 241) as u8).collect();
+        let flushed = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for (tx, rx) in [(&a, &b), (&b, &a)] {
+                let (data, flushed) = (&data, &flushed);
+                s.spawn(move || {
+                    tx.write_all(data).unwrap();
+                    let r = tx.flush(Duration::from_secs(30));
+                    flushed.fetch_add(1, Ordering::AcqRel);
+                    r.unwrap();
+                });
+                s.spawn(move || {
+                    let mut got = vec![0u8; data.len()];
+                    rx.read_exact(&mut got, Some(Duration::from_secs(30)))
+                        .unwrap();
+                    assert!(got == *data, "corrupted delivery");
+                    serve_until(rx, || flushed.load(Ordering::Acquire) == 2);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn zero_timeout_read_takes_arrived_bytes() {
+        // `read(Some(ZERO))` runs one non-blocking drive step: bytes
+        // already in the endpoint's ring come out, behind the handshake
+        // ACK that the same step takes in.
+        let (_fab, client, server) = poll_pair(StreamConfig::default());
+        client.write_all(b"polled").unwrap();
+        let mut buf = [0u8; 6];
+        assert_eq!(server.read(&mut buf, Some(Duration::ZERO)), Ok(6));
+        assert_eq!(&buf, b"polled");
+        assert_eq!(
+            server.read(&mut buf, Some(Duration::ZERO)),
+            Err(NetError::Timeout)
+        );
+    }
+
+    #[test]
+    fn drop_resends_a_lost_fin() {
+        // The client's link carries the handshake ACK (packet 0), "bye"
+        // (1) and the FIN (2), whose first transmission is lost. The
+        // client's only call after its flush is its drop.
+        let fab = Fabric::loopback();
+        let mut plan = FaultPlan::quiet(1);
+        plan.partitions.push(PartitionWindow { start: 2, end: 3 });
+        fab.install_fault_plan(plan);
+        let cfg = StreamConfig::default();
+        let listener = StreamListener::bind(&fab, Addr::new(1, 901), cfg.clone()).unwrap();
+        let client_addr = std::thread::scope(|s| {
+            let srv = s.spawn(|| {
+                let server = listener.accept(Some(Duration::from_secs(5))).unwrap();
+                let mut buf = [0u8; 3];
+                server
+                    .read_exact(&mut buf, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert_eq!(&buf, b"bye");
+                server.read(&mut buf, Some(Duration::from_secs(5)))
+            });
+            let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 901), cfg).unwrap();
+            client.write_all(b"bye").unwrap();
+            client.flush(Duration::from_secs(5)).unwrap();
+            let addr = client.local_addr();
+            drop(client);
+            assert_eq!(srv.join().unwrap(), Ok(0), "no end of stream");
+            addr
+        });
+        assert_eq!(lost_from(&fab, client_addr), [2]);
     }
 }

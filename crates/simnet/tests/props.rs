@@ -179,14 +179,19 @@ proptest! {
         };
         let listener = StreamListener::bind(&fab, Addr::new(1, 901), scfg.clone()).unwrap();
         std::thread::scope(|s| {
-            let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
+            // A conduit progresses only inside a call on it: the server
+            // reads from the accept on, so a lost SYN-ACK is resent, and
+            // the client flushes its tail.
+            let srv = s.spawn(|| {
+                let server = listener.accept(Some(Duration::from_secs(5))).unwrap();
+                let mut got = vec![0u8; data.len()];
+                server.read_exact(&mut got, Some(Duration::from_secs(30))).unwrap();
+                got
+            });
             let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 901), scfg).unwrap();
-            let server = srv.join().unwrap();
-            let expected = data.clone();
-            s.spawn(move || client.write_all(&data).unwrap());
-            let mut got = vec![0u8; expected.len()];
-            server.read_exact(&mut got, Some(Duration::from_secs(30))).unwrap();
-            prop_assert_eq!(got, expected);
+            client.write_all(&data).unwrap();
+            client.flush(Duration::from_secs(30)).unwrap();
+            prop_assert_eq!(srv.join().unwrap(), data.clone());
             Ok(())
         })?;
     }

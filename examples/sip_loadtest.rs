@@ -31,7 +31,6 @@ fn stacks(fab: &Fabric, reg: MemRegistry) -> (SocketStack, SocketStack) {
     let stream = datagram_iwarp::net::stream::StreamConfig {
         snd_buf: 3072,
         rcv_buf: 3072,
-        poll_mode: true,
         ..datagram_iwarp::net::stream::StreamConfig::default()
     };
     let server = SocketStack::with_config(

@@ -791,7 +791,6 @@ fn run_rc_lossless() -> Vec<Stream> {
     });
     let dev_cfg = DeviceConfig {
         stream: StreamConfig {
-            poll_mode: true,
             rto_initial: Duration::from_secs(30),
             rto_max: Duration::from_secs(30),
             ..StreamConfig::default()

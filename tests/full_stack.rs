@@ -204,7 +204,6 @@ fn hundreds_of_poll_mode_rc_connections() {
     let stream = datagram_iwarp::net::stream::StreamConfig {
         snd_buf: 2048,
         rcv_buf: 2048,
-        poll_mode: true,
         ..Default::default()
     };
     let mk = |node: u16| {

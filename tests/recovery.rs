@@ -54,6 +54,9 @@ fn stream_delivery_is_byte_identical_across_algos() {
             let client =
                 StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 800), cfg.clone()).unwrap();
             client.write_all(data).unwrap();
+            // The client progresses only inside a call on it: its tail is
+            // retransmitted while it flushes.
+            client.flush(Duration::from_secs(30)).unwrap();
             let got = srv.join().unwrap();
             assert_eq!(got, *data, "[{algo}] stream corrupted delivery");
             client.close();
