@@ -52,7 +52,7 @@ use iwarp::{
 };
 use iwarp_common::crc32::crc32c;
 use iwarp_common::rng::{derive_seed, mix64};
-use iwarp_telemetry::Counter;
+use iwarp_telemetry::{AppMetrics, Telemetry};
 use simnet::{Fabric, NodeId};
 
 // ---------------------------------------------------------------------------
@@ -449,45 +449,6 @@ impl History {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry
-// ---------------------------------------------------------------------------
-
-struct Tel {
-    proposals: Counter,
-    publishes: Counter,
-    commits: Counter,
-    applies: Counter,
-    elections: Counter,
-    leaders: Counter,
-    heartbeats: Counter,
-    acks: Counter,
-    lease_renewals: Counter,
-    refetch_transfers: Counter,
-    refetch_bytes: Counter,
-    step_downs: Counter,
-}
-
-impl Tel {
-    fn new(fab: &Fabric) -> Self {
-        let t = fab.telemetry();
-        Self {
-            proposals: t.counter("app.replog.proposals"),
-            publishes: t.counter("app.replog.publishes"),
-            commits: t.counter("app.replog.commits"),
-            applies: t.counter("app.replog.applies"),
-            elections: t.counter("app.replog.elections"),
-            leaders: t.counter("app.replog.leaders"),
-            heartbeats: t.counter("app.replog.heartbeats"),
-            acks: t.counter("app.replog.acks"),
-            lease_renewals: t.counter("app.replog.lease_renewals"),
-            refetch_transfers: t.counter("app.replog.refetch_transfers"),
-            refetch_bytes: t.counter("app.replog.refetch_bytes"),
-            step_downs: t.counter("app.replog.step_downs"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Replica
 // ---------------------------------------------------------------------------
 
@@ -732,10 +693,10 @@ impl Replica {
         (last_term, n)
     }
 
-    fn adopt(&mut self, term: u64, now: u64, cfg: &ReplogConfig, tel: &Tel) {
+    fn adopt(&mut self, term: u64, now: u64, cfg: &ReplogConfig, tel: &AppMetrics) {
         if self.role == Role::Leader {
             self.shadow = self.shadow.max(now);
-            tel.step_downs.inc();
+            tel.replog_step_downs.inc();
         }
         self.term = term;
         self.role = Role::Follower;
@@ -750,7 +711,7 @@ impl Replica {
         self.election_at = self.guard.max(now) + self.jitter(cfg, term);
     }
 
-    fn start_election(&mut self, now: u64, tel: &Tel) {
+    fn start_election(&mut self, now: u64, tel: &AppMetrics) {
         self.term += 1;
         self.role = Role::Candidate;
         self.voted_for = Some(self.id);
@@ -766,7 +727,7 @@ impl Replica {
         self.vote_sent = now;
         self.shadow = self.shadow.max(now); // self-grant
         let (last_term, log_len) = self.election_log();
-        tel.elections.inc();
+        tel.replog_elections.inc();
         self.broadcast(&CtlMsg::VoteReq { term: self.term, last_term, log_len });
     }
 
@@ -784,10 +745,10 @@ impl Replica {
         Some((index, crc))
     }
 
-    fn become_leader(&mut self, cfg: &ReplogConfig, tel: &Tel) {
+    fn become_leader(&mut self, cfg: &ReplogConfig, tel: &AppMetrics) {
         self.role = Role::Leader;
         self.leader_hint = Some(self.id);
-        tel.leaders.inc();
+        tel.replog_leaders.inc();
         self.lease_start = self.vote_sent.max(self.grant_shadow_max + cfg.lease_ticks);
         self.lease_until = self.vote_sent + cfg.lease_ticks;
         // Take ownership of the verified prefix and restamp its publisher
@@ -835,7 +796,7 @@ impl Replica {
         seq: u64,
         payload: &[u8],
         cfg: &ReplogConfig,
-        tel: &Tel,
+        tel: &AppMetrics,
     ) -> Option<(u64, u64, u32)> {
         if self.role != Role::Leader {
             return None;
@@ -845,11 +806,18 @@ impl Replica {
         }
         let (index, crc) = self.append(RecordKind::Client, payload, cfg)?;
         self.seq_index.insert(seq, index);
-        tel.proposals.inc();
+        tel.replog_proposals.inc();
         Some((index, self.term, crc))
     }
 
-    fn handle_msg(&mut self, from: usize, msg: CtlMsg, now: u64, cfg: &ReplogConfig, tel: &Tel) {
+    fn handle_msg(
+        &mut self,
+        from: usize,
+        msg: CtlMsg,
+        now: u64,
+        cfg: &ReplogConfig,
+        tel: &AppMetrics,
+    ) {
         match msg {
             CtlMsg::VoteReq { term, last_term, log_len } => {
                 if term > self.term {
@@ -910,7 +878,7 @@ impl Replica {
                 self.matched_sent = matched;
                 let reply = CtlMsg::HbAck { term: self.term, matched, sent };
                 self.send_ctl(from, &reply);
-                tel.acks.inc();
+                tel.replog_acks.inc();
             }
             CtlMsg::HbAck { term, matched, sent } => {
                 if term > self.term {
@@ -925,7 +893,7 @@ impl Replica {
                         let renewed = sent + cfg.lease_ticks;
                         if renewed > self.lease_until {
                             self.lease_until = renewed;
-                            tel.lease_renewals.inc();
+                            tel.replog_lease_renewals.inc();
                         }
                     }
                     // Prune ack masks that can no longer extend the lease.
@@ -936,7 +904,7 @@ impl Replica {
         }
     }
 
-    fn drain_ctl(&mut self, now: u64, cfg: &ReplogConfig, tel: &Tel) {
+    fn drain_ctl(&mut self, now: u64, cfg: &ReplogConfig, tel: &AppMetrics) {
         while let Some(cqe) = self.ctl.recv_cq().poll() {
             if cqe.opcode != CqeOpcode::Recv {
                 continue;
@@ -1009,7 +977,13 @@ impl Replica {
         }
     }
 
-    fn leader_step(&mut self, now: u64, cfg: &ReplogConfig, tel: &Tel, history: &mut History) {
+    fn leader_step(
+        &mut self,
+        now: u64,
+        cfg: &ReplogConfig,
+        tel: &AppMetrics,
+        history: &mut History,
+    ) {
         // Heartbeats.
         if self.last_hb == 0 || now.saturating_sub(self.last_hb) >= cfg.heartbeat_every {
             self.last_hb = now;
@@ -1021,7 +995,7 @@ impl Replica {
                 sent: now,
             };
             self.broadcast(&msg);
-            tel.heartbeats.inc();
+            tel.replog_heartbeats.inc();
         }
         // Publish new slots (bounded per tick per follower).
         for f in 0..N_REPLICAS {
@@ -1049,7 +1023,7 @@ impl Replica {
                 }
                 self.published_to[f] = i;
                 pushed += 1;
-                tel.publishes.inc();
+                tel.replog_publishes.inc();
             }
         }
         // Commit: highest majority-matched index whose entry term is the
@@ -1091,7 +1065,7 @@ impl Replica {
                             len: hdr.len,
                             kind: hdr.kind,
                         });
-                        tel.commits.inc();
+                        tel.replog_commits.inc();
                     }
                 }
             }
@@ -1099,7 +1073,7 @@ impl Replica {
         }
     }
 
-    fn follower_step(&mut self, now: u64, cfg: &ReplogConfig, tel: &Tel) {
+    fn follower_step(&mut self, now: u64, cfg: &ReplogConfig, tel: &AppMetrics) {
         // Event-driven ack when reconciliation advances the prefix between
         // heartbeats (renews the leader's lease and commit progress).
         if self.have_hb {
@@ -1110,7 +1084,7 @@ impl Replica {
                     let msg =
                         CtlMsg::HbAck { term: self.term, matched, sent: self.last_hb_sent_tick };
                     self.send_ctl(l, &msg);
-                    tel.acks.inc();
+                    tel.replog_acks.inc();
                 }
             }
         }
@@ -1121,7 +1095,7 @@ impl Replica {
                 Ok(true) => {
                     let rc = self.recon.take().unwrap();
                     if !rc.xfer.report().dead {
-                        tel.refetch_bytes.add(rc.nslots * SLOT_BYTES as u64);
+                        tel.replog_refetch_bytes.add(rc.nslots * SLOT_BYTES as u64);
                     }
                 }
                 Ok(false) => {}
@@ -1167,10 +1141,16 @@ impl Replica {
         let len = n * SLOT_BYTES as u64;
         let xfer = BulkRead::new(cfg_br, &self.log, off, len, peer.publ, peer.log_stag, off);
         self.recon = Some(Recon { xfer, nslots: n });
-        tel.refetch_transfers.inc();
+        tel.replog_refetch_transfers.inc();
     }
 
-    fn apply_step(&mut self, now: u64, cfg: &ReplogConfig, tel: &Tel, history: &mut History) {
+    fn apply_step(
+        &mut self,
+        now: u64,
+        cfg: &ReplogConfig,
+        tel: &AppMetrics,
+        history: &mut History,
+    ) {
         let bugged = cfg.bug == PlantedBug::AckBeforePlacement && self.role != Role::Leader;
         let limit = match self.role {
             Role::Leader => self.commit.min(self.log_len),
@@ -1203,11 +1183,11 @@ impl Replica {
                 kind,
             });
             self.applied = i;
-            tel.applies.inc();
+            tel.replog_applies.inc();
         }
     }
 
-    fn tick(&mut self, now: u64, cfg: &ReplogConfig, tel: &Tel, history: &mut History) {
+    fn tick(&mut self, now: u64, cfg: &ReplogConfig, tel: &AppMetrics, history: &mut History) {
         // Drain each QP to quiescence, one datagram per `progress` call,
         // so every tick's protocol step sees the whole delivered backlog.
         for qp in [&self.ctl, &self.publ, &self.rec] {
@@ -1284,7 +1264,7 @@ pub struct Cluster {
     client: Client,
     frozen: Option<(usize, u64)>,
     lease_open: [Option<(u64, u64)>; N_REPLICAS], // (term, start)
-    tel: Tel,
+    tel: Telemetry,
     elections_at_start: u64,
     refetch_at_start: u64,
     publishes_at_start: u64,
@@ -1297,10 +1277,10 @@ impl Cluster {
         assert!(cfg.payload <= PAYLOAD_AREA);
         assert!(cfg.max_log >= cfg.entries + 2);
         assert!(cfg.follow_timeout >= cfg.lease_ticks);
-        let tel = Tel::new(fab);
-        let elections_at_start = tel.elections.get();
-        let refetch_at_start = tel.refetch_transfers.get();
-        let publishes_at_start = tel.publishes.get();
+        let tel = fab.telemetry().clone();
+        let elections_at_start = tel.app().replog_elections.get();
+        let refetch_at_start = tel.app().replog_refetch_transfers.get();
+        let publishes_at_start = tel.app().replog_publishes.get();
         let mut replicas: Vec<Replica> = (0..N_REPLICAS).map(|id| Replica::new(fab, id, &cfg)).collect();
         let peers: Vec<Peer> = replicas
             .iter()
@@ -1346,7 +1326,7 @@ impl Cluster {
             return; // frozen process: client call would hang, model as refusal
         }
         if let Some((index, term, crc)) =
-            self.replicas[l].client_append(seq, &payload, &self.cfg, &self.tel)
+            self.replicas[l].client_append(seq, &payload, &self.cfg, self.tel.app())
         {
             self.history.events.push(Event::Proposed { tick: now, seq, index, term, crc });
         }
@@ -1405,8 +1385,12 @@ impl Cluster {
         // Replica state machines (frozen replica skipped entirely).
         let frozen_id = self.frozen.map(|(f, _)| f);
         let events_before = self.history.events.len();
-        let (replicas, history, cfg, tel) =
-            (&mut self.replicas, &mut self.history, &self.cfg, &self.tel);
+        let (replicas, history, cfg, tel) = (
+            &mut self.replicas,
+            &mut self.history,
+            &self.cfg,
+            self.tel.app(),
+        );
         for (r, rep) in replicas.iter_mut().enumerate() {
             if frozen_id == Some(r) {
                 continue;
@@ -1487,9 +1471,10 @@ impl Cluster {
             converged: self.converged(),
             ticks: self.now,
             max_commit: self.max_commit(),
-            elections: self.tel.elections.get() - self.elections_at_start,
-            refetch_transfers: self.tel.refetch_transfers.get() - self.refetch_at_start,
-            publishes: self.tel.publishes.get() - self.publishes_at_start,
+            elections: self.tel.app().replog_elections.get() - self.elections_at_start,
+            refetch_transfers: self.tel.app().replog_refetch_transfers.get()
+                - self.refetch_at_start,
+            publishes: self.tel.app().replog_publishes.get() - self.publishes_at_start,
         }
     }
 }

@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use iwarp_telemetry::{Counter, Histogram, Telemetry};
+use iwarp_telemetry::{CcMetrics, Telemetry};
 
 use crate::algo::{build_cc, CcAlgo, CcConfig, CongestionControl};
 use crate::rtt::RttEstimator;
@@ -148,38 +148,6 @@ pub struct SweepEvent {
     pub dead: bool,
 }
 
-struct Tel {
-    cwnd: Histogram,
-    ssthresh: Histogram,
-    srtt_us: Histogram,
-    rto_us: Histogram,
-    retransmits: Counter,
-    fast_rtx: Counter,
-    rto_rtx: Counter,
-    rto_fired: Counter,
-    spurious_rto: Counter,
-    sack_gaps: Counter,
-    resets: Counter,
-}
-
-impl Tel {
-    fn new(t: &Telemetry) -> Self {
-        Self {
-            cwnd: t.histogram("cc.cwnd"),
-            ssthresh: t.histogram("cc.ssthresh"),
-            srtt_us: t.histogram("cc.srtt_us"),
-            rto_us: t.histogram("cc.rto_us"),
-            retransmits: t.counter("cc.retransmits"),
-            fast_rtx: t.counter("cc.fast_retransmits"),
-            rto_rtx: t.counter("cc.rto_retransmits"),
-            rto_fired: t.counter("cc.rto_fired"),
-            spurious_rto: t.counter("cc.spurious_rto"),
-            sack_gaps: t.counter("cc.sack_gaps"),
-            resets: t.counter("cc.resets"),
-        }
-    }
-}
-
 /// Sender-side selective-repeat state machine with pluggable congestion
 /// control. See the module docs for the invariants.
 pub struct RecoveryEngine {
@@ -203,7 +171,7 @@ pub struct RecoveryEngine {
     dead: bool,
     /// `(una, when)` at the last RTO, for spurious-RTO detection.
     rto_mark: Option<(u64, Duration)>,
-    tel: Option<Tel>,
+    tel: Option<Telemetry>,
 }
 
 impl std::fmt::Debug for RecoveryEngine {
@@ -260,8 +228,13 @@ impl RecoveryEngine {
     /// Attaches the `cc.*` counter/histogram family to `telemetry`.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.tel = Some(Tel::new(telemetry));
+        self.tel = Some(telemetry.clone());
         self
+    }
+
+    /// The `cc.*` block, when a telemetry domain is attached.
+    fn metrics(&self) -> Option<&CcMetrics> {
+        self.tel.as_ref().map(Telemetry::cc)
     }
 
     /// Time since the engine's epoch — the `t` every event method takes.
@@ -345,8 +318,8 @@ impl RecoveryEngine {
                 if let Some(srtt) = self.rtt.srtt() {
                     if t.saturating_sub(when) < srtt / 2 {
                         ev.spurious_rto = true;
-                        if let Some(tel) = &self.tel {
-                            tel.spurious_rto.inc();
+                        if let Some(m) = self.metrics() {
+                            m.spurious_rto.inc();
                         }
                     }
                 }
@@ -523,8 +496,8 @@ impl RecoveryEngine {
             }
         }
         if !rto {
-            if let Some(tel) = &self.tel {
-                tel.sack_gaps.inc();
+            if let Some(m) = self.metrics() {
+                m.sack_gaps.inc();
             }
             // One window reduction per recovery episode, however many
             // segments the episode loses.
@@ -553,8 +526,8 @@ impl RecoveryEngine {
             seg.queued = false;
             if seg.tx_count > self.cfg.max_retries {
                 self.dead = true;
-                if let Some(tel) = &self.tel {
-                    tel.resets.inc();
+                if let Some(m) = self.metrics() {
+                    m.resets.inc();
                 }
                 return None;
             }
@@ -563,12 +536,12 @@ impl RecoveryEngine {
             seg.state = SegState::InFlight;
             let len = seg.len;
             let rto_loss = seg.rto_loss;
-            if let Some(tel) = &self.tel {
-                tel.retransmits.inc();
+            if let Some(m) = self.metrics() {
+                m.retransmits.inc();
                 if rto_loss {
-                    tel.rto_rtx.inc();
+                    m.rto_retransmits.inc();
                 } else {
-                    tel.fast_rtx.inc();
+                    m.fast_retransmits.inc();
                 }
             }
             if self.deadline.is_none() {
@@ -609,9 +582,9 @@ impl RecoveryEngine {
             return ev;
         }
         ev.rto_fired = true;
-        if let Some(tel) = &self.tel {
-            tel.rto_fired.inc();
-            tel.rto_us.record(self.rtt.rto().as_micros() as u64);
+        if let Some(m) = self.metrics() {
+            m.rto_fired.inc();
+            m.rto_us.record(self.rtt.rto().as_micros() as u64);
         }
         // Only the first non-sacked segment is retransmitted on timeout
         // (selective repeat — everything else waits for SACK evidence).
@@ -624,8 +597,8 @@ impl RecoveryEngine {
             if self.segs[&start].tx_count > self.cfg.max_retries {
                 self.dead = true;
                 ev.dead = true;
-                if let Some(tel) = &self.tel {
-                    tel.resets.inc();
+                if let Some(m) = self.metrics() {
+                    m.resets.inc();
                 }
                 return ev;
             }
@@ -780,17 +753,17 @@ impl RecoveryEngine {
     }
 
     fn record_tel(&self) {
-        let Some(tel) = &self.tel else {
+        let Some(m) = self.metrics() else {
             return;
         };
         let q = self.cfg.quantum.max(1);
-        tel.cwnd.record(self.cc.cwnd() / q);
+        m.cwnd.record(self.cc.cwnd() / q);
         let ss = self.cc.ssthresh();
         if ss != u64::MAX {
-            tel.ssthresh.record(ss / q);
+            m.ssthresh.record(ss / q);
         }
         if let Some(srtt) = self.rtt.srtt() {
-            tel.srtt_us.record(srtt.as_micros() as u64);
+            m.srtt_us.record(srtt.as_micros() as u64);
         }
     }
 }

@@ -201,13 +201,20 @@ impl PlanReport {
         for v in &self.violations {
             let _ = writeln!(s, "  {v}");
         }
+        // The reliable phase runs on wall-clock timers, so its fault count
+        // can differ run to run; it is evidence only when a plan failed.
+        // Left out of a passing report, the report is byte-stable.
+        let reliable = if self.ok() {
+            String::new()
+        } else {
+            format!(", {} reliable events", self.reliable_fault_trace.len())
+        };
         let _ = writeln!(
             s,
-            "fault trace ({} verbs events, {} socket events, {} read events, {} reliable events):",
+            "fault trace ({} verbs events, {} socket events, {} read events{reliable}):",
             self.fault_trace.len(),
             self.socket_fault_trace.len(),
             self.read_fault_trace.len(),
-            self.reliable_fault_trace.len()
         );
         for e in &self.fault_trace {
             let _ = writeln!(s, "  [verbs]  {e}");

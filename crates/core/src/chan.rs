@@ -21,16 +21,8 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use iwarp_telemetry::{Counter, Telemetry};
+use iwarp_telemetry::{CoreMetrics, Telemetry};
 use parking_lot::{Condvar, Mutex};
-
-/// Telemetry handles bound by [`CompletionChannel::attach_telemetry`].
-struct ChanTel {
-    notifies: Counter,
-    coalesced: Counter,
-    wakeups: Counter,
-    timeouts: Counter,
-}
 
 struct ChanState {
     /// Ready tokens in arrival order.
@@ -42,7 +34,8 @@ struct ChanState {
 struct ChanInner {
     state: Mutex<ChanState>,
     cv: Condvar,
-    tel: OnceLock<ChanTel>,
+    /// The domain counted into under `core.chan.*`.
+    tel: OnceLock<Telemetry>,
 }
 
 /// A condvar-backed completion wait object; clones share the same state.
@@ -76,12 +69,12 @@ impl CompletionChannel {
     /// Binds this channel into a telemetry domain (`core.chan.*`);
     /// idempotent, first domain wins.
     pub fn attach_telemetry(&self, tel: &Telemetry) {
-        self.inner.tel.get_or_init(|| ChanTel {
-            notifies: tel.counter("core.chan.notifies"),
-            coalesced: tel.counter("core.chan.coalesced"),
-            wakeups: tel.counter("core.chan.wakeups"),
-            timeouts: tel.counter("core.chan.timeouts"),
-        });
+        self.inner.tel.get_or_init(|| tel.clone());
+    }
+
+    /// The `core.*` block of the bound domain, if any.
+    fn metrics(&self) -> Option<&CoreMetrics> {
+        self.inner.tel.get().map(Telemetry::core)
     }
 
     /// Marks `token` ready and wakes a waiter. Readiness coalesces: a
@@ -91,12 +84,12 @@ impl CompletionChannel {
     /// [`Cq::push`]: crate::cq::Cq::push
     pub fn notify(&self, token: u64) {
         let mut st = self.inner.state.lock();
-        if let Some(t) = self.inner.tel.get() {
-            t.notifies.inc();
+        if let Some(m) = self.metrics() {
+            m.chan_notifies.inc();
         }
         if !st.queued.insert(token) {
-            if let Some(t) = self.inner.tel.get() {
-                t.coalesced.inc();
+            if let Some(m) = self.metrics() {
+                m.chan_coalesced.inc();
             }
             return;
         }
@@ -128,15 +121,15 @@ impl CompletionChannel {
         let mut st = self.inner.state.lock();
         loop {
             if !st.ready.is_empty() {
-                if let Some(t) = self.inner.tel.get() {
-                    t.wakeups.inc();
+                if let Some(m) = self.metrics() {
+                    m.chan_wakeups.inc();
                 }
                 return Self::drain(&mut st);
             }
             let now = Instant::now();
             if now >= deadline {
-                if let Some(t) = self.inner.tel.get() {
-                    t.timeouts.inc();
+                if let Some(m) = self.metrics() {
+                    m.chan_timeouts.inc();
                 }
                 return Vec::new();
             }

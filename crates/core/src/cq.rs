@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use iwarp_telemetry::{Counter, Histogram, Telemetry};
+use iwarp_telemetry::{CoreMetrics, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use simnet::Addr;
 
@@ -114,22 +114,6 @@ impl Default for Cqe {
     }
 }
 
-/// Telemetry handles bound by [`Cq::attach_telemetry`]. Counter names are
-/// domain-wide (`core.cq.*`), so every CQ of a fabric aggregates into the
-/// same metrics.
-struct CqTel {
-    pushed: Counter,
-    success: Counter,
-    partial: Counter,
-    expired: Counter,
-    too_small: Counter,
-    flushed: Counter,
-    error: Counter,
-    overflow: Counter,
-    unsignaled_retired: Counter,
-    poll_wait_nanos: Histogram,
-}
-
 struct CqInner {
     queue: Mutex<VecDeque<Cqe>>,
     cv: Condvar,
@@ -140,7 +124,9 @@ struct CqInner {
     overflows: AtomicU64,
     /// Completions retired without a CQE because the WR was unsignaled.
     unsignaled_retired: AtomicU64,
-    tel: OnceLock<CqTel>,
+    /// The domain counted into under `core.cq.*`; every CQ of a fabric
+    /// aggregates into the same metrics.
+    tel: OnceLock<Telemetry>,
     /// Event subscription: every push notifies the channel under the
     /// token (see [`Cq::attach_channel`]).
     chan: Mutex<Option<(CompletionChannel, u64)>>,
@@ -181,18 +167,27 @@ impl Cq {
     /// Called automatically when a QP is created over the CQ; idempotent
     /// (the first domain wins).
     pub fn attach_telemetry(&self, tel: &Telemetry) {
-        self.inner.tel.get_or_init(|| CqTel {
-            pushed: tel.counter("core.cq.cqes"),
-            success: tel.counter("core.cq.cqe_success"),
-            partial: tel.counter("core.cq.cqe_partial"),
-            expired: tel.counter("core.cq.cqe_expired"),
-            too_small: tel.counter("core.cq.cqe_recv_too_small"),
-            flushed: tel.counter("core.cq.cqe_flushed"),
-            error: tel.counter("core.cq.cqe_error"),
-            overflow: tel.counter("core.cq.overflows"),
-            unsignaled_retired: tel.counter("core.cq.unsignaled_retired"),
-            poll_wait_nanos: tel.histogram("core.cq.poll_wait_nanos"),
-        });
+        self.inner.tel.get_or_init(|| tel.clone());
+    }
+
+    /// The `core.*` block of the bound domain, if any.
+    fn metrics(&self) -> Option<&CoreMetrics> {
+        self.inner.tel.get().map(Telemetry::core)
+    }
+
+    /// Counts one accepted entry by status under `core.cq.*`.
+    fn count_push(&self, status: CqeStatus) {
+        if let Some(m) = self.metrics() {
+            m.cq_cqes.inc();
+            match status {
+                CqeStatus::Success => m.cq_cqe_success.inc(),
+                CqeStatus::Partial => m.cq_cqe_partial.inc(),
+                CqeStatus::Expired => m.cq_cqe_expired.inc(),
+                CqeStatus::RecvTooSmall => m.cq_cqe_recv_too_small.inc(),
+                CqeStatus::Flushed => m.cq_cqe_flushed.inc(),
+                CqeStatus::Error => m.cq_cqe_error.inc(),
+            }
+        }
     }
 
     /// Enqueues a completion. On overflow the entry is dropped and counted
@@ -202,22 +197,12 @@ impl Cq {
         let mut q = self.inner.queue.lock();
         if q.len() >= self.inner.capacity {
             self.inner.overflows.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.inner.tel.get() {
-                t.overflow.inc();
+            if let Some(m) = self.metrics() {
+                m.cq_overflows.inc();
             }
             return;
         }
-        if let Some(t) = self.inner.tel.get() {
-            t.pushed.inc();
-            match cqe.status {
-                CqeStatus::Success => t.success.inc(),
-                CqeStatus::Partial => t.partial.inc(),
-                CqeStatus::Expired => t.expired.inc(),
-                CqeStatus::RecvTooSmall => t.too_small.inc(),
-                CqeStatus::Flushed => t.flushed.inc(),
-                CqeStatus::Error => t.error.inc(),
-            }
-        }
+        self.count_push(cqe.status);
         let solicited = cqe.solicited;
         q.push_back(cqe);
         drop(q);
@@ -248,22 +233,12 @@ impl Cq {
             for cqe in cqes {
                 if q.len() >= self.inner.capacity {
                     self.inner.overflows.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = self.inner.tel.get() {
-                        t.overflow.inc();
+                    if let Some(m) = self.metrics() {
+                        m.cq_overflows.inc();
                     }
                     continue;
                 }
-                if let Some(t) = self.inner.tel.get() {
-                    t.pushed.inc();
-                    match cqe.status {
-                        CqeStatus::Success => t.success.inc(),
-                        CqeStatus::Partial => t.partial.inc(),
-                        CqeStatus::Expired => t.expired.inc(),
-                        CqeStatus::RecvTooSmall => t.too_small.inc(),
-                        CqeStatus::Flushed => t.flushed.inc(),
-                        CqeStatus::Error => t.error.inc(),
-                    }
-                }
+                self.count_push(cqe.status);
                 solicited |= cqe.solicited;
                 q.push_back(cqe);
                 pushed += 1;
@@ -346,8 +321,9 @@ impl Cq {
         loop {
             if let Some(cqe) = q.pop_front() {
                 drop(q);
-                if let Some(t) = self.inner.tel.get() {
-                    t.poll_wait_nanos.record(start.elapsed().as_nanos() as u64);
+                if let Some(m) = self.metrics() {
+                    m.cq_poll_wait_nanos
+                        .record(start.elapsed().as_nanos() as u64);
                 }
                 return Ok(cqe);
             }
@@ -441,8 +417,8 @@ impl Cq {
             return;
         }
         self.inner.unsignaled_retired.fetch_add(n, Ordering::Relaxed);
-        if let Some(t) = self.inner.tel.get() {
-            t.unsignaled_retired.add(n);
+        if let Some(m) = self.metrics() {
+            m.cq_unsignaled_retired.add(n);
         }
     }
 

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use iwarp_telemetry::{Counter, Histogram, Telemetry};
+use iwarp_telemetry::Telemetry;
 use simnet::{Addr, DgramConduit, NetError, RdConduit};
 
 use iwarp_common::memacct::MemScope;
@@ -128,41 +128,13 @@ impl DgLlp {
     }
 }
 
-/// Send-side telemetry handles (resolved once at QP creation); shared by
-/// the datagram and RC engines.
-pub(crate) struct QpTxTel {
-    pub(crate) tx_msgs: Counter,
-    pub(crate) tx_segments: Counter,
-    /// Fabric bursts issued by UD transmits: one per (verb call or read
-    /// response, destination), so `tx_msgs / tx_bursts` is the achieved
-    /// send-side batching factor (1 when every send is a single
-    /// `post_send`).
-    pub(crate) tx_bursts: Counter,
-    pub(crate) msg_size_tx: Histogram,
-    /// Eliminable datapath copies (shared `pool.bytes_copied` name):
-    /// RD's flatten lands here. The mandatory placement copy into the
-    /// registered region is *not* counted.
-    pub(crate) bytes_copied: Counter,
-}
-
-impl QpTxTel {
-    pub(crate) fn new(tel: &Telemetry) -> Self {
-        Self {
-            tx_msgs: tel.counter("core.qp.tx_msgs"),
-            tx_segments: tel.counter("core.qp.tx_segments"),
-            tx_bursts: tel.counter("core.qp.tx_bursts"),
-            msg_size_tx: tel.histogram("core.qp.msg_size_tx"),
-            bytes_copied: tel.counter("pool.bytes_copied"),
-        }
-    }
-}
-
 pub(crate) struct DgInner {
     qpn: u32,
     llp: DgLlp,
     send_cq: Cq,
     pub(crate) rx: RxCore,
-    tx_tel: QpTxTel,
+    /// Send-side counting under `core.qp.*` and `pool.bytes_copied`.
+    tel: Telemetry,
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
     max_msg_size: usize,
@@ -230,9 +202,10 @@ impl DgInner {
             };
             let n = seg_count(data.len(), cap);
             if verb.is_posted() {
-                self.tx_tel.tx_msgs.inc();
-                self.tx_tel.tx_segments.add(n as u64);
-                self.tx_tel.msg_size_tx.record(data.len() as u64);
+                let tel = self.tel.core();
+                tel.qp_tx_msgs.inc();
+                tel.qp_tx_segments.add(n as u64);
+                tel.qp_msg_size_tx.record(data.len() as u64);
             }
             for k in 0..n {
                 let range = k * cap..((k + 1) * cap).min(data.len());
@@ -302,7 +275,7 @@ impl DgInner {
     ) -> Result<(), (IwarpError, Vec<Handed>)> {
         let first = wrs[0].dest.addr;
         if wrs.iter().all(|w| w.dest.addr == first) {
-            self.tx_tel.tx_bursts.inc();
+            self.tel.core().qp_tx_bursts.inc();
             return c
                 .send_sg_burst(first, segs)
                 .map_err(|e| (e.into(), vec![Handed::Failed { bytes: 0 }; wrs.len()]));
@@ -323,7 +296,7 @@ impl DgInner {
             wr_dest.push(di);
         }
         for (di, (dst, segs)) in dests.into_iter().enumerate() {
-            self.tx_tel.tx_bursts.inc();
+            self.tel.core().qp_tx_bursts.inc();
             if let Err(e) = c.send_sg_burst(dst, segs) {
                 return Err((e.into(), Handed::around(wr_dest, di, 0)));
             }
@@ -346,7 +319,7 @@ impl DgInner {
         for (i, (wr, data)) in wrs.iter().zip(datas).enumerate() {
             for (k, seg) in segs.by_ref().take(seg_count(data.len(), cap)).enumerate() {
                 if !seg.is_contiguous() {
-                    self.tx_tel.bytes_copied.add(seg.len() as u64);
+                    self.tel.simnet().bytes_copied.add(seg.len() as u64);
                 }
                 if let Err(e) = c.send_to(wr.dest.addr, seg.to_bytes()) {
                     let bytes = (k * cap) as u32;
@@ -545,11 +518,10 @@ impl DatagramQp {
         };
         send_cq.attach_telemetry(tel);
         recv_cq.attach_telemetry(tel);
-        let rx_tel = crate::qp::rx::RxTel::new(tel, llp.local_addr());
         let pool = llp.pool();
         let inner = Arc::new(DgInner {
-            rx: RxCore::new(mrs, recv_cq, cfg, delivery, rx_tel),
-            tx_tel: QpTxTel::new(tel),
+            rx: RxCore::new(mrs, recv_cq, cfg, delivery, tel, llp.local_addr()),
+            tel: tel.clone(),
             qpn,
             llp,
             send_cq,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use iwarp_telemetry::{Counter, Telemetry};
+use iwarp_telemetry::Telemetry;
 use parking_lot::Mutex;
 use simnet::stream::StreamConfig;
 use simnet::{Addr, Fabric, NetError, NodeId, StreamConduit, StreamListener};
@@ -28,8 +28,7 @@ use crate::hdr::{
     UNTAGGED_HDR_LEN,
 };
 use crate::mpa::{MpaConfig, MpaRx, MpaTx, FPDU_OVERHEAD};
-use crate::qp::dgram::QpTxTel;
-use crate::qp::rx::{Delivery, Ingest, ReadReply, RxCore, RxTel, QN_READ_REQUEST, QN_SEND};
+use crate::qp::rx::{Delivery, Ingest, ReadReply, RxCore, QN_READ_REQUEST, QN_SEND};
 use crate::qp::{QpConfig, QpStats};
 use crate::wr::{RecvWr, SendPayload};
 
@@ -40,9 +39,8 @@ struct RcInner {
     tx: Mutex<MpaTx>,
     send_cq: Cq,
     rx: RxCore,
-    tx_tel: QpTxTel,
-    /// MPA markers this QP inserted (`core.mpa.markers_tx`).
-    markers_tx: Counter,
+    /// Send-side counting under `core.qp.*` and `core.mpa.markers_tx`.
+    tel: Telemetry,
     next_msg_id: AtomicU64,
     next_msn: AtomicU32,
     max_msg_size: usize,
@@ -100,7 +98,7 @@ impl RcInner {
         let mut ends = Vec::with_capacity(nsegs);
         let mut off = 0usize;
         loop {
-            self.tx_tel.tx_segments.inc();
+            self.tel.core().qp_tx_segments.inc();
             let end = (off + cap).min(data.len());
             tx.frame_into(&mut framed, &hdr(off, end), &data[off..end]);
             ends.push(framed.len());
@@ -109,7 +107,7 @@ impl RcInner {
             }
             off = end;
         }
-        self.markers_tx.add(tx.markers() - before);
+        self.tel.core().mpa_markers_tx.add(tx.markers() - before);
         let mut start = 0;
         let fpdus: Vec<&[u8]> = ends
             .iter()
@@ -135,8 +133,9 @@ impl RcInner {
         imm: u32,
     ) -> IwarpResult<()> {
         let total = data.len() as u32;
-        self.tx_tel.tx_msgs.inc();
-        self.tx_tel.msg_size_tx.record(u64::from(total));
+        let tel = self.tel.core();
+        tel.qp_tx_msgs.inc();
+        tel.qp_msg_size_tx.record(u64::from(total));
         // No DDP CRC on the stream path: MPA already covers each FPDU.
         self.write_message(data, |off, end| {
             tagged_hdr_bytes(&TaggedHdr {
@@ -191,17 +190,16 @@ impl RcQp {
         } = parts;
         send_cq.attach_telemetry(&tel);
         recv_cq.attach_telemetry(&tel);
-        let rx_tel = RxTel::new(&tel, stream.local_addr());
         let marker_slack = 32; // worst-case markers within one FPDU budget
         let emss = stream
             .mss()
             .saturating_sub(FPDU_OVERHEAD + UNTAGGED_HDR_LEN + marker_slack)
             .max(256);
         let max_msg_size = cfg.max_msg_size;
+        let local = stream.local_addr();
         let inner = Arc::new(RcInner {
-            rx: RxCore::new(mrs, recv_cq, cfg, Delivery::Stream, rx_tel),
-            tx_tel: QpTxTel::new(&tel),
-            markers_tx: tel.counter("core.mpa.markers_tx"),
+            rx: RxCore::new(mrs, recv_cq, cfg, Delivery::Stream, &tel, local),
+            tel,
             qpn,
             peer_qpn,
             tx: Mutex::new(MpaTx::new(mpa)),
@@ -325,8 +323,9 @@ impl RcQp {
         let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
         let msn = self.inner.next_msn.fetch_add(1, Ordering::Relaxed);
         let total = data.len() as u32;
-        self.inner.tx_tel.tx_msgs.inc();
-        self.inner.tx_tel.msg_size_tx.record(u64::from(total));
+        let tel = self.inner.tel.core();
+        tel.qp_tx_msgs.inc();
+        tel.qp_msg_size_tx.record(u64::from(total));
         self.inner.write_message(&data, |mo, end| {
             untagged_hdr_bytes(&UntaggedHdr {
                 opcode: RdmapOpcode::Send,
@@ -494,7 +493,7 @@ impl RcQp {
             src_qpn: self.inner.qpn,
             msg_id,
         };
-        self.inner.tx_tel.tx_msgs.inc();
+        self.inner.tel.core().qp_tx_msgs.inc();
         self.inner
             .write_message(&req.encode(), |_, _| untagged_hdr_bytes(&hdr))
     }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use iwarp_telemetry::{Counter, EndpointId, EventKind, Histogram, Telemetry};
+use iwarp_telemetry::{EndpointId, EventKind, Telemetry};
 use parking_lot::Mutex;
 use simnet::Addr;
 
@@ -66,60 +66,6 @@ pub struct QpStats {
     pub access_violations: AtomicU64,
     /// Segments processed.
     pub rx_segments: AtomicU64,
-}
-
-/// Telemetry handles the receive engine keeps resolved, mirroring
-/// [`QpStats`] into the fabric's domain-wide counters plus the
-/// Write-Record accounting the paper's loss experiments reconcile
-/// against.
-pub(crate) struct RxTel {
-    tel: Telemetry,
-    local: EndpointId,
-    rx_segments: Counter,
-    rx_messages: Counter,
-    crc_errors: Counter,
-    malformed: Counter,
-    dropped_no_rq: Counter,
-    recovery_expired: Counter,
-    read_expired: Counter,
-    access_violations: Counter,
-    read_denied: Counter,
-    partial_placements: Counter,
-    wr_record_completions: Counter,
-    stale_gc_reaped: Counter,
-    msg_bytes: Histogram,
-}
-
-impl RxTel {
-    pub fn new(tel: &Telemetry, local: Addr) -> Self {
-        Self {
-            local: EndpointId::new(local.node.0, local.port),
-            rx_segments: tel.counter("core.rx.segments"),
-            rx_messages: tel.counter("core.rx.messages"),
-            crc_errors: tel.counter("core.rx.crc_errors"),
-            malformed: tel.counter("core.rx.malformed"),
-            dropped_no_rq: tel.counter("core.rx.dropped_no_rq"),
-            recovery_expired: tel.counter("core.rx.recovery_expired"),
-            read_expired: tel.counter("core.rx.read_expired"),
-            access_violations: tel.counter("core.rx.access_violations"),
-            read_denied: tel.counter("core.rx.read_denied"),
-            partial_placements: tel.counter("core.qp.wr_record.partial_placements"),
-            wr_record_completions: tel.counter("core.qp.wr_record.completions"),
-            stale_gc_reaped: tel.counter("core.qp.wr_record.stale_gc_reaped"),
-            msg_bytes: tel.histogram("core.rx.msg_bytes"),
-            tel: tel.clone(),
-        }
-    }
-
-    /// Records a packet event against this QP's endpoint when tracing is
-    /// armed (one relaxed load otherwise).
-    fn trace(&self, kind: EventKind, a: u64, b: u64) {
-        if self.tel.tracer().armed() {
-            self.tel
-                .tracer()
-                .record(self.tel.now_nanos(), self.local, kind, a, b);
-        }
-    }
 }
 
 /// How the LLP under a QP delivers. It decides whether in-flight work may
@@ -276,7 +222,12 @@ pub(crate) struct RxCore {
     pub recv_cq: Cq,
     pub cfg: QpConfig,
     pub stats: QpStats,
-    tel: RxTel,
+    /// Mirrors [`QpStats`] into the domain's `core.rx.*` counters, plus
+    /// the Write-Record accounting the paper's loss experiments reconcile
+    /// against.
+    tel: Telemetry,
+    /// This QP's endpoint, for traced events.
+    local: EndpointId,
     delivery: Delivery,
     rq: Mutex<VecDeque<RecvWr>>,
     /// Lazily allocated cold state (see [`RxCold`]). `None` until the
@@ -296,14 +247,16 @@ impl RxCore {
         recv_cq: Cq,
         cfg: QpConfig,
         delivery: Delivery,
-        tel: RxTel,
+        tel: &Telemetry,
+        local: Addr,
     ) -> Self {
         Self {
             mrs,
             recv_cq,
             cfg,
             stats: QpStats::default(),
-            tel,
+            tel: tel.clone(),
+            local: EndpointId::new(local.node.0, local.port),
             delivery,
             rq: Mutex::new(VecDeque::new()),
             cold: Mutex::new(None),
@@ -405,7 +358,7 @@ impl RxCore {
             return Ingest::Stall;
         }
         self.stats.rx_segments.fetch_add(1, Ordering::Relaxed);
-        self.tel.rx_segments.inc();
+        self.tel.core().rx_segments.inc();
         match seg {
             DdpSegment::Untagged { hdr, payload } => {
                 // Two-sided placement consumes a posted receive before any
@@ -470,15 +423,16 @@ impl RxCore {
 
     /// The one discard path: counts a refused segment.
     fn discard(&self, why: Discard) {
+        let tel = self.tel.core();
         let (stat, counter) = match why {
-            Discard::Crc => (Some(&self.stats.crc_errors), &self.tel.crc_errors),
-            Discard::Malformed => (Some(&self.stats.malformed), &self.tel.malformed),
-            Discard::NoReceive => (Some(&self.stats.dropped_no_rq), &self.tel.dropped_no_rq),
+            Discard::Crc => (Some(&self.stats.crc_errors), &tel.rx_crc_errors),
+            Discard::Malformed => (Some(&self.stats.malformed), &tel.rx_malformed),
+            Discard::NoReceive => (Some(&self.stats.dropped_no_rq), &tel.rx_dropped_no_rq),
             Discard::Access => (
                 Some(&self.stats.access_violations),
-                &self.tel.access_violations,
+                &tel.rx_access_violations,
             ),
-            Discard::ReadDenied => (None, &self.tel.read_denied),
+            Discard::ReadDenied => (None, &tel.rx_read_denied),
         };
         if let Some(stat) = stat {
             stat.fetch_add(1, Ordering::Relaxed);
@@ -520,8 +474,9 @@ impl RxCore {
         if let Outcome::Success(placed) | Outcome::Partial(placed) | Outcome::Retired(placed) =
             &outcome
         {
-            self.tel.rx_messages.inc();
-            self.tel.msg_bytes.record(u64::from(cqe.byte_len));
+            let tel = self.tel.core();
+            tel.rx_messages.inc();
+            tel.rx_msg_bytes.record(u64::from(cqe.byte_len));
             if let Outcome::Retired(_) = outcome {
                 // Selective signaling: success is reported through the
                 // drainable retired list, never the CQ.
@@ -529,8 +484,12 @@ impl RxCore {
                 self.recv_cq.retire_unsignaled(1);
                 return;
             }
-            self.tel
-                .trace(EventKind::Cqe, u64::from(cqe.byte_len), placed.msg_id());
+            self.tel.trace(
+                self.local,
+                EventKind::Cqe,
+                u64::from(cqe.byte_len),
+                placed.msg_id(),
+            );
         }
         self.recv_cq.push(Cqe { status, ..cqe });
     }
@@ -672,7 +631,7 @@ impl RxCore {
         let outcome = if info.is_complete() {
             Outcome::Success(placed)
         } else {
-            self.tel.partial_placements.inc();
+            self.tel.core().qp_wr_record_partial_placements.inc();
             Outcome::Partial(placed)
         };
         let mut cqe = Cqe {
@@ -701,7 +660,7 @@ impl RxCore {
             cqe.imm = Some(hdr.imm);
             cqe.solicited = true;
         } else {
-            self.tel.wr_record_completions.inc();
+            self.tel.core().qp_wr_record_completions.inc();
         }
         self.complete(outcome, cqe);
     }
@@ -779,7 +738,7 @@ impl RxCore {
                 .collect();
             for key in expired {
                 let p = cold.pending_recv.remove(&key).expect("present");
-                self.tel.recovery_expired.inc();
+                self.tel.core().rx_recovery_expired.inc();
                 if !p.discard {
                     self.complete(Outcome::Expired, p.cqe(key));
                 }
@@ -793,11 +752,14 @@ impl RxCore {
                 .collect();
             for key in expired {
                 let p = cold.pending_reads.remove(&key).expect("present");
-                self.tel.read_expired.inc();
+                self.tel.core().rx_read_expired.inc();
                 self.complete(Outcome::Expired, p.cqe());
             }
         }
-        self.tel.stale_gc_reaped.add(cold.records.gc().reaped);
+        self.tel
+            .core()
+            .qp_wr_record_stale_gc_reaped
+            .add(cold.records.gc().reaped);
     }
 
     /// Completes all outstanding work with `Flushed` status (QP teardown
@@ -910,8 +872,12 @@ mod placed {
             };
             match res {
                 Ok(()) => {
-                    self.tel
-                        .trace(EventKind::Placement, payload.len() as u64, msg_id);
+                    self.tel.trace(
+                        self.local,
+                        EventKind::Placement,
+                        payload.len() as u64,
+                        msg_id,
+                    );
                     Some(Placed { msg_id })
                 }
                 Err(IwarpError::CrcMismatch) => {

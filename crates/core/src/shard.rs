@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use iwarp_telemetry::{Counter, Telemetry};
+use iwarp_telemetry::Telemetry;
 use parking_lot::{Condvar, Mutex};
 
 use crate::qp::dgram::{rx_drain, DgInner};
@@ -73,15 +73,6 @@ impl ShardConfig {
     }
 }
 
-/// Telemetry handles shared by every shard of a map (`core.shard.*`).
-struct ShardTel {
-    wakeups: Counter,
-    batches: Counter,
-    requeues: Counter,
-    expiry_sweeps: Counter,
-    registered: Counter,
-}
-
 struct ShardState {
     /// Ready QPs in notification order; coalesced via `queued`.
     ready: VecDeque<u32>,
@@ -115,7 +106,8 @@ impl Shard {
 /// on that device are then engine-less and drained by their shard.
 pub struct ShardMap {
     shards: Vec<Arc<Shard>>,
-    tel: Arc<ShardTel>,
+    /// Counted into under `core.shard.*` by every shard of the map.
+    tel: Telemetry,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -123,13 +115,6 @@ impl ShardMap {
     /// Spawns `cfg.shards` worker threads (`iwarp-shard-<i>`).
     #[must_use]
     pub fn new(cfg: ShardConfig, tel: &Telemetry) -> Arc<Self> {
-        let tel = Arc::new(ShardTel {
-            wakeups: tel.counter("core.shard.wakeups"),
-            batches: tel.counter("core.shard.batches"),
-            requeues: tel.counter("core.shard.requeues"),
-            expiry_sweeps: tel.counter("core.shard.expiry_sweeps"),
-            registered: tel.counter("core.shard.registered"),
-        });
         let shards: Vec<Arc<Shard>> = (0..cfg.shards.max(1))
             .map(|_| {
                 Arc::new(Shard {
@@ -148,7 +133,7 @@ impl ShardMap {
             .enumerate()
             .map(|(i, shard)| {
                 let shard = Arc::clone(shard);
-                let tel = Arc::clone(&tel);
+                let tel = tel.clone();
                 std::thread::Builder::new()
                     .name(format!("iwarp-shard-{i}"))
                     .spawn(move || worker(&shard, &tel))
@@ -157,7 +142,7 @@ impl ShardMap {
             .collect();
         Arc::new(Self {
             shards,
-            tel,
+            tel: tel.clone(),
             workers: Mutex::new(workers),
         })
     }
@@ -193,7 +178,7 @@ impl ShardMap {
             .lock()
             .engines
             .insert(qpn, Arc::downgrade(engine));
-        self.tel.registered.inc();
+        self.tel.core().shard_registered.inc();
         // Catch anything delivered before the notifier was installed.
         shard.mark_ready(qpn);
         true
@@ -240,7 +225,8 @@ impl std::fmt::Debug for ShardMap {
 /// Shard worker body: park on the inbox, drain ready QPs in batches, and
 /// sweep every assigned QP for expirations at most once per
 /// [`SWEEP_EVERY`], whether the shard is idle or busy.
-fn worker(shard: &Shard, tel: &ShardTel) {
+fn worker(shard: &Shard, tel: &Telemetry) {
+    let tel = tel.core();
     let mut last_sweep = std::time::Instant::now();
     loop {
         // Claim the next ready QP (or sleep until one appears).
@@ -266,12 +252,12 @@ fn worker(shard: &Shard, tel: &ShardTel) {
             }
         };
         if let Some((qpn, engine)) = claimed {
-            tel.wakeups.inc();
-            tel.batches.inc();
+            tel.shard_wakeups.inc();
+            tel.shard_batches.inc();
             if rx_drain(&engine, BATCH) {
                 // Budget exhausted with more pending: requeue behind
                 // the QP's shard siblings.
-                tel.requeues.inc();
+                tel.shard_requeues.inc();
                 shard.mark_ready(qpn);
             }
         }
@@ -284,7 +270,7 @@ fn worker(shard: &Shard, tel: &ShardTel) {
             continue;
         }
         last_sweep = std::time::Instant::now();
-        tel.expiry_sweeps.inc();
+        tel.shard_expiry_sweeps.inc();
         let engines: Vec<Arc<DgInner>> = {
             let mut st = shard.state.lock();
             st.engines.retain(|_, w| w.strong_count() > 0);

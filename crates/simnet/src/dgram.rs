@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use iwarp_common::pool::{BufPool, PoolBuf};
 use iwarp_common::sg::SgBytes;
-use iwarp_telemetry::{Counter, EndpointId, EventKind, Histogram, Telemetry};
+use iwarp_telemetry::{EndpointId, EventKind, Telemetry};
 use parking_lot::Mutex;
 
 use crate::error::{NetError, NetResult};
@@ -70,19 +70,6 @@ struct Reassembly {
     last_gc: Instant,
 }
 
-/// Telemetry handles resolved once at bind time (see `FabricTel`).
-struct DgramTel {
-    tel: Telemetry,
-    tx_datagrams: Counter,
-    tx_fragments: Counter,
-    rx_datagrams: Counter,
-    partials_expired: Counter,
-    /// Payload bytes memcpy'd on this conduit's datapath (reassembly
-    /// fills, flattens); snapshots expose it as `pool.bytes_copied`.
-    bytes_copied: Counter,
-    msg_bytes: Histogram,
-}
-
 /// Unreliable datagram endpoint over a [`Fabric`].
 pub struct DgramConduit {
     ep: Endpoint,
@@ -91,7 +78,7 @@ pub struct DgramConduit {
     /// Fragment payload capacity per wire packet.
     frag_payload: usize,
     pool: BufPool,
-    tel: DgramTel,
+    tel: Telemetry,
 }
 
 impl DgramConduit {
@@ -107,17 +94,8 @@ impl DgramConduit {
 
     fn from_endpoint(ep: Endpoint) -> Self {
         let frag_payload = ep.mtu() - FRAG_HEADER;
-        let t = ep.fabric().telemetry().clone();
+        let tel = ep.fabric().telemetry().clone();
         let pool = ep.fabric().pool().clone();
-        let tel = DgramTel {
-            tx_datagrams: t.counter("simnet.dgram.tx_datagrams"),
-            tx_fragments: t.counter("simnet.dgram.tx_fragments"),
-            rx_datagrams: t.counter("simnet.dgram.rx_datagrams"),
-            partials_expired: t.counter("simnet.dgram.partials_expired"),
-            bytes_copied: t.counter("pool.bytes_copied"),
-            msg_bytes: t.histogram("simnet.dgram.msg_bytes"),
-            tel: t,
-        };
         Self {
             ep,
             next_id: AtomicU32::new(1),
@@ -200,19 +178,17 @@ impl DgramConduit {
         for payload in &payloads {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             let cnt = frag_count(payload.len()) as u16;
-            self.tel.tx_datagrams.inc();
-            self.tel.tx_fragments.add(u64::from(cnt));
-            self.tel.msg_bytes.record(payload.len() as u64);
-            if self.tel.tel.tracer().armed() {
-                let src = self.ep.local_addr();
-                self.tel.tel.tracer().record(
-                    self.tel.tel.now_nanos(),
-                    EndpointId::new(src.node.0, src.port),
-                    EventKind::Enqueue,
-                    payload.len() as u64,
-                    u64::from(id),
-                );
-            }
+            let tel = self.tel.simnet();
+            tel.dgram_tx_datagrams.inc();
+            tel.dgram_tx_fragments.add(u64::from(cnt));
+            tel.dgram_msg_bytes.record(payload.len() as u64);
+            let src = self.ep.local_addr();
+            self.tel.trace(
+                EndpointId::new(src.node.0, src.port),
+                EventKind::Enqueue,
+                payload.len() as u64,
+                u64::from(id),
+            );
             for idx in 0..cnt {
                 write_frag_header(&mut hdrs[h..], id, idx, cnt, payload.len() as u32);
                 h += FRAG_HEADER;
@@ -262,7 +238,7 @@ impl DgramConduit {
 
     fn flatten(&self, sg: SgBytes) -> Bytes {
         if !sg.is_contiguous() {
-            self.tel.bytes_copied.add(sg.len() as u64);
+            self.tel.simnet().bytes_copied.add(sg.len() as u64);
         }
         sg.to_bytes()
     }
@@ -351,7 +327,7 @@ impl DgramConduit {
         if cnt == 1 {
             // Fast path: unfragmented datagram — no reassembly state, no
             // intermediate buffer, just the arriving slices.
-            self.tel.rx_datagrams.inc();
+            self.tel.simnet().dgram_rx_datagrams.inc();
             return Some((src, body));
         }
 
@@ -362,7 +338,8 @@ impl DgramConduit {
             g.partials
                 .retain(|_, p| now.duration_since(p.created) <= REASSEMBLY_TTL);
             self.tel
-                .partials_expired
+                .simnet()
+                .dgram_partials_expired
                 .add((before - g.partials.len()) as u64);
             g.last_gc = now;
         }
@@ -394,12 +371,12 @@ impl DgramConduit {
             return None;
         }
         body.copy_to_slice(&mut p.buf[start..end]);
-        self.tel.bytes_copied.add(body.len() as u64);
+        self.tel.simnet().bytes_copied.add(body.len() as u64);
         p.received_mask[i] = true;
         p.received += 1;
         if p.received == p.frag_count {
             let done = g.partials.remove(&key).expect("present");
-            self.tel.rx_datagrams.inc();
+            self.tel.simnet().dgram_rx_datagrams.inc();
             return Some((src, SgBytes::from(done.buf.freeze())));
         }
         None

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use iwarp_telemetry::{Counter, EndpointId, EventKind, Histogram, Telemetry};
+use iwarp_telemetry::{EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::SmallRng;
 
@@ -72,45 +72,6 @@ impl FabricStats {
             return 0.0;
         }
         self.dropped_loss.load(Ordering::Relaxed) as f64 / tx as f64
-    }
-}
-
-/// Telemetry handles the fabric keeps resolved so the per-packet path
-/// never touches the registry (counter adds are single relaxed RMWs).
-struct FabricTel {
-    tel: Telemetry,
-    tx_packets: Counter,
-    tx_bytes: Counter,
-    delivered: Counter,
-    dropped_loss: Counter,
-    dropped_unreachable: Counter,
-    pkts_dropped: Counter,
-    pkt_bytes: Histogram,
-    /// Packets enqueued onto per-link delivery rings (fast path + spill).
-    ring_enqueues: Counter,
-    /// Times a producer found a link's lock-free ring full and the packet
-    /// took the mutex-guarded overflow spill instead.
-    ring_full_retries: Counter,
-    /// Ring + spill occupancy observed at each enqueue.
-    ring_occupancy: Histogram,
-}
-
-impl FabricTel {
-    fn new() -> Self {
-        let tel = Telemetry::new();
-        Self {
-            tx_packets: tel.counter("simnet.fabric.tx_packets"),
-            tx_bytes: tel.counter("simnet.fabric.tx_bytes"),
-            delivered: tel.counter("simnet.fabric.delivered"),
-            dropped_loss: tel.counter("simnet.fabric.dropped_loss"),
-            dropped_unreachable: tel.counter("simnet.fabric.dropped_unreachable"),
-            pkts_dropped: tel.counter("simnet.fabric.pkts_dropped"),
-            pkt_bytes: tel.histogram("simnet.fabric.pkt_bytes"),
-            ring_enqueues: tel.counter("simnet.fabric.ring_enqueues"),
-            ring_full_retries: tel.counter("simnet.fabric.ring_full_retries"),
-            ring_occupancy: tel.histogram("simnet.fabric.ring_occupancy"),
-            tel,
-        }
     }
 }
 
@@ -226,7 +187,7 @@ struct FabricInner {
     stats: FabricStats,
     next_ephemeral: AtomicU32,
     pump: Option<Arc<DelayPump>>,
-    tel: FabricTel,
+    tel: Telemetry,
     /// Buffer pool shared by every conduit on this fabric (header
     /// buffers, reassembly buffers, rx staging). Per-fabric so pooled
     /// stats in snapshots are not polluted across concurrent tests.
@@ -252,9 +213,9 @@ impl Fabric {
         } else {
             None
         };
-        let tel = FabricTel::new();
+        let tel = Telemetry::new();
         let pool = BufPool::new();
-        tel.tel.attach_pool(pool.stats());
+        tel.attach_pool(pool.stats());
         let inner = Arc::new(FabricInner {
             cfg,
             control: RwLock::new(Control {
@@ -314,7 +275,7 @@ impl Fabric {
     /// snapshot covers the whole stack.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
-        &self.inner.tel.tel
+        &self.inner.tel
     }
 
     /// Packets accepted by [`transmit`](Endpoint::send_to) but not yet
@@ -652,23 +613,20 @@ impl Fabric {
     /// holds the link's TX lock.
     fn adversary(&self, ts: &mut TxState, pkt: WirePacket) -> Vec<WirePacket> {
         let cfg = &self.inner.cfg;
-        let tel = &self.inner.tel;
         if ts.loss.should_drop(&cfg.loss, &mut ts.rng) {
             self.inner
                 .stats
                 .dropped_loss
                 .fetch_add(1, Ordering::Relaxed);
-            tel.dropped_loss.inc();
-            tel.pkts_dropped.inc();
-            if tel.tel.tracer().armed() {
-                tel.tel.tracer().record(
-                    tel.tel.now_nanos(),
-                    endpoint_id(pkt.dst),
-                    EventKind::Drop,
-                    pkt.wire_len() as u64,
-                    endpoint_id(pkt.src).0.into(),
-                );
-            }
+            let tel = &self.inner.tel;
+            tel.simnet().fabric_dropped_loss.inc();
+            tel.simnet().fabric_pkts_dropped.inc();
+            tel.trace(
+                endpoint_id(pkt.dst),
+                EventKind::Drop,
+                pkt.wire_len() as u64,
+                endpoint_id(pkt.src).0.into(),
+            );
             return Vec::new();
         }
         match &mut ts.chaos {
@@ -686,16 +644,13 @@ impl Fabric {
     /// Per-packet TX bookkeeping: the packet-size histogram and the trace.
     fn count_tx(&self, pkt: &WirePacket, wire_len: usize) {
         let tel = &self.inner.tel;
-        tel.pkt_bytes.record(wire_len as u64);
-        if tel.tel.tracer().armed() {
-            tel.tel.tracer().record(
-                tel.tel.now_nanos(),
-                endpoint_id(pkt.src),
-                EventKind::Tx,
-                wire_len as u64,
-                endpoint_id(pkt.dst).0.into(),
-            );
-        }
+        tel.simnet().fabric_pkt_bytes.record(wire_len as u64);
+        tel.trace(
+            endpoint_id(pkt.src),
+            EventKind::Tx,
+            wire_len as u64,
+            endpoint_id(pkt.dst).0.into(),
+        );
     }
 
     /// The one transmit: a burst of wire packets from one endpoint to one
@@ -741,13 +696,13 @@ impl Fabric {
             accepted.push(pkt);
         }
         let stats = &self.inner.stats;
-        let tel = &self.inner.tel;
+        let tel = self.inner.tel.simnet();
         stats
             .tx_packets
             .fetch_add(accepted.len() as u64, Ordering::Relaxed);
         stats.tx_bytes.fetch_add(tx_bytes, Ordering::Relaxed);
-        tel.tx_packets.add(accepted.len() as u64);
-        tel.tx_bytes.add(tx_bytes);
+        tel.fabric_tx_packets.add(accepted.len() as u64);
+        tel.fabric_tx_bytes.add(tx_bytes);
 
         if Self::is_multicast(dst) {
             for pkt in accepted {
@@ -828,7 +783,7 @@ impl Fabric {
     /// (outside all fabric locks) per batch.
     fn deliver_batch(&self, link: &Arc<Link>, pkts: Vec<WirePacket>) {
         let tel = &self.inner.tel;
-        let tracing = tel.tel.tracer().armed();
+        let tracing = tel.tracer().armed();
         let meta: Vec<(Addr, Addr, usize)> = if tracing {
             pkts.iter().map(|p| (p.src, p.dst, p.wire_len())).collect()
         } else {
@@ -846,22 +801,20 @@ impl Fabric {
         // `push_batch` consumed the whole batch on success.
         debug_assert!(batch.is_empty());
         self.inner.stats.delivered.fetch_add(count, Ordering::Relaxed);
-        tel.delivered.add(count);
-        tel.ring_enqueues.add(count);
+        let metrics = tel.simnet();
+        metrics.fabric_delivered.add(count);
+        metrics.fabric_ring_enqueues.add(count);
         if spilled > 0 {
-            tel.ring_full_retries.add(spilled as u64);
+            metrics.fabric_ring_full_retries.add(spilled as u64);
         }
-        tel.ring_occupancy.record(link.q.len() as u64);
-        if tracing {
-            for (src, dst, wire_len) in &meta {
-                tel.tel.tracer().record(
-                    tel.tel.now_nanos(),
-                    endpoint_id(*dst),
-                    EventKind::Rx,
-                    *wire_len as u64,
-                    endpoint_id(*src).0.into(),
-                );
-            }
+        metrics.fabric_ring_occupancy.record(link.q.len() as u64);
+        for (src, dst, wire_len) in &meta {
+            tel.trace(
+                endpoint_id(*dst),
+                EventKind::Rx,
+                *wire_len as u64,
+                endpoint_id(*src).0.into(),
+            );
         }
         self.notify_link(link);
     }
@@ -891,17 +844,17 @@ impl Fabric {
                 None => Vec::new(),
             }
         };
-        let tel = &self.inner.tel;
+        let tel = self.inner.tel.simnet();
         let mut any = false;
         let mut wake: Vec<Arc<Link>> = Vec::new();
         for link in members {
             if let Ok(outcome) = link.q.push(pkt.clone()) {
                 any = true;
-                tel.ring_enqueues.inc();
+                tel.fabric_ring_enqueues.inc();
                 if outcome == PushOutcome::Spilled {
-                    tel.ring_full_retries.inc();
+                    tel.fabric_ring_full_retries.inc();
                 }
-                tel.ring_occupancy.record(link.q.len() as u64);
+                tel.fabric_ring_occupancy.record(link.q.len() as u64);
                 wake.push(link);
             }
         }
@@ -920,7 +873,7 @@ impl Fabric {
     /// forensic dumps) without perturbing the canonical fault trace.
     fn trace_faults(&self, injected: &[FaultEvent]) {
         let tel = &self.inner.tel;
-        if injected.is_empty() || !tel.tel.tracer().armed() {
+        if injected.is_empty() || !tel.tracer().armed() {
             return;
         }
         for f in injected {
@@ -932,28 +885,19 @@ impl Fabric {
                 FaultKind::Corrupt => EventKind::Corrupt,
                 FaultKind::Truncate => EventKind::Truncate,
             };
-            tel.tel.tracer().record(
-                tel.tel.now_nanos(),
-                endpoint_id(f.dst),
-                kind,
-                f.detail,
-                f.pkt,
-            );
+            tel.trace(endpoint_id(f.dst), kind, f.detail, f.pkt);
         }
     }
 
     fn trace_rx(&self, src: Addr, dst: Addr, wire_len: usize) {
         let tel = &self.inner.tel;
-        tel.delivered.inc();
-        if tel.tel.tracer().armed() {
-            tel.tel.tracer().record(
-                tel.tel.now_nanos(),
-                endpoint_id(dst),
-                EventKind::Rx,
-                wire_len as u64,
-                endpoint_id(src).0.into(),
-            );
-        }
+        tel.simnet().fabric_delivered.inc();
+        tel.trace(
+            endpoint_id(dst),
+            EventKind::Rx,
+            wire_len as u64,
+            endpoint_id(src).0.into(),
+        );
     }
 
     fn count_unreachable(&self, pkt: &WirePacket) {
@@ -962,17 +906,14 @@ impl Fabric {
             .dropped_unreachable
             .fetch_add(1, Ordering::Relaxed);
         let tel = &self.inner.tel;
-        tel.dropped_unreachable.inc();
-        tel.pkts_dropped.inc();
-        if tel.tel.tracer().armed() {
-            tel.tel.tracer().record(
-                tel.tel.now_nanos(),
-                endpoint_id(pkt.dst),
-                EventKind::Drop,
-                pkt.wire_len() as u64,
-                endpoint_id(pkt.src).0.into(),
-            );
-        }
+        tel.simnet().fabric_dropped_unreachable.inc();
+        tel.simnet().fabric_pkts_dropped.inc();
+        tel.trace(
+            endpoint_id(pkt.dst),
+            EventKind::Drop,
+            pkt.wire_len() as u64,
+            endpoint_id(pkt.src).0.into(),
+        );
     }
 
     /// Marks the pump dirty and wakes it. The pump reads `dirty` under
@@ -1394,8 +1335,9 @@ mod tests {
         assert_eq!(b.pending(), n as usize);
         let retries = fab
             .telemetry()
-            .counter("simnet.fabric.ring_full_retries")
-            .get();
+            .snapshot()
+            .get("simnet.fabric.ring_full_retries")
+            .unwrap_or(0);
         assert!(retries > 0, "an 8-slot ring must spill under 1000 sends");
         for i in 0..n {
             let p = b.recv(Some(Duration::from_secs(1))).unwrap();
@@ -1415,7 +1357,7 @@ mod tests {
         }
         let tel = fab.telemetry();
         assert_eq!(tel.snapshot().get("simnet.fabric.lock_acquisitions"), None);
-        assert_eq!(tel.counter("simnet.fabric.ring_enqueues").get(), 100);
+        assert_eq!(tel.snapshot().get("simnet.fabric.ring_enqueues"), Some(100));
     }
 
     #[test]

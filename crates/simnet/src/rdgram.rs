@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
-use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
+use iwarp_telemetry::{EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::dgram::DgramConduit;
@@ -176,15 +176,6 @@ struct St {
     sleepers: usize,
 }
 
-/// Telemetry handles resolved once at bind time.
-struct RdTel {
-    tel: Telemetry,
-    tx_msgs: Counter,
-    rx_msgs: Counter,
-    retransmits: Counter,
-    acks_tx: Counter,
-}
-
 /// Reliable datagram endpoint: unreliable-datagram ergonomics with
 /// TCP-grade delivery guarantees per peer.
 pub struct RdConduit {
@@ -202,7 +193,7 @@ pub struct RdConduit {
     st: Mutex<St>,
     /// Where callers that are not driving sleep.
     cv: Condvar,
-    tel: RdTel,
+    tel: Telemetry,
 }
 
 impl RdConduit {
@@ -234,22 +225,19 @@ impl RdConduit {
             }
             b.put_u64(word);
         }
-        self.tel.acks_tx.inc();
+        self.tel.simnet().rdgram_acks_tx.inc();
         let _ = self.dg.send_to(dst, b.freeze());
     }
 
     fn retransmit(&self, dst: Addr, seq: u64, payload: &Bytes) {
-        self.tel.retransmits.inc();
-        if self.tel.tel.tracer().armed() {
-            let local = self.dg.local_addr();
-            self.tel.tel.tracer().record(
-                self.tel.tel.now_nanos(),
-                EndpointId::new(local.node.0, local.port),
-                EventKind::Retransmit,
-                payload.len() as u64,
-                seq,
-            );
-        }
+        self.tel.simnet().rdgram_retransmits.inc();
+        let local = self.dg.local_addr();
+        self.tel.trace(
+            EndpointId::new(local.node.0, local.port),
+            EventKind::Retransmit,
+            payload.len() as u64,
+            seq,
+        );
         self.send_data(dst, seq, payload);
     }
 
@@ -268,13 +256,13 @@ impl RdConduit {
                 if seq == rx.rcv_nxt {
                     rx.rcv_nxt += 1;
                     st.ready.push_back((src, payload));
-                    self.tel.rx_msgs.inc();
+                    self.tel.simnet().rdgram_rx_msgs.inc();
                     // Drain contiguous out-of-order messages.
                     let rx = st.rx.get_mut(&src).expect("present");
                     while let Some(p) = rx.ooo.remove(&rx.rcv_nxt) {
                         rx.rcv_nxt += 1;
                         st.ready.push_back((src, p));
-                        self.tel.rx_msgs.inc();
+                        self.tel.simnet().rdgram_rx_msgs.inc();
                     }
                     st.wake = true;
                 } else if seq > rx.rcv_nxt && seq < rx.rcv_nxt + self.horizon {
@@ -390,14 +378,7 @@ impl RdConduit {
 
     fn wrap(dg: DgramConduit, cfg: RdConfig) -> NetResult<Self> {
         let sack_words = cfg.resolve_sack_words()?;
-        let t = dg.fabric().telemetry().clone();
-        let tel = RdTel {
-            tx_msgs: t.counter("simnet.rdgram.tx_msgs"),
-            rx_msgs: t.counter("simnet.rdgram.rx_msgs"),
-            retransmits: t.counter("simnet.rdgram.retransmits"),
-            acks_tx: t.counter("simnet.rdgram.acks_tx"),
-            tel: t,
-        };
+        let tel = dg.fabric().telemetry().clone();
         Ok(Self {
             dg,
             sack_words,
@@ -460,8 +441,7 @@ impl RdConduit {
                 return Some(Err(e.clone()));
             }
             let tx = st.tx.entry(dst).or_insert_with(|| PeerTx {
-                engine: RecoveryEngine::new(self.cfg.recovery_config())
-                    .with_telemetry(&self.tel.tel),
+                engine: RecoveryEngine::new(self.cfg.recovery_config()).with_telemetry(&self.tel),
                 payloads: BTreeMap::new(),
             });
             let t = tx.engine.now();
@@ -470,7 +450,7 @@ impl RdConduit {
             }
             let seq = tx.engine.on_send(t, 1);
             tx.payloads.insert(seq, payload.clone());
-            self.tel.tx_msgs.inc();
+            self.tel.simnet().rdgram_tx_msgs.inc();
             self.send_data(dst, seq, &payload);
             Some(Ok(()))
         })

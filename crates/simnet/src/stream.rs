@@ -449,20 +449,6 @@ fn decode_sack(payload: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
     })
 }
 
-/// Telemetry handles resolved once per connection (loss-path only, but a
-/// registry round-trip per retransmit would still be needless).
-struct StreamTel {
-    tel: Telemetry,
-    /// Every segment handed to the fabric, retransmissions included.
-    tx_segments: Counter,
-    /// Pure acknowledgements among them (SACK-bearing ones included).
-    acks_tx: Counter,
-    retransmits: Counter,
-    fast_retransmits: Counter,
-    rto_retransmits: Counter,
-    zero_window_probes: Counter,
-}
-
 struct Inner {
     ep: Endpoint,
     cfg: StreamConfig,
@@ -470,7 +456,7 @@ struct Inner {
     st: Mutex<St>,
     /// Where callers that are not driving sleep.
     cv: Condvar,
-    tel: StreamTel,
+    tel: Telemetry,
     _mem: Mutex<Option<MemScope>>,
 }
 
@@ -572,10 +558,10 @@ impl Inner {
     fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: SgBytes) {
         let wnd = st.recv_window(self.cfg.rcv_buf);
         st.last_wnd_sent = wnd;
-        self.tel.tx_segments.inc();
+        self.tel.simnet().stream_tx_segments.inc();
         let pure_ack = payload.is_empty() || flags & FLAG_SACK != 0;
         if flags & (FLAG_SYN | FLAG_FIN) == 0 && pure_ack {
-            self.tel.acks_tx.inc();
+            self.tel.simnet().stream_acks_tx.inc();
         }
         let head = SegHead {
             flags,
@@ -733,7 +719,7 @@ impl Inner {
                 // enough hints accumulate.
                 st.engine.on_dup_ack(t);
             }
-            self.drain_rtx(st, &self.tel.fast_retransmits);
+            self.drain_rtx(st, &self.tel.simnet().stream_fast_retransmits);
         }
 
         // Payload placement (SACK payloads are metadata, not stream data).
@@ -837,17 +823,14 @@ impl Inner {
 
     /// Retransmits one engine-identified range `[seq, seq + len)`.
     fn retransmit_range(&self, st: &mut St, seq: u64, len: usize) {
-        self.tel.retransmits.inc();
-        if self.tel.tel.tracer().armed() {
-            let local = self.ep.local_addr();
-            self.tel.tel.tracer().record(
-                self.tel.tel.now_nanos(),
-                EndpointId::new(local.node.0, local.port),
-                EventKind::Retransmit,
-                st.in_flight(),
-                seq,
-            );
-        }
+        self.tel.simnet().stream_retransmits.inc();
+        let local = self.ep.local_addr();
+        self.tel.trace(
+            EndpointId::new(local.node.0, local.port),
+            EventKind::Retransmit,
+            st.in_flight(),
+            seq,
+        );
         if st.fin_seq == Some(seq) {
             self.tx(st, FLAG_FIN | FLAG_ACK, seq, SgBytes::new());
             return;
@@ -889,8 +872,8 @@ impl Inner {
             self.fail(st, NetError::Timeout);
             return;
         }
-        self.tel.rto_retransmits.inc();
-        self.tel.retransmits.inc();
+        self.tel.simnet().stream_rto_retransmits.inc();
+        self.tel.simnet().stream_retransmits.inc();
         match st.conn {
             Conn::SynSent => self.tx(st, FLAG_SYN, 0, SgBytes::new()),
             Conn::SynReceived => self.tx(st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new()),
@@ -913,7 +896,7 @@ impl Inner {
             // Nothing outstanding: this was the persist timer. Probe only
             // if data is still pinned behind a zero window.
             if st.unsent() > 0 && st.snd_wnd == 0 {
-                self.tel.zero_window_probes.inc();
+                self.tel.simnet().stream_zero_window_probes.inc();
                 let payload = st.send_q.window(st.data_in_flight(), 1);
                 let seq = st.snd_nxt;
                 st.snd_nxt += 1;
@@ -923,7 +906,7 @@ impl Inner {
             return;
         }
         if ev.rto_fired {
-            self.drain_rtx(st, &self.tel.rto_retransmits);
+            self.drain_rtx(st, &self.tel.simnet().stream_rto_retransmits);
         }
     }
 }
@@ -1091,16 +1074,7 @@ impl StreamConduit {
         };
         let engine = RecoveryEngine::new_at(recovery_config(&cfg, mss), 1)
             .with_telemetry(ep.fabric().telemetry());
-        let t = ep.fabric().telemetry().clone();
-        let tel = StreamTel {
-            tx_segments: t.counter("simnet.stream.tx_segments"),
-            acks_tx: t.counter("simnet.stream.acks_tx"),
-            retransmits: t.counter("simnet.stream.retransmits"),
-            fast_retransmits: t.counter("simnet.stream.fast_retransmits"),
-            rto_retransmits: t.counter("simnet.stream.rto_retransmits"),
-            zero_window_probes: t.counter("simnet.stream.zero_window_probes"),
-            tel: t,
-        };
+        let tel = ep.fabric().telemetry().clone();
         let inner = Inner {
             ep,
             mss,
@@ -1835,7 +1809,7 @@ mod tests {
     }
 
     fn counter(fab: &Fabric, name: &str) -> u64 {
-        fab.telemetry().counter(name).get()
+        fab.telemetry().snapshot().get(name).unwrap_or(0)
     }
 
     #[test]

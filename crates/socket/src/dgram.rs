@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use iwarp_telemetry::Counter;
+use iwarp_telemetry::Telemetry;
 use parking_lot::Mutex;
 use simnet::Addr;
 
@@ -64,35 +64,11 @@ pub struct DgramSocketStats {
     pub expired: u64,
 }
 
-/// Fabric-domain telemetry handles for one datagram socket.
-struct SockTel {
-    tx_msgs: Counter,
-    rx_msgs: Counter,
-    ring_sends: Counter,
-    fallback_sends: Counter,
-    partial_messages: Counter,
-    oversized_dropped: Counter,
-    expired: Counter,
-}
-
-impl SockTel {
-    fn new(tel: &iwarp_telemetry::Telemetry) -> Self {
-        Self {
-            tx_msgs: tel.counter("socket.dgram.tx_msgs"),
-            rx_msgs: tel.counter("socket.dgram.rx_msgs"),
-            ring_sends: tel.counter("socket.dgram.ring_sends"),
-            fallback_sends: tel.counter("socket.dgram.fallback_sends"),
-            partial_messages: tel.counter("socket.dgram.partial_messages"),
-            oversized_dropped: tel.counter("socket.dgram.oversized_dropped"),
-            expired: tel.counter("socket.dgram.expired"),
-        }
-    }
-}
-
 struct DgramInner {
     fd: FdSlot,
     stack: Arc<StackInner>,
-    tel: SockTel,
+    /// The fabric's domain, counted into under `socket.dgram.*`.
+    tel: Telemetry,
     qp: UdQp,
     send_cq: Cq,
     recv_cq: Cq,
@@ -166,7 +142,7 @@ impl DgramSocket {
             .device
             .mem()
             .map(|r| r.track("socket_buffers", buffer_bytes));
-        let tel = SockTel::new(stack.device.telemetry());
+        let tel = stack.device.telemetry().clone();
         Ok(Self {
             inner: Arc::new(DgramInner {
                 fd,
@@ -255,18 +231,18 @@ impl DgramSocket {
                     inner
                         .qp
                         .post_write_record(0, buf, dest, stag, to)?;
-                    inner.tel.ring_sends.inc();
+                    inner.tel.socket().dgram_ring_sends.inc();
                     true
                 }
             }
         };
         if !use_ring {
             if inner.stack.cfg.mode == DgramMode::WriteRecord {
-                inner.tel.fallback_sends.inc();
+                inner.tel.socket().dgram_fallback_sends.inc();
             }
             inner.qp.post_send(0, buf, dest)?;
         }
-        inner.tel.tx_msgs.inc();
+        inner.tel.socket().dgram_tx_msgs.inc();
         // Source-side completions are immediate (datagram semantics);
         // drain them so the CQ never overflows.
         while inner.send_cq.poll().is_some() {}
@@ -503,7 +479,7 @@ impl DgramSocket {
                         );
                     }
                     None => {
-                        inner.tel.rx_msgs.inc();
+                        inner.tel.socket().dgram_rx_msgs.inc();
                         inner
                             .state
                             .lock()
@@ -516,13 +492,13 @@ impl DgramSocket {
                 let slot = cqe.wr_id as usize;
                 self.repost(slot)?;
                 inner.state.lock().stats.oversized_dropped += 1;
-                inner.tel.oversized_dropped.inc();
+                inner.tel.socket().dgram_oversized_dropped.inc();
             }
             (CqeOpcode::Recv, CqeStatus::Expired) => {
                 let slot = cqe.wr_id as usize;
                 self.repost(slot)?;
                 inner.state.lock().stats.expired += 1;
-                inner.tel.expired.inc();
+                inner.tel.socket().dgram_expired.inc();
             }
             (CqeOpcode::WriteRecord, status) => {
                 let info = cqe.write_record.expect("write-record info");
@@ -533,12 +509,12 @@ impl DgramSocket {
                     CqeStatus::Success => {
                         let data =
                             ring.read_vec(info.base_to, info.total_len as usize)?;
-                        inner.tel.rx_msgs.inc();
+                        inner.tel.socket().dgram_rx_msgs.inc();
                         st.ready.push_back((src, Bytes::from(data)));
                     }
                     CqeStatus::Partial => {
                         st.stats.partial_messages += 1;
-                        inner.tel.partial_messages.inc();
+                        inner.tel.socket().dgram_partial_messages.inc();
                         if inner.stack.cfg.deliver_partial {
                             // Deliver the longest valid prefix.
                             let prefix = info

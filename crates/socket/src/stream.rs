@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iwarp_telemetry::Counter;
+use iwarp_telemetry::Telemetry;
 use parking_lot::Mutex;
 use simnet::Addr;
 
@@ -18,23 +18,6 @@ use iwarp::wr::RecvWr;
 use iwarp::{Access, Cq, CqeOpcode, CqeStatus, IwarpError, IwarpResult, MemoryRegion, RcQp};
 
 use crate::stack::{FdKind, FdSlot, StackInner};
-
-/// Fabric-domain telemetry handles for one stream socket.
-struct StreamTel {
-    tx_bytes: Counter,
-    rx_bytes: Counter,
-    tx_chunks: Counter,
-}
-
-impl StreamTel {
-    fn new(tel: &iwarp_telemetry::Telemetry) -> Self {
-        Self {
-            tx_bytes: tel.counter("socket.stream.tx_bytes"),
-            rx_bytes: tel.counter("socket.stream.rx_bytes"),
-            tx_chunks: tel.counter("socket.stream.tx_chunks"),
-        }
-    }
-}
 
 struct StreamInner {
     fd: FdSlot,
@@ -45,7 +28,8 @@ struct StreamInner {
     slot_mr: MemoryRegion,
     slot_size: usize,
     rx: Mutex<VecDeque<u8>>,
-    tel: StreamTel,
+    /// The fabric's domain, counted into under `socket.stream.*`.
+    tel: Telemetry,
     /// Accounting for this socket's buffer pool (drives Fig. 11).
     _mem: Option<iwarp_common::memacct::MemScope>,
 }
@@ -90,7 +74,7 @@ impl StreamSocket {
             .device
             .mem()
             .map(|r| r.track("socket_buffers", slot_mr.len() as u64));
-        let tel = StreamTel::new(stack.device.telemetry());
+        let tel = stack.device.telemetry().clone();
         Ok(Self {
             inner: Arc::new(StreamInner {
                 fd,
@@ -131,10 +115,10 @@ impl StreamSocket {
         let inner = &self.inner;
         for chunk in buf.chunks(inner.slot_size.max(1)) {
             inner.qp.post_send(0, chunk)?;
-            inner.tel.tx_chunks.inc();
+            inner.tel.socket().stream_tx_chunks.inc();
             while inner.send_cq.poll().is_some() {}
         }
-        inner.tel.tx_bytes.add(buf.len() as u64);
+        inner.tel.socket().stream_tx_bytes.add(buf.len() as u64);
         Ok(())
     }
 
@@ -192,7 +176,7 @@ impl StreamSocket {
                         offset: off,
                         len: inner.slot_size as u32,
                     });
-                    inner.tel.rx_bytes.add(data.len() as u64);
+                    inner.tel.socket().stream_rx_bytes.add(data.len() as u64);
                     inner.rx.lock().extend(data);
                 }
                 (CqeOpcode::Recv, CqeStatus::Flushed) => {
@@ -240,7 +224,7 @@ impl StreamSocket {
                         offset: off,
                         len: inner.slot_size as u32,
                     });
-                    inner.tel.rx_bytes.add(data.len() as u64);
+                    inner.tel.socket().stream_rx_bytes.add(data.len() as u64);
                     inner.rx.lock().extend(data);
                 }
                 (CqeOpcode::Recv, CqeStatus::Flushed) => {

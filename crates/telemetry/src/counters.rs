@@ -1,30 +1,19 @@
-//! Lock-free named counters and the name→handle registry.
+//! Lock-free event counters.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 /// A monotonically increasing event counter.
 ///
-/// Cheap to clone (shared cell); increments are single relaxed RMW
-/// operations, so holding a handle on a per-byte hot path costs roughly
-/// one uncontended atomic add per event — the "compiled in but almost
-/// free" budget the benches hold the stack to.
-#[derive(Clone, Debug, Default)]
+/// One plain atomic held inline in its domain's block; increments are
+/// single relaxed RMW operations, so a bump on a per-byte hot path costs
+/// roughly one uncontended atomic add per event — the "compiled in but
+/// almost free" budget the benches hold the stack to.
+#[derive(Debug, Default)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: AtomicU64,
 }
 
 impl Counter {
-    /// Creates a detached counter (registry use normally goes through
-    /// `Telemetry::counter`).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -43,39 +32,9 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-}
 
-/// Name → handle table. Reads (the common case after warm-up: every
-/// layer caches its handles) take the read lock only on resolution, never
-/// on increment.
-pub(crate) struct Registry<T: Clone> {
-    map: RwLock<BTreeMap<String, T>>,
-}
-
-impl<T: Clone> Registry<T> {
-    pub fn new() -> Self {
-        Self {
-            map: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    pub fn get_or_insert(&self, name: &str, make: impl FnOnce() -> T) -> T {
-        if let Some(v) = self.map.read().get(name) {
-            return v.clone();
-        }
-        let mut w = self.map.write();
-        w.entry(name.to_owned()).or_insert_with(make).clone()
-    }
-
-    pub fn iter_entries(&self) -> Vec<(String, T)> {
-        self.map
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.read().len()
+    /// Appends `name` with the current value to `out`.
+    pub(crate) fn export(&self, name: &str, out: &mut Vec<(String, u64)>) {
+        out.push((name.to_owned(), self.get()));
     }
 }

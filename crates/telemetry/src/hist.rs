@@ -1,7 +1,6 @@
 //! Fixed-bucket log2 histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Number of buckets: one per power of two that fits in a `u64`.
 pub const BUCKETS: usize = 64;
@@ -11,20 +10,16 @@ pub const BUCKETS: usize = 64;
 /// Bucket `i` holds samples whose value `v` satisfies `ilog2(v) == i`
 /// (bucket 0 additionally holds `v == 0`), i.e. `v` in
 /// `[2^i, 2^(i+1))`. Bucketing depends only on the sample values, so a
-/// seeded run reproduces its histogram exactly.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    inner: Arc<Cells>,
-}
-
+/// seeded run reproduces its histogram exactly. Its cells are held
+/// inline in its domain's block.
 #[derive(Debug)]
-struct Cells {
+pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-impl Default for Cells {
+impl Default for Histogram {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -46,31 +41,24 @@ pub fn bucket_of(value: u64) -> usize {
 }
 
 impl Histogram {
-    /// Creates a detached histogram (registry use normally goes through
-    /// `Telemetry::histogram`).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.inner.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(value, Ordering::Relaxed);
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples.
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Mean sample value, or 0 with no samples.
@@ -87,7 +75,7 @@ impl Histogram {
     /// Occupancy of bucket `i`.
     #[must_use]
     pub fn bucket(&self, i: usize) -> u64 {
-        self.inner.buckets[i].load(Ordering::Relaxed)
+        self.buckets[i].load(Ordering::Relaxed)
     }
 
     /// Upper-bound estimate of the p-th percentile (0–100): the top edge
@@ -146,7 +134,7 @@ mod tests {
 
     #[test]
     fn record_and_stats() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [1u64, 2, 3, 1500, 1500] {
             h.record(v);
         }
@@ -160,7 +148,7 @@ mod tests {
 
     #[test]
     fn percentile_upper_bounds() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..99 {
             h.record(100);
         }
@@ -173,7 +161,7 @@ mod tests {
     #[test]
     fn deterministic_export() {
         let mk = || {
-            let h = Histogram::new();
+            let h = Histogram::default();
             for v in [5u64, 5, 9, 300] {
                 h.record(v);
             }

@@ -10,39 +10,46 @@
 //!   threaded down through devices, QPs, and the socket shim. Not a
 //!   global: tests run concurrently in one process, and per-fabric
 //!   isolation is what keeps seeded runs reproducible.
-//! - [`Counter`]: lock-free named counters (`simnet.fabric.pkts_dropped`,
-//!   `core.qp.wr_record.partial_placements`, …). Handles are resolved
-//!   once and cached by the instrumented layer, so the per-packet cost is
-//!   a single relaxed `fetch_add`.
+//! - Metric blocks: one struct per domain ([`SimnetMetrics`],
+//!   [`CoreMetrics`], [`CcMetrics`], [`SocketMetrics`], [`AppMetrics`]),
+//!   built once inside each `Telemetry` and reached through
+//!   [`Telemetry::simnet`], [`Telemetry::core`], … Every metric name
+//!   (`simnet.fabric.pkts_dropped`, `core.qp.wr_record.partial_placements`,
+//!   …) is declared once, in `blocks.rs`; a call site bumps a field in
+//!   place (`tel.core().rx_segments.inc()`), so the per-packet cost is
+//!   a single relaxed `fetch_add` and no object resolves a name.
+//! - [`Counter`]: a lock-free event counter, one inline atomic.
 //! - [`Histogram`]: fixed 64-bucket log2 histograms for message sizes and
 //!   latencies. Bucketing is deterministic, so snapshots reproduce under
 //!   a seed.
 //! - [`Tracer`]: a bounded ring buffer of per-packet events
 //!   (enqueue/tx/rx/drop/retransmit/placement/CQE), enabled per endpoint
-//!   and near-zero-cost when off (one relaxed load). Dump it when a lossy
-//!   test fails to see the packet timeline instead of re-deriving it.
-//! - [`Snapshot`]: point-in-time export of everything above (plus
-//!   [`iwarp_common::memacct`] scopes) to text or CSV, with `delta` for
-//!   before/after comparisons.
+//!   and near-zero-cost when off (one relaxed load); instrumented code
+//!   records through [`Telemetry::trace`]. Dump it when a lossy test
+//!   fails to see the packet timeline instead of re-deriving it.
+//! - [`Snapshot`]: point-in-time export of every declared metric (plus
+//!   [`iwarp_common::memacct`] scopes, pools and slabs attached to the
+//!   domain) to text or CSV, with `delta` for before/after comparisons.
 //!
-//! `simnet`, `core`, and `socket` are instrumented out of the box; the
-//! `figures` binary's `--telemetry` flag writes a counter CSV next to
-//! every figure CSV. Counter names are documented in the README's
-//! Observability section.
+//! `simnet`, `core`, `cc`, the socket shim and the replicated-log app are
+//! instrumented out of the box; the `figures` binary's `--telemetry` flag
+//! writes a counter CSV next to every figure CSV. Counter names are
+//! documented in the README's Observability section.
 
 #![warn(missing_docs)]
 
+mod blocks;
 mod counters;
 mod hist;
 mod snapshot;
 mod trace;
 
+pub use blocks::{AppMetrics, CcMetrics, CoreMetrics, SimnetMetrics, SocketMetrics};
 pub use counters::Counter;
 pub use hist::Histogram;
 pub use snapshot::Snapshot;
 pub use trace::{EndpointId, EventKind, PacketEvent, TraceDump, Tracer};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,26 +58,22 @@ use iwarp_common::pool::PoolStats;
 use iwarp_common::slab::SlabStats;
 use parking_lot::RwLock;
 
-use counters::Registry;
+use blocks::Blocks;
 
 /// Shared observability state for one fabric and everything built on it.
 ///
 /// Cloning is cheap (an `Arc` bump); every layer of the stack holds a
-/// clone and resolves its counter/histogram handles once at setup time.
+/// clone and bumps its domain's block through it.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
 }
 
 struct Inner {
-    counters: Registry<Counter>,
-    histograms: Registry<Histogram>,
+    blocks: Blocks,
     tracer: Tracer,
     /// Wall-clock origin so event timestamps are small and monotonic.
     epoch: Instant,
-    /// Manual clock override for deterministic tests (nanoseconds).
-    manual_nanos: AtomicU64,
-    manual: std::sync::atomic::AtomicBool,
     /// Memory registries folded into snapshots alongside the counters.
     mem: RwLock<Vec<MemRegistry>>,
     /// Buffer-pool stats folded into snapshots under `pool.*` (summed if
@@ -88,32 +91,14 @@ impl Telemetry {
     pub fn new() -> Self {
         Self {
             inner: Arc::new(Inner {
-                counters: Registry::new(),
-                histograms: Registry::new(),
+                blocks: Blocks::default(),
                 tracer: Tracer::new(trace::DEFAULT_CAPACITY),
                 epoch: Instant::now(),
-                manual_nanos: AtomicU64::new(0),
-                manual: std::sync::atomic::AtomicBool::new(false),
                 mem: RwLock::new(Vec::new()),
                 pools: RwLock::new(Vec::new()),
                 slabs: RwLock::new(Vec::new()),
             }),
         }
-    }
-
-    /// Resolves (creating on first use) the counter named `name`.
-    ///
-    /// Dotted lower-case names, `subsystem.component.event`, e.g.
-    /// `simnet.fabric.tx_packets`. Resolve once, cache the handle.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Counter {
-        self.inner.counters.get_or_insert(name, Counter::new)
-    }
-
-    /// Resolves (creating on first use) the histogram named `name`.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner.histograms.get_or_insert(name, Histogram::new)
     }
 
     /// The packet-event tracer shared by every layer in this domain.
@@ -122,22 +107,21 @@ impl Telemetry {
         &self.inner.tracer
     }
 
-    /// Nanoseconds since this domain was created (or the manual clock
-    /// value when one has been installed for a deterministic test).
+    /// Nanoseconds since this domain was created.
     #[must_use]
     pub fn now_nanos(&self) -> u64 {
-        if self.inner.manual.load(Ordering::Relaxed) {
-            self.inner.manual_nanos.load(Ordering::Relaxed)
-        } else {
-            self.inner.epoch.elapsed().as_nanos() as u64
-        }
+        self.inner.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Switches this domain to a manually advanced clock (for tests that
-    /// need bit-identical latency histograms run-to-run).
-    pub fn set_manual_clock(&self, nanos: u64) {
-        self.inner.manual_nanos.store(nanos, Ordering::Relaxed);
-        self.inner.manual.store(true, Ordering::Relaxed);
+    /// Records a packet event for `endpoint` when tracing is armed; the
+    /// disarmed cost is one relaxed load, and the clock is read only
+    /// when armed.
+    #[inline]
+    pub fn trace(&self, endpoint: EndpointId, kind: EventKind, a: u64, b: u64) {
+        let tracer = self.tracer();
+        if tracer.armed() {
+            tracer.record(self.now_nanos(), endpoint, kind, a, b);
+        }
     }
 
     /// Registers a memory-accounting registry whose scopes appear in
@@ -149,7 +133,7 @@ impl Telemetry {
     /// Registers a buffer pool whose hit/miss/recycle counters appear in
     /// every [`Snapshot`] as `pool.{hits,misses,recycled}` (summed when
     /// several pools share the domain). The datapath's `pool.bytes_copied`
-    /// counter lives in the ordinary counter registry; together they make
+    /// counter is declared in the `simnet` block; together they make
     /// copy elimination measurable.
     pub fn attach_pool(&self, stats: PoolStats) {
         self.inner.pools.write().push(stats);
@@ -165,17 +149,13 @@ impl Telemetry {
         self.inner.slabs.write().push(stats);
     }
 
-    /// Captures the current value of every counter, histogram, and
-    /// attached memory scope.
+    /// Captures the current value of every declared counter and
+    /// histogram (zeros included) and every attached memory scope,
+    /// pool and slab.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let mut entries = Vec::new();
-        for (name, c) in self.inner.counters.iter_entries() {
-            entries.push((name, c.get()));
-        }
-        for (name, h) in self.inner.histograms.iter_entries() {
-            h.export(&name, &mut entries);
-        }
+        self.inner.blocks.export(&mut entries);
         for reg in self.inner.mem.read().iter() {
             for (scope, current, peak) in reg.snapshot() {
                 entries.push((format!("mem.{scope}.current"), current));
@@ -244,10 +224,7 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("counters", &self.inner.counters.len())
-            .field("histograms", &self.inner.histograms.len())
-            .finish_non_exhaustive()
+        f.debug_struct("Telemetry").finish_non_exhaustive()
     }
 }
 
@@ -258,14 +235,14 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let t = Telemetry::new();
-        let c = t.counter("a.b.c");
+        let c = &t.core().rx_segments;
         c.inc();
         c.add(4);
-        // Same name resolves to the same underlying cell.
-        t.counter("a.b.c").inc();
-        assert_eq!(t.counter("a.b.c").get(), 6);
+        // Every clone of the domain bumps the same cell.
+        t.clone().core().rx_segments.inc();
+        assert_eq!(t.core().rx_segments.get(), 6);
         let snap = t.snapshot();
-        assert_eq!(snap.get("a.b.c"), Some(6));
+        assert_eq!(snap.get("core.rx.segments"), Some(6));
         assert_eq!(snap.get("missing"), None);
     }
 
@@ -308,25 +285,18 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_overrides_wall_clock() {
-        let t = Telemetry::new();
-        t.set_manual_clock(42);
-        assert_eq!(t.now_nanos(), 42);
-        t.set_manual_clock(99);
-        assert_eq!(t.now_nanos(), 99);
-    }
-
-    #[test]
     fn delta_reports_only_changes() {
         let t = Telemetry::new();
-        let c = t.counter("x.y");
+        let c = &t.simnet().fabric_tx_packets;
         c.add(10);
         let before = t.snapshot();
         c.add(5);
-        t.counter("x.z").inc();
+        t.cc().resets.inc();
         let after = t.snapshot();
         let delta = after.delta(&before);
-        assert_eq!(delta.get("x.y"), Some(5));
-        assert_eq!(delta.get("x.z"), Some(1));
+        assert_eq!(delta.get("simnet.fabric.tx_packets"), Some(5));
+        assert_eq!(delta.get("cc.resets"), Some(1));
+        // Unchanged metrics, zeros included, stay out of a delta.
+        assert_eq!(delta.len(), 2);
     }
 }

@@ -163,7 +163,7 @@ impl Tracer {
     }
 
     /// Records an event for `endpoint` if it is traced. `t_nanos` comes
-    /// from `Telemetry::now_nanos` so manual clocks apply.
+    /// from `Telemetry::now_nanos`.
     pub fn record(&self, t_nanos: u64, endpoint: EndpointId, kind: EventKind, a: u64, b: u64) {
         if !self.armed() {
             return;

@@ -59,6 +59,19 @@ echo "==> chaos smoke under adaptive congestion control (newreno)"
 # invariants over 25 more plans.
 cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --cc newreno
 
+echo "==> chaos replay is byte-stable: --replay S --verbose twice for S = 1..5"
+# A passing report prints only the seeded phases' fault traces (the
+# wall-clock-timed reliable phase's count appears only on failure), so
+# two replays of one seed must match byte for byte.
+out="target/chaos-replay"
+mkdir -p "$out"
+for s in 1 2 3 4 5; do
+    for run in a b; do
+        cargo run --release -q -p iwarp-bench --bin chaos -- --replay "$s" --verbose >"$out/$s.$run"
+    done
+    cmp "$out/$s.a" "$out/$s.b"
+done
+
 echo "==> replog smoke: 25 seeded agreement plans"
 # The replicated-log oracle: every agreement invariant (total order, no
 # lost acks, no divergence, lease exclusivity) under seeded chaos plans
