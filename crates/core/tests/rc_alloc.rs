@@ -205,7 +205,7 @@ fn per_message(size: usize) -> (f64, f64) {
 const BOUNDS: [(usize, f64, f64); 3] = [
     (64, 16.0, 1_454.0),
     (1400, 16.0, 10_849.0),
-    (16 * 1024, 34.0, 127_485.0),
+    (16 * 1024, 30.0, 127_485.0),
 ];
 
 #[test]

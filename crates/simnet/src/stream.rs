@@ -47,6 +47,19 @@
 //! set an error raises `St::wake`, and its release step notifies after
 //! unlocking. A driver that returns raises it too, in the scope of its
 //! last poll, so that a sleeper takes over.
+//!
+//! ACKs: one cumulative ACK per lock scope, as a delayed-ACK TCP sends
+//! about one per two segments (RFC 1122 §4.2.3.2). In-order data and a
+//! FIN only raise `St::ack_owed`; every segment the scope sends carries
+//! the current ACK number and clears it, and the release step turns a
+//! flag still raised into one pure ACK. That ACK is built after the
+//! scope's `read` has popped what it placed, so it advertises the window
+//! the reader left. Out-of-order, duplicate and beyond-window data are
+//! still acknowledged at once, so the sender's duplicate-ACK count and
+//! SACK scoreboard see every such segment (RFC 5681 §4.2). The advertised
+//! window does not shrink for out-of-order bytes, which lie inside it, and
+//! a pure ACK that changes the window is a window update, not a duplicate
+//! (RFC 5681 §2).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -352,6 +365,10 @@ struct St {
     /// (the SYN at sequence 0 is handshake state, not engine state).
     engine: RecoveryEngine,
     last_wnd_sent: u32,
+    /// The scope took data or a FIN in order and has not acknowledged
+    /// it: its release step sends one pure ACK (see the module doc,
+    /// "ACKs"). Every segment sent clears it.
+    ack_owed: bool,
     err: Option<NetError>,
     /// Segments made in the current lock scope, in order, all for `peer`.
     /// The scope's release step encodes their headers into one arena and
@@ -387,8 +404,11 @@ impl St {
         self.send_q.len().saturating_sub(self.data_in_flight())
     }
 
+    /// The window from `rcv_nxt` on. Out-of-order bytes lie inside it,
+    /// so they do not shrink it: its right edge moves only when the
+    /// reader takes bytes, and duplicate ACKs carry an unchanged window.
     fn recv_window(&self, rcv_buf: usize) -> u32 {
-        rcv_buf.saturating_sub(self.recv_q.len() + self.ooo_bytes) as u32
+        rcv_buf.saturating_sub(self.recv_q.len()) as u32
     }
 }
 
@@ -461,10 +481,11 @@ struct Inner {
 }
 
 /// One scope of the state lock. Dropping it is the scope's release step:
-/// the segments the scope encoded leave as one fabric burst while the lock
-/// is still held, so wire order is lock order; then the lock is released;
-/// then, if the scope raised `St::wake`, the sleepers are notified, so a
-/// woken waiter never blocks on a lock its waker still holds.
+/// the segments the scope made, and the ACK it still owes, leave as one
+/// fabric burst while the lock is still held, so wire order is lock
+/// order; then the lock is released; then, if the scope raised
+/// `St::wake`, the sleepers are notified, so a woken waiter never blocks
+/// on a lock its waker still holds.
 struct Locked<'a> {
     inner: &'a Inner,
     /// `Some` until the release step drops it.
@@ -472,8 +493,13 @@ struct Locked<'a> {
 }
 
 impl<'a> Locked<'a> {
-    /// Sends the scope's outbox as one fabric burst, the lock held.
+    /// Sends the scope's outbox as one fabric burst, the lock held, with
+    /// the ACK the scope still owes at its end.
     fn send_outbox(&mut self) {
+        if self.ack_owed {
+            let inner = self.inner;
+            inner.send_ack(self);
+        }
         if self.outbox.is_empty() {
             return;
         }
@@ -544,7 +570,7 @@ impl Inner {
     fn lock(&self) -> Locked<'_> {
         let guard = self.st.lock();
         debug_assert!(
-            guard.outbox.is_empty() && !guard.wake,
+            guard.outbox.is_empty() && !guard.wake && !guard.ack_owed,
             "a stream lock scope skipped its release step"
         );
         Locked {
@@ -558,6 +584,7 @@ impl Inner {
     fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: SgBytes) {
         let wnd = st.recv_window(self.cfg.rcv_buf);
         st.last_wnd_sent = wnd;
+        st.ack_owed = false;
         self.tel.simnet().stream_tx_segments.inc();
         let pure_ack = payload.is_empty() || flags & FLAG_SACK != 0;
         if flags & (FLAG_SYN | FLAG_FIN) == 0 && pure_ack {
@@ -686,7 +713,7 @@ impl Inner {
 
         // ACK processing.
         if seg.flags & FLAG_ACK != 0 {
-            st.snd_wnd = seg.wnd;
+            let prev_wnd = std::mem::replace(&mut st.snd_wnd, seg.wnd);
             let t = st.engine.now();
             if seg.flags & FLAG_SACK != 0 {
                 // The payload is SACK metadata: feed the scoreboard, then
@@ -713,16 +740,19 @@ impl Inner {
             } else if seg.ack == st.snd_una
                 && st.in_flight() > 0
                 && (payload.is_empty() || seg.flags & FLAG_SACK != 0)
+                && seg.wnd == prev_wnd
             {
                 // A pure duplicate ACK (possibly carrying SACK blocks)
                 // hints at head loss; the engine fast-retransmits once
-                // enough hints accumulate.
+                // enough hints accumulate. One that moves the window is
+                // a window update instead (RFC 5681 §2).
                 st.engine.on_dup_ack(t);
             }
             self.drain_rtx(st, &self.tel.simnet().stream_fast_retransmits);
         }
 
         // Payload placement (SACK payloads are metadata, not stream data).
+        let prev_rcv_nxt = st.rcv_nxt;
         let mut should_ack = false;
         let payload_len = if seg.flags & FLAG_SACK == 0 {
             payload.len() as u64
@@ -776,8 +806,14 @@ impl Inner {
             }
         }
 
+        // In-order data is acknowledged once, at the scope's release
+        // step; anything else at once (see the module doc, "ACKs").
         if should_ack {
-            self.send_ack(st);
+            if st.rcv_nxt > prev_rcv_nxt && st.ooo.is_empty() {
+                st.ack_owed = true;
+            } else {
+                self.send_ack(st);
+            }
         }
     }
 
@@ -1099,6 +1135,7 @@ impl StreamConduit {
                 hs_retries: 0,
                 engine,
                 last_wnd_sent: 0,
+                ack_owed: false,
                 err: None,
                 outbox: Vec::new(),
                 driving: false,
@@ -1220,8 +1257,7 @@ impl StreamConduit {
                 // Window update: if we had choked the sender, reopen.
                 let wnd = st.recv_window(inner.cfg.rcv_buf);
                 if st.last_wnd_sent < inner.mss as u32 && wnd >= inner.mss as u32 {
-                    let seq = st.snd_nxt;
-                    inner.tx(st, FLAG_ACK, seq, SgBytes::new());
+                    st.ack_owed = true;
                 }
                 return Some(Ok(n));
             }
@@ -2027,5 +2063,105 @@ mod tests {
             addr
         });
         assert_eq!(lost_from(&fab, client_addr), [2]);
+    }
+
+    /// `n` bytes of test data.
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn one_ack_per_drive_step() {
+        // A 16 KiB write leaves as one burst of 12 segments; the
+        // receiver's one drive step takes them all and acknowledges them
+        // with one cumulative ACK.
+        let (fab, client, server) = poll_pair(StreamConfig::default());
+        client.write_all(&pattern(16 * 1024)).unwrap();
+        let acks = counter(&fab, "simnet.stream.acks_tx");
+        server.progress(Duration::from_millis(10));
+        assert_eq!(counter(&fab, "simnet.stream.acks_tx") - acks, 1);
+        let mut got = vec![0u8; 16 * 1024];
+        server
+            .read_exact(&mut got, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(got, pattern(16 * 1024));
+    }
+
+    #[test]
+    fn ack_carries_the_window_after_the_read() {
+        // One drive step places 16 KiB and the same scope's read takes
+        // it all: the scope's ACK advertises the whole buffer again.
+        let cfg = StreamConfig::default();
+        let rcv_buf = cfg.rcv_buf;
+        let (_fab, client, server) = poll_pair(cfg);
+        client.write_all(&pattern(16 * 1024)).unwrap();
+        let mut got = vec![0u8; 16 * 1024];
+        assert_eq!(server.read(&mut got, Some(Duration::ZERO)), Ok(16 * 1024));
+        client.progress(Duration::from_millis(10));
+        let st = client.inner.lock();
+        assert_eq!(st.snd_una, st.snd_nxt, "all data acknowledged");
+        assert_eq!(st.snd_wnd as usize, rcv_buf);
+    }
+
+    #[test]
+    fn out_of_order_data_is_acked_per_segment() {
+        // The client's link carries the handshake ACK (packet 0), then a
+        // 16 KiB burst (1..=12); the third data segment is lost. Each of
+        // the nine segments behind it draws its own ACK (the server's
+        // link loses its packet 3 too, one of them), so `Fixed` counts
+        // the duplicates and retransmits long before its 10 s timer.
+        let fab = Fabric::loopback();
+        let mut plan = FaultPlan::quiet(1);
+        plan.partitions.push(PartitionWindow { start: 3, end: 4 });
+        fab.install_fault_plan(plan);
+        let cfg = StreamConfig {
+            rto_initial: Duration::from_secs(10),
+            ..StreamConfig::default()
+        };
+        let (client, server) = connect_pair(&fab, cfg);
+        let data = pattern(16 * 1024);
+        client.write_all(&data).unwrap();
+        server.progress(Duration::from_millis(10));
+        client.progress(Duration::from_millis(10));
+        assert_eq!(lost_from(&fab, client.local_addr()), [3]);
+        assert!(counter(&fab, "simnet.stream.fast_retransmits") >= 1);
+        let mut got = vec![0u8; data.len()];
+        server
+            .read_exact(&mut got, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(got, data);
+        assert_eq!(counter(&fab, "simnet.stream.rto_retransmits"), 0);
+    }
+
+    #[test]
+    fn window_update_is_not_a_duplicate_ack() {
+        // Data in flight and a peer that only moves its window: three
+        // such ACKs at the unacknowledged head are window updates, not
+        // duplicates (RFC 5681 §2). Three more with the window unchanged
+        // are duplicates, and `Fixed` fast-retransmits the head.
+        let cfg = StreamConfig {
+            rto_initial: Duration::from_secs(10),
+            ..StreamConfig::default()
+        };
+        let (fab, client, server) = poll_pair(cfg);
+        client.write_all(&pattern(4 * client.mss())).unwrap();
+        let send_acks = |wnds: [u32; 3]| {
+            for wnd in wnds {
+                let head = SegHead {
+                    flags: FLAG_ACK,
+                    seq: 1,
+                    ack: 1,
+                    wnd,
+                };
+                let frame = Bytes::from(encode_frame(&head, b""));
+                server.inner.ep.send_to(client.local_addr(), frame).unwrap();
+            }
+            client.progress(Duration::from_millis(10));
+        };
+        send_acks([8 * 1024, 16 * 1024, 24 * 1024]);
+        assert_eq!(client.inner.lock().snd_wnd, 24 * 1024);
+        assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 0);
+        send_acks([24 * 1024; 3]);
+        assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 1);
     }
 }

@@ -113,8 +113,13 @@ fn sip_and_media_share_a_fabric() {
 
     std::thread::scope(|s| {
         let media = s.spawn(|| {
+            // The viewer is sent 202 datagrams: 199 full chunks, then the
+            // 260-byte last one three times. Enough receive slots for all
+            // of them, so a viewer that falls behind cannot overrun its
+            // receive queue: an overrun drops datagrams (UD semantics),
+            // and the exact byte count below would fail.
             let media_sock = SocketConfig {
-                recv_slots: 128,
+                recv_slots: 256,
                 slot_size: 2048,
                 ..SocketConfig::default()
             };
