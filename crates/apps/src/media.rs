@@ -184,9 +184,7 @@ impl ClientTally {
             .last_chunk_at
             .map_or_else(|| self.started.elapsed(), |t| t - self.started);
         MediaMetrics {
-            prebuffer_time: self
-                .prebuffer_at
-                .map_or(total_time, |t| t - self.started),
+            prebuffer_time: self.prebuffer_at.map_or(total_time, |t| t - self.started),
             total_time,
             bytes_received: self.bytes,
             chunks_received: self.chunks,
@@ -308,10 +306,9 @@ pub fn run_http_session(
         for (seq, len, last) in chunk_plan(cfg) {
             let mut chunk = vec![0u8; CHUNK_HEADER + len];
             conn.recv_exact(&mut chunk, Duration::from_secs(30))?;
-            let (got_seq, got_last, payload) =
-                parse_chunk(&chunk).ok_or(IwarpError::Net(simnet::NetError::Protocol(
-                    "bad media chunk",
-                )))?;
+            let (got_seq, got_last, payload) = parse_chunk(&chunk).ok_or(IwarpError::Net(
+                simnet::NetError::Protocol("bad media chunk"),
+            ))?;
             debug_assert_eq!(got_seq, seq);
             debug_assert_eq!(got_last, last);
             tally.on_chunk(cfg, got_seq, got_last, payload.len());

@@ -219,7 +219,13 @@ pub struct RecordHdr {
 /// Offset of the `pub_term` field inside a slot (restamped per reign).
 const PUB_TERM_OFF: u64 = 20;
 
-fn build_slot(index: u64, entry_term: u64, pub_term: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
+fn build_slot(
+    index: u64,
+    entry_term: u64,
+    pub_term: u64,
+    kind: RecordKind,
+    payload: &[u8],
+) -> Vec<u8> {
     assert!(payload.len() <= PAYLOAD_AREA);
     let mut slot = vec![0u8; SLOT_BYTES];
     slot[REC_HDR_BYTES..REC_HDR_BYTES + payload.len()].copy_from_slice(payload);
@@ -272,11 +278,20 @@ fn decode_hdr(slot: &[u8]) -> Option<RecordHdr> {
 #[derive(Clone, Copy, Debug)]
 enum CtlMsg {
     /// `a` = candidate's last entry term, `b` = candidate's log length.
-    VoteReq { term: u64, last_term: u64, log_len: u64 },
+    VoteReq {
+        term: u64,
+        last_term: u64,
+        log_len: u64,
+    },
     /// `a` = granter's shadow tick (see module docs).
     VoteGrant { term: u64, shadow: u64 },
     /// `a` = leader log length (slots), `b` = commit index, `c` = sent tick.
-    Heartbeat { term: u64, high_water: u64, commit: u64, sent: u64 },
+    Heartbeat {
+        term: u64,
+        high_water: u64,
+        commit: u64,
+        sent: u64,
+    },
     /// `a` = follower's matched prefix, `c` = echoed heartbeat sent tick.
     /// With `term` above the leader's it doubles as the step-down NACK.
     HbAck { term: u64, matched: u64, sent: u64 },
@@ -285,10 +300,23 @@ enum CtlMsg {
 fn encode_ctl(from: usize, msg: &CtlMsg) -> Bytes {
     let mut b = vec![0u8; CTL_BYTES];
     let (kind, term, a2, b2, c2) = match *msg {
-        CtlMsg::VoteReq { term, last_term, log_len } => (0u8, term, last_term, log_len, 0),
+        CtlMsg::VoteReq {
+            term,
+            last_term,
+            log_len,
+        } => (0u8, term, last_term, log_len, 0),
         CtlMsg::VoteGrant { term, shadow } => (1, term, shadow, 0, 0),
-        CtlMsg::Heartbeat { term, high_water, commit, sent } => (2, term, high_water, commit, sent),
-        CtlMsg::HbAck { term, matched, sent } => (3, term, matched, 0, sent),
+        CtlMsg::Heartbeat {
+            term,
+            high_water,
+            commit,
+            sent,
+        } => (2, term, high_water, commit, sent),
+        CtlMsg::HbAck {
+            term,
+            matched,
+            sent,
+        } => (3, term, matched, 0, sent),
     };
     b[0] = kind;
     b[1] = from as u8;
@@ -310,10 +338,23 @@ fn decode_ctl(buf: &[u8]) -> Option<(usize, CtlMsg)> {
     }
     let (term, a, b, c) = (quad(2), quad(10), quad(18), quad(26));
     let msg = match buf[0] {
-        0 => CtlMsg::VoteReq { term, last_term: a, log_len: b },
+        0 => CtlMsg::VoteReq {
+            term,
+            last_term: a,
+            log_len: b,
+        },
         1 => CtlMsg::VoteGrant { term, shadow: a },
-        2 => CtlMsg::Heartbeat { term, high_water: a, commit: b, sent: c },
-        3 => CtlMsg::HbAck { term, matched: a, sent: c },
+        2 => CtlMsg::Heartbeat {
+            term,
+            high_water: a,
+            commit: b,
+            sent: c,
+        },
+        3 => CtlMsg::HbAck {
+            term,
+            matched: a,
+            sent: c,
+        },
         _ => return None,
     };
     Some((from, msg))
@@ -407,7 +448,13 @@ impl History {
         let mut fold = |v: u64| h = mix64(h ^ v.wrapping_mul(0x0100_0000_01B3));
         for e in &self.events {
             match *e {
-                Event::Proposed { tick, seq, index, term, crc } => {
+                Event::Proposed {
+                    tick,
+                    seq,
+                    index,
+                    term,
+                    crc,
+                } => {
                     fold(1);
                     fold(tick);
                     fold(seq);
@@ -415,7 +462,15 @@ impl History {
                     fold(term);
                     fold(u64::from(crc));
                 }
-                Event::Committed { tick, index, term, seq, crc, len, kind } => {
+                Event::Committed {
+                    tick,
+                    index,
+                    term,
+                    seq,
+                    crc,
+                    len,
+                    kind,
+                } => {
                     fold(2);
                     fold(tick);
                     fold(index);
@@ -425,7 +480,15 @@ impl History {
                     fold(u64::from(len));
                     fold(kind as u64);
                 }
-                Event::Applied { tick, replica, index, term, seq, crc, kind } => {
+                Event::Applied {
+                    tick,
+                    replica,
+                    index,
+                    term,
+                    seq,
+                    crc,
+                    kind,
+                } => {
                     fold(3);
                     fold(tick);
                     fold(replica as u64);
@@ -546,9 +609,13 @@ impl Replica {
         };
         let mk = |cap: usize| (Cq::new(cap), Cq::new(cap));
         let (cs, cr) = mk(1024);
-        let ctl = dev.create_ud_qp(None, &cs, &cr, qc.clone()).expect("ctl qp");
+        let ctl = dev
+            .create_ud_qp(None, &cs, &cr, qc.clone())
+            .expect("ctl qp");
         let (ps, pr) = mk(1024);
-        let publ = dev.create_ud_qp(None, &ps, &pr, qc.clone()).expect("pub qp");
+        let publ = dev
+            .create_ud_qp(None, &ps, &pr, qc.clone())
+            .expect("pub qp");
         let (rs, rr) = mk(64);
         let rec = dev.create_ud_qp(None, &rs, &rr, qc).expect("rec qp");
 
@@ -651,8 +718,12 @@ impl Replica {
         if !self.log.valid_range(off, off + SLOT_BYTES as u64) {
             return false;
         }
-        let Ok(slot) = self.log.read_vec(off, SLOT_BYTES) else { return false };
-        let Some(hdr) = decode_hdr(&slot) else { return false };
+        let Ok(slot) = self.log.read_vec(off, SLOT_BYTES) else {
+            return false;
+        };
+        let Some(hdr) = decode_hdr(&slot) else {
+            return false;
+        };
         if hdr.index != i || crc32c(&slot[REC_HDR_BYTES..]) != hdr.crc {
             return false;
         }
@@ -669,7 +740,8 @@ impl Replica {
         if cfg.bug == PlantedBug::AckBeforePlacement {
             return self.hw_hint; // planted: ack before placement
         }
-        while self.matched_cache < self.hw_hint && self.slot_good(self.matched_cache + 1, Some(self.term))
+        while self.matched_cache < self.hw_hint
+            && self.slot_good(self.matched_cache + 1, Some(self.term))
         {
             self.matched_cache += 1;
         }
@@ -728,10 +800,19 @@ impl Replica {
         self.shadow = self.shadow.max(now); // self-grant
         let (last_term, log_len) = self.election_log();
         tel.replog_elections.inc();
-        self.broadcast(&CtlMsg::VoteReq { term: self.term, last_term, log_len });
+        self.broadcast(&CtlMsg::VoteReq {
+            term: self.term,
+            last_term,
+            log_len,
+        });
     }
 
-    fn append(&mut self, kind: RecordKind, payload: &[u8], cfg: &ReplogConfig) -> Option<(u64, u32)> {
+    fn append(
+        &mut self,
+        kind: RecordKind,
+        payload: &[u8],
+        cfg: &ReplogConfig,
+    ) -> Option<(u64, u32)> {
         debug_assert_eq!(self.role, Role::Leader);
         if self.log_len as usize >= cfg.max_log {
             return None;
@@ -739,7 +820,9 @@ impl Replica {
         let index = self.log_len + 1;
         let slot = build_slot(index, self.term, self.term, kind, payload);
         let crc = crc32c(&slot[REC_HDR_BYTES..]);
-        self.log.write(slot_off(index), &slot).expect("local append");
+        self.log
+            .write(slot_off(index), &slot)
+            .expect("local append");
         self.log_len = index;
         self.matched[self.id] = index;
         Some((index, crc))
@@ -777,8 +860,9 @@ impl Replica {
             if let Ok(slot) = self.log.read_vec(slot_off(i), SLOT_BYTES) {
                 if let Some(hdr) = decode_hdr(&slot) {
                     if hdr.kind == RecordKind::Client && hdr.len >= 8 {
-                        let seq =
-                            u64::from_le_bytes(slot[REC_HDR_BYTES..REC_HDR_BYTES + 8].try_into().unwrap());
+                        let seq = u64::from_le_bytes(
+                            slot[REC_HDR_BYTES..REC_HDR_BYTES + 8].try_into().unwrap(),
+                        );
                         self.seq_index.insert(seq, i);
                     }
                 }
@@ -819,7 +903,11 @@ impl Replica {
         tel: &AppMetrics,
     ) {
         match msg {
-            CtlMsg::VoteReq { term, last_term, log_len } => {
+            CtlMsg::VoteReq {
+                term,
+                last_term,
+                log_len,
+            } => {
                 if term > self.term {
                     self.adopt(term, now, cfg, tel);
                 }
@@ -831,7 +919,10 @@ impl Replica {
                     let (my_lt, my_len) = self.election_log();
                     if (last_term, log_len) >= (my_lt, my_len) {
                         self.voted_for = Some(from);
-                        let reply = CtlMsg::VoteGrant { term, shadow: self.shadow };
+                        let reply = CtlMsg::VoteGrant {
+                            term,
+                            shadow: self.shadow,
+                        };
                         self.shadow = self.shadow.max(now);
                         self.guard = now + cfg.follow_timeout;
                         self.election_at = self.guard + self.jitter(cfg, term);
@@ -850,10 +941,19 @@ impl Replica {
                     }
                 }
             }
-            CtlMsg::Heartbeat { term, high_water, commit, sent } => {
+            CtlMsg::Heartbeat {
+                term,
+                high_water,
+                commit,
+                sent,
+            } => {
                 if term < self.term {
                     // NACK: tell the stale leader about the newer term.
-                    let reply = CtlMsg::HbAck { term: self.term, matched: 0, sent };
+                    let reply = CtlMsg::HbAck {
+                        term: self.term,
+                        matched: 0,
+                        sent,
+                    };
                     self.send_ctl(from, &reply);
                     return;
                 }
@@ -876,11 +976,19 @@ impl Replica {
                 self.last_hb_sent_tick = self.last_hb_sent_tick.max(sent);
                 let matched = self.matched(cfg);
                 self.matched_sent = matched;
-                let reply = CtlMsg::HbAck { term: self.term, matched, sent };
+                let reply = CtlMsg::HbAck {
+                    term: self.term,
+                    matched,
+                    sent,
+                };
                 self.send_ctl(from, &reply);
                 tel.replog_acks.inc();
             }
-            CtlMsg::HbAck { term, matched, sent } => {
+            CtlMsg::HbAck {
+                term,
+                matched,
+                sent,
+            } => {
                 if term > self.term {
                     self.adopt(term, now, cfg, tel);
                     return;
@@ -1005,17 +1113,16 @@ impl Replica {
             let mut pushed = 0;
             while self.published_to[f] < self.log_len && pushed < 4 {
                 let i = self.published_to[f] + 1;
-                let Ok(slot) = self.log.read_bytes(slot_off(i), SLOT_BYTES) else { break };
+                let Ok(slot) = self.log.read_bytes(slot_off(i), SLOT_BYTES) else {
+                    break;
+                };
                 let peer = self.peers[f];
                 let wr = self.wr_id();
                 let res = match cfg.path {
-                    PublishPath::WriteRecord => self.publ.post_write_record(
-                        wr,
-                        slot,
-                        peer.publ,
-                        peer.log_stag,
-                        slot_off(i),
-                    ),
+                    PublishPath::WriteRecord => {
+                        self.publ
+                            .post_write_record(wr, slot, peer.publ, peer.log_stag, slot_off(i))
+                    }
                     PublishPath::TwoSided => self.publ.post_send(wr, slot, peer.publ),
                 };
                 if res.is_err() {
@@ -1081,8 +1188,11 @@ impl Replica {
             if matched > self.matched_sent {
                 self.matched_sent = matched;
                 if let Some(l) = self.leader_hint {
-                    let msg =
-                        CtlMsg::HbAck { term: self.term, matched, sent: self.last_hb_sent_tick };
+                    let msg = CtlMsg::HbAck {
+                        term: self.term,
+                        matched,
+                        sent: self.last_hb_sent_tick,
+                    };
                     self.send_ctl(l, &msg);
                     tel.replog_acks.inc();
                 }
@@ -1105,7 +1215,9 @@ impl Replica {
             }
             return;
         }
-        let Some(leader) = self.leader_hint else { return };
+        let Some(leader) = self.leader_hint else {
+            return;
+        };
         if cfg.bug == PlantedBug::AckBeforePlacement {
             return; // planted: never reconciles, acks blindly instead
         }
@@ -1116,7 +1228,9 @@ impl Replica {
         // First bad slot is matched+1; fetch the contiguous bad run.
         let first = matched + 1;
         let mut n = 1;
-        while n < FETCH_CAP && first + n <= self.hw_hint && !self.slot_good(first + n, Some(self.term))
+        while n < FETCH_CAP
+            && first + n <= self.hw_hint
+            && !self.slot_good(first + n, Some(self.term))
         {
             n += 1;
         }
@@ -1159,12 +1273,16 @@ impl Replica {
         };
         while self.applied < limit {
             let i = self.applied + 1;
-            let Ok(slot) = self.log.read_vec(slot_off(i), SLOT_BYTES) else { break };
+            let Ok(slot) = self.log.read_vec(slot_off(i), SLOT_BYTES) else {
+                break;
+            };
             let crc = crc32c(&slot[REC_HDR_BYTES..]);
             let (term, seq, kind) = match decode_hdr(&slot) {
                 Some(hdr) => {
                     let seq = if hdr.kind == RecordKind::Client && hdr.len >= 8 {
-                        u64::from_le_bytes(slot[REC_HDR_BYTES..REC_HDR_BYTES + 8].try_into().unwrap())
+                        u64::from_le_bytes(
+                            slot[REC_HDR_BYTES..REC_HDR_BYTES + 8].try_into().unwrap(),
+                        )
                     } else {
                         0
                     };
@@ -1281,10 +1399,16 @@ impl Cluster {
         let elections_at_start = tel.app().replog_elections.get();
         let refetch_at_start = tel.app().replog_refetch_transfers.get();
         let publishes_at_start = tel.app().replog_publishes.get();
-        let mut replicas: Vec<Replica> = (0..N_REPLICAS).map(|id| Replica::new(fab, id, &cfg)).collect();
+        let mut replicas: Vec<Replica> = (0..N_REPLICAS)
+            .map(|id| Replica::new(fab, id, &cfg))
+            .collect();
         let peers: Vec<Peer> = replicas
             .iter()
-            .map(|r| Peer { ctl: r.ctl.dest(), publ: r.publ.dest(), log_stag: r.log.stag() })
+            .map(|r| Peer {
+                ctl: r.ctl.dest(),
+                publ: r.publ.dest(),
+                log_stag: r.log.stag(),
+            })
             .collect();
         for (id, r) in replicas.iter_mut().enumerate() {
             r.peers = peers.clone();
@@ -1297,7 +1421,11 @@ impl Cluster {
             replicas,
             now: 0,
             history: History::default(),
-            client: Client { next_seq: 1, outstanding: Vec::new(), committed: Default::default() },
+            client: Client {
+                next_seq: 1,
+                outstanding: Vec::new(),
+                committed: Default::default(),
+            },
             frozen: None,
             lease_open: [None; N_REPLICAS],
             tel,
@@ -1321,14 +1449,22 @@ impl Cluster {
         let now = self.now;
         let payload = client_payload(self.cfg.seed, seq, self.cfg.payload.max(8));
         // The client only talks to a replica that holds a valid lease.
-        let Some(l) = (0..N_REPLICAS).find(|&r| self.replicas[r].holds_lease(now)) else { return };
+        let Some(l) = (0..N_REPLICAS).find(|&r| self.replicas[r].holds_lease(now)) else {
+            return;
+        };
         if self.frozen.is_some_and(|(f, _)| f == l) {
             return; // frozen process: client call would hang, model as refusal
         }
         if let Some((index, term, crc)) =
             self.replicas[l].client_append(seq, &payload, &self.cfg, self.tel.app())
         {
-            self.history.events.push(Event::Proposed { tick: now, seq, index, term, crc });
+            self.history.events.push(Event::Proposed {
+                tick: now,
+                seq,
+                index,
+                term,
+                crc,
+            });
         }
     }
 
@@ -1355,7 +1491,9 @@ impl Cluster {
         }
         // Client: retire acks, retry stragglers, window new proposals.
         let committed = &self.client.committed;
-        self.client.outstanding.retain(|(s, _)| !committed.contains(s));
+        self.client
+            .outstanding
+            .retain(|(s, _)| !committed.contains(s));
         if now.is_multiple_of(self.cfg.propose_every) {
             if self.client.outstanding.len() < self.cfg.client_window
                 && self.client.next_seq <= self.cfg.entries as u64
@@ -1399,7 +1537,12 @@ impl Cluster {
         }
         // Harvest fresh commit acks for the client.
         for e in &self.history.events[events_before..] {
-            if let Event::Committed { kind: RecordKind::Client, seq, .. } = e {
+            if let Event::Committed {
+                kind: RecordKind::Client,
+                seq,
+                ..
+            } = e
+            {
                 self.client.committed.insert(*seq);
             }
         }
@@ -1411,11 +1554,21 @@ impl Cluster {
             match (self.lease_open[r], holds) {
                 (None, true) => self.lease_open[r] = Some((term, now)),
                 (Some((t, start)), true) if t != term => {
-                    self.history.leases.push(LeaseInterval { replica: r, term: t, start, end: now });
+                    self.history.leases.push(LeaseInterval {
+                        replica: r,
+                        term: t,
+                        start,
+                        end: now,
+                    });
                     self.lease_open[r] = Some((term, now));
                 }
                 (Some((t, start)), false) => {
-                    self.history.leases.push(LeaseInterval { replica: r, term: t, start, end: now });
+                    self.history.leases.push(LeaseInterval {
+                        replica: r,
+                        term: t,
+                        start,
+                        end: now,
+                    });
                     self.lease_open[r] = None;
                 }
                 _ => {}
@@ -1535,13 +1688,7 @@ mod tests {
         let out = quiet_run(PublishPath::WriteRecord, Some((400, 900)));
         assert!(out.converged, "unconverged after {} ticks", out.ticks);
         // The freeze must have produced a second reign.
-        let max_term = out
-            .history
-            .leases
-            .iter()
-            .map(|l| l.term)
-            .max()
-            .unwrap_or(0);
+        let max_term = out.history.leases.iter().map(|l| l.term).max().unwrap_or(0);
         assert!(max_term >= 2, "no fail-over happened (max term {max_term})");
         assert_lease_exclusive(&out.history);
         // No client entry may be lost across the fail-over: every acked
@@ -1551,7 +1698,11 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                Event::Committed { kind: RecordKind::Client, seq, .. } => Some(*seq),
+                Event::Committed {
+                    kind: RecordKind::Client,
+                    seq,
+                    ..
+                } => Some(*seq),
                 _ => None,
             })
             .collect();
@@ -1583,10 +1734,26 @@ mod tests {
     #[test]
     fn ctl_codec_roundtrip() {
         let msgs = [
-            CtlMsg::VoteReq { term: 7, last_term: 3, log_len: 40 },
-            CtlMsg::VoteGrant { term: 7, shadow: 1234 },
-            CtlMsg::Heartbeat { term: 7, high_water: 11, commit: 9, sent: 500 },
-            CtlMsg::HbAck { term: 7, matched: 11, sent: 500 },
+            CtlMsg::VoteReq {
+                term: 7,
+                last_term: 3,
+                log_len: 40,
+            },
+            CtlMsg::VoteGrant {
+                term: 7,
+                shadow: 1234,
+            },
+            CtlMsg::Heartbeat {
+                term: 7,
+                high_water: 11,
+                commit: 9,
+                sent: 500,
+            },
+            CtlMsg::HbAck {
+                term: 7,
+                matched: 11,
+                sent: 500,
+            },
         ];
         for (i, m) in msgs.iter().enumerate() {
             let b = encode_ctl(i % N_REPLICAS, m);

@@ -107,9 +107,7 @@ impl CallLeg {
                         rxbuf.extend_from_slice(&buf[..n]);
                     }
                     Err(_) => {
-                        return Err(IwarpError::Net(simnet::NetError::Protocol(
-                            "bad SIP reply",
-                        )))
+                        return Err(IwarpError::Net(simnet::NetError::Protocol("bad SIP reply")))
                     }
                 }
             },

@@ -228,7 +228,16 @@ fn ud_event_loop(
         match main.recv_from(&mut buf, Duration::from_millis(1)) {
             Ok((n, src)) => {
                 if let Ok(msg) = SipView::parse(&buf[..n]) {
-                    handle_ud_message(stack, cfg, shared, &mut calls, &main, &msg, src, &mut scratch)?;
+                    handle_ud_message(
+                        stack,
+                        cfg,
+                        shared,
+                        &mut calls,
+                        &main,
+                        &msg,
+                        src,
+                        &mut scratch,
+                    )?;
                 } else {
                     shared.stats.parse_errors.fetch_add(1, Ordering::Relaxed);
                 }
@@ -293,7 +302,13 @@ fn ud_event_loop_evented(
                     for (data, src) in &batch {
                         if let Ok(msg) = SipView::parse(data) {
                             if let Some((h, call_fd)) = handle_ud_message(
-                                stack, cfg, shared, &mut calls, main, &msg, *src,
+                                stack,
+                                cfg,
+                                shared,
+                                &mut calls,
+                                main,
+                                &msg,
+                                *src,
                                 &mut scratch,
                             )? {
                                 fd_to_call.insert(call_fd, h);

@@ -2,10 +2,8 @@
 
 use std::time::Duration;
 
-use iwarp_apps::sip::{
-    run_sip_load, SipLoadConfig, SipServer, SipServerConfig, SipTransport,
-};
 use iwarp_apps::sip::load::run_sip_load_with_peak_sample;
+use iwarp_apps::sip::{run_sip_load, SipLoadConfig, SipServer, SipServerConfig, SipTransport};
 use iwarp_common::memacct::MemRegistry;
 use iwarp_socket::{SocketConfig, SocketStack};
 use simnet::{Addr, Fabric, NodeId};
@@ -75,16 +73,27 @@ fn sip_over_ud_basic_calls() {
 
     // Every call must have been torn down.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.stats().active_calls.load(std::sync::atomic::Ordering::Relaxed) > 0 {
+    while server
+        .stats()
+        .active_calls
+        .load(std::sync::atomic::Ordering::Relaxed)
+        > 0
+    {
         assert!(std::time::Instant::now() < deadline, "calls leaked");
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(
-        server.stats().invites.load(std::sync::atomic::Ordering::Relaxed),
+        server
+            .stats()
+            .invites
+            .load(std::sync::atomic::Ordering::Relaxed),
         10
     );
     assert_eq!(
-        server.stats().byes.load(std::sync::atomic::Ordering::Relaxed),
+        server
+            .stats()
+            .byes
+            .load(std::sync::atomic::Ordering::Relaxed),
         10
     );
     server.stop().unwrap();
@@ -117,7 +126,10 @@ fn sip_over_rc_basic_calls() {
     let report = run_sip_load(&clients, &cfg).unwrap();
     assert_eq!(report.calls_established, 10);
     assert_eq!(
-        server.stats().invites.load(std::sync::atomic::Ordering::Relaxed),
+        server
+            .stats()
+            .invites
+            .load(std::sync::atomic::Ordering::Relaxed),
         10
     );
     server.stop().unwrap();
@@ -150,7 +162,13 @@ fn sip_memory_ud_beats_rc_at_concurrency() {
         };
         let reg2 = reg.clone();
         let report = run_sip_load_with_peak_sample(&clients, &cfg, || {
-            (reg2.total_current(), reg2.snapshot().into_iter().map(|(c, cur, _)| (c, cur)).collect())
+            (
+                reg2.total_current(),
+                reg2.snapshot()
+                    .into_iter()
+                    .map(|(c, cur, _)| (c, cur))
+                    .collect(),
+            )
         })
         .unwrap();
         server.stop().unwrap();

@@ -40,17 +40,28 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut grab = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
-            "--plans" => args.plans = grab("--plans")?.parse().map_err(|e| format!("--plans: {e}"))?,
+            "--plans" => {
+                args.plans = grab("--plans")?
+                    .parse()
+                    .map_err(|e| format!("--plans: {e}"))?
+            }
             "--seed" => args.seed = parse_u64(&grab("--seed")?)?,
             "--replay" => args.replay = Some(parse_u64(&grab("--replay")?)?),
-            "--msgs" => args.msgs = Some(grab("--msgs")?.parse().map_err(|e| format!("--msgs: {e}"))?),
+            "--msgs" => {
+                args.msgs = Some(
+                    grab("--msgs")?
+                        .parse()
+                        .map_err(|e| format!("--msgs: {e}"))?,
+                )
+            }
             "--dgrams" => {
-                args.dgrams = Some(grab("--dgrams")?.parse().map_err(|e| format!("--dgrams: {e}"))?);
+                args.dgrams = Some(
+                    grab("--dgrams")?
+                        .parse()
+                        .map_err(|e| format!("--dgrams: {e}"))?,
+                );
             }
             "--verbose" | "-v" => args.verbose = true,
             "--cc" => {
@@ -160,10 +171,16 @@ fn main() -> ExitCode {
         }
     }
     if failed == 0 {
-        println!("chaos: {} plans passed (master seed {:#x})", args.plans, args.seed);
+        println!(
+            "chaos: {} plans passed (master seed {:#x})",
+            args.plans, args.seed
+        );
         ExitCode::SUCCESS
     } else {
-        eprintln!("chaos: {failed}/{} plans FAILED (master seed {:#x})", args.plans, args.seed);
+        eprintln!(
+            "chaos: {failed}/{} plans FAILED (master seed {:#x})",
+            args.plans, args.seed
+        );
         ExitCode::FAILURE
     }
 }

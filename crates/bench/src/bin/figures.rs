@@ -54,8 +54,10 @@ fn parse_args() -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--all" => figs.extend(
-                ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead", "ext"]
-                    .map(String::from),
+                [
+                    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead", "ext",
+                ]
+                .map(String::from),
             ),
             "--quick" => quick = true,
             "--fast-fabric" => fabric = FabricKind::Fast,
@@ -84,8 +86,10 @@ fn parse_args() -> Args {
     }
     if figs.is_empty() {
         figs.extend(
-            ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead", "ext"]
-                .map(String::from),
+            [
+                "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead", "ext",
+            ]
+            .map(String::from),
         );
     }
     Args {
@@ -462,10 +466,7 @@ fn fig9(args: &Args) {
 
 // --------------------------------------------------------------- Fig. 10
 
-fn sip_stacks(
-    fab: &Fabric,
-    reg: Option<MemRegistry>,
-) -> (SocketStack, SocketStack) {
+fn sip_stacks(fab: &Fabric, reg: Option<MemRegistry>) -> (SocketStack, SocketStack) {
     let sock = SocketConfig {
         recv_slots: 8,
         slot_size: 2048,
@@ -732,7 +733,12 @@ fn ext(args: &Args) {
     // Bursty (Gilbert–Elliott) vs Bernoulli loss at the same average rate.
     let rate = 0.01;
     let wr_n = if args.quick { 24 } else { 48 };
-    let bern = bandwidth(FabricKind::FastLoss(rate), Method::UdWriteRecord, 512 * 1024, wr_n);
+    let bern = bandwidth(
+        FabricKind::FastLoss(rate),
+        Method::UdWriteRecord,
+        512 * 1024,
+        wr_n,
+    );
     let burst = bandwidth_with_config(
         WireConfig {
             loss: LossModel::bursty(rate, 8.0),

@@ -53,13 +53,17 @@ fn parse_args() -> Result<Args, String> {
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let grab = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1).cloned().ok_or(format!("{flag} needs a value"))
+        argv.get(i + 1)
+            .cloned()
+            .ok_or(format!("{flag} needs a value"))
     };
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--entries" => {
-                args.entries = grab(&argv, i, "--entries")?.parse().map_err(|_| "bad --entries")?;
+                args.entries = grab(&argv, i, "--entries")?
+                    .parse()
+                    .map_err(|_| "bad --entries")?;
                 i += 1;
             }
             "--seed" => {
@@ -71,7 +75,9 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
             }
             "--plans" => {
-                args.plans = grab(&argv, i, "--plans")?.parse().map_err(|_| "bad --plans")?;
+                args.plans = grab(&argv, i, "--plans")?
+                    .parse()
+                    .map_err(|_| "bad --plans")?;
                 i += 1;
             }
             "--replay" => {
@@ -207,7 +213,10 @@ fn smoke(args: &Args) -> ExitCode {
         eprintln!("replog smoke: {failed}/{} chaos plans FAILED", args.plans);
         return ExitCode::FAILURE;
     }
-    println!("replog smoke: {} chaos plans passed (master seed {:#x})", args.plans, args.seed);
+    println!(
+        "replog smoke: {} chaos plans passed (master seed {:#x})",
+        args.plans, args.seed
+    );
     ExitCode::SUCCESS
 }
 
@@ -259,7 +268,10 @@ fn main() -> ExitCode {
     let mut first = true;
     for path in [PublishPath::WriteRecord, PublishPath::TwoSided] {
         for (li, &loss) in losses.iter().enumerate() {
-            let cell_seed = derive_seed(args.seed, (li as u64) << 8 | u64::from(path == PublishPath::TwoSided));
+            let cell_seed = derive_seed(
+                args.seed,
+                (li as u64) << 8 | u64::from(path == PublishPath::TwoSided),
+            );
             let c = run_cell(path, loss, args.entries, cell_seed);
             eprintln!(
                 "  {:>12} @ {loss}% loss: {} commits in {} ticks, latency p50 {} / p99 {} ticks, \

@@ -121,19 +121,24 @@ fn ramp_establish(
     if reply.status() != Some(200) {
         return Err(format!("call {seq}: INVITE answered {:?}", reply.status()));
     }
-    sock.send_to(&make_ack(&call_id, &from, "uas@server.example", 1).encode(), peer)
-        .map_err(|e| format!("ramp ACK: {e:?}"))?;
-    Ok((RampLeg { _sock: sock, _peer: peer }, rt))
+    sock.send_to(
+        &make_ack(&call_id, &from, "uas@server.example", 1).encode(),
+        peer,
+    )
+    .map_err(|e| format!("ramp ACK: {e:?}"))?;
+    Ok((
+        RampLeg {
+            _sock: sock,
+            _peer: peer,
+        },
+        rt,
+    ))
 }
 
 /// Round-robin OPTIONS probes against the server mains from a dedicated
 /// probe socket: p50/p99 request→200 time while `calls` dialogs are held
 /// established — the latency-under-memory-load sample.
-fn ramp_probe(
-    probe: &DgramSocket,
-    mains: &[Addr],
-    round: usize,
-) -> Result<Summary, String> {
+fn ramp_probe(probe: &DgramSocket, mains: &[Addr], round: usize) -> Result<Summary, String> {
     let mut rtts = Summary::new();
     for i in 0..RAMP_PROBES {
         let options = SipMessage::request(SipMethod::Options, "sip:uas@server.example")
@@ -281,7 +286,10 @@ fn run_ramp(levels: &[usize]) -> Result<RampOutput, String> {
     }
 
     let completed = legs.len();
-    let answered: u64 = servers.iter().map(|s| s.stats().invites.load(std::sync::atomic::Ordering::Relaxed)).sum();
+    let answered: u64 = servers
+        .iter()
+        .map(|s| s.stats().invites.load(std::sync::atomic::Ordering::Relaxed))
+        .sum();
     if answered != completed as u64 {
         return Err(format!(
             "ramp bookkeeping: {answered} INVITEs answered vs {completed} legs"
@@ -292,7 +300,9 @@ fn run_ramp(levels: &[usize]) -> Result<RampOutput, String> {
     drop(legs);
     drop(probe);
     for server in servers {
-        server.stop().map_err(|e| format!("ramp server stop: {e:?}"))?;
+        server
+            .stop()
+            .map_err(|e| format!("ramp server stop: {e:?}"))?;
     }
     Ok(RampOutput {
         checkpoints,

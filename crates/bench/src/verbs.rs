@@ -131,7 +131,13 @@ fn payload(size: usize) -> Bytes {
 
 /// Measures one-way latency (µs) for `method` at `size` bytes:
 /// `warmup` unmeasured rounds, then `iters` measured ping-pongs.
-pub fn latency(kind: FabricKind, method: Method, size: usize, warmup: usize, iters: usize) -> Summary {
+pub fn latency(
+    kind: FabricKind,
+    method: Method,
+    size: usize,
+    warmup: usize,
+    iters: usize,
+) -> Summary {
     let fabric = Fabric::new(kind.config());
     let dev_a = Device::new(&fabric, NodeId(0));
     let dev_b = Device::new(&fabric, NodeId(1));
@@ -192,7 +198,8 @@ fn latency_dgram(
                     qb.post_write_record(0, data_b.clone(), a_dest, a_sink.stag(), 0)
                         .expect("echo");
                 } else {
-                    qb.post_recv(RecvWr::whole(cqe.wr_id, &b_sink2)).expect("repost");
+                    qb.post_recv(RecvWr::whole(cqe.wr_id, &b_sink2))
+                        .expect("repost");
                     qb.post_send(0, data_b.clone(), a_dest).expect("echo");
                 }
                 while qb.send_cq().poll().is_some() {}
@@ -217,7 +224,8 @@ fn latency_dgram(
             let cqe = qa.recv_cq().poll_timeout(POLL).expect("client poll");
             let rtt = t0.elapsed();
             if !write_record {
-                qa.post_recv(RecvWr::whole(cqe.wr_id, &client_sink)).expect("repost");
+                qa.post_recv(RecvWr::whole(cqe.wr_id, &client_sink))
+                    .expect("repost");
             }
             while qa.send_cq().poll().is_some() {}
             if i >= warmup {
@@ -241,16 +249,15 @@ fn latency_rc_sendrecv(
     let listener = dev_b.rc_listen(4900).expect("listen");
     std::thread::scope(|s| {
         let srv = s.spawn(move || {
-            let qb = listener
-                .accept(POLL, &b_s, &b_r, qp_cfg())
-                .expect("accept");
+            let qb = listener.accept(POLL, &b_s, &b_r, qp_cfg()).expect("accept");
             let sink = dev_b.register(size.max(1), Access::Local);
             let data = payload(size);
             qb.post_recv(RecvWr::whole(0, &sink)).expect("post");
             qb.post_recv(RecvWr::whole(1, &sink)).expect("post");
             for _ in 0..total {
                 let cqe = qb.recv_cq().poll_timeout(POLL).expect("server poll");
-                qb.post_recv(RecvWr::whole(cqe.wr_id, &sink)).expect("repost");
+                qb.post_recv(RecvWr::whole(cqe.wr_id, &sink))
+                    .expect("repost");
                 qb.post_send(0, data.clone()).expect("echo");
                 while qb.send_cq().poll().is_some() {}
             }
@@ -269,7 +276,8 @@ fn latency_rc_sendrecv(
             qa.post_send(0, data.clone()).expect("send");
             let cqe = qa.recv_cq().poll_timeout(POLL).expect("client poll");
             let rtt = t0.elapsed();
-            qa.post_recv(RecvWr::whole(cqe.wr_id, &sink)).expect("repost");
+            qa.post_recv(RecvWr::whole(cqe.wr_id, &sink))
+                .expect("repost");
             while qa.send_cq().poll().is_some() {}
             if i >= warmup {
                 out.push(rtt.as_secs_f64() * 1e6 / 2.0);
@@ -298,9 +306,7 @@ fn latency_rc_write(
     let a_stag = a_sink.stag();
     std::thread::scope(|s| {
         let srv = s.spawn(move || {
-            let qb = listener
-                .accept(POLL, &b_s, &b_r, qp_cfg())
-                .expect("accept");
+            let qb = listener.accept(POLL, &b_s, &b_r, qp_cfg()).expect("accept");
             let b_sink = dev_b.register(size.max(1), Access::RemoteWrite);
             stag_tx.send(b_sink.stag()).expect("stag");
             let notify_sink = dev_b.register(1, Access::Local);
@@ -310,9 +316,11 @@ fn latency_rc_write(
             for _ in 0..total {
                 // Wait for the notification that the write landed.
                 let cqe = qb.recv_cq().poll_timeout(POLL).expect("server poll");
-                qb.post_recv(RecvWr::whole(cqe.wr_id, &notify_sink)).expect("repost");
+                qb.post_recv(RecvWr::whole(cqe.wr_id, &notify_sink))
+                    .expect("repost");
                 // Echo: RDMA Write back + notify.
-                qb.post_rdma_write(0, data.clone(), a_stag, 0).expect("write");
+                qb.post_rdma_write(0, data.clone(), a_stag, 0)
+                    .expect("write");
                 qb.post_send(0, Bytes::from_static(b"!")).expect("notify");
                 while qb.send_cq().poll().is_some() {}
             }
@@ -329,11 +337,13 @@ fn latency_rc_write(
         let mut out = Summary::new();
         for i in 0..total {
             let t0 = Instant::now();
-            qa.post_rdma_write(0, data.clone(), b_stag, 0).expect("write");
+            qa.post_rdma_write(0, data.clone(), b_stag, 0)
+                .expect("write");
             qa.post_send(0, Bytes::from_static(b"!")).expect("notify");
             let cqe = qa.recv_cq().poll_timeout(POLL).expect("client poll");
             let rtt = t0.elapsed();
-            qa.post_recv(RecvWr::whole(cqe.wr_id, &notify_sink)).expect("repost");
+            qa.post_recv(RecvWr::whole(cqe.wr_id, &notify_sink))
+                .expect("repost");
             while qa.send_cq().poll().is_some() {}
             if i >= warmup {
                 out.push(rtt.as_secs_f64() * 1e6 / 2.0);
@@ -546,12 +556,11 @@ fn bw_rc_sendrecv(dev_a: &Device, dev_b: &Device, size: usize, n: usize) -> BwRe
     let (start_tx, start_rx) = mpsc::channel::<Instant>();
     std::thread::scope(|s| {
         let counter = s.spawn(move || {
-            let qb = listener
-                .accept(POLL, &b_s, &b_r, qp_cfg())
-                .expect("accept");
+            let qb = listener.accept(POLL, &b_s, &b_r, qp_cfg()).expect("accept");
             let sink = dev_b.register(size.max(1), Access::Local);
             for i in 0..n {
-                qb.post_recv(RecvWr::whole(i as u64, &sink)).expect("prepost");
+                qb.post_recv(RecvWr::whole(i as u64, &sink))
+                    .expect("prepost");
             }
             ready_tx.send(()).expect("ready");
             let out = drain_completions(qb.recv_cq(), n, &start_rx, Duration::from_secs(2), false);
@@ -585,9 +594,7 @@ fn bw_rc_write(dev_a: &Device, dev_b: &Device, size: usize, n: usize) -> BwResul
     let (stag_tx, stag_rx) = mpsc::channel::<u32>();
     std::thread::scope(|s| {
         let echo = s.spawn(move || {
-            let qb = listener
-                .accept(POLL, &b_s, &b_r, qp_cfg())
-                .expect("accept");
+            let qb = listener.accept(POLL, &b_s, &b_r, qp_cfg()).expect("accept");
             let sink = dev_b.register(size.max(1), Access::RemoteWrite);
             stag_tx.send(sink.stag()).expect("stag");
             let notify_sink = dev_b.register(1, Access::Local);
@@ -722,7 +729,12 @@ mod tests {
     fn loss_reduces_udp_goodput() {
         // 256 KiB messages at 2% wire loss: most messages lose a datagram.
         let clean = bandwidth(FabricKind::Fast, Method::UdSendRecv, 256 * 1024, 24);
-        let lossy = bandwidth(FabricKind::FastLoss(0.02), Method::UdSendRecv, 256 * 1024, 24);
+        let lossy = bandwidth(
+            FabricKind::FastLoss(0.02),
+            Method::UdSendRecv,
+            256 * 1024,
+            24,
+        );
         assert!(lossy.delivered < clean.delivered);
     }
 

@@ -96,7 +96,9 @@ pub trait CongestionControl: Send + fmt::Debug {
 #[must_use]
 pub fn build_cc(algo: CcAlgo, cfg: &CcConfig) -> Box<dyn CongestionControl> {
     match algo {
-        CcAlgo::Fixed => Box::new(Fixed { window: cfg.fixed_window.max(cfg.quantum) }),
+        CcAlgo::Fixed => Box::new(Fixed {
+            window: cfg.fixed_window.max(cfg.quantum),
+        }),
         CcAlgo::NewReno => Box::new(NewReno::new(cfg)),
     }
 }
@@ -199,7 +201,12 @@ mod tests {
     const MS: Duration = Duration::from_millis(1);
 
     fn cfg() -> CcConfig {
-        CcConfig { quantum: 1, init_cwnd: 2, fixed_window: 64, max_cwnd: 1 << 20 }
+        CcConfig {
+            quantum: 1,
+            init_cwnd: 2,
+            fixed_window: 64,
+            max_cwnd: 1 << 20,
+        }
     }
 
     #[test]

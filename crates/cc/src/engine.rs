@@ -377,8 +377,7 @@ impl RecoveryEngine {
             self.rtt.reset_backoff();
         }
         self.cc.on_ack(t, ev.newly_acked, sample);
-        self.deadline =
-            (self.outstanding() > 0).then(|| t + self.rtt.rto());
+        self.deadline = (self.outstanding() > 0).then(|| t + self.rtt.rto());
         self.record_tel();
         ev
     }
@@ -841,7 +840,10 @@ mod tests {
         assert_eq!(lost, 1, "head is marked lost exactly once");
         let (start, len) = e.pop_rtx(2 * MS).expect("queued for retransmit");
         assert_eq!((start, len), (0, 1));
-        assert!(e.pop_rtx(2 * MS).is_none(), "sacked segments never retransmit");
+        assert!(
+            e.pop_rtx(2 * MS).is_none(),
+            "sacked segments never retransmit"
+        );
         e.check_partition().unwrap();
         // Cum ack arrives for everything.
         let ev = e.on_cum_ack(3 * MS, 8);
@@ -887,7 +889,10 @@ mod tests {
         for i in 0..10 {
             assert_eq!(e.detect_losses(MS * (i + 3)), 0, "call {i}");
         }
-        assert!(e.pop_rtx(20 * MS).is_none(), "the retransmission waits for the RTO");
+        assert!(
+            e.pop_rtx(20 * MS).is_none(),
+            "the retransmission waits for the RTO"
+        );
         e.check_partition().unwrap();
     }
 
@@ -908,7 +913,11 @@ mod tests {
         e.on_sack_range(MS, MSS, 3 * MSS + MSS / 2);
         assert_eq!(e.detect_losses(MS), 0, "2.5 MSS SACKed above is not enough");
         e.on_sack_range(2 * MS, 3 * MSS + MSS / 2, 4 * MSS);
-        assert_eq!(e.detect_losses(2 * MS), 1, "3 MSS SACKed above marks the hole");
+        assert_eq!(
+            e.detect_losses(2 * MS),
+            1,
+            "3 MSS SACKed above marks the hole"
+        );
         assert_eq!(e.pop_rtx(2 * MS), Some((0, MSS)));
         e.check_partition().unwrap();
     }

@@ -122,7 +122,10 @@ mod tests {
             e.on_sample(5 * MS);
         }
         let srtt = e.srtt().unwrap();
-        assert!((srtt.as_micros() as i64 - 5_000).abs() < 200, "srtt={srtt:?}");
+        assert!(
+            (srtt.as_micros() as i64 - 5_000).abs() < 200,
+            "srtt={srtt:?}"
+        );
         // rttvar decays toward 0, so rto approaches srtt (clamped at min).
         assert!(e.rto() < 8 * MS, "rto={:?}", e.rto());
     }
@@ -144,7 +147,11 @@ mod tests {
         for _ in 0..8 {
             fixed.on_backoff();
         }
-        assert_eq!(fixed.rto(), 10 * MS, "disabled backoff must hold the RTO fixed");
+        assert_eq!(
+            fixed.rto(),
+            10 * MS,
+            "disabled backoff must hold the RTO fixed"
+        );
 
         let mut e = RttEstimator::new(100 * MS, MS, 300 * MS, true);
         for _ in 0..8 {

@@ -22,14 +22,14 @@ use iwarp_socket::{SocketConfig, SocketStack};
 use simnet::rdgram::RdConfig;
 use simnet::stream::StreamConfig;
 use simnet::{
-    Addr, CcAlgo, Fabric, FaultEvent, FaultPlan, NodeId, RdConduit, StreamConduit,
-    StreamListener, WireConfig,
+    Addr, CcAlgo, Fabric, FaultEvent, FaultPlan, NodeId, RdConduit, StreamConduit, StreamListener,
+    WireConfig,
 };
 
 use crate::invariants::{
-    check_conservation, check_cq_discipline, check_datagram_boundaries,
-    check_read_reconciliation, check_recv_accounting, check_window_contents,
-    check_write_record_cqes, PostedRead, Violation, WriteWindow,
+    check_conservation, check_cq_discipline, check_datagram_boundaries, check_read_reconciliation,
+    check_recv_accounting, check_window_contents, check_write_record_cqes, PostedRead, Violation,
+    WriteWindow,
 };
 
 /// Byte value guard zones are filled with before the run; any other value
@@ -195,7 +195,11 @@ impl PlanReport {
         if self.ok() {
             let _ = writeln!(s, "chaos plan report — seed {}", self.seed);
         } else {
-            let _ = writeln!(s, "chaos plan FAILED — replay with: chaos --replay {}", self.seed);
+            let _ = writeln!(
+                s,
+                "chaos plan FAILED — replay with: chaos --replay {}",
+                self.seed
+            );
         }
         let _ = writeln!(s, "plan: {:?}", self.plan);
         for v in &self.violations {
@@ -340,7 +344,12 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
 
     // Untagged sends land in per-WR windows of `sink_recv`.
     let sends: Vec<Vec<u8>> = (0..opts.send_msgs)
-        .map(|i| msg_bytes(derive_seed(seed, 100 + i as u64), pick_size(&mut size_stream)))
+        .map(|i| {
+            msg_bytes(
+                derive_seed(seed, 100 + i as u64),
+                pick_size(&mut size_stream),
+            )
+        })
         .collect();
     let send_by_tag: HashMap<u64, usize> = (0..opts.send_msgs)
         .map(|i| (derive_seed(seed, 100 + i as u64), i))
@@ -360,7 +369,12 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
 
     // Write-Records land in per-message windows of `sink_wr`.
     let writes: Vec<Vec<u8>> = (0..opts.write_msgs)
-        .map(|i| msg_bytes(derive_seed(seed, 200 + i as u64), pick_size(&mut size_stream)))
+        .map(|i| {
+            msg_bytes(
+                derive_seed(seed, 200 + i as u64),
+                pick_size(&mut size_stream),
+            )
+        })
         .collect();
     let sink_wr = b.register(opts.write_msgs * SLOT, Access::RemoteWrite);
     sink_wr.fill(SENTINEL);
@@ -424,11 +438,25 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
     let mut recv_cqes = Vec::new();
     let mut read_side_cqes = Vec::new();
     let mut send_cqes = Vec::new();
-    drive_until_quiet(&qa, &qb, &cqs, &mut recv_cqes, &mut read_side_cqes, &mut send_cqes);
+    drive_until_quiet(
+        &qa,
+        &qb,
+        &cqs,
+        &mut recv_cqes,
+        &mut read_side_cqes,
+        &mut send_cqes,
+    );
     // Release reorder holds, then let the stacks settle again (released
     // packets can complete messages or start TTL clocks).
     fab.chaos_flush();
-    drive_until_quiet(&qa, &qb, &cqs, &mut recv_cqes, &mut read_side_cqes, &mut send_cqes);
+    drive_until_quiet(
+        &qa,
+        &qb,
+        &cqs,
+        &mut recv_cqes,
+        &mut read_side_cqes,
+        &mut send_cqes,
+    );
 
     // -- Invariants over the verbs phase --
     violations.extend(check_conservation(&fab));
@@ -569,8 +597,8 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
     }
     verbs.crc_errors = qb.stats().crc_errors.load(Ordering::Relaxed)
         + qa.stats().crc_errors.load(Ordering::Relaxed);
-    verbs.malformed = qb.stats().malformed.load(Ordering::Relaxed)
-        + qa.stats().malformed.load(Ordering::Relaxed);
+    verbs.malformed =
+        qb.stats().malformed.load(Ordering::Relaxed) + qa.stats().malformed.load(Ordering::Relaxed);
 
     let fault_trace = fab.fault_trace();
     let forensic = if opts.forensic && !violations.is_empty() {
@@ -802,13 +830,37 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         let solo_sink = ba.register(4 * SOLO_SLOT as usize, Access::Local);
         solo_sink.fill(SENTINEL);
         let posted_reads = [
-            PostedRead { wr_id: 4000, signaled: true, len: SOLO_LEN },
-            PostedRead { wr_id: 4001, signaled: false, len: SOLO_LEN },
-            PostedRead { wr_id: 4002, signaled: true, len: SOLO_LEN },
-            PostedRead { wr_id: 4003, signaled: false, len: SOLO_LEN },
+            PostedRead {
+                wr_id: 4000,
+                signaled: true,
+                len: SOLO_LEN,
+            },
+            PostedRead {
+                wr_id: 4001,
+                signaled: false,
+                len: SOLO_LEN,
+            },
+            PostedRead {
+                wr_id: 4002,
+                signaled: true,
+                len: SOLO_LEN,
+            },
+            PostedRead {
+                wr_id: 4003,
+                signaled: false,
+                len: SOLO_LEN,
+            },
         ];
-        sqa.post_read(4000, &solo_sink, 0, SOLO_LEN, sqb.dest(), bulk_src.stag(), 0)
-            .expect("post solo read");
+        sqa.post_read(
+            4000,
+            &solo_sink,
+            0,
+            SOLO_LEN,
+            sqb.dest(),
+            bulk_src.stag(),
+            0,
+        )
+        .expect("post solo read");
         sqa.post_read_unsignaled(
             4001,
             &solo_sink,
@@ -819,8 +871,16 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
             u64::from(SOLO_LEN),
         )
         .expect("post solo read");
-        sqa.post_read(4002, &solo_sink, 2 * SOLO_SLOT, SOLO_LEN, sqb.dest(), denied.stag(), 0)
-            .expect("post solo read");
+        sqa.post_read(
+            4002,
+            &solo_sink,
+            2 * SOLO_SLOT,
+            SOLO_LEN,
+            sqb.dest(),
+            denied.stag(),
+            0,
+        )
+        .expect("post solo read");
         sqa.post_read_unsignaled(
             4003,
             &solo_sink,
@@ -835,8 +895,7 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
         let mut solo_cqes: Vec<Cqe> = Vec::new();
         let mut solo_retired: Vec<u64> = Vec::new();
         let deadline = Instant::now() + DEADLINE;
-        while solo_cqes.len() + solo_retired.len() < posted_reads.len()
-            && Instant::now() < deadline
+        while solo_cqes.len() + solo_retired.len() < posted_reads.len() && Instant::now() < deadline
         {
             sqb.progress(Duration::from_millis(1));
             sqa.progress(Duration::from_millis(1));
@@ -855,7 +914,11 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
             }
             solo_retired.extend(sqa.take_retired_reads());
         }
-        violations.extend(check_read_reconciliation(&posted_reads, &solo_cqes, &solo_retired));
+        violations.extend(check_read_reconciliation(
+            &posted_reads,
+            &solo_cqes,
+            &solo_retired,
+        ));
         // Delivered solo reads must hold the exact source bytes; expired
         // ones may be partial (source-or-sentinel, checked below).
         let mut solo_windows: Vec<WriteWindow> = Vec::new();
@@ -961,7 +1024,9 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
                 if got != c2s {
                     return Err("client->server stream bytes differ".into());
                 }
-                server.write_all(&s2c).map_err(|e| format!("server write: {e}"))?;
+                server
+                    .write_all(&s2c)
+                    .map_err(|e| format!("server write: {e}"))?;
                 // Hold the conduit open until the client has read
                 // everything (its FIN lands as our EOF); dropping early
                 // would stop retransmitting unacked tail segments.
@@ -970,9 +1035,12 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
                 Ok(())
             });
             let cli = sc.spawn(|| -> Result<(), String> {
-                let client = StreamConduit::connect(&rfab, NodeId(0), Addr::new(1, 700), scfg.clone())
-                    .map_err(|e| format!("connect: {e}"))?;
-                client.write_all(&c2s).map_err(|e| format!("client write: {e}"))?;
+                let client =
+                    StreamConduit::connect(&rfab, NodeId(0), Addr::new(1, 700), scfg.clone())
+                        .map_err(|e| format!("connect: {e}"))?;
+                client
+                    .write_all(&c2s)
+                    .map_err(|e| format!("client write: {e}"))?;
                 let mut got = vec![0u8; s2c.len()];
                 client
                     .read_exact(&mut got, Some(Duration::from_secs(20)))
@@ -983,10 +1051,14 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
                 client.close();
                 Ok(())
             });
-            stream_results
-                .push(("server", srv.join().unwrap_or_else(|_| Err("thread panicked".into()))));
-            stream_results
-                .push(("client", cli.join().unwrap_or_else(|_| Err("thread panicked".into()))));
+            stream_results.push((
+                "server",
+                srv.join().unwrap_or_else(|_| Err("thread panicked".into())),
+            ));
+            stream_results.push((
+                "client",
+                cli.join().unwrap_or_else(|_| Err("thread panicked".into())),
+            ));
         });
         let mut stream_ok = true;
         for (side, r) in stream_results {

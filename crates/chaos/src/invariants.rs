@@ -47,7 +47,10 @@ pub fn check_conservation(fab: &Fabric) -> Vec<Violation> {
     let unreachable = st.dropped_unreachable.load(Ordering::SeqCst);
     let chaos = fab.chaos_stats().unwrap_or_default();
     let lhs = tx + chaos.duplicated;
-    let rhs = delivered + loss + unreachable + chaos.swallowed()
+    let rhs = delivered
+        + loss
+        + unreachable
+        + chaos.swallowed()
         + fab.in_flight() as u64
         + fab.chaos_held();
     if lhs != rhs {
@@ -101,7 +104,10 @@ pub fn check_write_record_cqes(
         let Some(info) = &cqe.write_record else {
             out.push(violation(
                 "wr-reconciliation",
-                format!("WriteRecord CQE without validity info (wr_id={})", cqe.wr_id),
+                format!(
+                    "WriteRecord CQE without validity info (wr_id={})",
+                    cqe.wr_id
+                ),
             ));
             continue;
         };
@@ -145,7 +151,10 @@ pub fn check_write_record_cqes(
         match cqe.status {
             CqeStatus::Success if !complete => out.push(violation(
                 "wr-reconciliation",
-                format!("Success with incomplete validity map at base_to={}", info.base_to),
+                format!(
+                    "Success with incomplete validity map at base_to={}",
+                    info.base_to
+                ),
             )),
             CqeStatus::Partial if complete => out.push(violation(
                 "wr-reconciliation",
@@ -317,8 +326,7 @@ pub fn check_cq_discipline(
 #[must_use]
 pub fn check_datagram_boundaries(sent: &[Vec<u8>], received: &[Vec<u8>]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let sent_set: std::collections::HashSet<&[u8]> =
-        sent.iter().map(Vec::as_slice).collect();
+    let sent_set: std::collections::HashSet<&[u8]> = sent.iter().map(Vec::as_slice).collect();
     for (i, r) in received.iter().enumerate() {
         if !sent_set.contains(r.as_slice()) {
             out.push(violation(
@@ -564,9 +572,21 @@ mod tests {
     #[test]
     fn read_terminals_reconcile() {
         let posted = [
-            PostedRead { wr_id: 1, signaled: true, len: 100 },
-            PostedRead { wr_id: 2, signaled: false, len: 100 },
-            PostedRead { wr_id: 3, signaled: false, len: 100 },
+            PostedRead {
+                wr_id: 1,
+                signaled: true,
+                len: 100,
+            },
+            PostedRead {
+                wr_id: 2,
+                signaled: false,
+                len: 100,
+            },
+            PostedRead {
+                wr_id: 3,
+                signaled: false,
+                len: 100,
+            },
         ];
         // Signaled success, silent retirement, unsignaled expiry: clean.
         let cqes = [
@@ -578,7 +598,11 @@ mod tests {
 
     #[test]
     fn silently_lost_read_is_caught() {
-        let posted = [PostedRead { wr_id: 7, signaled: true, len: 64 }];
+        let posted = [PostedRead {
+            wr_id: 7,
+            signaled: true,
+            len: 64,
+        }];
         let v = check_read_reconciliation(&posted, &[], &[]);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("no terminal state"));
@@ -586,7 +610,11 @@ mod tests {
 
     #[test]
     fn double_terminal_read_is_caught() {
-        let posted = [PostedRead { wr_id: 7, signaled: false, len: 64 }];
+        let posted = [PostedRead {
+            wr_id: 7,
+            signaled: false,
+            len: 64,
+        }];
         // Retired AND expired: the engine resolved one read twice.
         let v = check_read_reconciliation(&posted, &[read_cqe(7, CqeStatus::Expired, 0)], &[7]);
         assert_eq!(v.len(), 1);
@@ -596,7 +624,11 @@ mod tests {
     #[test]
     fn unsignaled_success_cqe_is_caught() {
         // An unsignaled read must retire silently, not complete.
-        let posted = [PostedRead { wr_id: 9, signaled: false, len: 64 }];
+        let posted = [PostedRead {
+            wr_id: 9,
+            signaled: false,
+            len: 64,
+        }];
         let v = check_read_reconciliation(&posted, &[read_cqe(9, CqeStatus::Success, 64)], &[]);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("Success CQE"));
@@ -604,7 +636,11 @@ mod tests {
 
     #[test]
     fn short_success_read_is_caught() {
-        let posted = [PostedRead { wr_id: 4, signaled: true, len: 100 }];
+        let posted = [PostedRead {
+            wr_id: 4,
+            signaled: true,
+            len: 100,
+        }];
         let v = check_read_reconciliation(&posted, &[read_cqe(4, CqeStatus::Success, 60)], &[]);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("byte_len 60"));

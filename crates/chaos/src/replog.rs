@@ -61,7 +61,12 @@ pub struct ReplogOpts {
 
 impl Default for ReplogOpts {
     fn default() -> Self {
-        Self { entries: 16, payload: 1000, ticks: 60_000, bug: PlantedBug::None }
+        Self {
+            entries: 16,
+            payload: 1000,
+            ticks: 60_000,
+            bug: PlantedBug::None,
+        }
     }
 }
 
@@ -98,8 +103,11 @@ impl ReplogReport {
         if self.ok() {
             let _ = writeln!(s, "replog plan report — seed {}", self.seed);
         } else {
-            let _ =
-                writeln!(s, "replog plan FAILED — replay with: replog --replay {:#x}", self.seed);
+            let _ = writeln!(
+                s,
+                "replog plan FAILED — replay with: replog --replay {:#x}",
+                self.seed
+            );
         }
         let _ = writeln!(s, "plan: {:?}", self.plan);
         let _ = writeln!(
@@ -138,7 +146,11 @@ impl ReplogReport {
 /// plans freeze the leaseholder mid-run to force a fail-over.
 #[must_use]
 pub fn replog_cfg_for_seed(seed: u64, opts: &ReplogOpts) -> ReplogConfig {
-    let path = if seed & 1 == 0 { PublishPath::WriteRecord } else { PublishPath::TwoSided };
+    let path = if seed & 1 == 0 {
+        PublishPath::WriteRecord
+    } else {
+        PublishPath::TwoSided
+    };
     let freeze = if seed & 2 != 0 {
         let at = 150 + derive_seed(seed, 0xF2EE) % 400;
         let len = 400 + derive_seed(seed, 0xF2EF) % 400;
@@ -173,13 +185,22 @@ pub fn run_replog_plan(seed: u64, opts: &ReplogOpts) -> ReplogReport {
     fab.chaos_flush();
     let fault_trace = fab.fault_trace();
     let violations = check_replog(&outcome, &cfg);
-    ReplogReport { seed, plan, cfg, violations, fault_trace, outcome }
+    ReplogReport {
+        seed,
+        plan,
+        cfg,
+        violations,
+        fault_trace,
+        outcome,
+    }
 }
 
 /// Runs `n` consecutive replog plans derived from `master`.
 #[must_use]
 pub fn run_replog_sweep(master: u64, n: usize, opts: &ReplogOpts) -> Vec<ReplogReport> {
-    (0..n).map(|i| run_replog_plan(derive_seed(master, i as u64), opts)).collect()
+    (0..n)
+        .map(|i| run_replog_plan(derive_seed(master, i as u64), opts))
+        .collect()
 }
 
 /// Checks the agreement invariants over a finished run's history.
@@ -193,10 +214,24 @@ pub fn check_replog(out: &RunOutcome, cfg: &ReplogConfig) -> Vec<Violation> {
     let mut proposed: BTreeSet<(u64, u64, u64, u32)> = BTreeSet::new();
     for e in &h.events {
         match *e {
-            Event::Proposed { seq, index, term, crc, .. } => {
+            Event::Proposed {
+                seq,
+                index,
+                term,
+                crc,
+                ..
+            } => {
                 proposed.insert((index, term, seq, crc));
             }
-            Event::Committed { index, term, seq, crc, len, kind, .. } => {
+            Event::Committed {
+                index,
+                term,
+                seq,
+                crc,
+                len,
+                kind,
+                ..
+            } => {
                 let tuple = (term, seq, crc, len, kind);
                 match committed.get(&index) {
                     Some(prev) if *prev != tuple => v.push(violation(
@@ -219,7 +254,16 @@ pub fn check_replog(out: &RunOutcome, cfg: &ReplogConfig) -> Vec<Violation> {
     let nreplicas = iwarp_apps::replog::N_REPLICAS;
     let mut applied: Vec<Vec<AppliedEntry>> = vec![Vec::new(); nreplicas];
     for e in &h.events {
-        if let Event::Applied { replica, index, term, seq, crc, kind, .. } = *e {
+        if let Event::Applied {
+            replica,
+            index,
+            term,
+            seq,
+            crc,
+            kind,
+            ..
+        } = *e
+        {
             applied[replica].push((index, term, seq, crc, kind));
         }
     }
@@ -274,7 +318,10 @@ pub fn check_replog(out: &RunOutcome, cfg: &ReplogConfig) -> Vec<Violation> {
             if (log.len() as u64) < mc {
                 v.push(violation(
                     "committed-durability",
-                    format!("replica {r} ended at applied {} < max committed {mc}", log.len()),
+                    format!(
+                        "replica {r} ended at applied {} < max committed {mc}",
+                        log.len()
+                    ),
                 ));
             }
         }

@@ -28,7 +28,10 @@ pub fn pin_to_core(core: usize) -> bool {
     set_affinity(core % cpus)
 }
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 fn set_affinity(core: usize) -> bool {
     // cpu_set_t is 1024 bits; bit N = CPU N allowed.
     let mut mask = [0u64; 16];
@@ -67,7 +70,10 @@ fn set_affinity(core: usize) -> bool {
     ret == 0
 }
 
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
 fn set_affinity(_core: usize) -> bool {
     false
 }

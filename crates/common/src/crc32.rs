@@ -331,7 +331,11 @@ mod tests {
         for &b in data {
             crc ^= u32::from(b);
             for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
             }
         }
         !crc
@@ -352,7 +356,9 @@ mod tests {
 
     #[test]
     fn matches_bitwise_reference() {
-        let data: Vec<u8> = (0..1021u32).map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8).collect();
+        let data: Vec<u8> = (0..1021u32)
+            .map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8)
+            .collect();
         for len in [0, 1, 7, 8, 9, 63, 64, 65, 255, 1021] {
             assert_eq!(crc32c(&data[..len]), crc32c_ref(&data[..len]), "len={len}");
         }
@@ -373,9 +379,15 @@ mod tests {
     fn hardware_and_scalar_kernels_agree() {
         // On SSE4.2 machines `crc32c` runs the hardware kernel; elsewhere
         // this degenerates to scalar==scalar, which is still a valid check.
-        let data: Vec<u8> = (0..3000u32).map(|i| (i.wrapping_mul(97) >> 2) as u8).collect();
+        let data: Vec<u8> = (0..3000u32)
+            .map(|i| (i.wrapping_mul(97) >> 2) as u8)
+            .collect();
         for len in [0, 1, 7, 8, 9, 15, 16, 63, 64, 255, 1500, 3000] {
-            assert_eq!(crc32c(&data[..len]), crc32c_scalar(&data[..len]), "len={len}");
+            assert_eq!(
+                crc32c(&data[..len]),
+                crc32c_scalar(&data[..len]),
+                "len={len}"
+            );
         }
         // Streaming across odd split points must agree too.
         let mut hw = Crc32c::new();

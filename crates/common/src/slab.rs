@@ -138,7 +138,9 @@ impl SlabStats {
 #[derive(Debug)]
 enum Slot<T> {
     /// Freed slot; `next` chains the intrusive free list ([`NIL`] ends it).
-    Free { next: u32 },
+    Free {
+        next: u32,
+    },
     Occupied(T),
 }
 

@@ -46,7 +46,11 @@ impl Summary {
     /// Minimum sample (0.0 when empty).
     #[must_use]
     pub fn min(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min).pipe_finite()
+        self.samples
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
+            .pipe_finite()
     }
 
     /// Maximum sample (0.0 when empty).
@@ -84,11 +88,7 @@ impl Summary {
             return 0.0;
         }
         let m = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|s| (s - m) * (s - m))
-            .sum::<f64>()
+        let var = self.samples.iter().map(|s| (s - m) * (s - m)).sum::<f64>()
             / (self.samples.len() - 1) as f64;
         var.sqrt()
     }

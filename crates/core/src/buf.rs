@@ -492,7 +492,10 @@ mod tests {
     #[test]
     fn invalid_stag_lookup() {
         let t = MrTable::new();
-        assert_eq!(t.lookup(0xDEAD).unwrap_err(), IwarpError::InvalidStag(0xDEAD));
+        assert_eq!(
+            t.lookup(0xDEAD).unwrap_err(),
+            IwarpError::InvalidStag(0xDEAD)
+        );
     }
 
     #[test]

@@ -107,9 +107,12 @@ mod tests {
     #[test]
     fn handshake_negotiates() {
         let fab = Fabric::loopback();
-        let listener =
-            StreamListener::bind(&fab, Addr::new(1, 40), simnet::stream::StreamConfig::default())
-                .unwrap();
+        let listener = StreamListener::bind(
+            &fab,
+            Addr::new(1, 40),
+            simnet::stream::StreamConfig::default(),
+        )
+        .unwrap();
         std::thread::scope(|s| {
             let srv = s.spawn(|| {
                 let stream = listener.accept(Some(Duration::from_secs(2))).unwrap();
@@ -138,9 +141,12 @@ mod tests {
     #[test]
     fn markerless_request_echoed() {
         let fab = Fabric::loopback();
-        let listener =
-            StreamListener::bind(&fab, Addr::new(1, 41), simnet::stream::StreamConfig::default())
-                .unwrap();
+        let listener = StreamListener::bind(
+            &fab,
+            Addr::new(1, 41),
+            simnet::stream::StreamConfig::default(),
+        )
+        .unwrap();
         std::thread::scope(|s| {
             s.spawn(|| {
                 let stream = listener.accept(Some(Duration::from_secs(2))).unwrap();
@@ -172,7 +178,14 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let enc = encode(REQ_MAGIC, MpaConfig { markers: true, crc: false }, 99);
+        let enc = encode(
+            REQ_MAGIC,
+            MpaConfig {
+                markers: true,
+                crc: false,
+            },
+            99,
+        );
         let arr: [u8; FRAME_LEN] = enc[..].try_into().unwrap();
         let (cfg, qpn) = decode(&arr, REQ_MAGIC).unwrap();
         assert!(cfg.markers && !cfg.crc);

@@ -416,7 +416,9 @@ impl Cq {
         if n == 0 {
             return;
         }
-        self.inner.unsignaled_retired.fetch_add(n, Ordering::Relaxed);
+        self.inner
+            .unsignaled_retired
+            .fetch_add(n, Ordering::Relaxed);
         if let Some(m) = self.metrics() {
             m.cq_unsignaled_retired.add(n);
         }
@@ -508,9 +510,7 @@ mod tests {
         }
         let got = cq.poll_n(3, Duration::from_millis(100)).unwrap();
         assert_eq!(got.len(), 3);
-        assert!(cq
-            .poll_n(1, Duration::from_millis(10))
-            .is_err());
+        assert!(cq.poll_n(1, Duration::from_millis(10)).is_err());
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::qp::{DatagramQp, QpConfig, RcListener, RcQp};
 use crate::shard::{ShardConfig, ShardMap};
 
 /// Device-wide configuration.
-#[derive(Clone, Debug)]
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DeviceConfig {
     /// Stream-conduit (TCP analog) settings for RC connections.
     pub stream: StreamConfig,
@@ -35,7 +34,6 @@ pub struct DeviceConfig {
     /// instead of one thread each (see [`crate::shard`]).
     pub shard: ShardConfig,
 }
-
 
 /// The software RNIC: one per fabric node.
 pub struct Device {
@@ -66,8 +64,8 @@ impl Device {
         if let Some(reg) = &cfg.mem {
             fabric.telemetry().attach_mem(reg.clone());
         }
-        let shards = (cfg.shard.shards > 0)
-            .then(|| ShardMap::new(cfg.shard.clone(), fabric.telemetry()));
+        let shards =
+            (cfg.shard.shards > 0).then(|| ShardMap::new(cfg.shard.clone(), fabric.telemetry()));
         Self {
             fabric: fabric.clone(),
             node,
@@ -143,7 +141,13 @@ impl Device {
         cfg: QpConfig,
     ) -> IwarpResult<DatagramQp> {
         let conduit = match port {
-            Some(p) => DgramConduit::bind(&self.fabric, Addr { node: self.node, port: p })?,
+            Some(p) => DgramConduit::bind(
+                &self.fabric,
+                Addr {
+                    node: self.node,
+                    port: p,
+                },
+            )?,
             None => DgramConduit::bind_ephemeral(&self.fabric, self.node)?,
         };
         Ok(self.build_dgram_qp(DgLlp::Ud(conduit), send_cq, recv_cq, cfg))
@@ -162,7 +166,10 @@ impl Device {
         let conduit = match port {
             Some(p) => RdConduit::bind(
                 &self.fabric,
-                Addr { node: self.node, port: p },
+                Addr {
+                    node: self.node,
+                    port: p,
+                },
                 rd_cfg,
             )?,
             None => RdConduit::bind_ephemeral(&self.fabric, self.node, rd_cfg)?,
@@ -170,19 +177,9 @@ impl Device {
         Ok(self.build_dgram_qp(DgLlp::Rd(Box::new(conduit)), send_cq, recv_cq, cfg))
     }
 
-    fn build_dgram_qp(
-        &self,
-        llp: DgLlp,
-        send_cq: &Cq,
-        recv_cq: &Cq,
-        cfg: QpConfig,
-    ) -> DatagramQp {
+    fn build_dgram_qp(&self, llp: DgLlp, send_cq: &Cq, recv_cq: &Cq, cfg: QpConfig) -> DatagramQp {
         let qpn = self.next_qpn.fetch_add(1, Ordering::Relaxed);
-        let mem = self
-            .cfg
-            .mem
-            .as_ref()
-            .map(|r| r.track("qp_dgram", 512));
+        let mem = self.cfg.mem.as_ref().map(|r| r.track("qp_dgram", 512));
         DatagramQp::new(
             qpn,
             llp,
@@ -223,7 +220,10 @@ impl Device {
     pub fn rc_listen(&self, port: u16) -> IwarpResult<RcListener> {
         RcListener::new(
             &self.fabric,
-            Addr { node: self.node, port },
+            Addr {
+                node: self.node,
+                port,
+            },
             self.cfg.stream.clone(),
             self.cfg.mpa,
             Arc::clone(&self.mrs),

@@ -106,10 +106,7 @@ mod tests {
 
     #[test]
     fn net_timeout_becomes_poll_timeout() {
-        assert_eq!(
-            IwarpError::from(NetError::Timeout),
-            IwarpError::PollTimeout
-        );
+        assert_eq!(IwarpError::from(NetError::Timeout), IwarpError::PollTimeout);
     }
 
     #[test]

@@ -459,7 +459,10 @@ pub fn decode_sg(raw: &SgBytes, with_crc: bool) -> IwarpResult<(DdpSegment, Opti
             expected: u32::from_be_bytes(trailer),
         }
     });
-    Ok((hdr.with_payload(raw.slice_to_bytes(hdr_len, body_len)), pending))
+    Ok((
+        hdr.with_payload(raw.slice_to_bytes(hdr_len, body_len)),
+        pending,
+    ))
 }
 
 /// Decodes a DDP segment. When `with_crc`, the trailing CRC32 is verified

@@ -56,10 +56,10 @@ pub use buf::{Access, MemoryRegion, MrTable};
 pub use chan::CompletionChannel;
 pub use cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 pub use device::{Device, DeviceConfig};
-pub use shard::{ShardConfig, ShardMap};
 pub use error::{IwarpError, IwarpResult};
 pub use qp::{QpConfig, RcListener, RcQp, RdQp, UdQp};
 pub use read::{BulkRead, BulkReadConfig, BulkReadReport, SignalInterval};
+pub use shard::{ShardConfig, ShardMap};
 pub use signal::place_signals;
 pub use wr::{SendWr, UdDest};
 pub use wr_record::WriteRecordInfo;

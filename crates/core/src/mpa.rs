@@ -299,12 +299,20 @@ mod tests {
     }
 
     fn msg(n: usize, seed: u8) -> Vec<u8> {
-        (0..n).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+        (0..n)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+            .collect()
     }
 
     #[test]
     fn roundtrip_with_markers_and_crc() {
-        let msgs = vec![msg(1, 1), msg(100, 2), msg(511, 3), msg(512, 4), msg(4096, 5)];
+        let msgs = vec![
+            msg(1, 1),
+            msg(100, 2),
+            msg(511, 3),
+            msg(512, 4),
+            msg(4096, 5),
+        ];
         for chunk in [1, 3, 7, 512, 1448, 100_000] {
             let got = roundtrip(MpaConfig::default(), &msgs, chunk);
             assert_eq!(got.len(), msgs.len(), "chunk={chunk}");
@@ -352,7 +360,10 @@ mod tests {
         let payload = msg(32 * 1024, 0);
         let framed = tx.frame(&payload);
         let expected_markers = framed.len() / MARKER_INTERVAL as usize;
-        assert!(framed.len() >= payload.len() + FPDU_OVERHEAD + expected_markers * MARKER_LEN - MARKER_LEN);
+        assert!(
+            framed.len()
+                >= payload.len() + FPDU_OVERHEAD + expected_markers * MARKER_LEN - MARKER_LEN
+        );
         assert!(framed.len() > payload.len() + 250, "markers missing");
     }
 

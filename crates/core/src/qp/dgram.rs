@@ -554,7 +554,11 @@ impl DatagramQp {
                     .expect("spawn datagram QP rx thread"),
             )
         };
-        Self { inner, rx_thread, shard }
+        Self {
+            inner,
+            rx_thread,
+            shard,
+        }
     }
 
     /// True when a device shard engine (not a per-QP thread or the
@@ -834,7 +838,16 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_read_inner(wr_id, sink, sink_to, len, dest, remote_stag, remote_to, true)
+        self.post_read_inner(
+            wr_id,
+            sink,
+            sink_to,
+            len,
+            dest,
+            remote_stag,
+            remote_to,
+            true,
+        )
     }
 
     /// Posts an **unsignaled** RDMA Read: on success no CQE is generated —
@@ -856,7 +869,16 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_read_inner(wr_id, sink, sink_to, len, dest, remote_stag, remote_to, false)
+        self.post_read_inner(
+            wr_id,
+            sink,
+            sink_to,
+            len,
+            dest,
+            remote_stag,
+            remote_to,
+            false,
+        )
     }
 
     /// Completed unsignaled reads' `wr_id`s, drained in completion order.
@@ -938,9 +960,7 @@ impl DatagramQp {
     pub fn join_multicast(&self, group: Addr) -> IwarpResult<()> {
         match &self.inner.llp {
             DgLlp::Ud(c) => Ok(c.join_multicast(group)?),
-            DgLlp::Rd(_) => Err(IwarpError::QpState(
-                "multicast is defined for UD QPs only",
-            )),
+            DgLlp::Rd(_) => Err(IwarpError::QpState("multicast is defined for UD QPs only")),
         }
     }
 

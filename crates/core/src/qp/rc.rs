@@ -306,12 +306,7 @@ impl RcQp {
         self.post_untagged(wr_id, payload.into(), true)
     }
 
-    fn post_untagged(
-        &self,
-        wr_id: u64,
-        payload: SendPayload,
-        solicited: bool,
-    ) -> IwarpResult<()> {
+    fn post_untagged(&self, wr_id: u64, payload: SendPayload, solicited: bool) -> IwarpResult<()> {
         self.inner.check_ok()?;
         let data = payload.into_bytes()?;
         if data.len() > self.inner.max_msg_size {
@@ -346,8 +341,8 @@ impl RcQp {
             byte_len: total,
             src: None,
             write_record: None,
-        imm: None,
-        solicited: false,
+            imm: None,
+            solicited: false,
         });
         Ok(())
     }
@@ -436,8 +431,15 @@ impl RcQp {
             });
         }
         let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .send_tagged_message(opcode, notify, remote_stag, remote_to, &data, msg_id, imm)?;
+        self.inner.send_tagged_message(
+            opcode,
+            notify,
+            remote_stag,
+            remote_to,
+            &data,
+            msg_id,
+            imm,
+        )?;
         self.inner.send_cq.push(Cqe {
             wr_id,
             opcode: CqeOpcode::RdmaWrite,
@@ -445,8 +447,8 @@ impl RcQp {
             byte_len: data.len() as u32,
             src: None,
             write_record: None,
-        imm: None,
-        solicited: false,
+            imm: None,
+            solicited: false,
         });
         Ok(())
     }

@@ -197,7 +197,10 @@ impl ShardMap {
     /// QPs currently assigned across all shards (diagnostic).
     #[must_use]
     pub fn registered(&self) -> usize {
-        self.shards.iter().map(|s| s.state.lock().engines.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.state.lock().engines.len())
+            .sum()
     }
 }
 

@@ -205,7 +205,10 @@ fn unsignaled_read_expiry_still_surfaces_a_cqe() {
     let cqe = a_recv.poll_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(cqe.wr_id, 42);
     assert_eq!(cqe.status, CqeStatus::Expired);
-    assert!(qa.take_retired_reads().is_empty(), "expiry is not a success");
+    assert!(
+        qa.take_retired_reads().is_empty(),
+        "expiry is not a success"
+    );
     assert!(
         a_recv.poll().is_none(),
         "the cancelled read must not expire visibly"

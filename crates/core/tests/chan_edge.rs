@@ -62,7 +62,10 @@ fn notify_racing_timeout_never_loses_a_token() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut got = 0u64;
     while got < TOKENS {
-        assert!(Instant::now() < deadline, "lost tokens: {got}/{TOKENS} after 10s");
+        assert!(
+            Instant::now() < deadline,
+            "lost tokens: {got}/{TOKENS} after 10s"
+        );
         // Deliberately tiny timeout so expiry and notify collide often.
         for t in chan.wait_any(Duration::from_micros(500)) {
             seen[t as usize] += 1;
@@ -171,7 +174,10 @@ fn wait_any_parks_instead_of_spinning() {
     let burned = thread_cpu_ticks() - before;
 
     assert!(got.is_empty());
-    assert!(wall >= Duration::from_millis(450), "returned early: {wall:?}");
+    assert!(
+        wall >= Duration::from_millis(450),
+        "returned early: {wall:?}"
+    );
     assert!(
         burned <= 2,
         "idle wait_any burned {burned} CPU ticks over {wall:?} — event path is busy-polling"

@@ -81,7 +81,9 @@ fn rig() -> Rig {
         poll_mode: true,
         ..QpConfig::default()
     };
-    let qa = dev_a.create_ud_qp(None, &a_send, &a_recv, cfg.clone()).unwrap();
+    let qa = dev_a
+        .create_ud_qp(None, &a_send, &a_recv, cfg.clone())
+        .unwrap();
     let qb = dev_b.create_ud_qp(None, &b_send, &b_recv, cfg).unwrap();
     let relay = DgramConduit::bind_ephemeral(&fab, NodeId(2)).unwrap();
     Rig {
@@ -120,8 +122,7 @@ fn tagged_bit_flip_is_crc_error() {
     r.qb.post_recv(RecvWr::whole(7, &guard)).unwrap();
     assert_eq!(r.qb.posted_recvs(), 1);
 
-    r.qa
-        .post_write_record(1, pattern(1024), via_relay(&r), sink.stag(), 0)
+    r.qa.post_write_record(1, pattern(1024), via_relay(&r), sink.stag(), 0)
         .unwrap();
 
     let (_, frame) = r.relay.recv_from(Some(Duration::from_secs(1))).unwrap();
@@ -183,7 +184,8 @@ fn untagged_bit_flip_is_crc_error() {
     assert!(r.b_recv.poll().is_none());
 
     // The receive is still live: a clean retransmission lands in it.
-    r.qa.post_send(2, Bytes::from(pattern(512)), r.qb.dest()).unwrap();
+    r.qa.post_send(2, Bytes::from(pattern(512)), r.qb.dest())
+        .unwrap();
     let cqe = pump_until_cqe(&r.qb, &r.b_recv).expect("clean resend completes");
     assert_eq!(cqe.wr_id, 11);
     assert_eq!(cqe.status, CqeStatus::Success);
@@ -200,8 +202,7 @@ fn partial_write_record_excludes_corrupt_segment() {
     let sink = r.dev_b.register(256 * 1024, Access::RemoteWrite);
     let payload = pattern(total);
 
-    r.qa
-        .post_write_record(1, payload.clone(), via_relay(&r), sink.stag(), 0)
+    r.qa.post_write_record(1, payload.clone(), via_relay(&r), sink.stag(), 0)
         .unwrap();
 
     // Collect every segment datagram of the message at the relay.
@@ -218,7 +219,11 @@ fn partial_write_record_excludes_corrupt_segment() {
     // Corrupt a middle segment; forward the rest untouched, in order.
     let victim = frames.len() / 2;
     for (i, f) in frames.iter().enumerate() {
-        let out = if i == victim { flip_payload_bit(f) } else { f.clone() };
+        let out = if i == victim {
+            flip_payload_bit(f)
+        } else {
+            f.clone()
+        };
         r.relay.send_to(r.qb.local_addr(), out).unwrap();
     }
     let cqe = pump_until_cqe(&r.qb, &r.b_recv)
@@ -228,7 +233,9 @@ fn partial_write_record_excludes_corrupt_segment() {
     assert_eq!(stats.crc_errors.load(Ordering::Relaxed), 1);
     assert_eq!(stats.malformed.load(Ordering::Relaxed), 0);
     assert_eq!(cqe.status, CqeStatus::Partial);
-    let info = cqe.write_record.expect("Write-Record completions carry validity");
+    let info = cqe
+        .write_record
+        .expect("Write-Record completions carry validity");
     assert_eq!(info.total_len as usize, total);
     assert!(!info.is_complete());
     let valid = info.valid_bytes();

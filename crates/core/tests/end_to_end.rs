@@ -33,8 +33,12 @@ fn ud_send_recv_small() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     let sink = b.register(4096, Access::Local);
     qb.post_recv(RecvWr::whole(11, &sink)).unwrap();
@@ -66,8 +70,12 @@ fn ud_send_recv_multi_datagram() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     let data = pattern(300 * 1024);
     let sink = b.register(512 * 1024, Access::Local);
@@ -86,8 +94,12 @@ fn ud_empty_message() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     let sink = b.register(16, Access::Local);
     qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
     qa.post_send(2, Bytes::new(), qb.dest()).unwrap();
@@ -102,8 +114,12 @@ fn ud_recv_too_small_completes_with_error() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     let sink = b.register(64, Access::Local);
     qb.post_recv(RecvWr::whole(9, &sink)).unwrap();
     qa.post_send(1, pattern(1000), qb.dest()).unwrap();
@@ -119,13 +135,23 @@ fn ud_write_record_single_segment() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     // Target advertises a remote-writable region (stag + offset).
     let sink = b.register(8192, Access::RemoteWrite);
-    qa.post_write_record(5, Bytes::from_static(b"one-sided!"), qb.dest(), sink.stag(), 100)
-        .unwrap();
+    qa.post_write_record(
+        5,
+        Bytes::from_static(b"one-sided!"),
+        qb.dest(),
+        sink.stag(),
+        100,
+    )
+    .unwrap();
 
     // Source completes immediately (data handed to LLP)...
     let s = a_send.poll_timeout(TIMEOUT).unwrap();
@@ -151,12 +177,17 @@ fn ud_write_record_large_message() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     let data = pattern(500 * 1024);
     let sink = b.register(1024 * 1024, Access::RemoteWrite);
-    qa.post_write_record(1, data.clone(), qb.dest(), sink.stag(), 0).unwrap();
+    qa.post_write_record(1, data.clone(), qb.dest(), sink.stag(), 0)
+        .unwrap();
 
     let cqe = b_recv.poll_timeout(TIMEOUT).unwrap();
     assert_eq!(cqe.status, CqeStatus::Success);
@@ -171,8 +202,12 @@ fn ud_write_record_denied_without_permission() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     // Region is local-only: remote writes must be refused, but the UD QP
     // must NOT enter an error state (paper §IV.B item 2).
@@ -180,7 +215,12 @@ fn ud_write_record_denied_without_permission() {
     qa.post_write_record(1, Bytes::from_static(b"nope"), qb.dest(), sink.stag(), 0)
         .unwrap();
     assert!(b_recv.poll_timeout(Duration::from_millis(200)).is_err());
-    assert!(qb.stats().access_violations.load(std::sync::atomic::Ordering::Relaxed) >= 1);
+    assert!(
+        qb.stats()
+            .access_violations
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
+    );
 
     // The QP still works afterwards.
     let ok_sink = b.register(4096, Access::RemoteWrite);
@@ -196,16 +236,28 @@ fn ud_read_extension_roundtrip() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     let _ = &b_send;
 
     let data = pattern(100_000);
     let remote_src = b.register_with(&data, Access::RemoteRead);
     let sink = a.register(128 * 1024, Access::Local);
 
-    qa.post_read(7, &sink, 0, data.len() as u32, qb.dest(), remote_src.stag(), 0)
-        .unwrap();
+    qa.post_read(
+        7,
+        &sink,
+        0,
+        data.len() as u32,
+        qb.dest(),
+        remote_src.stag(),
+        0,
+    )
+    .unwrap();
     let cqe = a_recv.poll_timeout(TIMEOUT).unwrap();
     assert_eq!(cqe.wr_id, 7);
     assert_eq!(cqe.opcode, CqeOpcode::RdmaRead);
@@ -309,8 +361,12 @@ fn ud_send_batch_is_one_fabric_burst_by_default() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     let sink = b.register(32 * 64, Access::Local);
     for i in 0..32u64 {
         qb.post_recv(RecvWr {
@@ -334,7 +390,11 @@ fn ud_send_batch_is_one_fabric_burst_by_default() {
     };
     let before = bursts();
     qa.post_send_batch(&wrs).unwrap();
-    assert_eq!(bursts() - before, 1, "32 WRs to one destination are one burst");
+    assert_eq!(
+        bursts() - before,
+        1,
+        "32 WRs to one destination are one burst"
+    );
 
     for i in 0..32 {
         let c = a_send.poll_timeout(TIMEOUT).unwrap();
@@ -409,14 +469,19 @@ fn ud_write_record_partial_under_loss() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     let data = pattern(512 * 1024);
     let sink = b.register(512 * 1024, Access::RemoteWrite);
     let attempts = 30;
     for i in 0..attempts {
-        qa.post_write_record(i, data.clone(), qb.dest(), sink.stag(), 0).unwrap();
+        qa.post_write_record(i, data.clone(), qb.dest(), sink.stag(), 0)
+            .unwrap();
     }
     let mut complete = 0u32;
     let mut partial = 0u32;
@@ -473,7 +538,7 @@ fn rc_connect_send_recv() {
         let sink = b.register(64 * 1024, Access::Local);
         qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
         let data = pattern(50_000);
-        qa.post_send(2, data.clone(), ).unwrap();
+        qa.post_send(2, data.clone()).unwrap();
         let cqe = b_recv.poll_timeout(TIMEOUT).unwrap();
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(cqe.byte_len as usize, data.len());
@@ -507,7 +572,7 @@ fn rc_rdma_write_with_send_notification() {
 
         let data = pattern(100_000);
         qa.post_rdma_write(2, data.clone(), sink.stag(), 0).unwrap();
-        qa.post_send(3, Bytes::from_static(b"done"), ).unwrap();
+        qa.post_send(3, Bytes::from_static(b"done")).unwrap();
 
         // Target sees ONLY the send completion; the write placed silently.
         let cqe = b_recv.poll_timeout(TIMEOUT).unwrap();
@@ -539,7 +604,8 @@ fn rc_rdma_read() {
         let data = pattern(80_000);
         let src_mr = b.register_with(&data, Access::RemoteRead);
         let sink = a.register(128 * 1024, Access::Local);
-        qa.post_read(4, &sink, 1000, data.len() as u32, src_mr.stag(), 0).unwrap();
+        qa.post_read(4, &sink, 1000, data.len() as u32, src_mr.stag(), 0)
+            .unwrap();
         let cqe = a_recv.poll_timeout(TIMEOUT).unwrap();
         assert_eq!(cqe.wr_id, 4);
         assert_eq!(cqe.status, CqeStatus::Success);
@@ -566,7 +632,8 @@ fn rc_write_record_notifies_target() {
         let _qb = srv.join().unwrap();
 
         let sink = b.register(8192, Access::RemoteWrite);
-        qa.post_write_record(9, pattern(5000), sink.stag(), 0).unwrap();
+        qa.post_write_record(9, pattern(5000), sink.stag(), 0)
+            .unwrap();
         let cqe = b_recv.poll_timeout(TIMEOUT).unwrap();
         assert_eq!(cqe.opcode, CqeOpcode::WriteRecord);
         assert_eq!(cqe.status, CqeStatus::Success);
@@ -585,8 +652,12 @@ fn rd_mode_reliable_under_loss() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_rd_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_rd_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_rd_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_rd_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     assert!(qa.is_reliable());
 
     let sink = b.register(64 * 1024, Access::Local);
@@ -745,7 +816,9 @@ fn one_ud_qp_serves_many_clients() {
     for c in 0..n_clients {
         let dev = Device::new(&fab, NodeId(c + 1));
         let (cs, cr) = cqs();
-        let qp = dev.create_ud_qp(None, &cs, &cr, QpConfig::default()).unwrap();
+        let qp = dev
+            .create_ud_qp(None, &cs, &cr, QpConfig::default())
+            .unwrap();
         qp.post_send(0, vec![c as u8; 100], server.dest()).unwrap();
         clients.push((dev, qp, cs, cr));
     }
@@ -765,28 +838,33 @@ fn garbage_datagrams_do_not_kill_ud_qp() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     // Blast raw junk at the QP's conduit address.
     let junk = simnet::DgramConduit::bind_ephemeral(&fab, NodeId(2)).unwrap();
     for i in 0..20u8 {
-        junk.send_to(qb.local_addr(), Bytes::from(vec![i; 100])).unwrap();
+        junk.send_to(qb.local_addr(), Bytes::from(vec![i; 100]))
+            .unwrap();
     }
     // A corrupted-but-plausible segment: valid-looking length, bad CRC.
-    junk.send_to(qb.local_addr(), Bytes::from(vec![0x10; 60])).unwrap();
+    junk.send_to(qb.local_addr(), Bytes::from(vec![0x10; 60]))
+        .unwrap();
 
     // QP must keep working.
     let sink = b.register(1024, Access::Local);
     qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
-    qa.post_send(2, Bytes::from_static(b"still alive"), qb.dest()).unwrap();
+    qa.post_send(2, Bytes::from_static(b"still alive"), qb.dest())
+        .unwrap();
     let cqe = b_recv.poll_timeout(TIMEOUT).unwrap();
     assert_eq!(cqe.status, CqeStatus::Success);
     let stats = qb.stats();
     use std::sync::atomic::Ordering;
-    assert!(
-        stats.malformed.load(Ordering::Relaxed) + stats.crc_errors.load(Ordering::Relaxed) > 0
-    );
+    assert!(stats.malformed.load(Ordering::Relaxed) + stats.crc_errors.load(Ordering::Relaxed) > 0);
 }
 
 #[test]
@@ -794,7 +872,9 @@ fn qp_drop_flushes_posted_receives() {
     let fab = Fabric::loopback();
     let (_, b) = two_devices(&fab);
     let (b_send, b_recv) = cqs();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     let sink = b.register(1024, Access::Local);
     qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
     qb.post_recv(RecvWr::whole(2, &sink)).unwrap();
@@ -813,8 +893,12 @@ fn ud_write_with_immediate_consumes_receive() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
 
     let sink = b.register(4096, Access::RemoteWrite);
     let notify_sink = b.register(16, Access::Local);
@@ -838,7 +922,10 @@ fn ud_write_with_immediate_consumes_receive() {
         .unwrap();
     assert!(b_recv.poll_timeout(Duration::from_millis(150)).is_err());
     assert!(
-        qb.stats().dropped_no_rq.load(std::sync::atomic::Ordering::Relaxed) >= 1
+        qb.stats()
+            .dropped_no_rq
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
     );
     assert_eq!(sink.read_vec(2000, 100).unwrap(), pattern(100));
 }
@@ -849,17 +936,20 @@ fn solicited_send_wakes_solicited_waiters() {
     let (a, b) = two_devices(&fab);
     let (a_send, a_recv) = cqs();
     let (b_send, b_recv) = cqs();
-    let qa = a.create_ud_qp(None, &a_send, &a_recv, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_send, &b_recv, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_send, &a_recv, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_send, &b_recv, QpConfig::default())
+        .unwrap();
     let sink = b.register(1024, Access::Local);
     qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
     qb.post_recv(RecvWr::whole(2, &sink)).unwrap();
 
     // An ordinary send must NOT wake solicited waiters...
-    qa.post_send(1, Bytes::from_static(b"plain"), qb.dest()).unwrap();
-    assert!(b_recv
-        .wait_solicited(Duration::from_millis(150))
-        .is_err());
+    qa.post_send(1, Bytes::from_static(b"plain"), qb.dest())
+        .unwrap();
+    assert!(b_recv.wait_solicited(Duration::from_millis(150)).is_err());
     // ...a solicited send must.
     qa.post_send_solicited(2, Bytes::from_static(b"urgent"), qb.dest())
         .unwrap();
@@ -891,7 +981,8 @@ fn rc_write_with_immediate() {
         let sink = b.register(64 * 1024, Access::RemoteWrite);
         let notify_sink = b.register(16, Access::Local);
         qb.post_recv(RecvWr::whole(5, &notify_sink)).unwrap();
-        qa.post_write_imm(1, pattern(50_000), sink.stag(), 0, 42).unwrap();
+        qa.post_write_imm(1, pattern(50_000), sink.stag(), 0, 42)
+            .unwrap();
         let cqe = b_recv.poll_timeout(TIMEOUT).unwrap();
         assert_eq!(cqe.wr_id, 5);
         assert_eq!(cqe.imm, Some(42));

@@ -82,7 +82,9 @@ fn write_record_counters_reconcile_with_validity_maps() {
     assert_eq!(qb.records_pending(), 0, "stale records never reaped");
 
     let snap = fab.telemetry().snapshot();
-    let tel_partial = snap.get("core.qp.wr_record.partial_placements").unwrap_or(0);
+    let tel_partial = snap
+        .get("core.qp.wr_record.partial_placements")
+        .unwrap_or(0);
     let tel_completions = snap.get("core.qp.wr_record.completions").unwrap_or(0);
     let tel_reaped = snap.get("core.qp.wr_record.stale_gc_reaped").unwrap_or(0);
 
@@ -95,7 +97,10 @@ fn write_record_counters_reconcile_with_validity_maps() {
     );
     // Everything that was pending after the drain got reaped (no record
     // leaks, no double-reaps).
-    assert!(tel_reaped >= pending_before, "reaped fewer than were pending");
+    assert!(
+        tel_reaped >= pending_before,
+        "reaped fewer than were pending"
+    );
     // Every message is accounted for at most once: completed or reaped;
     // the remainder lost every segment on the wire.
     assert!(

@@ -22,10 +22,14 @@ fn oversized_message_rejected_at_post() {
         ..QpConfig::default()
     };
     let qp = dev.create_ud_qp(None, &s, &r, cfg).unwrap();
-    let err = qp
-        .post_send(1, vec![0u8; 2048], qp.dest())
-        .unwrap_err();
-    assert!(matches!(err, IwarpError::MessageTooLong { len: 2048, max: 1024 }));
+    let err = qp.post_send(1, vec![0u8; 2048], qp.dest()).unwrap_err();
+    assert!(matches!(
+        err,
+        IwarpError::MessageTooLong {
+            len: 2048,
+            max: 1024
+        }
+    ));
     let err = qp
         .post_write_record(1, vec![0u8; 2048], qp.dest(), 0x100, 0)
         .unwrap_err();
@@ -37,7 +41,9 @@ fn fixed_port_conflict_is_reported() {
     let fab = Fabric::loopback();
     let dev = Device::new(&fab, NodeId(0));
     let (s, r) = (Cq::new(16), Cq::new(16));
-    let _qp = dev.create_ud_qp(Some(4444), &s, &r, QpConfig::default()).unwrap();
+    let _qp = dev
+        .create_ud_qp(Some(4444), &s, &r, QpConfig::default())
+        .unwrap();
     let err = dev
         .create_ud_qp(Some(4444), &s, &r, QpConfig::default())
         .unwrap_err();
@@ -51,8 +57,12 @@ fn write_record_to_invalid_stag_is_counted_not_fatal() {
     let b = Device::new(&fab, NodeId(1));
     let (a_s, a_r) = (Cq::new(16), Cq::new(16));
     let (b_s, b_r) = (Cq::new(16), Cq::new(16));
-    let qa = a.create_ud_qp(None, &a_s, &a_r, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_s, &b_r, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_s, &a_r, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_s, &b_r, QpConfig::default())
+        .unwrap();
     qa.post_write_record(1, &b"ghost"[..], qb.dest(), 0xDEAD_BEEF, 0)
         .unwrap();
     assert!(b_r.poll_timeout(Duration::from_millis(150)).is_err());
@@ -73,7 +83,11 @@ fn rc_posts_fail_after_peer_disappears() {
     let (b_s, b_r) = (Cq::new(16), Cq::new(16));
     let listener = b.rc_listen(4700).unwrap();
     let (qa, qb) = std::thread::scope(|s| {
-        let srv = s.spawn(|| listener.accept(TO, &b_s, &b_r, QpConfig::default()).unwrap());
+        let srv = s.spawn(|| {
+            listener
+                .accept(TO, &b_s, &b_r, QpConfig::default())
+                .unwrap()
+        });
         let qa = a
             .rc_connect(Addr::new(1, 4700), &a_s, &a_r, QpConfig::default())
             .unwrap();
@@ -200,8 +214,12 @@ fn duplicate_datagrams_complete_receive_once() {
     let b = Device::new(&fab, NodeId(1));
     let (a_s, a_r) = (Cq::new(16), Cq::new(16));
     let (b_s, b_r) = (Cq::new(16), Cq::new(16));
-    let qa = a.create_ud_qp(None, &a_s, &a_r, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &b_s, &b_r, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &a_s, &a_r, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &b_s, &b_r, QpConfig::default())
+        .unwrap();
     let sink = b.register(1024, Access::Local);
     qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
     qa.post_send(2, &b"once"[..], qb.dest()).unwrap();
@@ -218,8 +236,12 @@ fn send_cq_and_recv_cq_can_be_shared() {
     let b = Device::new(&fab, NodeId(1));
     let shared_a = Cq::new(64);
     let shared_b = Cq::new(64);
-    let qa = a.create_ud_qp(None, &shared_a, &shared_a, QpConfig::default()).unwrap();
-    let qb = b.create_ud_qp(None, &shared_b, &shared_b, QpConfig::default()).unwrap();
+    let qa = a
+        .create_ud_qp(None, &shared_a, &shared_a, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_ud_qp(None, &shared_b, &shared_b, QpConfig::default())
+        .unwrap();
     let sink = b.register(64, Access::Local);
     qb.post_recv(RecvWr::whole(1, &sink)).unwrap();
     qa.post_send(2, &b"shared"[..], qb.dest()).unwrap();
@@ -261,8 +283,12 @@ fn rd_qp_read_extension_works_reliably() {
     let b = Device::new(&fab, NodeId(1));
     let (a_s, a_r) = (Cq::new(16), Cq::new(16));
     let (b_s, b_r) = (Cq::new(16), Cq::new(16));
-    let qa = a.create_rd_qp(None, &a_s, &a_r, QpConfig::default()).unwrap();
-    let qb = b.create_rd_qp(None, &b_s, &b_r, QpConfig::default()).unwrap();
+    let qa = a
+        .create_rd_qp(None, &a_s, &a_r, QpConfig::default())
+        .unwrap();
+    let qb = b
+        .create_rd_qp(None, &b_s, &b_r, QpConfig::default())
+        .unwrap();
     let _ = (&b_s, &b_r);
     let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
     let remote = b.register_with(&data, Access::RemoteRead);
@@ -295,7 +321,9 @@ fn ud_multicast_send_reaches_every_member_qp() {
     for n in 1..=5u16 {
         let dev = Device::new(&fab, NodeId(n));
         let (scq, rcq) = (Cq::new(16), Cq::new(16));
-        let qp = dev.create_ud_qp(None, &scq, &rcq, QpConfig::default()).unwrap();
+        let qp = dev
+            .create_ud_qp(None, &scq, &rcq, QpConfig::default())
+            .unwrap();
         qp.join_multicast(group).unwrap();
         let sink = dev.register(1024, Access::Local);
         qp.post_recv(RecvWr::whole(1, &sink)).unwrap();
@@ -306,7 +334,10 @@ fn ud_multicast_send_reaches_every_member_qp() {
         .post_send(
             1,
             &b"one datagram, many receivers"[..],
-            iwarp::UdDest { addr: group, qpn: 0 },
+            iwarp::UdDest {
+                addr: group,
+                qpn: 0,
+            },
         )
         .unwrap();
 
@@ -322,6 +353,8 @@ fn ud_multicast_send_reaches_every_member_qp() {
     // RD QPs refuse multicast.
     let rd_dev = Device::new(&fab, NodeId(20));
     let (scq, rcq) = (Cq::new(4), Cq::new(4));
-    let rd = rd_dev.create_rd_qp(None, &scq, &rcq, QpConfig::default()).unwrap();
+    let rd = rd_dev
+        .create_rd_qp(None, &scq, &rcq, QpConfig::default())
+        .unwrap();
     assert!(rd.join_multicast(group).is_err());
 }

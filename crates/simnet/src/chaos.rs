@@ -501,10 +501,7 @@ mod tests {
         let mut st = ChaosState::new(plan);
         let out = st.apply(pkt(1, 2, 40));
         assert_eq!(out.forward.len(), 2);
-        assert_eq!(
-            out.forward[0].contiguous(),
-            out.forward[1].contiguous()
-        );
+        assert_eq!(out.forward[0].contiguous(), out.forward[1].contiguous());
         assert_eq!(st.stats.duplicated, 1);
     }
 

@@ -435,7 +435,8 @@ mod tests {
     fn small_datagram_roundtrip() {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
-        a.send_to(b.local_addr(), Bytes::from_static(b"hello")).unwrap();
+        a.send_to(b.local_addr(), Bytes::from_static(b"hello"))
+            .unwrap();
         let (src, data) = b.recv_from(Some(Duration::from_secs(1))).unwrap();
         assert_eq!(src, a.local_addr());
         assert_eq!(&data[..], b"hello");
@@ -455,7 +456,8 @@ mod tests {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
         let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 251) as u8).collect();
-        a.send_to(b.local_addr(), Bytes::from(payload.clone())).unwrap();
+        a.send_to(b.local_addr(), Bytes::from(payload.clone()))
+            .unwrap();
         let (_, data) = b.recv_from(Some(Duration::from_secs(1))).unwrap();
         assert_eq!(&data[..], &payload[..]);
     }
@@ -465,7 +467,8 @@ mod tests {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
         let payload = vec![0x5Au8; MAX_DATAGRAM];
-        a.send_to(b.local_addr(), Bytes::from(payload.clone())).unwrap();
+        a.send_to(b.local_addr(), Bytes::from(payload.clone()))
+            .unwrap();
         let (_, data) = b.recv_from(Some(Duration::from_secs(1))).unwrap();
         assert_eq!(data.len(), MAX_DATAGRAM);
         assert_eq!(&data[..], &payload[..]);
@@ -511,7 +514,8 @@ mod tests {
         let payload: Vec<u8> = (0..59_000u32).map(|i| (i % 251) as u8).collect();
         let n = 50;
         for _ in 0..n {
-            a.send_to(b.local_addr(), Bytes::from(payload.clone())).unwrap();
+            a.send_to(b.local_addr(), Bytes::from(payload.clone()))
+                .unwrap();
         }
         let mut delivered = 0;
         while let Ok((_, data)) = b.recv_from(Some(Duration::from_millis(50))) {
@@ -537,7 +541,8 @@ mod tests {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
         let payload = vec![1u8; 4000];
-        a.send_to(b.local_addr(), Bytes::from(payload.clone())).unwrap();
+        a.send_to(b.local_addr(), Bytes::from(payload.clone()))
+            .unwrap();
         let (_, d1) = b.recv_from(Some(Duration::from_secs(1))).unwrap();
         assert_eq!(d1.len(), 4000);
         assert_eq!(b.pending_partials(), 0);

@@ -554,11 +554,7 @@ impl Fabric {
         let (cfg, plan) = (&self.inner.cfg, c.plan.clone());
         let g = c.groups.entry(group).or_insert_with(|| McastGroup {
             members: Vec::new(),
-            tx: Arc::new(Mutex::new(TxState::new(
-                cfg,
-                plan.as_ref(),
-                link_id(group),
-            ))),
+            tx: Arc::new(Mutex::new(TxState::new(cfg, plan.as_ref(), link_id(group)))),
             delay: Arc::new(Mutex::new(VecDeque::new())),
         });
         if !g.members.contains(&member) {
@@ -800,7 +796,10 @@ impl Fabric {
         };
         // `push_batch` consumed the whole batch on success.
         debug_assert!(batch.is_empty());
-        self.inner.stats.delivered.fetch_add(count, Ordering::Relaxed);
+        self.inner
+            .stats
+            .delivered
+            .fetch_add(count, Ordering::Relaxed);
         let metrics = tel.simnet();
         metrics.fabric_delivered.add(count);
         metrics.fabric_ring_enqueues.add(count);
@@ -944,7 +943,9 @@ type DelayQueue = Arc<Mutex<VecDeque<(Instant, WirePacket)>>>;
 fn delay_pump(pump: &DelayPump, fabric: &std::sync::Weak<FabricInner>) {
     loop {
         let earliest = {
-            let Some(inner) = fabric.upgrade() else { return };
+            let Some(inner) = fabric.upgrade() else {
+                return;
+            };
             let fab = Fabric { inner };
             let now = Instant::now();
             let mut earliest: Option<Instant> = None;
@@ -1254,7 +1255,13 @@ mod tests {
         let fab = Fabric::loopback();
         let a = fab.bind(Addr::new(0, 1)).unwrap();
         let err = a.send_to(Addr::new(0, 2), pkt_bytes(1501)).unwrap_err();
-        assert!(matches!(err, NetError::TooBig { len: 1501, max: 1500 }));
+        assert!(matches!(
+            err,
+            NetError::TooBig {
+                len: 1501,
+                max: 1500
+            }
+        ));
     }
 
     #[test]
@@ -1262,10 +1269,7 @@ mod tests {
         let fab = Fabric::loopback();
         let a = fab.bind(Addr::new(0, 1)).unwrap();
         a.send_to(Addr::new(9, 9), pkt_bytes(10)).unwrap();
-        assert_eq!(
-            fab.stats().dropped_unreachable.load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(fab.stats().dropped_unreachable.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1373,7 +1377,10 @@ mod tests {
         a.send_to(b.local_addr(), pkt_bytes(10)).unwrap();
         b.recv(Some(Duration::from_secs(1))).unwrap();
         let dt = t0.elapsed();
-        assert!(dt >= Duration::from_millis(18), "latency not applied: {dt:?}");
+        assert!(
+            dt >= Duration::from_millis(18),
+            "latency not applied: {dt:?}"
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! i.i.d. drop behaviour. [`LossModel::GilbertElliott`] adds the bursty
 //! two-state model real WANs exhibit, used by the extension benchmarks.
 
-use rand::Rng;
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// A packet-loss process. Stateless variants are `Copy`-cheap; the
 /// Gilbert–Elliott model carries its current state in [`LossState`].
@@ -134,9 +134,7 @@ mod tests {
         let mut st = LossState::default();
         let model = LossModel::bernoulli(0.05);
         let n = 200_000;
-        let drops = (0..n)
-            .filter(|_| st.should_drop(&model, &mut rng))
-            .count();
+        let drops = (0..n).filter(|_| st.should_drop(&model, &mut rng)).count();
         let rate = drops as f64 / f64::from(n);
         assert!((rate - 0.05).abs() < 0.005, "rate={rate}");
     }
@@ -154,9 +152,7 @@ mod tests {
         let mut rng = small_rng(3);
         let mut st = LossState::default();
         let n = 500_000;
-        let drops = (0..n)
-            .filter(|_| st.should_drop(&model, &mut rng))
-            .count();
+        let drops = (0..n).filter(|_| st.should_drop(&model, &mut rng)).count();
         let rate = drops as f64 / f64::from(n);
         assert!((rate - 0.01).abs() < 0.003, "rate={rate}");
     }
@@ -186,9 +182,11 @@ mod tests {
     /// exits with probability `1/mean_burst`).
     #[test]
     fn bursty_million_packet_statistics() {
-        for (avg_rate, mean_burst, seed) in
-            [(0.01, 5.0, 0xB0A1u64), (0.05, 8.0, 0xB0A2), (0.02, 3.0, 0xB0A3)]
-        {
+        for (avg_rate, mean_burst, seed) in [
+            (0.01, 5.0, 0xB0A1u64),
+            (0.05, 8.0, 0xB0A2),
+            (0.02, 3.0, 0xB0A3),
+        ] {
             let model = LossModel::bursty(avg_rate, mean_burst);
             assert!(
                 (model.average_rate() - avg_rate).abs() < 1e-9,

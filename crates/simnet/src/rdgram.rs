@@ -602,7 +602,8 @@ mod tests {
     fn basic_roundtrip() {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
-        a.send_to(b.local_addr(), Bytes::from_static(b"reliable")).unwrap();
+        a.send_to(b.local_addr(), Bytes::from_static(b"reliable"))
+            .unwrap();
         let (src, data) = b.recv_from(Some(Duration::from_secs(2))).unwrap();
         assert_eq!(src, a.local_addr());
         assert_eq!(&data[..], b"reliable");
@@ -689,7 +690,10 @@ mod tests {
     #[test]
     fn inconsistent_config_rejected() {
         let fab = Fabric::loopback();
-        let zero_window = RdConfig { window: 0, ..RdConfig::default() };
+        let zero_window = RdConfig {
+            window: 0,
+            ..RdConfig::default()
+        };
         assert!(matches!(
             RdConduit::bind(&fab, Addr::new(0, 311), zero_window),
             Err(NetError::Protocol(_))
@@ -706,7 +710,12 @@ mod tests {
         ));
         // Derivation: window 100 needs 2 words.
         assert_eq!(
-            RdConfig { window: 100, ..RdConfig::default() }.resolve_sack_words().unwrap(),
+            RdConfig {
+                window: 100,
+                ..RdConfig::default()
+            }
+            .resolve_sack_words()
+            .unwrap(),
             2
         );
     }
@@ -723,12 +732,14 @@ mod tests {
         };
         let a = RdConduit::bind(&fab, Addr::new(0, 320), cfg).unwrap();
         // No conduit at the destination: data vanishes, no ACKs come.
-        a.send_to(Addr::new(9, 9), Bytes::from_static(b"void")).unwrap();
+        a.send_to(Addr::new(9, 9), Bytes::from_static(b"void"))
+            .unwrap();
         let err = a.flush(Duration::from_secs(5)).unwrap_err();
         assert_eq!(err, NetError::Reset);
         // Subsequent operations observe the reset too.
         assert_eq!(
-            a.send_to(Addr::new(9, 9), Bytes::from_static(b"x")).unwrap_err(),
+            a.send_to(Addr::new(9, 9), Bytes::from_static(b"x"))
+                .unwrap_err(),
             NetError::Reset
         );
     }
@@ -785,10 +796,18 @@ mod tests {
         // the legacy fixed timer.
         let fab = Fabric::loopback();
         let a = RdConduit::bind(&fab, Addr::new(0, 330), RdConfig::default()).unwrap();
-        a.send_to(Addr::new(9, 9), Bytes::from_static(b"void")).unwrap();
+        a.send_to(Addr::new(9, 9), Bytes::from_static(b"void"))
+            .unwrap();
         let t0 = Instant::now();
-        assert_eq!(a.flush(Duration::from_secs(10)).unwrap_err(), NetError::Reset);
-        assert!(t0.elapsed() < Duration::from_secs(5), "reset took {:?}", t0.elapsed());
+        assert_eq!(
+            a.flush(Duration::from_secs(10)).unwrap_err(),
+            NetError::Reset
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "reset took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
@@ -829,7 +848,8 @@ mod tests {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
         let payload: Vec<u8> = (0..60_000u32).map(|i| (i % 247) as u8).collect();
-        a.send_to(b.local_addr(), Bytes::from(payload.clone())).unwrap();
+        a.send_to(b.local_addr(), Bytes::from(payload.clone()))
+            .unwrap();
         let (_, data) = b.recv_from(Some(Duration::from_secs(2))).unwrap();
         assert_eq!(&data[..], &payload[..]);
     }
@@ -849,8 +869,10 @@ mod tests {
     fn bidirectional_flows_independent() {
         let fab = Fabric::loopback();
         let (a, b) = pair(&fab);
-        a.send_to(b.local_addr(), Bytes::from_static(b"a->b")).unwrap();
-        b.send_to(a.local_addr(), Bytes::from_static(b"b->a")).unwrap();
+        a.send_to(b.local_addr(), Bytes::from_static(b"a->b"))
+            .unwrap();
+        b.send_to(a.local_addr(), Bytes::from_static(b"b->a"))
+            .unwrap();
         let (_, d1) = b.recv_from(Some(Duration::from_secs(2))).unwrap();
         let (_, d2) = a.recv_from(Some(Duration::from_secs(2))).unwrap();
         assert_eq!(&d1[..], b"a->b");

@@ -1298,11 +1298,9 @@ impl StreamConduit {
     /// `max_wait` for that caller's next wake.
     pub fn progress(&self, max_wait: Duration) {
         let mut polled = false;
-        let _ = self
-            .inner
-            .wait_until(Some(Instant::now() + max_wait), |_| {
-                std::mem::replace(&mut polled, true).then_some(Ok(()))
-            });
+        let _ = self.inner.wait_until(Some(Instant::now() + max_wait), |_| {
+            std::mem::replace(&mut polled, true).then_some(Ok(()))
+        });
     }
 
     /// Gracefully closes the send side: pending data is flushed, then FIN.
@@ -1317,11 +1315,7 @@ impl StreamConduit {
     /// Heap bytes of connection state currently tracked for this conduit.
     #[must_use]
     pub fn tracked_bytes(&self) -> u64 {
-        self.inner
-            ._mem
-            .lock()
-            .as_ref()
-            .map_or(0, MemScope::bytes)
+        self.inner._mem.lock().as_ref().map_or(0, MemScope::bytes)
     }
 }
 
@@ -1469,10 +1463,14 @@ mod tests {
         let (client, server) = connect_pair(&fab, StreamConfig::default());
         client.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
-        server.read_exact(&mut buf, Some(Duration::from_secs(2))).unwrap();
+        server
+            .read_exact(&mut buf, Some(Duration::from_secs(2)))
+            .unwrap();
         assert_eq!(&buf, b"ping");
         server.write_all(b"pong").unwrap();
-        client.read_exact(&mut buf, Some(Duration::from_secs(2))).unwrap();
+        client
+            .read_exact(&mut buf, Some(Duration::from_secs(2)))
+            .unwrap();
         assert_eq!(&buf, b"pong");
     }
 
@@ -1572,7 +1570,9 @@ mod tests {
         let (client, server) = connect_pair(&fab, StreamConfig::default());
         server.write_all(b"stream-head").unwrap();
         let mut buf = [0u8; 11];
-        client.read_exact(&mut buf, Some(Duration::from_secs(2))).unwrap();
+        client
+            .read_exact(&mut buf, Some(Duration::from_secs(2)))
+            .unwrap();
         assert_eq!(&buf, b"stream-head");
     }
 
@@ -1583,7 +1583,9 @@ mod tests {
         client.write_all(b"bye").unwrap();
         client.close();
         let mut buf = [0u8; 3];
-        server.read_exact(&mut buf, Some(Duration::from_secs(2))).unwrap();
+        server
+            .read_exact(&mut buf, Some(Duration::from_secs(2)))
+            .unwrap();
         let n = server.read(&mut buf, Some(Duration::from_secs(2))).unwrap();
         assert_eq!(n, 0, "expected EOF after peer close");
     }
@@ -1692,8 +1694,7 @@ mod tests {
         let listener = StreamListener::bind(&fab, Addr::new(1, 700), cfg.clone()).unwrap();
         std::thread::scope(|s| {
             let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
-            let client =
-                StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 700), cfg).unwrap();
+            let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 700), cfg).unwrap();
             let server = srv.join().unwrap();
             client.write_all(b"poll-mode ping").unwrap();
             let mut buf = [0u8; 14];
@@ -1716,8 +1717,7 @@ mod tests {
         let listener = StreamListener::bind(&fab, Addr::new(1, 701), cfg.clone()).unwrap();
         std::thread::scope(|s| {
             let srv = s.spawn(|| listener.accept(Some(Duration::from_secs(5))).unwrap());
-            let client =
-                StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 701), cfg).unwrap();
+            let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 701), cfg).unwrap();
             let server = srv.join().unwrap();
             let data: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
             let expect = data.clone();
@@ -1749,8 +1749,7 @@ mod tests {
             });
             let clients: Vec<_> = (0..200)
                 .map(|_| {
-                    StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 702), cfg.clone())
-                        .unwrap()
+                    StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 702), cfg.clone()).unwrap()
                 })
                 .collect();
             let servers = srv.join().unwrap();
@@ -1970,7 +1969,9 @@ mod tests {
                 got
             });
             let client = StreamConduit::connect(&fab, NodeId(0), Addr::new(1, 900), cfg).unwrap();
-            let data: Vec<u8> = (0..3 * client.mss() + 100).map(|i| (i % 253) as u8).collect();
+            let data: Vec<u8> = (0..3 * client.mss() + 100)
+                .map(|i| (i % 253) as u8)
+                .collect();
             client.write_all(&data).unwrap();
             let r = client.flush(Duration::from_secs(10));
             flushed.store(true, Ordering::Release);

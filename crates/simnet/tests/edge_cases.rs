@@ -5,8 +5,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use simnet::rdgram::RdConfig;
 use simnet::stream::StreamConfig;
-use simnet::{Addr, DgramConduit, Fabric, LossModel, NetError, NodeId, RdConduit, StreamConduit,
-             StreamListener, WireConfig};
+use simnet::{
+    Addr, DgramConduit, Fabric, LossModel, NetError, NodeId, RdConduit, StreamConduit,
+    StreamListener, WireConfig,
+};
 
 #[test]
 fn rd_flush_times_out_toward_dead_peer() {
@@ -14,7 +16,8 @@ fn rd_flush_times_out_toward_dead_peer() {
     // report Timeout rather than hang.
     let fab = Fabric::loopback();
     let a = RdConduit::bind(&fab, Addr::new(0, 1), RdConfig::default()).unwrap();
-    a.send_to(Addr::new(9, 9), Bytes::from_static(b"into the void")).unwrap();
+    a.send_to(Addr::new(9, 9), Bytes::from_static(b"into the void"))
+        .unwrap();
     let err = a.flush(Duration::from_millis(100)).unwrap_err();
     assert_eq!(err, NetError::Timeout);
 }
@@ -74,7 +77,9 @@ fn stream_survives_slow_reader_with_zero_window() {
         s.spawn(move || client.write_all(&data).unwrap());
         std::thread::sleep(Duration::from_millis(150)); // window closes
         let mut got = vec![0u8; expect.len()];
-        server.read_exact(&mut got, Some(Duration::from_secs(20))).unwrap();
+        server
+            .read_exact(&mut got, Some(Duration::from_secs(20)))
+            .unwrap();
         assert_eq!(got, expect);
     });
 }
@@ -119,7 +124,8 @@ fn dgram_conduit_zero_timeout_drains_queued() {
     let fab = Fabric::loopback();
     let a = DgramConduit::bind(&fab, Addr::new(0, 5)).unwrap();
     let b = DgramConduit::bind(&fab, Addr::new(1, 5)).unwrap();
-    a.send_to(b.local_addr(), Bytes::from_static(b"queued")).unwrap();
+    a.send_to(b.local_addr(), Bytes::from_static(b"queued"))
+        .unwrap();
     // Give the fabric a beat to deliver into the channel.
     std::thread::sleep(Duration::from_millis(10));
     let (_, d) = b.recv_from(Some(Duration::ZERO)).unwrap();
@@ -153,7 +159,10 @@ fn stream_connect_rejected_after_handshake_packets_lost() {
 #[test]
 fn multicast_fans_out_to_all_members() {
     let fab = Fabric::loopback();
-    let group = Addr { node: Fabric::MCAST_NODE, port: 9 };
+    let group = Addr {
+        node: Fabric::MCAST_NODE,
+        port: 9,
+    };
     let sender = DgramConduit::bind(&fab, Addr::new(0, 1)).unwrap();
     let members: Vec<_> = (1..=4u16)
         .map(|n| {
@@ -165,7 +174,9 @@ fn multicast_fans_out_to_all_members() {
     let outsider = DgramConduit::bind(&fab, Addr::new(9, 1)).unwrap();
 
     // Small and fragmented payloads both replicate to every member.
-    sender.send_to(group, Bytes::from_static(b"to the group")).unwrap();
+    sender
+        .send_to(group, Bytes::from_static(b"to the group"))
+        .unwrap();
     let big: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
     sender.send_to(group, Bytes::from(big.clone())).unwrap();
     for m in &members {
@@ -175,14 +186,20 @@ fn multicast_fans_out_to_all_members() {
         assert_eq!(&d2[..], &big[..]);
     }
     assert_eq!(
-        outsider.recv_from(Some(Duration::from_millis(50))).unwrap_err(),
+        outsider
+            .recv_from(Some(Duration::from_millis(50)))
+            .unwrap_err(),
         NetError::Timeout
     );
 
     // Leaving stops delivery.
     members[0].leave_multicast(group);
-    sender.send_to(group, Bytes::from_static(b"after leave")).unwrap();
-    assert!(members[0].recv_from(Some(Duration::from_millis(50))).is_err());
+    sender
+        .send_to(group, Bytes::from_static(b"after leave"))
+        .unwrap();
+    assert!(members[0]
+        .recv_from(Some(Duration::from_millis(50)))
+        .is_err());
     let (_, d) = members[1].recv_from(Some(Duration::from_secs(2))).unwrap();
     assert_eq!(&d[..], b"after leave");
 }

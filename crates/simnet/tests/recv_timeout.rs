@@ -13,8 +13,7 @@ use simnet::{Addr, Fabric, NetError};
 /// `/proc/thread-self/stat` fields 14+15 (utime+stime, clock ticks).
 #[cfg(target_os = "linux")]
 fn thread_cpu_ticks() -> u64 {
-    let stat = std::fs::read_to_string("/proc/thread-self/stat")
-        .expect("procfs thread stat");
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("procfs thread stat");
     // Field 2 (comm) may contain spaces/parens; everything after the
     // *last* ')' is fields 3+ in order.
     let rest = stat.rsplit(')').next().unwrap_or(&stat);
@@ -83,7 +82,8 @@ fn parked_recv_wakes_on_arrival() {
             (start.elapsed(), pkt)
         });
         std::thread::sleep(Duration::from_millis(20));
-        tx.send_to(ep.local_addr(), bytes::Bytes::from_static(b"wake")).unwrap();
+        tx.send_to(ep.local_addr(), bytes::Bytes::from_static(b"wake"))
+            .unwrap();
         let (waited, pkt) = h.join().unwrap();
         assert_eq!(pkt.contiguous().as_ref(), b"wake");
         assert!(

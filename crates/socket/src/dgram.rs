@@ -27,8 +27,7 @@ use simnet::Addr;
 
 use iwarp::wr::RecvWr;
 use iwarp::{
-    Access, Cq, Cqe, CqeOpcode, CqeStatus, IwarpError, IwarpResult, MemoryRegion, UdDest,
-    UdQp,
+    Access, Cq, Cqe, CqeOpcode, CqeStatus, IwarpError, IwarpResult, MemoryRegion, UdDest, UdQp,
 };
 
 use crate::control::Control;
@@ -228,9 +227,7 @@ impl DgramSocket {
                     let stag = ring.stag;
                     let to = u64::from(slot) * u64::from(ring.slot_size);
                     drop(st);
-                    inner
-                        .qp
-                        .post_write_record(0, buf, dest, stag, to)?;
+                    inner.qp.post_write_record(0, buf, dest, stag, to)?;
                     inner.tel.socket().dgram_ring_sends.inc();
                     true
                 }
@@ -480,11 +477,7 @@ impl DgramSocket {
                     }
                     None => {
                         inner.tel.socket().dgram_rx_msgs.inc();
-                        inner
-                            .state
-                            .lock()
-                            .ready
-                            .push_back((src, Bytes::from(data)));
+                        inner.state.lock().ready.push_back((src, Bytes::from(data)));
                     }
                 }
             }
@@ -507,8 +500,7 @@ impl DgramSocket {
                 let mut st = inner.state.lock();
                 match status {
                     CqeStatus::Success => {
-                        let data =
-                            ring.read_vec(info.base_to, info.total_len as usize)?;
+                        let data = ring.read_vec(info.base_to, info.total_len as usize)?;
                         inner.tel.socket().dgram_rx_msgs.inc();
                         st.ready.push_back((src, Bytes::from(data)));
                     }
@@ -612,7 +604,8 @@ mod tests {
         std::thread::scope(|s| {
             let recv = s.spawn(|| {
                 let mut buf = [0u8; 128];
-                b.recv_from(&mut buf, TO).map(|(n, src)| (buf[..n].to_vec(), src))
+                b.recv_from(&mut buf, TO)
+                    .map(|(n, src)| (buf[..n].to_vec(), src))
             });
             std::thread::sleep(Duration::from_millis(20));
             a.send_to(b"one-sided datagram", b.local_addr()).unwrap();
@@ -656,7 +649,8 @@ mod tests {
         let a = sa.dgram().unwrap();
         let mut buf = [0u8; 8];
         assert_eq!(
-            a.recv_from(&mut buf, Duration::from_millis(30)).unwrap_err(),
+            a.recv_from(&mut buf, Duration::from_millis(30))
+                .unwrap_err(),
             IwarpError::PollTimeout
         );
     }
@@ -743,7 +737,9 @@ mod tests {
         let mut buf = [0u8; 64];
         for _ in 0..8 {
             let (n, src) = server.recv_from(&mut buf, TO).unwrap();
-            assert!(std::str::from_utf8(&buf[..n]).unwrap().starts_with("client-"));
+            assert!(std::str::from_utf8(&buf[..n])
+                .unwrap()
+                .starts_with("client-"));
             assert!(seen.insert(src));
         }
     }

@@ -160,7 +160,12 @@ impl SocketStack {
     /// Creates a stack on `node` with default configuration.
     #[must_use]
     pub fn new(fabric: &Fabric, node: NodeId) -> Self {
-        Self::with_config(fabric, node, DeviceConfig::default(), SocketConfig::default())
+        Self::with_config(
+            fabric,
+            node,
+            DeviceConfig::default(),
+            SocketConfig::default(),
+        )
     }
 
     /// Creates a stack with explicit device and socket configuration.

@@ -121,7 +121,10 @@ fn wait_ready_names_only_the_socket_with_work_on_a_threaded_stack() {
     tx.send_to(b"for a", a.local_addr()).unwrap();
     assert_eq!(rx_stack.wait_ready(TO), vec![a.fd()]);
     let mut buf = [0u8; 16];
-    let (n, src) = a.try_recv_from(&mut buf).unwrap().expect("ready socket delivers");
+    let (n, src) = a
+        .try_recv_from(&mut buf)
+        .unwrap()
+        .expect("ready socket delivers");
     assert_eq!((&buf[..n], src), (&b"for a"[..], tx.local_addr()));
     assert!(idle.try_recv_from(&mut buf).unwrap().is_none());
     // Readiness is edge-style: once drained, nothing is ready.
@@ -153,7 +156,10 @@ fn wait_ready_stays_empty_on_a_poll_mode_stack() {
         if let Some(hit) = a.try_recv_from(&mut buf).unwrap() {
             break hit;
         }
-        assert!(std::time::Instant::now() < deadline, "pumping never delivered");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pumping never delivered"
+        );
     };
     assert_eq!(&buf[..n], b"pump me");
     assert!(rx_stack.wait_ready(Duration::from_millis(10)).is_empty());

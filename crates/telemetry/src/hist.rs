@@ -91,7 +91,11 @@ impl Histogram {
         for i in 0..BUCKETS {
             cum += self.bucket(i);
             if cum >= target {
-                return if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
+                return if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << (i + 1)) - 1
+                };
             }
         }
         u64::MAX

@@ -74,12 +74,7 @@ impl Snapshot {
     /// Renders an aligned human-readable table (also the `Display` form).
     #[must_use]
     pub fn to_text(&self) -> String {
-        let width = self
-            .entries
-            .iter()
-            .map(|(k, _)| k.len())
-            .max()
-            .unwrap_or(0);
+        let width = self.entries.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
         let mut out = String::new();
         for (k, v) in &self.entries {
             out.push_str(&format!("{k:<width$}  {v}\n"));

@@ -45,8 +45,10 @@ fn main() {
         ("UD Write-Record", DgramMode::WriteRecord),
     ] {
         let fabric = Fabric::new(WireConfig::ten_gbe());
-        let server = SocketStack::with_config(&fabric, NodeId(0), Default::default(), sock_cfg(mode));
-        let client = SocketStack::with_config(&fabric, NodeId(1), Default::default(), sock_cfg(mode));
+        let server =
+            SocketStack::with_config(&fabric, NodeId(0), Default::default(), sock_cfg(mode));
+        let client =
+            SocketStack::with_config(&fabric, NodeId(1), Default::default(), sock_cfg(mode));
         let m = run_udp_session(&server, &client, &cfg).expect("udp session");
         println!(
             "{label:>18}: buffered in {:>7.1} ms, goodput {:>6.1} MB/s, lost {} of {} chunks",

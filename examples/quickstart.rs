@@ -43,7 +43,9 @@ fn main() {
     // The server posts a receive buffer, the client sends to the server's
     // (address, QP) — no connection anywhere.
     let sink = server_dev.register(4096, Access::Local);
-    server.post_recv(RecvWr::whole(1, &sink)).expect("post recv");
+    server
+        .post_recv(RecvWr::whole(1, &sink))
+        .expect("post recv");
     client
         .post_send(2, &b"hello over unreliable datagrams"[..], server.dest())
         .expect("post send");
@@ -75,7 +77,9 @@ fn main() {
         .expect("write-record");
 
     // No receive was posted: the completion is unsolicited at the target.
-    let cqe = s_recv.poll_timeout(TIMEOUT).expect("write-record completion");
+    let cqe = s_recv
+        .poll_timeout(TIMEOUT)
+        .expect("write-record completion");
     let info = cqe.write_record.expect("write-record info");
     println!(
         "Write-Record: {} valid bytes at sink offset {}, complete = {}",
@@ -96,8 +100,12 @@ fn main() {
     let ls_dev = Device::new(&lossy, NodeId(1));
     let (lc_s, lc_r) = (Cq::new(64), Cq::new(64));
     let (ls_s, ls_r) = (Cq::new(64), Cq::new(64));
-    let lc = lc_dev.create_ud_qp(None, &lc_s, &lc_r, QpConfig::default()).unwrap();
-    let ls = ls_dev.create_ud_qp(None, &ls_s, &ls_r, QpConfig::default()).unwrap();
+    let lc = lc_dev
+        .create_ud_qp(None, &lc_s, &lc_r, QpConfig::default())
+        .unwrap();
+    let ls = ls_dev
+        .create_ud_qp(None, &ls_s, &ls_r, QpConfig::default())
+        .unwrap();
     let big_sink = ls_dev.register(1 << 20, Access::RemoteWrite);
 
     // A 1 MiB message = sixteen 64 KiB datagrams; at 2% wire loss some
@@ -153,7 +161,9 @@ fn main() {
     });
     let (rc_client, rc_server) = rc_pair;
     let rc_sink = server_dev.register(4096, Access::Local);
-    rc_server.post_recv(RecvWr::whole(9, &rc_sink)).expect("post");
+    rc_server
+        .post_recv(RecvWr::whole(9, &rc_sink))
+        .expect("post");
     rc_client
         .post_send(10, &b"same verbs, reliable connection"[..])
         .expect("send");

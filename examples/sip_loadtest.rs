@@ -106,7 +106,10 @@ fn main() {
             report.response_us.median(),
             report.response_us.percentile(95.0),
         );
-        println!("  server memory at peak: {} KiB", report.server_mem_bytes >> 10);
+        println!(
+            "  server memory at peak: {} KiB",
+            report.server_mem_bytes >> 10
+        );
         for (cat, bytes) in &report.server_mem_by_category {
             println!("    {cat:<16} {:>10} KiB", bytes >> 10);
         }

@@ -34,7 +34,9 @@ impl<T> Mutex<T> {
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -180,7 +182,9 @@ impl<T> RwLock<T> {
 
     /// Consumes the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

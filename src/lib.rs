@@ -23,11 +23,11 @@
 //! Start with `examples/quickstart.rs`, then see DESIGN.md for the system
 //! inventory and EXPERIMENTS.md for the figure-by-figure reproduction.
 
+pub use iwarp as verbs;
 pub use iwarp_apps as apps;
 pub use iwarp_cc as cc;
 pub use iwarp_chaos as chaos;
 pub use iwarp_common as common;
 pub use iwarp_socket as sockets;
-pub use iwarp as verbs;
 pub use iwarp_telemetry as telemetry;
 pub use simnet as net;

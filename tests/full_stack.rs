@@ -25,7 +25,9 @@ fn verbs_qp_interoperates_with_socket_shim() {
     // Other side: hand-rolled verbs.
     let dev = Device::new(&fab, NodeId(1));
     let (scq, rcq) = (Cq::new(64), Cq::new(64));
-    let qp = dev.create_ud_qp(None, &scq, &rcq, QpConfig::default()).unwrap();
+    let qp = dev
+        .create_ud_qp(None, &scq, &rcq, QpConfig::default())
+        .unwrap();
 
     // Verbs → socket.
     qp.post_send(
@@ -48,7 +50,10 @@ fn verbs_qp_interoperates_with_socket_shim() {
     sock.send_to(b"from the shim", src).unwrap();
     let cqe = rcq.poll_timeout(TO).unwrap();
     assert_eq!(cqe.status, CqeStatus::Success);
-    assert_eq!(sink.read_vec(0, cqe.byte_len as usize).unwrap(), b"from the shim");
+    assert_eq!(
+        sink.read_vec(0, cqe.byte_len as usize).unwrap(),
+        b"from the shim"
+    );
 }
 
 /// Media streaming with `deliver_partial`: under loss, Write-Record mode
@@ -99,8 +104,7 @@ fn sip_and_media_share_a_fabric() {
     };
     let sip_server_stack =
         SocketStack::with_config(&fab, NodeId(2), Default::default(), sip_sock.clone());
-    let sip_client_stack =
-        SocketStack::with_config(&fab, NodeId(3), Default::default(), sip_sock);
+    let sip_client_stack = SocketStack::with_config(&fab, NodeId(3), Default::default(), sip_sock);
     let server = SipServer::spawn(
         sip_server_stack,
         SipServerConfig {
@@ -123,7 +127,8 @@ fn sip_and_media_share_a_fabric() {
                 slot_size: 2048,
                 ..SocketConfig::default()
             };
-            let ma = SocketStack::with_config(&fab, NodeId(0), Default::default(), media_sock.clone());
+            let ma =
+                SocketStack::with_config(&fab, NodeId(0), Default::default(), media_sock.clone());
             let mb = SocketStack::with_config(&fab, NodeId(1), Default::default(), media_sock);
             run_udp_session(
                 &ma,
@@ -166,7 +171,8 @@ fn memory_fully_released_after_teardown() {
             mem: Some(reg.clone()),
             ..Default::default()
         };
-        let sa = SocketStack::with_config(&fab, NodeId(0), dev_cfg.clone(), SocketConfig::default());
+        let sa =
+            SocketStack::with_config(&fab, NodeId(0), dev_cfg.clone(), SocketConfig::default());
         let sb = SocketStack::with_config(&fab, NodeId(1), dev_cfg, SocketConfig::default());
         let d1 = sa.dgram().unwrap();
         let d2 = sb.dgram().unwrap();
@@ -271,8 +277,12 @@ fn loss_pattern_is_deterministic_per_seed() {
         let dev_b = Device::new(&fab, NodeId(1));
         let (a_s, a_r) = (Cq::new(256), Cq::new(256));
         let (b_s, b_r) = (Cq::new(256), Cq::new(256));
-        let qa = dev_a.create_ud_qp(None, &a_s, &a_r, QpConfig::default()).unwrap();
-        let qb = dev_b.create_ud_qp(None, &b_s, &b_r, QpConfig::default()).unwrap();
+        let qa = dev_a
+            .create_ud_qp(None, &a_s, &a_r, QpConfig::default())
+            .unwrap();
+        let qb = dev_b
+            .create_ud_qp(None, &b_s, &b_r, QpConfig::default())
+            .unwrap();
         let sink = dev_b.register(8 * 1024, Access::RemoteWrite);
         // Single-segment messages: delivery set depends only on the
         // wire-loss RNG, which is seeded.
@@ -343,8 +353,7 @@ fn per_call_memory_stays_within_compaction_budget() {
         },
         ..SocketConfig::default()
     };
-    let client_stack =
-        SocketStack::with_config(&fab, NodeId(0), Default::default(), client_cfg);
+    let client_stack = SocketStack::with_config(&fab, NodeId(0), Default::default(), client_cfg);
 
     let server = SipServer::spawn(
         server_stack,
@@ -368,7 +377,13 @@ fn per_call_memory_stays_within_compaction_budget() {
         },
         || {
             peak_bytes = reg.total_current();
-            (peak_bytes, reg.snapshot().into_iter().map(|(c, cur, _)| (c, cur)).collect())
+            (
+                peak_bytes,
+                reg.snapshot()
+                    .into_iter()
+                    .map(|(c, cur, _)| (c, cur))
+                    .collect(),
+            )
         },
     )
     .unwrap();

@@ -106,7 +106,10 @@ fn rdgram_delivery_is_identical_across_algos() {
             flushed.store(true, Ordering::Release);
             flush.unwrap();
             let got = rxh.join().unwrap();
-            assert_eq!(got, *msgs, "[{algo}] rdgram reordered or corrupted delivery");
+            assert_eq!(
+                got, *msgs,
+                "[{algo}] rdgram reordered or corrupted delivery"
+            );
         });
     }
 }

@@ -20,7 +20,10 @@ const MASTER: u64 = 0x51EE_D009;
 
 #[test]
 fn seeded_sweep_holds_agreement_invariants() {
-    let opts = ReplogOpts { entries: 12, ..ReplogOpts::default() };
+    let opts = ReplogOpts {
+        entries: 12,
+        ..ReplogOpts::default()
+    };
     let reports = run_replog_sweep(MASTER, 8, &opts);
     for rep in &reports {
         assert!(rep.ok(), "{}", rep.render_failure());
@@ -29,7 +32,9 @@ fn seeded_sweep_holds_agreement_invariants() {
     // The sweep must actually cover both publish paths and at least one
     // freeze fail-over (cfg derivation is seed-driven).
     use iwarp_apps::replog::PublishPath;
-    assert!(reports.iter().any(|r| r.cfg.path == PublishPath::WriteRecord));
+    assert!(reports
+        .iter()
+        .any(|r| r.cfg.path == PublishPath::WriteRecord));
     assert!(reports.iter().any(|r| r.cfg.path == PublishPath::TwoSided));
     assert!(reports.iter().any(|r| r.cfg.freeze.is_some()));
 }
@@ -54,5 +59,8 @@ fn planted_ack_before_placement_is_caught() {
             break;
         }
     }
-    assert!(caught, "planted ack-before-placement bug escaped the oracle");
+    assert!(
+        caught,
+        "planted ack-before-placement bug escaped the oracle"
+    );
 }

@@ -69,7 +69,11 @@ fn run_stress(p: &StressParams) -> usize {
         let qp = server
             .create_ud_qp(None, &send_cq, &recv_cq, QpConfig::default())
             .unwrap();
-        assert_eq!(qp.is_sharded(), p.shards > 0, "UD QP must follow device sharding");
+        assert_eq!(
+            qp.is_sharded(),
+            p.shards > 0,
+            "UD QP must follow device sharding"
+        );
         let mr = server.register(per_qp * SLOT, Access::Local);
         for i in 0..per_qp {
             qp.post_recv(RecvWr {
@@ -165,15 +169,14 @@ fn run_stress(p: &StressParams) -> usize {
         }
         let posted_ids: Vec<u64> = (0..per_qp as u64).collect();
         violations.extend(check_cq_discipline(&cqes, &posted_ids, &[], &[]));
-        violations.extend(check_recv_accounting(
-            per_qp,
-            cqes.len(),
-            qp.posted_recvs(),
-        ));
+        violations.extend(check_recv_accounting(per_qp, cqes.len(), qp.posted_recvs()));
         total += cqes.len();
     }
     violations.extend(check_conservation(&fab));
-    assert!(violations.is_empty(), "invariant violations: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "invariant violations: {violations:?}"
+    );
     total
 }
 
