@@ -1111,7 +1111,7 @@ pub fn run_plan(seed: u64, opts: &ChaosOpts) -> PlanReport {
                 Ok(msgs.len())
             });
             for (i, m) in msgs.iter().enumerate() {
-                if let Err(e) = ra.send_to(rb.local_addr(), Bytes::from(m.clone())) {
+                if let Err(e) = ra.send_to(rb.local_addr(), Bytes::from(m.clone()).into()) {
                     rd_result = Err(format!("rd send {i}: {e}"));
                     break;
                 }

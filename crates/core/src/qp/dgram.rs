@@ -304,9 +304,9 @@ impl DgInner {
         Ok(())
     }
 
-    /// RD flush: segment by segment, each flattened into the owned message
-    /// the windowed conduit keeps for retransmission (counted: RD is not
-    /// the zero-copy path).
+    /// RD flush: segment by segment, each copied once, by the conduit,
+    /// into the frame it keeps for retransmission (counted: RD is not the
+    /// zero-copy path).
     fn flush_rd(
         &self,
         c: &RdConduit,
@@ -318,10 +318,7 @@ impl DgInner {
         let mut segs = segs.into_iter();
         for (i, (wr, data)) in wrs.iter().zip(datas).enumerate() {
             for (k, seg) in segs.by_ref().take(seg_count(data.len(), cap)).enumerate() {
-                if !seg.is_contiguous() {
-                    self.tel.simnet().bytes_copied.add(seg.len() as u64);
-                }
-                if let Err(e) = c.send_to(wr.dest.addr, seg.to_bytes()) {
+                if let Err(e) = c.send_to(wr.dest.addr, seg) {
                     let bytes = (k * cap) as u32;
                     return Err((e.into(), Handed::around(0..wrs.len(), i, bytes)));
                 }

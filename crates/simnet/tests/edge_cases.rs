@@ -16,7 +16,7 @@ fn rd_flush_times_out_toward_dead_peer() {
     // report Timeout rather than hang.
     let fab = Fabric::loopback();
     let a = RdConduit::bind(&fab, Addr::new(0, 1), RdConfig::default()).unwrap();
-    a.send_to(Addr::new(9, 9), Bytes::from_static(b"into the void"))
+    a.send_to(Addr::new(9, 9), Bytes::from_static(b"into the void").into())
         .unwrap();
     let err = a.flush(Duration::from_millis(100)).unwrap_err();
     assert_eq!(err, NetError::Timeout);
@@ -34,12 +34,12 @@ fn rd_window_limits_outstanding_messages() {
     };
     let a = RdConduit::bind(&fab, Addr::new(0, 2), cfg).unwrap();
     let dead = Addr::new(9, 9);
-    a.send_to(dead, Bytes::from_static(b"1")).unwrap();
-    a.send_to(dead, Bytes::from_static(b"2")).unwrap();
+    a.send_to(dead, Bytes::from_static(b"1").into()).unwrap();
+    a.send_to(dead, Bytes::from_static(b"2").into()).unwrap();
     let t0 = Instant::now();
     let blocked = std::thread::spawn(move || {
         // This blocks until the conduit errors out at MAX_RETRIES.
-        let _ = a.send_to(dead, Bytes::from_static(b"3"));
+        let _ = a.send_to(dead, Bytes::from_static(b"3").into());
         Instant::now()
     });
     let finished = blocked.join().unwrap();

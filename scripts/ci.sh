@@ -23,6 +23,11 @@ echo "==> cargo test --release -p iwarp-common -q (the CRC kernel as it ships)"
 # 2-CPU host, well under a second warm.
 cargo test --release -p iwarp-common -q
 
+echo "==> cargo fmt --all -- --check"
+# Formatting is rustfmt's defaults; a diff fails here. Fix with
+# `cargo fmt --all`.
+cargo fmt --all -- --check
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -100,7 +100,8 @@ fn rdgram_delivery_is_identical_across_algos() {
                 got
             });
             for m in msgs {
-                tx.send_to(rx.local_addr(), Bytes::from(m.clone())).unwrap();
+                tx.send_to(rx.local_addr(), Bytes::from(m.clone()).into())
+                    .unwrap();
             }
             let flush = tx.flush(Duration::from_secs(30));
             flushed.store(true, Ordering::Release);
