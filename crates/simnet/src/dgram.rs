@@ -247,7 +247,8 @@ impl DgramConduit {
     /// unfragmented datagram is returned as the sender's original slices
     /// without any intermediate buffer.
     pub fn recv_sg_from(&self, timeout: Option<Duration>) -> NetResult<(Addr, SgBytes)> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // Built at the first miss, so a call that finds data reads no clock.
+        let mut deadline = None;
         loop {
             // Drain queued packets without blocking first, so zero-timeout
             // polling still makes progress.
@@ -262,10 +263,11 @@ impl DgramConduit {
                     Err(e) => return Err(e),
                 }
             }
-            let remaining = match deadline {
+            let remaining = match timeout {
                 None => None,
-                Some(d) => {
+                Some(t) => {
                     let now = Instant::now();
+                    let d = *deadline.get_or_insert_with(|| now + t);
                     if now >= d {
                         return Err(NetError::Timeout);
                     }

@@ -39,9 +39,9 @@
 //! first waiter sets `St::driving`; the others sleep on the one condvar.
 //! The driver raises `St::wake` when it queued a message, opened a window
 //! (any ACK) or set an error. Every frame — data, ACK, retransmission —
-//! is built under the state lock into `St::outbox`, and two release
-//! points send it: the drive step before its wait on the datagram
-//! conduit, and the return from a call. Each takes the outbox, unlocks,
+//! is built under the state lock into `St::outbox`, and one release step
+//! sends it, run by the drive step before its wait on the datagram
+//! conduit and by the return from a call. It takes the outbox, unlocks,
 //! sends the frames in the order they were queued, and only then
 //! notifies. A driver that returns also wakes the sleepers so that one of
 //! them takes over. Nothing is sent and nothing notifies while the state
@@ -176,7 +176,8 @@ struct St {
     rx: HashMap<Addr, PeerRx>,
     ready: VecDeque<(Addr, Bytes)>,
     err: Option<NetError>,
-    /// A caller holds the drive step (see the module doc, "Wakes").
+    /// A caller holds the drive step (see the module doc, "Wakes and
+    /// sends").
     driving: bool,
     /// The driver queued a message, took an ACK or set an error since
     /// it last notified.
@@ -184,9 +185,9 @@ struct St {
     /// Callers asleep on `RdConduit::cv`; nobody is notified when zero.
     sleepers: usize,
     /// Frames built under the lock and not yet sent, in wire order. Only
-    /// the two release points (see the module doc, "Wakes and sends")
-    /// unlock with frames here, and they take them all, so the outbox
-    /// is empty whenever the lock is free.
+    /// the release step (`RdConduit::release`, see the module doc, "Wakes
+    /// and sends") unlocks with frames here, and it takes them all, so
+    /// the outbox is empty whenever the lock is free.
     outbox: Vec<(Addr, Bytes)>,
 }
 
@@ -225,11 +226,19 @@ impl RdConduit {
         b
     }
 
-    /// Sends frames taken from the outbox, in order. Called with the
-    /// state lock released.
-    fn transmit(&self, frames: Vec<(Addr, Bytes)>) {
+    /// The release step (see the module doc, "Wakes and sends"): takes
+    /// the outbox, unlocks, sends the frames in the order they were
+    /// queued, and only then notifies the sleepers if the scope raised
+    /// `St::wake`.
+    fn release(&self, mut st: MutexGuard<'_, St>) {
+        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
+        let frames = std::mem::take(&mut st.outbox);
+        drop(st);
         for (dst, frame) in frames {
             let _ = self.dg.send_to(dst, frame);
+        }
+        if notify {
+            self.cv.notify_all();
         }
     }
 
@@ -553,40 +562,27 @@ impl RdConduit {
             }
             st.sleepers -= 1;
         };
-        // Release step: a returning driver hands the drive step on; the
-        // scope's frames leave after the unlock, the wakes after them.
-        st.driving &= !driver;
-        let notify = (std::mem::take(&mut st.wake) || driver) && st.sleepers > 0;
-        let frames = std::mem::take(&mut st.outbox);
-        drop(st);
-        self.transmit(frames);
-        if notify {
-            self.cv.notify_all();
+        // A returning driver hands the drive step on: the release step
+        // wakes the sleepers so that one of them takes over.
+        if driver {
+            st.driving = false;
+            st.wake = true;
         }
+        self.release(st);
         out
     }
 
-    /// One drive step, by the caller holding `St::driving`: unlocks, sends
-    /// the frames and notifies the wakes that the last scope queued, waits
-    /// on the datagram conduit for at most `left` and the next
-    /// retransmission deadline, then feeds every queued datagram through
-    /// the protocol and sweeps the timers under one lock scope. The ACKs
+    /// One drive step, by the caller holding `St::driving`: releases the
+    /// last scope (sends its frames, notifies its wakes), waits on the
+    /// datagram conduit for at most `left` and the next retransmission
+    /// deadline, then feeds every queued datagram through the protocol
+    /// and sweeps the timers under one lock scope. The ACKs
     /// and retransmissions that scope builds wait in the outbox for the
     /// next release.
-    fn step<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, St>,
-        left: Option<Duration>,
-    ) -> MutexGuard<'a, St> {
+    fn step<'a>(&'a self, st: MutexGuard<'a, St>, left: Option<Duration>) -> MutexGuard<'a, St> {
         let wait = self.next_deadline_in(&st);
         let wait = left.map_or(wait, |left| left.min(wait));
-        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
-        let frames = std::mem::take(&mut st.outbox);
-        drop(st);
-        self.transmit(frames);
-        if notify {
-            self.cv.notify_all();
-        }
+        self.release(st);
         let got = self.dg.recv_from(Some(wait));
         let mut st = self.st.lock();
         match got {

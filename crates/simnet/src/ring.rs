@@ -391,7 +391,9 @@ impl<T> RingChannel<T> {
     /// Pops the oldest value, parking up to `timeout` (`None` = forever)
     /// when the channel is empty.
     pub fn pop_wait(&self, timeout: Option<Duration>) -> Result<T, PopError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // Built at the first miss, so a pop that finds a value reads no
+        // clock.
+        let mut deadline = None;
         loop {
             if let Some(v) = self.try_pop() {
                 return Ok(v);
@@ -408,13 +410,14 @@ impl<T> RingChannel<T> {
                 drop(g);
                 continue;
             }
-            let timed_out = match deadline {
+            let timed_out = match timeout {
                 None => {
                     self.cv.wait(&mut g);
                     false
                 }
-                Some(d) => {
+                Some(t) => {
                     let now = Instant::now();
+                    let d = *deadline.get_or_insert_with(|| now + t);
                     if now >= d {
                         self.sleepers.fetch_sub(1, Ordering::SeqCst);
                         drop(g);

@@ -41,12 +41,17 @@
 //! conduit closes it and lingers for the acknowledgements (see its
 //! `Drop`).
 //!
-//! Wakes: one caller drives at a time (leader/follower). The first
-//! waiter sets `St::driving`; the others sleep on the one condvar. A lock
-//! scope that queued bytes, took an ACK, changed the connection state or
-//! set an error raises `St::wake`, and its release step notifies after
-//! unlocking. A driver that returns raises it too, in the scope of its
-//! last poll, so that a sleeper takes over.
+//! Wakes and sends: the release rule of [`crate::rdgram::RdConduit`].
+//! One caller drives at a time (leader/follower): the first waiter sets
+//! `St::driving`; the others sleep on the one condvar. A lock scope that
+//! queued bytes, took an ACK, changed the connection state or set an
+//! error raises `St::wake`. Segments are built under the state lock into
+//! `St::outbox`, and every scope that can queue one ends in its release
+//! step, which drains the outbox into one burst, unlocks, sends it, and
+//! only then notifies. A driver that returns also wakes the sleepers so
+//! that one of them takes over, and a caller about to sleep first
+//! releases what its poll queued. Segments of two releases may
+//! interleave on the wire; the receiver buffers out-of-order data.
 //!
 //! ACKs: one cumulative ACK per lock scope, as a delayed-ACK TCP sends
 //! about one per two segments (RFC 1122 §4.2.3.2). In-order data and a
@@ -62,7 +67,6 @@
 //! (RFC 5681 §2).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::{Deref, DerefMut};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -371,10 +375,12 @@ struct St {
     ack_owed: bool,
     err: Option<NetError>,
     /// Segments made in the current lock scope, in order, all for `peer`.
-    /// The scope's release step encodes their headers into one arena and
-    /// sends them as one fabric burst.
+    /// The scope's release step (`Inner::release`) drains them into one
+    /// fabric burst, their headers in one arena, and sends it after
+    /// unlocking, so the outbox is empty whenever the lock is free.
     outbox: Vec<Segment>,
-    /// A caller holds the drive step (see the module doc, "Wakes").
+    /// A caller holds the drive step (see the module doc, "Wakes and
+    /// sends").
     driving: bool,
     /// The current lock scope changed something a sleeper may wait for;
     /// its release step notifies `Inner::cv` after unlocking.
@@ -480,102 +486,45 @@ struct Inner {
     _mem: Mutex<Option<MemScope>>,
 }
 
-/// One scope of the state lock. Dropping it is the scope's release step:
-/// the segments the scope made, and the ACK it still owes, leave as one
-/// fabric burst while the lock is still held, so wire order is lock
-/// order; then the lock is released; then, if the scope raised
-/// `St::wake`, the sleepers are notified, so a woken waiter never blocks
-/// on a lock its waker still holds.
-struct Locked<'a> {
-    inner: &'a Inner,
-    /// `Some` until the release step drops it.
-    guard: Option<MutexGuard<'a, St>>,
-}
-
-impl<'a> Locked<'a> {
-    /// Sends the scope's outbox as one fabric burst, the lock held, with
-    /// the ACK the scope still owes at its end.
-    fn send_outbox(&mut self) {
-        if self.ack_owed {
-            let inner = self.inner;
-            inner.send_ack(self);
-        }
-        if self.outbox.is_empty() {
-            return;
-        }
-        let peer = self.peer;
-        let mut arena = BytesMut::with_capacity(self.outbox.len() * SEG_HEADER);
-        for seg in &self.outbox {
-            encode_header(&mut arena, &seg.head, seg.payload.len());
-        }
-        let arena = arena.freeze();
-        let frames = self
-            .outbox
-            .drain(..)
-            .enumerate()
-            .map(|(i, seg)| {
-                (
-                    arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
-                    seg.payload,
-                )
-            })
-            .collect();
-        // Losing a segment here is equivalent to wire loss; reliability
-        // comes from retransmission, so the send result is advisory.
-        let _ = self.inner.ep.send_burst(peer, frames);
-    }
-
-    /// The raw guard, for a condvar wait; the scope's segments leave
-    /// first. Only a caller that is not driving sleeps, and it raises no
-    /// wakes.
-    fn guard(&mut self) -> &mut MutexGuard<'a, St> {
-        self.send_outbox();
-        let guard = self.guard.as_mut().expect("held until the release step");
-        debug_assert!(!guard.wake);
-        guard
-    }
-}
-
-impl Deref for Locked<'_> {
-    type Target = St;
-    fn deref(&self) -> &St {
-        self.guard.as_deref().expect("held until the release step")
-    }
-}
-
-impl DerefMut for Locked<'_> {
-    fn deref_mut(&mut self) -> &mut St {
-        self.guard
-            .as_deref_mut()
-            .expect("held until the release step")
-    }
-}
-
-impl Drop for Locked<'_> {
-    fn drop(&mut self) {
-        self.send_outbox();
-        let Some(mut st) = self.guard.take() else {
-            return;
-        };
-        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
-        drop(st);
-        if notify {
-            self.inner.cv.notify_all();
-        }
-    }
-}
-
 impl Inner {
-    /// Takes the state lock for one scope; see [`Locked`].
-    fn lock(&self) -> Locked<'_> {
-        let guard = self.st.lock();
-        debug_assert!(
-            guard.outbox.is_empty() && !guard.wake && !guard.ack_owed,
-            "a stream lock scope skipped its release step"
-        );
-        Locked {
-            inner: self,
-            guard: Some(guard),
+    /// The release step that ends every lock scope that can queue a
+    /// segment (see the module doc, "Wakes and sends"): turns an owed
+    /// ACK into one pure ACK, drains the outbox into one burst with its
+    /// headers in one arena, unlocks, sends the burst, and only then
+    /// notifies the sleepers if the scope raised `St::wake`.
+    fn release(&self, mut st: MutexGuard<'_, St>) {
+        if st.ack_owed {
+            self.send_ack(&mut st);
+        }
+        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
+        let mut frames = Vec::new();
+        if !st.outbox.is_empty() {
+            let mut arena = BytesMut::with_capacity(st.outbox.len() * SEG_HEADER);
+            for seg in &st.outbox {
+                encode_header(&mut arena, &seg.head, seg.payload.len());
+            }
+            let arena = arena.freeze();
+            frames = st
+                .outbox
+                .drain(..)
+                .enumerate()
+                .map(|(i, seg)| {
+                    (
+                        arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
+                        seg.payload,
+                    )
+                })
+                .collect();
+        }
+        let peer = st.peer;
+        drop(st);
+        if !frames.is_empty() {
+            // Losing a segment here is equivalent to wire loss; reliability
+            // comes from retransmission, so the send result is advisory.
+            let _ = self.ep.send_burst(peer, frames);
+        }
+        if notify {
+            self.cv.notify_all();
         }
     }
 
@@ -967,7 +916,7 @@ impl Inner {
         deadline: Option<Instant>,
         mut poll: impl FnMut(&mut St) -> Option<NetResult<T>>,
     ) -> NetResult<T> {
-        let mut st = self.lock();
+        let mut st = self.st.lock();
         let mut driver = false;
         let out = loop {
             if let Some(out) = poll(&mut st) {
@@ -986,29 +935,43 @@ impl Inner {
             if left == Some(Duration::ZERO) {
                 break Err(NetError::Timeout);
             }
+            // A sleeper never holds segments: a poll that queued some (a
+            // writer that pumped, then found the send buffer full)
+            // releases them and polls again.
+            if !st.outbox.is_empty() || st.ack_owed {
+                self.release(st);
+                st = self.st.lock();
+                continue;
+            }
+            debug_assert!(
+                st.outbox.is_empty() && !st.ack_owed && !st.wake,
+                "segments or wakes held across a wait"
+            );
             st.sleepers += 1;
             match left {
-                None => self.cv.wait(st.guard()),
+                None => self.cv.wait(&mut st),
                 Some(left) => {
-                    self.cv.wait_for(st.guard(), left);
+                    self.cv.wait_for(&mut st, left);
                 }
             }
             st.sleepers -= 1;
         };
-        // A returning driver hands the drive step on: this scope's release
-        // step wakes the sleepers so that one of them takes over.
+        // A returning driver hands the drive step on: the release step
+        // wakes the sleepers so that one of them takes over.
         if driver {
             st.driving = false;
             st.wake = true;
         }
+        self.release(st);
         out
     }
 
     /// One drive step, by the caller holding `St::driving`: releases the
     /// scope, waits on the endpoint for at most `left`, the next timer
     /// deadline and [`IDLE_STEP`], then, in one new scope, handles every
-    /// queued packet, fires due timers and pumps output.
-    fn step<'a>(&'a self, st: Locked<'a>, left: Option<Duration>) -> Locked<'a> {
+    /// queued packet, fires due timers and pumps output. The segments
+    /// that scope queues wait in the outbox for the next release.
+    fn step<'a>(&'a self, st: MutexGuard<'a, St>, left: Option<Duration>) -> MutexGuard<'a, St> {
         let mut wait = left.map_or(IDLE_STEP, |left| left.min(IDLE_STEP));
         if let Some(d) = st.hs_deadline {
             wait = wait.min(d.saturating_duration_since(Instant::now()));
@@ -1018,9 +981,9 @@ impl Inner {
                 wait = wait.min(d.saturating_sub(st.engine.now()));
             }
         }
-        drop(st);
+        self.release(st);
         let pkt = self.ep.recv(Some(wait));
-        let mut st = self.lock();
+        let mut st = self.st.lock();
         match pkt {
             Ok(p) => {
                 self.on_packet(&mut st, p);
@@ -1078,11 +1041,10 @@ impl StreamConduit {
         let ep = fabric.bind_ephemeral(local_node)?;
         let conduit = Self::build(ep, server, Conn::SynSent, cfg);
         let inner = &conduit.inner;
-        {
-            let mut st = inner.lock();
-            inner.tx(&mut st, FLAG_SYN, 0, SgBytes::new());
-            inner.arm_hs_rto(&mut st);
-        }
+        let mut st = inner.st.lock();
+        inner.tx(&mut st, FLAG_SYN, 0, SgBytes::new());
+        inner.arm_hs_rto(&mut st);
+        inner.release(st);
         let deadline = Instant::now() + inner.cfg.connect_timeout;
         inner.wait_until(Some(deadline), |st| match st.conn {
             Conn::Established => Some(Ok(())),
@@ -1160,7 +1122,7 @@ impl StreamConduit {
     /// The peer's address.
     #[must_use]
     pub fn peer_addr(&self) -> Addr {
-        self.inner.lock().peer
+        self.inner.st.lock().peer
     }
 
     /// Maximum segment size (wire MTU minus stream header).
@@ -1305,11 +1267,12 @@ impl StreamConduit {
 
     /// Gracefully closes the send side: pending data is flushed, then FIN.
     pub fn close(&self) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.st.lock();
         if !st.fin_requested {
             st.fin_requested = true;
             self.inner.pump(&mut st);
         }
+        self.inner.release(st);
     }
 
     /// Heap bytes of connection state currently tracked for this conduit.
@@ -1333,11 +1296,11 @@ impl Drop for StreamConduit {
             (st.conn != Conn::Established || st.send_q.is_empty()).then_some(Ok(()))
         });
         if data.is_ok() && self.flush(FIN_PROBE) == Err(NetError::Timeout) {
-            let mut st = inner.lock();
+            let mut st = inner.st.lock();
             if let Some(fin) = st.fin_seq {
                 inner.retransmit_range(&mut st, fin, 1);
             }
-            drop(st);
+            inner.release(st);
             let _ = self.flush(FIN_PROBE);
         }
     }
@@ -1403,13 +1366,11 @@ impl StreamListener {
             // Dedicated endpoint for this connection (TCP accept analog).
             let conn_ep = self.fabric.bind_ephemeral(self.ep.local_addr().node)?;
             let conduit = StreamConduit::build(conn_ep, src, Conn::SynReceived, self.cfg.clone());
-            {
-                let mut st = conduit.inner.lock();
-                conduit
-                    .inner
-                    .tx(&mut st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new());
-                conduit.inner.arm_hs_rto(&mut st);
-            }
+            let inner = &conduit.inner;
+            let mut st = inner.st.lock();
+            inner.tx(&mut st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new());
+            inner.arm_hs_rto(&mut st);
+            inner.release(st);
             return Ok(conduit);
         }
     }
@@ -1418,6 +1379,7 @@ impl StreamListener {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use super::*;
     use crate::chaos::{FaultPlan, PartitionWindow};
@@ -2035,6 +1997,84 @@ mod tests {
     }
 
     #[test]
+    fn no_segment_leaves_under_the_state_lock() {
+        // On a latency-free fabric the arrival notifier runs in the sending
+        // thread, right after the segment lands, so it sees whether the
+        // sender still holds its state lock. Data and ACKs both ways.
+        let (fab, client, server) = poll_pair(StreamConfig::default());
+        let (a, b) = (Arc::new(client), Arc::new(server));
+        let sent = Arc::new(AtomicUsize::new(0));
+        let under_lock = Arc::new(AtomicUsize::new(0));
+        for (rx, tx) in [(&a, &b), (&b, &a)] {
+            let tx = Arc::downgrade(tx);
+            let (sent, under_lock) = (Arc::clone(&sent), Arc::clone(&under_lock));
+            let notify: crate::fabric::RxNotify = Arc::new(move |_| {
+                sent.fetch_add(1, Ordering::Relaxed);
+                let tx = tx.upgrade().expect("the sender outlives its sends");
+                if tx.inner.st.try_lock().is_none() {
+                    under_lock.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(fab.set_notify(rx.local_addr(), Some(notify)));
+        }
+        for i in 0..3u8 {
+            for (tx, rx) in [(&a, &b), (&b, &a)] {
+                tx.write_all(&[i]).unwrap();
+                // One zero-wait drive step takes the data (and any ACK
+                // queued before it) and sends this side's ACK.
+                let mut got = [0u8; 1];
+                assert_eq!(rx.read(&mut got, Some(Duration::ZERO)), Ok(1));
+                assert_eq!(got, [i]);
+            }
+        }
+        // The notifiers go before the conduits, whose drop sends a FIN.
+        for c in [&a, &b] {
+            assert!(fab.set_notify(c.local_addr(), None));
+        }
+        // 6 data segments and their 6 ACKs.
+        assert_eq!(sent.load(Ordering::Relaxed), 12);
+        assert_eq!(
+            under_lock.load(Ordering::Relaxed),
+            0,
+            "segments sent while the sender held its state lock"
+        );
+    }
+
+    #[test]
+    fn a_writer_that_sleeps_releases_its_segments_first() {
+        // A reader thread holds the client's drive step for the whole
+        // transfer, so the writer on the same conduit never drives: each
+        // time it wakes it pumps, finds the send buffer full again, and
+        // must send what it queued before it sleeps.
+        let cfg = StreamConfig::default();
+        let total = 8 * cfg.snd_buf;
+        let (_fab, client, server) = poll_pair(cfg);
+        let data = pattern(total);
+        std::thread::scope(|s| {
+            let echo = s.spawn(|| {
+                let mut got = vec![0u8; total];
+                server
+                    .read_exact(&mut got, Some(Duration::from_secs(10)))
+                    .unwrap();
+                server.write_all(&[7]).unwrap();
+                server.flush(Duration::from_secs(5)).unwrap();
+                got
+            });
+            let reader = s.spawn(|| {
+                let mut byte = [0u8; 1];
+                let n = client.read(&mut byte, Some(Duration::from_secs(10)));
+                n.map(|n| (n, byte[0]))
+            });
+            while !client.inner.st.lock().driving {
+                std::thread::yield_now();
+            }
+            client.write_all(&data).unwrap();
+            assert_eq!(reader.join().unwrap(), Ok((1, 7)));
+            assert!(echo.join().unwrap() == data, "corrupted delivery");
+        });
+    }
+
+    #[test]
     fn drop_resends_a_lost_fin() {
         // The client's link carries the handshake ACK (packet 0), "bye"
         // (1) and the FIN (2), whose first transmission is lost. The
@@ -2099,7 +2139,7 @@ mod tests {
         let mut got = vec![0u8; 16 * 1024];
         assert_eq!(server.read(&mut got, Some(Duration::ZERO)), Ok(16 * 1024));
         client.progress(Duration::from_millis(10));
-        let st = client.inner.lock();
+        let st = client.inner.st.lock();
         assert_eq!(st.snd_una, st.snd_nxt, "all data acknowledged");
         assert_eq!(st.snd_wnd as usize, rcv_buf);
     }
@@ -2160,7 +2200,7 @@ mod tests {
             client.progress(Duration::from_millis(10));
         };
         send_acks([8 * 1024, 16 * 1024, 24 * 1024]);
-        assert_eq!(client.inner.lock().snd_wnd, 24 * 1024);
+        assert_eq!(client.inner.st.lock().snd_wnd, 24 * 1024);
         assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 0);
         send_acks([24 * 1024; 3]);
         assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 1);
