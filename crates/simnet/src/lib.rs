@@ -32,6 +32,7 @@
 
 pub mod chaos;
 pub mod dgram;
+mod drive;
 pub mod error;
 pub mod fabric;
 pub mod loss;

@@ -22,44 +22,25 @@
 //! the legacy implementation — fixed window, fixed 20 ms timer,
 //! timer-driven recovery only — on the same wire format.
 //!
-//! **Progress is the owner's.** The conduit has no thread of its own. A
-//! call that has to wait on the conduit — [`RdConduit::recv_from`], a
-//! [`RdConduit::send_to`] blocked on a full window, or
-//! [`RdConduit::flush`] — runs the protocol: it waits on the
-//! [`DgramConduit`] for at most the smaller of its own timeout and the
-//! next retransmission deadline, feeds every queued datagram through the
-//! protocol under one lock scope, and sweeps the timers. So a conduit
-//! makes progress only while its owner is inside a call on it, as with an
-//! RNIC's progress engine or a poll-mode QP. A threaded RD QP's receive
-//! loop is the driver; a poll-mode QP drives it from `progress`. A sender
-//! that stops calling must [`flush`](RdConduit::flush) to get its tail
-//! retransmitted, and its peer must still be receiving to acknowledge it.
-//!
-//! Wakes and sends: one caller drives at a time (leader/follower). The
-//! first waiter sets `St::driving`; the others sleep on the one condvar.
-//! The driver raises `St::wake` when it queued a message, opened a window
-//! (any ACK) or set an error. Every frame — data, ACK, retransmission —
-//! is built under the state lock into `St::outbox`, and one release step
-//! sends it, run by the drive step before its wait on the datagram
-//! conduit and by the return from a call. It takes the outbox, unlocks,
-//! sends the frames in the order they were queued, and only then
-//! notifies. A driver that returns also wakes the sleepers so that one of
-//! them takes over. Nothing is sent and nothing notifies while the state
-//! lock is held: on one core, a send wakes the peer, and a peer that
-//! preempted a lock holder would block on the lock. Frames of two
-//! threads releasing at once may interleave on the wire, as on UDP; the
-//! receiver reorders by sequence number.
+//! **Progress is the owner's**, by the drive engine and release rule of
+//! the crate's `drive` module (`src/drive.rs`): [`RdConduit::recv_from`],
+//! a [`RdConduit::send_to`] blocked on its window and [`RdConduit::flush`]
+//! run the protocol, whose drive step waits at most 5 ms (at least
+//! 200 µs) for the next retransmission deadline. A scope raises the wake
+//! flag when it queued a message, took an ACK or set an error. Every
+//! frame — data, ACK, retransmission — waits in `St::outbox`, and the
+//! release step sends the frames one datagram each, in queued order.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use iwarp_common::sg::SgBytes;
 use iwarp_telemetry::{EndpointId, EventKind, Telemetry};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::dgram::DgramConduit;
+use crate::drive::{Driver, Locked, Protocol};
 use crate::error::{NetError, NetResult};
 use crate::fabric::Fabric;
 use crate::wire::{Addr, NodeId};
@@ -166,34 +147,27 @@ struct PeerTx {
     payloads: BTreeMap<u64, Bytes>,
 }
 
+#[derive(Default)]
 struct PeerRx {
     rcv_nxt: u64,
     ooo: BTreeMap<u64, Bytes>,
 }
 
+#[derive(Default)]
 struct St {
     tx: HashMap<Addr, PeerTx>,
     rx: HashMap<Addr, PeerRx>,
     ready: VecDeque<(Addr, Bytes)>,
     err: Option<NetError>,
-    /// A caller holds the drive step (see the module doc, "Wakes and
-    /// sends").
-    driving: bool,
-    /// The driver queued a message, took an ACK or set an error since
-    /// it last notified.
-    wake: bool,
-    /// Callers asleep on `RdConduit::cv`; nobody is notified when zero.
-    sleepers: usize,
-    /// Frames built under the lock and not yet sent, in wire order. Only
-    /// the release step (`RdConduit::release`, see the module doc, "Wakes
-    /// and sends") unlocks with frames here, and it takes them all, so
-    /// the outbox is empty whenever the lock is free.
+    /// Frames built under the lock and not yet sent, in wire order. The
+    /// release step takes them all, so the outbox is empty whenever the
+    /// lock is free.
     outbox: Vec<(Addr, Bytes)>,
 }
 
-/// Reliable datagram endpoint: unreliable-datagram ergonomics with
-/// TCP-grade delivery guarantees per peer.
-pub struct RdConduit {
+/// The RD protocol core: everything but the state, which its driver
+/// keeps behind the lock.
+struct Rd {
     dg: DgramConduit,
     cfg: RdConfig,
     /// Resolved SACK bitmap width (validated at bind).
@@ -202,16 +176,16 @@ pub struct RdConduit {
     /// out-of-order messages (anything farther is undescribable in an
     /// ACK, so it is dropped and recovered by retransmission).
     horizon: u64,
-    /// SACK-gap fast retransmit + adaptive window are only active off
-    /// the `Fixed` baseline.
-    adaptive: bool,
-    st: Mutex<St>,
-    /// Where callers that are not driving sleep.
-    cv: Condvar,
     tel: Telemetry,
 }
 
-impl RdConduit {
+/// Reliable datagram endpoint: unreliable-datagram ergonomics with
+/// TCP-grade delivery guarantees per peer.
+pub struct RdConduit {
+    drv: Driver<Rd>,
+}
+
+impl Rd {
     /// Frames `payload` as a data message whose sequence number `send_to`
     /// stamps under the state lock. This is the payload's one copy
     /// (counted), made before the lock is taken.
@@ -224,22 +198,6 @@ impl RdConduit {
         }
         self.tel.simnet().bytes_copied.add(payload.len() as u64);
         b
-    }
-
-    /// The release step (see the module doc, "Wakes and sends"): takes
-    /// the outbox, unlocks, sends the frames in the order they were
-    /// queued, and only then notifies the sleepers if the scope raised
-    /// `St::wake`.
-    fn release(&self, mut st: MutexGuard<'_, St>) {
-        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
-        let frames = std::mem::take(&mut st.outbox);
-        drop(st);
-        for (dst, frame) in frames {
-            let _ = self.dg.send_to(dst, frame);
-        }
-        if notify {
-            self.cv.notify_all();
-        }
     }
 
     fn send_ack(&self, dst: Addr, st: &mut St) {
@@ -266,19 +224,49 @@ impl RdConduit {
         st.outbox.push((dst, b.freeze()));
     }
 
-    fn retransmit(&self, outbox: &mut Vec<(Addr, Bytes)>, dst: Addr, seq: u64, frame: &Bytes) {
-        self.tel.simnet().rdgram_retransmits.inc();
-        let local = self.dg.local_addr();
-        self.tel.trace(
-            EndpointId::new(local.node.0, local.port),
-            EventKind::Retransmit,
-            (frame.len() - DATA_HEADER) as u64,
-            seq,
-        );
-        outbox.push((dst, frame.clone()));
+    /// Checks per-peer retransmission timers, drains the retransmit
+    /// queues, and surfaces retry exhaustion as a connection reset.
+    fn sweep_timers(&self, st: &mut Locked<St>) {
+        let St { tx, outbox, .. } = &mut **st;
+        let dead = tx.iter_mut().any(|(&peer, tx)| {
+            let t = tx.engine.now();
+            if tx.engine.sweep(t).dead {
+                return true;
+            }
+            while let Some((seq, _len)) = tx.engine.pop_rtx(t) {
+                let Some(frame) = tx.payloads.get(&seq) else {
+                    continue;
+                };
+                self.tel.simnet().rdgram_retransmits.inc();
+                let local = self.dg.local_addr();
+                let len = (frame.len() - DATA_HEADER) as u64;
+                let id = EndpointId::new(local.node.0, local.port);
+                self.tel.trace(id, EventKind::Retransmit, len, seq);
+                outbox.push((peer, frame.clone()));
+            }
+            tx.engine.is_dead()
+        });
+        if dead {
+            st.err = Some(NetError::Reset);
+            st.wake = true;
+        }
+    }
+}
+
+impl Protocol for Rd {
+    type State = St;
+    type Input = (Addr, Bytes);
+    type Output = Vec<(Addr, Bytes)>;
+
+    fn recv(&self, wait: Duration) -> NetResult<(Addr, Bytes)> {
+        self.dg.recv_from(Some(wait))
     }
 
-    fn on_datagram(&self, st: &mut St, src: Addr, data: &Bytes) {
+    fn try_recv(&self) -> NetResult<(Addr, Bytes)> {
+        self.dg.try_recv_from()
+    }
+
+    fn on_input(&self, st: &mut Locked<St>, (src, data): (Addr, Bytes)) {
         if data.is_empty() {
             return;
         }
@@ -286,20 +274,16 @@ impl RdConduit {
             TYPE_DATA if data.len() >= DATA_HEADER => {
                 let seq = u64::from_be_bytes(data[1..9].try_into().expect("len checked"));
                 let payload = data.slice(DATA_HEADER..);
-                let rx = st.rx.entry(src).or_insert(PeerRx {
-                    rcv_nxt: 0,
-                    ooo: BTreeMap::new(),
-                });
+                let St { rx, ready, .. } = &mut **st;
+                let rx = rx.entry(src).or_default();
                 if seq == rx.rcv_nxt {
-                    rx.rcv_nxt += 1;
-                    st.ready.push_back((src, payload));
-                    self.tel.simnet().rdgram_rx_msgs.inc();
-                    // Drain contiguous out-of-order messages.
-                    let rx = st.rx.get_mut(&src).expect("present");
-                    while let Some(p) = rx.ooo.remove(&rx.rcv_nxt) {
+                    // Deliver it, then the contiguous out-of-order ones.
+                    let mut next = Some(payload);
+                    while let Some(p) = next {
                         rx.rcv_nxt += 1;
-                        st.ready.push_back((src, p));
+                        ready.push_back((src, p));
                         self.tel.simnet().rdgram_rx_msgs.inc();
+                        next = rx.ooo.remove(&rx.rcv_nxt);
                     }
                     st.wake = true;
                 } else if seq > rx.rcv_nxt && seq < rx.rcv_nxt + self.horizon {
@@ -322,28 +306,30 @@ impl RdConduit {
                 let Some(tx) = st.tx.get_mut(&src) else {
                     return;
                 };
+                if cum > tx.engine.nxt() {
+                    // Acknowledges a message never sent: a forged or
+                    // corrupt ACK, which would also overflow the SACK
+                    // arithmetic below.
+                    return;
+                }
                 let t = tx.engine.now();
                 if cum > tx.engine.una() {
                     tx.engine.on_cum_ack(t, cum);
                     // Everything below cum is delivered; forget payloads.
                     tx.payloads = tx.payloads.split_off(&cum);
                 }
-                for w in 0..words {
-                    let off = ACK_PREFIX + 8 * w;
-                    let word =
-                        u64::from_be_bytes(data[off..off + 8].try_into().expect("len checked"));
-                    if word == 0 {
-                        continue;
-                    }
-                    for bit in 0..64u64 {
-                        if word & (1 << bit) != 0 {
-                            let seq = cum + 64 * w as u64 + bit;
-                            tx.engine.on_sack_seq(t, seq);
-                            tx.payloads.remove(&seq);
-                        }
+                let bitmap = data[ACK_PREFIX..].chunks_exact(8).take(words);
+                for (w, word) in bitmap.enumerate() {
+                    // Set bits in ascending order: bit `b` is `cum + 64w + b`.
+                    let mut word = u64::from_be_bytes(word.try_into().expect("8 bytes"));
+                    while word != 0 {
+                        let seq = cum + 64 * w as u64 + u64::from(word.trailing_zeros());
+                        word &= word - 1;
+                        tx.engine.on_sack_seq(t, seq);
+                        tx.payloads.remove(&seq);
                     }
                 }
-                if self.adaptive {
+                if self.cfg.cc != CcAlgo::Fixed {
                     // A message with three later messages SACKed past it
                     // is lost; the engine fast-queues it. (The Fixed
                     // baseline stays timer-driven, like the legacy
@@ -356,37 +342,21 @@ impl RdConduit {
         }
     }
 
-    /// Checks per-peer retransmission timers, drains the retransmit
-    /// queues, and surfaces retry exhaustion as a connection reset.
-    fn sweep_timers(&self, st: &mut St) {
-        let mut dead = false;
-        for (&peer, tx) in &mut st.tx {
-            let t = tx.engine.now();
-            let ev = tx.engine.sweep(t);
-            if ev.dead {
-                dead = true;
-                break;
+    /// Sweeps the timers; a lower-layer error is stored for every caller
+    /// instead.
+    fn after_step(&self, st: &mut Locked<St>, lower: NetResult<()>) {
+        match lower {
+            Ok(()) => self.sweep_timers(st),
+            Err(e) => {
+                st.err = Some(e);
+                st.wake = true;
             }
-            while let Some((seq, _len)) = tx.engine.pop_rtx(t) {
-                if let Some(frame) = tx.payloads.get(&seq) {
-                    self.retransmit(&mut st.outbox, peer, seq, frame);
-                }
-            }
-            if tx.engine.is_dead() {
-                dead = true;
-                break;
-            }
-        }
-        if dead {
-            st.err = Some(NetError::Reset);
-            st.wake = true;
         }
     }
 
-    /// How long a drive step may wait on the datagram conduit before a
-    /// timer could be due. Capped, so a timer armed by a concurrent send
-    /// is seen within `IDLE`.
-    fn next_deadline_in(&self, st: &St) -> Duration {
+    /// The next retransmission deadline, capped, so a timer armed by a
+    /// concurrent send is seen within `IDLE`, and floored at 200 µs.
+    fn next_deadline(&self, st: &St) -> Duration {
         const IDLE: Duration = Duration::from_millis(5);
         let mut wait = IDLE;
         for tx in st.tx.values() {
@@ -395,6 +365,16 @@ impl RdConduit {
             }
         }
         wait.max(Duration::from_micros(200))
+    }
+
+    fn take_output(&self, st: &mut St) -> Option<Vec<(Addr, Bytes)>> {
+        (!st.outbox.is_empty()).then(|| std::mem::take(&mut st.outbox))
+    }
+
+    fn send(&self, frames: Vec<(Addr, Bytes)>) {
+        for (dst, frame) in frames {
+            let _ = self.dg.send_to(dst, frame);
+        }
     }
 }
 
@@ -415,57 +395,48 @@ impl RdConduit {
     fn wrap(dg: DgramConduit, cfg: RdConfig) -> NetResult<Self> {
         let sack_words = cfg.resolve_sack_words()?;
         let tel = dg.fabric().telemetry().clone();
-        Ok(Self {
+        let core = Rd {
             dg,
             sack_words,
             horizon: sack_words as u64 * 64,
-            adaptive: cfg.cc != CcAlgo::Fixed,
             cfg,
             tel,
-            st: Mutex::new(St {
-                tx: HashMap::new(),
-                rx: HashMap::new(),
-                ready: VecDeque::new(),
-                err: None,
-                driving: false,
-                wake: false,
-                sleepers: 0,
-                outbox: Vec::new(),
-            }),
-            cv: Condvar::new(),
+        };
+        Ok(Self {
+            drv: Driver::new(core, St::default()),
         })
     }
 
     /// Local address.
     #[must_use]
     pub fn local_addr(&self) -> Addr {
-        self.dg.local_addr()
+        self.drv.core.dg.local_addr()
     }
 
     /// The fabric this conduit is bound on.
     #[must_use]
     pub fn fabric(&self) -> &Fabric {
-        self.dg.fabric()
+        self.drv.core.dg.fabric()
     }
 
     /// Wire packets waiting in the underlying delivery ring; see
     /// [`DgramConduit::rx_backlog`].
     #[must_use]
     pub fn rx_backlog(&self) -> usize {
-        self.dg.rx_backlog()
+        self.drv.core.dg.rx_backlog()
     }
 
     /// Largest message this conduit accepts (one datagram's worth).
     #[must_use]
     pub fn max_datagram(&self) -> usize {
-        self.dg.max_datagram() - DATA_HEADER
+        self.drv.core.dg.max_datagram() - DATA_HEADER
     }
 
     /// Sends `payload` reliably to `dst`; blocks while the per-peer send
-    /// window (congestion window ∩ configured window) is full, driving
-    /// the conduit meanwhile. Returns once the message is queued and
-    /// transmitted (not once acknowledged). The payload is copied once,
-    /// into the frame the conduit keeps for retransmission.
+    /// window (congestion window ∩ configured window) is full, running
+    /// the conduit's protocol meanwhile. Returns once the message is
+    /// queued and transmitted (not once acknowledged). The payload is
+    /// copied once, into the frame the conduit keeps for retransmission.
     pub fn send_to(&self, dst: Addr, payload: SgBytes) -> NetResult<()> {
         if payload.len() > self.max_datagram() {
             return Err(NetError::TooBig {
@@ -473,14 +444,15 @@ impl RdConduit {
                 max: self.max_datagram(),
             });
         }
-        let window = self.cfg.window as u64;
-        let mut frame = Some(self.data_frame(&payload));
-        self.wait_until(None, |st| {
+        let rd = &self.drv.core;
+        let window = rd.cfg.window as u64;
+        let mut frame = Some(rd.data_frame(&payload));
+        self.drv.wait_until(None, |st| {
             if let Some(e) = &st.err {
                 return Some(Err(e.clone()));
             }
             let tx = st.tx.entry(dst).or_insert_with(|| PeerTx {
-                engine: RecoveryEngine::new(self.cfg.recovery_config()).with_telemetry(&self.tel),
+                engine: RecoveryEngine::new(rd.cfg.recovery_config()).with_telemetry(&rd.tel),
                 payloads: BTreeMap::new(),
             });
             let t = tx.engine.now();
@@ -492,115 +464,32 @@ impl RdConduit {
             frame[1..DATA_HEADER].copy_from_slice(&seq.to_be_bytes());
             let frame = frame.freeze();
             tx.payloads.insert(seq, frame.clone());
-            self.tel.simnet().rdgram_tx_msgs.inc();
+            rd.tel.simnet().rdgram_tx_msgs.inc();
             st.outbox.push((dst, frame));
             Some(Ok(()))
         })
     }
 
-    /// Receives the next in-order message from any peer, driving the
-    /// conduit while it waits. A zero timeout runs one non-blocking drive
-    /// step (unless another caller is driving) before reporting
-    /// [`NetError::Timeout`].
+    /// Receives the next in-order message from any peer, running the
+    /// conduit's protocol while it waits. A zero timeout runs one
+    /// non-blocking drive step (unless another caller holds it) before
+    /// reporting [`NetError::Timeout`].
     pub fn recv_from(&self, timeout: Option<Duration>) -> NetResult<(Addr, Bytes)> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        self.wait_until(deadline, |st| match st.ready.pop_front() {
-            Some(item) => Some(Ok(item)),
-            None => st.err.clone().map(Err),
+        self.drv.wait_until(timeout, |st| {
+            let next = st.ready.pop_front();
+            next.map(Ok).or_else(|| st.err.clone().map(Err))
         })
     }
 
-    /// Drives the conduit until every queued message to every peer is
-    /// acknowledged.
+    /// Runs the conduit's protocol until every queued message to every
+    /// peer is acknowledged.
     pub fn flush(&self, timeout: Duration) -> NetResult<()> {
-        self.wait_until(Some(Instant::now() + timeout), |st| {
+        self.drv.wait_until(Some(timeout), |st| {
             if st.tx.values().all(|t| t.engine.outstanding() == 0) {
                 return Some(Ok(()));
             }
             st.err.clone().map(Err)
         })
-    }
-
-    /// Runs `poll` under the state lock until it yields or `deadline`
-    /// (`None`: never) passes. Between polls the caller drives the conduit
-    /// if no other caller does, and sleeps on `cv` otherwise. The first
-    /// iteration always polls, and a caller that took the drive step polls
-    /// after at least one step, so a zero budget still drains once.
-    fn wait_until<T>(
-        &self,
-        deadline: Option<Instant>,
-        mut poll: impl FnMut(&mut St) -> Option<NetResult<T>>,
-    ) -> NetResult<T> {
-        let mut st = self.st.lock();
-        let mut driver = false;
-        let out = loop {
-            if let Some(out) = poll(&mut st) {
-                break out;
-            }
-            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if driver || !st.driving {
-                if driver && left == Some(Duration::ZERO) {
-                    break Err(NetError::Timeout);
-                }
-                driver = true;
-                st.driving = true;
-                st = self.step(st, left);
-                continue;
-            }
-            if left == Some(Duration::ZERO) {
-                break Err(NetError::Timeout);
-            }
-            // Only a caller whose poll returns a result queues frames, so a
-            // sleeper never holds any back.
-            debug_assert!(st.outbox.is_empty(), "frames queued across a wait");
-            st.sleepers += 1;
-            match left {
-                None => self.cv.wait(&mut st),
-                Some(left) => {
-                    self.cv.wait_for(&mut st, left);
-                }
-            }
-            st.sleepers -= 1;
-        };
-        // A returning driver hands the drive step on: the release step
-        // wakes the sleepers so that one of them takes over.
-        if driver {
-            st.driving = false;
-            st.wake = true;
-        }
-        self.release(st);
-        out
-    }
-
-    /// One drive step, by the caller holding `St::driving`: releases the
-    /// last scope (sends its frames, notifies its wakes), waits on the
-    /// datagram conduit for at most `left` and the next retransmission
-    /// deadline, then feeds every queued datagram through the protocol
-    /// and sweeps the timers under one lock scope. The ACKs
-    /// and retransmissions that scope builds wait in the outbox for the
-    /// next release.
-    fn step<'a>(&'a self, st: MutexGuard<'a, St>, left: Option<Duration>) -> MutexGuard<'a, St> {
-        let wait = self.next_deadline_in(&st);
-        let wait = left.map_or(wait, |left| left.min(wait));
-        self.release(st);
-        let got = self.dg.recv_from(Some(wait));
-        let mut st = self.st.lock();
-        match got {
-            Ok((src, data)) => {
-                self.on_datagram(&mut st, src, &data);
-                while let Ok((src, data)) = self.dg.try_recv_from() {
-                    self.on_datagram(&mut st, src, &data);
-                }
-            }
-            Err(NetError::Timeout) => {}
-            Err(e) => {
-                st.err = Some(e);
-                st.wake = true;
-                return st;
-            }
-        }
-        self.sweep_timers(&mut st);
-        st
     }
 }
 
@@ -608,6 +497,7 @@ impl RdConduit {
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Instant;
 
     use super::*;
     use crate::chaos::{FaultPlan, PartitionWindow};
@@ -1051,7 +941,7 @@ mod tests {
             let notify: crate::fabric::RxNotify = Arc::new(move |_| {
                 sent.fetch_add(1, Ordering::Relaxed);
                 let tx = tx.upgrade().expect("the sender outlives its sends");
-                if tx.st.try_lock().is_none() {
+                if tx.drv.is_locked() {
                     under_lock.fetch_add(1, Ordering::Relaxed);
                 }
             });

@@ -25,33 +25,18 @@
 //! of message boundaries, which is exactly why the iWARP MPA layer above it
 //! must insert markers (paper §II) — an overhead the datagram path avoids.
 //!
-//! **Progress is the owner's.** The conduit has no thread of its own. A
-//! call that has to wait on it — [`StreamConduit::connect`],
+//! **Progress is the owner's**, by the drive engine and release rule of
+//! the crate's `drive` module (`src/drive.rs`), as on
+//! [`crate::rdgram::RdConduit`]: [`StreamConduit::connect`],
 //! [`StreamConduit::read`], a [`StreamConduit::write_all_vectored`]
-//! waiting for send-buffer space or for the handshake to complete,
-//! [`StreamConduit::flush`] — runs the protocol: it waits on the endpoint
-//! for at most the smaller of its own timeout and the next timer
-//! deadline, handles every queued segment under one lock scope, fires
-//! due timers and pumps output. So a conduit makes progress only while
-//! its owner is inside a call on it, as [`crate::rdgram::RdConduit`]
-//! does. A threaded RC QP's receive loop is the driver; a poll-mode QP
-//! drives it from `progress`. A writer that stops calling must
-//! [`flush`](StreamConduit::flush) to get its tail retransmitted, and
-//! its peer must still be inside a call to acknowledge it. Dropping a
+//! waiting for the handshake or for buffer space, and
+//! [`StreamConduit::flush`] run the protocol. A drive step fires a due
+//! handshake or engine timer and pumps output. A scope raises the wake
+//! flag when it queued bytes, took an ACK, changed the connection state
+//! or set an error. Segments wait in `St::outbox`, and the release step
+//! sends them as one fabric burst, their headers in one arena. Dropping a
 //! conduit closes it and lingers for the acknowledgements (see its
 //! `Drop`).
-//!
-//! Wakes and sends: the release rule of [`crate::rdgram::RdConduit`].
-//! One caller drives at a time (leader/follower): the first waiter sets
-//! `St::driving`; the others sleep on the one condvar. A lock scope that
-//! queued bytes, took an ACK, changed the connection state or set an
-//! error raises `St::wake`. Segments are built under the state lock into
-//! `St::outbox`, and every scope that can queue one ends in its release
-//! step, which drains the outbox into one burst, unlocks, sends it, and
-//! only then notifies. A driver that returns also wakes the sleepers so
-//! that one of them takes over, and a caller about to sleep first
-//! releases what its poll queued. Segments of two releases may
-//! interleave on the wire; the receiver buffers out-of-order data.
 //!
 //! ACKs: one cumulative ACK per lock scope, as a delayed-ACK TCP sends
 //! about one per two segments (RFC 1122 §4.2.3.2). In-order data and a
@@ -73,10 +58,11 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use iwarp_cc::{CcAlgo, RecoveryConfig, RecoveryEngine};
 use iwarp_common::sg::SgBytes;
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use iwarp_common::memacct::{MemRegistry, MemScope};
 
+use crate::drive::{Driver, Locked, Protocol};
 use crate::error::{NetError, NetResult};
 use crate::fabric::{Endpoint, Fabric};
 use crate::wire::{Addr, NodeId, WirePacket};
@@ -216,10 +202,14 @@ fn decode_segment(pkt: WirePacket) -> Option<Segment> {
     if raw[0] != PROTO_STREAM || payload.len() != len {
         return None;
     }
+    let seq = u64::from_be_bytes(raw[2..10].try_into().ok()?);
+    // A forged sequence number near `u64::MAX` would overflow the end of
+    // the segment or its FIN in the receiver's arithmetic: reject it.
+    seq.checked_add(len as u64 + 1)?;
     Some(Segment {
         head: SegHead {
             flags: raw[1],
-            seq: u64::from_be_bytes(raw[2..10].try_into().ok()?),
+            seq,
             ack: u64::from_be_bytes(raw[10..18].try_into().ok()?),
             wnd: u32::from_be_bytes(raw[18..22].try_into().ok()?),
         },
@@ -375,18 +365,10 @@ struct St {
     ack_owed: bool,
     err: Option<NetError>,
     /// Segments made in the current lock scope, in order, all for `peer`.
-    /// The scope's release step (`Inner::release`) drains them into one
-    /// fabric burst, their headers in one arena, and sends it after
-    /// unlocking, so the outbox is empty whenever the lock is free.
+    /// The scope's release step drains them into one fabric burst, their
+    /// headers in one arena, and sends it after unlocking, so the outbox
+    /// is empty whenever the lock is free.
     outbox: Vec<Segment>,
-    /// A caller holds the drive step (see the module doc, "Wakes and
-    /// sends").
-    driving: bool,
-    /// The current lock scope changed something a sleeper may wait for;
-    /// its release step notifies `Inner::cv` after unlocking.
-    wake: bool,
-    /// Callers asleep on `Inner::cv`; nobody is notified when zero.
-    sleepers: usize,
 }
 
 impl St {
@@ -475,59 +457,17 @@ fn decode_sack(payload: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
     })
 }
 
+/// The stream protocol core: everything but the state, which its driver
+/// keeps behind the lock.
 struct Inner {
     ep: Endpoint,
     cfg: StreamConfig,
     mss: usize,
-    st: Mutex<St>,
-    /// Where callers that are not driving sleep.
-    cv: Condvar,
     tel: Telemetry,
-    _mem: Mutex<Option<MemScope>>,
+    mem: Option<MemScope>,
 }
 
 impl Inner {
-    /// The release step that ends every lock scope that can queue a
-    /// segment (see the module doc, "Wakes and sends"): turns an owed
-    /// ACK into one pure ACK, drains the outbox into one burst with its
-    /// headers in one arena, unlocks, sends the burst, and only then
-    /// notifies the sleepers if the scope raised `St::wake`.
-    fn release(&self, mut st: MutexGuard<'_, St>) {
-        if st.ack_owed {
-            self.send_ack(&mut st);
-        }
-        let notify = std::mem::take(&mut st.wake) && st.sleepers > 0;
-        let mut frames = Vec::new();
-        if !st.outbox.is_empty() {
-            let mut arena = BytesMut::with_capacity(st.outbox.len() * SEG_HEADER);
-            for seg in &st.outbox {
-                encode_header(&mut arena, &seg.head, seg.payload.len());
-            }
-            let arena = arena.freeze();
-            frames = st
-                .outbox
-                .drain(..)
-                .enumerate()
-                .map(|(i, seg)| {
-                    (
-                        arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
-                        seg.payload,
-                    )
-                })
-                .collect();
-        }
-        let peer = st.peer;
-        drop(st);
-        if !frames.is_empty() {
-            // Losing a segment here is equivalent to wire loss; reliability
-            // comes from retransmission, so the send result is advisory.
-            let _ = self.ep.send_burst(peer, frames);
-        }
-        if notify {
-            self.cv.notify_all();
-        }
-    }
-
     /// Queues a segment to the peer in the scope's outbox. Called with
     /// the state lock held; the scope's release step transmits it.
     fn tx(&self, st: &mut St, flags: u8, seq: u64, payload: SgBytes) {
@@ -548,10 +488,14 @@ impl Inner {
         st.outbox.push(Segment { head, payload });
     }
 
-    fn arm_hs_rto(&self, st: &mut St) {
-        if st.hs_deadline.is_none() {
-            st.hs_deadline = Some(Instant::now() + st.hs_rto);
-        }
+    /// Queues this side's handshake segment: the client's SYN or the
+    /// server's SYN-ACK.
+    fn tx_syn(&self, st: &mut St) {
+        let flags = match st.conn {
+            Conn::SynSent => FLAG_SYN,
+            _ => FLAG_SYN | FLAG_ACK,
+        };
+        self.tx(st, flags, 0, SgBytes::new());
     }
 
     /// Pushes out as much pending data as the peer's advertised window and
@@ -595,9 +539,12 @@ impl Inner {
         debug_assert_eq!(st.engine.nxt(), st.snd_nxt);
     }
 
-    /// Handles one incoming segment. Called with the state lock held.
-    fn on_segment(&self, st: &mut St, src: Addr, seg: Segment) {
-        let Segment { head: seg, payload } = seg;
+    /// Handles one incoming packet if it is a segment.
+    fn on_segment(&self, st: &mut Locked<St>, pkt: WirePacket) {
+        let src = pkt.src;
+        let Some(Segment { head: seg, payload }) = decode_segment(pkt) else {
+            return;
+        };
         // While connecting, the SYN-ACK arrives from the server's dedicated
         // per-connection endpoint, not the listener address we dialled —
         // adopt that endpoint as our peer (the TCP accept-socket analog).
@@ -628,14 +575,14 @@ impl Inner {
                     st.hs_deadline = None;
                     st.hs_retries = 0;
                     st.wake = true;
-                    self.tx(st, FLAG_ACK, st.snd_nxt, SgBytes::new());
+                    self.send_ack(st);
                 }
                 return;
             }
             Conn::SynReceived => {
                 if seg.flags & FLAG_SYN != 0 {
                     // Duplicate SYN (our SYN-ACK was lost): re-answer.
-                    self.tx(st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new());
+                    self.tx_syn(st);
                     return;
                 }
                 if seg.flags & FLAG_ACK != 0 && seg.ack >= 1 {
@@ -701,42 +648,28 @@ impl Inner {
         }
 
         // Payload placement (SACK payloads are metadata, not stream data).
+        let payload = if seg.flags & FLAG_SACK == 0 {
+            payload
+        } else {
+            SgBytes::new()
+        };
+        let payload_len = payload.len() as u64;
         let prev_rcv_nxt = st.rcv_nxt;
         let mut should_ack = false;
-        let payload_len = if seg.flags & FLAG_SACK == 0 {
-            payload.len() as u64
-        } else {
-            0
-        };
-        if !payload.is_empty() && seg.flags & FLAG_SACK == 0 {
+        if !payload.is_empty() {
             should_ack = true;
-            let mut seq = seg.seq;
-            let mut payload = payload;
-            let end = seq + payload.len() as u64;
-            if end > st.rcv_nxt {
-                if seq < st.rcv_nxt {
-                    // Retransmission overlapping delivered data: trim.
-                    payload = payload.slice((st.rcv_nxt - seq) as usize, payload.len());
-                    seq = st.rcv_nxt;
+            let seq = seg.seq;
+            if seq <= st.rcv_nxt && seq + payload_len > st.rcv_nxt {
+                // In order; a retransmission may overlap delivered data.
+                if self.place(st, &payload, seq) {
+                    self.drain_ooo(st);
                 }
-                if seq == st.rcv_nxt {
-                    let space = self
-                        .cfg
-                        .rcv_buf
-                        .saturating_sub(st.recv_q.len() + st.ooo_bytes);
-                    let take = payload.len().min(space);
-                    st.recv_q.push_sg(&payload, 0, take);
-                    st.rcv_nxt += take as u64;
-                    if take == payload.len() {
-                        self.drain_ooo(st);
-                    }
-                    st.wake = true;
-                } else if st.ooo_bytes + payload.len() <= self.cfg.rcv_buf {
-                    // Future segment: stash for later (dedup by start seq).
-                    if !st.ooo.contains_key(&seq) {
-                        st.ooo_bytes += payload.len();
-                        st.ooo.insert(seq, payload);
-                    }
+                st.wake = true;
+            } else if seq > st.rcv_nxt && st.ooo_bytes + payload.len() <= self.cfg.rcv_buf {
+                // Future segment: stash for later (dedup by start seq).
+                if !st.ooo.contains_key(&seq) {
+                    st.ooo_bytes += payload.len();
+                    st.ooo.insert(seq, payload);
                 }
             }
         }
@@ -747,12 +680,10 @@ impl Inner {
             st.peer_fin = Some(fin_seq);
             should_ack = true;
         }
-        if let Some(f) = st.peer_fin {
-            if st.rcv_nxt == f && !st.peer_closed {
-                st.rcv_nxt = f + 1;
-                st.peer_closed = true;
-                st.wake = true;
-            }
+        if st.peer_fin == Some(st.rcv_nxt) && !st.peer_closed {
+            st.rcv_nxt += 1;
+            st.peer_closed = true;
+            st.wake = true;
         }
 
         // In-order data is acknowledged once, at the scope's release
@@ -792,18 +723,25 @@ impl Inner {
             if end <= st.rcv_nxt {
                 continue; // fully duplicate
             }
-            let skip = (st.rcv_nxt - seq) as usize;
-            let space = self
-                .cfg
-                .rcv_buf
-                .saturating_sub(st.recv_q.len() + st.ooo_bytes);
-            let take = (payload.len() - skip).min(space);
-            st.recv_q.push_sg(&payload, skip, take);
-            st.rcv_nxt += take as u64;
-            if take < payload.len() - skip {
+            if !self.place(st, &payload, seq) {
                 break; // buffer full; rest will be retransmitted
             }
         }
+    }
+
+    /// Queues the bytes of `payload`, which starts at `seq <= rcv_nxt`,
+    /// from `rcv_nxt` on for the reader, as far as the receive buffer has
+    /// room. True if they all fit.
+    fn place(&self, st: &mut St, payload: &SgBytes, seq: u64) -> bool {
+        let skip = (st.rcv_nxt - seq) as usize;
+        let space = self
+            .cfg
+            .rcv_buf
+            .saturating_sub(st.recv_q.len() + st.ooo_bytes);
+        let take = (payload.len() - skip).min(space);
+        st.recv_q.push_sg(payload, skip, take);
+        st.rcv_nxt += take as u64;
+        take == payload.len() - skip
     }
 
     /// Retransmits one engine-identified range `[seq, seq + len)`.
@@ -831,7 +769,7 @@ impl Inner {
     /// Sends everything the engine has queued for retransmission, and
     /// surfaces connection death (retry budget exhausted) as a reset.
     /// `kind` attributes the retransmissions (fast vs timeout-driven).
-    fn drain_rtx(&self, st: &mut St, kind: &Counter) {
+    fn drain_rtx(&self, st: &mut Locked<St>, kind: &Counter) {
         let t = st.engine.now();
         while let Some((seq, len)) = st.engine.pop_rtx(t) {
             kind.inc();
@@ -842,7 +780,7 @@ impl Inner {
         }
     }
 
-    fn fail(&self, st: &mut St, err: NetError) {
+    fn fail(&self, st: &mut Locked<St>, err: NetError) {
         if st.err.is_none() {
             st.err = Some(err);
         }
@@ -851,7 +789,7 @@ impl Inner {
     }
 
     /// Handshake retransmission timer (SYN / SYN-ACK only).
-    fn on_hs_rto(&self, st: &mut St) {
+    fn on_hs_rto(&self, st: &mut Locked<St>) {
         st.hs_retries += 1;
         if st.hs_retries > MAX_HS_RETRIES {
             self.fail(st, NetError::Timeout);
@@ -859,18 +797,14 @@ impl Inner {
         }
         self.tel.simnet().stream_rto_retransmits.inc();
         self.tel.simnet().stream_retransmits.inc();
-        match st.conn {
-            Conn::SynSent => self.tx(st, FLAG_SYN, 0, SgBytes::new()),
-            Conn::SynReceived => self.tx(st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new()),
-            Conn::Established | Conn::Closed => {}
-        }
+        self.tx_syn(st);
         st.hs_rto = (st.hs_rto * 2).min(self.cfg.rto_max);
         st.hs_deadline = Some(Instant::now() + st.hs_rto);
     }
 
     /// Established-phase timer: lets the engine sweep, then acts on what it
     /// decided (head retransmission, zero-window probe, or death).
-    fn on_engine_timer(&self, st: &mut St) {
+    fn on_engine_timer(&self, st: &mut Locked<St>) {
         let t = st.engine.now();
         let ev = st.engine.sweep(t);
         if ev.dead {
@@ -896,83 +830,54 @@ impl Inner {
     }
 }
 
-impl Inner {
-    /// Decodes one wire packet and handles it if it is a segment.
-    fn on_packet(&self, st: &mut St, pkt: WirePacket) {
-        let src = pkt.src;
-        if let Some(seg) = decode_segment(pkt) {
-            self.on_segment(st, src, seg);
-        }
+impl Protocol for Inner {
+    type State = St;
+    type Input = WirePacket;
+    type Output = (Addr, Vec<(Bytes, SgBytes)>);
+
+    fn recv(&self, wait: Duration) -> NetResult<WirePacket> {
+        self.ep.recv(Some(wait))
     }
 
-    /// Runs `poll` in one lock scope after another until it yields or
-    /// `deadline` (`None`: never) passes. Between polls the caller drives
-    /// the conduit if no other caller does, and sleeps on `cv` otherwise.
-    /// The first iteration always polls, and a caller that took the drive
-    /// step polls after at least one step, so a zero budget still drains
-    /// once.
-    fn wait_until<T>(
-        &self,
-        deadline: Option<Instant>,
-        mut poll: impl FnMut(&mut St) -> Option<NetResult<T>>,
-    ) -> NetResult<T> {
-        let mut st = self.st.lock();
-        let mut driver = false;
-        let out = loop {
-            if let Some(out) = poll(&mut st) {
-                break out;
-            }
-            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if driver || !st.driving {
-                if driver && left == Some(Duration::ZERO) {
-                    break Err(NetError::Timeout);
-                }
-                driver = true;
-                st.driving = true;
-                st = self.step(st, left);
-                continue;
-            }
-            if left == Some(Duration::ZERO) {
-                break Err(NetError::Timeout);
-            }
-            // A sleeper never holds segments: a poll that queued some (a
-            // writer that pumped, then found the send buffer full)
-            // releases them and polls again.
-            if !st.outbox.is_empty() || st.ack_owed {
-                self.release(st);
-                st = self.st.lock();
-                continue;
-            }
-            debug_assert!(
-                st.outbox.is_empty() && !st.ack_owed && !st.wake,
-                "segments or wakes held across a wait"
-            );
-            st.sleepers += 1;
-            match left {
-                None => self.cv.wait(&mut st),
-                Some(left) => {
-                    self.cv.wait_for(&mut st, left);
-                }
-            }
-            st.sleepers -= 1;
-        };
-        // A returning driver hands the drive step on: the release step
-        // wakes the sleepers so that one of them takes over.
-        if driver {
-            st.driving = false;
-            st.wake = true;
-        }
-        self.release(st);
-        out
+    fn try_recv(&self) -> NetResult<WirePacket> {
+        self.ep.try_recv()
     }
 
-    /// One drive step, by the caller holding `St::driving`: releases the
-    /// scope, waits on the endpoint for at most `left`, the next timer
-    /// deadline and [`IDLE_STEP`], then, in one new scope, handles every
-    /// queued packet, fires due timers and pumps output. The segments
-    /// that scope queues wait in the outbox for the next release.
-    fn step<'a>(&'a self, st: MutexGuard<'a, St>, left: Option<Duration>) -> MutexGuard<'a, St> {
-        let mut wait = left.map_or(IDLE_STEP, |left| left.min(IDLE_STEP));
+    fn on_input(&self, st: &mut Locked<St>, pkt: WirePacket) {
+        self.on_segment(st, pkt);
+    }
+
+    /// Fires a due handshake or engine timer and pumps output; a
+    /// lower-layer error closes the connection first.
+    fn after_step(&self, st: &mut Locked<St>, lower: NetResult<()>) {
+        if lower.is_err() {
+            st.err = Some(NetError::Closed);
+            st.conn = Conn::Closed;
+        }
+        match st.conn {
+            Conn::SynSent | Conn::SynReceived => {
+                if let Some(d) = st.hs_deadline {
+                    if Instant::now() >= d {
+                        self.on_hs_rto(st);
+                    }
+                }
+            }
+            Conn::Established => {
+                if let Some(d) = st.engine.rto_deadline() {
+                    if st.engine.now() >= d {
+                        self.on_engine_timer(st);
+                    }
+                }
+            }
+            Conn::Closed => {}
+        }
+        self.pump(st);
+        st.wake |= st.conn == Conn::Closed;
+    }
+
+    /// The next timer deadline, capped at [`IDLE_STEP`].
+    fn next_deadline(&self, st: &St) -> Duration {
+        let mut wait = IDLE_STEP;
         if let Some(d) = st.hs_deadline {
             wait = wait.min(d.saturating_duration_since(Instant::now()));
         }
@@ -981,43 +886,41 @@ impl Inner {
                 wait = wait.min(d.saturating_sub(st.engine.now()));
             }
         }
-        self.release(st);
-        let pkt = self.ep.recv(Some(wait));
-        let mut st = self.st.lock();
-        match pkt {
-            Ok(p) => {
-                self.on_packet(&mut st, p);
-                // Drain everything already queued before checking timers.
-                while let Ok(p) = self.ep.try_recv() {
-                    self.on_packet(&mut st, p);
-                }
-            }
-            Err(NetError::Timeout) => {}
-            Err(_) => {
-                st.err = Some(NetError::Closed);
-                st.conn = Conn::Closed;
-            }
+        wait
+    }
+
+    /// Turns an owed ACK into one pure ACK, then drains the outbox into
+    /// one burst with its headers in one arena.
+    fn take_output(&self, st: &mut St) -> Option<(Addr, Vec<(Bytes, SgBytes)>)> {
+        if st.ack_owed {
+            self.send_ack(st);
         }
-        match st.conn {
-            Conn::SynSent | Conn::SynReceived => {
-                if let Some(d) = st.hs_deadline {
-                    if Instant::now() >= d {
-                        self.on_hs_rto(&mut st);
-                    }
-                }
-            }
-            Conn::Established => {
-                if let Some(d) = st.engine.rto_deadline() {
-                    if st.engine.now() >= d {
-                        self.on_engine_timer(&mut st);
-                    }
-                }
-            }
-            Conn::Closed => {}
+        if st.outbox.is_empty() {
+            return None;
         }
-        self.pump(&mut st);
-        st.wake |= st.conn == Conn::Closed;
-        st
+        let mut arena = BytesMut::with_capacity(st.outbox.len() * SEG_HEADER);
+        for seg in &st.outbox {
+            encode_header(&mut arena, &seg.head, seg.payload.len());
+        }
+        let arena = arena.freeze();
+        let frames = st
+            .outbox
+            .drain(..)
+            .enumerate()
+            .map(|(i, seg)| {
+                (
+                    arena.slice(i * SEG_HEADER..(i + 1) * SEG_HEADER),
+                    seg.payload,
+                )
+            })
+            .collect();
+        Some((st.peer, frames))
+    }
+
+    fn send(&self, (peer, frames): (Addr, Vec<(Bytes, SgBytes)>)) {
+        // Losing a segment here is equivalent to wire loss; reliability
+        // comes from retransmission, so the send result is advisory.
+        let _ = self.ep.send_burst(peer, frames);
     }
 }
 
@@ -1026,11 +929,11 @@ impl Inner {
 pub struct StreamConduit {
     /// Boxed: an RC QP holds its conduit inline and accounts its own
     /// `size_of`, which the conduit's state must not inflate.
-    inner: Box<Inner>,
+    drv: Box<Driver<Inner>>,
 }
 
 impl StreamConduit {
-    /// Actively opens a connection from `local_node` to `server`, driving
+    /// Actively opens a connection from `local_node` to `server`, and runs
     /// the handshake until it completes or `connect_timeout` passes.
     pub fn connect(
         fabric: &Fabric,
@@ -1040,13 +943,8 @@ impl StreamConduit {
     ) -> NetResult<Self> {
         let ep = fabric.bind_ephemeral(local_node)?;
         let conduit = Self::build(ep, server, Conn::SynSent, cfg);
-        let inner = &conduit.inner;
-        let mut st = inner.st.lock();
-        inner.tx(&mut st, FLAG_SYN, 0, SgBytes::new());
-        inner.arm_hs_rto(&mut st);
-        inner.release(st);
-        let deadline = Instant::now() + inner.cfg.connect_timeout;
-        inner.wait_until(Some(deadline), |st| match st.conn {
+        let drv = &conduit.drv;
+        drv.wait_until(Some(drv.core.cfg.connect_timeout), |st| match st.conn {
             Conn::Established => Some(Ok(())),
             Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
             Conn::SynSent | Conn::SynReceived => None,
@@ -1054,12 +952,15 @@ impl StreamConduit {
         Ok(conduit)
     }
 
+    /// A conduit in `conn`, a handshake state, that has sent its first
+    /// handshake segment.
     fn build(ep: Endpoint, peer: Addr, conn: Conn, cfg: StreamConfig) -> Self {
         let mss = ep.mtu() - SEG_HEADER;
+        // The whole locked state, the driver's fields included.
         let mem = cfg.mem.as_ref().map(|reg| {
             reg.track(
                 "stream_conduit",
-                (cfg.snd_buf + cfg.rcv_buf + std::mem::size_of::<St>()) as u64,
+                (cfg.snd_buf + cfg.rcv_buf + std::mem::size_of::<Locked<St>>()) as u64,
             )
         });
         let (snd_una, snd_nxt, rcv_nxt) = match conn {
@@ -1073,62 +974,62 @@ impl StreamConduit {
         let engine = RecoveryEngine::new_at(recovery_config(&cfg, mss), 1)
             .with_telemetry(ep.fabric().telemetry());
         let tel = ep.fabric().telemetry().clone();
-        let inner = Inner {
+        let st = St {
+            conn,
+            peer,
+            snd_una,
+            snd_nxt,
+            snd_wnd: 0,
+            send_q: ByteQueue::default(),
+            rcv_nxt,
+            recv_q: ByteQueue::default(),
+            ooo: BTreeMap::new(),
+            ooo_bytes: 0,
+            fin_requested: false,
+            fin_seq: None,
+            peer_fin: None,
+            peer_closed: false,
+            hs_deadline: None,
+            hs_rto: cfg.rto_initial,
+            hs_retries: 0,
+            engine,
+            last_wnd_sent: 0,
+            ack_owed: false,
+            err: None,
+            outbox: Vec::new(),
+        };
+        let core = Inner {
             ep,
+            cfg,
             mss,
             tel,
-            st: Mutex::new(St {
-                conn,
-                peer,
-                snd_una,
-                snd_nxt,
-                snd_wnd: 0,
-                send_q: ByteQueue::default(),
-                rcv_nxt,
-                recv_q: ByteQueue::default(),
-                ooo: BTreeMap::new(),
-                ooo_bytes: 0,
-                fin_requested: false,
-                fin_seq: None,
-                peer_fin: None,
-                peer_closed: false,
-                hs_deadline: None,
-                hs_rto: cfg.rto_initial,
-                hs_retries: 0,
-                engine,
-                last_wnd_sent: 0,
-                ack_owed: false,
-                err: None,
-                outbox: Vec::new(),
-                driving: false,
-                wake: false,
-                sleepers: 0,
-            }),
-            cfg,
-            cv: Condvar::new(),
-            _mem: Mutex::new(mem),
+            mem,
         };
-        Self {
-            inner: Box::new(inner),
-        }
+        let drv = Box::new(Driver::new(core, st));
+        // Open the handshake: the client's SYN or the server's SYN-ACK.
+        drv.scope(|st| {
+            drv.core.tx_syn(st);
+            st.hs_deadline = Some(Instant::now() + st.hs_rto);
+        });
+        Self { drv }
     }
 
     /// Local address of this connection's endpoint.
     #[must_use]
     pub fn local_addr(&self) -> Addr {
-        self.inner.ep.local_addr()
+        self.drv.core.ep.local_addr()
     }
 
     /// The peer's address.
     #[must_use]
     pub fn peer_addr(&self) -> Addr {
-        self.inner.st.lock().peer
+        self.drv.scope(|st| st.peer)
     }
 
     /// Maximum segment size (wire MTU minus stream header).
     #[must_use]
     pub fn mss(&self) -> usize {
-        self.inner.mss
+        self.drv.core.mss
     }
 
     /// Writes all of `buf` into the stream, blocking for send-buffer space:
@@ -1138,9 +1039,9 @@ impl StreamConduit {
         self.write_all_vectored(&[buf])
     }
 
-    /// Writes all of `bufs`, in order, into the stream, driving the
-    /// conduit while it waits for the handshake to complete or for
-    /// send-buffer space. Returns once every byte is queued (not once
+    /// Writes all of `bufs`, in order, into the stream, running the
+    /// conduit's protocol while it waits for the handshake to complete or
+    /// for send-buffer space. Returns once every byte is queued (not once
     /// acknowledged: see [`flush`](StreamConduit::flush)).
     ///
     /// Each lock scope copies as much as the send buffer has room for
@@ -1150,10 +1051,10 @@ impl StreamConduit {
     /// them: a buffer that fits the window leaves as its own segments,
     /// which keeps MPA's FPDUs segment-aligned (RFC 5044's sender rule).
     pub fn write_all_vectored(&self, bufs: &[&[u8]]) -> NetResult<()> {
-        let inner = &self.inner;
+        let inner = &self.drv.core;
         // The first unwritten byte: buffer `i`, offset `off` into it.
         let (mut i, mut off) = (0usize, 0usize);
-        inner.wait_until(None, |st| {
+        self.drv.wait_until(None, |st| {
             if let Some(e) = &st.err {
                 return Some(Err(e.clone()));
             }
@@ -1205,15 +1106,14 @@ impl StreamConduit {
         })
     }
 
-    /// Reads up to `buf.len()` bytes, driving the conduit for at most
-    /// `timeout` (`None` = indefinitely) while none are buffered. Returns
-    /// 0 at end-of-stream (peer FIN). A zero timeout runs one non-blocking
-    /// drive step (unless another caller is driving) before reporting
-    /// [`NetError::Timeout`].
+    /// Reads up to `buf.len()` bytes, running the conduit's protocol for
+    /// at most `timeout` (`None` = indefinitely) while none are buffered.
+    /// Returns 0 at end-of-stream (peer FIN). A zero timeout runs one
+    /// non-blocking drive step (unless another caller holds it) before
+    /// reporting [`NetError::Timeout`].
     pub fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> NetResult<usize> {
-        let inner = &self.inner;
-        let deadline = timeout.map(|t| Instant::now() + t);
-        inner.wait_until(deadline, |st| {
+        let inner = &self.drv.core;
+        self.drv.wait_until(timeout, |st| {
             if !st.recv_q.is_empty() {
                 let n = st.recv_q.pop_into(buf);
                 // Window update: if we had choked the sender, reopen.
@@ -1243,42 +1143,42 @@ impl StreamConduit {
         Ok(())
     }
 
-    /// Drives the conduit until every written byte (and a requested FIN)
-    /// is acknowledged, for at most `timeout`. Nothing is written before
-    /// the handshake completes, so a conduit still in it is flushed.
+    /// Runs the conduit's protocol until every written byte (and a
+    /// requested FIN) is acknowledged, for at most `timeout`. Nothing is
+    /// written before the handshake completes, so a conduit still in it
+    /// is flushed.
     pub fn flush(&self, timeout: Duration) -> NetResult<()> {
-        self.inner
-            .wait_until(Some(Instant::now() + timeout), |st| match st.conn {
-                Conn::Established if st.in_flight() > 0 || !st.send_q.is_empty() => None,
-                Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
-                Conn::SynSent | Conn::SynReceived | Conn::Established => Some(Ok(())),
-            })
+        self.drv.wait_until(Some(timeout), |st| match st.conn {
+            Conn::Established if st.in_flight() > 0 || !st.send_q.is_empty() => None,
+            Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
+            Conn::SynSent | Conn::SynReceived | Conn::Established => Some(Ok(())),
+        })
     }
 
     /// One drive step, waiting at most `max_wait` for incoming wire
-    /// packets, unless another caller is driving: then it waits at most
-    /// `max_wait` for that caller's next wake.
+    /// packets, unless another caller holds the drive step: then it waits
+    /// at most `max_wait` for that caller's next wake.
     pub fn progress(&self, max_wait: Duration) {
         let mut polled = false;
-        let _ = self.inner.wait_until(Some(Instant::now() + max_wait), |_| {
+        let _ = self.drv.wait_until(Some(max_wait), |_| {
             std::mem::replace(&mut polled, true).then_some(Ok(()))
         });
     }
 
     /// Gracefully closes the send side: pending data is flushed, then FIN.
     pub fn close(&self) {
-        let mut st = self.inner.st.lock();
-        if !st.fin_requested {
-            st.fin_requested = true;
-            self.inner.pump(&mut st);
-        }
-        self.inner.release(st);
+        self.drv.scope(|st| {
+            if !st.fin_requested {
+                st.fin_requested = true;
+                self.drv.core.pump(st);
+            }
+        });
     }
 
     /// Heap bytes of connection state currently tracked for this conduit.
     #[must_use]
     pub fn tracked_bytes(&self) -> u64 {
-        self.inner._mem.lock().as_ref().map_or(0, MemScope::bytes)
+        self.drv.core.mem.as_ref().map_or(0, MemScope::bytes)
     }
 }
 
@@ -1291,16 +1191,16 @@ impl Drop for StreamConduit {
     /// instead (RFC 8985): 1 ms for its ACK, one resend, 1 ms more.
     fn drop(&mut self) {
         self.close();
-        let inner = &self.inner;
-        let data = inner.wait_until(Some(Instant::now() + LINGER), |st| {
+        let drv = &self.drv;
+        let data = drv.wait_until(Some(LINGER), |st| {
             (st.conn != Conn::Established || st.send_q.is_empty()).then_some(Ok(()))
         });
         if data.is_ok() && self.flush(FIN_PROBE) == Err(NetError::Timeout) {
-            let mut st = inner.st.lock();
-            if let Some(fin) = st.fin_seq {
-                inner.retransmit_range(&mut st, fin, 1);
-            }
-            inner.release(st);
+            drv.scope(|st| {
+                if let Some(fin) = st.fin_seq {
+                    drv.core.retransmit_range(st, fin, 1);
+                }
+            });
             let _ = self.flush(FIN_PROBE);
         }
     }
@@ -1336,16 +1236,10 @@ impl StreamListener {
     pub fn accept(&self, timeout: Option<Duration>) -> NetResult<StreamConduit> {
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            let remaining = match deadline {
-                None => None,
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(NetError::Timeout);
-                    }
-                    Some(d - now)
-                }
-            };
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining == Some(Duration::ZERO) {
+                return Err(NetError::Timeout);
+            }
             let pkt = self.ep.recv(remaining)?;
             let src = pkt.src;
             let Some(seg) = decode_segment(pkt) else {
@@ -1365,13 +1259,12 @@ impl StreamListener {
             }
             // Dedicated endpoint for this connection (TCP accept analog).
             let conn_ep = self.fabric.bind_ephemeral(self.ep.local_addr().node)?;
-            let conduit = StreamConduit::build(conn_ep, src, Conn::SynReceived, self.cfg.clone());
-            let inner = &conduit.inner;
-            let mut st = inner.st.lock();
-            inner.tx(&mut st, FLAG_SYN | FLAG_ACK, 0, SgBytes::new());
-            inner.arm_hs_rto(&mut st);
-            inner.release(st);
-            return Ok(conduit);
+            return Ok(StreamConduit::build(
+                conn_ep,
+                src,
+                Conn::SynReceived,
+                self.cfg.clone(),
+            ));
         }
     }
 }
@@ -1605,7 +1498,7 @@ mod tests {
         };
         let fab = Fabric::loopback();
         let (client, server) = connect_pair(&fab, cfg);
-        let per_conn = (32 * 1024 + 32 * 1024 + std::mem::size_of::<St>()) as u64;
+        let per_conn = (32 * 1024 + 32 * 1024 + std::mem::size_of::<Locked<St>>()) as u64;
         assert_eq!(reg.current("stream_conduit"), 2 * per_conn);
         assert_eq!(client.tracked_bytes(), per_conn);
         drop(client);
@@ -2011,7 +1904,7 @@ mod tests {
             let notify: crate::fabric::RxNotify = Arc::new(move |_| {
                 sent.fetch_add(1, Ordering::Relaxed);
                 let tx = tx.upgrade().expect("the sender outlives its sends");
-                if tx.inner.st.try_lock().is_none() {
+                if tx.drv.is_locked() {
                     under_lock.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -2065,7 +1958,7 @@ mod tests {
                 let n = client.read(&mut byte, Some(Duration::from_secs(10)));
                 n.map(|n| (n, byte[0]))
             });
-            while !client.inner.st.lock().driving {
+            while !client.drv.is_driven() {
                 std::thread::yield_now();
             }
             client.write_all(&data).unwrap();
@@ -2139,9 +2032,9 @@ mod tests {
         let mut got = vec![0u8; 16 * 1024];
         assert_eq!(server.read(&mut got, Some(Duration::ZERO)), Ok(16 * 1024));
         client.progress(Duration::from_millis(10));
-        let st = client.inner.st.lock();
-        assert_eq!(st.snd_una, st.snd_nxt, "all data acknowledged");
-        assert_eq!(st.snd_wnd as usize, rcv_buf);
+        let (una, nxt, wnd) = client.drv.scope(|st| (st.snd_una, st.snd_nxt, st.snd_wnd));
+        assert_eq!(una, nxt, "all data acknowledged");
+        assert_eq!(wnd as usize, rcv_buf);
     }
 
     #[test]
@@ -2195,12 +2088,17 @@ mod tests {
                     wnd,
                 };
                 let frame = Bytes::from(encode_frame(&head, b""));
-                server.inner.ep.send_to(client.local_addr(), frame).unwrap();
+                server
+                    .drv
+                    .core
+                    .ep
+                    .send_to(client.local_addr(), frame)
+                    .unwrap();
             }
             client.progress(Duration::from_millis(10));
         };
         send_acks([8 * 1024, 16 * 1024, 24 * 1024]);
-        assert_eq!(client.inner.st.lock().snd_wnd, 24 * 1024);
+        assert_eq!(client.drv.scope(|st| st.snd_wnd), 24 * 1024);
         assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 0);
         send_acks([24 * 1024; 3]);
         assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 1);

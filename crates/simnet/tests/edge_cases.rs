@@ -210,3 +210,71 @@ fn multicast_join_requires_group_address() {
     let c = DgramConduit::bind(&fab, Addr::new(0, 2)).unwrap();
     assert!(c.join_multicast(Addr::new(3, 3)).is_err());
 }
+
+#[test]
+fn rd_drops_an_ack_for_a_message_never_sent() {
+    // A forged ACK claims everything up to `u64::MAX - 1` and SACKs two
+    // past it. It acknowledges messages never sent, so the conduit drops
+    // it: the one real message stays outstanding until its true ACK.
+    let fab = Fabric::loopback();
+    let a = RdConduit::bind(&fab, Addr::new(0, 40), RdConfig::default()).unwrap();
+    let peer = DgramConduit::bind(&fab, Addr::new(1, 40)).unwrap();
+    a.send_to(peer.local_addr(), Bytes::from_static(b"m").into())
+        .unwrap();
+    let (_, data) = peer.recv_from(Some(Duration::from_secs(2))).unwrap();
+    assert_eq!(&data[..], b"\0\0\0\0\0\0\0\0\0m", "data frame: type, seq 0");
+    // An RD ACK: type 1, cum, one SACK word.
+    let ack = |cum: u64, word: u64| {
+        let mut b = vec![1u8];
+        b.extend_from_slice(&cum.to_be_bytes());
+        b.push(1);
+        b.extend_from_slice(&word.to_be_bytes());
+        Bytes::from(b)
+    };
+    peer.send_to(a.local_addr(), ack(u64::MAX - 1, 1 << 2))
+        .unwrap();
+    assert_eq!(a.flush(Duration::from_millis(50)), Err(NetError::Timeout));
+    peer.send_to(a.local_addr(), ack(1, 0)).unwrap();
+    assert_eq!(a.flush(Duration::from_secs(2)), Ok(()));
+}
+
+#[test]
+fn stream_ignores_a_syn_ack_whose_sequence_would_overflow() {
+    // A raw endpoint answers a client's SYN with a SYN-ACK at sequence
+    // `u64::MAX`, whose successor does not exist, then with a true one.
+    // The client must take only the second: the data that follows at
+    // sequence 1 is then in order.
+    let fab = Fabric::loopback();
+    let server = fab.bind(Addr::new(1, 41)).unwrap();
+    let segment = |flags: u8, seq: u64, payload: &[u8]| {
+        let mut b = vec![simnet::stream::PROTO_STREAM, flags];
+        b.extend_from_slice(&seq.to_be_bytes());
+        b.extend_from_slice(&1u64.to_be_bytes()); // ack: the client's SYN
+        b.extend_from_slice(&32_768u32.to_be_bytes());
+        b.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+        b.extend_from_slice(payload);
+        Bytes::from(b)
+    };
+    let (syn_ack, ack) = (0x03, 0x02);
+    std::thread::scope(|s| {
+        let connecting = s.spawn(|| {
+            StreamConduit::connect(
+                &fab,
+                NodeId(0),
+                server.local_addr(),
+                StreamConfig::default(),
+            )
+        });
+        let client = server.recv(Some(Duration::from_secs(5))).unwrap().src;
+        server
+            .send_to(client, segment(syn_ack, u64::MAX, b""))
+            .unwrap();
+        server.send_to(client, segment(syn_ack, 0, b"")).unwrap();
+        let conn = connecting.join().unwrap().unwrap();
+        server.send_to(client, segment(ack, 1, b"hi")).unwrap();
+        let mut buf = [0u8; 2];
+        conn.read_exact(&mut buf, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(&buf, b"hi");
+    });
+}
