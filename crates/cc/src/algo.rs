@@ -72,8 +72,9 @@ pub struct CcConfig {
 
 /// A congestion controller: consumes recovery events, produces a window.
 ///
-/// `t` is time since the owning engine's epoch (a [`Duration`], not an
-/// `Instant`, so unit tests can fabricate timelines without sleeping).
+/// `t` is the event's time on the owning engine's caller's clock (a
+/// [`Duration`], not an `Instant`, so unit tests can fabricate timelines
+/// without sleeping).
 pub trait CongestionControl: Send + fmt::Debug {
     /// Short algorithm name for telemetry/bench labels.
     fn name(&self) -> &'static str;

@@ -21,17 +21,18 @@
 //!
 //! ## Determinism boundary
 //!
-//! The engine holds no RNG, and every externally visible decision is a
-//! pure function of the event sequence fed in (`on_send`, `on_cum_ack`,
-//! `on_sack_range`, `sweep(t)`, ...). Time enters only as a caller-
-//! supplied [`Duration`] since the engine's epoch, so tests fabricate
+//! The engine holds no RNG and no clock, and every externally visible
+//! decision is a pure function of the event sequence fed in (`on_send`,
+//! `on_cum_ack`, `on_sack_range`, `sweep(t)`, ...). Time enters only as
+//! the `t` each event carries, a [`Duration`] on the caller's clock (a
+//! conduit's drive engine, or `BulkRead`'s caller), so tests fabricate
 //! timelines without sleeping and replays of a recorded event sequence
 //! reproduce the same scoreboard bit-for-bit. What is *not* deterministic
-//! is the wall clock the conduit drivers read before calling in — see
+//! is the wall clock the conduit's driver reads before calling in — see
 //! DESIGN.md §8 for where that boundary sits in the chaos harness.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use iwarp_telemetry::{CcMetrics, Telemetry};
 
@@ -154,7 +155,6 @@ pub struct RecoveryEngine {
     cfg: RecoveryConfig,
     cc: Box<dyn CongestionControl>,
     rtt: RttEstimator,
-    epoch: Instant,
     una: u64,
     nxt: u64,
     segs: BTreeMap<u64, Seg>,
@@ -210,7 +210,6 @@ impl RecoveryEngine {
             cfg,
             cc,
             rtt,
-            epoch: Instant::now(),
             una: base,
             nxt: base,
             segs: BTreeMap::new(),
@@ -235,12 +234,6 @@ impl RecoveryEngine {
     /// The `cc.*` block, when a telemetry domain is attached.
     fn metrics(&self) -> Option<&CcMetrics> {
         self.tel.as_ref().map(Telemetry::cc)
-    }
-
-    /// Time since the engine's epoch — the `t` every event method takes.
-    #[must_use]
-    pub fn now(&self) -> Duration {
-        self.epoch.elapsed()
     }
 
     /// Oldest unacknowledged sequence.
@@ -637,7 +630,7 @@ impl RecoveryEngine {
         }
     }
 
-    /// The current timer deadline, as time-since-epoch.
+    /// The current timer deadline, on the caller's clock.
     #[must_use]
     pub fn rto_deadline(&self) -> Option<Duration> {
         self.deadline

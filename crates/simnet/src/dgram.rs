@@ -14,7 +14,7 @@
 //! disabling UDP-level CRC because datagram-iWARP's DDP layer always
 //! carries its own CRC32 (§V).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -334,28 +334,32 @@ impl DgramConduit {
         }
 
         let mut g = self.reasm.lock();
-        let now = Instant::now();
-        if now.duration_since(g.last_gc) > REASSEMBLY_TTL {
-            let before = g.partials.len();
-            g.partials
-                .retain(|_, p| now.duration_since(p.created) <= REASSEMBLY_TTL);
-            self.tel
-                .simnet()
-                .dgram_partials_expired
-                .add((before - g.partials.len()) as u64);
-            g.last_gc = now;
-        }
         let key = (src, id);
-        let frag_payload = self.frag_payload;
-        let pool = &self.pool;
-        let p = g.partials.entry(key).or_insert_with(|| Partial {
-            total_len,
-            frag_count: cnt,
-            received_mask: vec![false; usize::from(cnt)],
-            received: 0,
-            buf: pool.get(total_len as usize),
-            created: now,
-        });
+        let p = match g.partials.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(_) => {
+                // A new partial is the only growth of reassembly memory,
+                // so only here is the clock read and are expired partials
+                // reaped (at most once a TTL). The sweep needs the whole
+                // map, hence the second lookup.
+                let now = Instant::now();
+                if now.duration_since(g.last_gc) > REASSEMBLY_TTL {
+                    let before = g.partials.len();
+                    g.partials.retain(|_, p| now - p.created <= REASSEMBLY_TTL);
+                    let expired = before - g.partials.len();
+                    self.tel.simnet().dgram_partials_expired.add(expired as u64);
+                    g.last_gc = now;
+                }
+                g.partials.entry(key).or_insert(Partial {
+                    total_len,
+                    frag_count: cnt,
+                    received_mask: vec![false; usize::from(cnt)],
+                    received: 0,
+                    buf: self.pool.get(total_len as usize),
+                    created: now,
+                })
+            }
+        };
         if p.frag_count != cnt || p.total_len != total_len {
             // Conflicting metadata for the same id — drop the partial.
             g.partials.remove(&key);
@@ -365,7 +369,7 @@ impl DgramConduit {
         if p.received_mask[i] {
             return None; // duplicate fragment
         }
-        let start = i * frag_payload;
+        let start = i * self.frag_payload;
         let end = (start + body.len()).min(p.buf.len());
         if end - start != body.len() {
             // Length inconsistent with the advertised total; discard.
@@ -548,5 +552,33 @@ mod tests {
         let (_, d1) = b.recv_from(Some(Duration::from_secs(1))).unwrap();
         assert_eq!(d1.len(), 4000);
         assert_eq!(b.pending_partials(), 0);
+    }
+
+    #[test]
+    fn an_abandoned_partial_expires_when_a_new_one_starts() {
+        // Waits out the reassembly TTL (3 s): the first half of a datagram
+        // whose second half never comes is reaped, and counted, when a
+        // later datagram's first fragment opens a partial of its own.
+        let fab = Fabric::loopback();
+        let raw = fab.bind(Addr::new(0, 1)).unwrap();
+        let b = DgramConduit::bind(&fab, Addr::new(1, 1)).unwrap();
+        let first_half = |id| {
+            let mut frame = vec![0u8; FRAG_HEADER + 100];
+            write_frag_header(&mut frame, id, 0, 2, 200);
+            Bytes::from(frame)
+        };
+        let expired = || {
+            let snap = fab.telemetry().snapshot();
+            snap.get("simnet.dgram.partials_expired").unwrap()
+        };
+        raw.send_to(b.local_addr(), first_half(1)).unwrap();
+        assert_eq!(b.recv_from(Some(Duration::ZERO)), Err(NetError::Timeout));
+        assert_eq!(b.pending_partials(), 1);
+        std::thread::sleep(REASSEMBLY_TTL + Duration::from_millis(100));
+        assert_eq!(expired(), 0, "nothing reaps between fragments");
+        raw.send_to(b.local_addr(), first_half(2)).unwrap();
+        assert_eq!(b.recv_from(Some(Duration::ZERO)), Err(NetError::Timeout));
+        assert_eq!(b.pending_partials(), 1, "the new partial stays");
+        assert_eq!(expired(), 1);
     }
 }

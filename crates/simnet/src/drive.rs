@@ -21,6 +21,19 @@
 //! notified under the lock: on one core, a woken peer that preempted the
 //! lock holder would block on it. Output of two releases may interleave
 //! on the wire; each protocol reorders it.
+//!
+//! **The clock is the driver's.** A driver keeps one epoch and is the only
+//! reader of the wall clock on its conduit: a protocol core is told the
+//! time, as a [`Duration`] since that epoch, and its timers are deadlines
+//! on that clock. A lock scope reads the clock at most once, on first use
+//! ([`Clock`]), so a scope that needs no time reads none, and a call whose
+//! first poll yields reads no clock at all. A drive step reads it once,
+//! after the lower-layer wait returns: that one read is the `now` of every
+//! input the step handles, of the step's end, and of the caller's next
+//! poll and budget check, all in the same scope. The driver also does the
+//! one piece of deadline arithmetic: a step waits until the core's
+//! [`next_deadline`](Protocol::next_deadline), at most the core's
+//! [`IDLE`](Protocol::IDLE) and at least its [`FLOOR`](Protocol::FLOOR).
 
 use std::ops::{Deref, DerefMut};
 use std::time::{Duration, Instant};
@@ -37,17 +50,23 @@ pub(crate) trait Protocol {
     type Input;
     /// What one release takes from the state and sends.
     type Output;
+    /// Longest a drive step waits when no timer is due sooner: bounds how
+    /// late a timer armed by another caller's scope is noticed.
+    const IDLE: Duration;
+    /// Shortest a drive step waits for a timer.
+    const FLOOR: Duration;
 
     /// Waits at most `wait` for the next input.
     fn recv(&self, wait: Duration) -> NetResult<Self::Input>;
     /// The next input already queued.
     fn try_recv(&self) -> NetResult<Self::Input>;
-    /// Handles one input.
-    fn on_input(&self, st: &mut Locked<Self::State>, input: Self::Input);
-    /// Ends a drive step; `lower` is its wait's error, timeouts aside.
-    fn after_step(&self, st: &mut Locked<Self::State>, lower: NetResult<()>);
-    /// How long a drive step may wait before a timer could be due.
-    fn next_deadline(&self, st: &Self::State) -> Duration;
+    /// Handles one input that arrived by `now`.
+    fn on_input(&self, st: &mut Locked<Self::State>, input: Self::Input, now: Duration);
+    /// Ends a drive step at `now`; `lower` is its wait's error, timeouts
+    /// aside.
+    fn after_step(&self, st: &mut Locked<Self::State>, lower: NetResult<()>, now: Duration);
+    /// The earliest timer deadline, on the driver's clock, if any.
+    fn next_deadline(&self, st: &Self::State) -> Option<Duration>;
     /// Takes the scope's output, if any, under the lock.
     fn take_output(&self, st: &mut Self::State) -> Option<Self::Output>;
     /// Sends taken output, after the unlock.
@@ -80,12 +99,33 @@ impl<S> DerefMut for Locked<S> {
     }
 }
 
+/// The driver's clock as one lock scope sees it: the time since the
+/// driver's epoch, read on first use and then fixed for the scope.
+#[derive(Clone, Copy)]
+pub(crate) struct Clock {
+    epoch: Instant,
+    read: Option<Duration>,
+}
+
+impl Clock {
+    /// The scope's time; the first call reads the wall clock.
+    pub(crate) fn now(&mut self) -> Duration {
+        *self.read.get_or_insert_with(|| {
+            #[cfg(test)]
+            tests::CLOCK_READS.with(|n| n.set(n.get() + 1));
+            self.epoch.elapsed()
+        })
+    }
+}
+
 /// A protocol core and its state behind one lock, with the condvar where
-/// callers that are not driving sleep.
+/// callers that are not driving sleep, and the conduit's one clock.
 pub(crate) struct Driver<P: Protocol> {
     pub(crate) core: P,
     st: Mutex<Locked<P::State>>,
     cv: Condvar,
+    /// Never read itself: each scope starts from a copy.
+    clock: Clock,
 }
 
 type Guard<'a, P> = MutexGuard<'a, Locked<<P as Protocol>::State>>;
@@ -102,13 +142,17 @@ impl<P: Protocol> Driver<P> {
             core,
             st: Mutex::new(st),
             cv: Condvar::new(),
+            clock: Clock {
+                epoch: Instant::now(),
+                read: None,
+            },
         }
     }
 
     /// Runs `f` in one lock scope, which ends in the release step.
-    pub(crate) fn scope<T>(&self, f: impl FnOnce(&mut P::State) -> T) -> T {
-        let mut st = self.st.lock();
-        let out = f(&mut st.st);
+    pub(crate) fn scope<T>(&self, f: impl FnOnce(&mut P::State, &mut Clock) -> T) -> T {
+        let (mut st, mut clock) = (self.st.lock(), self.clock);
+        let out = f(&mut st.st, &mut clock);
         self.release(st);
         out
     }
@@ -128,27 +172,26 @@ impl<P: Protocol> Driver<P> {
 
     /// Runs `poll` in one lock scope after another until it yields or
     /// `budget` (`None`: no limit) runs out, driving between polls if no
-    /// other caller does and sleeping otherwise. The deadline is built at
-    /// the first miss, so a call whose first poll yields reads no clock,
-    /// and a driver polls after at least one step, so a zero budget still
-    /// runs one.
+    /// other caller does and sleeping otherwise. `poll` gets its scope's
+    /// [`Clock`]. The deadline is built at the first miss, so a call whose
+    /// first poll yields reads no clock unless the poll does, and a driver
+    /// polls after at least one step, so a zero budget still runs one.
     pub(crate) fn wait_until<T>(
         &self,
         budget: Option<Duration>,
-        mut poll: impl FnMut(&mut P::State) -> Option<NetResult<T>>,
+        mut poll: impl FnMut(&mut P::State, &mut Clock) -> Option<NetResult<T>>,
     ) -> NetResult<T> {
         let mut st = self.st.lock();
+        let mut clock = self.clock;
         let mut driver = false;
         let mut deadline = None;
         let out = loop {
-            if let Some(out) = poll(&mut st.st) {
+            if let Some(out) = poll(&mut st.st, &mut clock) {
                 break out;
             }
             let left = budget.map(|t| {
-                let now = Instant::now();
-                deadline
-                    .get_or_insert(now + t)
-                    .saturating_duration_since(now)
+                let now = clock.now();
+                deadline.get_or_insert(now + t).saturating_sub(now)
             });
             // A spent budget ends the call, unless the drive step is free:
             // then the caller takes it once.
@@ -158,7 +201,7 @@ impl<P: Protocol> Driver<P> {
             if driver || !st.driving {
                 driver = true;
                 st.driving = true;
-                st = self.step(st, left);
+                st = self.step(st, left, &mut clock);
                 continue;
             }
             // A sleeper holds no output back: a poll that queued some (a
@@ -168,6 +211,7 @@ impl<P: Protocol> Driver<P> {
                 drop(st);
                 self.core.send(out);
                 st = self.st.lock();
+                clock = self.clock;
                 continue;
             }
             debug_assert!(!st.wake, "a wake held across a wait");
@@ -179,6 +223,7 @@ impl<P: Protocol> Driver<P> {
                 }
             }
             st.sleepers -= 1;
+            clock = self.clock;
         };
         // A returning driver hands the drive step on.
         if driver {
@@ -190,36 +235,54 @@ impl<P: Protocol> Driver<P> {
     }
 
     /// One drive step, by the caller holding `driving`: releases, waits
-    /// for at most `left` and the next deadline, then handles every
-    /// queued input and ends the step in one new scope.
-    fn step<'a>(&'a self, st: Guard<'a, P>, left: Option<Duration>) -> Guard<'a, P> {
-        let wait = self.core.next_deadline(&st);
+    /// for at most `left` and the next deadline, then reads the clock into
+    /// `clock`, handles every queued input and ends the step in one new
+    /// scope.
+    fn step(&self, st: Guard<'_, P>, left: Option<Duration>, clock: &mut Clock) -> Guard<'_, P> {
+        let wait = self.core.next_deadline(&st).map_or(P::IDLE, |d| {
+            d.saturating_sub(clock.now()).clamp(P::FLOOR, P::IDLE)
+        });
         let wait = left.map_or(wait, |left| left.min(wait));
         self.release(st);
         let got = self.core.recv(wait);
         let mut st = self.st.lock();
+        *clock = self.clock;
+        let now = clock.now();
         let lower = match got {
             Ok(input) => {
-                self.core.on_input(&mut st, input);
+                self.core.on_input(&mut st, input, now);
                 while let Ok(input) = self.core.try_recv() {
-                    self.core.on_input(&mut st, input);
+                    self.core.on_input(&mut st, input, now);
                 }
                 Ok(())
             }
             Err(NetError::Timeout) => Ok(()),
             Err(e) => Err(e),
         };
-        self.core.after_step(&mut st, lower);
+        self.core.after_step(&mut st, lower, now);
         st
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 
     use super::*;
+
+    thread_local! {
+        /// Wall-clock reads by [`Clock::now`] on this thread.
+        pub(super) static CLOCK_READS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The clock reads `f` makes on this thread.
+    fn clock_reads(f: impl FnOnce()) -> usize {
+        let before = CLOCK_READS.with(Cell::get);
+        f();
+        CLOCK_READS.with(Cell::get) - before
+    }
 
     impl<P: Protocol> Driver<P> {
         /// Whether a caller holds the drive step.
@@ -231,16 +294,24 @@ mod tests {
         pub(crate) fn is_locked(&self) -> bool {
             self.st.try_lock().is_none()
         }
+
+        /// Runs `f` on the core and its locked state outside any drive
+        /// step, which is how a test calls a core at a time it makes up.
+        pub(crate) fn with_locked<T>(&self, f: impl FnOnce(&P, &mut Locked<P::State>) -> T) -> T {
+            f(&self.core, &mut self.st.lock())
+        }
     }
 
     /// A protocol over a channel of numbers: every input is queued as
     /// output, and `send` logs what left.
     struct Fake {
         rx: Mutex<Receiver<u32>>,
-        /// How long an idle step may wait.
-        idle: Duration,
+        /// Its one timer, on the driver's clock.
+        deadline: Option<Duration>,
         steps: AtomicUsize,
         waits: Mutex<Vec<Duration>>,
+        /// The `now` each `on_input` and `after_step` was told.
+        nows: Mutex<Vec<Duration>>,
         sent: Mutex<Vec<u32>>,
     }
 
@@ -253,6 +324,8 @@ mod tests {
         type State = FakeSt;
         type Input = u32;
         type Output = Vec<u32>;
+        const IDLE: Duration = Duration::from_secs(60);
+        const FLOOR: Duration = Duration::ZERO;
 
         fn recv(&self, wait: Duration) -> NetResult<u32> {
             self.waits.lock().push(wait);
@@ -266,17 +339,19 @@ mod tests {
             self.rx.lock().try_recv().map_err(|_| NetError::Timeout)
         }
 
-        fn on_input(&self, st: &mut Locked<FakeSt>, input: u32) {
+        fn on_input(&self, st: &mut Locked<FakeSt>, input: u32, now: Duration) {
+            self.nows.lock().push(now);
             st.outbox.push(input);
             st.wake = true;
         }
 
-        fn after_step(&self, _st: &mut Locked<FakeSt>, _lower: NetResult<()>) {
+        fn after_step(&self, _st: &mut Locked<FakeSt>, _lower: NetResult<()>, now: Duration) {
+            self.nows.lock().push(now);
             self.steps.fetch_add(1, Ordering::Relaxed);
         }
 
-        fn next_deadline(&self, _st: &FakeSt) -> Duration {
-            self.idle
+        fn next_deadline(&self, _st: &FakeSt) -> Option<Duration> {
+            self.deadline
         }
 
         fn take_output(&self, st: &mut FakeSt) -> Option<Vec<u32>> {
@@ -288,13 +363,14 @@ mod tests {
         }
     }
 
-    fn fake(idle: Duration) -> (Driver<Fake>, Sender<u32>) {
+    fn fake(deadline: Option<Duration>) -> (Driver<Fake>, Sender<u32>) {
         let (tx, rx) = mpsc::channel();
         let core = Fake {
             rx: Mutex::new(rx),
-            idle,
+            deadline,
             steps: AtomicUsize::new(0),
             waits: Mutex::new(Vec::new()),
+            nows: Mutex::new(Vec::new()),
             sent: Mutex::new(Vec::new()),
         };
         (Driver::new(core, FakeSt::default()), tx)
@@ -302,9 +378,9 @@ mod tests {
 
     #[test]
     fn a_zero_budget_runs_exactly_one_step() {
-        let (drv, tx) = fake(Duration::from_secs(10));
+        let (drv, tx) = fake(None);
         tx.send(7).unwrap();
-        let never = drv.wait_until(Some(Duration::ZERO), |_| None::<NetResult<()>>);
+        let never = drv.wait_until(Some(Duration::ZERO), |_, _| None::<NetResult<()>>);
         assert_eq!(never, Err(NetError::Timeout));
         assert_eq!(drv.core.steps.load(Ordering::Relaxed), 1);
         assert_eq!(
@@ -323,13 +399,13 @@ mod tests {
         // asks to wait for it to leave: it must send it itself before it
         // sleeps, since the driver will not release again until its wait
         // ends.
-        let (drv, tx) = fake(Duration::from_secs(60));
+        let (drv, tx) = fake(None);
         std::thread::scope(|s| {
             // Owned by this closure, so a failed assertion below drops it
             // and ends the leader's wait.
             let tx = tx;
             let leader = s.spawn(|| {
-                drv.wait_until(None, |_| {
+                drv.wait_until(None, |_, _| {
                     (drv.core.steps.load(Ordering::Relaxed) > 0).then_some(Ok(()))
                 })
             });
@@ -337,7 +413,7 @@ mod tests {
                 std::thread::yield_now();
             }
             let mut queued = false;
-            let follower = drv.wait_until(Some(Duration::from_secs(5)), |st| {
+            let follower = drv.wait_until(Some(Duration::from_secs(5)), |st, _| {
                 if !drv.core.sent.lock().is_empty() {
                     return Some(Ok(()));
                 }
@@ -357,5 +433,59 @@ mod tests {
             assert_eq!(leader.join().unwrap(), Ok(()));
         });
         assert_eq!(*drv.core.sent.lock(), [1, 2]);
+    }
+
+    #[test]
+    fn a_step_tells_its_inputs_and_its_end_one_now() {
+        let (drv, tx) = fake(None);
+        for i in 0..3 {
+            tx.send(i).unwrap();
+        }
+        let reads = clock_reads(|| {
+            let never = drv.wait_until(Some(Duration::ZERO), |_, _| None::<NetResult<()>>);
+            assert_eq!(never, Err(NetError::Timeout));
+        });
+        let nows = drv.core.nows.lock().clone();
+        assert_eq!(nows.len(), 4, "three inputs and the step's end");
+        assert!(nows.iter().all(|&t| t == nows[0]), "{nows:?}");
+        // The first miss builds the deadline, the step reads once after
+        // its wait, and that read also ends the budget.
+        assert_eq!(reads, 2);
+    }
+
+    #[test]
+    fn a_call_whose_first_poll_yields_reads_no_clock() {
+        let (drv, _tx) = fake(None);
+        let yields = clock_reads(|| {
+            assert_eq!(drv.wait_until(None, |_, _| Some(Ok(()))), Ok(()));
+            let budget = Some(Duration::from_secs(1));
+            assert_eq!(drv.wait_until(budget, |_, _| Some(Ok(()))), Ok(()));
+            drv.scope(|_, _| ());
+        });
+        assert_eq!(yields, 0);
+        // A scope that asks for the time twice reads the clock once.
+        let asks = clock_reads(|| {
+            let (a, b) = drv.scope(|_, clock| (clock.now(), clock.now()));
+            assert_eq!(a, b);
+        });
+        assert_eq!(asks, 1);
+    }
+
+    #[test]
+    fn a_step_waits_for_the_deadline_within_idle_and_floor() {
+        // A deadline an hour out is capped at `IDLE`; one already past
+        // waits `FLOOR`. The zero-wait one runs first, on a fresh driver,
+        // so its clock stands far below the hour either way.
+        let hour = Duration::from_secs(3600);
+        for (deadline, wait) in [(Duration::ZERO, Fake::FLOOR), (hour, Fake::IDLE)] {
+            let (drv, tx) = fake(Some(deadline));
+            tx.send(1).unwrap();
+            let mut stepped = false;
+            let out = drv.wait_until(None, |_, _| {
+                std::mem::replace(&mut stepped, true).then_some(Ok(()))
+            });
+            assert_eq!(out, Ok(()));
+            assert_eq!(*drv.core.waits.lock(), [wait]);
+        }
     }
 }

@@ -223,40 +223,14 @@ impl Rd {
         self.tel.simnet().rdgram_acks_tx.inc();
         st.outbox.push((dst, b.freeze()));
     }
-
-    /// Checks per-peer retransmission timers, drains the retransmit
-    /// queues, and surfaces retry exhaustion as a connection reset.
-    fn sweep_timers(&self, st: &mut Locked<St>) {
-        let St { tx, outbox, .. } = &mut **st;
-        let dead = tx.iter_mut().any(|(&peer, tx)| {
-            let t = tx.engine.now();
-            if tx.engine.sweep(t).dead {
-                return true;
-            }
-            while let Some((seq, _len)) = tx.engine.pop_rtx(t) {
-                let Some(frame) = tx.payloads.get(&seq) else {
-                    continue;
-                };
-                self.tel.simnet().rdgram_retransmits.inc();
-                let local = self.dg.local_addr();
-                let len = (frame.len() - DATA_HEADER) as u64;
-                let id = EndpointId::new(local.node.0, local.port);
-                self.tel.trace(id, EventKind::Retransmit, len, seq);
-                outbox.push((peer, frame.clone()));
-            }
-            tx.engine.is_dead()
-        });
-        if dead {
-            st.err = Some(NetError::Reset);
-            st.wake = true;
-        }
-    }
 }
 
 impl Protocol for Rd {
     type State = St;
     type Input = (Addr, Bytes);
     type Output = Vec<(Addr, Bytes)>;
+    const IDLE: Duration = Duration::from_millis(5);
+    const FLOOR: Duration = Duration::from_micros(200);
 
     fn recv(&self, wait: Duration) -> NetResult<(Addr, Bytes)> {
         self.dg.recv_from(Some(wait))
@@ -266,7 +240,7 @@ impl Protocol for Rd {
         self.dg.try_recv_from()
     }
 
-    fn on_input(&self, st: &mut Locked<St>, (src, data): (Addr, Bytes)) {
+    fn on_input(&self, st: &mut Locked<St>, (src, data): (Addr, Bytes), now: Duration) {
         if data.is_empty() {
             return;
         }
@@ -312,9 +286,8 @@ impl Protocol for Rd {
                     // arithmetic below.
                     return;
                 }
-                let t = tx.engine.now();
                 if cum > tx.engine.una() {
-                    tx.engine.on_cum_ack(t, cum);
+                    tx.engine.on_cum_ack(now, cum);
                     // Everything below cum is delivered; forget payloads.
                     tx.payloads = tx.payloads.split_off(&cum);
                 }
@@ -325,7 +298,7 @@ impl Protocol for Rd {
                     while word != 0 {
                         let seq = cum + 64 * w as u64 + u64::from(word.trailing_zeros());
                         word &= word - 1;
-                        tx.engine.on_sack_seq(t, seq);
+                        tx.engine.on_sack_seq(now, seq);
                         tx.payloads.remove(&seq);
                     }
                 }
@@ -334,7 +307,7 @@ impl Protocol for Rd {
                     // is lost; the engine fast-queues it. (The Fixed
                     // baseline stays timer-driven, like the legacy
                     // implementation.)
-                    tx.engine.detect_losses(t);
+                    tx.engine.detect_losses(now);
                 }
                 st.wake = true;
             }
@@ -342,29 +315,43 @@ impl Protocol for Rd {
         }
     }
 
-    /// Sweeps the timers; a lower-layer error is stored for every caller
-    /// instead.
-    fn after_step(&self, st: &mut Locked<St>, lower: NetResult<()>) {
-        match lower {
-            Ok(()) => self.sweep_timers(st),
-            Err(e) => {
-                st.err = Some(e);
-                st.wake = true;
-            }
+    /// Checks per-peer retransmission timers, drains the retransmit
+    /// queues, and surfaces retry exhaustion as a connection reset. That,
+    /// or a lower-layer error, is stored for every caller.
+    fn after_step(&self, st: &mut Locked<St>, lower: NetResult<()>, now: Duration) {
+        let swept = lower.and_then(|()| {
+            let St { tx, outbox, .. } = &mut **st;
+            let alive = tx.iter_mut().all(|(&peer, tx)| {
+                if tx.engine.sweep(now).dead {
+                    return false;
+                }
+                while let Some((seq, _len)) = tx.engine.pop_rtx(now) {
+                    let Some(frame) = tx.payloads.get(&seq) else {
+                        continue;
+                    };
+                    self.tel.simnet().rdgram_retransmits.inc();
+                    let local = self.dg.local_addr();
+                    let len = (frame.len() - DATA_HEADER) as u64;
+                    let id = EndpointId::new(local.node.0, local.port);
+                    self.tel.trace(id, EventKind::Retransmit, len, seq);
+                    outbox.push((peer, frame.clone()));
+                }
+                !tx.engine.is_dead()
+            });
+            alive.then_some(()).ok_or(NetError::Reset)
+        });
+        if let Err(e) = swept {
+            st.err = Some(e);
+            st.wake = true;
         }
     }
 
-    /// The next retransmission deadline, capped, so a timer armed by a
-    /// concurrent send is seen within `IDLE`, and floored at 200 µs.
-    fn next_deadline(&self, st: &St) -> Duration {
-        const IDLE: Duration = Duration::from_millis(5);
-        let mut wait = IDLE;
-        for tx in st.tx.values() {
-            if let Some(d) = tx.engine.rto_deadline() {
-                wait = wait.min(d.saturating_sub(tx.engine.now()));
-            }
-        }
-        wait.max(Duration::from_micros(200))
+    /// The earliest retransmission deadline of any peer.
+    fn next_deadline(&self, st: &St) -> Option<Duration> {
+        st.tx
+            .values()
+            .filter_map(|tx| tx.engine.rto_deadline())
+            .min()
     }
 
     fn take_output(&self, st: &mut St) -> Option<Vec<(Addr, Bytes)>> {
@@ -447,7 +434,7 @@ impl RdConduit {
         let rd = &self.drv.core;
         let window = rd.cfg.window as u64;
         let mut frame = Some(rd.data_frame(&payload));
-        self.drv.wait_until(None, |st| {
+        self.drv.wait_until(None, |st, clock| {
             if let Some(e) = &st.err {
                 return Some(Err(e.clone()));
             }
@@ -455,11 +442,10 @@ impl RdConduit {
                 engine: RecoveryEngine::new(rd.cfg.recovery_config()).with_telemetry(&rd.tel),
                 payloads: BTreeMap::new(),
             });
-            let t = tx.engine.now();
             if !tx.engine.can_send(1, window) {
                 return None;
             }
-            let seq = tx.engine.on_send(t, 1);
+            let seq = tx.engine.on_send(clock.now(), 1);
             let mut frame = frame.take().expect("a send queues its frame once");
             frame[1..DATA_HEADER].copy_from_slice(&seq.to_be_bytes());
             let frame = frame.freeze();
@@ -475,7 +461,7 @@ impl RdConduit {
     /// non-blocking drive step (unless another caller holds it) before
     /// reporting [`NetError::Timeout`].
     pub fn recv_from(&self, timeout: Option<Duration>) -> NetResult<(Addr, Bytes)> {
-        self.drv.wait_until(timeout, |st| {
+        self.drv.wait_until(timeout, |st, _| {
             let next = st.ready.pop_front();
             next.map(Ok).or_else(|| st.err.clone().map(Err))
         })
@@ -484,7 +470,7 @@ impl RdConduit {
     /// Runs the conduit's protocol until every queued message to every
     /// peer is acknowledged.
     pub fn flush(&self, timeout: Duration) -> NetResult<()> {
-        self.drv.wait_until(Some(timeout), |st| {
+        self.drv.wait_until(Some(timeout), |st, _| {
             if st.tx.values().all(|t| t.engine.outstanding() == 0) {
                 return Some(Ok(()));
             }
@@ -904,6 +890,26 @@ mod tests {
                     serve_until(rx, || flushed.load(Ordering::Acquire) == 2);
                 });
             }
+        });
+    }
+
+    #[test]
+    fn a_retransmission_is_due_at_its_deadline_and_not_before() {
+        // Synthetic time: the test ends drive steps at times it makes up,
+        // so the timer is checked to the microsecond without sleeping.
+        let fab = Fabric::loopback();
+        let a = RdConduit::bind(&fab, Addr::new(0, 340), RdConfig::default()).unwrap();
+        let void = Addr::new(9, 9);
+        a.send_to(void, Bytes::from_static(b"void").into()).unwrap();
+        a.drv.with_locked(|rd, st| {
+            let tx = &st.tx[&void];
+            let deadline = tx.engine.rto_deadline().expect("armed by the send");
+            let frame = tx.payloads[&0].clone();
+            assert!(st.outbox.is_empty(), "the send's release took its frame");
+            rd.after_step(st, Ok(()), deadline - Duration::from_micros(1));
+            assert!(st.outbox.is_empty(), "retransmitted before the deadline");
+            rd.after_step(st, Ok(()), deadline);
+            assert_eq!(st.outbox, [(void, frame)], "one retransmission");
         });
     }
 

@@ -51,7 +51,7 @@
 //! a pure ACK that changes the window is a window update, not a duplicate
 //! (RFC 5681 §2).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -347,9 +347,10 @@ struct St {
     /// Sequence number of the peer's FIN (its position in the stream).
     peer_fin: Option<u64>,
     peer_closed: bool,
-    /// Handshake (SYN / SYN-ACK) retransmission timer. Once the connection
-    /// is established, all loss recovery moves to `engine`.
-    hs_deadline: Option<Instant>,
+    /// Handshake (SYN / SYN-ACK) retransmission timer, on the driver's
+    /// clock. Once the connection is established, all loss recovery moves
+    /// to `engine`.
+    hs_deadline: Option<Duration>,
     hs_rto: Duration,
     hs_retries: u32,
     /// Unified loss-recovery engine covering the data phase: scoreboard,
@@ -499,12 +500,12 @@ impl Inner {
     }
 
     /// Pushes out as much pending data as the peer's advertised window and
-    /// the engine's congestion window allow. Called with the lock held.
-    fn pump(&self, st: &mut St) {
+    /// the engine's congestion window allow, at `t`. Called with the lock
+    /// held.
+    fn pump(&self, st: &mut St, t: Duration) {
         if st.conn != Conn::Established {
             return;
         }
-        let t = st.engine.now();
         let wnd = u64::from(st.snd_wnd).min(st.engine.window());
         loop {
             let in_flight = st.in_flight();
@@ -539,8 +540,8 @@ impl Inner {
         debug_assert_eq!(st.engine.nxt(), st.snd_nxt);
     }
 
-    /// Handles one incoming packet if it is a segment.
-    fn on_segment(&self, st: &mut Locked<St>, pkt: WirePacket) {
+    /// Handles one incoming packet, arrived by `t`, if it is a segment.
+    fn on_segment(&self, st: &mut Locked<St>, pkt: WirePacket, t: Duration) {
         let src = pkt.src;
         let Some(Segment { head: seg, payload }) = decode_segment(pkt) else {
             return;
@@ -610,7 +611,6 @@ impl Inner {
         // ACK processing.
         if seg.flags & FLAG_ACK != 0 {
             let prev_wnd = std::mem::replace(&mut st.snd_wnd, seg.wnd);
-            let t = st.engine.now();
             if seg.flags & FLAG_SACK != 0 {
                 // The payload is SACK metadata: feed the scoreboard, then
                 // let the engine infer losses from the sacked horizon.
@@ -644,7 +644,7 @@ impl Inner {
                 // a window update instead (RFC 5681 §2).
                 st.engine.on_dup_ack(t);
             }
-            self.drain_rtx(st, &self.tel.simnet().stream_fast_retransmits);
+            self.drain_rtx(st, &self.tel.simnet().stream_fast_retransmits, t);
         }
 
         // Payload placement (SACK payloads are metadata, not stream data).
@@ -769,8 +769,7 @@ impl Inner {
     /// Sends everything the engine has queued for retransmission, and
     /// surfaces connection death (retry budget exhausted) as a reset.
     /// `kind` attributes the retransmissions (fast vs timeout-driven).
-    fn drain_rtx(&self, st: &mut Locked<St>, kind: &Counter) {
-        let t = st.engine.now();
+    fn drain_rtx(&self, st: &mut Locked<St>, kind: &Counter, t: Duration) {
         while let Some((seq, len)) = st.engine.pop_rtx(t) {
             kind.inc();
             self.retransmit_range(st, seq, len as usize);
@@ -788,8 +787,8 @@ impl Inner {
         st.wake = true;
     }
 
-    /// Handshake retransmission timer (SYN / SYN-ACK only).
-    fn on_hs_rto(&self, st: &mut Locked<St>) {
+    /// Handshake retransmission timer (SYN / SYN-ACK only), fired at `t`.
+    fn on_hs_rto(&self, st: &mut Locked<St>, t: Duration) {
         st.hs_retries += 1;
         if st.hs_retries > MAX_HS_RETRIES {
             self.fail(st, NetError::Timeout);
@@ -799,13 +798,13 @@ impl Inner {
         self.tel.simnet().stream_retransmits.inc();
         self.tx_syn(st);
         st.hs_rto = (st.hs_rto * 2).min(self.cfg.rto_max);
-        st.hs_deadline = Some(Instant::now() + st.hs_rto);
+        st.hs_deadline = Some(t + st.hs_rto);
     }
 
-    /// Established-phase timer: lets the engine sweep, then acts on what it
-    /// decided (head retransmission, zero-window probe, or death).
-    fn on_engine_timer(&self, st: &mut Locked<St>) {
-        let t = st.engine.now();
+    /// Established-phase timer, fired at `t`: lets the engine sweep, then
+    /// acts on what it decided (head retransmission, zero-window probe, or
+    /// death).
+    fn on_engine_timer(&self, st: &mut Locked<St>, t: Duration) {
         let ev = st.engine.sweep(t);
         if ev.dead {
             self.fail(st, NetError::Reset);
@@ -825,7 +824,7 @@ impl Inner {
             return;
         }
         if ev.rto_fired {
-            self.drain_rtx(st, &self.tel.simnet().stream_rto_retransmits);
+            self.drain_rtx(st, &self.tel.simnet().stream_rto_retransmits, t);
         }
     }
 }
@@ -834,6 +833,8 @@ impl Protocol for Inner {
     type State = St;
     type Input = WirePacket;
     type Output = (Addr, Vec<(Bytes, SgBytes)>);
+    const IDLE: Duration = IDLE_STEP;
+    const FLOOR: Duration = Duration::ZERO;
 
     fn recv(&self, wait: Duration) -> NetResult<WirePacket> {
         self.ep.recv(Some(wait))
@@ -843,50 +844,33 @@ impl Protocol for Inner {
         self.ep.try_recv()
     }
 
-    fn on_input(&self, st: &mut Locked<St>, pkt: WirePacket) {
-        self.on_segment(st, pkt);
+    fn on_input(&self, st: &mut Locked<St>, pkt: WirePacket, now: Duration) {
+        self.on_segment(st, pkt, now);
     }
 
     /// Fires a due handshake or engine timer and pumps output; a
     /// lower-layer error closes the connection first.
-    fn after_step(&self, st: &mut Locked<St>, lower: NetResult<()>) {
+    fn after_step(&self, st: &mut Locked<St>, lower: NetResult<()>, now: Duration) {
         if lower.is_err() {
             st.err = Some(NetError::Closed);
             st.conn = Conn::Closed;
         }
+        let due = |d: Option<Duration>| d.is_some_and(|d| now >= d);
         match st.conn {
-            Conn::SynSent | Conn::SynReceived => {
-                if let Some(d) = st.hs_deadline {
-                    if Instant::now() >= d {
-                        self.on_hs_rto(st);
-                    }
-                }
-            }
-            Conn::Established => {
-                if let Some(d) = st.engine.rto_deadline() {
-                    if st.engine.now() >= d {
-                        self.on_engine_timer(st);
-                    }
-                }
-            }
-            Conn::Closed => {}
+            Conn::SynSent | Conn::SynReceived if due(st.hs_deadline) => self.on_hs_rto(st, now),
+            Conn::Established if due(st.engine.rto_deadline()) => self.on_engine_timer(st, now),
+            _ => {}
         }
-        self.pump(st);
+        self.pump(st, now);
         st.wake |= st.conn == Conn::Closed;
     }
 
-    /// The next timer deadline, capped at [`IDLE_STEP`].
-    fn next_deadline(&self, st: &St) -> Duration {
-        let mut wait = IDLE_STEP;
-        if let Some(d) = st.hs_deadline {
-            wait = wait.min(d.saturating_duration_since(Instant::now()));
-        }
-        if st.conn == Conn::Established {
-            if let Some(d) = st.engine.rto_deadline() {
-                wait = wait.min(d.saturating_sub(st.engine.now()));
-            }
-        }
-        wait
+    /// The handshake timer, or once established the engine's.
+    fn next_deadline(&self, st: &St) -> Option<Duration> {
+        let engine = (st.conn == Conn::Established)
+            .then(|| st.engine.rto_deadline())
+            .flatten();
+        st.hs_deadline.into_iter().chain(engine).min()
     }
 
     /// Turns an owed ACK into one pure ACK, then drains the outbox into
@@ -944,7 +928,7 @@ impl StreamConduit {
         let ep = fabric.bind_ephemeral(local_node)?;
         let conduit = Self::build(ep, server, Conn::SynSent, cfg);
         let drv = &conduit.drv;
-        drv.wait_until(Some(drv.core.cfg.connect_timeout), |st| match st.conn {
+        drv.wait_until(Some(drv.core.cfg.connect_timeout), |st, _| match st.conn {
             Conn::Established => Some(Ok(())),
             Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
             Conn::SynSent | Conn::SynReceived => None,
@@ -1007,9 +991,9 @@ impl StreamConduit {
         };
         let drv = Box::new(Driver::new(core, st));
         // Open the handshake: the client's SYN or the server's SYN-ACK.
-        drv.scope(|st| {
+        drv.scope(|st, clock| {
             drv.core.tx_syn(st);
-            st.hs_deadline = Some(Instant::now() + st.hs_rto);
+            st.hs_deadline = Some(clock.now() + st.hs_rto);
         });
         Self { drv }
     }
@@ -1023,7 +1007,7 @@ impl StreamConduit {
     /// The peer's address.
     #[must_use]
     pub fn peer_addr(&self) -> Addr {
-        self.drv.scope(|st| st.peer)
+        self.drv.scope(|st, _| st.peer)
     }
 
     /// Maximum segment size (wire MTU minus stream header).
@@ -1054,7 +1038,7 @@ impl StreamConduit {
         let inner = &self.drv.core;
         // The first unwritten byte: buffer `i`, offset `off` into it.
         let (mut i, mut off) = (0usize, 0usize);
-        self.drv.wait_until(None, |st| {
+        self.drv.wait_until(None, |st, clock| {
             if let Some(e) = &st.err {
                 return Some(Err(e.clone()));
             }
@@ -1098,7 +1082,7 @@ impl StreamConduit {
                 let mut at = 0;
                 for (b, from, n) in pieces() {
                     st.send_q.push(chunk.slice(at..at + n));
-                    inner.pump(st);
+                    inner.pump(st, clock.now());
                     at += n;
                     (i, off) = (b, from + n);
                 }
@@ -1113,7 +1097,7 @@ impl StreamConduit {
     /// reporting [`NetError::Timeout`].
     pub fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> NetResult<usize> {
         let inner = &self.drv.core;
-        self.drv.wait_until(timeout, |st| {
+        self.drv.wait_until(timeout, |st, _| {
             if !st.recv_q.is_empty() {
                 let n = st.recv_q.pop_into(buf);
                 // Window update: if we had choked the sender, reopen.
@@ -1148,7 +1132,7 @@ impl StreamConduit {
     /// written before the handshake completes, so a conduit still in it
     /// is flushed.
     pub fn flush(&self, timeout: Duration) -> NetResult<()> {
-        self.drv.wait_until(Some(timeout), |st| match st.conn {
+        self.drv.wait_until(Some(timeout), |st, _| match st.conn {
             Conn::Established if st.in_flight() > 0 || !st.send_q.is_empty() => None,
             Conn::Closed => Some(Err(st.err.clone().unwrap_or(NetError::Closed))),
             Conn::SynSent | Conn::SynReceived | Conn::Established => Some(Ok(())),
@@ -1160,17 +1144,17 @@ impl StreamConduit {
     /// at most `max_wait` for that caller's next wake.
     pub fn progress(&self, max_wait: Duration) {
         let mut polled = false;
-        let _ = self.drv.wait_until(Some(max_wait), |_| {
+        let _ = self.drv.wait_until(Some(max_wait), |_, _| {
             std::mem::replace(&mut polled, true).then_some(Ok(()))
         });
     }
 
     /// Gracefully closes the send side: pending data is flushed, then FIN.
     pub fn close(&self) {
-        self.drv.scope(|st| {
+        self.drv.scope(|st, clock| {
             if !st.fin_requested {
                 st.fin_requested = true;
-                self.drv.core.pump(st);
+                self.drv.core.pump(st, clock.now());
             }
         });
     }
@@ -1192,11 +1176,11 @@ impl Drop for StreamConduit {
     fn drop(&mut self) {
         self.close();
         let drv = &self.drv;
-        let data = drv.wait_until(Some(LINGER), |st| {
+        let data = drv.wait_until(Some(LINGER), |st, _| {
             (st.conn != Conn::Established || st.send_q.is_empty()).then_some(Ok(()))
         });
         if data.is_ok() && self.flush(FIN_PROBE) == Err(NetError::Timeout) {
-            drv.scope(|st| {
+            drv.scope(|st, _| {
                 if let Some(fin) = st.fin_seq {
                     drv.core.retransmit_range(st, fin, 1);
                 }
@@ -1212,7 +1196,7 @@ pub struct StreamListener {
     fabric: Fabric,
     cfg: StreamConfig,
     /// Clients whose SYN already spawned a connection (duplicate-SYN guard).
-    seen: Mutex<std::collections::HashMap<Addr, Instant>>,
+    seen: Mutex<HashMap<Addr, Instant>>,
 }
 
 impl StreamListener {
@@ -1222,7 +1206,7 @@ impl StreamListener {
             ep: fabric.bind(addr)?,
             fabric: fabric.clone(),
             cfg,
-            seen: Mutex::new(std::collections::HashMap::new()),
+            seen: Mutex::new(HashMap::new()),
         })
     }
 
@@ -1232,40 +1216,54 @@ impl StreamListener {
         self.ep.local_addr()
     }
 
-    /// Waits for the next incoming connection.
+    /// Waits for the next incoming connection. Each pass reads the clock
+    /// once, after its packet came or its wait ended: that one read stamps
+    /// a new client and bounds the next wait, whose deadline is built at
+    /// the first miss.
     pub fn accept(&self, timeout: Option<Duration>) -> NetResult<StreamConduit> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut deadline = None;
+        let mut got = self.ep.try_recv();
         loop {
-            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if remaining == Some(Duration::ZERO) {
-                return Err(NetError::Timeout);
+            let now = Instant::now();
+            if let Some(src) = self.new_client(got, now)? {
+                // Dedicated endpoint for this connection (TCP accept analog).
+                let ep = self.fabric.bind_ephemeral(self.ep.local_addr().node)?;
+                let cfg = self.cfg.clone();
+                return Ok(StreamConduit::build(ep, src, Conn::SynReceived, cfg));
             }
-            let pkt = self.ep.recv(remaining)?;
-            let src = pkt.src;
-            let Some(seg) = decode_segment(pkt) else {
-                continue;
-            };
-            if seg.head.flags & FLAG_SYN == 0 || seg.head.flags & FLAG_ACK != 0 {
-                continue;
-            }
-            {
-                let mut seen = self.seen.lock();
-                let now = Instant::now();
-                seen.retain(|_, t| now.duration_since(*t) < Duration::from_secs(10));
-                if seen.contains_key(&src) {
-                    continue; // duplicate SYN; the spawned conduit re-answers
+            got = self.ep.try_recv();
+            if matches!(got, Err(NetError::Timeout)) {
+                let left = timeout.map(|t| {
+                    let d = deadline.get_or_insert(now + t);
+                    d.saturating_duration_since(now)
+                });
+                if left == Some(Duration::ZERO) {
+                    return Err(NetError::Timeout);
                 }
-                seen.insert(src, now);
+                got = self.ep.recv(left);
             }
-            // Dedicated endpoint for this connection (TCP accept analog).
-            let conn_ep = self.fabric.bind_ephemeral(self.ep.local_addr().node)?;
-            return Ok(StreamConduit::build(
-                conn_ep,
-                src,
-                Conn::SynReceived,
-                self.cfg.clone(),
-            ));
         }
+    }
+
+    /// The sender of `got`, received by `now`, if it is a SYN from a new
+    /// client.
+    fn new_client(&self, got: NetResult<WirePacket>, now: Instant) -> NetResult<Option<Addr>> {
+        let pkt = match got {
+            Err(NetError::Timeout) => return Ok(None),
+            got => got?,
+        };
+        let src = pkt.src;
+        match decode_segment(pkt) {
+            Some(seg) if seg.head.flags & (FLAG_SYN | FLAG_ACK) == FLAG_SYN => {}
+            _ => return Ok(None),
+        }
+        let mut seen = self.seen.lock();
+        seen.retain(|_, t| now.duration_since(*t) < Duration::from_secs(10));
+        if seen.contains_key(&src) {
+            return Ok(None); // duplicate SYN; the spawned conduit re-answers
+        }
+        seen.insert(src, now);
+        Ok(Some(src))
     }
 }
 
@@ -2005,6 +2003,41 @@ mod tests {
     }
 
     #[test]
+    fn the_handshake_timer_backs_off_then_gives_up() {
+        // Synthetic time: a SYN to nowhere, whose timer runs on the times
+        // the test ends drive steps at, so 30 retries take no wall time.
+        // The SYN is resent at each deadline and not before, the timeout
+        // doubles up to `rto_max`, and the next expiry fails the
+        // connection with `Timeout`.
+        let fab = Fabric::loopback();
+        let ep = fab.bind_ephemeral(NodeId(0)).unwrap();
+        let cfg = StreamConfig::default();
+        let (mut rto, rto_max) = (cfg.rto_initial, cfg.rto_max);
+        let conn = StreamConduit::build(ep, Addr::new(9, 9), Conn::SynSent, cfg);
+        conn.drv.with_locked(|core, st| {
+            for _ in 0..MAX_HS_RETRIES {
+                let d = st.hs_deadline.expect("armed");
+                core.after_step(st, Ok(()), d - Duration::from_micros(1));
+                assert!(st.outbox.is_empty(), "the SYN was resent early");
+                core.after_step(st, Ok(()), d);
+                let syn = st.outbox.pop().expect("the SYN is resent");
+                assert_eq!((syn.head.flags, st.outbox.len()), (FLAG_SYN, 0));
+                rto = (rto * 2).min(rto_max);
+                assert_eq!(st.hs_deadline, Some(d + rto));
+            }
+            assert_eq!(rto, rto_max);
+            let d = st.hs_deadline.expect("armed");
+            core.after_step(st, Ok(()), d);
+            assert!(st.outbox.is_empty());
+            assert_eq!(
+                (st.conn, st.err.clone()),
+                (Conn::Closed, Some(NetError::Timeout))
+            );
+        });
+        assert_eq!(conn.write_all(b"late"), Err(NetError::Timeout));
+    }
+
+    #[test]
     fn one_ack_per_drive_step() {
         // A 16 KiB write leaves as one burst of 12 segments; the
         // receiver's one drive step takes them all and acknowledges them
@@ -2032,7 +2065,9 @@ mod tests {
         let mut got = vec![0u8; 16 * 1024];
         assert_eq!(server.read(&mut got, Some(Duration::ZERO)), Ok(16 * 1024));
         client.progress(Duration::from_millis(10));
-        let (una, nxt, wnd) = client.drv.scope(|st| (st.snd_una, st.snd_nxt, st.snd_wnd));
+        let (una, nxt, wnd) = client
+            .drv
+            .scope(|st, _| (st.snd_una, st.snd_nxt, st.snd_wnd));
         assert_eq!(una, nxt, "all data acknowledged");
         assert_eq!(wnd as usize, rcv_buf);
     }
@@ -2098,7 +2133,7 @@ mod tests {
             client.progress(Duration::from_millis(10));
         };
         send_acks([8 * 1024, 16 * 1024, 24 * 1024]);
-        assert_eq!(client.drv.scope(|st| st.snd_wnd), 24 * 1024);
+        assert_eq!(client.drv.scope(|st, _| st.snd_wnd), 24 * 1024);
         assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 0);
         send_acks([24 * 1024; 3]);
         assert_eq!(counter(&fab, "simnet.stream.fast_retransmits"), 1);

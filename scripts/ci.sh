@@ -49,6 +49,25 @@ if grep -rn "from_entropy" crates src tests examples 2>/dev/null; then
     exit 1
 fi
 
+echo "==> clock audit: protocol cores are told the time, they never read it"
+# A reliable conduit's drive engine (crates/simnet/src/drive.rs) is its one
+# wall-clock reader: it hands its protocol core the time as a Duration, and
+# iwarp-cc holds no clock at all. Library code only, i.e. what precedes a
+# file's `#[cfg(test)]`; in stream.rs, what precedes `StreamListener`,
+# whose `accept` waits on a bare endpoint and keeps its own clock.
+clock_reads=$(
+    for f in crates/cc/src/*.rs crates/simnet/src/rdgram.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Instant::now\|\.elapsed()' | sed "s|^|$f:|"
+    done
+    f=crates/simnet/src/stream.rs
+    sed '/^pub struct StreamListener/,$d' "$f" | grep -n 'Instant::now\|\.elapsed()' | sed "s|^|$f:|"
+)
+if [ -n "$clock_reads" ]; then
+    echo "$clock_reads" >&2
+    echo "wall-clock read in a protocol core: take \`now\` from the driver" >&2
+    exit 1
+fi
+
 echo "==> chaos smoke: 25 seeded adversarial plans"
 # Deterministic: a failure prints the plan seed; reproduce it with
 #   cargo run --release -p iwarp-bench --bin chaos -- --replay <seed>
