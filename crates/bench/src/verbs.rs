@@ -131,7 +131,29 @@ fn payload(size: usize) -> Bytes {
 
 /// Measures one-way latency (µs) for `method` at `size` bytes:
 /// `warmup` unmeasured rounds, then `iters` measured ping-pongs.
+///
+/// Both peers run pinned to core 0, as the suite runs its workloads:
+/// unpinned, host load decides the small-message rows. The pin is set on
+/// a scoped thread whose children inherit it, so the caller stays
+/// unpinned.
 pub fn latency(
+    kind: FabricKind,
+    method: Method,
+    size: usize,
+    warmup: usize,
+    iters: usize,
+) -> Summary {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _pinned = iwarp_common::affinity::pin_to_core(0);
+            measure_latency(kind, method, size, warmup, iters)
+        })
+        .join()
+        .expect("latency thread")
+    })
+}
+
+fn measure_latency(
     kind: FabricKind,
     method: Method,
     size: usize,

@@ -26,6 +26,7 @@ use parking_lot::Mutex;
 
 use crate::error::{NetError, NetResult};
 use crate::fabric::{Endpoint, Fabric};
+use crate::ring::Deadline;
 use crate::wire::{Addr, NodeId, WirePacket};
 
 /// Wire-packet protocol discriminator for datagram fragments.
@@ -247,8 +248,10 @@ impl DgramConduit {
     /// unfragmented datagram is returned as the sender's original slices
     /// without any intermediate buffer.
     pub fn recv_sg_from(&self, timeout: Option<Duration>) -> NetResult<(Addr, SgBytes)> {
-        // Built at the first miss, so a call that finds data reads no clock.
-        let mut deadline = None;
+        // One deadline for every wait of the call, fixed by the first wait
+        // that parks: a call that finds data reads no clock, and a wait
+        // reads it once.
+        let mut deadline = Deadline::within(timeout);
         loop {
             // Drain queued packets without blocking first, so zero-timeout
             // polling still makes progress.
@@ -263,18 +266,7 @@ impl DgramConduit {
                     Err(e) => return Err(e),
                 }
             }
-            let remaining = match timeout {
-                None => None,
-                Some(t) => {
-                    let now = Instant::now();
-                    let d = *deadline.get_or_insert_with(|| now + t);
-                    if now >= d {
-                        return Err(NetError::Timeout);
-                    }
-                    Some(d - now)
-                }
-            };
-            let pkt = self.ep.recv(remaining)?;
+            let pkt = self.ep.recv(&mut deadline)?;
             if let Some(done) = self.ingest(pkt) {
                 return Ok(done);
             }

@@ -21,15 +21,24 @@
 //! plan, retired fault traces — lives behind one cold `RwLock` taken
 //! only on bind/unbind/group/plan changes and on route-cache misses.
 //!
+//! A link's delivery ring outlives the link: when the last `Arc<Link>`
+//! drops (an endpoint's own, or a sender's that upgraded its cached
+//! `Weak<Link>` just before the unbind), the link drains its ring onto
+//! the fabric's spare stack (at most `SPARE_RINGS` rings), and the
+//! next [`bind`](Fabric::bind) takes it from there instead of allocating
+//! one. A drained ring needs no reset (see [`crate::ring`]), so a reuse
+//! touches no slot.
+//!
 //! Lock order: `control` → `link.tx` / `link.delay` → (leaf). The
-//! per-link `notify` RwLock and the pump condvar are leaves. Arrival
-//! notifiers always run outside every fabric lock, and every condvar
-//! notify follows the release of the lock its wakee re-takes (wake after
-//! release): a delivery ring's consumer, the delay pump.
+//! per-link `notify` RwLock, the spare stack and the pump condvar are
+//! leaves. Arrival notifiers always run outside every fabric lock, and
+//! every condvar notify follows the release of the lock its wakee
+//! re-takes (wake after release): a delivery ring's consumer, the delay
+//! pump.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -44,8 +53,14 @@ use iwarp_common::sg::SgBytes;
 use crate::chaos::{ChaosSnapshot, ChaosState, FaultEvent, FaultKind, FaultPlan};
 use crate::error::{NetError, NetResult};
 use crate::loss::{LossModel, LossState};
-use crate::ring::{PopError, PushOutcome, RingChannel};
+use crate::ring::{Deadline, Mpsc, PopError, PushOutcome, RingChannel};
 use crate::wire::{Addr, NodeId, WireConfig, WirePacket, WIRE_HEADER_BYTES};
+
+/// Most drained delivery rings a fabric keeps for reuse. A socket churn
+/// closes and opens endpoints in step, so a few spares cover it; the cap
+/// bounds what a mass teardown leaves resident (at 256 slots of 72 B,
+/// 32 rings are 576 KiB).
+const SPARE_RINGS: usize = 32;
 
 /// Counters describing fabric activity — used by tests to verify loss
 /// rates and by the harness to report wire-level statistics.
@@ -126,6 +141,8 @@ impl TxState {
 /// of routing: senders cache it and push straight onto `q`.
 struct Link {
     addr: Addr,
+    /// Where the ring goes back when the link drops.
+    fabric: Weak<FabricInner>,
     /// The delivery ring — the consumer side is the endpoint's receive
     /// queue.
     q: RingChannel<WirePacket>,
@@ -136,6 +153,22 @@ struct Link {
     notify: RwLock<Option<RxNotify>>,
     /// Fast no-notifier check so the hot path skips the RwLock.
     has_notify: AtomicBool,
+}
+
+impl Drop for Link {
+    /// Hands the drained ring to the fabric's spare stack. It runs when
+    /// the last `Arc<Link>` goes, so no sender still holds this ring.
+    fn drop(&mut self) {
+        if let Some(fabric) = self.fabric.upgrade() {
+            // Drained before the lock: queued packets may hold pooled
+            // buffers, and the spare stack stays a leaf.
+            let ring = self.q.take_ring();
+            let mut spares = fabric.spares.lock();
+            if spares.len() < SPARE_RINGS {
+                spares.push(ring);
+            }
+        }
+    }
 }
 
 /// A multicast group: members plus its own TX state (fault streams keyed
@@ -192,6 +225,10 @@ struct FabricInner {
     /// buffers, reassembly buffers, rx staging). Per-fabric so pooled
     /// stats in snapshots are not polluted across concurrent tests.
     pool: BufPool,
+    /// Drained delivery rings of dropped links, at most `SPARE_RINGS`,
+    /// all `cfg.ring_capacity` slots. Not tracked in a `MemRegistry`:
+    /// they belong to the fabric, not to a call.
+    spares: Mutex<Vec<Mpsc<WirePacket>>>,
 }
 
 /// A shared handle to the simulated network. Cloning is cheap; all clones
@@ -230,6 +267,7 @@ impl Fabric {
             pump,
             tel,
             pool,
+            spares: Mutex::new(Vec::new()),
         });
         if let Some(p) = &inner.pump {
             let p = Arc::clone(p);
@@ -442,16 +480,20 @@ impl Fabric {
     }
 
     /// Binds an endpoint at `addr`. Fails with [`NetError::AddrInUse`] if
-    /// the address is taken.
+    /// the address is taken. The delivery ring is a spare from a dropped
+    /// link when there is one.
     pub fn bind(&self, addr: Addr) -> NetResult<Endpoint> {
         let link = {
             let mut c = self.inner.control.write();
             if c.endpoints.contains_key(&addr) {
                 return Err(NetError::AddrInUse(addr));
             }
+            let spare = self.inner.spares.lock().pop();
+            let ring = spare.unwrap_or_else(|| Mpsc::new(self.inner.cfg.ring_capacity));
             let link = Arc::new(Link {
                 addr,
-                q: RingChannel::new(self.inner.cfg.ring_capacity),
+                fabric: Arc::downgrade(&self.inner),
+                q: RingChannel::with_ring(ring),
                 tx: Mutex::new(TxState::new(
                     &self.inner.cfg,
                     c.plan.as_ref(),
@@ -1145,10 +1187,10 @@ impl Endpoint {
         )
     }
 
-    /// Receives the next wire packet, blocking at most `timeout`
-    /// (`None` = block indefinitely).
-    pub fn recv(&self, timeout: Option<Duration>) -> NetResult<WirePacket> {
-        self.link.q.pop_wait(timeout).map_err(|e| match e {
+    /// Receives the next wire packet, blocking until `deadline` (see
+    /// [`Deadline`] for how a caller shares one across several waits).
+    pub fn recv(&self, deadline: &mut Deadline) -> NetResult<WirePacket> {
+        self.link.q.pop_wait(deadline).map_err(|e| match e {
             PopError::Timeout => NetError::Timeout,
             PopError::Closed => NetError::Closed,
         })
@@ -1210,7 +1252,9 @@ mod tests {
         let a = fab.bind(Addr::new(0, 10)).unwrap();
         let b = fab.bind(Addr::new(1, 20)).unwrap();
         a.send_to(b.local_addr(), pkt_bytes(100)).unwrap();
-        let p = b.recv(Some(Duration::from_secs(1))).unwrap();
+        let p = b
+            .recv(&mut Deadline::After(Duration::from_secs(1)))
+            .unwrap();
         assert_eq!(p.src, a.local_addr());
         assert_eq!(p.wire_len(), 100);
     }
@@ -1276,7 +1320,9 @@ mod tests {
     fn recv_timeout_fires() {
         let fab = Fabric::loopback();
         let a = fab.bind(Addr::new(0, 1)).unwrap();
-        let err = a.recv(Some(Duration::from_millis(10))).unwrap_err();
+        let err = a
+            .recv(&mut Deadline::After(Duration::from_millis(10)))
+            .unwrap_err();
         assert_eq!(err, NetError::Timeout);
     }
 
@@ -1344,7 +1390,9 @@ mod tests {
             .unwrap_or(0);
         assert!(retries > 0, "an 8-slot ring must spill under 1000 sends");
         for i in 0..n {
-            let p = b.recv(Some(Duration::from_secs(1))).unwrap();
+            let p = b
+                .recv(&mut Deadline::After(Duration::from_secs(1)))
+                .unwrap();
             assert_eq!(p.contiguous()[..4], i.to_le_bytes());
         }
     }
@@ -1375,7 +1423,8 @@ mod tests {
         let b = fab.bind(Addr::new(1, 1)).unwrap();
         let t0 = Instant::now();
         a.send_to(b.local_addr(), pkt_bytes(10)).unwrap();
-        b.recv(Some(Duration::from_secs(1))).unwrap();
+        b.recv(&mut Deadline::After(Duration::from_secs(1)))
+            .unwrap();
         let dt = t0.elapsed();
         assert!(
             dt >= Duration::from_millis(18),
@@ -1396,7 +1445,9 @@ mod tests {
             a.send_to(b.local_addr(), Bytes::from(vec![i])).unwrap();
         }
         for i in 0..50u8 {
-            let p = b.recv(Some(Duration::from_secs(1))).unwrap();
+            let p = b
+                .recv(&mut Deadline::After(Duration::from_secs(1)))
+                .unwrap();
             assert_eq!(p.contiguous()[0], i);
         }
     }
@@ -1419,6 +1470,126 @@ mod tests {
         let dt = t0.elapsed();
         assert!(dt >= Duration::from_millis(90), "pacing too fast: {dt:?}");
         assert_eq!(b.pending(), 100);
+    }
+
+    fn spares(fab: &Fabric) -> usize {
+        fab.inner.spares.lock().len()
+    }
+
+    #[test]
+    fn a_dropped_links_ring_serves_the_next_bind() {
+        let fab = Fabric::new(WireConfig {
+            ring_capacity: 8,
+            ..WireConfig::default()
+        });
+        let a = fab.bind(Addr::new(0, 1)).unwrap();
+        let to = Addr::new(1, 1);
+        let send = |i: u32| {
+            a.send_to(to, Bytes::from(i.to_le_bytes().to_vec()))
+                .unwrap();
+        };
+        let recv = |ep: &Endpoint| {
+            let p = ep
+                .recv(&mut Deadline::After(Duration::from_secs(1)))
+                .unwrap();
+            u32::from_le_bytes(p.contiguous()[..4].try_into().unwrap())
+        };
+        let b = fab.bind(to).unwrap();
+        // Several laps, so the ring's cursors stop mid-lap.
+        for i in 0..21 {
+            send(i);
+            assert_eq!(recv(&b), i);
+        }
+        // Queued in the ring and in the spill when the link goes.
+        for i in 0..20 {
+            send(i);
+        }
+        assert_eq!(b.pending(), 20);
+        drop(b);
+        assert_eq!(spares(&fab), 1);
+
+        // The next bind takes that ring. It rebinds the same address, so
+        // `a`'s cached route names the dead link and must refresh.
+        let b = fab.bind(to).unwrap();
+        assert_eq!(spares(&fab), 0, "the bind took the spare");
+        assert_eq!(b.pending(), 0, "a reused ring comes back empty");
+        let retries = || {
+            fab.telemetry()
+                .snapshot()
+                .get("simnet.fabric.ring_full_retries")
+                .unwrap_or(0)
+        };
+        let spilled_before = retries();
+        for i in 0..30 {
+            send(i);
+        }
+        assert_eq!(retries() - spilled_before, 22, "8 in the ring, 22 spilled");
+        for i in 0..30 {
+            assert_eq!(recv(&b), i, "FIFO across ring and spill");
+        }
+        assert!(matches!(b.try_recv(), Err(NetError::Timeout)));
+        // Closing still holds: the unbound address is unreachable, and
+        // the ring goes back once more.
+        drop(b);
+        assert_eq!(spares(&fab), 1);
+        let unreachable = fab.stats().dropped_unreachable.load(Ordering::Relaxed);
+        send(0);
+        assert_eq!(
+            fab.stats().dropped_unreachable.load(Ordering::Relaxed),
+            unreachable + 1
+        );
+    }
+
+    #[test]
+    fn the_spare_stack_stays_within_its_cap() {
+        let fab = Fabric::loopback();
+        let eps: Vec<Endpoint> = (1..=SPARE_RINGS + 5)
+            .map(|port| fab.bind(Addr::new(0, port as u16)).unwrap())
+            .collect();
+        drop(eps);
+        assert_eq!(spares(&fab), SPARE_RINGS);
+        let eps: Vec<Endpoint> = (1..=3)
+            .map(|port| fab.bind(Addr::new(1, port)).unwrap())
+            .collect();
+        assert_eq!(spares(&fab), SPARE_RINGS - 3);
+        drop(eps);
+        assert_eq!(spares(&fab), SPARE_RINGS);
+    }
+
+    #[test]
+    fn links_dropped_under_live_senders_recycle_their_rings() {
+        // Senders upgrade their cached `Weak<Link>` while the receiver
+        // unbinds, so the last `Arc<Link>` (and the ring's hand-back) may
+        // drop on a sender's thread. Every packet is still accounted for.
+        let fab = Fabric::new(WireConfig {
+            ring_capacity: 8,
+            ..WireConfig::default()
+        });
+        let to = Addr::new(9, 9);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for node in 0..2 {
+                let (fab, stop) = (&fab, &stop);
+                s.spawn(move || {
+                    let ep = fab.bind(Addr::new(node, 1)).unwrap();
+                    while !stop.load(Ordering::Relaxed) {
+                        ep.send_to(to, pkt_bytes(16)).unwrap();
+                    }
+                });
+            }
+            for _ in 0..200 {
+                let b = fab.bind(to).unwrap();
+                while b.try_recv().is_ok() {}
+                drop(b);
+                assert!(spares(&fab) <= SPARE_RINGS);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        let st = fab.stats();
+        assert_eq!(
+            st.tx_packets.load(Ordering::Relaxed),
+            st.delivered.load(Ordering::Relaxed) + st.dropped_unreachable.load(Ordering::Relaxed)
+        );
     }
 
     #[test]

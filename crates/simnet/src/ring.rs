@@ -16,6 +16,12 @@
 //!   Producers never block; a full ring diverts to the spill queue and is
 //!   counted (`fabric.ring_full_retries`).
 //!
+//! A drained [`Mpsc`] is a valid empty ring at whatever position it
+//! stopped: each slot's sequence word already names the lap its next push
+//! expects. So the fabric reuses the rings of dropped links
+//! (`RingChannel::take_ring`, then `RingChannel::with_ring`) without
+//! touching a slot.
+//!
 //! Ordering contract: FIFO per producer everywhere. [`RingChannel`]
 //! additionally preserves the order of any two pushes that are themselves
 //! ordered by a happens-before edge (the spill flag is flipped under the
@@ -64,6 +70,17 @@ unsafe impl<T: Send> Sync for Mpsc<T> {}
 unsafe impl<T: Send> Send for Mpsc<T> {}
 
 impl<T> Mpsc<T> {
+    /// A ring with no slots, left behind by [`RingChannel::take_ring`]:
+    /// it allocates nothing and is only ever dropped.
+    fn shell() -> Self {
+        Self {
+            buf: Box::new([]),
+            mask: 0,
+            enqueue_pos: Pad(AtomicUsize::new(0)),
+            dequeue_pos: Pad(AtomicUsize::new(0)),
+        }
+    }
+
     /// Creates a queue of at least `capacity` slots (rounded up to a
     /// power of two, minimum 2).
     #[must_use]
@@ -167,8 +184,51 @@ impl<T> Mpsc<T> {
 
 impl<T> Drop for Mpsc<T> {
     fn drop(&mut self) {
-        // Exclusive access at drop: release everything still queued.
-        while self.try_pop().is_some() {}
+        // Exclusive access at drop: release everything still queued. The
+        // emptiness check reads only the cursors, so a shell (no slots)
+        // is never indexed.
+        while !self.is_empty() && self.try_pop().is_some() {}
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Deadline: when a blocking pop gives up.
+// ---------------------------------------------------------------------------
+
+/// When a blocking pop gives up. A caller that waits more than once for
+/// one result (a reassembly loop, say) hands the same `Deadline` to each
+/// wait: the first wait that has to park fixes it to an [`Instant`], and
+/// every later one counts down to that instant. So a pop that finds a
+/// value reads no clock, and a parking pop reads it once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Deadline {
+    /// Wait for as long as it takes.
+    Never,
+    /// Wait this long from the first wait that parks.
+    After(Duration),
+    /// Wait until this instant.
+    At(Instant),
+}
+
+impl Deadline {
+    /// `After(t)` for `Some(t)`, `Never` for `None`.
+    #[must_use]
+    pub fn within(timeout: Option<Duration>) -> Self {
+        timeout.map_or(Self::Never, Self::After)
+    }
+
+    /// The time left (`None`: forever), fixing `After` to `At`. Reads the
+    /// clock once, and not at all for `Never` or a zero `After`.
+    fn left(&mut self) -> Option<Duration> {
+        match *self {
+            Self::Never => None,
+            Self::After(t) if t.is_zero() => Some(t),
+            Self::After(t) => {
+                *self = Self::At(Instant::now() + t);
+                Some(t)
+            }
+            Self::At(d) => Some(d.saturating_duration_since(Instant::now())),
+        }
     }
 }
 
@@ -230,8 +290,15 @@ impl<T> RingChannel<T> {
     /// values.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        Self::with_ring(Mpsc::new(capacity))
+    }
+
+    /// Creates a channel on `ring`, an empty ring from
+    /// [`take_ring`](Self::take_ring) or [`Mpsc::new`].
+    pub(crate) fn with_ring(ring: Mpsc<T>) -> Self {
+        debug_assert!(ring.is_empty(), "a reused ring must come back empty");
         Self {
-            ring: Mpsc::new(capacity),
+            ring,
             spill: AtomicBool::new(false),
             overflow: Mutex::new(VecDeque::new()),
             ovf_len: AtomicUsize::new(0),
@@ -388,12 +455,10 @@ impl<T> RingChannel<T> {
         }
     }
 
-    /// Pops the oldest value, parking up to `timeout` (`None` = forever)
-    /// when the channel is empty.
-    pub fn pop_wait(&self, timeout: Option<Duration>) -> Result<T, PopError> {
-        // Built at the first miss, so a pop that finds a value reads no
-        // clock.
-        let mut deadline = None;
+    /// Pops the oldest value, parking until `deadline` when the channel
+    /// is empty. A pop that finds a value reads no clock; each park reads
+    /// it once.
+    pub fn pop_wait(&self, deadline: &mut Deadline) -> Result<T, PopError> {
         loop {
             if let Some(v) = self.try_pop() {
                 return Ok(v);
@@ -401,6 +466,10 @@ impl<T> RingChannel<T> {
             if self.closed.load(Ordering::Acquire) {
                 // Drain-after-close: one more look before reporting EOF.
                 return self.try_pop().ok_or(PopError::Closed);
+            }
+            let left = deadline.left();
+            if left == Some(Duration::ZERO) {
+                return Err(PopError::Timeout);
             }
             let mut g = self.gate.lock();
             self.sleepers.fetch_add(1, Ordering::SeqCst);
@@ -410,21 +479,12 @@ impl<T> RingChannel<T> {
                 drop(g);
                 continue;
             }
-            let timed_out = match timeout {
+            let timed_out = match left {
                 None => {
                     self.cv.wait(&mut g);
                     false
                 }
-                Some(t) => {
-                    let now = Instant::now();
-                    let d = *deadline.get_or_insert_with(|| now + t);
-                    if now >= d {
-                        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                        drop(g);
-                        return Err(PopError::Timeout);
-                    }
-                    self.cv.wait_for(&mut g, d - now).timed_out()
-                }
+                Some(left) => self.cv.wait_for(&mut g, left).timed_out(),
             };
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             drop(g);
@@ -461,6 +521,16 @@ impl<T> RingChannel<T> {
     #[must_use]
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
+    }
+
+    /// Closes the channel, drops every queued value (ring and spill) and
+    /// takes the drained ring for [`with_ring`](Self::with_ring), leaving
+    /// a slotless shell in its place. Only a drop may follow.
+    pub(crate) fn take_ring(&mut self) -> Mpsc<T> {
+        *self.closed.get_mut() = true;
+        while self.ring.try_pop().is_some() {}
+        self.overflow.get_mut().clear();
+        std::mem::replace(&mut self.ring, Mpsc::shell())
     }
 }
 
@@ -509,15 +579,15 @@ mod tests {
         ch.push(7u32).unwrap();
         ch.close();
         assert!(matches!(ch.push(8), Err(ChannelClosed(8))));
-        assert_eq!(ch.pop_wait(None), Ok(7));
-        assert_eq!(ch.pop_wait(None), Err(PopError::Closed));
+        assert_eq!(ch.pop_wait(&mut Deadline::Never), Ok(7));
+        assert_eq!(ch.pop_wait(&mut Deadline::Never), Err(PopError::Closed));
     }
 
     #[test]
     fn pop_wait_times_out_then_wakes() {
         let ch = Arc::new(RingChannel::new(4));
         assert_eq!(
-            ch.pop_wait(Some(Duration::from_millis(5))),
+            ch.pop_wait(&mut Deadline::After(Duration::from_millis(5))),
             Err(PopError::Timeout)
         );
         let ch2 = Arc::clone(&ch);
@@ -526,7 +596,96 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(10));
                 ch2.push(42u32).unwrap();
             });
-            assert_eq!(ch.pop_wait(Some(Duration::from_secs(5))), Ok(42));
+            let mut deadline = Deadline::After(Duration::from_secs(5));
+            assert_eq!(ch.pop_wait(&mut deadline), Ok(42));
+            assert!(
+                matches!(deadline, Deadline::At(_)),
+                "a pop that parked fixes its deadline"
+            );
         });
+    }
+
+    #[test]
+    fn a_pop_that_finds_a_value_leaves_its_deadline_unfixed() {
+        let ch = RingChannel::new(4);
+        ch.push(1u32).unwrap();
+        let mut deadline = Deadline::After(Duration::from_secs(5));
+        assert_eq!(ch.pop_wait(&mut deadline), Ok(1));
+        assert_eq!(deadline, Deadline::After(Duration::from_secs(5)));
+        // A zero wait times out without parking or fixing anything.
+        let mut zero = Deadline::After(Duration::ZERO);
+        assert_eq!(ch.pop_wait(&mut zero), Err(PopError::Timeout));
+        assert_eq!(zero, Deadline::After(Duration::ZERO));
+        // A deadline already past times out too.
+        let mut past = Deadline::At(Instant::now());
+        assert_eq!(ch.pop_wait(&mut past), Err(PopError::Timeout));
+    }
+
+    /// Counts its drops, so a test sees every queued value released once.
+    struct Token(u32, Arc<AtomicUsize>);
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_taken_ring_comes_back_empty_and_keeps_the_channel_contract() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let token = |i| Token(i, Arc::clone(&drops));
+        let mut ch = RingChannel::new(4);
+        // Several laps, so the cursors stop mid-lap, away from zero.
+        for i in 0..27 {
+            ch.push(token(i)).map_err(|_| ()).unwrap();
+            assert_eq!(ch.try_pop().map(|t| t.0), Some(i));
+        }
+        // Queued in the ring and in the spill when the ring is taken.
+        let spilled = (0..10)
+            .filter(|&i| ch.push(token(i)).map_err(|_| ()).unwrap() == PushOutcome::Spilled)
+            .count();
+        assert_eq!(spilled, 6);
+        let ring = ch.take_ring();
+        assert_eq!(drops.load(Ordering::SeqCst), 37, "each value dropped once");
+        assert!(ring.is_empty());
+        assert_eq!(ring.capacity(), 4);
+        // The shell left behind drops without touching a slot.
+        drop(ch);
+
+        let ch = RingChannel::with_ring(ring);
+        assert!(ch.is_empty() && !ch.is_closed());
+        for lap in 0..3 {
+            let outcomes: Vec<PushOutcome> = (0..7)
+                .map(|i| ch.push(token(lap * 10 + i)).map_err(|_| ()).unwrap())
+                .collect();
+            assert_eq!(outcomes[..4], [PushOutcome::Ring; 4]);
+            assert_eq!(outcomes[4..], [PushOutcome::Spilled; 3]);
+            for i in 0..7 {
+                assert_eq!(ch.try_pop().map(|t| t.0), Some(lap * 10 + i), "FIFO");
+            }
+            assert!(ch.is_empty());
+        }
+        assert_eq!(
+            ch.push(token(99)).map_err(|_| ()).unwrap(),
+            PushOutcome::Ring
+        );
+        ch.close();
+        assert!(ch.push(token(100)).is_err());
+        assert_eq!(ch.pop_wait(&mut Deadline::Never).map(|t| t.0), Ok(99));
+        assert!(matches!(
+            ch.pop_wait(&mut Deadline::Never),
+            Err(PopError::Closed)
+        ));
+        drop(ch);
+        assert_eq!(drops.load(Ordering::SeqCst), 37 + 21 + 2);
+    }
+
+    #[test]
+    fn a_shell_drops_without_indexing_its_empty_slots() {
+        drop(Mpsc::<Token>::shell());
+        let mut ch = RingChannel::<u32>::new(2);
+        ch.push(1).unwrap();
+        drop(ch.take_ring());
+        drop(ch);
     }
 }

@@ -65,6 +65,7 @@ use iwarp_common::memacct::{MemRegistry, MemScope};
 use crate::drive::{Driver, Locked, Protocol};
 use crate::error::{NetError, NetResult};
 use crate::fabric::{Endpoint, Fabric};
+use crate::ring::Deadline;
 use crate::wire::{Addr, NodeId, WirePacket};
 
 /// Wire-packet protocol discriminator for stream segments.
@@ -837,7 +838,7 @@ impl Protocol for Inner {
     const FLOOR: Duration = Duration::ZERO;
 
     fn recv(&self, wait: Duration) -> NetResult<WirePacket> {
-        self.ep.recv(Some(wait))
+        self.ep.recv(&mut Deadline::After(wait))
     }
 
     fn try_recv(&self) -> NetResult<WirePacket> {
@@ -1240,7 +1241,7 @@ impl StreamListener {
                 if left == Some(Duration::ZERO) {
                     return Err(NetError::Timeout);
                 }
-                got = self.ep.recv(left);
+                got = self.ep.recv(&mut Deadline::within(left));
             }
         }
     }

@@ -4,6 +4,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use simnet::rdgram::RdConfig;
+use simnet::ring::Deadline;
 use simnet::stream::StreamConfig;
 use simnet::{
     Addr, DgramConduit, Fabric, LossModel, NetError, NodeId, RdConduit, StreamConduit,
@@ -265,7 +266,10 @@ fn stream_ignores_a_syn_ack_whose_sequence_would_overflow() {
                 StreamConfig::default(),
             )
         });
-        let client = server.recv(Some(Duration::from_secs(5))).unwrap().src;
+        let client = server
+            .recv(&mut Deadline::After(Duration::from_secs(5)))
+            .unwrap()
+            .src;
         server
             .send_to(client, segment(syn_ack, u64::MAX, b""))
             .unwrap();

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 
 use simnet::chaos::FaultEvent;
 use simnet::dgram::{FRAG_HEADER, MAX_DATAGRAM, PROTO_DGRAM};
+use simnet::ring::Deadline;
 use simnet::{
     Addr, DgramConduit, Fabric, FaultPlan, NodeId, StreamConduit, StreamListener, WireConfig,
 };
@@ -237,7 +238,7 @@ proptest! {
         let tx = DgramConduit::bind(&fab, Addr::new(2, 700)).unwrap();
         tx.send_to(raw.local_addr(), Bytes::from(payload.clone())).unwrap();
         for want in fragments_of(1, &payload, frag_payload) {
-            let pkt = raw.recv(Some(Duration::from_secs(2))).unwrap();
+            let pkt = raw.recv(&mut Deadline::After(Duration::from_secs(2))).unwrap();
             prop_assert_eq!(pkt.wire_len(), want.len());
             prop_assert_eq!(&pkt.frame().to_bytes()[..], &want[..]);
         }

@@ -7,6 +7,7 @@
 
 use std::time::{Duration, Instant};
 
+use simnet::ring::Deadline;
 use simnet::{Addr, Fabric, NetError};
 
 /// CPU time consumed by the calling thread so far, per
@@ -39,7 +40,7 @@ fn timed_out_recv_parks_instead_of_spinning() {
     {
         let before = thread_cpu_ticks();
         let start = Instant::now();
-        let r = ep.recv(Some(Duration::from_millis(50)));
+        let r = ep.recv(&mut Deadline::After(Duration::from_millis(50)));
         let wall = start.elapsed();
         let burned = thread_cpu_ticks() - before;
         assert!(matches!(r, Err(NetError::Timeout)), "got {r:?}");
@@ -61,7 +62,7 @@ fn timed_out_recv_parks_instead_of_spinning() {
     #[cfg(not(target_os = "linux"))]
     {
         let start = Instant::now();
-        let r = ep.recv(Some(Duration::from_millis(50)));
+        let r = ep.recv(&mut Deadline::After(Duration::from_millis(50)));
         assert!(matches!(r, Err(NetError::Timeout)), "got {r:?}");
         assert!(start.elapsed() >= Duration::from_millis(45));
     }
@@ -78,7 +79,9 @@ fn parked_recv_wakes_on_arrival() {
     std::thread::scope(|s| {
         let h = s.spawn(|| {
             let start = Instant::now();
-            let pkt = ep.recv(Some(Duration::from_secs(5))).unwrap();
+            let pkt = ep
+                .recv(&mut Deadline::After(Duration::from_secs(5)))
+                .unwrap();
             (start.elapsed(), pkt)
         });
         std::thread::sleep(Duration::from_millis(20));

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use simnet::ring::{Mpsc, PopError, PushOutcome, RingChannel};
+use simnet::ring::{Deadline, Mpsc, PopError, PushOutcome, RingChannel};
 
 // ---------------------------------------------------------------------
 // Property tests: single-threaded model checks over proptest-chosen
@@ -153,7 +153,7 @@ fn ring_channel_threaded_fan_in() {
     let mut total = 0u64;
     while total < PRODUCERS * PER {
         let v = ch
-            .pop_wait(Some(Duration::from_secs(10)))
+            .pop_wait(&mut Deadline::After(Duration::from_secs(10)))
             .expect("producers still running");
         let (p, i) = ((v >> 32) as usize, v & 0xFFFF_FFFF);
         assert_eq!(i, next[p], "producer {p} out of order");
@@ -228,28 +228,31 @@ fn close_drains_then_reports_closed() {
     assert!(ch.is_closed());
     let rejected = ch.push(3).unwrap_err();
     assert_eq!(rejected.0, 3);
-    assert_eq!(ch.pop_wait(Some(Duration::from_millis(5))), Ok(1));
+    assert_eq!(
+        ch.pop_wait(&mut Deadline::After(Duration::from_millis(5))),
+        Ok(1)
+    );
     assert_eq!(ch.try_pop(), Some(2));
     assert_eq!(
-        ch.pop_wait(Some(Duration::from_millis(5))),
+        ch.pop_wait(&mut Deadline::After(Duration::from_millis(5))),
         Err(PopError::Closed)
     );
-    assert_eq!(ch.pop_wait(None), Err(PopError::Closed));
+    assert_eq!(ch.pop_wait(&mut Deadline::Never), Err(PopError::Closed));
 }
 
-/// A consumer parked in `pop_wait(None)` is woken by close and by data.
+/// A consumer parked in `pop_wait(Never)` is woken by close and by data.
 #[test]
 fn pop_wait_unblocks_on_close_and_data() {
     let ch = Arc::new(RingChannel::<u32>::new(4));
     // Data wakes a parked popper.
     let c = Arc::clone(&ch);
-    let h = std::thread::spawn(move || c.pop_wait(None));
+    let h = std::thread::spawn(move || c.pop_wait(&mut Deadline::Never));
     std::thread::sleep(Duration::from_millis(20));
     ch.push(7).unwrap();
     assert_eq!(h.join().unwrap(), Ok(7));
     // Close wakes a parked popper.
     let c = Arc::clone(&ch);
-    let h = std::thread::spawn(move || c.pop_wait(None));
+    let h = std::thread::spawn(move || c.pop_wait(&mut Deadline::Never));
     std::thread::sleep(Duration::from_millis(20));
     ch.close();
     assert_eq!(h.join().unwrap(), Err(PopError::Closed));
@@ -303,9 +306,9 @@ fn one_core_hand_off_costs_one_context_switch() {
         for i in 0..ROUND_TRIPS {
             if first {
                 ping.push(i).unwrap();
-                assert_eq!(pong.pop_wait(None), Ok(i));
+                assert_eq!(pong.pop_wait(&mut Deadline::Never), Ok(i));
             } else {
-                let v = ping.pop_wait(None).unwrap();
+                let v = ping.pop_wait(&mut Deadline::Never).unwrap();
                 pong.push(v).unwrap();
             }
         }

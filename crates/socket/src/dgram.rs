@@ -15,6 +15,14 @@
 //! Either way the application sees plain `send_to`/`recv_from`; through
 //! this copying interface the two modes perform almost identically, as the
 //! paper observes for VLC (§VI.B.1).
+//!
+//! **Close gives back what open took.** Dropping a socket invalidates its
+//! STags (the slot region, and the Write-Record ring when there is one)
+//! in the device's `MrTable`, so the table holds only live sockets'
+//! regions and a peer's stale Write-Record to a closed ring fails at
+//! lookup. The socket's UD QP unbinds its fabric endpoint, whose drained
+//! delivery ring the fabric keeps for the next bind. A per-call socket
+//! (the SIP server's) therefore leaves the stack as it found it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -541,8 +549,16 @@ impl DgramSocket {
 }
 
 impl Drop for DgramSocket {
+    /// Closes the socket: its slot region and Write-Record ring leave the
+    /// device's table, and its fd is freed. The QP's endpoint unbinds as
+    /// the inner state drops.
     fn drop(&mut self) {
-        self.inner.stack.release_fd(self.inner.fd);
+        let inner = &self.inner;
+        inner.stack.deregister(&inner.slot_mr);
+        if let Some(ring) = &inner.ring_mr {
+            inner.stack.deregister(ring);
+        }
+        inner.stack.release_fd(inner.fd);
     }
 }
 

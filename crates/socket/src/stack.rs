@@ -11,7 +11,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use simnet::{Addr, Fabric, NodeId};
 
-use iwarp::{CompletionChannel, Device, DeviceConfig, IwarpResult, QpConfig};
+use iwarp::{CompletionChannel, Device, DeviceConfig, IwarpResult, MemoryRegion, QpConfig};
 use iwarp_common::slab::{Handle, Slab, SlabStats};
 
 use crate::dgram::{DgramMode, DgramSocket};
@@ -146,6 +146,15 @@ impl StackInner {
 
     pub fn release_fd(&self, slot: FdSlot) {
         self.fds.lock().remove(slot.handle);
+    }
+
+    /// Takes a closing socket's region out of the device's table, so a
+    /// stale remote access to its STag fails at lookup instead of landing
+    /// in memory nobody owns.
+    pub fn deregister(&self, mr: &MemoryRegion) {
+        // Runs in `Drop`: a region some caller already invalidated through
+        // the device's table is gone either way.
+        let _ = self.device.mr_table().invalidate(mr.stag());
     }
 }
 

@@ -4,6 +4,10 @@
 //! segments into verbs messages), `recv` returns whatever bytes are
 //! available next, and message boundaries dissolve at the receiver —
 //! applications written against stream sockets work unchanged.
+//!
+//! Dropping a socket invalidates its slot region's STag in the device's
+//! `MrTable`, as a datagram socket's close does, so a long-lived stack's
+//! table holds only its open sockets' regions.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -251,7 +255,10 @@ impl StreamSocket {
 }
 
 impl Drop for StreamSocket {
+    /// Closes the socket: its slot region leaves the device's table, and
+    /// its fd is freed.
     fn drop(&mut self) {
+        self.inner.stack.deregister(&self.inner.slot_mr);
         self.inner.stack.release_fd(self.inner.fd);
     }
 }
