@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::Ordering;
 
 use iwarp::{Cqe, CqeOpcode, CqeStatus, MemoryRegion};
 use simnet::Fabric;
@@ -40,11 +39,11 @@ fn violation(invariant: &'static str, detail: String) -> Violation {
 /// `chaos_held` and `in_flight` are zero on latency-free fabrics.
 #[must_use]
 pub fn check_conservation(fab: &Fabric) -> Vec<Violation> {
-    let st = fab.stats();
-    let tx = st.tx_packets.load(Ordering::SeqCst);
-    let delivered = st.delivered.load(Ordering::SeqCst);
-    let loss = st.dropped_loss.load(Ordering::SeqCst);
-    let unreachable = st.dropped_unreachable.load(Ordering::SeqCst);
+    let tel = fab.telemetry().simnet();
+    let tx = tel.fabric_tx_packets.get();
+    let delivered = tel.fabric_delivered.get();
+    let loss = tel.fabric_dropped_loss.get();
+    let unreachable = tel.fabric_dropped_unreachable.get();
     let chaos = fab.chaos_stats().unwrap_or_default();
     let lhs = tx + chaos.duplicated;
     let rhs = delivered

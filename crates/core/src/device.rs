@@ -83,12 +83,6 @@ impl Device {
         self.shards.is_some()
     }
 
-    /// The device's shard map, when sharding is enabled.
-    #[must_use]
-    pub fn shard_map(&self) -> Option<&Arc<ShardMap>> {
-        self.shards.as_ref()
-    }
-
     /// The fabric node this device lives on.
     #[must_use]
     pub fn node(&self) -> NodeId {

@@ -18,27 +18,22 @@
 //! * **UD RDMA Read** (paper future work, implemented as an extension):
 //!   reads complete with `Expired` status if the response is lost.
 
-use std::cmp::Ordering::{Equal, Greater, Less};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use iwarp_telemetry::Telemetry;
 use simnet::{Addr, DgramConduit, NetError, RdConduit};
 
 use iwarp_common::memacct::MemScope;
-use iwarp_common::pool::BufPool;
 use iwarp_common::sg::SgBytes;
 
 use crate::buf::{MemoryRegion, MrTable};
-use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
+use crate::cq::Cq;
 use crate::error::{IwarpError, IwarpResult};
-use crate::hdr::{
-    decode_sg, DdpSegment, RdmapOpcode, ReadRequest, SegBatch, TaggedHdr, UntaggedHdr, CRC_LEN,
-    TAGGED_HDR_LEN, UNTAGGED_HDR_LEN,
-};
-use crate::qp::rx::{Delivery, Ingest, ReadReply, RxCore, QN_READ_REQUEST, QN_SEND};
+use crate::hdr::{decode_sg, RdmapOpcode};
+use crate::qp::rx::{Delivery, Ingest, RxCore};
+use crate::qp::tx::{TxCore, Verb, Wire};
 use crate::qp::QpConfig;
 use crate::wr::{RecvWr, SendPayload, SendWr, UdDest};
 
@@ -102,20 +97,6 @@ impl DgLlp {
         }
     }
 
-    fn pool(&self) -> BufPool {
-        match self {
-            DgLlp::Ud(c) => c.fabric().pool().clone(),
-            DgLlp::Rd(c) => c.fabric().pool().clone(),
-        }
-    }
-
-    fn max_datagram(&self) -> usize {
-        match self {
-            DgLlp::Ud(c) => c.max_datagram(),
-            DgLlp::Rd(c) => c.max_datagram(),
-        }
-    }
-
     fn local_addr(&self) -> Addr {
         match self {
             DgLlp::Ud(c) => c.local_addr(),
@@ -126,28 +107,27 @@ impl DgLlp {
     fn is_reliable(&self) -> bool {
         matches!(self, DgLlp::Rd(_))
     }
+
+    /// Where this LLP's transmits go.
+    fn wire(&self) -> Wire<'_> {
+        match self {
+            DgLlp::Ud(c) => Wire::Ud(c),
+            DgLlp::Rd(c) => Wire::Rd(c),
+        }
+    }
 }
 
 pub(crate) struct DgInner {
-    qpn: u32,
     llp: DgLlp,
-    send_cq: Cq,
+    tx: TxCore,
     pub(crate) rx: RxCore,
-    /// Send-side counting under `core.qp.*` and `pool.bytes_copied`.
-    tel: Telemetry,
-    next_msg_id: AtomicU64,
-    next_msn: AtomicU32,
-    max_msg_size: usize,
-    /// Header-buffer pool shared with the fabric ([`SegBatch`] draws each
-    /// transmit's `hdr ++ crc` arena from here).
-    pool: BufPool,
     shutdown: AtomicBool,
     _mem: Option<MemScope>,
 }
 
 impl DgInner {
     pub(crate) fn qpn(&self) -> u32 {
-        self.qpn
+        self.tx.qpn
     }
 
     /// See [`DgLlp::set_notify`].
@@ -155,330 +135,9 @@ impl DgInner {
         self.llp.set_notify(notify)
     }
 
-    /// The transmit pipeline behind every datagram verb call and every
-    /// read response. [`DatagramQp::post_send_batch`] documents its stages
-    /// and its one error contract.
-    fn transmit(&self, verb: Verb, wrs: &[SendWr]) -> IwarpResult<()> {
-        let mut result = Ok(());
-        let mut datas: Vec<Bytes> = Vec::with_capacity(wrs.len());
-        for wr in wrs {
-            match wr.payload.clone().into_bytes() {
-                Ok(d) if d.len() > self.max_msg_size && verb.is_posted() => {
-                    result = Err(IwarpError::MessageTooLong {
-                        len: d.len(),
-                        max: self.max_msg_size,
-                    });
-                    break;
-                }
-                Ok(d) => datas.push(d),
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        let wrs = &wrs[..datas.len()];
-        if wrs.is_empty() {
-            return result;
-        }
-
-        let forced = wrs.iter().any(|w| !w.signaled).then(|| {
-            let app: Vec<bool> = wrs.iter().map(|w| w.signaled).collect();
-            crate::signal::place_signals(&app, self.send_cq.capacity(), self.send_cq.len())
-        });
-
-        let cap = self.llp.max_datagram() - verb.hdr_len() - CRC_LEN;
-        let n_segs = datas.iter().map(|d| seg_count(d.len(), cap)).sum();
-        let mut arena = SegBatch::new(&self.pool, n_segs);
-        for (wr, data) in wrs.iter().zip(&datas) {
-            let msg_id = verb
-                .msg_id()
-                .unwrap_or_else(|| self.next_msg_id.fetch_add(1, Ordering::Relaxed));
-            let msn = match verb {
-                Verb::Send | Verb::ReadRequest { .. } => {
-                    self.next_msn.fetch_add(1, Ordering::Relaxed)
-                }
-                Verb::Write { .. } | Verb::ReadResponse { .. } => 0,
-            };
-            let n = seg_count(data.len(), cap);
-            if verb.is_posted() {
-                let tel = self.tel.core();
-                tel.qp_tx_msgs.inc();
-                tel.qp_tx_segments.add(n as u64);
-                tel.qp_msg_size_tx.record(data.len() as u64);
-            }
-            for k in 0..n {
-                let range = k * cap..((k + 1) * cap).min(data.len());
-                arena.push(verb.segment(self.qpn, msg_id, msn, wr.solicited, data, range));
-            }
-        }
-        let segs = arena.finish();
-
-        let flushed = match &self.llp {
-            DgLlp::Ud(c) => self.flush_ud(c, wrs, &datas, cap, segs),
-            DgLlp::Rd(c) => self.flush_rd(c, wrs, &datas, cap, segs),
-        };
-        let handed = match flushed {
-            Ok(()) => None,
-            Err((e, handed)) => {
-                if result.is_ok() {
-                    result = Err(e);
-                }
-                Some(handed)
-            }
-        };
-
-        let Some(opcode) = verb.send_cqe() else {
-            return result;
-        };
-        let mut retired = 0u64;
-        let cqes = wrs
-            .iter()
-            .zip(&datas)
-            .enumerate()
-            .filter_map(|(i, (wr, data))| {
-                let signaled = forced.as_ref().map_or(wr.signaled, |f| f[i]);
-                let (status, byte_len) = match handed.as_ref().map_or(Handed::Whole, |h| h[i]) {
-                    Handed::Whole if signaled => (CqeStatus::Success, data.len() as u32),
-                    Handed::Whole => {
-                        retired += 1;
-                        return None;
-                    }
-                    Handed::Failed { bytes } => (CqeStatus::Error, bytes),
-                    Handed::Unsent => return None,
-                };
-                Some(Cqe {
-                    wr_id: wr.wr_id,
-                    opcode,
-                    status,
-                    byte_len,
-                    src: None,
-                    write_record: None,
-                    imm: None,
-                    solicited: false,
-                })
-            });
-        self.send_cq.push_batch(cqes);
-        self.send_cq.retire_unsignaled(retired);
-        result
-    }
-
-    /// UD flush: one fabric burst per destination, in first-seen order.
-    /// Most calls name one destination and skip the grouping.
-    fn flush_ud(
-        &self,
-        c: &DgramConduit,
-        wrs: &[SendWr],
-        datas: &[Bytes],
-        cap: usize,
-        segs: Vec<SgBytes>,
-    ) -> Result<(), (IwarpError, Vec<Handed>)> {
-        let first = wrs[0].dest.addr;
-        if wrs.iter().all(|w| w.dest.addr == first) {
-            self.tel.core().qp_tx_bursts.inc();
-            return c
-                .send_sg_burst(first, segs)
-                .map_err(|e| (e.into(), vec![Handed::Failed { bytes: 0 }; wrs.len()]));
-        }
-        let mut dests: Vec<(Addr, Vec<SgBytes>)> = Vec::new();
-        let mut wr_dest: Vec<usize> = Vec::with_capacity(wrs.len());
-        let mut segs = segs.into_iter();
-        for (wr, data) in wrs.iter().zip(datas) {
-            let di = match dests.iter().position(|(a, _)| *a == wr.dest.addr) {
-                Some(di) => di,
-                None => {
-                    dests.push((wr.dest.addr, Vec::new()));
-                    dests.len() - 1
-                }
-            };
-            let n = seg_count(data.len(), cap);
-            dests[di].1.extend(segs.by_ref().take(n));
-            wr_dest.push(di);
-        }
-        for (di, (dst, segs)) in dests.into_iter().enumerate() {
-            self.tel.core().qp_tx_bursts.inc();
-            if let Err(e) = c.send_sg_burst(dst, segs) {
-                return Err((e.into(), Handed::around(wr_dest, di, 0)));
-            }
-        }
-        Ok(())
-    }
-
-    /// RD flush: segment by segment, each copied once, by the conduit,
-    /// into the frame it keeps for retransmission (counted: RD is not the
-    /// zero-copy path).
-    fn flush_rd(
-        &self,
-        c: &RdConduit,
-        wrs: &[SendWr],
-        datas: &[Bytes],
-        cap: usize,
-        segs: Vec<SgBytes>,
-    ) -> Result<(), (IwarpError, Vec<Handed>)> {
-        let mut segs = segs.into_iter();
-        for (i, (wr, data)) in wrs.iter().zip(datas).enumerate() {
-            for (k, seg) in segs.by_ref().take(seg_count(data.len(), cap)).enumerate() {
-                if let Err(e) = c.send_to(wr.dest.addr, seg) {
-                    let bytes = (k * cap) as u32;
-                    return Err((e.into(), Handed::around(0..wrs.len(), i, bytes)));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Segments a `len`-byte message takes at `cap` payload bytes per segment
-/// (an empty message still takes one).
-fn seg_count(len: usize, cap: usize) -> usize {
-    len.div_ceil(cap).max(1)
-}
-
-/// What one [`DgInner::transmit`] call carries. It decides each segment's
-/// DDP header, whether the call counts as posted sends, and how it
-/// completes.
-#[derive(Clone, Copy)]
-enum Verb {
-    /// Untagged Send on QN 0; completes on the send CQ.
-    Send,
-    /// Tagged RDMA Write, Write-Record or Write-with-Immediate into
-    /// `(stag, to)`; completes on the send CQ.
-    Write {
-        opcode: RdmapOpcode,
-        notify: bool,
-        stag: u32,
-        to: u64,
-        imm: u32,
-    },
-    /// Read Request on QN 1 for the read registered under `msg_id`; the
-    /// read completes on the receive CQ once its response lands.
-    ReadRequest { msg_id: u64 },
-    /// Read Response for the requester's read `msg_id`, placed at its
-    /// `(stag, to)`. The responder's reply to a verb posted elsewhere: it
-    /// is neither counted nor completed, and the requester sized it, so
-    /// `max_msg_size` does not bind it.
-    ReadResponse { msg_id: u64, stag: u32, to: u64 },
-}
-
-impl Verb {
-    fn hdr_len(self) -> usize {
-        match self {
-            Verb::Send | Verb::ReadRequest { .. } => UNTAGGED_HDR_LEN,
-            Verb::Write { .. } | Verb::ReadResponse { .. } => TAGGED_HDR_LEN,
-        }
-    }
-
-    /// True for verbs this QP's application posted (everything but a read
-    /// response).
-    fn is_posted(self) -> bool {
-        !matches!(self, Verb::ReadResponse { .. })
-    }
-
-    /// The message id a read names; `None` when each message takes a
-    /// fresh one.
-    fn msg_id(self) -> Option<u64> {
-        match self {
-            Verb::ReadRequest { msg_id } | Verb::ReadResponse { msg_id, .. } => Some(msg_id),
-            Verb::Send | Verb::Write { .. } => None,
-        }
-    }
-
-    /// The send-CQ opcode, for verbs that complete there.
-    fn send_cqe(self) -> Option<CqeOpcode> {
-        match self {
-            Verb::Send => Some(CqeOpcode::Send),
-            Verb::Write { .. } => Some(CqeOpcode::RdmaWrite),
-            Verb::ReadRequest { .. } | Verb::ReadResponse { .. } => None,
-        }
-    }
-
-    /// Segment `data[range]` of message `msg_id` (untagged: MSN `msn`)
-    /// from QP `src_qpn`.
-    fn segment(
-        self,
-        src_qpn: u32,
-        msg_id: u64,
-        msn: u32,
-        solicited: bool,
-        data: &Bytes,
-        range: std::ops::Range<usize>,
-    ) -> DdpSegment {
-        let (off, last, total_len) = (range.start, range.end == data.len(), data.len() as u32);
-        let payload = data.slice(range);
-        let untagged = |opcode, qn| UntaggedHdr {
-            opcode,
-            last,
-            qn,
-            msn,
-            mo: off as u32,
-            total_len,
-            src_qpn,
-            msg_id,
-            solicited,
-        };
-        let tagged = |opcode, notify, stag, to: u64, imm| TaggedHdr {
-            opcode,
-            last,
-            notify,
-            stag,
-            to: to + off as u64,
-            base_to: to,
-            total_len,
-            src_qpn,
-            msg_id,
-            imm,
-        };
-        match self {
-            Verb::Send => DdpSegment::Untagged {
-                hdr: untagged(RdmapOpcode::Send, QN_SEND),
-                payload,
-            },
-            Verb::ReadRequest { .. } => DdpSegment::Untagged {
-                hdr: untagged(RdmapOpcode::ReadRequest, QN_READ_REQUEST),
-                payload,
-            },
-            Verb::Write {
-                opcode,
-                notify,
-                stag,
-                to,
-                imm,
-            } => DdpSegment::Tagged {
-                hdr: tagged(opcode, notify, stag, to, imm),
-                payload,
-            },
-            Verb::ReadResponse { stag, to, .. } => DdpSegment::Tagged {
-                hdr: tagged(RdmapOpcode::ReadResponse, false, stag, to, 0),
-                payload,
-            },
-        }
-    }
-}
-
-/// How far one WR of a failed transmit got.
-#[derive(Clone, Copy)]
-enum Handed {
-    /// Every segment reached the transport.
-    Whole,
-    /// Its flush failed after `bytes` of it were handed over.
-    Failed { bytes: u32 },
-    /// Never flushed: the call ended first.
-    Unsent,
-}
-
-impl Handed {
-    /// Each WR's outcome, given the flush that carried it (`flush_of`,
-    /// flushes numbered in the order they ran) and the flush that
-    /// failed.
-    fn around(flush_of: impl IntoIterator<Item = usize>, failed: usize, bytes: u32) -> Vec<Handed> {
-        flush_of
-            .into_iter()
-            .map(|f| match f.cmp(&failed) {
-                Less => Handed::Whole,
-                Equal => Handed::Failed { bytes },
-                Greater => Handed::Unsent,
-            })
-            .collect()
+    /// Runs `wrs` through the transmit pipeline on this QP's LLP.
+    fn post(&self, verb: Verb, wrs: &[SendWr]) -> IwarpResult<()> {
+        self.tx.transmit(self.llp.wire(), verb, wrs)
     }
 }
 
@@ -507,25 +166,16 @@ impl DatagramQp {
         tel: &Telemetry,
         shards: Option<&Arc<crate::shard::ShardMap>>,
     ) -> Self {
-        let max_msg_size = cfg.max_msg_size;
         let delivery = if llp.is_reliable() {
             Delivery::Reliable
         } else {
             Delivery::Unreliable
         };
-        send_cq.attach_telemetry(tel);
         recv_cq.attach_telemetry(tel);
-        let pool = llp.pool();
         let inner = Arc::new(DgInner {
+            tx: TxCore::new(qpn, send_cq, cfg.max_msg_size, tel),
             rx: RxCore::new(mrs, recv_cq, cfg, delivery, tel, llp.local_addr()),
-            tel: tel.clone(),
-            qpn,
             llp,
-            send_cq,
-            next_msg_id: AtomicU64::new(1),
-            next_msn: AtomicU32::new(1),
-            max_msg_size,
-            pool,
             shutdown: AtomicBool::new(false),
             _mem: mem,
         });
@@ -597,7 +247,7 @@ impl DatagramQp {
     /// [`Self::local_addr`]).
     #[must_use]
     pub fn qpn(&self) -> u32 {
-        self.inner.qpn
+        self.inner.tx.qpn
     }
 
     /// The conduit address peers send to.
@@ -624,7 +274,7 @@ impl DatagramQp {
     /// The send completion queue.
     #[must_use]
     pub fn send_cq(&self) -> &Cq {
-        &self.inner.send_cq
+        &self.inner.tx.send_cq
     }
 
     /// The receive completion queue.
@@ -642,20 +292,7 @@ impl DatagramQp {
     /// Largest message this QP will send.
     #[must_use]
     pub fn max_msg_size(&self) -> usize {
-        self.inner.max_msg_size
-    }
-
-    /// DDP segment payload capacity per datagram: each segment must fit a
-    /// single datagram (the paper's §IV.B "one DDP segment per datagram").
-    #[must_use]
-    pub fn untagged_seg_capacity(&self) -> usize {
-        self.inner.llp.max_datagram() - UNTAGGED_HDR_LEN - CRC_LEN
-    }
-
-    /// Tagged-segment payload capacity per datagram.
-    #[must_use]
-    pub fn tagged_seg_capacity(&self) -> usize {
-        self.inner.llp.max_datagram() - TAGGED_HDR_LEN - CRC_LEN
+        self.inner.tx.max_msg_size
     }
 
     /// Posts a receive work request.
@@ -689,7 +326,7 @@ impl DatagramQp {
         dest: UdDest,
     ) -> IwarpResult<()> {
         let wr = SendWr::new(wr_id, payload, dest);
-        self.inner.transmit(Verb::Send, &[wr])
+        self.inner.post(Verb::Send, &[wr])
     }
 
     /// Posts a **send with solicited event**: identical to
@@ -707,24 +344,27 @@ impl DatagramQp {
             solicited: true,
             ..SendWr::new(wr_id, payload, dest)
         };
-        self.inner.transmit(Verb::Send, &[wr])
+        self.inner.post(Verb::Send, &[wr])
     }
 
     /// Posts a batch of untagged sends — the multi-WR doorbell, and the
-    /// general form of the one transmit pipeline that every datagram verb
-    /// (sends, writes, read requests and the responder's read responses)
-    /// runs:
+    /// general form of the one transmit pipeline that every verb on every
+    /// QP flavour (sends, writes, read requests and the responder's read
+    /// responses, on UD, RD and [`crate::RcQp`]) runs:
     ///
     /// 1. **Validate**: each payload is materialized and size-checked.
     /// 2. **Place signals** over the accepted WRs
     ///    ([`crate::signal::place_signals`], against the send CQ's
     ///    capacity and occupancy), so an unsignaled chain can never
     ///    deadlock a full CQ and a forced signal lands on a posted WR.
-    /// 3. **Segment and encode**: one DDP segment per datagram; every
-    ///    header and CRC trailer of the call comes from one pooled arena.
+    /// 3. **Segment and encode**: on UD and RD, one DDP segment per
+    ///    datagram, every header and CRC trailer of the call from one
+    ///    pooled arena; on RC, one MPA FPDU per segment, the call's FPDUs
+    ///    framed into one buffer.
     /// 4. **Flush**: on UD, one fabric burst per destination in first-seen
     ///    order ([`DgramConduit::send_sg_burst`]); on RD, segment by
-    ///    segment, since the windowed conduit keeps owned messages.
+    ///    segment, since the windowed conduit keeps owned messages; on RC,
+    ///    one stream write, still under the MPA lock the framing took.
     /// 5. **Complete** in WR order under one CQ lock round
     ///    ([`Cq::push_batch`]). A WR is done once its last segment is
     ///    handed to the transport (paper §IV.B.3): signaled WRs complete
@@ -734,18 +374,18 @@ impl DatagramQp {
     /// Wire bytes, CQE contents and CQE order are identical to posting
     /// each WR with [`Self::post_send`].
     ///
-    /// The error contract, the same for every verb: a WR that fails
-    /// validation (oversized payload, revoked region) ends the call
+    /// The error contract, the same for every verb and QP: a WR that
+    /// fails validation (oversized payload, revoked region) ends the call
     /// before anything is sent. The WRs before it are posted, it and the
     /// WRs after it get no CQE, and its error returns. The first flush
-    /// that fails (RD after a reset; UD segments always fit the wire)
-    /// ends the call too. The WRs it carried complete with
-    /// [`CqeStatus::Error`], signaled or not, with `byte_len` counting
-    /// their bytes handed over before it; WRs not yet flushed get no CQE;
-    /// and the flush error returns. Read requests and responses never
-    /// leave a send CQE.
+    /// that fails (RD after a reset, RC on a failed stream; UD segments
+    /// always fit the wire) ends the call too. The WRs it carried
+    /// complete with [`CqeStatus::Error`](crate::cq::CqeStatus::Error),
+    /// signaled or not, with `byte_len` counting their bytes handed over
+    /// before it; WRs not yet flushed get no CQE; and the flush error
+    /// returns. Read requests and responses never leave a send CQE.
     pub fn post_send_batch(&self, wrs: &[SendWr]) -> IwarpResult<()> {
-        self.inner.transmit(Verb::Send, wrs)
+        self.inner.post(Verb::Send, wrs)
     }
 
     /// Posts an **RDMA Write-Record** to `(remote_stag, remote_to)` on the
@@ -760,15 +400,8 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        let verb = Verb::Write {
-            opcode: RdmapOpcode::WriteRecord,
-            notify: true,
-            stag: remote_stag,
-            to: remote_to,
-            imm: 0,
-        };
-        self.inner
-            .transmit(verb, &[SendWr::new(wr_id, payload, dest)])
+        let verb = Verb::write(RdmapOpcode::WriteRecord, remote_stag, remote_to, 0);
+        self.inner.post(verb, &[SendWr::new(wr_id, payload, dest)])
     }
 
     /// Posts an InfiniBand-style **RDMA Write with Immediate**: data is
@@ -785,45 +418,15 @@ impl DatagramQp {
         remote_to: u64,
         imm: u32,
     ) -> IwarpResult<()> {
-        let verb = Verb::Write {
-            opcode: RdmapOpcode::RdmaWriteImm,
-            notify: true,
-            stag: remote_stag,
-            to: remote_to,
-            imm,
-        };
-        self.inner
-            .transmit(verb, &[SendWr::new(wr_id, payload, dest)])
-    }
-
-    /// Posts a plain RDMA Write (no target-side completion). Only
-    /// meaningful on RD mode, where delivery is guaranteed; on UD the
-    /// target application would have no way to learn the data arrived —
-    /// use [`Self::post_write_record`] there (the paper's point).
-    pub fn post_write(
-        &self,
-        wr_id: u64,
-        payload: impl Into<SendPayload>,
-        dest: UdDest,
-        remote_stag: u32,
-        remote_to: u64,
-    ) -> IwarpResult<()> {
-        let verb = Verb::Write {
-            opcode: RdmapOpcode::RdmaWrite,
-            notify: false,
-            stag: remote_stag,
-            to: remote_to,
-            imm: 0,
-        };
-        self.inner
-            .transmit(verb, &[SendWr::new(wr_id, payload, dest)])
+        let verb = Verb::write(RdmapOpcode::RdmaWriteImm, remote_stag, remote_to, imm);
+        self.inner.post(verb, &[SendWr::new(wr_id, payload, dest)])
     }
 
     /// Posts an RDMA Read (paper future-work extension): fetches
     /// `len` bytes from `(remote_stag, remote_to)` on `dest` into
     /// `(sink, sink_to)`. Completes on the **receive** CQ with the given
     /// `wr_id`; if the response is lost on UD, the completion carries
-    /// [`CqeStatus::Expired`] after the configured read TTL.
+    /// [`CqeStatus::Expired`](crate::cq::CqeStatus::Expired) after the configured read TTL.
     #[allow(clippy::too_many_arguments)]
     pub fn post_read(
         &self,
@@ -835,7 +438,10 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_read_inner(
+        let inner = &self.inner;
+        inner.tx.post_read(
+            inner.llp.wire(),
+            &inner.rx,
             wr_id,
             sink,
             sink_to,
@@ -851,7 +457,7 @@ impl DatagramQp {
     /// the completed `wr_id` is instead retired into a drainable list
     /// ([`Self::take_retired_reads`]) and counted under
     /// `core.cq.unsignaled_retired`. A read that *expires* (response lost
-    /// past the read TTL) always surfaces an [`CqeStatus::Expired`] CQE,
+    /// past the read TTL) always surfaces an [`CqeStatus::Expired`](crate::cq::CqeStatus::Expired) CQE,
     /// signaled or not — errors are never silent. This is the
     /// `sq_sig_all=0` discipline for the streaming-read engine
     /// ([`crate::read::BulkRead`]).
@@ -866,7 +472,10 @@ impl DatagramQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_read_inner(
+        let inner = &self.inner;
+        inner.tx.post_read(
+            inner.llp.wire(),
+            &inner.rx,
             wr_id,
             sink,
             sink_to,
@@ -892,45 +501,6 @@ impl DatagramQp {
     /// completions cannot be taken for the next's.
     pub fn cancel_reads(&self, lo: u64, hi: u64) -> usize {
         self.inner.rx.cancel_reads(lo, hi)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post_read_inner(
-        &self,
-        wr_id: u64,
-        sink: &MemoryRegion,
-        sink_to: u64,
-        len: u32,
-        dest: UdDest,
-        remote_stag: u32,
-        remote_to: u64,
-        signaled: bool,
-    ) -> IwarpResult<()> {
-        // Validate the sink locally before emitting the request.
-        sink.read_bytes(sink_to, 0)?;
-        if u64::from(len) + sink_to > sink.len() as u64 {
-            return Err(IwarpError::AccessViolation {
-                stag: sink.stag(),
-                offset: sink_to,
-                len,
-            });
-        }
-        let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.rx.register_read(
-            msg_id,
-            RxCore::new_pending_read(wr_id, sink.clone(), sink_to, len, signaled),
-        );
-        let req = ReadRequest {
-            sink_stag: sink.stag(),
-            sink_to,
-            len,
-            src_stag: remote_stag,
-            src_to: remote_to,
-        };
-        self.inner.transmit(
-            Verb::ReadRequest { msg_id },
-            &[SendWr::new(wr_id, req.encode(), dest)],
-        )
     }
 
     /// Write-Record messages at this *target* still awaiting their final
@@ -972,7 +542,7 @@ impl DatagramQp {
 impl std::fmt::Debug for DatagramQp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DatagramQp")
-            .field("qpn", &self.inner.qpn)
+            .field("qpn", &self.inner.tx.qpn)
             .field("addr", &self.local_addr())
             .field("reliable", &self.is_reliable())
             .finish()
@@ -1038,7 +608,9 @@ fn rx_step(inner: &DgInner, max_wait: Duration) -> bool {
 /// dropped.
 fn rx_dispatch(inner: &DgInner, src: Addr, dgram: &SgBytes) {
     if let Ingest::Respond(reply) = inner.rx.ingest(src, decode_sg(dgram, true)) {
-        respond(inner, reply);
+        // A response that cannot be sent is the requester's to recover:
+        // its read expires.
+        let _ = inner.tx.respond(inner.llp.wire(), reply);
     }
 }
 
@@ -1060,23 +632,4 @@ pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> bool {
     }
     inner.rx.expire();
     true
-}
-
-/// Sends an RDMA Read Response through the transmit pipeline. A response
-/// that cannot be sent is the requester's to recover: its read expires.
-fn respond(inner: &DgInner, reply: ReadReply) {
-    let ReadReply {
-        dst,
-        sink_stag,
-        sink_to,
-        data,
-        msg_id,
-    } = reply;
-    let verb = Verb::ReadResponse {
-        msg_id,
-        stag: sink_stag,
-        to: sink_to,
-    };
-    let dest = UdDest { addr: dst, qpn: 0 };
-    let _ = inner.transmit(verb, &[SendWr::new(0, data, dest)]);
 }

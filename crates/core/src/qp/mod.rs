@@ -24,6 +24,7 @@
 pub(crate) mod dgram;
 pub(crate) mod rc;
 pub(crate) mod rx;
+pub(crate) mod tx;
 
 pub use dgram::{DatagramQp, QpStats};
 pub use rc::{RcListener, RcQp};

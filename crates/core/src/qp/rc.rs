@@ -6,12 +6,19 @@
 //! the MPA layer with stream markers and a CRC. One-sided RDMA Writes are
 //! silent at the target, so notification costs an extra send/recv
 //! (paper Fig. 3 top) — unlike Write-Record.
+//!
+//! Its verbs run the datagram QP's transmit pipeline (`qp/tx.rs`, see
+//! [`crate::qp::DatagramQp::post_send_batch`]) toward the connection's peer,
+//! with one flush of its own: the call's FPDUs are framed and written to
+//! the stream under one hold of the MPA sender lock. The pipeline's error
+//! contract holds here too, and a post on a connection the engine has
+//! already found failed is refused before anything is sent, with no CQE.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use iwarp_telemetry::Telemetry;
 use parking_lot::Mutex;
 use simnet::stream::StreamConfig;
@@ -21,31 +28,23 @@ use iwarp_common::memacct::MemScope;
 
 use crate::buf::{MemoryRegion, MrTable};
 use crate::cm;
-use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
+use crate::cq::Cq;
 use crate::error::{IwarpError, IwarpResult};
-use crate::hdr::{
-    tagged_hdr_bytes, untagged_hdr_bytes, RdmapOpcode, ReadRequest, TaggedHdr, UntaggedHdr,
-    UNTAGGED_HDR_LEN,
-};
-use crate::mpa::{MpaConfig, MpaRx, MpaTx, FPDU_OVERHEAD};
-use crate::qp::rx::{Delivery, Ingest, ReadReply, RxCore, QN_READ_REQUEST, QN_SEND};
+use crate::hdr::RdmapOpcode;
+use crate::mpa::{MpaConfig, MpaRx, MpaTx};
+use crate::qp::rx::{Delivery, Ingest, RxCore};
+use crate::qp::tx::{TxCore, Verb, Wire};
 use crate::qp::{QpConfig, QpStats};
-use crate::wr::{RecvWr, SendPayload};
+use crate::wr::{RecvWr, SendPayload, SendWr, UdDest};
 
 struct RcInner {
-    qpn: u32,
-    peer_qpn: u32,
+    /// The peer QP at the stream's far end: every transmit's destination.
+    peer: UdDest,
     stream: StreamConduit,
-    tx: Mutex<MpaTx>,
-    send_cq: Cq,
+    /// The MPA sender: the stream position every FPDU is framed at.
+    mpa: Mutex<MpaTx>,
+    tx: TxCore,
     rx: RxCore,
-    /// Send-side counting under `core.qp.*` and `core.mpa.markers_tx`.
-    tel: Telemetry,
-    next_msg_id: AtomicU64,
-    next_msn: AtomicU32,
-    max_msg_size: usize,
-    /// DDP segment payload budget per FPDU (≈ one TCP segment).
-    emss: usize,
     error: Mutex<Option<IwarpError>>,
     shutdown: AtomicBool,
     /// Receive-side deframing state (MPA position, staging buffer).
@@ -78,79 +77,19 @@ impl RcInner {
         }
     }
 
-    /// Sends one message: splits `data` into DDP segments of at most
-    /// `emss` payload bytes, frames them all into one buffer under the TX
-    /// lock (FPDU order must match marker positions exactly), and hands
-    /// the buffer to the stream in one write, one slice per FPDU.
-    /// `hdr(off, end)` encodes the header of the segment carrying
-    /// `data[off..end]`.
-    fn write_message<const H: usize>(
-        &self,
-        data: &[u8],
-        mut hdr: impl FnMut(usize, usize) -> [u8; H],
-    ) -> IwarpResult<()> {
-        let cap = self.emss;
-        let nsegs = data.len().div_ceil(cap).max(1);
-        let mut tx = self.tx.lock();
-        let before = tx.markers();
-        let mut framed =
-            BytesMut::with_capacity(nsegs * tx.framed_len_bound(H + cap.min(data.len())));
-        let mut ends = Vec::with_capacity(nsegs);
-        let mut off = 0usize;
-        loop {
-            self.tel.core().qp_tx_segments.inc();
-            let end = (off + cap).min(data.len());
-            tx.frame_into(&mut framed, &hdr(off, end), &data[off..end]);
-            ends.push(framed.len());
-            if end == data.len() {
-                break;
-            }
-            off = end;
+    /// Where this QP's transmits go.
+    fn wire(&self) -> Wire<'_> {
+        Wire::Rc {
+            mpa: &self.mpa,
+            stream: &self.stream,
         }
-        self.tel.core().mpa_markers_tx.add(tx.markers() - before);
-        let mut start = 0;
-        let fpdus: Vec<&[u8]> = ends
-            .iter()
-            .map(|&end| {
-                let fpdu = &framed[start..end];
-                start = end;
-                fpdu
-            })
-            .collect();
-        self.stream.write_all_vectored(&fpdus)?;
-        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_tagged_message(
-        &self,
-        opcode: RdmapOpcode,
-        notify: bool,
-        stag: u32,
-        to: u64,
-        data: &[u8],
-        msg_id: u64,
-        imm: u32,
-    ) -> IwarpResult<()> {
-        let total = data.len() as u32;
-        let tel = self.tel.core();
-        tel.qp_tx_msgs.inc();
-        tel.qp_msg_size_tx.record(u64::from(total));
-        // No DDP CRC on the stream path: MPA already covers each FPDU.
-        self.write_message(data, |off, end| {
-            tagged_hdr_bytes(&TaggedHdr {
-                opcode,
-                last: end == data.len(),
-                notify,
-                stag,
-                to: to + off as u64,
-                base_to: to,
-                total_len: total,
-                src_qpn: self.qpn,
-                msg_id,
-                imm,
-            })
-        })
+    /// Posts one WR of `verb` through the transmit pipeline, unless the
+    /// connection has failed.
+    fn post(&self, verb: Verb, wr: SendWr) -> IwarpResult<()> {
+        self.check_ok()?;
+        self.tx.transmit(self.wire(), verb, &[wr])
     }
 }
 
@@ -188,27 +127,17 @@ impl RcQp {
             mem,
             tel,
         } = parts;
-        send_cq.attach_telemetry(&tel);
         recv_cq.attach_telemetry(&tel);
-        let marker_slack = 32; // worst-case markers within one FPDU budget
-        let emss = stream
-            .mss()
-            .saturating_sub(FPDU_OVERHEAD + UNTAGGED_HDR_LEN + marker_slack)
-            .max(256);
-        let max_msg_size = cfg.max_msg_size;
         let local = stream.local_addr();
         let inner = Arc::new(RcInner {
+            tx: TxCore::new(qpn, send_cq, cfg.max_msg_size, &tel),
             rx: RxCore::new(mrs, recv_cq, cfg, Delivery::Stream, &tel, local),
-            tel,
-            qpn,
-            peer_qpn,
-            tx: Mutex::new(MpaTx::new(mpa)),
+            peer: UdDest {
+                addr: stream.peer_addr(),
+                qpn: peer_qpn,
+            },
+            mpa: Mutex::new(MpaTx::new(mpa)),
             stream,
-            send_cq,
-            next_msg_id: AtomicU64::new(1),
-            next_msn: AtomicU32::new(1),
-            max_msg_size,
-            emss,
             error: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             rx_state: Mutex::new(RcRxState {
@@ -244,13 +173,13 @@ impl RcQp {
     /// This QP's number.
     #[must_use]
     pub fn qpn(&self) -> u32 {
-        self.inner.qpn
+        self.inner.tx.qpn
     }
 
     /// The peer QP's number (learned during MPA negotiation).
     #[must_use]
     pub fn peer_qpn(&self) -> u32 {
-        self.inner.peer_qpn
+        self.inner.peer.qpn
     }
 
     /// Local stream endpoint address.
@@ -268,7 +197,7 @@ impl RcQp {
     /// The send completion queue.
     #[must_use]
     pub fn send_cq(&self) -> &Cq {
-        &self.inner.send_cq
+        &self.inner.tx.send_cq
     }
 
     /// The receive completion queue.
@@ -293,7 +222,8 @@ impl RcQp {
     /// Posts an untagged send. Completes once every FPDU has been handed
     /// to the stream (kernel-bypass analog of DMA-to-NIC completion).
     pub fn post_send(&self, wr_id: u64, payload: impl Into<SendPayload>) -> IwarpResult<()> {
-        self.post_untagged(wr_id, payload.into(), false)
+        let wr = SendWr::new(wr_id, payload, self.inner.peer);
+        self.inner.post(Verb::Send, wr)
     }
 
     /// Posts a **send with solicited event** (the target's completion is
@@ -303,48 +233,11 @@ impl RcQp {
         wr_id: u64,
         payload: impl Into<SendPayload>,
     ) -> IwarpResult<()> {
-        self.post_untagged(wr_id, payload.into(), true)
-    }
-
-    fn post_untagged(&self, wr_id: u64, payload: SendPayload, solicited: bool) -> IwarpResult<()> {
-        self.inner.check_ok()?;
-        let data = payload.into_bytes()?;
-        if data.len() > self.inner.max_msg_size {
-            return Err(IwarpError::MessageTooLong {
-                len: data.len(),
-                max: self.inner.max_msg_size,
-            });
-        }
-        let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        let msn = self.inner.next_msn.fetch_add(1, Ordering::Relaxed);
-        let total = data.len() as u32;
-        let tel = self.inner.tel.core();
-        tel.qp_tx_msgs.inc();
-        tel.qp_msg_size_tx.record(u64::from(total));
-        self.inner.write_message(&data, |mo, end| {
-            untagged_hdr_bytes(&UntaggedHdr {
-                opcode: RdmapOpcode::Send,
-                last: end == data.len(),
-                solicited,
-                qn: QN_SEND,
-                msn,
-                mo: mo as u32,
-                total_len: total,
-                src_qpn: self.inner.qpn,
-                msg_id,
-            })
-        })?;
-        self.inner.send_cq.push(Cqe {
-            wr_id,
-            opcode: CqeOpcode::Send,
-            status: CqeStatus::Success,
-            byte_len: total,
-            src: None,
-            write_record: None,
-            imm: None,
-            solicited: false,
-        });
-        Ok(())
+        let wr = SendWr {
+            solicited: true,
+            ..SendWr::new(wr_id, payload, self.inner.peer)
+        };
+        self.inner.post(Verb::Send, wr)
     }
 
     /// Posts a standard RDMA Write: data lands silently in the target's
@@ -357,15 +250,9 @@ impl RcQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_tagged_common(
-            wr_id,
-            payload,
-            remote_stag,
-            remote_to,
-            RdmapOpcode::RdmaWrite,
-            false,
-            0,
-        )
+        let verb = Verb::write(RdmapOpcode::RdmaWrite, remote_stag, remote_to, 0);
+        let wr = SendWr::new(wr_id, payload, self.inner.peer);
+        self.inner.post(verb, wr)
     }
 
     /// Posts an InfiniBand-style **RDMA Write with Immediate** over the
@@ -379,15 +266,9 @@ impl RcQp {
         remote_to: u64,
         imm: u32,
     ) -> IwarpResult<()> {
-        self.post_tagged_common(
-            wr_id,
-            payload,
-            remote_stag,
-            remote_to,
-            RdmapOpcode::RdmaWriteImm,
-            true,
-            imm,
-        )
+        let verb = Verb::write(RdmapOpcode::RdmaWriteImm, remote_stag, remote_to, imm);
+        let wr = SendWr::new(wr_id, payload, self.inner.peer);
+        self.inner.post(verb, wr)
     }
 
     /// Posts an RDMA Write-Record over the reliable connection. The paper
@@ -400,57 +281,9 @@ impl RcQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.post_tagged_common(
-            wr_id,
-            payload,
-            remote_stag,
-            remote_to,
-            RdmapOpcode::WriteRecord,
-            true,
-            0,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn post_tagged_common(
-        &self,
-        wr_id: u64,
-        payload: impl Into<SendPayload>,
-        remote_stag: u32,
-        remote_to: u64,
-        opcode: RdmapOpcode,
-        notify: bool,
-        imm: u32,
-    ) -> IwarpResult<()> {
-        self.inner.check_ok()?;
-        let data = payload.into().into_bytes()?;
-        if data.len() > self.inner.max_msg_size {
-            return Err(IwarpError::MessageTooLong {
-                len: data.len(),
-                max: self.inner.max_msg_size,
-            });
-        }
-        let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.send_tagged_message(
-            opcode,
-            notify,
-            remote_stag,
-            remote_to,
-            &data,
-            msg_id,
-            imm,
-        )?;
-        self.inner.send_cq.push(Cqe {
-            wr_id,
-            opcode: CqeOpcode::RdmaWrite,
-            status: CqeStatus::Success,
-            byte_len: data.len() as u32,
-            src: None,
-            write_record: None,
-            imm: None,
-            solicited: false,
-        });
-        Ok(())
+        let verb = Verb::write(RdmapOpcode::WriteRecord, remote_stag, remote_to, 0);
+        let wr = SendWr::new(wr_id, payload, self.inner.peer);
+        self.inner.post(verb, wr)
     }
 
     /// Posts an RDMA Read from `(remote_stag, remote_to)` into
@@ -464,48 +297,28 @@ impl RcQp {
         remote_stag: u32,
         remote_to: u64,
     ) -> IwarpResult<()> {
-        self.inner.check_ok()?;
-        if u64::from(len) + sink_to > sink.len() as u64 {
-            return Err(IwarpError::AccessViolation {
-                stag: sink.stag(),
-                offset: sink_to,
-                len,
-            });
-        }
-        let msg_id = self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.rx.register_read(
-            msg_id,
-            RxCore::new_pending_read(wr_id, sink.clone(), sink_to, len, true),
-        );
-        let req = ReadRequest {
-            sink_stag: sink.stag(),
+        let inner = &self.inner;
+        inner.check_ok()?;
+        inner.tx.post_read(
+            inner.wire(),
+            &inner.rx,
+            wr_id,
+            sink,
             sink_to,
             len,
-            src_stag: remote_stag,
-            src_to: remote_to,
-        };
-        let hdr = UntaggedHdr {
-            opcode: RdmapOpcode::ReadRequest,
-            last: true,
-            solicited: false,
-            qn: QN_READ_REQUEST,
-            msn: self.inner.next_msn.fetch_add(1, Ordering::Relaxed),
-            mo: 0,
-            total_len: crate::hdr::READ_REQUEST_LEN as u32,
-            src_qpn: self.inner.qpn,
-            msg_id,
-        };
-        self.inner.tel.core().qp_tx_msgs.inc();
-        self.inner
-            .write_message(&req.encode(), |_, _| untagged_hdr_bytes(&hdr))
+            inner.peer,
+            remote_stag,
+            remote_to,
+            true,
+        )
     }
 }
 
 impl std::fmt::Debug for RcQp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RcQp")
-            .field("qpn", &self.inner.qpn)
-            .field("peer_qpn", &self.inner.peer_qpn)
+            .field("qpn", &self.inner.tx.qpn)
+            .field("peer_qpn", &self.inner.peer.qpn)
             .field("local", &self.local_addr())
             .field("peer", &self.peer_addr())
             .finish()
@@ -617,35 +430,13 @@ fn drain_pending(inner: &RcInner, peer: simnet::Addr, state: &mut RcRxState) -> 
             }
             Ingest::Respond(reply) => {
                 state.pending.pop_front();
-                respond(inner, reply);
+                if inner.tx.respond(inner.wire(), reply).is_err() {
+                    inner.fail(IwarpError::Net(NetError::Closed));
+                }
             }
         }
     }
     true
-}
-
-fn respond(inner: &RcInner, reply: ReadReply) {
-    let ReadReply {
-        sink_stag,
-        sink_to,
-        data,
-        msg_id,
-        ..
-    } = reply;
-    if inner
-        .send_tagged_message(
-            RdmapOpcode::ReadResponse,
-            false,
-            sink_stag,
-            sink_to,
-            &data,
-            msg_id,
-            0,
-        )
-        .is_err()
-    {
-        inner.fail(IwarpError::Net(NetError::Closed));
-    }
 }
 
 /// Accepts incoming RC connections: stream accept + MPA negotiation.

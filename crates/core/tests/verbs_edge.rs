@@ -1,14 +1,15 @@
 //! Edge-case tests for the verbs layer: error paths, limits, teardown.
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use bytes::Bytes;
 use iwarp::cm::mpa_connect;
 use iwarp::mpa::MpaConfig;
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, IwarpError, QpConfig};
+use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, IwarpError, QpConfig, RcQp};
 use simnet::stream::StreamConfig;
-use simnet::{Addr, Fabric, NetError, NodeId, StreamConduit};
+use simnet::{Addr, Fabric, FaultPlan, NetError, NodeId, PartitionWindow, StreamConduit};
 
 const TO: Duration = Duration::from_secs(5);
 
@@ -357,4 +358,146 @@ fn ud_multicast_send_reaches_every_member_qp() {
         .create_rd_qp(None, &scq, &rcq, QpConfig::default())
         .unwrap();
     assert!(rd.join_multicast(group).is_err());
+}
+
+/// An RC connection from device `a` to a listener on `b`'s `port`, both
+/// QPs built with `cfg`: `(client, server, [c_send, c_recv, s_send,
+/// s_recv])`.
+fn rc_pair(
+    a: &Device,
+    b: &Device,
+    port: u16,
+    cfg: &QpConfig,
+    cq_depth: usize,
+) -> (RcQp, RcQp, [Cq; 4]) {
+    let cqs = [(); 4].map(|()| Cq::new(cq_depth));
+    let listener = b.rc_listen(port).unwrap();
+    let (client, server) = std::thread::scope(|s| {
+        let srv = s.spawn(|| listener.accept(TO, &cqs[2], &cqs[3], cfg.clone()).unwrap());
+        let client = a
+            .rc_connect(listener.local_addr(), &cqs[0], &cqs[1], cfg.clone())
+            .unwrap();
+        (client, srv.join().unwrap())
+    });
+    (client, server, cqs)
+}
+
+/// RC's share of the one send error contract: a flush that fails while
+/// the QP has not yet seen the error completes the WR it carried with
+/// `Error` and returns the error. The wire is partitioned and the message
+/// is larger than the send buffer, so the post itself waits for ACKs that
+/// never come until the stream's retries run out. A poll-mode QP nobody
+/// drives has not seen that; once its engine has, a post is refused
+/// before any flush and leaves no CQE.
+#[test]
+fn rc_failed_flush_completes_its_wr_with_error() {
+    let fab = Fabric::loopback();
+    let dev_cfg = DeviceConfig {
+        stream: StreamConfig {
+            rto_initial: Duration::from_millis(2),
+            rto_max: Duration::from_millis(4),
+            max_retries: 3,
+            ..StreamConfig::default()
+        },
+        ..DeviceConfig::default()
+    };
+    let cfg = QpConfig {
+        poll_mode: true,
+        ..QpConfig::default()
+    };
+    let a = Device::with_config(&fab, NodeId(0), dev_cfg.clone());
+    let b = Device::with_config(&fab, NodeId(1), dev_cfg.clone());
+    let (qa, _qb, [a_s, ..]) = rc_pair(&a, &b, 4730, &cfg, 16);
+    fab.install_fault_plan(FaultPlan {
+        partitions: vec![PartitionWindow {
+            start: 0,
+            end: u64::MAX,
+        }],
+        ..FaultPlan::quiet(1)
+    });
+
+    let big = vec![0x5Au8; 4 * dev_cfg.stream.snd_buf];
+    let err = qa.post_send(7, big).unwrap_err();
+    assert!(matches!(err, IwarpError::Net(NetError::Reset)), "{err:?}");
+    let cqe = a_s
+        .poll()
+        .expect("the WR the failed flush carried completes");
+    assert_eq!(
+        (cqe.wr_id, cqe.opcode, cqe.status, cqe.byte_len),
+        (7, CqeOpcode::Send, CqeStatus::Error, 0)
+    );
+    assert!(a_s.poll().is_none());
+
+    qa.progress(Duration::ZERO);
+    assert!(qa.post_send(8, &b"x"[..]).is_err());
+    assert!(a_s.poll().is_none(), "a refused post left a CQE");
+}
+
+/// Two threads posting sends on one threaded RC QP: every message arrives
+/// whole, in each thread's order, with no MPA CRC or marker error. MPA
+/// markers sit at fixed stream positions, so a call must frame its FPDUs
+/// and write them under one hold of the MPA sender lock; a write that let
+/// the other thread's FPDUs in between would put markers where the
+/// receiver does not expect them and fail the connection.
+#[test]
+fn concurrent_rc_posters_keep_the_stream_framed() {
+    const PER_THREAD: u32 = 1500;
+    const SLOTS: u64 = 64;
+    const SLOT: usize = 4096;
+    let payload = |t: u8, seq: u32| -> Vec<u8> {
+        let len = 8 + (seq as usize * 997 + usize::from(t) * 331) % 3000;
+        let mut p: Vec<u8> = (0..len)
+            .map(|i| (i as u32 ^ seq.wrapping_mul(31)) as u8 ^ t)
+            .collect();
+        p[0] = t;
+        p[1..5].copy_from_slice(&seq.to_le_bytes());
+        p
+    };
+    let fab = Fabric::loopback();
+    let (a, b) = (Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1)));
+    let (qa, qb, [a_s, _, _, b_r]) = rc_pair(&a, &b, 4740, &QpConfig::default(), 4096);
+    let sink = b.register(SLOTS as usize * SLOT, Access::Local);
+    let recv = |slot: u64| RecvWr {
+        wr_id: slot,
+        mr: sink.clone(),
+        offset: slot * SLOT as u64,
+        len: SLOT as u32,
+    };
+    for slot in 0..SLOTS {
+        qb.post_recv(recv(slot)).unwrap();
+    }
+    std::thread::scope(|s| {
+        for t in 0..2u8 {
+            let qa = &qa;
+            s.spawn(move || {
+                for seq in 0..PER_THREAD {
+                    qa.post_send(u64::from(seq), payload(t, seq)).unwrap();
+                }
+            });
+        }
+        let mut next = [0u32; 2];
+        for _ in 0..2 * PER_THREAD {
+            let c = b_r.poll_timeout(TO).unwrap_or_else(|e| {
+                panic!(
+                    "delivery stopped at {next:?}: {e:?}, stats {:?}",
+                    qb.stats()
+                )
+            });
+            assert_eq!(c.status, CqeStatus::Success, "{c:?}");
+            let got = sink
+                .read_vec(c.wr_id * SLOT as u64, c.byte_len as usize)
+                .unwrap();
+            let t = got[0];
+            let seq = u32::from_le_bytes(got[1..5].try_into().unwrap());
+            assert_eq!(seq, next[usize::from(t)], "thread {t} out of order");
+            assert_eq!(got, payload(t, seq), "thread {t} message {seq}");
+            next[usize::from(t)] += 1;
+            qb.post_recv(recv(c.wr_id)).unwrap();
+        }
+    });
+    let stats = qb.stats();
+    assert_eq!(stats.crc_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.malformed.load(Ordering::Relaxed), 0);
+    let sends = std::iter::from_fn(|| a_s.poll()).count();
+    assert_eq!(sends, 2 * PER_THREAD as usize);
 }

@@ -37,7 +37,7 @@
 //! pump.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -61,34 +61,6 @@ use crate::wire::{Addr, NodeId, WireConfig, WirePacket, WIRE_HEADER_BYTES};
 /// bounds what a mass teardown leaves resident (at 256 slots of 72 B,
 /// 32 rings are 576 KiB).
 const SPARE_RINGS: usize = 32;
-
-/// Counters describing fabric activity — used by tests to verify loss
-/// rates and by the harness to report wire-level statistics.
-#[derive(Debug, Default)]
-pub struct FabricStats {
-    /// Packets handed to the fabric for transmission.
-    pub tx_packets: AtomicU64,
-    /// Payload bytes handed to the fabric.
-    pub tx_bytes: AtomicU64,
-    /// Packets dropped by the loss model.
-    pub dropped_loss: AtomicU64,
-    /// Packets dropped because no endpoint was bound at the destination.
-    pub dropped_unreachable: AtomicU64,
-    /// Packets delivered to a bound endpoint.
-    pub delivered: AtomicU64,
-}
-
-impl FabricStats {
-    /// Fraction of transmitted packets dropped by the loss model.
-    #[must_use]
-    pub fn loss_rate(&self) -> f64 {
-        let tx = self.tx_packets.load(Ordering::Relaxed);
-        if tx == 0 {
-            return 0.0;
-        }
-        self.dropped_loss.load(Ordering::Relaxed) as f64 / tx as f64
-    }
-}
 
 fn endpoint_id(addr: Addr) -> EndpointId {
     EndpointId::new(addr.node.0, addr.port)
@@ -217,7 +189,6 @@ struct FabricInner {
     /// True once a fault plan has ever been installed — the hot path's
     /// lock-free "is chaos on?" check.
     chaos_installed: AtomicBool,
-    stats: FabricStats,
     next_ephemeral: AtomicU32,
     pump: Option<Arc<DelayPump>>,
     tel: Telemetry,
@@ -262,7 +233,6 @@ impl Fabric {
                 retired: Vec::new(),
             }),
             chaos_installed: AtomicBool::new(false),
-            stats: FabricStats::default(),
             next_ephemeral: AtomicU32::new(49_152),
             pump,
             tel,
@@ -291,12 +261,6 @@ impl Fabric {
     #[must_use]
     pub fn config(&self) -> &WireConfig {
         &self.inner.cfg
-    }
-
-    /// Wire-level statistics.
-    #[must_use]
-    pub fn stats(&self) -> &FabricStats {
-        &self.inner.stats
     }
 
     /// The buffer pool shared by conduits on this fabric. Its
@@ -652,10 +616,6 @@ impl Fabric {
     fn adversary(&self, ts: &mut TxState, pkt: WirePacket) -> Vec<WirePacket> {
         let cfg = &self.inner.cfg;
         if ts.loss.should_drop(&cfg.loss, &mut ts.rng) {
-            self.inner
-                .stats
-                .dropped_loss
-                .fetch_add(1, Ordering::Relaxed);
             let tel = &self.inner.tel;
             tel.simnet().fabric_dropped_loss.inc();
             tel.simnet().fabric_pkts_dropped.inc();
@@ -704,7 +664,8 @@ impl Fabric {
     /// wire-identical to the same packets sent one call each. An oversized
     /// packet stops the burst there: earlier packets still go out and the
     /// error returns. Undeliverable packets vanish silently (UDP
-    /// semantics); loss and unreachability are counted in [`FabricStats`].
+    /// semantics); loss and unreachability are counted in the fabric's
+    /// `simnet.fabric.*` telemetry.
     ///
     /// [`forward_batch`]: Fabric::forward_batch
     fn transmit(
@@ -733,12 +694,7 @@ impl Fabric {
             }
             accepted.push(pkt);
         }
-        let stats = &self.inner.stats;
         let tel = self.inner.tel.simnet();
-        stats
-            .tx_packets
-            .fetch_add(accepted.len() as u64, Ordering::Relaxed);
-        stats.tx_bytes.fetch_add(tx_bytes, Ordering::Relaxed);
         tel.fabric_tx_packets.add(accepted.len() as u64);
         tel.fabric_tx_bytes.add(tx_bytes);
 
@@ -838,10 +794,6 @@ impl Fabric {
         };
         // `push_batch` consumed the whole batch on success.
         debug_assert!(batch.is_empty());
-        self.inner
-            .stats
-            .delivered
-            .fetch_add(count, Ordering::Relaxed);
         let metrics = tel.simnet();
         metrics.fabric_delivered.add(count);
         metrics.fabric_ring_enqueues.add(count);
@@ -900,7 +852,6 @@ impl Fabric {
             }
         }
         if any {
-            self.inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
             self.trace_rx(pkt.src, pkt.dst, pkt.wire_len());
         } else {
             self.count_unreachable(&pkt);
@@ -942,10 +893,6 @@ impl Fabric {
     }
 
     fn count_unreachable(&self, pkt: &WirePacket) {
-        self.inner
-            .stats
-            .dropped_unreachable
-            .fetch_add(1, Ordering::Relaxed);
         let tel = &self.inner.tel;
         tel.simnet().fabric_dropped_unreachable.inc();
         tel.simnet().fabric_pkts_dropped.inc();
@@ -1291,7 +1238,7 @@ mod tests {
         let b2 = fab.bind(dst).unwrap();
         a.send_to(dst, pkt_bytes(8)).unwrap();
         assert_eq!(b2.pending(), 1, "send after rebind must reach new ring");
-        assert_eq!(fab.stats().dropped_unreachable.load(Ordering::Relaxed), 0);
+        assert_eq!(fab.telemetry().simnet().fabric_dropped_unreachable.get(), 0);
     }
 
     #[test]
@@ -1313,7 +1260,7 @@ mod tests {
         let fab = Fabric::loopback();
         let a = fab.bind(Addr::new(0, 1)).unwrap();
         a.send_to(Addr::new(9, 9), pkt_bytes(10)).unwrap();
-        assert_eq!(fab.stats().dropped_unreachable.load(Ordering::Relaxed), 1);
+        assert_eq!(fab.telemetry().simnet().fabric_dropped_unreachable.get(), 1);
     }
 
     #[test]
@@ -1338,7 +1285,9 @@ mod tests {
         let got = b.pending();
         let rate = 1.0 - got as f64 / f64::from(n);
         assert!((rate - 0.25).abs() < 0.02, "observed loss {rate}");
-        assert!((fab.stats().loss_rate() - 0.25).abs() < 0.02);
+        let tel = fab.telemetry().simnet();
+        let loss_rate = tel.fabric_dropped_loss.get() as f64 / tel.fabric_tx_packets.get() as f64;
+        assert!((loss_rate - 0.25).abs() < 0.02);
     }
 
     #[test]
@@ -1532,10 +1481,10 @@ mod tests {
         // the ring goes back once more.
         drop(b);
         assert_eq!(spares(&fab), 1);
-        let unreachable = fab.stats().dropped_unreachable.load(Ordering::Relaxed);
+        let unreachable = fab.telemetry().simnet().fabric_dropped_unreachable.get();
         send(0);
         assert_eq!(
-            fab.stats().dropped_unreachable.load(Ordering::Relaxed),
+            fab.telemetry().simnet().fabric_dropped_unreachable.get(),
             unreachable + 1
         );
     }
@@ -1585,10 +1534,10 @@ mod tests {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        let st = fab.stats();
+        let tel = fab.telemetry().simnet();
         assert_eq!(
-            st.tx_packets.load(Ordering::Relaxed),
-            st.delivered.load(Ordering::Relaxed) + st.dropped_unreachable.load(Ordering::Relaxed)
+            tel.fabric_tx_packets.get(),
+            tel.fabric_delivered.get() + tel.fabric_dropped_unreachable.get()
         );
     }
 

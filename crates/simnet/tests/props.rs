@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use std::sync::atomic::Ordering;
-
 use bytes::Bytes;
 use iwarp_common::sg::SgBytes;
 use proptest::prelude::*;
@@ -51,8 +49,9 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
     }
 }
 
-/// A fabric's fault trace, its `FabricStats` values, and every delivered
-/// wire packet (source and bytes) in arrival order.
+/// A fabric's fault trace, its snapshot's `simnet.fabric.*` conservation
+/// counters, and every delivered wire packet (source and bytes) in
+/// arrival order.
 type WireView = (Vec<FaultEvent>, [u64; 5], Vec<(Addr, Vec<u8>)>);
 
 /// The [`WireView`] after `sizes.len()` datagrams go from one conduit to
@@ -87,15 +86,15 @@ fn wire_after_sends(sizes: &[usize], seed: u64, burst: bool) -> WireView {
         }
     }
     fab.chaos_flush();
-    let st = fab.stats();
+    let snap = fab.telemetry().snapshot();
     let stats = [
-        &st.tx_packets,
-        &st.tx_bytes,
-        &st.dropped_loss,
-        &st.dropped_unreachable,
-        &st.delivered,
+        "tx_packets",
+        "tx_bytes",
+        "dropped_loss",
+        "dropped_unreachable",
+        "delivered",
     ]
-    .map(|c| c.load(Ordering::Relaxed));
+    .map(|c| snap.get(&format!("simnet.fabric.{c}")).unwrap());
     let mut wire = Vec::new();
     while let Ok(p) = rx.try_recv() {
         wire.push((p.src, p.contiguous().to_vec()));

@@ -146,13 +146,6 @@ impl Tracer {
         }
     }
 
-    /// Stops tracing everywhere and clears per-endpoint enables.
-    pub fn disable_all(&self) {
-        self.all.store(false, Ordering::Release);
-        self.enabled.lock().clear();
-        self.armed.store(false, Ordering::Release);
-    }
-
     /// Whether any endpoint is currently traced — the hot-path gate.
     /// Instrumented layers call this first and skip event construction
     /// entirely when it returns `false`.

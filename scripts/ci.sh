@@ -68,6 +68,24 @@ if [ -n "$clock_reads" ]; then
     exit 1
 fi
 
+echo "==> transmit audit: every QP sends through the one pipeline in qp/tx.rs"
+# UD, RD and RC verbs and read responses all run TxCore::transmit
+# (crates/core/src/qp/tx.rs): it alone encodes DDP headers and completes
+# sends, and only its flush step differs per LLP. Library code only, as
+# in the clock audit.
+tx_sites=$(
+    for f in crates/core/src/qp/*.rs; do
+        [ "$f" = crates/core/src/qp/tx.rs ] && continue
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -n 'tagged_hdr_bytes\|SegBatch::new\|send_cq\.push' | sed "s|^|$f:|"
+    done
+)
+if [ -n "$tx_sites" ]; then
+    echo "$tx_sites" >&2
+    echo "send-side encoding or completion outside qp/tx.rs: go through TxCore::transmit" >&2
+    exit 1
+fi
+
 echo "==> chaos smoke: 25 seeded adversarial plans"
 # Deterministic: a failure prints the plan seed; reproduce it with
 #   cargo run --release -p iwarp-bench --bin chaos -- --replay <seed>

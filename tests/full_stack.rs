@@ -293,11 +293,7 @@ fn loss_pattern_is_deterministic_per_seed() {
             while qa.send_cq().poll().is_some() {}
             // Loss is applied inline at transmit time, so this cumulative
             // count is seed-deterministic per message.
-            drops.push(
-                fab.stats()
-                    .dropped_loss
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            );
+            drops.push(fab.telemetry().simnet().fabric_dropped_loss.get());
         }
         let mut delivered = Vec::new();
         while let Ok(cqe) = b_r.poll_timeout(Duration::from_millis(300)) {
