@@ -13,8 +13,8 @@
 //! [`WriteRecordInfo`] describing which sink bytes are valid.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use iwarp_telemetry::{CoreMetrics, Telemetry};
@@ -23,6 +23,7 @@ use simnet::Addr;
 
 use crate::chan::CompletionChannel;
 use crate::error::{IwarpError, IwarpResult};
+use crate::qp::dgram::DgInner;
 use crate::wr_record::WriteRecordInfo;
 
 /// What kind of operation a completion describes.
@@ -114,22 +115,35 @@ impl Default for Cqe {
     }
 }
 
+/// Who hears about this CQ beyond its pollers.
+#[derive(Default)]
+struct Hooks {
+    /// Event subscription: every push notifies the channel under the
+    /// token (see [`Cq::attach_channel`]).
+    chan: Option<(CompletionChannel, u64)>,
+    /// The QPs whose receives complete here: `None` before the first,
+    /// the receive engine of the one threaded UD QP a waiter may drive,
+    /// or a dangling `Weak` (nothing to drive) for any other QP and once
+    /// a second QP's receives complete here.
+    receivers: Option<Weak<DgInner>>,
+}
+
 struct CqInner {
     queue: Mutex<VecDeque<Cqe>>,
     cv: Condvar,
     /// Woken only by solicited completions (the solicited-event channel).
     solicited_cv: Condvar,
-    solicited_seq: AtomicU64,
-    capacity: usize,
+    /// Solicited pushes so far; a waiter compares it for change only, so
+    /// wrapping is harmless.
+    solicited_seq: AtomicU32,
+    capacity: u32,
     overflows: AtomicU64,
     /// Completions retired without a CQE because the WR was unsignaled.
     unsignaled_retired: AtomicU64,
     /// The domain counted into under `core.cq.*`; every CQ of a fabric
     /// aggregates into the same metrics.
     tel: OnceLock<Telemetry>,
-    /// Event subscription: every push notifies the channel under the
-    /// token (see [`Cq::attach_channel`]).
-    chan: Mutex<Option<(CompletionChannel, u64)>>,
+    hooks: Mutex<Hooks>,
 }
 
 /// A completion queue. Clones share the same queue.
@@ -151,12 +165,12 @@ impl Cq {
                 queue: Mutex::new(VecDeque::new()),
                 cv: Condvar::new(),
                 solicited_cv: Condvar::new(),
-                solicited_seq: AtomicU64::new(0),
-                capacity: capacity.max(1),
+                solicited_seq: AtomicU32::new(0),
+                capacity: capacity.clamp(1, u32::MAX as usize) as u32,
                 overflows: AtomicU64::new(0),
                 unsignaled_retired: AtomicU64::new(0),
                 tel: OnceLock::new(),
-                chan: Mutex::new(None),
+                hooks: Mutex::new(Hooks::default()),
             }),
         }
     }
@@ -195,7 +209,7 @@ impl Cq {
     /// size their CQs to make this unreachable).
     pub fn push(&self, cqe: Cqe) {
         let mut q = self.inner.queue.lock();
-        if q.len() >= self.inner.capacity {
+        if q.len() >= self.capacity() {
             self.inner.overflows.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = self.metrics() {
                 m.cq_overflows.inc();
@@ -213,7 +227,7 @@ impl Cq {
         }
         // Event subscription last, after the CQE is visible to poll():
         // a waiter woken by the channel must find the entry.
-        let sub = self.inner.chan.lock().clone();
+        let sub = self.inner.hooks.lock().chan.clone();
         if let Some((chan, token)) = sub {
             chan.notify(token);
         }
@@ -231,7 +245,7 @@ impl Cq {
         {
             let mut q = self.inner.queue.lock();
             for cqe in cqes {
-                if q.len() >= self.inner.capacity {
+                if q.len() >= self.capacity() {
                     self.inner.overflows.fetch_add(1, Ordering::Relaxed);
                     if let Some(m) = self.metrics() {
                         m.cq_overflows.inc();
@@ -256,7 +270,7 @@ impl Cq {
             self.inner.solicited_seq.fetch_add(1, Ordering::Relaxed);
             self.inner.solicited_cv.notify_all();
         }
-        let sub = self.inner.chan.lock().clone();
+        let sub = self.inner.hooks.lock().chan.clone();
         if let Some((chan, token)) = sub {
             chan.notify(token);
         }
@@ -269,7 +283,7 @@ impl Cq {
     /// subscriber that attaches after a burst cannot miss it. Replaces
     /// any previous subscription; `detach_channel` removes it.
     pub fn attach_channel(&self, chan: &CompletionChannel, token: u64) {
-        *self.inner.chan.lock() = Some((chan.clone(), token));
+        self.inner.hooks.lock().chan = Some((chan.clone(), token));
         if !self.is_empty() {
             chan.notify(token);
         }
@@ -277,7 +291,7 @@ impl Cq {
 
     /// Removes the channel subscription, if any.
     pub fn detach_channel(&self) {
-        *self.inner.chan.lock() = None;
+        self.inner.hooks.lock().chan = None;
     }
 
     /// Blocks until a *solicited* completion has been enqueued since this
@@ -313,10 +327,81 @@ impl Cq {
         self.inner.queue.lock().pop_front()
     }
 
+    /// Records that a QP completes its receives here (called once per QP
+    /// at creation). `engine` is the receive engine of a threaded UD QP,
+    /// which this CQ's waiters may run, or a dangling `Weak` for any other
+    /// QP. Only a CQ that completes exactly one QP's receives, and that
+    /// QP's a threaded UD one, drives; a second QP makes it a plain CQ.
+    pub(crate) fn bind_receiver(&self, engine: Weak<DgInner>) {
+        let mut hooks = self.inner.hooks.lock();
+        hooks.receivers = Some(match hooks.receivers {
+            None => engine,
+            Some(_) => Weak::new(),
+        });
+    }
+
+    /// Forgets `engine` as this CQ's receiver (its QP is being dropped),
+    /// so a QP created on this CQ later can drive it again.
+    pub(crate) fn unbind_receiver(&self, engine: &DgInner) {
+        let mut hooks = self.inner.hooks.lock();
+        if hooks
+            .receivers
+            .as_ref()
+            .is_some_and(|r| std::ptr::eq(r.as_ptr(), engine))
+        {
+            hooks.receivers = None;
+        }
+    }
+
+    /// The receive engine this CQ's waiters drive, if any.
+    fn engine(&self) -> Option<Arc<DgInner>> {
+        self.inner
+            .hooks
+            .lock()
+            .receivers
+            .as_ref()
+            .and_then(Weak::upgrade)
+    }
+
+    /// Wakes one thread parked in [`Self::poll_timeout`] so that it runs
+    /// the receive engine: the arrival notifier's hand-off. Taking the
+    /// queue lock orders the wake after a waiter's last look at the ring.
+    pub(crate) fn wake_waiter(&self) {
+        drop(self.inner.queue.lock());
+        self.inner.cv.notify_one();
+    }
+
+    /// Wakes every thread parked in [`Self::poll_timeout`], as when the
+    /// engine they drive is shut.
+    pub(crate) fn wake_waiters(&self) {
+        drop(self.inner.queue.lock());
+        self.inner.cv.notify_all();
+    }
+
+    /// True while a [`CompletionChannel`] is subscribed.
+    pub(crate) fn has_channel(&self) -> bool {
+        self.inner.hooks.lock().chan.is_some()
+    }
+
     /// Polls with a timeout — the mandatory datagram-iWARP polling mode.
+    ///
+    /// **The waiter drives.** When this CQ completes the receives of
+    /// exactly one QP, and that QP is a threaded UD QP (neither poll mode
+    /// nor sharded), the waiter runs the QP's receive engine itself: with
+    /// datagrams waiting in the QP's delivery ring and nobody else running
+    /// the engine, it drains a batch of them (up to 64) and then takes its
+    /// completion. With nothing to drain it parks, and the QP's arrival
+    /// notifier wakes it when a datagram lands. So one wait can hand back
+    /// a batch, and the QP's engine thread is only the fallback for
+    /// arrivals no waiter takes. A CQ shared by several QPs' receives
+    /// waits as before, on pushes only.
+    ///
+    /// `core.cq.poll_wait_nanos` therefore includes the receive work a
+    /// waiter ran, not just its time parked.
     pub fn poll_timeout(&self, timeout: Duration) -> IwarpResult<Cqe> {
         let start = Instant::now();
         let deadline = start + timeout;
+        let mut engine = self.engine();
         let mut q = self.inner.queue.lock();
         loop {
             if let Some(cqe) = q.pop_front() {
@@ -329,9 +414,36 @@ impl Cq {
             }
             let now = Instant::now();
             if now >= deadline {
+                drop(q);
+                if let Some(engine) = &engine {
+                    engine.waiter_leaves();
+                }
                 return Err(IwarpError::PollTimeout);
             }
-            self.inner.cv.wait_for(&mut q, deadline - now);
+            let left = deadline - now;
+            match engine.as_deref() {
+                Some(e) if e.waiter_can_drive() => {
+                    drop(q);
+                    e.waiter_drive();
+                    q = self.inner.queue.lock();
+                }
+                // The QP is being dropped: wait on pushes alone, and do
+                // not keep its engine alive.
+                Some(e) if e.is_shut() => {
+                    drop(q);
+                    engine = None;
+                    q = self.inner.queue.lock();
+                }
+                Some(e) => {
+                    if e.park_waiter() {
+                        self.inner.cv.wait_for(&mut q, left);
+                        e.unpark_waiter();
+                    }
+                }
+                None => {
+                    self.inner.cv.wait_for(&mut q, left);
+                }
+            }
         }
     }
 
@@ -359,11 +471,12 @@ impl Cq {
         n
     }
 
-    /// Polls until `n` completions arrive or `timeout` elapses. As
-    /// before, entries consumed before a timeout are dropped with the
-    /// error. Implemented over [`poll_into`](Cq::poll_into): queued
-    /// entries drain in one lock round, and only the waits in between
-    /// block (and record `poll_wait_nanos`).
+    /// Polls until `n` completions arrive or `timeout` elapses.
+    /// Implemented over [`poll_into`](Cq::poll_into): queued entries drain
+    /// in one lock round, and only the waits in between block (and record
+    /// `poll_wait_nanos`). On a timeout nothing is lost: the entries
+    /// already taken go back to the head of the queue, in their order,
+    /// ahead of anything pushed meanwhile.
     pub fn poll_n(&self, n: usize, timeout: Duration) -> IwarpResult<Vec<Cqe>> {
         if n == 0 {
             // An empty Vec never allocates; return it without taking the
@@ -375,14 +488,34 @@ impl Cq {
         let mut filled = self.poll_into(&mut out);
         while filled < n {
             let now = Instant::now();
-            if now >= deadline {
-                return Err(IwarpError::PollTimeout);
+            let next = if now >= deadline {
+                Err(IwarpError::PollTimeout)
+            } else {
+                self.poll_timeout(deadline - now)
+            };
+            match next {
+                Ok(cqe) => out[filled] = cqe,
+                Err(e) => {
+                    self.unpoll(out.drain(..filled));
+                    return Err(e);
+                }
             }
-            out[filled] = self.poll_timeout(deadline - now)?;
             filled += 1;
             filled += self.poll_into(&mut out[filled..]);
         }
         Ok(out)
+    }
+
+    /// Puts polled entries back at the head of the queue, in their order.
+    /// They were counted when pushed, so nothing is counted again, and
+    /// they may take the queue past its capacity.
+    fn unpoll(&self, cqes: impl DoubleEndedIterator<Item = Cqe>) {
+        let mut q = self.inner.queue.lock();
+        for cqe in cqes.rev() {
+            q.push_front(cqe);
+        }
+        drop(q);
+        self.inner.cv.notify_all();
     }
 
     /// Entries currently queued.
@@ -406,7 +539,7 @@ impl Cq {
     /// Maximum number of outstanding entries this CQ can hold.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.inner.capacity as usize
     }
 
     /// Records `n` work completions retired *without* a CQE because their
@@ -435,7 +568,7 @@ impl std::fmt::Debug for Cq {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cq")
             .field("len", &self.len())
-            .field("capacity", &self.inner.capacity)
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
@@ -511,6 +644,18 @@ mod tests {
         let got = cq.poll_n(3, Duration::from_millis(100)).unwrap();
         assert_eq!(got.len(), 3);
         assert!(cq.poll_n(1, Duration::from_millis(10)).is_err());
+    }
+
+    #[test]
+    fn poll_n_timeout_puts_back_what_it_took() {
+        let cq = Cq::new(16);
+        cq.push(cqe(1));
+        cq.push(cqe(2));
+        let err = cq.poll_n(3, Duration::from_millis(10)).unwrap_err();
+        assert_eq!(err, IwarpError::PollTimeout);
+        assert_eq!(cq.poll().unwrap().wr_id, 1);
+        assert_eq!(cq.poll().unwrap().wr_id, 2);
+        assert!(cq.poll().is_none());
     }
 
     #[test]

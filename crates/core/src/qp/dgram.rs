@@ -18,8 +18,8 @@
 //! * **UD RDMA Read** (paper future work, implemented as an extension):
 //!   reads complete with `Expired` status if the response is lost.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 
 use iwarp_telemetry::Telemetry;
@@ -32,6 +32,7 @@ use crate::buf::{MemoryRegion, MrTable};
 use crate::cq::Cq;
 use crate::error::{IwarpError, IwarpResult};
 use crate::hdr::{decode_sg, RdmapOpcode};
+use crate::qp::gate::{Driver, EngineGate};
 use crate::qp::rx::{Delivery, Ingest, RxCore};
 use crate::qp::tx::{TxCore, Verb, Wire};
 use crate::qp::QpConfig;
@@ -58,9 +59,13 @@ impl DgLlp {
 
     /// Receives the next complete datagram as a scatter-gather list (an
     /// unfragmented UD datagram arrives as the sender's original slices;
-    /// RD always delivers contiguous messages). On RD this call is what
-    /// runs the reliable-datagram protocol (ACKs, retransmission timers):
-    /// the threaded `rx_loop` or poll-mode `progress` is its driver.
+    /// RD always delivers contiguous messages), waiting up to `timeout`.
+    /// Its callers are [`DatagramQp::progress`] and RD's `rx_loop`. A
+    /// threaded UD QP's waiters and fallback thread never block here: they
+    /// drain with [`Self::try_recv_sg`] once the arrival notifier has
+    /// woken them. On RD this call is what runs the reliable-datagram
+    /// protocol (ACKs, retransmission timers): the threaded `rx_loop` or
+    /// poll-mode `progress` is its driver.
     fn recv_sg(&self, timeout: Duration) -> Result<(Addr, SgBytes), NetError> {
         match self {
             DgLlp::Ud(c) => c.recv_sg_from(Some(timeout)),
@@ -82,11 +87,17 @@ impl DgLlp {
         }
     }
 
-    /// Installs an arrival notifier on the conduit's wire endpoint.
+    /// Installs an arrival notifier on the conduit's wire endpoint. It
+    /// runs in the sender's thread after each delivered burst. Two
+    /// engines install one: a shard, which marks the QP ready in its
+    /// inbox, and a threaded UD QP, whose notifier wakes a waiter parked
+    /// on the receive CQ or, when no waiter will take the arrival, the
+    /// fallback thread (see [`DgInner::on_arrival`]).
+    ///
     /// Returns `false` for RD: its protocol runs inside the calls that
-    /// drive the conduit, and the shards do not sweep RD retransmission
-    /// timers, so an RD QP keeps its own `rx_loop` (or poll mode) and
-    /// cannot be driven by a shard engine.
+    /// drive the conduit, and neither the shards nor the fallback sweep RD
+    /// retransmission timers, so an RD QP keeps its own `rx_loop` (or poll
+    /// mode) parked in the conduit.
     fn set_notify(&self, notify: Option<simnet::RxNotify>) -> bool {
         match self {
             DgLlp::Ud(c) => {
@@ -94,6 +105,13 @@ impl DgLlp {
                 true
             }
             DgLlp::Rd(_) => false,
+        }
+    }
+
+    /// Re-runs the installed arrival notifier (UD; a no-op on RD).
+    fn renotify(&self) {
+        if let DgLlp::Ud(c) = self {
+            c.renotify();
         }
     }
 
@@ -121,13 +139,99 @@ pub(crate) struct DgInner {
     llp: DgLlp,
     tx: TxCore,
     pub(crate) rx: RxCore,
-    shutdown: AtomicBool,
+    /// Who runs the receive engine; also carries the QP's shutdown flag.
+    gate: EngineGate,
     _mem: Option<MemScope>,
 }
 
 impl DgInner {
     pub(crate) fn qpn(&self) -> u32 {
         self.tx.qpn
+    }
+
+    /// True when a CQ waiter should run the engine now: datagrams wait in
+    /// the delivery ring and nobody holds the engine.
+    pub(crate) fn waiter_can_drive(&self) -> bool {
+        !self.gate.state().closed() && self.llp.rx_backlog() > 0
+    }
+
+    /// A CQ waiter's turn at the engine: one batch drain under the gate.
+    /// Does nothing when another thread holds the engine.
+    pub(crate) fn waiter_drive(&self) {
+        if self.gate.try_acquire() {
+            self.rx.metrics().rx_waiter_steps.inc();
+            let drained = rx_drain(self, BATCH);
+            self.release(Driver::Waiter, drained);
+        }
+    }
+
+    /// Counts a CQ waiter as parked, so arrivals wake it. Returns `false`
+    /// (and counts nothing) when the waiter should drive instead: the
+    /// last look at the ring comes after the count, so an arrival either
+    /// sees the parked waiter or is seen here.
+    pub(crate) fn park_waiter(&self) -> bool {
+        self.gate.park();
+        if self.waiter_can_drive() {
+            self.gate.unpark();
+            return false;
+        }
+        true
+    }
+
+    /// Undoes [`Self::park_waiter`] once the waiter woke.
+    pub(crate) fn unpark_waiter(&self) {
+        self.gate.unpark();
+    }
+
+    /// True once the QP is being dropped or its LLP died.
+    pub(crate) fn is_shut(&self) -> bool {
+        self.gate.is_shut()
+    }
+
+    /// A waiter leaves without a completion. Datagrams it was woken for
+    /// go to whoever the arrival notifier picks now.
+    pub(crate) fn waiter_leaves(&self) {
+        if self.llp.rx_backlog() > 0 {
+            self.llp.renotify();
+        }
+    }
+
+    /// Gives the engine back after a turn. A datagram that landed while
+    /// the engine was held found it busy and woke nobody, so the holder
+    /// re-runs the arrival notifier for it. A dead LLP flushes the QP and
+    /// shuts the gate for good.
+    fn release(&self, by: Driver, drained: Drained) {
+        if drained == Drained::Dead {
+            self.rx.flush();
+            self.gate.shut();
+        }
+        self.gate.release(by);
+        // The fallback loops on its own backlog instead.
+        if by != Driver::Fallback && self.llp.rx_backlog() > 0 {
+            self.llp.renotify();
+        }
+    }
+
+    /// The arrival notifier of a threaded UD QP. An arrival goes to:
+    /// * the holder of the engine, if any: it looks at the ring again
+    ///   when it lets go;
+    /// * else a waiter parked on the receive CQ, woken to drive;
+    /// * else, if a waiter has driven since the fallback last ran, the
+    ///   owner: it is expected back, and the fallback's next tick takes
+    ///   the arrival if it is not;
+    /// * else the fallback thread, woken at once. So is it when the CQ
+    ///   notifies a [`CompletionChannel`](crate::chan::CompletionChannel):
+    ///   a thread waiting on the channel runs no engine.
+    fn on_arrival(&self, fallback: &Thread) {
+        let gate = self.gate.state();
+        if gate.closed() {
+            return;
+        }
+        if gate.parked() > 0 {
+            self.rx.recv_cq.wake_waiter();
+        } else if !gate.owner_drove() || self.rx.recv_cq.has_channel() {
+            fallback.unpark();
+        }
     }
 
     /// See [`DgLlp::set_notify`].
@@ -147,6 +251,7 @@ impl DgInner {
 /// full API tour.
 pub struct DatagramQp {
     inner: Arc<DgInner>,
+    /// The engine thread: RD's `rx_loop`, or a threaded UD QP's fallback.
     rx_thread: Option<std::thread::JoinHandle<()>>,
     /// Set when a shard engine drives this QP's receives (no `rx_thread`);
     /// held so Drop can unregister from the shard map.
@@ -176,13 +281,14 @@ impl DatagramQp {
             tx: TxCore::new(qpn, send_cq, cfg.max_msg_size, tel),
             rx: RxCore::new(mrs, recv_cq, cfg, delivery, tel, llp.local_addr()),
             llp,
-            shutdown: AtomicBool::new(false),
+            gate: EngineGate::default(),
             _mem: mem,
         });
         // Poll mode always wins (caller-driven, deterministic — chaos
         // replay depends on it). Otherwise prefer a shard engine when the
         // device has one and the LLP supports arrival notification; fall
-        // back to the dedicated per-QP thread (RD, or unsharded devices).
+        // back to a per-QP thread: RD's engine, or the fallback of a UD
+        // QP whose CQ waiters drive it.
         let shard = if inner.rx.cfg.poll_mode {
             None
         } else {
@@ -190,22 +296,49 @@ impl DatagramQp {
                 .filter(|map| map.register(&inner))
                 .map(|map| (Arc::clone(map), qpn))
         };
-        let rx_thread = if inner.rx.cfg.poll_mode || shard.is_some() {
-            None
+        let threaded = !inner.rx.cfg.poll_mode && shard.is_none();
+        let waiters_drive = threaded && !inner.llp.is_reliable();
+        // Only a threaded UD QP's waiters run its engine; every other QP
+        // still marks the CQ, so a CQ shared with it never drives.
+        inner.rx.recv_cq.bind_receiver(if waiters_drive {
+            Arc::downgrade(&inner)
         } else {
+            Weak::new()
+        });
+        let rx_thread = threaded.then(|| {
             let rx_inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name(format!("iwarp-dgqp-{qpn}"))
-                    .spawn(move || rx_loop(&rx_inner))
-                    .expect("spawn datagram QP rx thread"),
-            )
-        };
+            let thread = std::thread::Builder::new()
+                .name(format!("iwarp-dgqp-{qpn}"))
+                .spawn(move || {
+                    if waiters_drive {
+                        fallback_loop(&rx_inner);
+                    } else {
+                        rx_loop(&rx_inner);
+                    }
+                })
+                .expect("spawn datagram QP rx thread");
+            if waiters_drive {
+                let engine = Arc::downgrade(&inner);
+                let fallback = thread.thread().clone();
+                inner.set_notify(Some(Arc::new(move |_| {
+                    if let Some(engine) = engine.upgrade() {
+                        engine.on_arrival(&fallback);
+                    }
+                })));
+            }
+            thread
+        });
         Self {
             inner,
             rx_thread,
             shard,
         }
+    }
+
+    /// A threaded UD QP: CQ waiters drive it, with the engine thread as
+    /// the fallback, all under the engine gate.
+    fn waiters_drive(&self) -> bool {
+        self.rx_thread.is_some() && !self.inner.llp.is_reliable()
     }
 
     /// True when a device shard engine (not a per-QP thread or the
@@ -221,9 +354,23 @@ impl DatagramQp {
     /// [`QpConfig::poll_mode`]; in threaded mode the engine thread
     /// already does this work. On an RD QP this call also runs the
     /// reliable-datagram protocol, so a poll-mode RD QP neither
-    /// acknowledges nor retransmits between calls.
+    /// acknowledges nor retransmits between calls. On a threaded UD QP it
+    /// takes the engine gate like any other driver, and returns at once
+    /// when a CQ waiter or the fallback thread holds the engine.
     pub fn progress(&self, max_wait: Duration) {
-        rx_step(&self.inner, max_wait);
+        let inner = &*self.inner;
+        if self.waiters_drive() {
+            if inner.gate.try_acquire() {
+                let drained = if rx_step(inner, max_wait) {
+                    Drained::Idle
+                } else {
+                    Drained::Dead
+                };
+                inner.release(Driver::Progress, drained);
+            }
+        } else {
+            rx_step(inner, max_wait);
+        }
     }
 
     /// Exactly [`Self::progress`]; `_budget` is ignored. Receives are
@@ -551,29 +698,86 @@ impl std::fmt::Debug for DatagramQp {
 
 impl Drop for DatagramQp {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        let inner = &*self.inner;
+        let waiters_drive = self.waiters_drive();
+        inner.gate.shut();
         if let Some((map, qpn)) = self.shard.take() {
             // Silence the fabric notifier first so no new readiness is
             // queued, then pull the QP out of its shard's inbox.
-            let _ = self.inner.llp.set_notify(None);
+            let _ = inner.llp.set_notify(None);
             map.unregister(qpn);
         }
+        if waiters_drive {
+            // No waiter or fallback is woken for this QP again.
+            let _ = inner.llp.set_notify(None);
+            inner.rx.recv_cq.unbind_receiver(inner);
+        }
         if let Some(t) = self.rx_thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
-        self.inner.rx.flush();
+        // A waiter inside its batch drain finishes it; then no thread
+        // touches the engine again.
+        inner.gate.wait_idle();
+        inner.rx.flush();
+        if waiters_drive {
+            // Parked waiters wake, to the flush or to this when there was
+            // nothing to flush, and let go of the engine.
+            inner.rx.recv_cq.wake_waiters();
+        }
     }
 }
 
-/// RX engine thread body (threaded mode).
+/// How long an engine thread parks between looks: RD's `rx_loop` waits
+/// this long in the conduit, and a UD fallback parks this long. It
+/// bounds TTL expiry on an idle QP and, on UD, how long an arrival left
+/// for its owner can wait for the fallback.
+const TICK: Duration = Duration::from_millis(5);
+
+/// Datagrams one engine turn drains before it lets go: a CQ waiter's turn,
+/// a fallback turn, and a shard's per-QP batch (the fairness bound that
+/// keeps a flooding QP from starving its shard siblings).
+pub(crate) const BATCH: usize = 64;
+
+/// RD's engine thread body (threaded mode): it parks in the conduit,
+/// whose receive calls run the reliable-datagram protocol.
 fn rx_loop(inner: &DgInner) {
     loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
+        if inner.gate.is_shut() {
             return;
         }
-        if !rx_step(inner, Duration::from_millis(5)) {
+        if !rx_step(inner, TICK) {
             return;
         }
+    }
+}
+
+/// A threaded UD QP's fallback engine (`iwarp-dgqp-<qpn>`): the driver
+/// for arrivals no CQ waiter takes. It parks for a [`TICK`], or until the
+/// arrival notifier wakes it, then runs the same non-blocking batch drain
+/// as a shard worker, under the engine gate. A tick that finds the gate
+/// free and the ring empty only runs the TTL sweep. It ends when the QP
+/// is dropped or its LLP dies (after flushing the QP).
+fn fallback_loop(inner: &DgInner) {
+    // The first turn catches anything delivered before the notifier was
+    // installed.
+    while !inner.gate.is_shut() {
+        if inner.gate.try_acquire() {
+            let drained = if inner.llp.rx_backlog() > 0 {
+                inner.rx.metrics().rx_fallback_drains.inc();
+                rx_drain(inner, BATCH)
+            } else {
+                inner.rx.expire();
+                Drained::Idle
+            };
+            inner.release(Driver::Fallback, drained);
+            // Still queued: the budget ran out, or a datagram landed
+            // while the engine was held and woke nobody.
+            if drained == Drained::More || inner.llp.rx_backlog() > 0 {
+                continue;
+            }
+        }
+        std::thread::park_timeout(TICK);
     }
 }
 
@@ -614,22 +818,32 @@ fn rx_dispatch(inner: &DgInner, src: Addr, dgram: &SgBytes) {
     }
 }
 
-/// Shard-engine drain: processes up to `budget` already-delivered
-/// datagrams without blocking, then runs the (self-throttled) expiry
-/// sweep. Returns `true` when the budget was exhausted — more datagrams
-/// may be pending and the caller should re-queue this QP (fairness:
-/// a flooding QP must not starve its shard siblings).
-pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> bool {
+/// What a batch drain left behind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Drained {
+    /// The delivery ring ran dry.
+    Idle,
+    /// The budget ran out with datagrams still queued: the caller should
+    /// come back (a shard re-queues the QP behind its siblings).
+    More,
+    /// The LLP is dead.
+    Dead,
+}
+
+/// Batch drain, the non-blocking engine turn of shard workers, CQ waiters
+/// and the UD fallback: processes up to `budget` already-delivered
+/// datagrams, then runs the (self-throttled) expiry sweep.
+pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> Drained {
     for _ in 0..budget {
         match inner.llp.try_recv_sg() {
             Ok((src, dgram)) => rx_dispatch(inner, src, &dgram),
             Err(NetError::Timeout) => {
                 inner.rx.expire();
-                return false;
+                return Drained::Idle;
             }
-            Err(_) => return false,
+            Err(_) => return Drained::Dead,
         }
     }
     inner.rx.expire();
-    true
+    Drained::More
 }

@@ -18,10 +18,29 @@
 //! This is a *software* iWARP stack, like the paper's proof of concept:
 //! posting a send performs RDMAP/DDP processing inline in the caller
 //! (completing "at the moment that the last bit of the message is passed
-//! to the transport layer", §IV.B.3), while a per-QP RX engine thread
-//! plays the role of the RNIC's receive-side DMA engine.
+//! to the transport layer", §IV.B.3). The receive engine plays the role
+//! of the RNIC's receive-side DMA engine, and who runs it depends on the
+//! QP:
+//!
+//! * **Threaded UD: the waiter drives.** A thread blocked in
+//!   [`Cq::poll_timeout`](crate::cq::Cq::poll_timeout) on the QP's
+//!   receive CQ runs the engine itself, one batch drain of the datagrams
+//!   already delivered, when that CQ completes this QP's receives only.
+//!   The timed CQ poll the paper makes the datagram waiter's primitive
+//!   (§IV.B.1) is then also where receive processing happens. The QP's
+//!   `iwarp-dgqp-<qpn>` thread is the fallback: the conduit's arrival
+//!   notifier wakes it for an arrival no waiter will take, and its 5 ms
+//!   tick bounds how long an arrival left for a returning owner can wait.
+//!   A one-sided target that is inside no call still places and responds.
+//! * **Threaded RD and RC:** a per-QP engine thread blocks in the conduit
+//!   and drives the reliable protocol.
+//! * **Sharded UD:** a device shard worker drains the QP.
+//! * **Poll mode:** the caller's `progress` calls are the engine.
+//!
+//! In every mode at most one thread runs a QP's engine at a time.
 
 pub(crate) mod dgram;
+pub(crate) mod gate;
 pub(crate) mod rc;
 pub(crate) mod rx;
 pub(crate) mod tx;
@@ -55,7 +74,15 @@ pub struct QpConfig {
     /// protocol processing runs inside [`DatagramQp::progress`] /
     /// [`RcQp::progress`] calls (typically driven by the socket shim's
     /// receive path). This is how one process scales to tens of thousands
-    /// of QPs for the paper's memory experiment.
+    /// of QPs for the paper's memory experiment. A poll-mode QP's CQ
+    /// waiters never run its engine: only `progress` does, which keeps
+    /// seeded replays deterministic.
+    ///
+    /// When `false`, an unsharded UD QP is driven by the threads waiting
+    /// in [`Cq::poll_timeout`](crate::cq::Cq::poll_timeout) on its receive
+    /// CQ, with its `iwarp-dgqp-<qpn>` thread as the fallback for
+    /// arrivals no waiter takes (see the module docs); RD and RC QPs run a
+    /// per-QP engine thread, and a sharded device's UD QPs its shards.
     pub poll_mode: bool,
 }
 

@@ -128,6 +128,8 @@ impl RcQp {
             tel,
         } = parts;
         recv_cq.attach_telemetry(&tel);
+        // An RC QP's waiters never run its engine.
+        recv_cq.bind_receiver(std::sync::Weak::new());
         let local = stream.local_addr();
         let inner = Arc::new(RcInner {
             tx: TxCore::new(qpn, send_cq, cfg.max_msg_size, &tel),

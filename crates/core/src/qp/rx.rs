@@ -265,6 +265,11 @@ impl RxCore {
         }
     }
 
+    /// The domain's `core.*` block.
+    pub fn metrics(&self) -> &iwarp_telemetry::CoreMetrics {
+        self.tel.core()
+    }
+
     /// Whether the cold bundle has been allocated (diagnostics/tests: an
     /// idle QP, or one that only received whole sends, must report
     /// `false`).

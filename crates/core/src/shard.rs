@@ -36,11 +36,7 @@ use std::time::Duration;
 use iwarp_telemetry::Telemetry;
 use parking_lot::{Condvar, Mutex};
 
-use crate::qp::dgram::{rx_drain, DgInner};
-
-/// Datagrams drained per QP per wakeup before the QP is re-queued behind
-/// its shard siblings (fairness bound).
-const BATCH: usize = 64;
+use crate::qp::dgram::{rx_drain, DgInner, Drained, BATCH};
 
 /// Housekeeping tick: how long an idle shard worker sleeps between
 /// wake-ups when no QP is ready.
@@ -60,8 +56,8 @@ const SWEEP_EVERY: Duration = Duration::from_millis(100);
 #[derive(Clone, Debug, Default)]
 pub struct ShardConfig {
     /// Number of shard RX engines. `0` disables sharding entirely — QPs
-    /// keep their per-QP engine thread (or stay caller-driven in poll
-    /// mode), byte-for-byte the pre-scale-out behaviour.
+    /// keep their per-QP engine thread (on UD the fallback behind the
+    /// CQ waiters that drive it) or stay caller-driven in poll mode.
     pub shards: usize,
 }
 
@@ -257,7 +253,7 @@ fn worker(shard: &Shard, tel: &Telemetry) {
         if let Some((qpn, engine)) = claimed {
             tel.shard_wakeups.inc();
             tel.shard_batches.inc();
-            if rx_drain(&engine, BATCH) {
+            if rx_drain(&engine, BATCH) == Drained::More {
                 // Budget exhausted with more pending: requeue behind
                 // the QP's shard siblings.
                 tel.shard_requeues.inc();

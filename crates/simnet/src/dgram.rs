@@ -405,6 +405,12 @@ impl DgramConduit {
         self.ep.set_notify(notify);
     }
 
+    /// Runs the arrival notifier, if one is installed, as a delivery
+    /// would (see [`Endpoint::renotify`]).
+    pub fn renotify(&self) {
+        self.ep.renotify();
+    }
+
     /// Subscribes this conduit to a multicast group: datagrams sent to the
     /// group address are received here like unicast ones (each member
     /// reassembles fragments independently).

@@ -1168,6 +1168,13 @@ impl Endpoint {
         *self.link.notify.write() = notify;
     }
 
+    /// Runs this endpoint's arrival notifier, if one is installed, as a
+    /// delivery would. A consumer that stops draining with packets still
+    /// queued calls it to hand them on to whoever the notifier picks.
+    pub fn renotify(&self) {
+        self.fabric.notify_link(&self.link);
+    }
+
     /// Subscribes this endpoint to a multicast `group`.
     pub fn join_multicast(&self, group: Addr) -> NetResult<()> {
         self.fabric.join_multicast(group, self.addr)
@@ -1547,5 +1554,24 @@ mod tests {
         let e1 = fab.bind_ephemeral(NodeId(0)).unwrap();
         let e2 = fab.bind_ephemeral(NodeId(0)).unwrap();
         assert_ne!(e1.local_addr(), e2.local_addr());
+    }
+
+    #[test]
+    fn renotify_runs_the_installed_notifier_once() {
+        use std::sync::atomic::AtomicUsize;
+        let fab = Fabric::loopback();
+        let ep = fab.bind(Addr::new(0, 1)).unwrap();
+        ep.renotify(); // nothing installed: a no-op
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        ep.set_notify(Some(Arc::new(move |addr| {
+            assert_eq!(addr, Addr::new(0, 1));
+            seen.fetch_add(1, Ordering::SeqCst);
+        })));
+        ep.renotify();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        ep.set_notify(None);
+        ep.renotify();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 }

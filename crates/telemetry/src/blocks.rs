@@ -128,6 +128,12 @@ blocks! {
         rx_read_expired: Counter = "core.rx.read_expired",
         rx_access_violations: Counter = "core.rx.access_violations",
         rx_read_denied: Counter = "core.rx.read_denied",
+        /// Engine turns (batch drains) a thread waiting in
+        /// `Cq::poll_timeout` ran on its threaded UD QP.
+        rx_waiter_steps: Counter = "core.rx.waiter_steps",
+        /// Batch drains a threaded UD QP's fallback thread ran on
+        /// arrivals no waiter took (idle TTL ticks are not counted).
+        rx_fallback_drains: Counter = "core.rx.fallback_drains",
         qp_wr_record_partial_placements: Counter = "core.qp.wr_record.partial_placements",
         qp_wr_record_completions: Counter = "core.qp.wr_record.completions",
         qp_wr_record_stale_gc_reaped: Counter = "core.qp.wr_record.stale_gc_reaped",
@@ -227,7 +233,7 @@ mod tests {
         for (name, _) in DECLARED {
             assert!(seen.insert(*name), "{name} is declared twice");
         }
-        assert_eq!(DECLARED.len(), 96);
+        assert_eq!(DECLARED.len(), 98);
     }
 
     #[test]

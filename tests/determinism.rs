@@ -121,31 +121,40 @@ fn anchor_line(scenario: &str, stream: &str, lines: &[String]) -> String {
 }
 
 /// Compares each recomputed stream with its anchor. On any difference it
-/// panics with every line it recomputed, the moved ones marked.
+/// panics with every anchor line it recomputed, the moved ones marked,
+/// followed by the lines each moved stream hashed, so the message names
+/// what moved (a counter, a fault) and not only that its digest did.
 fn check(config: &str, streams: &[Stream]) {
     let anchors = anchors();
     let mut printed = String::new();
+    let mut contents = String::new();
     let mut moved = 0;
     for (scenario, stream, lines) in streams {
         let key = (scenario.clone(), (*stream).to_owned());
         let line = anchor_line(scenario, stream, lines);
-        let _ = match anchors.get(&key) {
-            Some(was) if *was == line => writeln!(printed, "{line}"),
+        let note = match anchors.get(&key) {
+            Some(was) if *was == line => None,
             Some(was) => {
-                moved += 1;
                 let was = was.splitn(3, ' ').nth(2).unwrap_or_default();
-                writeln!(printed, "{line}  # moved, was {was}")
+                Some(format!("moved, was {was}"))
             }
-            None => {
-                moved += 1;
-                writeln!(printed, "{line}  # no anchor")
-            }
+            None => Some("no anchor".to_owned()),
         };
+        let Some(note) = note else {
+            let _ = writeln!(printed, "{line}");
+            continue;
+        };
+        moved += 1;
+        let _ = writeln!(printed, "{line}  # {note}");
+        let _ = writeln!(contents, "\n{scenario} {stream}, recomputed:");
+        for l in lines {
+            let _ = writeln!(contents, "  {l}");
+        }
     }
     assert!(
         moved == 0,
         "{moved} replay anchor(s) moved under {config}. If that is intended, paste these \
-         lines into tests/anchors.txt and give the reason in CHANGES.md:\n{printed}"
+         lines into tests/anchors.txt and give the reason in CHANGES.md:\n{printed}{contents}"
     );
 }
 
