@@ -122,7 +122,7 @@ struct Hooks {
     /// token (see [`Cq::attach_channel`]).
     chan: Option<(CompletionChannel, u64)>,
     /// The QPs whose receives complete here: `None` before the first,
-    /// the receive engine of the one threaded UD QP a waiter may drive,
+    /// the receive engine of the one threaded QP a waiter may drive,
     /// or a dangling `Weak` (nothing to drive) for any other QP and once
     /// a second QP's receives complete here.
     receivers: Option<Weak<DgInner>>,
@@ -328,10 +328,11 @@ impl Cq {
     }
 
     /// Records that a QP completes its receives here (called once per QP
-    /// at creation). `engine` is the receive engine of a threaded UD QP,
-    /// which this CQ's waiters may run, or a dangling `Weak` for any other
-    /// QP. Only a CQ that completes exactly one QP's receives, and that
-    /// QP's a threaded UD one, drives; a second QP makes it a plain CQ.
+    /// at creation). `engine` is the receive engine of a threaded UD or
+    /// RD QP, which this CQ's waiters may run, or a dangling `Weak` for
+    /// any other QP. Only a CQ that completes exactly one QP's receives,
+    /// and that QP's a threaded datagram one, drives; a second QP makes it
+    /// a plain CQ.
     pub(crate) fn bind_receiver(&self, engine: Weak<DgInner>) {
         let mut hooks = self.inner.hooks.lock();
         hooks.receivers = Some(match hooks.receivers {
@@ -386,15 +387,17 @@ impl Cq {
     /// Polls with a timeout — the mandatory datagram-iWARP polling mode.
     ///
     /// **The waiter drives.** When this CQ completes the receives of
-    /// exactly one QP, and that QP is a threaded UD QP (neither poll mode
-    /// nor sharded), the waiter runs the QP's receive engine itself: with
-    /// datagrams waiting in the QP's delivery ring and nobody else running
-    /// the engine, it drains a batch of them (up to 64) and then takes its
-    /// completion. With nothing to drain it parks, and the QP's arrival
-    /// notifier wakes it when a datagram lands. So one wait can hand back
-    /// a batch, and the QP's engine thread is only the fallback for
-    /// arrivals no waiter takes. A CQ shared by several QPs' receives
-    /// waits as before, on pushes only.
+    /// exactly one QP, and that QP is a threaded UD or RD QP (neither poll
+    /// mode nor sharded), the waiter runs the QP's receive engine itself:
+    /// with datagrams waiting in the QP's delivery ring (on RD, or already
+    /// delivered in order by the reliable-datagram protocol) and nobody
+    /// else running the engine, it drains a batch of them (up to 64; on RD
+    /// each take is a zero-wait drive step of the protocol) and then takes
+    /// its completion. With nothing to drain it parks, and the QP's
+    /// arrival notifier wakes it when a datagram lands. So one wait can
+    /// hand back a batch, and the QP's engine thread is only the fallback
+    /// for arrivals no waiter takes and for RD's retransmission timers. A
+    /// CQ shared by several QPs' receives waits as before, on pushes only.
     ///
     /// `core.cq.poll_wait_nanos` therefore includes the receive work a
     /// waiter ran, not just its time parked.

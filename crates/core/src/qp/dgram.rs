@@ -49,7 +49,9 @@ pub(crate) enum DgLlp {
 }
 
 impl DgLlp {
-    /// Wire packets waiting in the delivery ring, before reassembly.
+    /// Datagrams a receive can still take: wire packets waiting in the
+    /// delivery ring, before reassembly, and on RD the messages a drive
+    /// step already delivered in order.
     fn rx_backlog(&self) -> usize {
         match self {
             DgLlp::Ud(c) => c.rx_backlog(),
@@ -57,15 +59,26 @@ impl DgLlp {
         }
     }
 
+    /// True when [`Self::try_recv_sg`] can make progress now. On UD that
+    /// is a non-empty delivery ring. On RD packets in the ring do not
+    /// count while a send or flush drives the protocol: that call takes
+    /// them, and the arrival notifier runs for what it leaves.
+    fn can_recv(&self) -> bool {
+        match self {
+            DgLlp::Ud(c) => c.rx_backlog() > 0,
+            DgLlp::Rd(c) => c.can_recv(),
+        }
+    }
+
     /// Receives the next complete datagram as a scatter-gather list (an
     /// unfragmented UD datagram arrives as the sender's original slices;
     /// RD always delivers contiguous messages), waiting up to `timeout`.
-    /// Its callers are [`DatagramQp::progress`] and RD's `rx_loop`. A
-    /// threaded UD QP's waiters and fallback thread never block here: they
-    /// drain with [`Self::try_recv_sg`] once the arrival notifier has
-    /// woken them. On RD this call is what runs the reliable-datagram
-    /// protocol (ACKs, retransmission timers): the threaded `rx_loop` or
-    /// poll-mode `progress` is its driver.
+    /// Its one caller is [`DatagramQp::progress`]. A threaded QP's waiters
+    /// and fallback thread never block here: they drain with
+    /// [`Self::try_recv_sg`] once the arrival notifier (or, on RD, a due
+    /// retransmission timer) has woken them. On RD this call is what runs
+    /// the reliable-datagram protocol (ACKs, retransmission timers), so in
+    /// poll mode `progress` is its only driver.
     fn recv_sg(&self, timeout: Duration) -> Result<(Addr, SgBytes), NetError> {
         match self {
             DgLlp::Ud(c) => c.recv_sg_from(Some(timeout)),
@@ -76,8 +89,9 @@ impl DgLlp {
     }
 
     /// Non-blocking receive: drains already-delivered wire packets only
-    /// (on RD, one non-blocking drive step). The shard engines'
-    /// batch-drain primitive.
+    /// (on RD, one zero-wait drive step, which also fires due
+    /// retransmission timers). The batch-drain primitive of the shard
+    /// engines, CQ waiters and the fallback thread.
     fn try_recv_sg(&self) -> Result<(Addr, SgBytes), NetError> {
         match self {
             DgLlp::Ud(c) => c.try_recv_sg_from(),
@@ -88,30 +102,43 @@ impl DgLlp {
     }
 
     /// Installs an arrival notifier on the conduit's wire endpoint. It
-    /// runs in the sender's thread after each delivered burst. Two
-    /// engines install one: a shard, which marks the QP ready in its
-    /// inbox, and a threaded UD QP, whose notifier wakes a waiter parked
-    /// on the receive CQ or, when no waiter will take the arrival, the
-    /// fallback thread (see [`DgInner::on_arrival`]).
-    ///
-    /// Returns `false` for RD: its protocol runs inside the calls that
-    /// drive the conduit, and neither the shards nor the fallback sweep RD
-    /// retransmission timers, so an RD QP keeps its own `rx_loop` (or poll
-    /// mode) parked in the conduit.
-    fn set_notify(&self, notify: Option<simnet::RxNotify>) -> bool {
+    /// runs in the sender's thread after each delivered burst (on RD also
+    /// when a send or flush delivered messages, see
+    /// [`RdConduit::set_notify`]). Two engines install one: a shard, which
+    /// marks a UD QP ready in its inbox, and a threaded QP, whose notifier
+    /// wakes a waiter parked on the receive CQ or, when no waiter will
+    /// take the arrival, the fallback thread (see
+    /// [`DgInner::on_arrival`]).
+    fn set_notify(&self, notify: Option<simnet::RxNotify>) {
         match self {
-            DgLlp::Ud(c) => {
-                c.set_notify(notify);
-                true
-            }
-            DgLlp::Rd(_) => false,
+            DgLlp::Ud(c) => c.set_notify(notify),
+            DgLlp::Rd(c) => c.set_notify(notify),
         }
     }
 
-    /// Re-runs the installed arrival notifier (UD; a no-op on RD).
+    /// Re-runs the installed arrival notifier.
     fn renotify(&self) {
-        if let DgLlp::Ud(c) = self {
-            c.renotify();
+        match self {
+            DgLlp::Ud(c) => c.renotify(),
+            DgLlp::Rd(c) => c.renotify(),
+        }
+    }
+
+    /// True while an RD retransmission timer is armed (never on UD). Takes
+    /// no lock, so the arrival notifier can ask on every arrival.
+    fn retransmit_armed(&self) -> bool {
+        match self {
+            DgLlp::Ud(_) => false,
+            DgLlp::Rd(c) => c.retransmit_armed(),
+        }
+    }
+
+    /// The time until RD's earliest retransmission deadline, zero when
+    /// one is due; `None` on UD and when no timer is armed.
+    fn retransmit_due_in(&self) -> Option<Duration> {
+        match self {
+            DgLlp::Ud(_) => None,
+            DgLlp::Rd(c) => c.retransmit_due_in(),
         }
     }
 
@@ -149,10 +176,10 @@ impl DgInner {
         self.tx.qpn
     }
 
-    /// True when a CQ waiter should run the engine now: datagrams wait in
-    /// the delivery ring and nobody holds the engine.
+    /// True when a CQ waiter should run the engine now: datagrams wait
+    /// (see [`DgLlp::can_recv`]) and nobody holds the engine.
     pub(crate) fn waiter_can_drive(&self) -> bool {
-        !self.gate.state().closed() && self.llp.rx_backlog() > 0
+        !self.gate.state().closed() && self.llp.can_recv()
     }
 
     /// A CQ waiter's turn at the engine: one batch drain under the gate.
@@ -191,7 +218,7 @@ impl DgInner {
     /// A waiter leaves without a completion. Datagrams it was woken for
     /// go to whoever the arrival notifier picks now.
     pub(crate) fn waiter_leaves(&self) {
-        if self.llp.rx_backlog() > 0 {
+        if self.llp.can_recv() {
             self.llp.renotify();
         }
     }
@@ -207,12 +234,12 @@ impl DgInner {
         }
         self.gate.release(by);
         // The fallback loops on its own backlog instead.
-        if by != Driver::Fallback && self.llp.rx_backlog() > 0 {
+        if by != Driver::Fallback && self.llp.can_recv() {
             self.llp.renotify();
         }
     }
 
-    /// The arrival notifier of a threaded UD QP. An arrival goes to:
+    /// The arrival notifier of a threaded QP. An arrival goes to:
     /// * the holder of the engine, if any: it looks at the ring again
     ///   when it lets go;
     /// * else a waiter parked on the receive CQ, woken to drive;
@@ -220,23 +247,44 @@ impl DgInner {
     ///   owner: it is expected back, and the fallback's next tick takes
     ///   the arrival if it is not;
     /// * else the fallback thread, woken at once. So is it when the CQ
-    ///   notifies a [`CompletionChannel`](crate::chan::CompletionChannel):
-    ///   a thread waiting on the channel runs no engine.
+    ///   notifies a [`CompletionChannel`](crate::chan::CompletionChannel)
+    ///   (a thread waiting on the channel runs no engine), and on RD
+    ///   while a retransmission timer is armed: the arrival may be the
+    ///   ACK a sender that is inside no call waits for, and its loss
+    ///   recovery must not wait for a tick.
     fn on_arrival(&self, fallback: &Thread) {
-        let gate = self.gate.state();
-        if gate.closed() {
-            return;
-        }
-        if gate.parked() > 0 {
-            self.rx.recv_cq.wake_waiter();
-        } else if !gate.owner_drove() || self.rx.recv_cq.has_channel() {
-            fallback.unpark();
+        match self.route() {
+            Route::Waiter => self.rx.recv_cq.wake_waiter(),
+            Route::Fallback => fallback.unpark(),
+            Route::Holder | Route::Owner => {}
         }
     }
 
+    /// Who [`Self::on_arrival`] hands an arrival to now.
+    fn route(&self) -> Route {
+        let gate = self.gate.state();
+        if gate.closed() {
+            Route::Holder
+        } else if gate.parked() > 0 {
+            Route::Waiter
+        } else if !gate.owner_drove()
+            || self.llp.retransmit_armed()
+            || self.rx.recv_cq.has_channel()
+        {
+            Route::Fallback
+        } else {
+            Route::Owner
+        }
+    }
+
+    /// True for RD (reliable datagram) mode.
+    pub(crate) fn is_reliable(&self) -> bool {
+        self.llp.is_reliable()
+    }
+
     /// See [`DgLlp::set_notify`].
-    pub(crate) fn set_notify(&self, notify: Option<simnet::RxNotify>) -> bool {
-        self.llp.set_notify(notify)
+    pub(crate) fn set_notify(&self, notify: Option<simnet::RxNotify>) {
+        self.llp.set_notify(notify);
     }
 
     /// Runs `wrs` through the transmit pipeline on this QP's LLP.
@@ -245,13 +293,26 @@ impl DgInner {
     }
 }
 
+/// Where the arrival notifier sends an arrival ([`DgInner::on_arrival`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// The thread holding the engine, or nobody once the QP is shut.
+    Holder,
+    /// A waiter parked on the receive CQ.
+    Waiter,
+    /// The owner, expected back in a CQ wait.
+    Owner,
+    /// The fallback thread.
+    Fallback,
+}
+
 /// A datagram-iWARP queue pair (UD or RD mode).
 ///
 /// Created through [`crate::device::Device`]; see the crate root for the
 /// full API tour.
 pub struct DatagramQp {
     inner: Arc<DgInner>,
-    /// The engine thread: RD's `rx_loop`, or a threaded UD QP's fallback.
+    /// The engine thread of a threaded QP: its fallback.
     rx_thread: Option<std::thread::JoinHandle<()>>,
     /// Set when a shard engine drives this QP's receives (no `rx_thread`);
     /// held so Drop can unregister from the shard map.
@@ -286,9 +347,8 @@ impl DatagramQp {
         });
         // Poll mode always wins (caller-driven, deterministic — chaos
         // replay depends on it). Otherwise prefer a shard engine when the
-        // device has one and the LLP supports arrival notification; fall
-        // back to a per-QP thread: RD's engine, or the fallback of a UD
-        // QP whose CQ waiters drive it.
+        // device has one and the QP is UD; fall back to a per-QP thread,
+        // the fallback of a QP whose CQ waiters drive it.
         let shard = if inner.rx.cfg.poll_mode {
             None
         } else {
@@ -297,10 +357,9 @@ impl DatagramQp {
                 .map(|map| (Arc::clone(map), qpn))
         };
         let threaded = !inner.rx.cfg.poll_mode && shard.is_none();
-        let waiters_drive = threaded && !inner.llp.is_reliable();
-        // Only a threaded UD QP's waiters run its engine; every other QP
+        // Only a threaded QP's waiters run its engine; every other QP
         // still marks the CQ, so a CQ shared with it never drives.
-        inner.rx.recv_cq.bind_receiver(if waiters_drive {
+        inner.rx.recv_cq.bind_receiver(if threaded {
             Arc::downgrade(&inner)
         } else {
             Weak::new()
@@ -309,23 +368,15 @@ impl DatagramQp {
             let rx_inner = Arc::clone(&inner);
             let thread = std::thread::Builder::new()
                 .name(format!("iwarp-dgqp-{qpn}"))
-                .spawn(move || {
-                    if waiters_drive {
-                        fallback_loop(&rx_inner);
-                    } else {
-                        rx_loop(&rx_inner);
-                    }
-                })
+                .spawn(move || fallback_loop(&rx_inner))
                 .expect("spawn datagram QP rx thread");
-            if waiters_drive {
-                let engine = Arc::downgrade(&inner);
-                let fallback = thread.thread().clone();
-                inner.set_notify(Some(Arc::new(move |_| {
-                    if let Some(engine) = engine.upgrade() {
-                        engine.on_arrival(&fallback);
-                    }
-                })));
-            }
+            let engine = Arc::downgrade(&inner);
+            let fallback = thread.thread().clone();
+            inner.set_notify(Some(Arc::new(move |_| {
+                if let Some(engine) = engine.upgrade() {
+                    engine.on_arrival(&fallback);
+                }
+            })));
             thread
         });
         Self {
@@ -335,10 +386,10 @@ impl DatagramQp {
         }
     }
 
-    /// A threaded UD QP: CQ waiters drive it, with the engine thread as
-    /// the fallback, all under the engine gate.
+    /// A threaded QP: CQ waiters drive it, with the engine thread as the
+    /// fallback, all under the engine gate.
     fn waiters_drive(&self) -> bool {
-        self.rx_thread.is_some() && !self.inner.llp.is_reliable()
+        self.rx_thread.is_some()
     }
 
     /// True when a device shard engine (not a per-QP thread or the
@@ -354,7 +405,7 @@ impl DatagramQp {
     /// [`QpConfig::poll_mode`]; in threaded mode the engine thread
     /// already does this work. On an RD QP this call also runs the
     /// reliable-datagram protocol, so a poll-mode RD QP neither
-    /// acknowledges nor retransmits between calls. On a threaded UD QP it
+    /// acknowledges nor retransmits between calls. On a threaded QP it
     /// takes the engine gate like any other driver, and returns at once
     /// when a CQ waiter or the fallback thread holds the engine.
     pub fn progress(&self, max_wait: Duration) {
@@ -381,10 +432,12 @@ impl DatagramQp {
         self.progress(max_wait);
     }
 
-    /// Wire packets already delivered to this QP but not yet ingested.
-    /// A [`Self::progress`] call consumes at least one whenever this is
-    /// non-zero, so poll-mode drivers can loop `progress` until the
-    /// backlog reads zero to drain a tick to quiescence.
+    /// Datagrams already delivered to this QP but not yet ingested: wire
+    /// packets in the delivery ring and, on RD, messages the protocol
+    /// already delivered in order. A [`Self::progress`] call consumes at
+    /// least one whenever this is non-zero, so poll-mode drivers can loop
+    /// `progress` until the backlog reads zero to drain a tick to
+    /// quiescence.
     #[must_use]
     pub fn rx_backlog(&self) -> usize {
         self.inner.llp.rx_backlog()
@@ -704,12 +757,12 @@ impl Drop for DatagramQp {
         if let Some((map, qpn)) = self.shard.take() {
             // Silence the fabric notifier first so no new readiness is
             // queued, then pull the QP out of its shard's inbox.
-            let _ = inner.llp.set_notify(None);
+            inner.llp.set_notify(None);
             map.unregister(qpn);
         }
         if waiters_drive {
             // No waiter or fallback is woken for this QP again.
-            let _ = inner.llp.set_notify(None);
+            inner.llp.set_notify(None);
             inner.rx.recv_cq.unbind_receiver(inner);
         }
         if let Some(t) = self.rx_thread.take() {
@@ -728,10 +781,10 @@ impl Drop for DatagramQp {
     }
 }
 
-/// How long an engine thread parks between looks: RD's `rx_loop` waits
-/// this long in the conduit, and a UD fallback parks this long. It
-/// bounds TTL expiry on an idle QP and, on UD, how long an arrival left
-/// for its owner can wait for the fallback.
+/// Longest a fallback thread parks between looks. It bounds TTL expiry
+/// on an idle QP and how long an arrival left for its owner can wait for
+/// the fallback. An RD fallback with a retransmission timer armed parks
+/// only until the timer is due (at least [`RdConduit::TIMER_FLOOR`]).
 const TICK: Duration = Duration::from_millis(5);
 
 /// Datagrams one engine turn drains before it lets go: a CQ waiter's turn,
@@ -739,32 +792,27 @@ const TICK: Duration = Duration::from_millis(5);
 /// keeps a flooding QP from starving its shard siblings).
 pub(crate) const BATCH: usize = 64;
 
-/// RD's engine thread body (threaded mode): it parks in the conduit,
-/// whose receive calls run the reliable-datagram protocol.
-fn rx_loop(inner: &DgInner) {
-    loop {
-        if inner.gate.is_shut() {
-            return;
-        }
-        if !rx_step(inner, TICK) {
-            return;
-        }
-    }
-}
-
-/// A threaded UD QP's fallback engine (`iwarp-dgqp-<qpn>`): the driver
-/// for arrivals no CQ waiter takes. It parks for a [`TICK`], or until the
-/// arrival notifier wakes it, then runs the same non-blocking batch drain
-/// as a shard worker, under the engine gate. A tick that finds the gate
-/// free and the ring empty only runs the TTL sweep. It ends when the QP
-/// is dropped or its LLP dies (after flushing the QP).
+/// A threaded QP's fallback engine (`iwarp-dgqp-<qpn>`): the driver for
+/// arrivals no CQ waiter takes and, on RD, for retransmission timers
+/// that fall due while nobody is inside a call. It parks for a [`TICK`]
+/// (on RD at most until the earliest retransmission deadline), or until
+/// the arrival notifier wakes it, then runs the same non-blocking batch
+/// drain as a shard worker, under the engine gate. A turn that finds the
+/// ring empty and no RD timer due only runs the TTL sweep; with a timer
+/// due it drains anyway, since on RD the drain's zero-wait drive step is
+/// what fires the timer. Only drains with datagrams waiting count as
+/// `core.rx.fallback_drains`. It ends when the QP is dropped or its LLP
+/// dies (after flushing the QP).
 fn fallback_loop(inner: &DgInner) {
     // The first turn catches anything delivered before the notifier was
     // installed.
     while !inner.gate.is_shut() {
         if inner.gate.try_acquire() {
-            let drained = if inner.llp.rx_backlog() > 0 {
-                inner.rx.metrics().rx_fallback_drains.inc();
+            let backlog = inner.llp.can_recv();
+            let drained = if backlog || inner.llp.retransmit_due_in() == Some(Duration::ZERO) {
+                if backlog {
+                    inner.rx.metrics().rx_fallback_drains.inc();
+                }
                 rx_drain(inner, BATCH)
             } else {
                 inner.rx.expire();
@@ -773,17 +821,21 @@ fn fallback_loop(inner: &DgInner) {
             inner.release(Driver::Fallback, drained);
             // Still queued: the budget ran out, or a datagram landed
             // while the engine was held and woke nobody.
-            if drained == Drained::More || inner.llp.rx_backlog() > 0 {
+            if drained == Drained::More || inner.llp.can_recv() {
                 continue;
             }
         }
-        std::thread::park_timeout(TICK);
+        let park = inner
+            .llp
+            .retransmit_due_in()
+            .map_or(TICK, |due| due.clamp(RdConduit::TIMER_FLOOR, TICK));
+        std::thread::park_timeout(park);
     }
 }
 
 /// One receive-engine iteration: the software stand-in for the RNIC's
-/// receive DMA engine. Shared by the engine thread and poll-mode callers.
-/// Returns false once the LLP is dead.
+/// receive DMA engine, run by [`DatagramQp::progress`]. Returns false once
+/// the LLP is dead.
 ///
 /// Datagrams arrive as scatter-gather lists: an unfragmented SG-path
 /// datagram reaches this decode as the sender's original slices, with its
@@ -831,7 +883,7 @@ pub(crate) enum Drained {
 }
 
 /// Batch drain, the non-blocking engine turn of shard workers, CQ waiters
-/// and the UD fallback: processes up to `budget` already-delivered
+/// and the fallback thread: processes up to `budget` already-delivered
 /// datagrams, then runs the (self-throttled) expiry sweep.
 pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> Drained {
     for _ in 0..budget {
@@ -846,4 +898,43 @@ pub(crate) fn rx_drain(inner: &DgInner, budget: usize) -> Drained {
     }
     inner.rx.expire();
     Drained::More
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::Device;
+    use simnet::{Fabric, NodeId};
+
+    /// Where an arrival goes once a waiter has driven `qp` and left.
+    fn route_after_the_owner_drove(qp: &DatagramQp) -> Route {
+        assert!(qp.inner.gate.try_acquire());
+        qp.inner.gate.release(Driver::Waiter);
+        qp.inner.route()
+    }
+
+    #[test]
+    fn an_arrival_goes_to_the_fallback_while_a_retransmission_timer_is_armed() {
+        // Poll mode: no fallback thread runs a turn (and clears the
+        // owner's mark) behind the test's back.
+        let fab = Fabric::loopback();
+        let dev = Device::new(&fab, NodeId(0));
+        let cfg = QpConfig {
+            poll_mode: true,
+            ..QpConfig::default()
+        };
+        let (scq, rcq) = (Cq::new(4), Cq::new(4));
+        let ud = dev.create_ud_qp(None, &scq, &rcq, cfg.clone()).unwrap();
+        let rd = dev.create_rd_qp(None, &scq, &rcq, cfg).unwrap();
+        assert_eq!(route_after_the_owner_drove(&ud), Route::Owner);
+        assert_eq!(route_after_the_owner_drove(&rd), Route::Owner);
+        // A message to nobody stays unacknowledged, so its timer stays
+        // armed: the arrival may be the ACK its sender waits for.
+        let void = UdDest {
+            addr: Addr::new(9, 9),
+            qpn: 1,
+        };
+        rd.post_send(1, &b"void"[..], void).unwrap();
+        assert_eq!(route_after_the_owner_drove(&rd), Route::Fallback);
+    }
 }

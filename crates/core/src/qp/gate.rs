@@ -1,6 +1,7 @@
-//! The engine gate: which thread runs a threaded UD QP's receive engine.
+//! The engine gate: which thread runs a threaded datagram QP's receive
+//! engine.
 //!
-//! A threaded UD QP has up to three drivers: a thread waiting in
+//! A threaded UD or RD QP has up to three drivers: a thread waiting in
 //! [`Cq::poll_timeout`](crate::cq::Cq::poll_timeout) on its receive CQ,
 //! the QP's fallback thread (`iwarp-dgqp-<qpn>`), and a
 //! [`progress`](crate::qp::DatagramQp::progress) caller. The conduit's
@@ -59,7 +60,7 @@ impl GateState {
     }
 }
 
-/// The engine gate of one threaded UD QP (see the module docs).
+/// The engine gate of one threaded datagram QP (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct EngineGate(AtomicU32);
 

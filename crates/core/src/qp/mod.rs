@@ -22,19 +22,26 @@
 //! of the RNIC's receive-side DMA engine, and who runs it depends on the
 //! QP:
 //!
-//! * **Threaded UD: the waiter drives.** A thread blocked in
+//! * **Threaded UD and RD: the waiter drives.** A thread blocked in
 //!   [`Cq::poll_timeout`](crate::cq::Cq::poll_timeout) on the QP's
 //!   receive CQ runs the engine itself, one batch drain of the datagrams
 //!   already delivered, when that CQ completes this QP's receives only.
 //!   The timed CQ poll the paper makes the datagram waiter's primitive
-//!   (§IV.B.1) is then also where receive processing happens. The QP's
-//!   `iwarp-dgqp-<qpn>` thread is the fallback: the conduit's arrival
-//!   notifier wakes it for an arrival no waiter will take, and its 5 ms
-//!   tick bounds how long an arrival left for a returning owner can wait.
-//!   A one-sided target that is inside no call still places and responds.
-//! * **Threaded RD and RC:** a per-QP engine thread blocks in the conduit
-//!   and drives the reliable protocol.
-//! * **Sharded UD:** a device shard worker drains the QP.
+//!   (§IV.B.1) is then also where receive processing happens; on RD each
+//!   take is a zero-wait drive step of the reliable-datagram protocol,
+//!   which ACKs and fires due timers too. The QP's `iwarp-dgqp-<qpn>`
+//!   thread is the fallback: the conduit's arrival notifier wakes it for
+//!   an arrival no waiter will take, and its 5 ms tick bounds how long an
+//!   arrival left for a returning owner can wait. On RD it also parks no
+//!   longer than the earliest retransmission deadline (at least 200 µs)
+//!   and runs one drive step when a timer is due, and an arrival while a
+//!   timer is armed wakes it at once, so a sender that is inside no call
+//!   still recovers its losses. A one-sided target that is inside no call
+//!   still places and responds.
+//! * **Threaded RC:** a per-QP engine thread blocks in the stream and
+//!   drives the reliable protocol.
+//! * **Sharded UD:** a device shard worker drains the QP. RD QPs never
+//!   go to the shards, which do not run RD's timers.
 //! * **Poll mode:** the caller's `progress` calls are the engine.
 //!
 //! In every mode at most one thread runs a QP's engine at a time.
@@ -78,11 +85,13 @@ pub struct QpConfig {
     /// waiters never run its engine: only `progress` does, which keeps
     /// seeded replays deterministic.
     ///
-    /// When `false`, an unsharded UD QP is driven by the threads waiting
-    /// in [`Cq::poll_timeout`](crate::cq::Cq::poll_timeout) on its receive
-    /// CQ, with its `iwarp-dgqp-<qpn>` thread as the fallback for
-    /// arrivals no waiter takes (see the module docs); RD and RC QPs run a
-    /// per-QP engine thread, and a sharded device's UD QPs its shards.
+    /// When `false`, an unsharded UD QP and every RD QP are driven by the
+    /// threads waiting in
+    /// [`Cq::poll_timeout`](crate::cq::Cq::poll_timeout) on the receive
+    /// CQ, with the QP's `iwarp-dgqp-<qpn>` thread as the fallback for
+    /// arrivals no waiter takes and RD's retransmission timers (see the
+    /// module docs); an RC QP runs a per-QP engine thread, and a sharded
+    /// device's UD QPs its shards.
     pub poll_mode: bool,
 }
 

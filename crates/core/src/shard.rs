@@ -56,8 +56,9 @@ const SWEEP_EVERY: Duration = Duration::from_millis(100);
 #[derive(Clone, Debug, Default)]
 pub struct ShardConfig {
     /// Number of shard RX engines. `0` disables sharding entirely — QPs
-    /// keep their per-QP engine thread (on UD the fallback behind the
-    /// CQ waiters that drive it) or stay caller-driven in poll mode.
+    /// keep their per-QP engine thread (the fallback behind the CQ
+    /// waiters that drive them) or stay caller-driven in poll mode. RD
+    /// QPs keep theirs either way.
     pub shards: usize,
 }
 
@@ -157,18 +158,20 @@ impl ShardMap {
     }
 
     /// Assigns `engine` to its shard and installs the conduit's arrival
-    /// notifier. Returns `false` (no assignment) when the LLP has no
-    /// notify hook — RD QPs keep their own engine thread.
+    /// notifier. Returns `false` (no assignment) for an RD QP: a shard
+    /// drains arrivals but never runs a drive step when a retransmission
+    /// timer falls due, so an RD QP on a shard would lose its RTOs. RD
+    /// QPs keep their own fallback thread, which does.
     pub(crate) fn register(self: &Arc<Self>, engine: &Arc<DgInner>) -> bool {
+        if engine.is_reliable() {
+            return false;
+        }
         let qpn = engine.qpn();
         let shard = Arc::clone(&self.shards[self.shard_of(qpn)]);
         let notify_shard = Arc::clone(&shard);
-        let hooked = engine.set_notify(Some(Arc::new(move |_addr| {
+        engine.set_notify(Some(Arc::new(move |_addr| {
             notify_shard.mark_ready(qpn);
         })));
-        if !hooked {
-            return false;
-        }
         shard
             .state
             .lock()

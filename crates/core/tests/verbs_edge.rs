@@ -278,6 +278,44 @@ fn poll_mode_qp_progress_drives_everything() {
 }
 
 #[test]
+fn rd_rx_backlog_counts_messages_already_delivered_in_order() {
+    // One drive step drains the whole delivery ring into RD's in-order
+    // queue, but `progress` hands the engine one message per call: the
+    // backlog must still count the rest, or a caller draining to
+    // quiescence would stop with messages waiting.
+    let fab = Fabric::loopback();
+    let a = Device::new(&fab, NodeId(0));
+    let b = Device::new(&fab, NodeId(1));
+    let (a_s, a_r) = (Cq::new(16), Cq::new(16));
+    let (b_s, b_r) = (Cq::new(16), Cq::new(16));
+    let cfg = QpConfig {
+        poll_mode: true,
+        ..QpConfig::default()
+    };
+    let qa = a.create_rd_qp(None, &a_s, &a_r, cfg.clone()).unwrap();
+    let qb = b.create_rd_qp(None, &b_s, &b_r, cfg).unwrap();
+    let sink = b.register(3 * 64, Access::Local);
+    for i in 0..3u64 {
+        qb.post_recv(RecvWr {
+            wr_id: i,
+            mr: sink.clone(),
+            offset: i * 64,
+            len: 64,
+        })
+        .unwrap();
+        qa.post_send(i, &i.to_le_bytes()[..], qb.dest()).unwrap();
+    }
+    assert_eq!(qb.rx_backlog(), 3, "the loopback fabric delivers on send");
+    qb.progress(Duration::ZERO);
+    assert_eq!(qb.rx_backlog(), 2);
+    qb.progress(Duration::ZERO);
+    qb.progress(Duration::ZERO);
+    assert_eq!(qb.rx_backlog(), 0);
+    let ids: Vec<u64> = std::iter::from_fn(|| b_r.poll()).map(|c| c.wr_id).collect();
+    assert_eq!(ids, [0, 1, 2]);
+}
+
+#[test]
 fn rd_qp_read_extension_works_reliably() {
     let fab = Fabric::new(simnet::WireConfig::with_loss(0.02, 9));
     let a = Device::new(&fab, NodeId(0));

@@ -1,19 +1,23 @@
 //! The waiter drives: a thread waiting in `Cq::poll_timeout` on the
-//! receive CQ of a threaded UD QP runs that QP's receive engine itself,
-//! and the QP's engine thread (`iwarp-dgqp-<qpn>`) is only the fallback
-//! for arrivals no waiter takes.
+//! receive CQ of a threaded UD or RD QP runs that QP's receive engine
+//! itself, and the QP's engine thread (`iwarp-dgqp-<qpn>`) is only the
+//! fallback for arrivals no waiter takes and, on RD, for retransmission
+//! timers that fall due while nobody is inside a call.
 //!
 //! Each test has its own fabric, so the fabric-wide counters
 //! `core.rx.waiter_steps` and `core.rx.fallback_drains` say who drove the
 //! one receiving QP.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use iwarp::wr::RecvWr;
-use iwarp::{Access, Cq, CqeOpcode, CqeStatus, Device, MemoryRegion, QpConfig, UdQp};
-use simnet::{Fabric, NodeId};
+use iwarp::{
+    Access, Cq, CqeOpcode, CqeStatus, Device, DeviceConfig, MemoryRegion, QpConfig, RdQp,
+    ShardConfig, UdQp,
+};
+use simnet::{Fabric, FaultPlan, NodeId, PartitionWindow, WireConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -33,6 +37,23 @@ fn fallback_drains(fab: &Fabric) -> u64 {
 fn ud_qp(dev: &Device, recv_cq: &Cq) -> UdQp {
     dev.create_ud_qp(None, &Cq::new(1 << 14), recv_cq, QpConfig::default())
         .unwrap()
+}
+
+/// A threaded RD QP with its own send and receive CQs.
+fn rd_qp(dev: &Device, recv_cq: &Cq) -> RdQp {
+    dev.create_rd_qp(None, &Cq::new(1 << 14), recv_cq, QpConfig::default())
+        .unwrap()
+}
+
+/// A fabric that drops the first wire packet of every link and nothing
+/// else: an RD sender's first message is lost, and only its
+/// retransmission timer can bring it back.
+fn first_packet_lost() -> Fabric {
+    let fab = Fabric::loopback();
+    let mut plan = FaultPlan::quiet(1);
+    plan.partitions.push(PartitionWindow { start: 0, end: 1 });
+    fab.install_fault_plan(plan);
+    fab
 }
 
 /// Posts `n` receives of `slot` bytes each, receive `i` at `i * slot`.
@@ -285,6 +306,199 @@ fn dropping_a_qp_under_its_waiter_returns_the_waiter_and_flushes() {
         std::thread::sleep(Duration::from_millis(30));
         // Drop on a detached thread so that a hang fails the test
         // instead of blocking it forever.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            drop(qb);
+            tx.send(()).unwrap();
+        });
+        let done = rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        stop.store(1, Ordering::SeqCst);
+        sender.join().unwrap();
+        (waiter.join().unwrap(), done)
+    });
+    assert!(
+        done,
+        "dropping the QP did not return (its engine thread never ended)"
+    );
+    assert!(
+        flushed > 0,
+        "the posted receives were not flushed to the waiter"
+    );
+    assert!(waiter_steps(&fab) > 0);
+}
+
+#[test]
+fn a_waiter_parked_on_an_rd_qp_takes_its_messages() {
+    let fab = Fabric::loopback();
+    let (a, b) = (Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1)));
+    let b_recv = Cq::new(64);
+    let qa = rd_qp(&a, &Cq::new(64));
+    let qb = rd_qp(&b, &b_recv);
+    let sink = b.register(ROUNDS as usize * 64, Access::Local);
+    post_slots(&qb, &sink, ROUNDS as usize, 64);
+
+    for i in 0..ROUNDS {
+        let cqe = send_to_a_parked_waiter(&qa, &qb, &b_recv, i);
+        assert_eq!(cqe.status, CqeStatus::Success);
+        assert_eq!(cqe.wr_id, i);
+        assert_eq!(sink.read_vec(i * 64, 8).unwrap(), i.to_le_bytes());
+        if waiter_steps(&fab) > 0 {
+            return;
+        }
+    }
+    panic!("no RD message was taken by the thread waiting on the CQ");
+}
+
+#[test]
+fn an_rd_sender_inside_no_call_recovers_a_loss_through_its_fallback() {
+    let fab = first_packet_lost();
+    let (a, b) = (Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1)));
+    let b_recv = Cq::new(64);
+    let qa = rd_qp(&a, &Cq::new(64));
+    let qb = rd_qp(&b, &b_recv);
+    let sink = b.register(64, Access::Local);
+    post_slots(&qb, &sink, 1, 64);
+
+    // The send is lost, and the sender makes no call after it (no
+    // `flush`, no wait on its CQs): only its fallback's retransmission
+    // timer can deliver it.
+    qa.post_send(1, &b"lost once"[..], qb.dest()).unwrap();
+    let cqe = b_recv
+        .poll_timeout(TIMEOUT)
+        .expect("the lost message was never retransmitted");
+    assert_eq!(cqe.status, CqeStatus::Success);
+    assert_eq!(sink.read_vec(0, 9).unwrap(), b"lost once");
+    assert!(counter(&fab, "simnet.rdgram.retransmits") >= 1);
+}
+
+#[test]
+fn two_rd_qps_that_wait_on_their_receive_cqs_exchange_without_a_stall() {
+    const N: u64 = 10_000;
+    const SLOT: usize = 8;
+    /// Messages a side may send beyond what its peer has received.
+    const CREDIT: u64 = 16;
+    let fab = Fabric::new(WireConfig::with_loss(0.01, 4711));
+    let devs = [Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1))];
+    let cqs = [Cq::new(N as usize), Cq::new(N as usize)];
+    let qps = [rd_qp(&devs[0], &cqs[0]), rd_qp(&devs[1], &cqs[1])];
+    let sinks = devs
+        .each_ref()
+        .map(|dev| dev.register(N as usize * SLOT, Access::Local));
+    for (qp, sink) in qps.iter().zip(&sinks) {
+        post_slots(qp, sink, N as usize, SLOT);
+    }
+    // What each side has received so far: its peer's send credit.
+    let got = [AtomicU64::new(0), AtomicU64::new(0)];
+    let deadline = Instant::now() + Duration::from_secs(60);
+
+    std::thread::scope(|s| {
+        for me in 0..2 {
+            let (qp, cq, sink) = (&qps[me], &cqs[me], &sinks[me]);
+            let (peer, got) = (qps[1 - me].dest(), &got);
+            s.spawn(move || {
+                let (mut sent, mut taken) = (0u64, 0u64);
+                while sent < N || taken < N {
+                    let (s_at, t_at) = (sent, taken);
+                    assert!(
+                        Instant::now() < deadline,
+                        "side {me} stalled: sent {s_at}, received {t_at} of {N}"
+                    );
+                    if sent < N && sent < got[1 - me].load(Ordering::SeqCst) + CREDIT {
+                        qp.post_send(sent, &sent.to_le_bytes()[..], peer).unwrap();
+                        while qp.send_cq().poll().is_some() {}
+                        sent += 1;
+                        continue;
+                    }
+                    if taken == N {
+                        // Everything received, sends left: wait for
+                        // credit inside no call on the QP, so the
+                        // acknowledgements of this side's sends are the
+                        // fallback's to take.
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let Ok(cqe) = cq.poll_timeout(Duration::from_millis(1)) else {
+                        continue;
+                    };
+                    assert_eq!(cqe.status, CqeStatus::Success);
+                    assert_eq!(cqe.wr_id, taken, "side {me} out of order");
+                    let mut seq = [0u8; SLOT];
+                    sink.read_into(taken * SLOT as u64, &mut seq).unwrap();
+                    assert_eq!(u64::from_le_bytes(seq), taken, "side {me} misplaced");
+                    taken += 1;
+                    got[me].store(taken, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    assert!(waiter_steps(&fab) > 0);
+    assert!(counter(&fab, "simnet.rdgram.retransmits") > 0);
+}
+
+#[test]
+fn an_rd_qp_on_a_sharded_device_still_recovers_a_loss() {
+    let fab = first_packet_lost();
+    let cfg = DeviceConfig {
+        shard: ShardConfig::with_shards(1),
+        ..DeviceConfig::default()
+    };
+    let a = Device::with_config(&fab, NodeId(0), cfg);
+    let b = Device::new(&fab, NodeId(1));
+    let b_recv = Cq::new(64);
+    let qa = rd_qp(&a, &Cq::new(64));
+    let qb = rd_qp(&b, &b_recv);
+    let sink = b.register(64, Access::Local);
+    post_slots(&qb, &sink, 1, 64);
+
+    // A shard would drain the sender's arrivals but never fire its timer.
+    qa.post_send(1, &b"lost once"[..], qb.dest()).unwrap();
+    let cqe = b_recv
+        .poll_timeout(TIMEOUT)
+        .expect("the lost message was never retransmitted");
+    assert_eq!(cqe.status, CqeStatus::Success);
+    assert_eq!(sink.read_vec(0, 9).unwrap(), b"lost once");
+    assert!(a.sharded() && !qa.is_sharded());
+}
+
+#[test]
+fn dropping_an_rd_qp_under_its_waiter_returns_the_waiter() {
+    const POSTED: usize = 4096;
+    let fab = Fabric::loopback();
+    let (a, b) = (Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1)));
+    let b_recv = Cq::new(POSTED);
+    let qa = rd_qp(&a, &Cq::new(1 << 14));
+    let qb = rd_qp(&b, &b_recv);
+    let sink = b.register(POSTED * 8, Access::Local);
+    post_slots(&qb, &sink, POSTED, 8);
+    let dest = qb.dest();
+    let stop = AtomicUsize::new(0);
+
+    let (flushed, done) = std::thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            let mut flushed = 0;
+            loop {
+                match b_recv.poll_timeout(Duration::from_millis(500)) {
+                    Ok(cqe) if cqe.status == CqeStatus::Flushed => flushed += 1,
+                    Ok(cqe) => assert_eq!(cqe.status, CqeStatus::Success),
+                    Err(_) => return flushed,
+                }
+            }
+        });
+        // Half the posted receives at most, so some are left to flush.
+        // Once the QP is gone its peer's sends stay unacknowledged, and
+        // the sender stops.
+        let sender = s.spawn(|| {
+            let mut i = 0u64;
+            while stop.load(Ordering::SeqCst) == 0 && i < POSTED as u64 / 2 {
+                let _ = qa.post_send(i, &i.to_le_bytes()[..], dest);
+                while qa.send_cq().poll().is_some() {}
+                i += 1;
+                if i.is_multiple_of(32) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        std::thread::sleep(Duration::from_millis(30));
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             drop(qb);

@@ -71,6 +71,10 @@ pub(crate) trait Protocol {
     fn take_output(&self, st: &mut Self::State) -> Option<Self::Output>;
     /// Sends taken output, after the unlock.
     fn send(&self, out: Self::Output);
+    /// Runs after a returning driver's release, once the drive step is
+    /// free: a core with an engine above it that waits outside the
+    /// conduit tells that engine here about input still queued.
+    fn handed_off(&self) {}
 }
 
 /// What a driver's lock guards: the protocol state, to which it
@@ -147,6 +151,21 @@ impl<P: Protocol> Driver<P> {
                 read: None,
             },
         }
+    }
+
+    /// The time on the driver's clock, read now and outside any scope:
+    /// what a reader that takes no lock compares a deadline the core
+    /// published with.
+    pub(crate) fn now(&self) -> Duration {
+        let mut clock = self.clock;
+        clock.now()
+    }
+
+    /// A look at the state, and at whether a caller holds the drive step,
+    /// in a lock scope that changes nothing and so has nothing to release.
+    pub(crate) fn peek<T>(&self, f: impl FnOnce(&P::State, bool) -> T) -> T {
+        let st = self.st.lock();
+        f(&st.st, st.driving)
     }
 
     /// Runs `f` in one lock scope, which ends in the release step.
@@ -231,6 +250,9 @@ impl<P: Protocol> Driver<P> {
             st.wake = true;
         }
         self.release(st);
+        if driver {
+            self.core.handed_off();
+        }
         out
     }
 
@@ -313,6 +335,8 @@ mod tests {
         /// The `now` each `on_input` and `after_step` was told.
         nows: Mutex<Vec<Duration>>,
         sent: Mutex<Vec<u32>>,
+        /// Calls of `handed_off`.
+        handoffs: AtomicUsize,
     }
 
     #[derive(Default)]
@@ -361,6 +385,10 @@ mod tests {
         fn send(&self, out: Vec<u32>) {
             self.sent.lock().extend(out);
         }
+
+        fn handed_off(&self) {
+            self.handoffs.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn fake(deadline: Option<Duration>) -> (Driver<Fake>, Sender<u32>) {
@@ -372,8 +400,23 @@ mod tests {
             waits: Mutex::new(Vec::new()),
             nows: Mutex::new(Vec::new()),
             sent: Mutex::new(Vec::new()),
+            handoffs: AtomicUsize::new(0),
         };
         (Driver::new(core, FakeSt::default()), tx)
+    }
+
+    #[test]
+    fn only_a_returning_driver_hands_off() {
+        let (drv, tx) = fake(None);
+        // A call whose first poll yields never drives.
+        assert_eq!(drv.wait_until(None, |_, _| Some(Ok(()))), Ok(()));
+        assert_eq!(drv.core.handoffs.load(Ordering::Relaxed), 0);
+        // A call that drove hands off once, after its release sent what
+        // its step took.
+        tx.send(3).unwrap();
+        let _ = drv.wait_until(Some(Duration::ZERO), |_, _| None::<NetResult<()>>);
+        assert_eq!(drv.core.handoffs.load(Ordering::Relaxed), 1);
+        assert_eq!(*drv.core.sent.lock(), [3]);
     }
 
     #[test]

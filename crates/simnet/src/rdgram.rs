@@ -30,8 +30,22 @@
 //! flag when it queued a message, took an ACK or set an error. Every
 //! frame — data, ACK, retransmission — waits in `St::outbox`, and the
 //! release step sends the frames one datagram each, in queued order.
+//!
+//! **An engine above the conduit.** A threaded QP drives this conduit
+//! from whichever thread waits for its completions, and from an engine
+//! thread that runs one zero-wait drive step on an arrival or when a
+//! timer is due. The arrival notifier ([`RdConduit::set_notify`]) tells
+//! that engine when a receive call can make progress: a wire packet
+//! landed, a drive step that no receive call ran delivered messages (the
+//! release step re-runs the notifier), or a send or flush stopped driving
+//! with packets still queued. Two reads that take no lock tell it about
+//! timers: whether a retransmission timer is armed
+//! ([`RdConduit::retransmit_armed`]), and the time to the earliest
+//! deadline ([`RdConduit::retransmit_due_in`]), which each scope that can
+//! move a timer publishes and the driver's clock measures.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -158,6 +172,9 @@ struct St {
     tx: HashMap<Addr, PeerTx>,
     rx: HashMap<Addr, PeerRx>,
     ready: VecDeque<(Addr, Bytes)>,
+    /// A drive step moved messages into `ready` since a receive call last
+    /// looked at it: the release step re-runs the arrival notifier.
+    delivered: bool,
     err: Option<NetError>,
     /// Frames built under the lock and not yet sent, in wire order. The
     /// release step takes them all, so the outbox is empty whenever the
@@ -177,6 +194,12 @@ struct Rd {
     /// ACK, so it is dropped and recovered by retransmission).
     horizon: u64,
     tel: Telemetry,
+    /// The earliest retransmission deadline in nanoseconds on the driver's
+    /// clock, `u64::MAX` when no timer is armed: a copy of
+    /// [`Protocol::next_deadline`] for readers that take no lock, stored
+    /// by every scope that can move a timer (a send and a drive step's
+    /// end).
+    deadline: AtomicU64,
 }
 
 /// Reliable datagram endpoint: unreliable-datagram ergonomics with
@@ -223,12 +246,22 @@ impl Rd {
         self.tel.simnet().rdgram_acks_tx.inc();
         st.outbox.push((dst, b.freeze()));
     }
+
+    /// Stores the earliest retransmission deadline for lock-free readers.
+    fn publish_deadline(&self, st: &St) {
+        let at = self
+            .next_deadline(st)
+            .map_or(u64::MAX, |d| d.as_nanos() as u64);
+        self.deadline.store(at, Ordering::Release);
+    }
 }
 
 impl Protocol for Rd {
     type State = St;
     type Input = (Addr, Bytes);
-    type Output = Vec<(Addr, Bytes)>;
+    /// The frames to send, and whether messages were delivered that no
+    /// receive call took.
+    type Output = (Vec<(Addr, Bytes)>, bool);
     const IDLE: Duration = Duration::from_millis(5);
     const FLOOR: Duration = Duration::from_micros(200);
 
@@ -259,6 +292,7 @@ impl Protocol for Rd {
                         self.tel.simnet().rdgram_rx_msgs.inc();
                         next = rx.ooo.remove(&rx.rcv_nxt);
                     }
+                    st.delivered = true;
                     st.wake = true;
                 } else if seq > rx.rcv_nxt && seq < rx.rcv_nxt + self.horizon {
                     // Inside the SACK horizon: hold for reordering. Beyond
@@ -344,6 +378,7 @@ impl Protocol for Rd {
             st.err = Some(e);
             st.wake = true;
         }
+        self.publish_deadline(st);
     }
 
     /// The earliest retransmission deadline of any peer.
@@ -354,13 +389,26 @@ impl Protocol for Rd {
             .min()
     }
 
-    fn take_output(&self, st: &mut St) -> Option<Vec<(Addr, Bytes)>> {
-        (!st.outbox.is_empty()).then(|| std::mem::take(&mut st.outbox))
+    fn take_output(&self, st: &mut St) -> Option<Self::Output> {
+        let delivered = std::mem::take(&mut st.delivered);
+        (delivered || !st.outbox.is_empty()).then(|| (std::mem::take(&mut st.outbox), delivered))
     }
 
-    fn send(&self, frames: Vec<(Addr, Bytes)>) {
+    fn send(&self, (frames, delivered): Self::Output) {
         for (dst, frame) in frames {
             let _ = self.dg.send_to(dst, frame);
+        }
+        if delivered {
+            self.dg.renotify();
+        }
+    }
+
+    /// Packets that landed after the last drive step's look wait for a
+    /// receive call: a send or a flush that stopped driving re-runs the
+    /// notifier for them.
+    fn handed_off(&self) {
+        if self.dg.rx_backlog() > 0 {
+            self.dg.renotify();
         }
     }
 }
@@ -388,6 +436,7 @@ impl RdConduit {
             horizon: sack_words as u64 * 64,
             cfg,
             tel,
+            deadline: AtomicU64::new(u64::MAX),
         };
         Ok(Self {
             drv: Driver::new(core, St::default()),
@@ -406,11 +455,63 @@ impl RdConduit {
         self.drv.core.dg.fabric()
     }
 
-    /// Wire packets waiting in the underlying delivery ring; see
-    /// [`DgramConduit::rx_backlog`].
+    /// Messages a receive call can still take: wire packets waiting in
+    /// the underlying delivery ring (see [`DgramConduit::rx_backlog`])
+    /// plus messages a drive step already delivered in order. One step
+    /// can deliver several (a drained ring, a filled hole releasing the
+    /// messages held behind it) while a receive call returns one.
     #[must_use]
     pub fn rx_backlog(&self) -> usize {
-        self.drv.core.dg.rx_backlog()
+        self.drv.core.dg.rx_backlog() + self.drv.peek(|st, _| st.ready.len())
+    }
+
+    /// True when a zero-timeout [`Self::recv_from`] can make progress
+    /// now: a message waits in order, or wire packets wait and no other
+    /// call holds the drive step. A call that does takes the packets, and
+    /// the arrival notifier runs for what it delivers or leaves behind.
+    #[must_use]
+    pub fn can_recv(&self) -> bool {
+        let queued = self.drv.core.dg.rx_backlog() > 0;
+        self.drv
+            .peek(|st, driven| !st.ready.is_empty() || (queued && !driven))
+    }
+
+    /// Installs (or clears) the arrival notifier of the underlying
+    /// datagram conduit ([`DgramConduit::set_notify`]). It runs once per
+    /// delivered wire packet, data or ACK, and again when a receive call
+    /// can make progress for another reason: a drive step run by a send
+    /// or a flush delivered messages in order, or stopped with packets
+    /// still queued.
+    pub fn set_notify(&self, notify: Option<crate::fabric::RxNotify>) {
+        self.drv.core.dg.set_notify(notify);
+    }
+
+    /// Runs the arrival notifier, if one is installed, as a delivery
+    /// would.
+    pub fn renotify(&self) {
+        self.drv.core.dg.renotify();
+    }
+
+    /// The shortest wait a drive step makes for a retransmission timer:
+    /// an engine that parks until [`Self::retransmit_due_in`] parks at
+    /// least this long.
+    pub const TIMER_FLOOR: Duration = <Rd as Protocol>::FLOOR;
+
+    /// True while a retransmission timer is armed, i.e. some message sent
+    /// here awaits its acknowledgement. Takes no lock and reads no clock.
+    #[must_use]
+    pub fn retransmit_armed(&self) -> bool {
+        self.drv.core.deadline.load(Ordering::Acquire) != u64::MAX
+    }
+
+    /// The time until the earliest retransmission deadline: zero when a
+    /// timer is due, `None` when none is armed. A drive step fires a due
+    /// timer ([`Self::recv_from`] with a zero timeout runs one). Takes no
+    /// lock; the time is the driver's clock.
+    #[must_use]
+    pub fn retransmit_due_in(&self) -> Option<Duration> {
+        let at = self.drv.core.deadline.load(Ordering::Acquire);
+        (at != u64::MAX).then(|| Duration::from_nanos(at).saturating_sub(self.drv.now()))
     }
 
     /// Largest message this conduit accepts (one datagram's worth).
@@ -452,6 +553,7 @@ impl RdConduit {
             tx.payloads.insert(seq, frame.clone());
             rd.tel.simnet().rdgram_tx_msgs.inc();
             st.outbox.push((dst, frame));
+            rd.publish_deadline(st);
             Some(Ok(()))
         })
     }
@@ -462,6 +564,7 @@ impl RdConduit {
     /// reporting [`NetError::Timeout`].
     pub fn recv_from(&self, timeout: Option<Duration>) -> NetResult<(Addr, Bytes)> {
         self.drv.wait_until(timeout, |st, _| {
+            st.delivered = false;
             let next = st.ready.pop_front();
             next.map(Ok).or_else(|| st.err.clone().map(Err))
         })
@@ -911,6 +1014,55 @@ mod tests {
             rd.after_step(st, Ok(()), deadline);
             assert_eq!(st.outbox, [(void, frame)], "one retransmission");
         });
+    }
+
+    #[test]
+    fn the_retransmit_deadline_is_published_until_the_ack() {
+        let fab = Fabric::loopback();
+        let (a, b) = pair(&fab);
+        assert!(!a.retransmit_armed());
+        assert_eq!(a.retransmit_due_in(), None);
+        a.send_to(b.local_addr(), Bytes::from_static(b"x").into())
+            .unwrap();
+        assert!(a.retransmit_armed(), "the send armed its timer");
+        let due = a.retransmit_due_in().expect("armed");
+        assert!(due <= RdConfig::default().rto, "due in {due:?}");
+        // The receiver's drive step ACKs, and the sender's takes the ACK.
+        b.recv_from(Some(Duration::ZERO)).unwrap();
+        assert_eq!(
+            a.recv_from(Some(Duration::ZERO)).unwrap_err(),
+            NetError::Timeout
+        );
+        assert!(!a.retransmit_armed(), "the ACK disarmed the timer");
+        assert_eq!(a.retransmit_due_in(), None);
+    }
+
+    #[test]
+    fn a_flush_that_delivers_runs_the_arrival_notifier() {
+        // A flush's drive step takes the peer's data along with the ACK
+        // it waits for. No receive call is there to take the message, so
+        // the notifier must hear of it.
+        let fab = Fabric::loopback();
+        let (a, b) = pair(&fab);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        a.set_notify(Some(Arc::new(move |_| {
+            counted.fetch_add(1, Ordering::Relaxed);
+        })));
+        a.send_to(b.local_addr(), Bytes::from_static(b"to b").into())
+            .unwrap();
+        b.send_to(a.local_addr(), Bytes::from_static(b"to a").into())
+            .unwrap();
+        b.recv_from(Some(Duration::ZERO)).unwrap();
+        // Two arrivals at `a`: the data and the ACK.
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        a.flush(Duration::from_secs(1)).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(a.rx_backlog(), 1, "the message waits in order");
+        assert!(a.can_recv());
+        let (_, data) = a.recv_from(Some(Duration::ZERO)).unwrap();
+        assert_eq!(&data[..], b"to a");
+        assert!(!a.can_recv());
     }
 
     #[test]

@@ -129,10 +129,11 @@ blocks! {
         rx_access_violations: Counter = "core.rx.access_violations",
         rx_read_denied: Counter = "core.rx.read_denied",
         /// Engine turns (batch drains) a thread waiting in
-        /// `Cq::poll_timeout` ran on its threaded UD QP.
+        /// `Cq::poll_timeout` ran on its threaded UD or RD QP.
         rx_waiter_steps: Counter = "core.rx.waiter_steps",
-        /// Batch drains a threaded UD QP's fallback thread ran on
-        /// arrivals no waiter took (idle TTL ticks are not counted).
+        /// Batch drains a threaded datagram QP's fallback thread ran on
+        /// arrivals no waiter took (idle TTL ticks and RD's timer-only
+        /// drive steps are not counted).
         rx_fallback_drains: Counter = "core.rx.fallback_drains",
         qp_wr_record_partial_placements: Counter = "core.qp.wr_record.partial_placements",
         qp_wr_record_completions: Counter = "core.qp.wr_record.completions",

@@ -3,7 +3,7 @@
 
 Usage:
     scripts/modes.py [-n N] [--seconds S] [--seed S] [--workload W]...
-                     [--bin [LABEL=]PATH]...
+                     [--bin [LABEL=]PATH]... [--profile N]
 
 Each run is one untraced suite process:
 
@@ -16,6 +16,13 @@ all its threads and divided by the operations the run reports, so set-up
 and warm-up switches are included. Then it sorts the runs by `op_p50_us`
 and splits them into modes wherever two neighbours lie more than 10 %
 apart, and prints each mode's range.
+
+`--profile N` runs every suite process under `scripts/profile.py --top N`
+(which pins it to CPU 0, as the suite pins itself, and samples it at
+4 kHz) and prints each run's N hottest functions by self samples under
+its row, so a run in one mode can be told from a run in another by where
+its time went. The figures of a profiled run include the sampling
+overhead, so compare profiled runs with profiled runs only.
 
 Several `--bin` options compare binaries. Runs alternate between them
 (run i of every binary, then run i + 1), so a drift of the host during the
@@ -38,8 +45,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 DEFAULT_BIN = "crates/bench/src/bin/suite/target/release/suite"
+PROFILER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "profile.py")
 WORKLOADS = [
     "pingpong_64B",
     "flood_64B_x32",
@@ -54,8 +63,11 @@ WORKLOADS = [
 MODE_GAP = 0.10
 
 
-def run_once(path, workload, seconds, seed):
-    """One suite process; returns a dict of the figures this script shows."""
+def run_once(path, workload, seconds, seed, profile_top):
+    """One suite process; returns a dict of the figures this script shows.
+
+    With `profile_top` > 0 the process runs under profile.py, whose
+    rusage, as `wait4` reports it, includes the suite it waited for."""
     argv = [
         path,
         "--workload", workload,
@@ -63,10 +75,21 @@ def run_once(path, workload, seconds, seed):
         "--seconds", str(seconds),
         "--trace", "0",
     ]
-    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    out = child.stdout.read()
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
+    if profile_top:
+        argv = [sys.executable, PROFILER, "--top", str(profile_top), "--", *argv]
+    # The profile report comes on stderr, after the run: a file, so that
+    # nothing blocks on a full pipe while stdout is read.
+    with tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=err if profile_top else subprocess.DEVNULL,
+        )
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        profile = hottest(err.read().decode(errors="replace"))
     if child.returncode != 0:
         raise RuntimeError(f"{path} --workload {workload} exited {child.returncode}")
     result = json.loads(out.decode().strip().splitlines()[-1])
@@ -78,7 +101,18 @@ def run_once(path, workload, seconds, seed):
         "vcsw_per_op": usage.ru_nvcsw / ops,
         "ivcsw_per_op": usage.ru_nivcsw / ops,
         "failed": result["failed"],
+        "profile": profile,
     }
+
+
+def hottest(report):
+    """The function lines of a profile.py report (`  self%  function`
+    header on), or [] when there is none."""
+    lines = report.splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() == "self%  function":
+            return [l for l in lines[i + 1:] if l.strip()]
+    return []
 
 
 def split_modes(runs):
@@ -107,6 +141,8 @@ def report(label, workload, runs):
             f"{r['vcsw_per_op']:>8.2f} {r['ivcsw_per_op']:>9.2f}"
             + (f"  failed={r['failed']}" if r["failed"] else "")
         )
+        for line in r["profile"]:
+            print(f"          {line}")
     modes = split_modes(runs)
     print(f"   {len(modes)} mode(s), split at a {MODE_GAP:.0%} gap in op_p50_us:")
     for m in modes:
@@ -168,9 +204,13 @@ def main():
                     help="repeatable; default every workload")
     ap.add_argument("--bin", action="append", type=parse_bin,
                     help=f"[LABEL=]PATH, repeatable; default {DEFAULT_BIN}")
+    ap.add_argument("--profile", type=int, default=0, metavar="N",
+                    help="profile every run and print its N hottest functions")
     args = ap.parse_args()
     if args.n < 1 or args.seconds < 1:
         ap.error("-n and --seconds must be at least 1")
+    if args.profile < 0:
+        ap.error("--profile must be at least 0")
     bins = args.bin or [parse_bin(DEFAULT_BIN)]
     for _, path in bins:
         if not os.access(path, os.X_OK):
@@ -179,7 +219,8 @@ def main():
         runs = {label: [] for label, _ in bins}
         for i in range(args.n):
             for label, path in bins if i % 2 == 0 else bins[::-1]:
-                runs[label].append(run_once(path, workload, args.seconds, args.seed))
+                runs[label].append(
+                    run_once(path, workload, args.seconds, args.seed, args.profile))
                 print(f"\r{workload}: run {i + 1}/{args.n}", end="", file=sys.stderr, flush=True)
         print(file=sys.stderr)
         for label, _ in bins:

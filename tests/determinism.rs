@@ -19,6 +19,11 @@
 //! * `rc-lossless`: a poll-mode RC pair on a clean wire, anchoring the
 //!   connection path (stream conduit, MPA framing, RC verbs).
 //!
+//! One check compares two runs instead of an anchor: `rd-lossy` sends
+//! over the reliable-datagram LLP, whose wire depends on thread timing
+//! when the QPs are threaded, so only its delivered payloads are held
+//! fixed, and the same across the poll and threaded drive modes.
+//!
 //! On a mismatch a check panics and prints every line it recomputed, the
 //! moved ones marked. Moving an anchor on purpose means pasting those
 //! lines into `tests/anchors.txt` and giving the reason in CHANGES.md.
@@ -26,6 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use datagram_iwarp::apps::replog::{Cluster, History, ReplogConfig};
@@ -746,6 +752,113 @@ fn link_a_draws_unchanged_by_link_b_traffic() {
         alone, shared,
         "link B's traffic perturbed link A's loss draw sequence"
     );
+}
+
+// ---------------------------------------------------------------------------
+// rd-lossy: one RD QP pair, polled or threaded.
+// ---------------------------------------------------------------------------
+
+/// One client RD QP sends `RD_MSGS` messages to one server RD QP over
+/// 10 % loss, both QPs in `mode` (poll or threaded), and returns the
+/// payloads the server's receives hold, in receive order. In poll mode a
+/// thread per side calls `progress`. Threaded, two server threads wait on
+/// the receive CQ, so the QP's waiters and fallback thread contend for
+/// its engine, and the client sends and then makes no call, so its
+/// fallback thread takes the ACKs and fires the retransmission timers.
+fn run_rd(mode: RxMode) -> (Vec<Vec<u8>>, Snapshot) {
+    const RD_MSGS: usize = 300;
+    let fab = lossy_fabric();
+    let poll_mode = matches!(mode, RxMode::Poll);
+    let qp_cfg = QpConfig {
+        poll_mode,
+        ..QpConfig::default()
+    };
+    let (client, server) = (Device::new(&fab, NodeId(0)), Device::new(&fab, NodeId(1)));
+    let (c_send, c_recv) = (Cq::new(RD_MSGS), Cq::new(8));
+    let (s_send, s_recv) = (Cq::new(8), Cq::new(RD_MSGS));
+    let cqp = client
+        .create_rd_qp(None, &c_send, &c_recv, qp_cfg.clone())
+        .unwrap();
+    let sqp = server.create_rd_qp(None, &s_send, &s_recv, qp_cfg).unwrap();
+    let mr = server.register(RD_MSGS * SLOT, Access::Local);
+    for i in 0..RD_MSGS {
+        sqp.post_recv(RecvWr {
+            wr_id: i as u64,
+            mr: mr.clone(),
+            offset: (i * SLOT) as u64,
+            len: SLOT as u32,
+        })
+        .unwrap();
+    }
+    let received = AtomicUsize::new(0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    // Each server thread's receive CQEs: `(wr_id, byte_len)`.
+    let receive = || {
+        let mut cqes = Vec::new();
+        while received.load(Ordering::Acquire) < RD_MSGS {
+            assert!(Instant::now() < deadline, "{mode:?}: RD run stalled");
+            if poll_mode {
+                sqp.progress(Duration::from_millis(1));
+            }
+            let cqe = if poll_mode {
+                s_recv.poll()
+            } else {
+                s_recv.poll_timeout(Duration::from_millis(10)).ok()
+            };
+            if let Some(cqe) = cqe {
+                assert_eq!(cqe.status, CqeStatus::Success, "{mode:?}");
+                cqes.push((cqe.wr_id, cqe.byte_len as usize));
+                received.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+        cqes
+    };
+    let mut cqes = std::thread::scope(|s| {
+        s.spawn(|| {
+            for seq in 0..RD_MSGS {
+                let payload: Vec<u8> = (0..64).map(|i| (seq * 7 + i) as u8).collect();
+                cqp.post_send(seq as u64, payload, sqp.dest()).unwrap();
+            }
+            // Polled, the client's protocol runs only in its calls.
+            while poll_mode && received.load(Ordering::Acquire) < RD_MSGS {
+                cqp.progress(Duration::from_millis(1));
+            }
+        });
+        let waiters = if poll_mode { 1 } else { 2 };
+        let threads: Vec<_> = (0..waiters).map(|_| s.spawn(receive)).collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    cqes.sort_unstable();
+    let out = cqes
+        .iter()
+        .map(|&(wr_id, len)| mr.read_vec(wr_id * SLOT as u64, len).unwrap())
+        .collect();
+    (out, fab.telemetry().snapshot())
+}
+
+/// The reliable-datagram LLP delivers every message once, in order,
+/// however its QPs are driven: polled, or threaded with a CQ waiter and
+/// an idle sender's fallback thread.
+#[test]
+fn rd_delivers_the_same_payloads_polled_and_threaded() {
+    let runs = [RxMode::Poll, RxMode::Threaded].map(|mode| {
+        let (out, tel) = run_rd(mode);
+        assert!(
+            tel.get("simnet.rdgram.retransmits") > Some(0),
+            "{mode:?}: 10 % loss needed no retransmission; the run no longer exercises recovery"
+        );
+        out
+    });
+    assert_eq!(runs[0].len(), runs[1].len());
+    for (seq, (polled, threaded)) in runs[0].iter().zip(&runs[1]).enumerate() {
+        assert_eq!(
+            polled, threaded,
+            "message {seq}: poll mode and threaded mode delivered different bytes"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
